@@ -1,0 +1,15 @@
+//! Records the compiler that built the harness, so every result names it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
+    println!("cargo:rustc-env=MSR_BENCHMARK_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
