@@ -1,24 +1,16 @@
-//! Ingest throughput: what the chunk plane's hot loops sustain, and what
-//! sharding the plane's state buys under concurrent fleets.
+//! Ingest throughput: what the chunk plane's hot loops sustain.
 //!
-//! Two measurements fold into one [`IngestPoint`]:
+//! One [`IngestPoint`]: MB/s of the three CPU stages a chunked dump pays
+//! (CDC split, chunk digesting, per-chunk compression) plus the
+//! end-to-end `write_chunked` path, each at 1, 2 and N pool workers via
+//! [`rayon::with_threads`]. Best-of-`reps` wall clock, so a noisy
+//! scheduler tick cannot sink a point.
 //!
-//! 1. **Stage throughput** — MB/s of the three CPU stages a chunked dump
-//!    pays (CDC split, chunk digesting, per-chunk compression) plus the
-//!    end-to-end `write_chunked` path, each at 1, 2 and N pool workers
-//!    via [`rayon::with_threads`]. Best-of-`reps` wall clock, so a noisy
-//!    scheduler tick cannot sink a point.
-//! 2. **Contention** — R OS threads ingesting to R distinct resources
-//!    through one shared [`IoEngine`], timed twice: once with the plane's
-//!    shards artificially serialized behind a single lock (the
-//!    pre-sharding behaviour, via
-//!    [`ChunkPlane::set_serialized_ingest`]) and once sharded. The
-//!    `speedup` column is what per-resource sharding is worth.
-//!
-//! On a single-core host the worker curves and the contention pair
-//! coincide — the ledger records `host_cores` so that reads as "this
-//! runner cannot show scaling", not as a regression. The repro binary
-//! only asserts scaling when both the pool and the host have ≥ 2 workers.
+//! Every figure is one shot of a few milliseconds: the ledger records
+//! them (with `host_cores`, so a single-core runner reads as "cannot show
+//! scaling", not as a regression) and asserts nothing about them. Ingest
+//! correctness is gated by the CDC equality suite, ingest performance by
+//! `ckpt_chunked/host_wall_s` in `benchmark/`.
 
 use super::Scale;
 use msr_chunk::{split, ChunkPolicy, Codec, Compressor, Digest, IngestSpec};
@@ -41,24 +33,7 @@ pub struct StagePoint {
     pub mb_s: f64,
 }
 
-/// One serialized-vs-sharded concurrent-fleet comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct ContentionPoint {
-    /// OS threads = distinct resources ingesting concurrently.
-    pub resources: usize,
-    /// Dumps each thread wrote to its resource.
-    pub dumps_per_resource: usize,
-    /// Megabytes of payload per dump.
-    pub payload_mb: f64,
-    /// Wall clock with every shard forced behind one global lock.
-    pub global_lock_s: f64,
-    /// Wall clock with per-resource shards (the shipping behaviour).
-    pub sharded_s: f64,
-    /// `global_lock / sharded` — what sharding is worth on this host.
-    pub speedup: f64,
-}
-
-/// The full ingest ledger: stage curves plus the contention run.
+/// The full ingest ledger: the stage curves.
 #[derive(Debug, Clone, Serialize)]
 pub struct IngestPoint {
     /// Megabytes of the stage-benchmark payload.
@@ -67,8 +42,6 @@ pub struct IngestPoint {
     pub chunks: usize,
     /// Stage samples, grouped by stage then worker count.
     pub stages: Vec<StagePoint>,
-    /// The concurrent-fleet comparison.
-    pub contention: ContentionPoint,
 }
 
 /// The checkpoint-shaped payload every measurement ingests: a repeating
@@ -117,14 +90,13 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Measure every stage at every worker count and run the contention
-/// fleet. Deterministic payloads; wall clock is the only host-dependent
-/// output.
+/// Measure every stage at every worker count. Deterministic payloads;
+/// wall clock is the only host-dependent output.
 pub fn ingest_throughput(scale: Scale, seed: u64) -> IngestPoint {
-    let (payload_bytes, reps, fleet, dumps) = match scale {
-        // 12 MiB-ish cube payload, 4 threads x 6 dumps for contention.
-        Scale::Paper => (144usize.pow(3), 5, 4, 6),
-        Scale::Quick => (48usize.pow(3), 3, 2, 3),
+    let (payload_bytes, reps) = match scale {
+        // 12 MiB-ish cube payload.
+        Scale::Paper => (144usize.pow(3), 5),
+        Scale::Quick => (48usize.pow(3), 3),
     };
     let policy = ChunkPolicy::cdc(64);
     let codec = Codec::Lz4Like(2);
@@ -202,12 +174,10 @@ pub fn ingest_throughput(scale: Scale, seed: u64) -> IngestPoint {
         stages.push(stage("write_chunked", workers, mb, s));
     }
 
-    let contention = contention_run(fleet, dumps, seed);
     IngestPoint {
         payload_mb: mb,
         chunks,
         stages,
-        contention,
     }
 }
 
@@ -224,60 +194,6 @@ fn fresh_disk(name: &str) -> SharedResource {
     share(LocalDisk::new(name, DiskParams::simple(4000.0, 8 << 30), 0))
 }
 
-/// Time the R-thread x R-resource fleet with the plane serialized behind
-/// one lock, then sharded. Same payload sequence both times.
-fn contention_run(fleet: usize, dumps: usize, seed: u64) -> ContentionPoint {
-    let payload_bytes = 96usize.pow(3);
-    let dist = cube_dist(payload_bytes);
-    let ingest = IngestSpec::chunked(ChunkPolicy::cdc(4)).with_codec(Codec::Lz4Like(2));
-    let run = |serialized: bool| {
-        let engine = IoEngine::default();
-        engine.chunk_plane().set_serialized_ingest(serialized);
-        let resources: Vec<SharedResource> = (0..fleet)
-            .map(|r| fresh_disk(&format!("fleet{r}")))
-            .collect();
-        let t = Instant::now();
-        std::thread::scope(|scope| {
-            for (r, res) in resources.iter().enumerate() {
-                let engine = &engine;
-                let dist = &dist;
-                let ingest = &ingest;
-                scope.spawn(move || {
-                    for i in 0..dumps {
-                        let data = churned(payload_bytes, seed + i as u64);
-                        engine
-                            .write_chunked(
-                                res,
-                                "d.ckpt",
-                                &data,
-                                dist,
-                                IoStrategy::Naive,
-                                OpenMode::Create,
-                                ingest,
-                                &format!("fleet{r}"),
-                            )
-                            .expect("fleet write");
-                    }
-                });
-            }
-        });
-        t.elapsed().as_secs_f64()
-    };
-    // Warm both paths once (page cache, pool spin-up), then measure.
-    let _ = run(true);
-    let global_lock_s = run(true);
-    let _ = run(false);
-    let sharded_s = run(false);
-    ContentionPoint {
-        resources: fleet,
-        dumps_per_resource: dumps,
-        payload_mb: payload_bytes as f64 / (1024.0 * 1024.0),
-        global_lock_s,
-        sharded_s,
-        speedup: global_lock_s / sharded_s.max(1e-12),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,8 +208,5 @@ mod tests {
             assert!(s.mb_s > 0.0, "{s:?}");
             assert!(s.seconds > 0.0, "{s:?}");
         }
-        assert!(p.contention.global_lock_s > 0.0);
-        assert!(p.contention.sharded_s > 0.0);
-        assert!(p.contention.speedup > 0.0);
     }
 }

@@ -26,7 +26,7 @@ pub use experiments::fig10::{fig10a, fig10b, fig10c};
 pub use experiments::fig11::fig11;
 pub use experiments::fig9::fig9;
 pub use experiments::figs678::{fig6, fig7, fig8, figs678_all, CurvePoint};
-pub use experiments::ingest::{ingest_throughput, ContentionPoint, IngestPoint, StagePoint};
+pub use experiments::ingest::{ingest_throughput, IngestPoint, StagePoint};
 pub use experiments::lifecycle::{lifecycle_tiering, LifecyclePoint};
 pub use experiments::prefetch::{prefetch_overlap, PrefetchPoint, PREFETCH_LEVELS};
 pub use experiments::sched::{

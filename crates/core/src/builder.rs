@@ -1,9 +1,7 @@
 //! Fluent session construction.
 //!
-//! The positional `init_session(app, user, iterations, grid)` constructor
-//! grew four anonymous arguments; call sites read as a row of literals.
-//! [`SessionBuilder`] names each one and supplies sensible defaults, so a
-//! session declares only what it cares about:
+//! [`SessionBuilder`] names each session parameter and supplies sensible
+//! defaults, so a session declares only what it cares about:
 //!
 //! ```
 //! use msr_core::MsrSystem;
@@ -142,15 +140,5 @@ mod tests {
         let s = sys.session().build().unwrap();
         assert_eq!(s.iterations(), 1);
         assert_eq!(s.grid(), ProcGrid::new(1, 1, 1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_works() {
-        let sys = MsrSystem::testbed(5);
-        let s = sys
-            .init_session("legacy", "u", 6, ProcGrid::new(1, 1, 1))
-            .unwrap();
-        assert_eq!(s.iterations(), 6);
     }
 }

@@ -46,6 +46,13 @@ struct DatasetState {
     native_calls: usize,
 }
 
+/// Catalog path of dataset `name` in run `run` of `app` — the prefix every
+/// dump file of the dataset derives from (see
+/// [`AccessMode::dump_file`](msr_meta::AccessMode::dump_file)).
+pub fn dataset_base_path(app: &str, run: RunId, name: &str) -> String {
+    format!("{app}/run{}/{name}", run.0)
+}
+
 /// An active application session.
 pub struct Session<'a> {
     sys: &'a MsrSystem,
@@ -179,7 +186,7 @@ impl<'a> Session<'a> {
             Some(kind) => Location::Stored(kind),
             None => Location::Disabled,
         };
-        let base_path = format!("{}/run{}/{}", self.app, self.run.0, spec.name);
+        let base_path = dataset_base_path(&self.app, self.run, &spec.name);
         let meta_id = {
             let mut catalog = self.sys.catalog.lock();
             let id = catalog.add_dataset(DatasetRec {
@@ -267,11 +274,8 @@ impl<'a> Session<'a> {
     }
 
     fn dump_path(state: &DatasetState, app: &str, run: RunId, iter: u32) -> String {
-        let base = format!("{}/run{}/{}", app, run.0, state.spec.name);
-        match state.spec.amode {
-            AccessMode::Create => format!("{base}.t{iter:05}"),
-            AccessMode::OverWrite => base,
-        }
+        let base = dataset_base_path(app, run, &state.spec.name);
+        state.spec.amode.dump_file(&base, iter)
     }
 
     /// Dump one iteration of a dataset. Returns `Ok(None)` when this
@@ -365,31 +369,6 @@ impl<'a> Session<'a> {
             dataset: d.spec.name.clone(),
             bytes: d.spec.snapshot_bytes(),
         })
-    }
-
-    /// Dump one iteration of a dataset.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `write_iteration`; dumps now route through the dataset's typed `IngestSpec` \
-                (raw for specs built without `.chunked(..)`, so behaviour is unchanged)"
-    )]
-    pub fn dump_raw(
-        &mut self,
-        h: DatasetHandle,
-        iter: u32,
-        data: &[u8],
-    ) -> CoreResult<Option<IoReport>> {
-        self.write_iteration(h, iter, data)
-    }
-
-    /// Read back one of this run's dumps.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `read_iteration`; reads self-describe via the registered chunk manifest \
-                and fall back to the raw object path"
-    )]
-    pub fn fetch_raw(&mut self, h: DatasetHandle, iter: u32) -> CoreResult<(Vec<u8>, IoReport)> {
-        self.read_iteration(h, iter)
     }
 
     /// Re-place dataset `h` on the next usable resource after `from`
@@ -689,10 +668,7 @@ impl<'a> Session<'a> {
             Some(IoStrategy::Subfile) => IoStrategy::Subfile,
             _ => strategy,
         };
-        let path = match rec.amode {
-            AccessMode::Create => format!("{}.t{iteration:05}", rec.path),
-            AccessMode::OverWrite => rec.path.clone(),
-        };
+        let path = rec.dump_file(iteration);
         let res = sys.resource(kind).ok_or(CoreError::NoUsableResource {
             dataset: name.to_owned(),
             bytes: 0,

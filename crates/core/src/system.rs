@@ -294,21 +294,6 @@ impl MsrSystem {
         SessionBuilder::new(self)
     }
 
-    /// Start a session with positional arguments.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `MsrSystem::session()` builder instead"
-    )]
-    pub fn init_session(
-        &self,
-        app: &str,
-        user: &str,
-        iterations: u32,
-        grid: ProcGrid,
-    ) -> CoreResult<Session<'_>> {
-        Session::initialize(self, app, user, iterations, grid, None)
-    }
-
     /// Read a dataset dump produced by an earlier run — the consumer path
     /// used by the post-processing tools (data analysis, Volren, viewers).
     /// Placement is looked up in the catalog; the caller only names the

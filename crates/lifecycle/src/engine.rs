@@ -339,7 +339,7 @@ impl LifecycleEngine {
                 // Chunk-plane aware: a chunked dump's delete releases its
                 // store references and garbage-collects frames no other
                 // dump shares; raw dumps take the plain delete path.
-                let gone = match sys.engine.delete_dump(&res, &dump_file(d, iter)) {
+                let gone = match sys.engine.delete_dump(&res, &d.dump_file(iter)) {
                     Ok(cost) => {
                         sys.clock.advance(cost.time);
                         true
@@ -471,7 +471,7 @@ impl LifecycleEngine {
                 // and drops a vault reference on each of its chunks — a
                 // shared frame leaves disk only when *every* dump that
                 // references it is vaulted.
-                if let Ok(cost) = sys.engine.vault_dump(&res, &dump_file(d, dump.iter)) {
+                if let Ok(cost) = sys.engine.vault_dump(&res, &d.dump_file(dump.iter)) {
                     sys.clock.advance(cost.time);
                     sys.catalog
                         .lock()
@@ -506,7 +506,7 @@ impl LifecycleEngine {
             if dump.state != DumpState::Vaulted {
                 continue;
             }
-            match sys.engine.recall_dump(&res, &dump_file(d, dump.iter)) {
+            match sys.engine.recall_dump(&res, &d.dump_file(dump.iter)) {
                 Ok(cost) => {
                     sys.clock.advance(cost.time);
                     sys.catalog
@@ -588,13 +588,5 @@ impl LifecycleEngine {
         // bytes; raw datasets scale by 1.0 (a no-op).
         let access = AccessSummary::of(&dist).scaled(sys.predicted_ratio(&d.name));
         fetch_estimate(&profile, strategy, &access).as_secs()
-    }
-}
-
-/// The on-storage path of one dump of `d`.
-fn dump_file(d: &DatasetRec, iter: u32) -> String {
-    match d.amode {
-        AccessMode::Create => format!("{}.t{iter:05}", d.path),
-        AccessMode::OverWrite => d.path.clone(),
     }
 }

@@ -87,6 +87,19 @@ pub enum AccessMode {
     OverWrite,
 }
 
+impl AccessMode {
+    /// On-storage file of the dump taken at `iter` for a dataset whose
+    /// catalog path is `base`: `Create` datasets keep one file per dump
+    /// (`<base>.t<iter>`), `OverWrite` datasets rewrite `base` itself. The
+    /// one definition of the dump-file format.
+    pub fn dump_file(self, base: &str, iter: u32) -> String {
+        match self {
+            AccessMode::Create => format!("{base}.t{iter:05}"),
+            AccessMode::OverWrite => base.to_owned(),
+        }
+    }
+}
+
 impl fmt::Display for AccessMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -201,6 +214,11 @@ impl DatasetRec {
             None => 0,
             Some(d) => d + 1,
         }
+    }
+
+    /// On-storage file of this dataset's dump at `iter`.
+    pub fn dump_file(&self, iter: u32) -> String {
+        self.amode.dump_file(&self.path, iter)
     }
 }
 

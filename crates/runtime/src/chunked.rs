@@ -52,7 +52,7 @@ use msr_storage::{Cost, OpenMode, SharedResource, StorageError, StorageResource}
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Global free lists of chunk-plane scratch: LZ compressors (match
@@ -133,25 +133,9 @@ struct Shard {
 /// Shared state of the chunk plane. Engine clones share one plane (the
 /// stores must be global per process — dedup across sessions is the
 /// point), so this is an `Arc` handle over the per-resource shard map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChunkPlane {
     shards: Arc<RwLock<HashMap<String, Arc<Mutex<Shard>>>>>,
-    /// Bench hook: when set, every ingest's bookkeeping-and-ship section
-    /// additionally serializes through one process-wide mutex,
-    /// reproducing the retired single-lock plane for the contention
-    /// ledger's baseline run.
-    serialize: Arc<AtomicBool>,
-    contend: Arc<Mutex<()>>,
-}
-
-impl Default for ChunkPlane {
-    fn default() -> ChunkPlane {
-        ChunkPlane {
-            shards: Arc::new(RwLock::new(HashMap::new())),
-            serialize: Arc::new(AtomicBool::new(false)),
-            contend: Arc::new(Mutex::new(())),
-        }
-    }
 }
 
 impl ChunkPlane {
@@ -166,22 +150,6 @@ impl ChunkPlane {
     /// The shard for `resource` if any chunked dump ever touched it.
     fn shard_if(&self, resource: &str) -> Option<Arc<Mutex<Shard>>> {
         self.shards.read().get(resource).cloned()
-    }
-
-    /// The global-lock guard for the contention-baseline bench mode,
-    /// `None` in normal operation.
-    fn contention_guard(&self) -> Option<parking_lot::MutexGuard<'_, ()>> {
-        self.serialize
-            .load(Ordering::Relaxed)
-            .then(|| self.contend.lock())
-    }
-
-    /// Bench hook: force every ingest through one global lock,
-    /// emulating the pre-sharding plane. Only the ingest ledger's
-    /// contention baseline should ever turn this on.
-    #[doc(hidden)]
-    pub fn set_serialized_ingest(&self, on: bool) {
-        self.serialize.store(on, Ordering::SeqCst);
     }
 
     /// Whether `(resource, path)` is a registered chunked dump.
@@ -359,7 +327,6 @@ impl IoEngine {
         let (moved, shipped, hits, gc_deletes);
         let manifest_bytes;
         {
-            let _serial = self.plane.contention_guard();
             let mut sh = shard.lock();
             let sh = &mut *sh;
 

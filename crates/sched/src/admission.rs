@@ -1,0 +1,542 @@
+//! Admission: eq. (2) pricing, the overload gate (quotas, SLO, deferral,
+//! expiry), expansion of an admitted program into tagged requests, and the
+//! deal of those requests into per-resource weighted-fair queues.
+
+use crate::drain::{pop_chain, Acc, Drain, Queues};
+use crate::program::{payload, SessionProgram};
+use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
+use msr_core::{
+    dataset_base_path, placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant,
+    TenantId,
+};
+use msr_meta::AccessMode;
+use msr_obs::{ops, Layer};
+use msr_predict::{fetch_estimate, profile_for, queue_wait, AccessSummary, ResourceProfile};
+use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
+use msr_sim::{SimDuration, SimTime};
+use msr_storage::{OpKind, OpenMode, StorageKind};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// eq. (2) service-time estimator shared by admission pricing, the load
+/// board's backlog accounting, WFQ batch costs, the prefetch planner and
+/// the deadline checker. Profiles are synthesized once per
+/// `(resource, op)` (measured PerfDb rows win when the database is
+/// populated) and never sampled from the live jitter streams, so every
+/// estimate is deterministic.
+#[derive(Default)]
+pub(crate) struct Estimator {
+    profiles: BTreeMap<(StorageKind, OpKind), ResourceProfile>,
+}
+
+impl Estimator {
+    /// Predicted service time (seconds) of one `op` with `strategy` over
+    /// `dist` on `kind`. `ratio` scales the priced bytes — the learned
+    /// post-dedup/post-compression figure for chunked datasets, `1.0`
+    /// (a bitwise no-op) for raw ones.
+    fn cost_op(
+        &mut self,
+        sys: &MsrSystem,
+        kind: StorageKind,
+        op: OpKind,
+        strategy: IoStrategy,
+        dist: &Distribution,
+        ratio: f64,
+    ) -> f64 {
+        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
+            let res = sys.resource(kind).expect("priced on a registered kind");
+            profile_for(sys.predictor().map(|p| &p.db), &res, op)
+        });
+        fetch_estimate(profile, strategy, &AccessSummary::of(dist).scaled(ratio)).as_secs()
+    }
+
+    /// Predicted service time (seconds) of `req` on `kind`.
+    pub fn cost(&mut self, sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
+        let op = match req.body {
+            RequestBody::Write { .. } => OpKind::Write,
+            RequestBody::Read => OpKind::Read,
+        };
+        let ratio = sys.predicted_ratio(&req.dataset);
+        self.cost_op(sys, kind, op, req.strategy, &req.dist, ratio)
+    }
+}
+
+/// Per-tenant overload-machinery counters, folded into the report's
+/// [`TenantReport`](crate::TenantReport)s.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct TenantCounters {
+    pub shed: u64,
+    pub deferred: u64,
+    pub expired: u64,
+    pub cancelled: u64,
+}
+
+/// A program parked in the admission backpressure queue: its tenant's
+/// predicted wait exceeded the SLO under a `Defer` overload policy. It is
+/// re-priced as the drain progresses and admitted once the predicted wait
+/// drops, or expired when `expires` passes unadmitted.
+pub(crate) struct Deferred {
+    program: SessionProgram,
+    tenant: TenantId,
+    expires: SimTime,
+}
+
+/// What one program would add to the system, priced with eq. (2) before
+/// any catalog state is touched: the admission controller's input.
+#[derive(Default)]
+struct Pricing {
+    requests: usize,
+    bytes: u64,
+    est_secs: f64,
+    kinds: BTreeSet<StorageKind>,
+}
+
+/// The admission controller's verdict on one program.
+enum GateVerdict {
+    Admit,
+    Shed(CoreError),
+    Defer { ttl: SimDuration },
+}
+
+impl Scheduler<'_> {
+    /// Admit one program through the overload controller. The program is
+    /// first *priced* — eq. (2) service estimates per request, summed
+    /// against the tenant's quotas and the live load board — before any
+    /// catalog state is touched:
+    ///
+    /// - over quota, or over the tenant's SLO with a [`OverloadPolicy::Shed`]
+    ///   policy: the program is **shed** with a typed error
+    ///   ([`CoreError::QuotaExceeded`] / [`CoreError::Rejected`]) and
+    ///   nothing is opened;
+    /// - over the SLO with a [`OverloadPolicy::Defer`] policy and room in
+    ///   the backpressure queue: the program is **parked** (`Ok(None)`)
+    ///   and retried as the drain progresses, expiring after its TTL;
+    /// - otherwise it is **admitted**: its catalog session opens, its
+    ///   datasets are placed (scored AUTO placement sees the current queue
+    ///   depths), and it expands into tagged requests accounted on the
+    ///   system's load board. Returns `Ok(Some(session_id))`.
+    pub fn admit(&mut self, program: SessionProgram) -> CoreResult<Option<u64>> {
+        let (tid, tenant) = self
+            .sys
+            .tenants
+            .resolve_or_register(program.tenant.as_deref());
+        self.tenant_names.insert(tid, tenant.name.clone());
+        self.weights.insert(tid, tenant.weight);
+        match self.admission_gate(&program, tid, &tenant)? {
+            GateVerdict::Admit => Ok(Some(self.open_and_expand(program, tid)?)),
+            GateVerdict::Shed(e) => {
+                self.tcounts.entry(tid).or_default().shed += 1;
+                self.rec.instant(
+                    Layer::Sched,
+                    &tenant.name,
+                    ops::ADMIT_SHED,
+                    self.sys.clock.now(),
+                    &format!("{}: {e}", program.app),
+                );
+                Err(e)
+            }
+            GateVerdict::Defer { ttl } => {
+                self.tcounts.entry(tid).or_default().deferred += 1;
+                let now = self.sys.clock.now();
+                self.rec.instant(
+                    Layer::Sched,
+                    &tenant.name,
+                    ops::ADMIT_DEFER,
+                    now,
+                    &format!("{}: parked for up to {:.3}s", program.app, ttl.as_secs()),
+                );
+                self.deferred.push_back(Deferred {
+                    program,
+                    tenant: tid,
+                    expires: now + ttl,
+                });
+                Ok(None)
+            }
+        }
+    }
+
+    /// Price `program` with eq. (2) without touching catalog state: how
+    /// many requests it would queue, the bytes it would put in flight, the
+    /// predicted service seconds it would add, and the resources it would
+    /// land on. Placement is resolved with the same pure scoring the later
+    /// open uses, so the admission decision prices what admission would do.
+    fn price(&mut self, program: &SessionProgram) -> CoreResult<Pricing> {
+        let sys = self.sys;
+        let mut pricing = Pricing::default();
+        for spec in &program.datasets {
+            if spec.frequency == 0 {
+                continue;
+            }
+            let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
+            let run_bytes = spec.run_bytes(program.iterations);
+            let Some(kind) = placement::resolve(sys, spec, &dist, run_bytes)? else {
+                continue;
+            };
+            pricing.kinds.insert(kind);
+            let dumps = (0..=program.iterations)
+                .filter(|i| i.is_multiple_of(spec.frequency))
+                .count();
+            let reads = if program.readbacks > 0 {
+                (program.readbacks as usize).min(dumps)
+            } else {
+                usize::from(program.readback)
+            };
+            pricing.requests += dumps + reads;
+            pricing.bytes += (dumps + reads) as u64 * spec.snapshot_bytes();
+            let ratio = sys.predicted_ratio(&spec.name);
+            pricing.est_secs += dumps as f64
+                * self
+                    .estimator
+                    .cost_op(sys, kind, OpKind::Write, spec.strategy, &dist, ratio)
+                + reads as f64
+                    * self
+                        .estimator
+                        .cost_op(sys, kind, OpKind::Read, spec.strategy, &dist, ratio);
+        }
+        Ok(pricing)
+    }
+
+    /// The admission controller: quotas first, then the eq. (2) SLO check
+    /// — predicted queue wait on the program's most backlogged target
+    /// resource against the tenant's SLO.
+    fn admission_gate(
+        &mut self,
+        program: &SessionProgram,
+        tid: TenantId,
+        tenant: &Tenant,
+    ) -> CoreResult<GateVerdict> {
+        let pricing = self.price(program)?;
+        let usage = self.sys.load.tenant_usage(tid);
+        let over_quota = |resource, used: u64, requested: u64, limit: u64| {
+            Ok(GateVerdict::Shed(CoreError::QuotaExceeded {
+                tenant: tenant.name.clone(),
+                resource,
+                used,
+                requested,
+                limit,
+            }))
+        };
+        if let Some(cap) = tenant.quota.max_queued_requests {
+            if usage.queued + pricing.requests > cap {
+                return over_quota(
+                    "queued requests",
+                    usage.queued as u64,
+                    pricing.requests as u64,
+                    cap as u64,
+                );
+            }
+        }
+        if let Some(cap) = tenant.quota.max_bytes_in_flight {
+            if usage.bytes + pricing.bytes > cap {
+                return over_quota("bytes in flight", usage.bytes, pricing.bytes, cap);
+            }
+        }
+        if let Some(cap) = tenant.quota.max_predicted_secs {
+            if usage.predicted_secs + pricing.est_secs > cap {
+                return over_quota(
+                    "predicted seconds",
+                    usage.predicted_secs.ceil() as u64,
+                    pricing.est_secs.ceil() as u64,
+                    cap.ceil() as u64,
+                );
+            }
+        }
+        if let Some(slo) = tenant.slo {
+            let mut wait = SimDuration::ZERO;
+            for &kind in &pricing.kinds {
+                let backlog = SimDuration::from_secs(self.sys.load.predicted_backlog(kind));
+                let w = queue_wait(
+                    backlog,
+                    self.sys.load.depth(kind),
+                    MAX_CHAIN,
+                    dispatch_overhead(),
+                );
+                wait = wait.max(w);
+            }
+            if wait > slo {
+                let reject = || CoreError::Rejected {
+                    tenant: tenant.name.clone(),
+                    predicted_wait: wait,
+                    slo,
+                };
+                return Ok(match tenant.overload {
+                    OverloadPolicy::Shed => GateVerdict::Shed(reject()),
+                    OverloadPolicy::Defer { max_deferred, ttl } => {
+                        let parked = self.deferred.iter().filter(|d| d.tenant == tid).count();
+                        if parked >= max_deferred {
+                            GateVerdict::Shed(reject())
+                        } else {
+                            GateVerdict::Defer { ttl }
+                        }
+                    }
+                });
+            }
+        }
+        Ok(GateVerdict::Admit)
+    }
+
+    /// Open the program's catalog session, place its datasets, expand it
+    /// into tagged requests and account them (depth, predicted backlog,
+    /// tenant usage) on the system's load board.
+    fn open_and_expand(&mut self, program: SessionProgram, tid: TenantId) -> CoreResult<u64> {
+        let id = self.admitted.len() as u64;
+        let mut session = self
+            .sys
+            .session()
+            .app(&program.app)
+            .user(&program.user)
+            .iterations(program.iterations)
+            .grid(program.grid)
+            .build()?;
+        for spec in &program.datasets {
+            session.open(spec.clone())?;
+        }
+        let run = session.run_id();
+        for d in session.report().datasets {
+            if let Some(kind) = d.location {
+                self.locations.insert((id, d.name), kind);
+            }
+        }
+        for spec in &program.datasets {
+            self.specs.insert((id, spec.name.clone()), spec.clone());
+        }
+
+        let mut requests = VecDeque::new();
+        let mut seq = 0u64;
+        // Dataset-major expansion keeps one dataset's dumps at consecutive
+        // sequence numbers, which is what makes them batchable.
+        for spec in &program.datasets {
+            if !self.locations.contains_key(&(id, spec.name.clone())) || spec.frequency == 0 {
+                continue;
+            }
+            let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
+            let mode = match spec.amode {
+                AccessMode::Create => OpenMode::Create,
+                AccessMode::OverWrite => OpenMode::OverWrite,
+            };
+            let base = dataset_base_path(&program.app, run, &spec.name);
+            let request = |seq, path, body| EngineRequest {
+                tag: RequestTag { session: id, seq },
+                dataset: spec.name.clone(),
+                path,
+                dist,
+                strategy: spec.strategy,
+                // Reads self-describe through the registered manifest;
+                // carrying the spec keeps report lines symmetrical.
+                ingest: spec.ingest,
+                body,
+            };
+            let mut dumps = Vec::new();
+            for iter in 0..=program.iterations {
+                if !iter.is_multiple_of(spec.frequency) {
+                    continue;
+                }
+                let path = spec.amode.dump_file(&base, iter);
+                // The catalog's dump row: an OverWrite dataset rewrites
+                // one file, so all its dumps key on iteration 0.
+                let row = match spec.amode {
+                    AccessMode::Create => iter,
+                    AccessMode::OverWrite => 0,
+                };
+                dumps.push((path.clone(), row));
+                let data = payload(id, &spec.name, iter, spec.snapshot_bytes() as usize);
+                requests.push_back((request(seq, path, RequestBody::Write { data, mode }), row));
+                seq += 1;
+            }
+            // Consumer reads at the end of the program. `readbacks` opens a
+            // sequence hole first so the reads chain with each other and
+            // not with the dumps — standalone read chains are what the
+            // prefetcher can overlap with other sessions' writes.
+            let consumer_reads = if program.readbacks > 0 {
+                seq += 1;
+                program.readbacks as usize
+            } else {
+                usize::from(program.readback)
+            };
+            for (path, row) in dumps.into_iter().take(consumer_reads) {
+                requests.push_back((request(seq, path, RequestBody::Read), row));
+                seq += 1;
+            }
+        }
+
+        let now = self.sys.clock.now();
+        let mut per_kind: BTreeMap<StorageKind, usize> = BTreeMap::new();
+        let mut tenant_bytes = 0u64;
+        let mut tenant_secs = 0.0f64;
+        for (req, _) in &requests {
+            let kind = self.locations[&(id, req.dataset.clone())];
+            *per_kind.entry(kind).or_insert(0) += 1;
+            let est = self.estimator.cost(self.sys, kind, req);
+            self.sys.load.backlog_enqueued(kind, est);
+            tenant_bytes += req.bytes();
+            tenant_secs += est;
+        }
+        self.sys
+            .load
+            .tenant_enqueued(tid, requests.len(), tenant_bytes, tenant_secs);
+        for (kind, n) in per_kind {
+            let depth = self.sys.load.enqueued(kind, n);
+            self.rec.count(
+                Layer::Sched,
+                &kind.to_string(),
+                ops::QUEUE_DEPTH,
+                now,
+                depth as f64,
+            );
+        }
+        self.rec.instant(
+            Layer::Sched,
+            &program.app,
+            ops::SESSION_ADMIT,
+            now,
+            &format!("session {id}: {} requests, run{}", requests.len(), run.0),
+        );
+
+        if let Some(d) = program.deadline {
+            self.deadlines.insert(id, d);
+        }
+        self.admitted.push(Admitted {
+            id,
+            app: program.app,
+            run,
+            tenant: tid,
+            session,
+            requests,
+        });
+        Ok(id)
+    }
+
+    /// Deal the next batchable run (same dataset, consecutive seqs, at
+    /// most [`MAX_CHAIN`]) of session `idx`'s program onto its tenant's
+    /// lane of the run's resource, each request priced with the eq. (2)
+    /// estimator and added to `dealt_secs` in request order (float sums
+    /// are order-sensitive). Returns the resource, or `None` once the
+    /// program is exhausted.
+    fn deal_chain(
+        &mut self,
+        idx: usize,
+        submitted: SimTime,
+        queues: &mut Queues,
+        dealt_secs: &mut f64,
+    ) -> Option<StorageKind> {
+        let a = &mut self.admitted[idx];
+        let mut chain = Vec::new();
+        pop_chain(&mut a.requests, &mut chain, |(req, _)| req);
+        // A chain is one session × one dataset, so its placement is a
+        // single lookup, not one per request.
+        let kind = self.locations[&(a.id, chain.first()?.0.dataset.clone())];
+        let q = queues.entry(kind).or_default();
+        q.set_weight(
+            a.tenant,
+            self.weights.get(&a.tenant).copied().unwrap_or(1.0),
+        );
+        for (req, iter) in chain {
+            let est = self.estimator.cost(self.sys, kind, &req);
+            *dealt_secs += est;
+            q.push_back(
+                a.tenant,
+                Queued {
+                    req,
+                    iter,
+                    submitted,
+                    attempts: 0,
+                    est,
+                },
+            );
+        }
+        Some(kind)
+    }
+
+    /// Deal every admitted session's requests into per-resource weighted-
+    /// fair queues, round-robin across sessions at chain granularity: each
+    /// turn takes one batchable run from each session, so no client's
+    /// backlog buries another's. Within a resource, each tenant's requests
+    /// land on its own lane — the start-time-fair virtual clock arbitrates
+    /// between lanes at dispatch.
+    pub(crate) fn build_queues(&mut self, submitted: SimTime) -> Queues {
+        let mut queues = Queues::new();
+        let mut dealt_secs = 0.0;
+        loop {
+            let mut any = false;
+            for idx in 0..self.admitted.len() {
+                any |= self
+                    .deal_chain(idx, submitted, &mut queues, &mut dealt_secs)
+                    .is_some();
+            }
+            if !any {
+                return queues;
+            }
+        }
+    }
+
+    /// One pass over the backpressure queue: expire programs whose TTL
+    /// elapsed, re-run the admission gate on the rest, and deal whatever
+    /// now fits into the live queues (admitted at `now`; the session's
+    /// chains keep program order — fairness against the sessions already
+    /// draining comes from the WFQ lanes, not the deal). With `force` (the
+    /// event heap just emptied) every program gets a final verdict — admit
+    /// or expire — so the drain always terminates. Returns whether
+    /// anything was admitted.
+    pub(crate) fn admit_deferred(
+        &mut self,
+        drain: &mut Drain,
+        now: SimTime,
+        force: bool,
+    ) -> CoreResult<bool> {
+        let mut any = false;
+        for d in std::mem::take(&mut self.deferred) {
+            if now > d.expires {
+                self.expire(&d, now, "ttl elapsed");
+                continue;
+            }
+            let Some(tenant) = self.sys.tenants.get(d.tenant) else {
+                self.expire(&d, now, "tenant unregistered");
+                continue;
+            };
+            match self.admission_gate(&d.program, d.tenant, &tenant)? {
+                GateVerdict::Admit => {
+                    let deadline = d.program.deadline;
+                    let id = self.open_and_expand(d.program, d.tenant)?;
+                    let mut est = 0.0f64;
+                    while let Some(kind) =
+                        self.deal_chain(id as usize, now, &mut drain.queues, &mut est)
+                    {
+                        // A resource that was idle (cursor behind the
+                        // frontier) cannot have served this work before it
+                        // arrived.
+                        let c = drain.cursors.entry(kind).or_insert(now);
+                        *c = (*c).max(now);
+                    }
+                    let a = &self.admitted[id as usize];
+                    drain.busy.insert(a.run);
+                    drain.accs.push(Acc::new(a.run, a.tenant, now));
+                    if let Some(dl) = deadline {
+                        drain.remaining.insert(id, est);
+                        drain.deadlines.insert(id, now + dl);
+                    }
+                    drain.dirty_gates();
+                    any = true;
+                }
+                _ if force => self.expire(&d, now, "still over limits with queues drained"),
+                _ => self.deferred.push_back(d),
+            }
+        }
+        Ok(any)
+    }
+
+    /// Count and record one deferred program dropped unadmitted.
+    fn expire(&mut self, d: &Deferred, at: SimTime, why: &str) {
+        self.tcounts.entry(d.tenant).or_default().expired += 1;
+        let tenant = self
+            .tenant_names
+            .get(&d.tenant)
+            .cloned()
+            .unwrap_or_default();
+        self.rec.instant(
+            Layer::Sched,
+            &tenant,
+            ops::ADMIT_EXPIRE,
+            at,
+            &format!("{}: {why}", d.program.app),
+        );
+    }
+}

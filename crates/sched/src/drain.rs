@@ -1,0 +1,624 @@
+//! One drain's state and the one serve path.
+//!
+//! [`Drain`] owns everything a drain mutates — the per-resource queues and
+//! cursors, the per-session accumulators, deadline bookkeeping, the
+//! read-ahead state and the whole-drain counters — and [`Drain::serve`] is
+//! the single place one served request is accounted: queue wait, cursor
+//! advance, load-board release, catalog recency and the session's
+//! [`Contrib`]. Both dispatch engines (the event loop in
+//! [`crate::scheduler`] and the round-based reference in [`crate::oracle`])
+//! decide *what* to serve on their own and account it here.
+
+use crate::event::{EventQueue, PlanGate};
+use crate::prefetch::{Fetched, Prefetcher, RoundPlan};
+use crate::scheduler::{dispatch_overhead, Queued, Scheduler, MAX_CHAIN};
+use crate::wfq::WfqQueue;
+use msr_core::{placement, MsrSystem, TenantId};
+use msr_lifecycle::{LifecycleEngine, TickTotals};
+use msr_meta::{Location, RunId};
+use msr_obs::{ops, Layer, Recorder};
+use msr_runtime::{EngineRequest, IoReport, RequestBody, RequestOutcome};
+use msr_sim::{SimDuration, SimTime};
+use msr_storage::StorageKind;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Re-queue attempts per request before it is abandoned.
+const MAX_ATTEMPTS: u32 = 3;
+
+pub(crate) type Queues = BTreeMap<StorageKind, WfqQueue<Queued>>;
+
+/// Per-session accumulator while the queues drain, indexed by session id.
+pub(crate) struct Acc {
+    pub run: RunId,
+    pub tenant: TenantId,
+    pub reports: Vec<(u64, IoReport)>,
+    pub contribs: Vec<Contrib>,
+    pub bytes: u64,
+    pub completed: SimTime,
+    pub requeues: u32,
+    pub errors: Vec<String>,
+    pub cancelled: Option<String>,
+}
+
+impl Acc {
+    pub fn new(run: RunId, tenant: TenantId, admitted_at: SimTime) -> Acc {
+        Acc {
+            run,
+            tenant,
+            reports: Vec::new(),
+            contribs: Vec::new(),
+            bytes: 0,
+            completed: admitted_at,
+            requeues: 0,
+            errors: Vec::new(),
+            cancelled: None,
+        }
+    }
+}
+
+/// Which serve produced a contribution: inline from the staging cache, or
+/// a result from the resource. Orders before/after within one step.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Phase {
+    Staged,
+    OnDemand,
+}
+
+/// One served request's timing contribution to its session's totals.
+/// Float sums are order-sensitive, so contributions carry the position
+/// the round engine would have applied them at — `(round, phase, kind)` —
+/// and the finalizer folds them in that order. The event engine applies
+/// outcomes in event-time order instead of round order; sorting
+/// contributions (stably) by this key makes its per-session totals
+/// bitwise identical to the round engine's.
+pub(crate) struct Contrib {
+    pub step: u64,
+    pub phase: Phase,
+    pub kind: StorageKind,
+    pub wait: SimDuration,
+    pub io: SimDuration,
+}
+
+/// One batch being applied to its resource's cursor.
+struct Batch {
+    kind: StorageKind,
+    comp: String,
+    step: u64,
+    phase: Phase,
+    start: SimTime,
+    bytes: u64,
+    served: usize,
+}
+
+/// Everything one drain mutates. Built once per `run`; the scheduler's
+/// own fields (placements, tenant counters, the deferral queue) stay on
+/// [`Scheduler`].
+pub(crate) struct Drain<'a> {
+    sys: &'a MsrSystem,
+    rec: Recorder,
+    /// Whether a lifecycle engine is attached (dataset heat is emitted).
+    heat: bool,
+    pub start: SimTime,
+    pub queues: Queues,
+    /// Per-resource foreground cursors: when each resource comes free.
+    pub cursors: BTreeMap<StorageKind, SimTime>,
+    pub accs: Vec<Acc>,
+    /// Admitted runs: off-limits to the lifecycle engine for the drain.
+    pub busy: BTreeSet<RunId>,
+    /// Deadline bookkeeping, for sessions that declared one: predicted
+    /// service seconds still queued, and the deadline as an absolute
+    /// virtual instant.
+    pub remaining: BTreeMap<u64, f64>,
+    pub deadlines: BTreeMap<u64, SimTime>,
+    gates: BTreeMap<StorageKind, PlanGate>,
+    /// Per-resource dispatch-step counts (event engine). The round
+    /// engine's global `rounds` equals the longest per-resource step
+    /// sequence, so `max(steps)` reproduces it bitwise.
+    steps: BTreeMap<StorageKind, u64>,
+    pub prefetcher: Option<Prefetcher>,
+    pub batches: u64,
+    pub max_batch: usize,
+    pub lifecycle: TickTotals,
+}
+
+impl<'a> Drain<'a> {
+    /// Deal every admitted session into per-resource queues and zero the
+    /// drain's accounting at `start`.
+    pub fn new(sched: &mut Scheduler<'a>, start: SimTime) -> Drain<'a> {
+        let queues = sched.build_queues(start);
+        let mut remaining: BTreeMap<u64, f64> = BTreeMap::new();
+        if !sched.deadlines.is_empty() {
+            for item in queues.values().flat_map(|q| q.iter()) {
+                if sched.deadlines.contains_key(&item.req.tag.session) {
+                    *remaining.entry(item.req.tag.session).or_default() += item.est;
+                }
+            }
+        }
+        Drain {
+            sys: sched.sys,
+            rec: sched.rec.clone(),
+            heat: sched.lifecycle.is_some(),
+            start,
+            cursors: queues.keys().map(|&k| (k, start)).collect(),
+            queues,
+            accs: sched
+                .admitted
+                .iter()
+                .map(|a| Acc::new(a.run, a.tenant, start))
+                .collect(),
+            busy: sched.admitted.iter().map(|a| a.run).collect(),
+            remaining,
+            deadlines: sched
+                .deadlines
+                .iter()
+                .map(|(&id, &d)| (id, start + d))
+                .collect(),
+            gates: BTreeMap::new(),
+            steps: BTreeMap::new(),
+            prefetcher: sched.prefetch.then(Prefetcher::new),
+            batches: 0,
+            max_batch: 0,
+            lifecycle: TickTotals::default(),
+        }
+    }
+
+    /// When `kind` next comes free.
+    pub fn cursor(&self, kind: StorageKind) -> SimTime {
+        self.cursors.get(&kind).copied().unwrap_or(self.start)
+    }
+
+    /// The latest foreground cursor: how far the drain has progressed.
+    pub fn frontier(&self) -> SimTime {
+        self.cursors.values().fold(self.start, |m, &t| m.max(t))
+    }
+
+    /// Where the drain ends: the frontier, background fetch streams
+    /// included, so time spent prefetching never disappears from the
+    /// makespan.
+    pub fn end(&self) -> SimTime {
+        let bg = self.prefetcher.iter().flat_map(|p| p.bg_cursors.values());
+        bg.fold(self.frontier(), |m, &t| m.max(t))
+    }
+
+    /// Advance and return `kind`'s dispatch-step count — its round number
+    /// under the round engine, the key that orders its contributions.
+    pub fn next_step(&mut self, kind: StorageKind) -> u64 {
+        let s = self.steps.entry(kind).or_insert(0);
+        *s += 1;
+        *s
+    }
+
+    /// The round count the round engine would have reported.
+    pub fn rounds(&self) -> u64 {
+        self.steps.values().copied().max().unwrap_or(0)
+    }
+
+    /// Arm every resource with pending work and no event in flight: a
+    /// step's own leftovers, and any queue a requeue or a deferred
+    /// admission just landed work on. O(resources), resources are few.
+    pub fn rearm(&self, events: &mut EventQueue, armed: &mut BTreeSet<StorageKind>) {
+        for (&kind, q) in &self.queues {
+            if !q.is_empty() && armed.insert(kind) {
+                events.push(self.cursor(kind), kind);
+            }
+        }
+    }
+
+    /// Force the next planning walk on every resource: the queues changed
+    /// shape under the gates.
+    pub fn dirty_gates(&mut self) {
+        for g in self.gates.values_mut() {
+            g.dirty = true;
+        }
+    }
+
+    /// The event engine's pop phase: select the WFQ lane whose head batch
+    /// has the smallest start tag, then pop a staged-ready run off that
+    /// lane's head if the prefetcher has one landed, otherwise one chained
+    /// batch, into `out` (empty on entry). The popped batch's eq. (2) cost
+    /// advances the lane's virtual finish tag — weighted-fair arbitration.
+    /// Returns whether the batch is a staged run.
+    pub fn pop_batch(&mut self, kind: StorageKind, out: &mut Vec<Queued>) -> bool {
+        let cursor = self.cursor(kind);
+        let q = self.queues.entry(kind).or_default();
+        let Some(tenant) = q.select() else {
+            return false;
+        };
+        let lane = q.lane_mut(tenant);
+        if let Some(p) = self.prefetcher.as_mut() {
+            p.pop_staged_run_into(lane, cursor, out);
+        }
+        let staged = !out.is_empty();
+        if !staged {
+            pop_chain(lane, out, |item| &item.req);
+        }
+        if !out.is_empty() {
+            q.commit(tenant, out.iter().map(|i| i.est).sum());
+        }
+        staged
+    }
+
+    /// Plan `kind`'s background fetches for the current step against the
+    /// post-pop queue and the pre-application foreground cursor, skipping
+    /// the queue walk when the gate proves it side-effect-free. Admitted
+    /// fetches are accounted on the load board's background lane.
+    pub fn plan_step(&mut self, kind: StorageKind) -> Option<RoundPlan> {
+        let fg = self.cursor(kind);
+        let p = self.prefetcher.as_mut()?;
+        let gate = self.gates.entry(kind).or_default();
+        if !gate.needs_walk() {
+            return None;
+        }
+        let q = self.queues.get(&kind)?;
+        let (plan, walked) = p.plan(self.sys, &self.rec, kind, q, fg);
+        if let Some(undecided) = walked {
+            gate.walked(undecided);
+        }
+        if let Some(pl) = &plan {
+            self.sys.load.bg_enqueued(kind, pl.fetches.len());
+        }
+        plan
+    }
+
+    /// Land a step's executed fetches in the staging cache and release
+    /// them from the load board's background lane.
+    pub fn land_fetches(&mut self, kind: StorageKind, fetched: Option<Fetched>) {
+        let Some(fetched) = fetched else { return };
+        let n = fetched.results.len();
+        let p = self.prefetcher.as_mut().expect("fetches imply prefetch");
+        p.apply_fetches(&self.rec, kind, fetched);
+        self.sys.load.bg_dequeued(kind, n);
+    }
+
+    /// Serve a staged-ready run from the staging cache: one dispatch
+    /// charge plus a memcpy per read — no resource, no jitter. A read
+    /// whose staged copy vanished goes back to its queue head for
+    /// on-demand service.
+    pub fn serve_staged(
+        &mut self,
+        kind: StorageKind,
+        step: u64,
+        batch: impl IntoIterator<Item = Queued>,
+    ) {
+        let mut b = self.open_batch(kind, step, Phase::Staged, true);
+        let mut leftovers = Vec::new();
+        for item in batch {
+            let p = self
+                .prefetcher
+                .as_mut()
+                .expect("staged runs imply prefetch");
+            let outcome = p
+                .take(&item.req.path)
+                .and_then(|data| self.sys.engine.staged_read(&b.comp, &item.req, &data).ok());
+            match outcome {
+                Some(outcome) => self.serve(&mut b, item, outcome.into_report()),
+                None => leftovers.push(item),
+            }
+        }
+        self.close_batch(b);
+        let q = self.queues.entry(kind).or_default();
+        for item in leftovers.into_iter().rev() {
+            q.push_front(self.accs[item.req.tag.session as usize].tenant, item);
+        }
+    }
+
+    /// Apply a foreground batch's outcomes: one dispatch charge (when
+    /// `charged` — a fetch-only task owes the foreground cursor nothing),
+    /// then each report advances the resource cursor.
+    pub fn serve_batch(
+        &mut self,
+        kind: StorageKind,
+        step: u64,
+        charged: bool,
+        served: impl IntoIterator<Item = (Queued, RequestOutcome)>,
+    ) {
+        let mut b = self.open_batch(kind, step, Phase::OnDemand, charged);
+        for (item, outcome) in served {
+            self.serve(&mut b, item, outcome.into_report());
+        }
+        self.close_batch(b);
+    }
+
+    fn open_batch(&mut self, kind: StorageKind, step: u64, phase: Phase, charged: bool) -> Batch {
+        let cursor = self.cursors.entry(kind).or_insert(self.start);
+        let start = *cursor;
+        if charged {
+            *cursor += dispatch_overhead();
+        }
+        Batch {
+            kind,
+            comp: kind.to_string(),
+            step,
+            phase,
+            start,
+            bytes: 0,
+            served: 0,
+        }
+    }
+
+    /// Account one served request — the single definition both engines
+    /// and both serve kinds share. In order: the queue-wait span, the
+    /// cursor advance, the load board's depth / predicted-backlog / tenant
+    /// releases, the deadline checker's remaining work, the catalog's
+    /// recency columns, and the session's report and timing contribution.
+    fn serve(&mut self, b: &mut Batch, item: Queued, report: IoReport) {
+        let (sys, kind) = (self.sys, b.kind);
+        let (bytes, io) = (report.bytes, report.elapsed);
+        let cursor = self.cursors.get_mut(&kind).expect("batch opened on cursor");
+        let wait = cursor.since(item.submitted);
+        self.rec.span(
+            Layer::Sched,
+            &b.comp,
+            ops::SCHED_WAIT,
+            item.submitted,
+            wait,
+            bytes,
+        );
+        *cursor += io;
+        let at = *cursor;
+        b.bytes += bytes;
+        b.served += 1;
+        match b.phase {
+            Phase::Staged => {
+                let p = self
+                    .prefetcher
+                    .as_mut()
+                    .expect("staged runs imply prefetch");
+                p.hits += 1;
+                self.rec
+                    .count(Layer::Sched, &b.comp, ops::PREFETCH_HIT, at, 1.0);
+            }
+            Phase::OnDemand => sys.health.record_success(kind),
+        }
+        let depth = sys.load.dequeued(kind, 1);
+        self.rec
+            .count(Layer::Sched, &b.comp, ops::QUEUE_DEPTH, at, depth as f64);
+        if let (Phase::OnDemand, Some(p)) = (b.phase, self.prefetcher.as_mut()) {
+            if p.note_foreground(&self.rec, &b.comp, &item.req, at) {
+                self.gates.entry(kind).or_default().dirty = true;
+            }
+        }
+        sys.load.backlog_dequeued(kind, item.est);
+        let session = item.req.tag.session;
+        let acc = &mut self.accs[session as usize];
+        sys.load
+            .tenant_dequeued(acc.tenant, 1, item.req.bytes(), item.est);
+        if let Some(r) = self.remaining.get_mut(&session) {
+            *r -= item.est;
+        }
+        // Free recency hook: mirror the serve into the catalog's dump/heat
+        // columns so a lifecycle engine (this run's or a later one's) sees
+        // what is hot. Charges no query cost and never moves the clock.
+        {
+            let mut catalog = sys.catalog.lock();
+            let dataset = &item.req.dataset;
+            match item.req.body {
+                RequestBody::Write { .. } => {
+                    catalog.note_dump(acc.run, dataset, item.iter, at.as_secs(), bytes);
+                }
+                RequestBody::Read => {
+                    catalog.note_access(acc.run, dataset, Some(item.iter), at.as_secs());
+                }
+            }
+        }
+        if self.heat {
+            self.rec.count(
+                Layer::Sched,
+                &item.req.dataset,
+                ops::DATASET_ACCESS,
+                at,
+                1.0,
+            );
+        }
+        acc.contribs.push(Contrib {
+            step: b.step,
+            phase: b.phase,
+            kind,
+            wait,
+            io,
+        });
+        acc.reports.push((item.req.tag.seq, report));
+        acc.bytes += bytes;
+        acc.completed = acc.completed.max(at);
+    }
+
+    fn close_batch(&mut self, b: Batch) {
+        if b.served == 0 {
+            return;
+        }
+        self.batches += 1;
+        self.max_batch = self.max_batch.max(b.served);
+        self.rec.span(
+            Layer::Sched,
+            &b.comp,
+            ops::SCHED_DISPATCH,
+            b.start,
+            self.cursor(b.kind).since(b.start),
+            b.bytes,
+        );
+    }
+
+    /// Between-step lifecycle tick, on the dispatcher thread. The global
+    /// clock first catches up to the drain's frontier so the engine's idle
+    /// windows see virtual time passing; `advance_to` is a monotonic max,
+    /// so the final makespan advance still lands wherever is latest.
+    pub fn lifecycle_tick(&mut self, engine: &LifecycleEngine) {
+        self.sys.clock.advance_to(self.frontier());
+        self.lifecycle
+            .absorb(&engine.tick_excluding(self.sys, &self.busy));
+    }
+
+    /// Remove and return every session whose remaining predicted work can
+    /// no longer finish by its deadline with the drain at `frontier`.
+    pub fn take_doomed(&mut self, frontier: SimTime) -> Vec<u64> {
+        let doomed: Vec<u64> = self
+            .deadlines
+            .iter()
+            .filter(|&(id, &dl)| {
+                let rem = self.remaining.get(id).copied().unwrap_or(0.0);
+                rem > 0.0 && frontier + SimDuration::from_secs(rem) > dl
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &doomed {
+            self.deadlines.remove(id);
+            self.remaining.remove(id);
+        }
+        doomed
+    }
+}
+
+/// Pop the maximal batchable run at the head of `q` — contiguous requests
+/// of one session and dataset, at most [`MAX_CHAIN`] — onto `out`.
+pub(crate) fn pop_chain<T>(
+    q: &mut VecDeque<T>,
+    out: &mut Vec<T>,
+    req: impl Fn(&T) -> &EngineRequest,
+) {
+    while out.len() < MAX_CHAIN
+        && q.front().is_some_and(|next| {
+            out.last()
+                .is_none_or(|prev| req(prev).chains_with(req(next)))
+        })
+    {
+        out.extend(q.pop_front());
+    }
+}
+
+impl Scheduler<'_> {
+    /// Cancel an admitted session mid-drain: everything it still has
+    /// queued is removed (load-board depth, predicted backlog and tenant
+    /// ledgers all released), its accumulator is marked cancelled and the
+    /// cancellation counts against its tenant. Requests already served
+    /// stay accounted — the session's report finalizes partial.
+    pub(crate) fn cancel_session(&mut self, drain: &mut Drain, id: u64, at: SimTime) {
+        let tid = drain.accs[id as usize].tenant;
+        let mut dropped = 0usize;
+        for (&kind, q) in drain.queues.iter_mut() {
+            let removed = q.drain_matching(|item| item.req.tag.session == id);
+            if removed.is_empty() {
+                continue;
+            }
+            let depth = self.sys.load.dequeued(kind, removed.len());
+            self.rec.count(
+                Layer::Sched,
+                &kind.to_string(),
+                ops::QUEUE_DEPTH,
+                at,
+                depth as f64,
+            );
+            for item in &removed {
+                self.sys.load.backlog_dequeued(kind, item.est);
+                self.sys
+                    .load
+                    .tenant_dequeued(tid, 1, item.req.bytes(), item.est);
+            }
+            dropped += removed.len();
+        }
+        let reason = format!("deadline unreachable: {dropped} queued requests dropped");
+        self.tcounts.entry(tid).or_default().cancelled += 1;
+        let app = &self.admitted[id as usize].app;
+        self.rec
+            .instant(Layer::Sched, app, ops::SESSION_CANCEL, at, &reason);
+        drain.accs[id as usize].cancelled = Some(reason);
+        drain.dirty_gates();
+    }
+
+    /// Move a failed (or breaker-blocked) batch — and everything else the
+    /// same dataset still has queued on `from` — to the dataset's static
+    /// fallback resource, mirroring the session layer's transparent
+    /// failover. Requests that exhaust [`MAX_ATTEMPTS`] are abandoned into
+    /// the session's error list.
+    pub(crate) fn requeue(
+        &mut self,
+        drain: &mut Drain,
+        from: StorageKind,
+        mut items: Vec<Queued>,
+        reason: &str,
+    ) {
+        let sys = self.sys;
+        let keys: BTreeSet<(u64, String)> = items
+            .iter()
+            .map(|q| (q.req.tag.session, q.req.dataset.clone()))
+            .collect();
+        // Drag along the dataset's later requests still waiting on `from`,
+        // preserving their order behind the failed batch.
+        if let Some(q) = drain.queues.get_mut(&from) {
+            items.extend(q.drain_matching(|item| {
+                keys.contains(&(item.req.tag.session, item.req.dataset.clone()))
+            }));
+        }
+
+        for key in keys {
+            let (moved, rest): (Vec<Queued>, Vec<Queued>) = items
+                .into_iter()
+                .partition(|q| q.req.tag.session == key.0 && q.req.dataset == key.1);
+            items = rest;
+            let acc = &mut drain.accs[key.0 as usize];
+            let tid = acc.tenant;
+            let bytes: u64 = moved.iter().map(|q| q.req.bytes()).sum();
+            let next = placement::fallback(sys, &self.specs[&key], bytes, Some(from))
+                .ok()
+                .flatten();
+            sys.load.dequeued(from, moved.len());
+            let Some(to) = next else {
+                for q in moved {
+                    sys.load.backlog_dequeued(from, q.est);
+                    sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                    acc.errors
+                        .push(format!("{}: no usable resource ({reason})", q.req.tag));
+                }
+                continue;
+            };
+            let n = moved.len();
+            // Mirror the move into the metadata catalog so consumers still
+            // find the data (the session layer does the same on failover).
+            {
+                let mut catalog = sys.catalog.lock();
+                if let Ok(rec) = catalog.find_dataset(acc.run, &key.1) {
+                    let id = rec.id;
+                    let _ = catalog.set_dataset_location(id, Location::Stored(to));
+                }
+            }
+            self.rec.instant(
+                Layer::Sched,
+                &from.to_string(),
+                ops::SCHED_REQUEUE,
+                sys.clock.now(),
+                &format!(
+                    "s{}/{}: {from} -> {to} ({reason}, {n} requests)",
+                    key.0, key.1
+                ),
+            );
+            acc.requeues += n as u32;
+            sys.load.enqueued(to, n);
+            let weight = self.weights.get(&tid).copied().unwrap_or(1.0);
+            let target = drain.queues.entry(to).or_default();
+            target.set_weight(tid, weight);
+            for mut q in moved {
+                sys.load.backlog_dequeued(from, q.est);
+                q.attempts += 1;
+                if q.attempts >= MAX_ATTEMPTS {
+                    sys.load.dequeued(to, 1);
+                    sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                    acc.errors.push(format!(
+                        "{} gave up after {} attempts",
+                        q.req.tag, q.attempts
+                    ));
+                } else {
+                    // Re-price on the fallback resource: the backlog and
+                    // tenant predicted-seconds ledgers track where the
+                    // work now queues.
+                    let est = self.estimator.cost(sys, to, &q.req);
+                    sys.load.backlog_enqueued(to, est);
+                    sys.load.tenant_dequeued(tid, 0, 0, q.est);
+                    sys.load.tenant_enqueued(tid, 0, 0, est);
+                    q.est = est;
+                    target.push_back(tid, q);
+                }
+            }
+            self.locations.insert(key, to);
+        }
+        drain.dirty_gates();
+    }
+}

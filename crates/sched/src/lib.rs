@@ -35,7 +35,12 @@
 //!   queue with TTL expiry) or cancelling deadline-unmeetable sessions
 //!   mid-drain. Per-tenant outcomes land in [`TenantReport`].
 
+mod admission;
+mod drain;
 mod event;
+mod finalize;
+mod oracle;
+mod prefetch;
 pub mod program;
 pub mod report;
 pub mod scheduler;

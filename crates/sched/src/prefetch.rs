@@ -1,0 +1,315 @@
+//! Prediction-driven read-ahead: the planner that walks a resource's
+//! queued tail, the background fetch stream it admits work onto, and the
+//! staging cache staged reads are served from.
+
+use crate::scheduler::{Queued, MAX_CHAIN};
+use crate::wfq::WfqQueue;
+use bytes::Bytes;
+use msr_core::{CoreError, MsrSystem};
+use msr_obs::{ops, Layer, Recorder};
+use msr_runtime::{
+    staging_cache, superfile::DEFAULT_CACHE_LIMIT, Distribution, EngineRequest, IoEngine, IoReport,
+    IoStrategy, RequestBody, StagingCache,
+};
+use msr_sim::{SimDuration, SimTime};
+use msr_storage::{SharedResource, StorageKind};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// One planned background fetch: enough of the future read to execute it
+/// against the resource without touching the queues again.
+pub(crate) struct PlannedFetch {
+    path: String,
+    dist: Distribution,
+    strategy: IoStrategy,
+    /// Queue position at plan time — the staging cache's furthest-next-use
+    /// eviction tag.
+    next_use: u64,
+}
+
+/// A resource's admitted fetch work for one step, starting on the
+/// background stream at `start`.
+pub(crate) struct RoundPlan {
+    start: SimTime,
+    pub fetches: Vec<PlannedFetch>,
+}
+
+type FetchOutcome = Result<(Vec<u8>, IoReport), String>;
+
+/// An executed [`RoundPlan`]: each fetch's outcome, in plan order.
+pub(crate) struct Fetched {
+    start: SimTime,
+    pub results: Vec<(PlannedFetch, FetchOutcome)>,
+}
+
+impl RoundPlan {
+    /// Execute the fetches against the owning resource, in plan order.
+    /// Both engines call this right after the resource's foreground batch
+    /// so every seeded jitter stream draws in the same per-resource order.
+    pub fn execute(self, engine: &IoEngine, res: &SharedResource) -> Fetched {
+        let results = self
+            .fetches
+            .into_iter()
+            .map(|f| {
+                let r = engine
+                    .read(res, &f.path, &f.dist, f.strategy)
+                    .map_err(|e| CoreError::from(e).to_string());
+                (f, r)
+            })
+            .collect();
+        Fetched {
+            start: self.start,
+            results,
+        }
+    }
+}
+
+/// Run-local read-ahead state: the shared staging cache, one background
+/// stream cursor per resource, and the admission bookkeeping. Everything
+/// here lives on the dispatcher thread; the only work that leaves it is
+/// the fetches themselves, which execute right after the owning
+/// resource's foreground batch, in plan order, so the per-resource
+/// operation order — and with it every seeded jitter stream — is
+/// independent of the worker count.
+pub(crate) struct Prefetcher {
+    cache: StagingCache,
+    pub bg_cursors: BTreeMap<StorageKind, SimTime>,
+    /// Successfully staged paths and the virtual time their fetch landed.
+    ready: BTreeMap<String, SimTime>,
+    /// Every path ever planned (in flight, staged, or failed) — a failed
+    /// fetch is not retried in a loop; the read just runs on demand.
+    planned: BTreeSet<String>,
+    /// Paths whose idle window was too small. Windows only shrink as the
+    /// queue ahead drains, so a decline is final and is counted once.
+    declined: BTreeSet<String>,
+    pub staged: u64,
+    pub hits: u64,
+    pub waste: u64,
+    pub declines: u64,
+}
+
+impl Prefetcher {
+    pub fn new() -> Prefetcher {
+        Prefetcher {
+            cache: staging_cache(DEFAULT_CACHE_LIMIT),
+            bg_cursors: BTreeMap::new(),
+            ready: BTreeMap::new(),
+            planned: BTreeSet::new(),
+            declined: BTreeSet::new(),
+            staged: 0,
+            hits: 0,
+            waste: 0,
+            declines: 0,
+        }
+    }
+
+    /// Walk `q`'s tail and admit every remote read whose predicted fetch
+    /// fits the predicted idle window before its own service:
+    /// `max(bg, fg) + t_fetch ≤ fg + Σ t_est(ahead)`, both sides priced by
+    /// the eq. (2) estimate each queued item already carries
+    /// ([`Queued::est`]). Only reads whose file exists *now* are
+    /// candidates (a fetch must never observe a write that has not been
+    /// served), and a read with a queued write to the same path ahead of
+    /// it is skipped outright.
+    ///
+    /// The second return value is the number of *undecided* candidates the
+    /// walk saw — reads with no final plan/decline verdict yet (their write
+    /// is still ahead, or their file does not exist yet). It is `None`
+    /// when the walk was skipped outright (wrong kind, empty queue, open
+    /// circuit). The event engine's [`PlanGate`](crate::event::PlanGate)
+    /// uses it to skip provably side-effect-free walks: decisions are
+    /// final, so once nothing is undecided the walk can change nothing.
+    pub fn plan(
+        &mut self,
+        sys: &MsrSystem,
+        rec: &Recorder,
+        kind: StorageKind,
+        q: &WfqQueue<Queued>,
+        fg_cursor: SimTime,
+    ) -> (Option<RoundPlan>, Option<usize>) {
+        if !matches!(kind, StorageKind::RemoteDisk | StorageKind::RemoteTape)
+            || q.is_empty()
+            || !sys.health.allows(kind)
+        {
+            return (None, None);
+        }
+        let Some(res) = sys.resource(kind) else {
+            return (None, None);
+        };
+        let start = self
+            .bg_cursors
+            .get(&kind)
+            .copied()
+            .unwrap_or(fg_cursor)
+            .max(fg_cursor);
+        let mut bg_avail = start;
+        let mut ahead = SimDuration::ZERO;
+        let mut writes_ahead: BTreeSet<&str> = BTreeSet::new();
+        let mut fetches = Vec::new();
+        let mut undecided = 0usize;
+        for (idx, item) in q.iter().enumerate() {
+            let req = &item.req;
+            let est = SimDuration::from_secs(item.est);
+            if let RequestBody::Write { .. } = req.body {
+                writes_ahead.insert(req.path.as_str());
+            } else if !self.ready.contains_key(&req.path)
+                && !self.planned.contains(&req.path)
+                && !self.declined.contains(&req.path)
+            {
+                if !writes_ahead.contains(req.path.as_str()) && res.lock().exists(&req.path) {
+                    if bg_avail + est <= fg_cursor + ahead {
+                        self.planned.insert(req.path.clone());
+                        bg_avail += est;
+                        fetches.push(PlannedFetch {
+                            path: req.path.clone(),
+                            dist: req.dist,
+                            strategy: req.strategy,
+                            next_use: idx as u64,
+                        });
+                    } else {
+                        // Too close to its own service: fetching would push
+                        // the read later than just serving it on demand.
+                        // Final — the window ahead of this path only
+                        // shrinks.
+                        self.declined.insert(req.path.clone());
+                        self.declines += 1;
+                        rec.count(
+                            Layer::Sched,
+                            &kind.to_string(),
+                            ops::PREFETCH_DECLINE,
+                            fg_cursor,
+                            1.0,
+                        );
+                    }
+                } else {
+                    // Read-after-write within the drain (or the file is
+                    // not on the resource yet): no verdict until the
+                    // blocking write lands.
+                    undecided += 1;
+                }
+            }
+            ahead += est;
+        }
+        (
+            (!fetches.is_empty()).then_some(RoundPlan { start, fetches }),
+            Some(undecided),
+        )
+    }
+
+    /// Pop the staged-ready run at the head of `q` — reads whose fetch has
+    /// landed by `cursor`, chained under the same rule as a normal batch —
+    /// into `out` (empty on entry).
+    pub fn pop_staged_run_into(
+        &mut self,
+        q: &mut VecDeque<Queued>,
+        cursor: SimTime,
+        out: &mut Vec<Queued>,
+    ) {
+        loop {
+            let ready = out.len() < MAX_CHAIN
+                && q.front().is_some_and(|item| {
+                    matches!(item.req.body, RequestBody::Read)
+                        && self.ready.get(&item.req.path).is_some_and(|&t| t <= cursor)
+                        && self.cache.lock().contains(&item.req.path)
+                        && out
+                            .last()
+                            .is_none_or(|prev| prev.req.chains_with(&item.req))
+                });
+            if !ready {
+                break;
+            }
+            out.push(q.pop_front().unwrap());
+        }
+    }
+
+    /// Take a staged buffer for serving, consuming the entry.
+    pub fn take(&mut self, path: &str) -> Option<Bytes> {
+        self.ready.remove(path);
+        let mut cache = self.cache.lock();
+        let data = cache.get(path);
+        cache.invalidate(path);
+        data
+    }
+
+    /// A foreground serve touched `req`'s path: drop any staged copy. A
+    /// write makes the copy stale; an on-demand read means the fetch
+    /// arrived too late — either way the staged bytes were wasted. Returns
+    /// whether a previously *planned* path was re-opened for future
+    /// fetching (the event engine must re-walk its plan gate when that
+    /// happens).
+    pub fn note_foreground(
+        &mut self,
+        rec: &Recorder,
+        comp: &str,
+        req: &EngineRequest,
+        at: SimTime,
+    ) -> bool {
+        let was_ready = self.ready.remove(&req.path).is_some();
+        let cached = {
+            let mut cache = self.cache.lock();
+            let hit = cache.contains(&req.path);
+            cache.invalidate(&req.path);
+            hit
+        };
+        let mut reopened = false;
+        if was_ready || cached {
+            self.waste += 1;
+            rec.count(Layer::Sched, comp, ops::PREFETCH_WASTE, at, 1.0);
+            if matches!(req.body, RequestBody::Write { .. }) {
+                // Overwritten: the path may be fetched again for a later
+                // read once the new bytes are on the resource.
+                reopened = self.planned.remove(&req.path);
+            }
+        }
+        reopened
+    }
+
+    /// Fold one resource's completed fetches into the staging cache and
+    /// advance its background cursor by the *measured* fetch times.
+    pub fn apply_fetches(&mut self, rec: &Recorder, kind: StorageKind, fetched: Fetched) {
+        let comp = kind.to_string();
+        let mut t = fetched.start;
+        for (f, result) in fetched.results {
+            match result {
+                Ok((bytes, report)) => {
+                    let began = t;
+                    t += report.elapsed;
+                    rec.span(
+                        Layer::Sched,
+                        &comp,
+                        ops::PREFETCH,
+                        began,
+                        report.elapsed,
+                        report.bytes,
+                    );
+                    if self
+                        .cache
+                        .lock()
+                        .put_prioritized(&f.path, Bytes::from(bytes), f.next_use)
+                    {
+                        self.ready.insert(f.path, t);
+                        self.staged += 1;
+                    } else {
+                        // The cache declined (admitting would evict an
+                        // entry needed sooner): the fetch was wasted.
+                        self.waste += 1;
+                        rec.count(Layer::Sched, &comp, ops::PREFETCH_WASTE, t, 1.0);
+                    }
+                }
+                Err(e) => {
+                    // Mid-prefetch fault: drop the fetch and let the read
+                    // fall back to on-demand service. No breaker failure is
+                    // recorded — the session never asked for this work.
+                    rec.instant(
+                        Layer::Sched,
+                        &comp,
+                        ops::PREFETCH,
+                        t,
+                        &format!("fetch {} failed: {e}", f.path),
+                    );
+                }
+            }
+        }
+        let cur = self.bg_cursors.entry(kind).or_insert(t);
+        *cur = (*cur).max(t);
+    }
+}

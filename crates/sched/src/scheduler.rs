@@ -43,7 +43,7 @@
 //! fits inside the predicted idle window before their chain is served.
 //! Fetches run as a *background stream* on the resource — accounted on a
 //! separate background cursor that overlaps the foreground cursor — and
-//! land in a shared [`StagingCache`]; when a staged read reaches the head
+//! land in a shared [`StagingCache`](msr_runtime::StagingCache); when a staged read reaches the head
 //! of its queue it is served at memory speed instead of paying the remote
 //! resource again. Planning, admission and serving all happen on the
 //! dispatcher thread, and each resource's fetches execute inside the same
@@ -52,25 +52,17 @@
 //! prefetch on. A fetch that fails is dropped silently — the read falls
 //! back to the normal on-demand path and the session never sees the error.
 
-use crate::event::{EventQueue, PlanGate, Scratch};
-use crate::program::{payload, SessionProgram};
-use crate::report::{SchedReport, SessionReport, TenantReport};
-use crate::wfq::WfqQueue;
-use bytes::Bytes;
-use msr_core::{
-    placement, CoreError, CoreResult, DatasetSpec, MsrSystem, OverloadPolicy, Session, Tenant,
-    TenantId,
-};
-use msr_lifecycle::{LifecycleEngine, TickTotals};
-use msr_meta::{AccessMode, Location, RunId};
-use msr_obs::{ops, Layer, Recorder};
-use msr_predict::{fetch_estimate, profile_for, queue_wait, AccessSummary, ResourceProfile};
-use msr_runtime::{
-    staging_cache, superfile::DEFAULT_CACHE_LIMIT, Distribution, EngineRequest, IoReport,
-    IoStrategy, RequestBody, RequestOutcome, RequestTag, StagingCache,
-};
+use crate::admission::{Deferred, Estimator, TenantCounters};
+use crate::drain::Drain;
+use crate::event::{EventQueue, Scratch};
+use crate::report::SchedReport;
+use msr_core::{CoreError, CoreResult, DatasetSpec, MsrSystem, Session, TenantId};
+use msr_lifecycle::LifecycleEngine;
+use msr_meta::RunId;
+use msr_obs::Recorder;
+use msr_runtime::{EngineRequest, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, OpenMode, StorageKind};
+use msr_storage::StorageKind;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Fixed virtual cost of dispatching one batch to a resource (queue
@@ -84,488 +76,55 @@ pub fn dispatch_overhead() -> SimDuration {
 /// batch. Bounds how long a bursty client can monopolize a resource.
 pub const MAX_CHAIN: usize = 8;
 
-/// Re-queue attempts per request before it is abandoned.
-const MAX_ATTEMPTS: u32 = 3;
-
 /// How many fired events between deferred-admission retries (and between
 /// deadline-feasibility sweeps) in the event engine.
 const DEFER_RETRY_EVERY: u64 = 8;
 
-struct Admitted<'a> {
-    id: u64,
-    app: String,
-    run: RunId,
-    tenant: TenantId,
-    session: Session<'a>,
-    requests: VecDeque<EngineRequest>,
+/// One admitted session. Its id is its index in [`Scheduler::admitted`].
+pub(crate) struct Admitted<'a> {
+    pub id: u64,
+    pub app: String,
+    pub run: RunId,
+    pub tenant: TenantId,
+    pub session: Session<'a>,
+    /// The expanded program not yet dealt into queues: each request with
+    /// the iteration its catalog dump row keys on.
+    pub requests: VecDeque<(EngineRequest, u32)>,
 }
 
-struct Queued {
-    req: EngineRequest,
-    submitted: SimTime,
-    attempts: u32,
+pub(crate) struct Queued {
+    pub req: EngineRequest,
+    /// Iteration of the catalog dump row this request writes or reads.
+    pub iter: u32,
+    pub submitted: SimTime,
+    pub attempts: u32,
     /// eq. (1) predicted service time (seconds) on the request's current
-    /// resource — the WFQ batch cost, the load board's backlog unit, and
-    /// the deadline checker's remaining-work unit. Recomputed on requeue.
-    est: f64,
-}
-
-/// Per-session accumulator while the queues drain.
-struct Acc {
-    reports: Vec<(u64, IoReport)>,
-    contribs: Vec<Contrib>,
-    bytes: u64,
-    completed: SimTime,
-    requeues: u32,
-    errors: Vec<String>,
-    cancelled: Option<String>,
-}
-
-/// One served request's timing contribution to its session's totals.
-/// Float sums are order-sensitive, so contributions carry the position
-/// the round engine would have applied them at — `(round, phase, kind)`,
-/// where phase 0 is the inline staged serves and phase 1 the resource
-/// results — and the finalizer folds them in that order. The event engine
-/// applies outcomes in event-time order instead of round order; sorting
-/// contributions (stably) by this key makes its per-session totals
-/// bitwise identical to the round engine's.
-struct Contrib {
-    step: u64,
-    phase: u8,
-    kind: StorageKind,
-    wait: SimDuration,
-    io: SimDuration,
-}
-
-/// Whole-drain counters handed to the report finalizer.
-struct DrainTotals {
-    rounds: u64,
-    batches: u64,
-    max_batch: usize,
-    lifecycle: TickTotals,
-}
-
-/// One planned background fetch: enough of the future read to execute it
-/// against the resource without touching the queues again.
-struct PlannedFetch {
-    path: String,
-    dist: Distribution,
-    strategy: IoStrategy,
-    /// Queue position at plan time — the staging cache's furthest-next-use
-    /// eviction tag.
-    next_use: u64,
-}
-
-/// A resource's admitted fetch work for one round, starting on the
-/// background stream at `start`.
-struct RoundPlan {
-    start: SimTime,
-    fetches: Vec<PlannedFetch>,
-}
-
-type FetchOutcome = Result<(Vec<u8>, IoReport), String>;
-
-/// One round task's result: the resource it ran on, the foreground batch
-/// outcome, and each planned fetch's outcome in plan order.
-type RoundResult = (StorageKind, BatchResult, Vec<(PlannedFetch, FetchOutcome)>);
-
-/// Run-local read-ahead state: the shared staging cache, one background
-/// stream cursor per resource, and the admission bookkeeping. Everything
-/// here lives on the dispatcher thread; the only work that leaves it is
-/// the fetches themselves, which execute inside the owning resource's
-/// round closure (after its foreground batch, in plan order), so the
-/// per-resource operation order — and with it every seeded jitter stream —
-/// is independent of the worker count.
-struct Prefetcher {
-    cache: StagingCache,
-    bg_cursors: BTreeMap<StorageKind, SimTime>,
-    /// Successfully staged paths and the virtual time their fetch landed.
-    ready: BTreeMap<String, SimTime>,
-    /// Every path ever planned (in flight, staged, or failed) — a failed
-    /// fetch is not retried in a loop; the read just runs on demand.
-    planned: BTreeSet<String>,
-    /// Paths whose idle window was too small. Windows only shrink as the
-    /// queue ahead drains, so a decline is final and is counted once.
-    declined: BTreeSet<String>,
-    /// eq. (2) profiles per resource/op, synthesized once (measured PerfDb
-    /// rows win when the database is populated).
-    profiles: BTreeMap<(StorageKind, OpKind), ResourceProfile>,
-    staged: u64,
-    hits: u64,
-    waste: u64,
-    declines: u64,
-}
-
-impl Prefetcher {
-    fn new() -> Prefetcher {
-        Prefetcher {
-            cache: staging_cache(DEFAULT_CACHE_LIMIT),
-            bg_cursors: BTreeMap::new(),
-            ready: BTreeMap::new(),
-            planned: BTreeSet::new(),
-            declined: BTreeSet::new(),
-            profiles: BTreeMap::new(),
-            staged: 0,
-            hits: 0,
-            waste: 0,
-            declines: 0,
-        }
-    }
-
-    /// Predicted service time of `req` on `kind` — the eq. (2) dump time
-    /// against the resource's profile. Used for both sides of the
-    /// admission inequality. Deterministic: profiles are model-derived
-    /// (or measured), never sampled from the live jitter streams.
-    fn estimate(&mut self, sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> SimDuration {
-        let op = match req.body {
-            RequestBody::Write { .. } => OpKind::Write,
-            RequestBody::Read => OpKind::Read,
-        };
-        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
-            let res = sys.resource(kind).expect("queued on a registered kind");
-            profile_for(sys.predictor().map(|p| &p.db), &res, op)
-        });
-        // Chunked datasets are priced at their learned post-dedup size
-        // (ratio 1.0 — a bitwise no-op — until the plane reports one).
-        let access = AccessSummary::of(&req.dist).scaled(sys.predicted_ratio(&req.dataset));
-        fetch_estimate(profile, req.strategy, &access)
-    }
-
-    /// Walk `q`'s tail with the eq. (2) estimator and admit every remote
-    /// read whose predicted fetch fits the predicted idle window before
-    /// its own service: `max(bg, fg) + t_fetch ≤ fg + Σ t_est(ahead)`.
-    /// Only reads whose file exists *now* are candidates (a fetch must
-    /// never observe a write that has not been served), and a read with a
-    /// queued write to the same path ahead of it is skipped outright.
-    ///
-    /// The second return value is the number of *undecided* candidates the
-    /// walk saw — reads with no final plan/decline verdict yet (their write
-    /// is still ahead, or their file does not exist yet). It is `None`
-    /// when the walk was skipped outright (wrong kind, empty queue, open
-    /// circuit). The event engine's [`PlanGate`](crate::event::PlanGate)
-    /// uses it to skip provably side-effect-free walks: decisions are
-    /// final, so once nothing is undecided the walk can change nothing.
-    fn plan(
-        &mut self,
-        sys: &MsrSystem,
-        rec: &Recorder,
-        kind: StorageKind,
-        q: &WfqQueue<Queued>,
-        fg_cursor: SimTime,
-    ) -> (Option<RoundPlan>, Option<usize>) {
-        if !matches!(kind, StorageKind::RemoteDisk | StorageKind::RemoteTape)
-            || q.is_empty()
-            || !sys.health.allows(kind)
-        {
-            return (None, None);
-        }
-        let Some(res) = sys.resource(kind) else {
-            return (None, None);
-        };
-        let start = self
-            .bg_cursors
-            .get(&kind)
-            .copied()
-            .unwrap_or(fg_cursor)
-            .max(fg_cursor);
-        let mut bg_avail = start;
-        let mut ahead = SimDuration::ZERO;
-        let mut writes_ahead: BTreeSet<&str> = BTreeSet::new();
-        let mut fetches = Vec::new();
-        let mut undecided = 0usize;
-        for (idx, item) in q.iter().enumerate() {
-            let req = &item.req;
-            let est = self.estimate(sys, kind, req);
-            if let RequestBody::Write { .. } = req.body {
-                writes_ahead.insert(req.path.as_str());
-            } else if !self.ready.contains_key(&req.path)
-                && !self.planned.contains(&req.path)
-                && !self.declined.contains(&req.path)
-            {
-                if !writes_ahead.contains(req.path.as_str()) && res.lock().exists(&req.path) {
-                    if bg_avail + est <= fg_cursor + ahead {
-                        self.planned.insert(req.path.clone());
-                        bg_avail += est;
-                        fetches.push(PlannedFetch {
-                            path: req.path.clone(),
-                            dist: req.dist,
-                            strategy: req.strategy,
-                            next_use: idx as u64,
-                        });
-                    } else {
-                        // Too close to its own service: fetching would push
-                        // the read later than just serving it on demand.
-                        // Final — the window ahead of this path only
-                        // shrinks.
-                        self.declined.insert(req.path.clone());
-                        self.declines += 1;
-                        rec.count(
-                            Layer::Sched,
-                            &kind.to_string(),
-                            ops::PREFETCH_DECLINE,
-                            fg_cursor,
-                            1.0,
-                        );
-                    }
-                } else {
-                    // Read-after-write within the drain (or the file is
-                    // not on the resource yet): no verdict until the
-                    // blocking write lands.
-                    undecided += 1;
-                }
-            }
-            ahead += est;
-        }
-        (
-            (!fetches.is_empty()).then_some(RoundPlan { start, fetches }),
-            Some(undecided),
-        )
-    }
-
-    /// Pop the staged-ready run at the head of `q` — reads whose fetch has
-    /// landed by `cursor`, chained under the same rule as a normal batch —
-    /// into `out` (cleared by the caller; reused by the event engine).
-    fn pop_staged_run_into(
-        &mut self,
-        q: &mut VecDeque<Queued>,
-        cursor: SimTime,
-        out: &mut Vec<Queued>,
-    ) {
-        loop {
-            let ready = out.len() < MAX_CHAIN
-                && q.front().is_some_and(|item| {
-                    matches!(item.req.body, RequestBody::Read)
-                        && self.ready.get(&item.req.path).is_some_and(|&t| t <= cursor)
-                        && self.cache.lock().contains(&item.req.path)
-                        && out
-                            .last()
-                            .is_none_or(|prev| prev.req.chains_with(&item.req))
-                });
-            if !ready {
-                break;
-            }
-            out.push(q.pop_front().unwrap());
-        }
-    }
-
-    /// [`Prefetcher::pop_staged_run_into`], allocating the batch (the
-    /// round-based reference engine's calling convention).
-    fn pop_staged_run(&mut self, q: &mut VecDeque<Queued>, cursor: SimTime) -> Vec<Queued> {
-        let mut batch = Vec::new();
-        self.pop_staged_run_into(q, cursor, &mut batch);
-        batch
-    }
-
-    /// Take a staged buffer for serving, consuming the entry.
-    fn take(&mut self, path: &str) -> Option<Bytes> {
-        self.ready.remove(path);
-        let mut cache = self.cache.lock();
-        let data = cache.get(path);
-        cache.invalidate(path);
-        data
-    }
-
-    /// A foreground serve touched `path`: drop any staged copy. A write
-    /// makes the copy stale; an on-demand read means the fetch arrived too
-    /// late — either way the staged bytes were wasted. Returns whether a
-    /// previously *planned* path was re-opened for future fetching (the
-    /// event engine must re-walk its plan gate when that happens).
-    fn note_foreground(
-        &mut self,
-        rec: &Recorder,
-        kind: StorageKind,
-        req: &EngineRequest,
-        at: SimTime,
-    ) -> bool {
-        let was_ready = self.ready.remove(&req.path).is_some();
-        let cached = {
-            let mut cache = self.cache.lock();
-            let hit = cache.contains(&req.path);
-            cache.invalidate(&req.path);
-            hit
-        };
-        let mut reopened = false;
-        if was_ready || cached {
-            self.waste += 1;
-            rec.count(
-                Layer::Sched,
-                &kind.to_string(),
-                ops::PREFETCH_WASTE,
-                at,
-                1.0,
-            );
-            if matches!(req.body, RequestBody::Write { .. }) {
-                // Overwritten: the path may be fetched again for a later
-                // read once the new bytes are on the resource.
-                reopened = self.planned.remove(&req.path);
-            }
-        }
-        reopened
-    }
-
-    /// Fold one resource's completed fetches into the staging cache and
-    /// advance its background cursor by the *measured* fetch times.
-    fn apply_fetches(
-        &mut self,
-        rec: &Recorder,
-        kind: StorageKind,
-        plan_start: SimTime,
-        results: Vec<(PlannedFetch, FetchOutcome)>,
-    ) {
-        let comp = kind.to_string();
-        let mut t = plan_start;
-        for (f, result) in results {
-            match result {
-                Ok((bytes, report)) => {
-                    let began = t;
-                    t += report.elapsed;
-                    rec.span(
-                        Layer::Sched,
-                        &comp,
-                        ops::PREFETCH,
-                        began,
-                        report.elapsed,
-                        report.bytes,
-                    );
-                    if self
-                        .cache
-                        .lock()
-                        .put_prioritized(&f.path, Bytes::from(bytes), f.next_use)
-                    {
-                        self.ready.insert(f.path, t);
-                        self.staged += 1;
-                    } else {
-                        // The cache declined (admitting would evict an
-                        // entry needed sooner): the fetch was wasted.
-                        self.waste += 1;
-                        rec.count(Layer::Sched, &comp, ops::PREFETCH_WASTE, t, 1.0);
-                    }
-                }
-                Err(e) => {
-                    // Mid-prefetch fault: drop the fetch and let the read
-                    // fall back to on-demand service. No breaker failure is
-                    // recorded — the session never asked for this work.
-                    rec.instant(
-                        Layer::Sched,
-                        &comp,
-                        ops::PREFETCH,
-                        t,
-                        &format!("fetch {} failed: {e}", f.path),
-                    );
-                }
-            }
-        }
-        let cur = self.bg_cursors.entry(kind).or_insert(t);
-        *cur = (*cur).max(t);
-    }
-}
-
-/// eq. (2) service-time estimator shared by admission pricing, the load
-/// board's backlog accounting, WFQ batch costs and the deadline checker.
-/// Profiles are synthesized once per `(resource, op)` (measured PerfDb
-/// rows win when the database is populated) and never sampled from the
-/// live jitter streams, so every estimate is deterministic.
-struct Estimator {
-    profiles: BTreeMap<(StorageKind, OpKind), ResourceProfile>,
-}
-
-impl Estimator {
-    fn new() -> Estimator {
-        Estimator {
-            profiles: BTreeMap::new(),
-        }
-    }
-
-    /// Predicted service time (seconds) of one `op` with `strategy` over
-    /// `dist` on `kind`. `ratio` scales the priced bytes — the learned
-    /// post-dedup/post-compression figure for chunked datasets, `1.0`
-    /// (a bitwise no-op) for raw ones.
-    fn cost_op(
-        &mut self,
-        sys: &MsrSystem,
-        kind: StorageKind,
-        op: OpKind,
-        strategy: IoStrategy,
-        dist: &Distribution,
-        ratio: f64,
-    ) -> f64 {
-        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
-            let res = sys.resource(kind).expect("priced on a registered kind");
-            profile_for(sys.predictor().map(|p| &p.db), &res, op)
-        });
-        fetch_estimate(profile, strategy, &AccessSummary::of(dist).scaled(ratio)).as_secs()
-    }
-
-    /// Predicted service time (seconds) of `req` on `kind`.
-    fn cost(&mut self, sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
-        let op = match req.body {
-            RequestBody::Write { .. } => OpKind::Write,
-            RequestBody::Read => OpKind::Read,
-        };
-        let ratio = sys.predicted_ratio(&req.dataset);
-        self.cost_op(sys, kind, op, req.strategy, &req.dist, ratio)
-    }
-}
-
-/// Per-tenant overload-machinery counters, folded into the report's
-/// [`TenantReport`]s.
-#[derive(Default, Clone, Copy)]
-struct TenantCounters {
-    shed: u64,
-    deferred: u64,
-    expired: u64,
-    cancelled: u64,
-}
-
-/// A program parked in the admission backpressure queue: its tenant's
-/// predicted wait exceeded the SLO under a `Defer` overload policy. It is
-/// re-priced as the drain progresses and admitted once the predicted wait
-/// drops, or expired when `expires` passes unadmitted.
-struct Deferred {
-    program: SessionProgram,
-    tenant: TenantId,
-    expires: SimTime,
-}
-
-/// What one program would add to the system, priced with eq. (2) before
-/// any catalog state is touched: the admission controller's input.
-#[derive(Default)]
-struct Pricing {
-    requests: usize,
-    bytes: u64,
-    est_secs: f64,
-    kinds: BTreeSet<StorageKind>,
-}
-
-/// The admission controller's verdict on one program.
-enum GateVerdict {
-    Admit,
-    Shed(CoreError),
-    Defer { ttl: SimDuration },
+    /// resource — the WFQ batch cost, the load board's backlog unit, the
+    /// prefetch planner's window unit and the deadline checker's
+    /// remaining-work unit. Recomputed on requeue.
+    pub est: f64,
 }
 
 /// The scheduler. Admit programs, then [`run`](Scheduler::run) to drain.
 pub struct Scheduler<'a> {
-    sys: &'a MsrSystem,
-    rec: Recorder,
-    admitted: Vec<Admitted<'a>>,
+    pub(crate) sys: &'a MsrSystem,
+    pub(crate) rec: Recorder,
+    pub(crate) admitted: Vec<Admitted<'a>>,
     /// Current resource of each `(session, dataset)`, updated on requeue.
-    locations: BTreeMap<(u64, String), StorageKind>,
-    specs: BTreeMap<(u64, String), DatasetSpec>,
-    prefetch: bool,
-    lifecycle: Option<LifecycleEngine>,
-    lifecycle_every: u64,
-    estimator: Estimator,
+    pub(crate) locations: BTreeMap<(u64, String), StorageKind>,
+    pub(crate) specs: BTreeMap<(u64, String), DatasetSpec>,
+    pub(crate) prefetch: bool,
+    pub(crate) lifecycle: Option<LifecycleEngine>,
+    pub(crate) lifecycle_every: u64,
+    pub(crate) estimator: Estimator,
     /// Admission backpressure queue, in defer order.
-    deferred: VecDeque<Deferred>,
-    tcounts: BTreeMap<TenantId, TenantCounters>,
-    /// Session id -> tenant, for serve/requeue/cancel accounting.
-    tenants_of: BTreeMap<u64, TenantId>,
+    pub(crate) deferred: VecDeque<Deferred>,
+    pub(crate) tcounts: BTreeMap<TenantId, TenantCounters>,
     /// Tenant names and WFQ weights captured at admission time.
-    tenant_names: BTreeMap<TenantId, String>,
-    weights: BTreeMap<TenantId, f64>,
+    pub(crate) tenant_names: BTreeMap<TenantId, String>,
+    pub(crate) weights: BTreeMap<TenantId, f64>,
     /// Per-session completion deadlines (virtual time from admission).
-    deadlines: BTreeMap<u64, SimDuration>,
+    pub(crate) deadlines: BTreeMap<u64, SimDuration>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -587,10 +146,9 @@ impl<'a> Scheduler<'a> {
             prefetch,
             lifecycle: None,
             lifecycle_every: 4,
-            estimator: Estimator::new(),
+            estimator: Estimator::default(),
             deferred: VecDeque::new(),
             tcounts: BTreeMap::new(),
-            tenants_of: BTreeMap::new(),
             tenant_names: BTreeMap::new(),
             weights: BTreeMap::new(),
             deadlines: BTreeMap::new(),
@@ -639,313 +197,6 @@ impl<'a> Scheduler<'a> {
         self.deferred.len()
     }
 
-    /// Admit one program through the overload controller. The program is
-    /// first *priced* — eq. (2) service estimates per request, summed
-    /// against the tenant's quotas and the live load board — before any
-    /// catalog state is touched:
-    ///
-    /// - over quota, or over the tenant's SLO with a [`OverloadPolicy::Shed`]
-    ///   policy: the program is **shed** with a typed error
-    ///   ([`CoreError::QuotaExceeded`] / [`CoreError::Rejected`]) and
-    ///   nothing is opened;
-    /// - over the SLO with a [`OverloadPolicy::Defer`] policy and room in
-    ///   the backpressure queue: the program is **parked** (`Ok(None)`)
-    ///   and retried as the drain progresses, expiring after its TTL;
-    /// - otherwise it is **admitted**: its catalog session opens, its
-    ///   datasets are placed (scored AUTO placement sees the current queue
-    ///   depths), and it expands into tagged requests accounted on the
-    ///   system's load board. Returns `Ok(Some(session_id))`.
-    pub fn admit(&mut self, program: SessionProgram) -> CoreResult<Option<u64>> {
-        let (tid, tenant) = self
-            .sys
-            .tenants
-            .resolve_or_register(program.tenant.as_deref());
-        self.tenant_names.insert(tid, tenant.name.clone());
-        self.weights.insert(tid, tenant.weight);
-        match self.admission_gate(&program, tid, &tenant)? {
-            GateVerdict::Admit => Ok(Some(self.open_and_expand(program, tid)?)),
-            GateVerdict::Shed(e) => {
-                self.tcounts.entry(tid).or_default().shed += 1;
-                self.rec.instant(
-                    Layer::Sched,
-                    &tenant.name,
-                    ops::ADMIT_SHED,
-                    self.sys.clock.now(),
-                    &format!("{}: {e}", program.app),
-                );
-                Err(e)
-            }
-            GateVerdict::Defer { ttl } => {
-                self.tcounts.entry(tid).or_default().deferred += 1;
-                let now = self.sys.clock.now();
-                self.rec.instant(
-                    Layer::Sched,
-                    &tenant.name,
-                    ops::ADMIT_DEFER,
-                    now,
-                    &format!("{}: parked for up to {:.3}s", program.app, ttl.as_secs()),
-                );
-                self.deferred.push_back(Deferred {
-                    program,
-                    tenant: tid,
-                    expires: now + ttl,
-                });
-                Ok(None)
-            }
-        }
-    }
-
-    /// Price `program` with eq. (2) without touching catalog state: how
-    /// many requests it would queue, the bytes it would put in flight, the
-    /// predicted service seconds it would add, and the resources it would
-    /// land on. Placement is resolved with the same pure scoring the later
-    /// open uses, so the admission decision prices what admission would do.
-    fn price(&mut self, program: &SessionProgram) -> CoreResult<Pricing> {
-        let sys = self.sys;
-        let mut pricing = Pricing::default();
-        for spec in &program.datasets {
-            if spec.frequency == 0 {
-                continue;
-            }
-            let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
-            let run_bytes = spec.run_bytes(program.iterations);
-            let Some(kind) = placement::resolve(sys, spec, &dist, run_bytes)? else {
-                continue;
-            };
-            pricing.kinds.insert(kind);
-            let dumps = (0..=program.iterations)
-                .filter(|i| i.is_multiple_of(spec.frequency))
-                .count();
-            let reads = if program.readbacks > 0 {
-                (program.readbacks as usize).min(dumps)
-            } else {
-                usize::from(program.readback)
-            };
-            pricing.requests += dumps + reads;
-            pricing.bytes += (dumps + reads) as u64 * spec.snapshot_bytes();
-            let ratio = sys.predicted_ratio(&spec.name);
-            pricing.est_secs += dumps as f64
-                * self
-                    .estimator
-                    .cost_op(sys, kind, OpKind::Write, spec.strategy, &dist, ratio)
-                + reads as f64
-                    * self
-                        .estimator
-                        .cost_op(sys, kind, OpKind::Read, spec.strategy, &dist, ratio);
-        }
-        Ok(pricing)
-    }
-
-    /// The admission controller: quotas first, then the eq. (2) SLO check
-    /// — predicted queue wait on the program's most backlogged target
-    /// resource against the tenant's SLO.
-    fn admission_gate(
-        &mut self,
-        program: &SessionProgram,
-        tid: TenantId,
-        tenant: &Tenant,
-    ) -> CoreResult<GateVerdict> {
-        let pricing = self.price(program)?;
-        let usage = self.sys.load.tenant_usage(tid);
-        if let Some(cap) = tenant.quota.max_queued_requests {
-            if usage.queued + pricing.requests > cap {
-                return Ok(GateVerdict::Shed(CoreError::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    resource: "queued requests",
-                    used: usage.queued as u64,
-                    requested: pricing.requests as u64,
-                    limit: cap as u64,
-                }));
-            }
-        }
-        if let Some(cap) = tenant.quota.max_bytes_in_flight {
-            if usage.bytes + pricing.bytes > cap {
-                return Ok(GateVerdict::Shed(CoreError::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    resource: "bytes in flight",
-                    used: usage.bytes,
-                    requested: pricing.bytes,
-                    limit: cap,
-                }));
-            }
-        }
-        if let Some(cap) = tenant.quota.max_predicted_secs {
-            if usage.predicted_secs + pricing.est_secs > cap {
-                return Ok(GateVerdict::Shed(CoreError::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    resource: "predicted seconds",
-                    used: usage.predicted_secs.ceil() as u64,
-                    requested: pricing.est_secs.ceil() as u64,
-                    limit: cap.ceil() as u64,
-                }));
-            }
-        }
-        if let Some(slo) = tenant.slo {
-            let mut wait = SimDuration::ZERO;
-            for &kind in &pricing.kinds {
-                let backlog = SimDuration::from_secs(self.sys.load.predicted_backlog(kind));
-                let w = queue_wait(
-                    backlog,
-                    self.sys.load.depth(kind),
-                    MAX_CHAIN,
-                    dispatch_overhead(),
-                );
-                wait = wait.max(w);
-            }
-            if wait > slo {
-                let reject = || CoreError::Rejected {
-                    tenant: tenant.name.clone(),
-                    predicted_wait: wait,
-                    slo,
-                };
-                return Ok(match tenant.overload {
-                    OverloadPolicy::Shed => GateVerdict::Shed(reject()),
-                    OverloadPolicy::Defer { max_deferred, ttl } => {
-                        let parked = self.deferred.iter().filter(|d| d.tenant == tid).count();
-                        if parked >= max_deferred {
-                            GateVerdict::Shed(reject())
-                        } else {
-                            GateVerdict::Defer { ttl }
-                        }
-                    }
-                });
-            }
-        }
-        Ok(GateVerdict::Admit)
-    }
-
-    /// Open the program's catalog session, place its datasets, expand it
-    /// into tagged requests and account them (depth, predicted backlog,
-    /// tenant usage) on the system's load board.
-    fn open_and_expand(&mut self, program: SessionProgram, tid: TenantId) -> CoreResult<u64> {
-        let id = self.admitted.len() as u64;
-        let mut session = self
-            .sys
-            .session()
-            .app(&program.app)
-            .user(&program.user)
-            .iterations(program.iterations)
-            .grid(program.grid)
-            .build()?;
-        for spec in &program.datasets {
-            session.open(spec.clone())?;
-        }
-        let run = session.run_id();
-        for d in session.report().datasets {
-            if let Some(kind) = d.location {
-                self.locations.insert((id, d.name), kind);
-            }
-        }
-        for spec in &program.datasets {
-            self.specs.insert((id, spec.name.clone()), spec.clone());
-        }
-
-        let mut requests = VecDeque::new();
-        let mut seq = 0u64;
-        // Dataset-major expansion keeps one dataset's dumps at consecutive
-        // sequence numbers, which is what makes them batchable.
-        for spec in &program.datasets {
-            if !self.locations.contains_key(&(id, spec.name.clone())) || spec.frequency == 0 {
-                continue;
-            }
-            let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
-            let mode = match spec.amode {
-                AccessMode::Create => OpenMode::Create,
-                AccessMode::OverWrite => OpenMode::OverWrite,
-            };
-            let mut paths = Vec::new();
-            for iter in 0..=program.iterations {
-                if !iter.is_multiple_of(spec.frequency) {
-                    continue;
-                }
-                let path = dump_path(&program.app, run, spec, iter);
-                paths.push(path.clone());
-                let data = payload(id, &spec.name, iter, spec.snapshot_bytes() as usize);
-                requests.push_back(EngineRequest {
-                    tag: RequestTag { session: id, seq },
-                    dataset: spec.name.clone(),
-                    path,
-                    dist,
-                    strategy: spec.strategy,
-                    ingest: spec.ingest,
-                    body: RequestBody::Write { data, mode },
-                });
-                seq += 1;
-            }
-            // Consumer reads at the end of the program. `readbacks` opens a
-            // sequence hole first so the reads chain with each other and
-            // not with the dumps — standalone read chains are what the
-            // prefetcher can overlap with other sessions' writes.
-            let consumer_reads = if program.readbacks > 0 {
-                seq += 1;
-                program.readbacks as usize
-            } else {
-                usize::from(program.readback)
-            };
-            for path in paths.into_iter().take(consumer_reads) {
-                requests.push_back(EngineRequest {
-                    tag: RequestTag { session: id, seq },
-                    dataset: spec.name.clone(),
-                    path,
-                    dist,
-                    strategy: spec.strategy,
-                    // Reads self-describe through the registered manifest;
-                    // carrying the spec keeps report lines symmetrical.
-                    ingest: spec.ingest,
-                    body: RequestBody::Read,
-                });
-                seq += 1;
-            }
-        }
-
-        let now = self.sys.clock.now();
-        let mut per_kind: BTreeMap<StorageKind, usize> = BTreeMap::new();
-        let mut tenant_bytes = 0u64;
-        let mut tenant_secs = 0.0f64;
-        for req in &requests {
-            let kind = self.locations[&(id, req.dataset.clone())];
-            *per_kind.entry(kind).or_insert(0) += 1;
-            let est = self.estimator.cost(self.sys, kind, req);
-            self.sys.load.backlog_enqueued(kind, est);
-            tenant_bytes += req.bytes();
-            tenant_secs += est;
-        }
-        self.sys
-            .load
-            .tenant_enqueued(tid, requests.len(), tenant_bytes, tenant_secs);
-        for (kind, n) in per_kind {
-            let depth = self.sys.load.enqueued(kind, n);
-            self.rec.count(
-                Layer::Sched,
-                &kind.to_string(),
-                ops::QUEUE_DEPTH,
-                now,
-                depth as f64,
-            );
-        }
-        self.rec.instant(
-            Layer::Sched,
-            &program.app,
-            ops::SESSION_ADMIT,
-            now,
-            &format!("session {id}: {} requests, run{}", requests.len(), run.0),
-        );
-
-        self.tenants_of.insert(id, tid);
-        if let Some(d) = program.deadline {
-            self.deadlines.insert(id, d);
-        }
-        self.admitted.push(Admitted {
-            id,
-            app: program.app.clone(),
-            run,
-            tenant: tid,
-            session,
-            requests,
-        });
-        Ok(id)
-    }
-
     /// Drain every admitted session's requests and return the run's
     /// accounting. Consumes the scheduler: the catalog sessions are
     /// finalized (disconnect costs charged) on the way out, and the global
@@ -965,384 +216,78 @@ impl<'a> Scheduler<'a> {
     /// to it — and, as before, independent of `MSR_THREADS`.
     pub fn run(mut self) -> CoreResult<SchedReport> {
         let sys = self.sys;
-        let start = sys.clock.now();
-        let mut queues = self.build_queues(start);
-        let mut cursors: BTreeMap<StorageKind, SimTime> =
-            queues.keys().map(|&k| (k, start)).collect();
-        let mut accs: BTreeMap<u64, Acc> = self
-            .admitted
-            .iter()
-            .map(|a| {
-                (
-                    a.id,
-                    Acc {
-                        reports: Vec::new(),
-                        contribs: Vec::new(),
-                        bytes: 0,
-                        completed: start,
-                        requeues: 0,
-                        errors: Vec::new(),
-                        cancelled: None,
-                    },
-                )
-            })
-            .collect();
-
-        // Per-resource dispatch-step counts. The round engine's global
-        // `rounds` equals the longest per-resource step sequence (every
-        // resource with pending work took one step per round until its
-        // queue drained), so `max(steps)` reproduces it bitwise.
-        let mut steps: BTreeMap<StorageKind, u64> = BTreeMap::new();
-        let mut batches = 0u64;
-        let mut max_batch = 0usize;
-        let mut prefetcher = self.prefetch.then(Prefetcher::new);
-        let mut runs: BTreeMap<u64, RunId> = self.admitted.iter().map(|a| (a.id, a.run)).collect();
-        let mut busy: BTreeSet<RunId> = runs.values().copied().collect();
-        let mut lifecycle_totals = TickTotals::default();
-
-        // Deadline bookkeeping: per-session predicted service seconds
-        // still queued, and each deadline as an absolute virtual instant.
-        // Only sessions that declared a deadline are tracked.
-        let mut remaining: BTreeMap<u64, f64> = BTreeMap::new();
-        if !self.deadlines.is_empty() {
-            for q in queues.values() {
-                for item in q.iter() {
-                    if self.deadlines.contains_key(&item.req.tag.session) {
-                        *remaining.entry(item.req.tag.session).or_default() += item.est;
-                    }
-                }
-            }
-        }
-        let mut deadlines_abs: BTreeMap<u64, SimTime> = self
-            .deadlines
-            .iter()
-            .map(|(&id, &d)| (id, start + d))
-            .collect();
-
+        let mut drain = Drain::new(&mut self, sys.clock.now());
         let mut events = EventQueue::new();
         let mut armed: BTreeSet<StorageKind> = BTreeSet::new();
-        let mut gates: BTreeMap<StorageKind, PlanGate> = BTreeMap::new();
         let mut scratch: Scratch<Queued, (Queued, RequestOutcome)> = Scratch::new();
         let mut fired = 0u64;
+        drain.rearm(&mut events, &mut armed);
 
-        for (&kind, q) in queues.iter() {
-            if !q.is_empty() {
-                events.push(start, kind);
-                armed.insert(kind);
-            }
-        }
-
-        'drain: loop {
+        loop {
             while let Some((_at, kind)) = events.pop() {
                 armed.remove(&kind);
-
-                // Pop phase: select the WFQ lane whose head batch has the
-                // smallest start tag, then pop a staged-ready run off that
-                // lane's head if the prefetcher has one landed, otherwise one
-                // chained batch. The popped batch's eq. (2) cost advances the
-                // lane's virtual finish tag — weighted-fair arbitration.
                 scratch.batch.clear();
-                let mut staged = false;
-                {
-                    let q = queues.entry(kind).or_default();
-                    if let Some(tenant) = q.select() {
-                        let lane = q.lane_mut(tenant);
-                        if let Some(p) = prefetcher.as_mut() {
-                            let cursor = cursors.get(&kind).copied().unwrap_or(start);
-                            p.pop_staged_run_into(lane, cursor, &mut scratch.batch);
-                            staged = !scratch.batch.is_empty();
-                        }
-                        if !staged {
-                            if let Some(head) = lane.pop_front() {
-                                scratch.batch.push(head);
-                                while scratch.batch.len() < MAX_CHAIN
-                                    && lane.front().is_some_and(|n| {
-                                        scratch.batch.last().unwrap().req.chains_with(&n.req)
-                                    })
-                                {
-                                    scratch.batch.push(lane.pop_front().unwrap());
-                                }
-                            }
-                        }
-                        if !scratch.batch.is_empty() {
-                            let cost: f64 = scratch.batch.iter().map(|i| i.est).sum();
-                            q.commit(tenant, cost);
-                        }
-                    }
-                }
-
+                let staged = drain.pop_batch(kind, &mut scratch.batch);
                 if !scratch.batch.is_empty() {
-                    // This resource's step count is its round number under the
-                    // legacy engine — the key that orders its contributions.
-                    let step = {
-                        let s = steps.entry(kind).or_insert(0);
-                        *s += 1;
-                        *s
-                    };
+                    let step = drain.next_step(kind);
                     fired += 1;
 
                     if staged {
-                        // Staged-serve step: plan against the post-pop queue
-                        // with the pre-application foreground cursor (exactly
-                        // what the round engine's plan phase saw), execute the
-                        // plan's fetches on the resource, then serve the
-                        // staged batch from memory and land the fetches.
-                        let fg = cursors.get(&kind).copied().unwrap_or(start);
-                        let plan = self.plan_step(&mut prefetcher, &mut gates, &queues, kind, fg);
-                        let plan_start = plan.as_ref().map(|pl| pl.start);
-                        let fetched = self.execute_fetches(kind, plan);
-
-                        let p = prefetcher.as_mut().expect("staged batches imply prefetch");
-                        let comp = kind.to_string();
-                        let cursor = cursors.entry(kind).or_insert(start);
-                        let batch_start = *cursor;
-                        *cursor += dispatch_overhead();
-                        let mut batch_bytes = 0u64;
-                        let mut n = 0usize;
-                        let mut leftovers = Vec::new();
-                        for q in scratch.batch.drain(..) {
-                            let outcome = p
-                                .take(&q.req.path)
-                                .and_then(|data| sys.engine.staged_read(&comp, &q.req, &data).ok());
-                            let Some(outcome) = outcome else {
-                                // The staged copy vanished under us: back to
-                                // the queue head for on-demand service.
-                                leftovers.push(q);
-                                continue;
-                            };
-                            let report = outcome.into_report();
-                            let wait = cursor.since(q.submitted);
-                            self.rec.span(
-                                Layer::Sched,
-                                &comp,
-                                ops::SCHED_WAIT,
-                                q.submitted,
-                                wait,
-                                report.bytes,
-                            );
-                            *cursor += report.elapsed;
-                            batch_bytes += report.bytes;
-                            n += 1;
-                            p.hits += 1;
-                            self.rec
-                                .count(Layer::Sched, &comp, ops::PREFETCH_HIT, *cursor, 1.0);
-                            let depth = sys.load.dequeued(kind, 1);
-                            self.rec.count(
-                                Layer::Sched,
-                                &comp,
-                                ops::QUEUE_DEPTH,
-                                *cursor,
-                                depth as f64,
-                            );
-                            sys.load.backlog_dequeued(kind, q.est);
-                            let tid = self
-                                .tenants_of
-                                .get(&q.req.tag.session)
-                                .copied()
-                                .unwrap_or_default();
-                            sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                            if let Some(r) = remaining.get_mut(&q.req.tag.session) {
-                                *r -= q.est;
-                            }
-                            self.note_served(
-                                runs[&q.req.tag.session],
-                                &q.req,
-                                *cursor,
-                                report.bytes,
-                            );
-                            let acc = accs.get_mut(&q.req.tag.session).expect("admitted session");
-                            acc.reports.push((q.req.tag.seq, report.clone()));
-                            acc.contribs.push(Contrib {
-                                step,
-                                phase: 0,
-                                kind,
-                                wait,
-                                io: report.elapsed,
-                            });
-                            acc.bytes += report.bytes;
-                            acc.completed = acc.completed.max(*cursor);
-                        }
-                        if n > 0 {
-                            batches += 1;
-                            max_batch = max_batch.max(n);
-                            let dur = cursor.since(batch_start);
-                            self.rec.span(
-                                Layer::Sched,
-                                &comp,
-                                ops::SCHED_DISPATCH,
-                                batch_start,
-                                dur,
-                                batch_bytes,
-                            );
-                        }
-                        if !leftovers.is_empty() {
-                            let q = queues.entry(kind).or_default();
-                            for item in leftovers.into_iter().rev() {
-                                let tid = self
-                                    .tenants_of
-                                    .get(&item.req.tag.session)
-                                    .copied()
-                                    .unwrap_or_default();
-                                q.push_front(tid, item);
-                            }
-                        }
-                        if !fetched.is_empty() {
-                            let fetch_count = fetched.len();
-                            let plan_start =
-                                plan_start.expect("planned fetches record their start");
-                            p.apply_fetches(&self.rec, kind, plan_start, fetched);
-                            sys.load.bg_dequeued(kind, fetch_count);
-                        }
+                        // Staged-serve step: plan and fetch on the
+                        // resource, then serve the staged batch from
+                        // memory and land the fetches.
+                        let fetched = drain.plan_step(kind).map(|plan| {
+                            let res = sys.resource(kind).expect("placed on registered kind");
+                            plan.execute(&sys.engine, &res)
+                        });
+                        drain.serve_staged(kind, step, scratch.batch.drain(..));
+                        drain.land_fetches(kind, fetched);
                     } else if !sys.health.allows(kind) {
                         // Open circuit: never dispatch to the resource — the
                         // whole batch (and the rest of its datasets' queues)
                         // drains to fallback resources. No plan either: the
                         // planner refuses unhealthy resources.
                         let batch = std::mem::take(&mut scratch.batch);
-                        self.requeue(kind, batch, "circuit open", &mut queues, &mut accs);
-                        for g in gates.values_mut() {
-                            g.dirty = true;
-                        }
+                        self.requeue(&mut drain, kind, batch, "circuit open");
                     } else {
                         // Normal step: plan fetches, execute the foreground
                         // batch inline, then the fetches, in plan order — the
                         // same per-resource op order the round engine's pool
-                        // closure used, so every seeded jitter stream draws
+                        // closure uses, so every seeded jitter stream draws
                         // identically.
-                        let fg = cursors.get(&kind).copied().unwrap_or(start);
-                        let plan = self.plan_step(&mut prefetcher, &mut gates, &queues, kind, fg);
-                        let plan_start = plan.as_ref().map(|pl| pl.start);
-
+                        let plan = drain.plan_step(kind);
                         let res = sys.resource(kind).expect("placed on registered kind");
                         scratch.served.clear();
                         scratch.unserved.clear();
                         let mut error: Option<String> = None;
-                        {
-                            let mut pending = scratch.batch.drain(..);
-                            for q in pending.by_ref() {
-                                match sys.engine.execute(&res, &q.req) {
-                                    Ok(outcome) => scratch.served.push((q, outcome)),
-                                    Err(e) => {
-                                        error = Some(CoreError::from(e).to_string());
-                                        scratch.unserved.push(q);
-                                        break;
-                                    }
+                        let mut pending = scratch.batch.drain(..);
+                        for q in pending.by_ref() {
+                            match sys.engine.execute(&res, &q.req) {
+                                Ok(outcome) => scratch.served.push((q, outcome)),
+                                Err(e) => {
+                                    error = Some(CoreError::from(e).to_string());
+                                    scratch.unserved.push(q);
+                                    break;
                                 }
                             }
-                            for q in pending {
-                                scratch.unserved.push(q);
-                            }
                         }
-                        let fetched = self.execute_fetches(kind, plan);
+                        scratch.unserved.extend(pending);
+                        let fetched = plan.map(|plan| plan.execute(&sys.engine, &res));
 
-                        // Apply the outcomes: one dispatch charge per batch,
-                        // then each report advances the resource cursor.
-                        let cursor = cursors.entry(kind).or_insert(start);
-                        let batch_start = *cursor;
-                        if !scratch.served.is_empty()
-                            || !scratch.unserved.is_empty()
-                            || error.is_some()
-                        {
-                            *cursor += dispatch_overhead();
-                        }
-                        let mut batch_bytes = 0u64;
-                        let mut n = 0usize;
-                        for (q, outcome) in scratch.served.drain(..) {
-                            let report = outcome.into_report();
-                            let wait = cursor.since(q.submitted);
-                            self.rec.span(
-                                Layer::Sched,
-                                &kind.to_string(),
-                                ops::SCHED_WAIT,
-                                q.submitted,
-                                wait,
-                                report.bytes,
-                            );
-                            *cursor += report.elapsed;
-                            batch_bytes += report.bytes;
-                            n += 1;
-                            sys.health.record_success(kind);
-                            let depth = sys.load.dequeued(kind, 1);
-                            self.rec.count(
-                                Layer::Sched,
-                                &kind.to_string(),
-                                ops::QUEUE_DEPTH,
-                                *cursor,
-                                depth as f64,
-                            );
-                            if let Some(p) = prefetcher.as_mut() {
-                                if p.note_foreground(&self.rec, kind, &q.req, *cursor) {
-                                    gates.entry(kind).or_default().dirty = true;
-                                }
-                            }
-                            sys.load.backlog_dequeued(kind, q.est);
-                            let tid = self
-                                .tenants_of
-                                .get(&q.req.tag.session)
-                                .copied()
-                                .unwrap_or_default();
-                            sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                            if let Some(r) = remaining.get_mut(&q.req.tag.session) {
-                                *r -= q.est;
-                            }
-                            self.note_served(
-                                runs[&q.req.tag.session],
-                                &q.req,
-                                *cursor,
-                                report.bytes,
-                            );
-                            let acc = accs.get_mut(&q.req.tag.session).expect("admitted session");
-                            acc.reports.push((q.req.tag.seq, report.clone()));
-                            acc.contribs.push(Contrib {
-                                step,
-                                phase: 1,
-                                kind,
-                                wait,
-                                io: report.elapsed,
-                            });
-                            acc.bytes += report.bytes;
-                            acc.completed = acc.completed.max(*cursor);
-                        }
-                        if n > 0 {
-                            batches += 1;
-                            max_batch = max_batch.max(n);
-                            let dur = cursor.since(batch_start);
-                            self.rec.span(
-                                Layer::Sched,
-                                &kind.to_string(),
-                                ops::SCHED_DISPATCH,
-                                batch_start,
-                                dur,
-                                batch_bytes,
-                            );
-                        }
-                        if !fetched.is_empty() {
-                            let p = prefetcher.as_mut().expect("fetches imply prefetch");
-                            let fetch_count = fetched.len();
-                            let plan_start =
-                                plan_start.expect("planned fetches record their start");
-                            p.apply_fetches(&self.rec, kind, plan_start, fetched);
-                            sys.load.bg_dequeued(kind, fetch_count);
-                        }
+                        drain.serve_batch(kind, step, true, scratch.served.drain(..));
+                        drain.land_fetches(kind, fetched);
                         if let Some(reason) = error {
                             sys.health.record_failure(kind);
                             let unserved = std::mem::take(&mut scratch.unserved);
-                            self.requeue(kind, unserved, &reason, &mut queues, &mut accs);
-                            for g in gates.values_mut() {
-                                g.dirty = true;
-                            }
+                            self.requeue(&mut drain, kind, unserved, &reason);
                         }
                     }
 
                     // Lifecycle tick on event-time boundaries (the event
-                    // engine's analogue of "every N rounds"): the global
-                    // clock first catches up to the drain's frontier so the
-                    // engine's idle windows see virtual time passing.
+                    // engine's analogue of "every N rounds").
                     if let Some(lc) = &self.lifecycle {
                         if fired.is_multiple_of(self.lifecycle_every) {
-                            let frontier = cursors.values().fold(start, |m, &t| m.max(t));
-                            sys.clock.advance_to(frontier);
-                            lifecycle_totals.absorb(&lc.tick_excluding(sys, &busy));
+                            drain.lifecycle_tick(lc);
                         }
                     }
 
@@ -1350,1066 +295,38 @@ impl<'a> Scheduler<'a> {
                     // predicted work can no longer finish by its deadline —
                     // its queued requests are dropped and its partial report
                     // finalizes with the cancellation reason.
-                    if !deadlines_abs.is_empty() {
-                        let frontier = cursors.values().fold(start, |m, &t| m.max(t));
-                        let doomed: Vec<u64> = deadlines_abs
-                            .iter()
-                            .filter(|&(id, &dl)| {
-                                let rem = remaining.get(id).copied().unwrap_or(0.0);
-                                rem > 0.0 && frontier + SimDuration::from_secs(rem) > dl
-                            })
-                            .map(|(&id, _)| id)
-                            .collect();
-                        for id in doomed {
-                            deadlines_abs.remove(&id);
-                            remaining.remove(&id);
-                            self.cancel_session(id, frontier, &mut queues, &mut accs);
-                            for g in gates.values_mut() {
-                                g.dirty = true;
-                            }
+                    if !drain.deadlines.is_empty() {
+                        let frontier = drain.frontier();
+                        for id in drain.take_doomed(frontier) {
+                            self.cancel_session(&mut drain, id, frontier);
                         }
                     }
 
                     // Backpressure retry: re-price parked programs against the
                     // drained-down load board every few events.
                     if !self.deferred.is_empty() && fired.is_multiple_of(DEFER_RETRY_EVERY) {
-                        let frontier = cursors.values().fold(start, |m, &t| m.max(t));
-                        self.admit_deferred(
-                            frontier,
-                            false,
-                            &mut queues,
-                            &mut cursors,
-                            &mut runs,
-                            &mut busy,
-                            &mut accs,
-                            &mut remaining,
-                            &mut deadlines_abs,
-                            &mut gates,
-                        )?;
+                        let frontier = drain.frontier();
+                        self.admit_deferred(&mut drain, frontier, false)?;
                     }
                 }
-
-                // Re-arm every resource with pending work and no event in
-                // flight: this step's own leftovers, and any queue a requeue
-                // just landed work on. O(resources), resources are few.
-                for (&k, q) in queues.iter() {
-                    if !q.is_empty() && !armed.contains(&k) {
-                        events.push(cursors.get(&k).copied().unwrap_or(start), k);
-                        armed.insert(k);
-                    }
-                }
+                drain.rearm(&mut events, &mut armed);
             }
 
             // The event heap is empty. Give every still-parked program a
             // final verdict — admit what fits a fully drained backlog,
             // expire the rest — and keep draining if anything landed.
             if self.deferred.is_empty() {
-                break 'drain;
+                break;
             }
-            let frontier = cursors.values().fold(start, |m, &t| m.max(t));
-            let admitted_any = self.admit_deferred(
-                frontier,
-                true,
-                &mut queues,
-                &mut cursors,
-                &mut runs,
-                &mut busy,
-                &mut accs,
-                &mut remaining,
-                &mut deadlines_abs,
-                &mut gates,
-            )?;
-            for (&k, q) in queues.iter() {
-                if !q.is_empty() && !armed.contains(&k) {
-                    events.push(cursors.get(&k).copied().unwrap_or(start), k);
-                    armed.insert(k);
-                }
-            }
+            let frontier = drain.frontier();
+            let admitted_any = self.admit_deferred(&mut drain, frontier, true)?;
+            drain.rearm(&mut events, &mut armed);
             if !admitted_any {
-                break 'drain;
-            }
-        }
-
-        let rounds = steps.values().copied().max().unwrap_or(0);
-        let mut end = cursors.values().fold(start, |m, &t| m.max(t));
-        if let Some(p) = prefetcher.as_ref() {
-            end = p.bg_cursors.values().fold(end, |m, &t| m.max(t));
-        }
-        let totals = DrainTotals {
-            rounds,
-            batches,
-            max_batch,
-            lifecycle: lifecycle_totals,
-        };
-        self.finalize_report(start, end, accs, totals, prefetcher)
-    }
-
-    /// Plan one resource's background fetches for the current step,
-    /// skipping the queue walk when the gate proves it side-effect-free.
-    /// Admitted fetches are accounted on the load board's background lane.
-    fn plan_step(
-        &self,
-        prefetcher: &mut Option<Prefetcher>,
-        gates: &mut BTreeMap<StorageKind, PlanGate>,
-        queues: &BTreeMap<StorageKind, WfqQueue<Queued>>,
-        kind: StorageKind,
-        fg: SimTime,
-    ) -> Option<RoundPlan> {
-        let p = prefetcher.as_mut()?;
-        let gate = gates.entry(kind).or_default();
-        if !gate.needs_walk() {
-            return None;
-        }
-        let q = queues.get(&kind)?;
-        let (plan, walked) = p.plan(self.sys, &self.rec, kind, q, fg);
-        if let Some(undecided) = walked {
-            gate.walked(undecided);
-        }
-        if let Some(pl) = &plan {
-            self.sys.load.bg_enqueued(kind, pl.fetches.len());
-        }
-        plan
-    }
-
-    /// Execute a plan's fetches against the owning resource, in plan
-    /// order, on the dispatcher thread. Returns each fetch's outcome.
-    fn execute_fetches(
-        &self,
-        kind: StorageKind,
-        plan: Option<RoundPlan>,
-    ) -> Vec<(PlannedFetch, FetchOutcome)> {
-        let Some(plan) = plan else {
-            return Vec::new();
-        };
-        let res = self.sys.resource(kind).expect("placed on registered kind");
-        plan.fetches
-            .into_iter()
-            .map(|f| {
-                let r = self
-                    .sys
-                    .engine
-                    .read(&res, &f.path, &f.dist, f.strategy)
-                    .map_err(|e| CoreError::from(e).to_string());
-                (f, r)
-            })
-            .collect()
-    }
-
-    /// Drain every admitted session with the retired round-robin loop —
-    /// the pre-event-engine dispatcher, kept compiled as the reference
-    /// implementation for the equivalence test suite (integration tests
-    /// cannot see `#[cfg(test)]` items, so it is hidden rather than
-    /// test-gated). Semantics are frozen: in fault-free drains
-    /// [`Scheduler::run`] must produce a bitwise-identical report.
-    #[doc(hidden)]
-    pub fn run_round_based(mut self) -> CoreResult<SchedReport> {
-        let start = self.sys.clock.now();
-        let mut queues = self.build_queues(start);
-        let mut cursors: BTreeMap<StorageKind, SimTime> =
-            queues.keys().map(|&k| (k, start)).collect();
-        let mut accs: BTreeMap<u64, Acc> = self
-            .admitted
-            .iter()
-            .map(|a| {
-                (
-                    a.id,
-                    Acc {
-                        reports: Vec::new(),
-                        contribs: Vec::new(),
-                        bytes: 0,
-                        completed: start,
-                        requeues: 0,
-                        errors: Vec::new(),
-                        cancelled: None,
-                    },
-                )
-            })
-            .collect();
-
-        let mut rounds = 0u64;
-        let mut batches = 0u64;
-        let mut max_batch = 0usize;
-        let mut prefetcher = self.prefetch.then(Prefetcher::new);
-        // Session id -> catalog run, for the recency hooks; admitted runs
-        // are off-limits to the lifecycle engine for the whole drain.
-        let runs: BTreeMap<u64, RunId> = self.admitted.iter().map(|a| (a.id, a.run)).collect();
-        let busy: BTreeSet<RunId> = runs.values().copied().collect();
-        let mut lifecycle_totals = TickTotals::default();
-
-        loop {
-            // One batch per resource per round, in fixed resource order. A
-            // queue whose head is a staged-ready read is served from the
-            // cache instead of dispatching to the resource.
-            let mut staged_served: Vec<(StorageKind, Vec<Queued>)> = Vec::new();
-            let mut picked: Vec<(StorageKind, Vec<Queued>)> = Vec::new();
-            let mut blocked: Vec<(StorageKind, Vec<Queued>)> = Vec::new();
-            for (&kind, q) in queues.iter_mut() {
-                let Some(tenant) = q.select() else { continue };
-                let lane = q.lane_mut(tenant);
-                if let Some(p) = prefetcher.as_mut() {
-                    let cursor = cursors.get(&kind).copied().unwrap_or(start);
-                    let run = p.pop_staged_run(lane, cursor);
-                    if !run.is_empty() {
-                        q.commit(tenant, run.iter().map(|i| i.est).sum());
-                        staged_served.push((kind, run));
-                        continue;
-                    }
-                }
-                let Some(head) = lane.pop_front() else {
-                    continue;
-                };
-                let mut batch = vec![head];
-                while batch.len() < MAX_CHAIN
-                    && lane
-                        .front()
-                        .is_some_and(|n| batch.last().unwrap().req.chains_with(&n.req))
-                {
-                    batch.push(lane.pop_front().unwrap());
-                }
-                q.commit(tenant, batch.iter().map(|i| i.est).sum());
-                if self.sys.health.allows(kind) {
-                    picked.push((kind, batch));
-                } else {
-                    blocked.push((kind, batch));
-                }
-            }
-            if picked.is_empty() && blocked.is_empty() && staged_served.is_empty() {
-                break;
-            }
-            rounds += 1;
-
-            // Plan this round's background fetches against what is still
-            // queued (on the dispatcher thread: planning is pure
-            // prediction, no jitter draws).
-            let mut plans: BTreeMap<StorageKind, RoundPlan> = BTreeMap::new();
-            if let Some(p) = prefetcher.as_mut() {
-                for (&kind, q) in queues.iter() {
-                    let fg = cursors.get(&kind).copied().unwrap_or(start);
-                    if let (Some(plan), _) = p.plan(self.sys, &self.rec, kind, q, fg) {
-                        self.sys.load.bg_enqueued(kind, plan.fetches.len());
-                        plans.insert(kind, plan);
-                    }
-                }
-            }
-
-            // Execute the round's batches concurrently: each touches only
-            // its own resource, so per-resource state stays deterministic.
-            // A resource's planned fetches ride the same closure, after
-            // its foreground batch, in plan order.
-            let engine = &self.sys.engine;
-            let mut fetch_starts: BTreeMap<StorageKind, SimTime> = BTreeMap::new();
-            let mut tasks = Vec::new();
-            for (kind, batch) in picked {
-                let fetches = match plans.remove(&kind) {
-                    Some(plan) => {
-                        fetch_starts.insert(kind, plan.start);
-                        plan.fetches
-                    }
-                    None => Vec::new(),
-                };
-                let res = self.sys.resource(kind).expect("placed on registered kind");
-                tasks.push((kind, batch, fetches, res));
-            }
-            for (kind, plan) in std::mem::take(&mut plans) {
-                fetch_starts.insert(kind, plan.start);
-                let res = self.sys.resource(kind).expect("placed on registered kind");
-                tasks.push((kind, Vec::new(), plan.fetches, res));
-            }
-            let results: Vec<RoundResult> = rayon::pool::execute(
-                tasks
-                    .into_iter()
-                    .map(|(kind, batch, fetches, res)| {
-                        move || {
-                            let mut served = Vec::new();
-                            let mut pending = batch.into_iter();
-                            let mut failed = None;
-                            for q in pending.by_ref() {
-                                match engine.execute(&res, &q.req) {
-                                    Ok(outcome) => served.push((q, outcome)),
-                                    Err(e) => {
-                                        failed = Some((q, CoreError::from(e).to_string()));
-                                        break;
-                                    }
-                                }
-                            }
-                            let mut unserved = Vec::new();
-                            let error = failed.map(|(q, e)| {
-                                unserved.push(q);
-                                e
-                            });
-                            unserved.extend(pending);
-                            let fetched: Vec<(PlannedFetch, FetchOutcome)> = fetches
-                                .into_iter()
-                                .map(|f| {
-                                    let r = engine
-                                        .read(&res, &f.path, &f.dist, f.strategy)
-                                        .map_err(|e| CoreError::from(e).to_string());
-                                    (f, r)
-                                })
-                                .collect();
-                            (kind, (served, unserved, error), fetched)
-                        }
-                    })
-                    .collect(),
-            );
-
-            // Serve this round's staged batches inline, before fetch
-            // results can touch the cache: a staged serve is one dispatch
-            // charge plus a memcpy per read — no resource, no jitter.
-            for (kind, batch) in staged_served {
-                let p = prefetcher.as_mut().expect("staged batches imply prefetch");
-                let comp = kind.to_string();
-                let cursor = cursors.entry(kind).or_insert(start);
-                let batch_start = *cursor;
-                *cursor += dispatch_overhead();
-                let mut batch_bytes = 0u64;
-                let mut n = 0usize;
-                let mut leftovers = Vec::new();
-                for q in batch {
-                    let outcome = p
-                        .take(&q.req.path)
-                        .and_then(|data| engine.staged_read(&comp, &q.req, &data).ok());
-                    let Some(outcome) = outcome else {
-                        // The staged copy vanished under us: back to the
-                        // queue head for on-demand service next round.
-                        leftovers.push(q);
-                        continue;
-                    };
-                    let report = outcome.into_report();
-                    let wait = cursor.since(q.submitted);
-                    self.rec.span(
-                        Layer::Sched,
-                        &comp,
-                        ops::SCHED_WAIT,
-                        q.submitted,
-                        wait,
-                        report.bytes,
-                    );
-                    *cursor += report.elapsed;
-                    batch_bytes += report.bytes;
-                    n += 1;
-                    p.hits += 1;
-                    self.rec
-                        .count(Layer::Sched, &comp, ops::PREFETCH_HIT, *cursor, 1.0);
-                    let depth = self.sys.load.dequeued(kind, 1);
-                    self.rec
-                        .count(Layer::Sched, &comp, ops::QUEUE_DEPTH, *cursor, depth as f64);
-                    self.sys.load.backlog_dequeued(kind, q.est);
-                    let tid = self
-                        .tenants_of
-                        .get(&q.req.tag.session)
-                        .copied()
-                        .unwrap_or_default();
-                    self.sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                    self.note_served(runs[&q.req.tag.session], &q.req, *cursor, report.bytes);
-                    let acc = accs.get_mut(&q.req.tag.session).expect("admitted session");
-                    acc.reports.push((q.req.tag.seq, report.clone()));
-                    acc.contribs.push(Contrib {
-                        step: rounds,
-                        phase: 0,
-                        kind,
-                        wait,
-                        io: report.elapsed,
-                    });
-                    acc.bytes += report.bytes;
-                    acc.completed = acc.completed.max(*cursor);
-                }
-                if n > 0 {
-                    batches += 1;
-                    max_batch = max_batch.max(n);
-                    let dur = cursor.since(batch_start);
-                    self.rec.span(
-                        Layer::Sched,
-                        &comp,
-                        ops::SCHED_DISPATCH,
-                        batch_start,
-                        dur,
-                        batch_bytes,
-                    );
-                }
-                if !leftovers.is_empty() {
-                    let q = queues.entry(kind).or_default();
-                    for item in leftovers.into_iter().rev() {
-                        let tid = self
-                            .tenants_of
-                            .get(&item.req.tag.session)
-                            .copied()
-                            .unwrap_or_default();
-                        q.push_front(tid, item);
-                    }
-                }
-            }
-
-            // Apply outcomes on this thread, in the round's fixed order.
-            for (kind, (served, unserved, error), fetched) in results {
-                let cursor = cursors.entry(kind).or_insert(start);
-                let batch_start = *cursor;
-                // Fetch-only tasks carry no foreground batch: the
-                // foreground cursor owes nothing for them.
-                if !served.is_empty() || !unserved.is_empty() || error.is_some() {
-                    *cursor += dispatch_overhead();
-                }
-                let mut batch_bytes = 0u64;
-                let mut n = 0usize;
-                for (q, outcome) in served {
-                    let report = outcome.into_report();
-                    let wait = cursor.since(q.submitted);
-                    self.rec.span(
-                        Layer::Sched,
-                        &kind.to_string(),
-                        ops::SCHED_WAIT,
-                        q.submitted,
-                        wait,
-                        report.bytes,
-                    );
-                    *cursor += report.elapsed;
-                    batch_bytes += report.bytes;
-                    n += 1;
-                    self.sys.health.record_success(kind);
-                    let depth = self.sys.load.dequeued(kind, 1);
-                    self.rec.count(
-                        Layer::Sched,
-                        &kind.to_string(),
-                        ops::QUEUE_DEPTH,
-                        *cursor,
-                        depth as f64,
-                    );
-                    if let Some(p) = prefetcher.as_mut() {
-                        p.note_foreground(&self.rec, kind, &q.req, *cursor);
-                    }
-                    self.sys.load.backlog_dequeued(kind, q.est);
-                    let tid = self
-                        .tenants_of
-                        .get(&q.req.tag.session)
-                        .copied()
-                        .unwrap_or_default();
-                    self.sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                    self.note_served(runs[&q.req.tag.session], &q.req, *cursor, report.bytes);
-                    let acc = accs.get_mut(&q.req.tag.session).expect("admitted session");
-                    acc.reports.push((q.req.tag.seq, report.clone()));
-                    acc.contribs.push(Contrib {
-                        step: rounds,
-                        phase: 1,
-                        kind,
-                        wait,
-                        io: report.elapsed,
-                    });
-                    acc.bytes += report.bytes;
-                    acc.completed = acc.completed.max(*cursor);
-                }
-                if n > 0 {
-                    batches += 1;
-                    max_batch = max_batch.max(n);
-                    let dur = cursor.since(batch_start);
-                    self.rec.span(
-                        Layer::Sched,
-                        &kind.to_string(),
-                        ops::SCHED_DISPATCH,
-                        batch_start,
-                        dur,
-                        batch_bytes,
-                    );
-                }
-                if !fetched.is_empty() {
-                    let p = prefetcher.as_mut().expect("fetches imply prefetch");
-                    let fetch_count = fetched.len();
-                    let plan_start = fetch_starts
-                        .remove(&kind)
-                        .expect("planned fetches record their start");
-                    p.apply_fetches(&self.rec, kind, plan_start, fetched);
-                    self.sys.load.bg_dequeued(kind, fetch_count);
-                }
-                if let Some(reason) = error {
-                    self.sys.health.record_failure(kind);
-                    self.requeue(kind, unserved, &reason, &mut queues, &mut accs);
-                }
-            }
-            for (kind, batch) in blocked {
-                self.requeue(kind, batch, "circuit open", &mut queues, &mut accs);
-            }
-
-            // Between-round lifecycle tick, on the dispatcher thread. The
-            // global clock first catches up to the drain's frontier so the
-            // engine's idle windows see virtual time passing; `advance_to`
-            // is a monotonic max, so the final makespan advance below
-            // still lands wherever is latest.
-            if let Some(engine) = &self.lifecycle {
-                if rounds.is_multiple_of(self.lifecycle_every) {
-                    let frontier = cursors.values().fold(start, |m, &t| m.max(t));
-                    self.sys.clock.advance_to(frontier);
-                    lifecycle_totals.absorb(&engine.tick_excluding(self.sys, &busy));
-                }
-            }
-        }
-
-        // The drain overlapped sessions across resources; the global clock
-        // moves once, to the latest cursor — background fetch streams
-        // included, so time spent prefetching never disappears from the
-        // makespan.
-        let mut end = cursors.values().fold(start, |m, &t| m.max(t));
-        if let Some(p) = prefetcher.as_ref() {
-            end = p.bg_cursors.values().fold(end, |m, &t| m.max(t));
-        }
-        let totals = DrainTotals {
-            rounds,
-            batches,
-            max_batch,
-            lifecycle: lifecycle_totals,
-        };
-        self.finalize_report(start, end, accs, totals, prefetcher)
-    }
-
-    /// Fold the drained accumulators into the final report: advance the
-    /// global clock to the drain's end, finalize every catalog session
-    /// (disconnect costs charged) in admission order, and compute the
-    /// whole-run totals. Shared by both dispatch engines.
-    fn finalize_report(
-        mut self,
-        start: SimTime,
-        end: SimTime,
-        mut accs: BTreeMap<u64, Acc>,
-        totals: DrainTotals,
-        prefetcher: Option<Prefetcher>,
-    ) -> CoreResult<SchedReport> {
-        self.sys.clock.advance_to(end);
-        // Fold the drain's chunk-plane transfer observations into the
-        // ratio book at a deterministic point: the drain is complete, so
-        // every dataset's observations arrived in dump order and the
-        // per-dataset EWMA folds are order-independent across datasets.
-        // The learned ratios price the *next* drain's admission and
-        // prefetch decisions.
-        self.sys.sync_ratios();
-
-        let mut sessions = Vec::new();
-        let mut session_tenants = Vec::new();
-        let mut total_bytes = 0u64;
-        for a in std::mem::take(&mut self.admitted) {
-            let mut acc = accs.remove(&a.id).expect("accumulator per session");
-            acc.reports.sort_by_key(|&(seq, _)| seq);
-            // Fold timing contributions in round order (stable, so
-            // intra-batch order is kept): float sums are order-sensitive
-            // and both engines must report bitwise-identical totals.
-            acc.contribs.sort_by_key(|c| (c.step, c.phase, c.kind));
-            let mut wait_time = SimDuration::ZERO;
-            let mut io_time = SimDuration::ZERO;
-            for c in &acc.contribs {
-                wait_time += c.wait;
-                io_time += c.io;
-            }
-            // p99 queue wait: the tail-latency figure tenant SLOs are
-            // judged against. Sorted with total_cmp so the pick is
-            // deterministic for every float pattern.
-            let wait_p99 = {
-                let mut waits: Vec<f64> = acc.contribs.iter().map(|c| c.wait.as_secs()).collect();
-                waits.sort_by(|x, y| x.total_cmp(y));
-                if waits.is_empty() {
-                    SimDuration::ZERO
-                } else {
-                    let idx = ((waits.len() as f64 * 0.99).ceil() as usize).clamp(1, waits.len());
-                    SimDuration::from_secs(waits[idx - 1])
-                }
-            };
-            let fin = a.session.finalize()?;
-            // Range over this session's keys only: a full-map filter here
-            // is O(sessions²) across the finalize loop, which a 10k-fleet
-            // drain actually feels.
-            let placements = self
-                .locations
-                .range((a.id, String::new())..(a.id + 1, String::new()))
-                .map(|((_, name), &kind)| (name.clone(), kind))
-                .collect();
-            total_bytes += acc.bytes;
-            let tenant = self
-                .tenant_names
-                .get(&a.tenant)
-                .cloned()
-                .unwrap_or_else(|| a.tenant.to_string());
-            session_tenants.push(a.tenant);
-            sessions.push(SessionReport {
-                session: a.id,
-                app: a.app,
-                run: a.run.0,
-                placements,
-                requests: acc.reports.len() as u64,
-                bytes: acc.bytes,
-                io_time,
-                wait_time,
-                conn_time: fin.conn_time,
-                completed_at: acc.completed,
-                requeues: acc.requeues,
-                errors: acc.errors,
-                reports: acc.reports.into_iter().map(|(_, r)| r).collect(),
-                tenant,
-                wait_p99,
-                cancelled: acc.cancelled,
-            });
-        }
-
-        // Per-tenant rollup: session totals plus the overload counters, in
-        // tenant-id order (deterministic across engines and thread counts).
-        let mut tmap: BTreeMap<TenantId, TenantReport> = BTreeMap::new();
-        for (&tid, c) in &self.tcounts {
-            let e = tmap.entry(tid).or_default();
-            e.shed = c.shed;
-            e.deferred = c.deferred;
-            e.expired = c.expired;
-            e.cancelled = c.cancelled;
-        }
-        for (tid, s) in session_tenants.iter().zip(&sessions) {
-            let e = tmap.entry(*tid).or_default();
-            e.sessions += 1;
-            e.requests += s.requests;
-            e.bytes += s.bytes;
-            e.wait_p99 = e.wait_p99.max(s.wait_p99);
-        }
-        for (tid, e) in &mut tmap {
-            e.tenant = self
-                .tenant_names
-                .get(tid)
-                .cloned()
-                .unwrap_or_else(|| tid.to_string());
-        }
-        let tenants: Vec<TenantReport> = tmap.into_values().collect();
-
-        let makespan = self.sys.clock.now().since(start);
-        let throughput_mb_s = if makespan > SimDuration::ZERO {
-            total_bytes as f64 / makespan.as_secs() / 1e6
-        } else {
-            0.0
-        };
-        let (prefetched, prefetch_hits, prefetch_waste, prefetch_declined) = prefetcher
-            .map(|p| (p.staged, p.hits, p.waste, p.declines))
-            .unwrap_or_default();
-        Ok(SchedReport {
-            sessions,
-            makespan,
-            total_bytes,
-            rounds: totals.rounds,
-            batches: totals.batches,
-            max_batch: totals.max_batch,
-            throughput_mb_s,
-            prefetched,
-            prefetch_hits,
-            prefetch_waste,
-            prefetch_declined,
-            lifecycle: totals.lifecycle,
-            tenants,
-        })
-    }
-
-    /// Deal every admitted session's requests into per-resource weighted-
-    /// fair queues, round-robin across sessions at chain granularity: each
-    /// turn takes one batchable run (same dataset, consecutive seqs, at
-    /// most [`MAX_CHAIN`]) from each session, so no client's backlog
-    /// buries another's. Within a resource, each tenant's requests land on
-    /// its own [`WfqQueue`] lane, priced with the eq. (2) estimator — the
-    /// start-time-fair virtual clock arbitrates between lanes at dispatch.
-    fn build_queues(&mut self, submitted: SimTime) -> BTreeMap<StorageKind, WfqQueue<Queued>> {
-        let sys = self.sys;
-        let mut queues: BTreeMap<StorageKind, WfqQueue<Queued>> = BTreeMap::new();
-        loop {
-            let mut any = false;
-            for a in &mut self.admitted {
-                let Some(first) = a.requests.pop_front() else {
-                    continue;
-                };
-                any = true;
-                let mut chain = vec![first];
-                while chain.len() < MAX_CHAIN
-                    && a.requests
-                        .front()
-                        .is_some_and(|n| chain.last().unwrap().chains_with(n))
-                {
-                    chain.push(a.requests.pop_front().unwrap());
-                }
-                // A chain is one session × one dataset, so its placement
-                // is a single lookup, not one per request.
-                let kind = self.locations[&(a.id, chain[0].dataset.clone())];
-                let q = queues.entry(kind).or_default();
-                q.set_weight(
-                    a.tenant,
-                    self.weights.get(&a.tenant).copied().unwrap_or(1.0),
-                );
-                for req in chain {
-                    let est = self.estimator.cost(sys, kind, &req);
-                    q.push_back(
-                        a.tenant,
-                        Queued {
-                            req,
-                            submitted,
-                            attempts: 0,
-                            est,
-                        },
-                    );
-                }
-            }
-            if !any {
                 break;
             }
         }
-        queues
-    }
 
-    /// Deal one just-admitted session's requests into the live queues
-    /// (mid-drain admission from the backpressure queue). The session's
-    /// chains keep program order; fairness against the sessions already
-    /// draining comes from the WFQ lanes, not the deal. Returns the
-    /// session's total predicted service seconds and the resources it
-    /// landed on.
-    fn deal_session_requests(
-        &mut self,
-        idx: usize,
-        submitted: SimTime,
-        queues: &mut BTreeMap<StorageKind, WfqQueue<Queued>>,
-    ) -> (f64, BTreeSet<StorageKind>) {
-        let sys = self.sys;
-        let a = &mut self.admitted[idx];
-        let weight = self.weights.get(&a.tenant).copied().unwrap_or(1.0);
-        let mut total = 0.0f64;
-        let mut kinds = BTreeSet::new();
-        while let Some(first) = a.requests.pop_front() {
-            let mut chain = vec![first];
-            while chain.len() < MAX_CHAIN
-                && a.requests
-                    .front()
-                    .is_some_and(|n| chain.last().unwrap().chains_with(n))
-            {
-                chain.push(a.requests.pop_front().unwrap());
-            }
-            let kind = self.locations[&(a.id, chain[0].dataset.clone())];
-            kinds.insert(kind);
-            let q = queues.entry(kind).or_default();
-            q.set_weight(a.tenant, weight);
-            for req in chain {
-                let est = self.estimator.cost(sys, kind, &req);
-                total += est;
-                q.push_back(
-                    a.tenant,
-                    Queued {
-                        req,
-                        submitted,
-                        attempts: 0,
-                        est,
-                    },
-                );
-            }
-        }
-        (total, kinds)
-    }
-
-    /// Cancel an admitted session mid-drain: everything it still has
-    /// queued is removed (load-board depth, predicted backlog and tenant
-    /// ledgers all released), its accumulator is marked cancelled and the
-    /// cancellation counts against its tenant. Requests already served
-    /// stay accounted — the session's report finalizes partial.
-    fn cancel_session(
-        &mut self,
-        id: u64,
-        at: SimTime,
-        queues: &mut BTreeMap<StorageKind, WfqQueue<Queued>>,
-        accs: &mut BTreeMap<u64, Acc>,
-    ) {
-        let tid = self.tenants_of.get(&id).copied().unwrap_or_default();
-        let mut dropped = 0usize;
-        for (&kind, q) in queues.iter_mut() {
-            let removed = q.drain_matching(|item| item.req.tag.session == id);
-            if removed.is_empty() {
-                continue;
-            }
-            let depth = self.sys.load.dequeued(kind, removed.len());
-            self.rec.count(
-                Layer::Sched,
-                &kind.to_string(),
-                ops::QUEUE_DEPTH,
-                at,
-                depth as f64,
-            );
-            for item in &removed {
-                self.sys.load.backlog_dequeued(kind, item.est);
-                self.sys
-                    .load
-                    .tenant_dequeued(tid, 1, item.req.bytes(), item.est);
-            }
-            dropped += removed.len();
-        }
-        let reason = format!("deadline unreachable: {dropped} queued requests dropped");
-        if let Some(acc) = accs.get_mut(&id) {
-            acc.cancelled = Some(reason.clone());
-        }
-        self.tcounts.entry(tid).or_default().cancelled += 1;
-        let app = self
-            .admitted
-            .iter()
-            .find(|a| a.id == id)
-            .map(|a| a.app.clone())
-            .unwrap_or_default();
-        self.rec
-            .instant(Layer::Sched, &app, ops::SESSION_CANCEL, at, &reason);
-    }
-
-    /// One pass over the backpressure queue: expire programs whose TTL
-    /// elapsed, re-run the admission gate on the rest, and deal whatever
-    /// now fits into the live queues (admitted at `now`). With `force`
-    /// (the event heap just emptied) every program gets a final verdict —
-    /// admit or expire — so the drain always terminates. Returns whether
-    /// anything was admitted.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_deferred(
-        &mut self,
-        now: SimTime,
-        force: bool,
-        queues: &mut BTreeMap<StorageKind, WfqQueue<Queued>>,
-        cursors: &mut BTreeMap<StorageKind, SimTime>,
-        runs: &mut BTreeMap<u64, RunId>,
-        busy: &mut BTreeSet<RunId>,
-        accs: &mut BTreeMap<u64, Acc>,
-        remaining: &mut BTreeMap<u64, f64>,
-        deadlines_abs: &mut BTreeMap<u64, SimTime>,
-        gates: &mut BTreeMap<StorageKind, PlanGate>,
-    ) -> CoreResult<bool> {
-        let mut any = false;
-        let parked = std::mem::take(&mut self.deferred);
-        for d in parked {
-            let tenant_name = self
-                .tenant_names
-                .get(&d.tenant)
-                .cloned()
-                .unwrap_or_default();
-            if now > d.expires {
-                self.expire(d.tenant, &tenant_name, &d.program.app, now, "ttl elapsed");
-                continue;
-            }
-            let Some(tenant) = self.sys.tenants.get(d.tenant) else {
-                self.expire(
-                    d.tenant,
-                    &tenant_name,
-                    &d.program.app,
-                    now,
-                    "tenant unregistered",
-                );
-                continue;
-            };
-            match self.admission_gate(&d.program, d.tenant, &tenant)? {
-                GateVerdict::Admit => {
-                    let deadline = d.program.deadline;
-                    let id = self.open_and_expand(d.program, d.tenant)?;
-                    let (est, kinds) = self.deal_session_requests(id as usize, now, queues);
-                    // A resource that was idle (cursor behind the frontier)
-                    // cannot have served this work before it arrived.
-                    for kind in kinds {
-                        let c = cursors.entry(kind).or_insert(now);
-                        *c = (*c).max(now);
-                    }
-                    let a = self.admitted.last().expect("just admitted");
-                    runs.insert(id, a.run);
-                    busy.insert(a.run);
-                    accs.insert(
-                        id,
-                        Acc {
-                            reports: Vec::new(),
-                            contribs: Vec::new(),
-                            bytes: 0,
-                            completed: now,
-                            requeues: 0,
-                            errors: Vec::new(),
-                            cancelled: None,
-                        },
-                    );
-                    if let Some(dl) = deadline {
-                        remaining.insert(id, est);
-                        deadlines_abs.insert(id, now + dl);
-                    }
-                    for g in gates.values_mut() {
-                        g.dirty = true;
-                    }
-                    any = true;
-                }
-                _ if force => {
-                    self.expire(
-                        d.tenant,
-                        &tenant_name,
-                        &d.program.app,
-                        now,
-                        "still over limits with queues drained",
-                    );
-                }
-                _ => self.deferred.push_back(d),
-            }
-        }
-        Ok(any)
-    }
-
-    /// Count and record one deferred program dropped unadmitted.
-    fn expire(&mut self, tid: TenantId, tenant: &str, app: &str, at: SimTime, why: &str) {
-        self.tcounts.entry(tid).or_default().expired += 1;
-        self.rec.instant(
-            Layer::Sched,
-            tenant,
-            ops::ADMIT_EXPIRE,
-            at,
-            &format!("{app}: {why}"),
-        );
-    }
-
-    /// Move a failed (or breaker-blocked) batch — and everything else the
-    /// same dataset still has queued on `from` — to the dataset's static
-    /// fallback resource, mirroring the session layer's transparent
-    /// failover. Requests that exhaust [`MAX_ATTEMPTS`] are abandoned into
-    /// the session's error list.
-    fn requeue(
-        &mut self,
-        from: StorageKind,
-        mut items: Vec<Queued>,
-        reason: &str,
-        queues: &mut BTreeMap<StorageKind, WfqQueue<Queued>>,
-        accs: &mut BTreeMap<u64, Acc>,
-    ) {
-        let keys: BTreeSet<(u64, String)> = items
-            .iter()
-            .map(|q| (q.req.tag.session, q.req.dataset.clone()))
-            .collect();
-        // Drag along the dataset's later requests still waiting on `from`,
-        // preserving their order behind the failed batch.
-        if let Some(q) = queues.get_mut(&from) {
-            items.extend(q.drain_matching(|item| {
-                keys.contains(&(item.req.tag.session, item.req.dataset.clone()))
-            }));
-        }
-
-        for key in keys {
-            let spec = &self.specs[&key];
-            let moved: Vec<Queued> = {
-                let mut moved = Vec::new();
-                let mut rest = Vec::new();
-                for q in items.drain(..) {
-                    if (q.req.tag.session, q.req.dataset.clone()) == key {
-                        moved.push(q);
-                    } else {
-                        rest.push(q);
-                    }
-                }
-                items = rest;
-                moved
-            };
-            let tid = self.tenants_of.get(&key.0).copied().unwrap_or_default();
-            let bytes: u64 = moved.iter().map(|q| q.req.bytes()).sum();
-            let next = placement::fallback(self.sys, spec, bytes, Some(from))
-                .ok()
-                .flatten();
-            let now = self.sys.clock.now();
-            match next {
-                Some(to) => {
-                    let n = moved.len();
-                    self.locations.insert(key.clone(), to);
-                    self.update_catalog(key.0, &key.1, to);
-                    self.rec.instant(
-                        Layer::Sched,
-                        &from.to_string(),
-                        ops::SCHED_REQUEUE,
-                        now,
-                        &format!(
-                            "s{}/{}: {from} -> {to} ({reason}, {n} requests)",
-                            key.0, key.1
-                        ),
-                    );
-                    let acc = accs.get_mut(&key.0).expect("admitted session");
-                    acc.requeues += n as u32;
-                    self.sys.load.dequeued(from, n);
-                    self.sys.load.enqueued(to, n);
-                    let weight = self.weights.get(&tid).copied().unwrap_or(1.0);
-                    let target = queues.entry(to).or_default();
-                    target.set_weight(tid, weight);
-                    for mut q in moved {
-                        self.sys.load.backlog_dequeued(from, q.est);
-                        q.attempts += 1;
-                        if q.attempts >= MAX_ATTEMPTS {
-                            self.sys.load.dequeued(to, 1);
-                            self.sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                            accs.get_mut(&key.0)
-                                .expect("admitted session")
-                                .errors
-                                .push(format!(
-                                    "{} gave up after {} attempts",
-                                    q.req.tag, q.attempts
-                                ));
-                        } else {
-                            // Re-price on the fallback resource: the
-                            // backlog and tenant predicted-seconds ledgers
-                            // track where the work now queues.
-                            let est = self.estimator.cost(self.sys, to, &q.req);
-                            self.sys.load.backlog_enqueued(to, est);
-                            self.sys.load.tenant_dequeued(tid, 0, 0, q.est);
-                            self.sys.load.tenant_enqueued(tid, 0, 0, est);
-                            q.est = est;
-                            target.push_back(tid, q);
-                        }
-                    }
-                }
-                None => {
-                    self.sys.load.dequeued(from, moved.len());
-                    let acc = accs.get_mut(&key.0).expect("admitted session");
-                    for q in moved {
-                        self.sys.load.backlog_dequeued(from, q.est);
-                        self.sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                        acc.errors
-                            .push(format!("{}: no usable resource ({reason})", q.req.tag));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Free recency hook: mirror one served request into the catalog's
-    /// dump/heat columns so a lifecycle engine (this run's or a later
-    /// one's) sees what is hot. Charges no query cost and never moves the
-    /// clock — with no lifecycle attached the run's report is bitwise
-    /// unchanged. OverWrite datasets rewrite one file, so their single
-    /// dump row keys on iteration 0 (their paths carry no `.t` suffix and
-    /// the parse falls back to 0).
-    fn note_served(&self, run: RunId, req: &EngineRequest, at: SimTime, bytes: u64) {
-        let iter = req
-            .path
-            .rsplit_once(".t")
-            .and_then(|(_, s)| s.parse().ok())
-            .unwrap_or(0);
-        {
-            let mut catalog = self.sys.catalog.lock();
-            match req.body {
-                RequestBody::Write { .. } => {
-                    catalog.note_dump(run, &req.dataset, iter, at.as_secs(), bytes);
-                }
-                RequestBody::Read => {
-                    catalog.note_access(run, &req.dataset, Some(iter), at.as_secs());
-                }
-            }
-        }
-        if self.lifecycle.is_some() {
-            self.rec
-                .count(Layer::Sched, &req.dataset, ops::DATASET_ACCESS, at, 1.0);
-        }
-    }
-
-    /// Mirror a requeue's location change into the metadata catalog so
-    /// consumers still find the data (the session layer does the same on
-    /// its failover path).
-    fn update_catalog(&self, session: u64, dataset: &str, to: StorageKind) {
-        let Some(a) = self.admitted.iter().find(|a| a.id == session) else {
-            return;
-        };
-        let mut catalog = self.sys.catalog.lock();
-        if let Ok(rec) = catalog.find_dataset(a.run, dataset) {
-            let id = rec.id;
-            let _ = catalog.set_dataset_location(id, Location::Stored(to));
-        }
+        let rounds = drain.rounds();
+        self.finalize_report(drain, rounds)
     }
 }
-
-fn dump_path(app: &str, run: RunId, spec: &DatasetSpec, iter: u32) -> String {
-    let base = format!("{}/run{}/{}", app, run.0, spec.name);
-    match spec.amode {
-        AccessMode::Create => format!("{base}.t{iter:05}"),
-        AccessMode::OverWrite => base,
-    }
-}
-
-type BatchResult = (Vec<(Queued, RequestOutcome)>, Vec<Queued>, Option<String>);

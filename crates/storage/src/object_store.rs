@@ -7,15 +7,78 @@
 
 use crate::error::StorageError;
 use crate::StorageResult;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::BTreeMap;
+
+/// Bytes per extent of a stored file.
+const EXTENT: usize = 256 << 10;
+
+/// One file's contents as a run of extents: every extent but the last
+/// holds exactly [`EXTENT`] bytes, so no file needs one contiguous buffer
+/// of its whole length and appends never re-copy what is already stored.
+/// The reason is the allocator, not the copy: PTool's scratch file reaches
+/// 64 MiB (four 16 MiB appends), and a single buffer of that size is
+/// either carved from free heap or — when earlier frees left no hole that
+/// large — mapped fresh on top of it, which makes a drain's peak RSS differ
+/// by 10 % between identical runs. Extents are requests any fragmented
+/// heap can serve.
+#[derive(Debug, Default, Clone)]
+struct File {
+    extents: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl File {
+    /// Zero-extend to `len` bytes (never shrinks).
+    fn grow(&mut self, len: usize) {
+        let mut covered = self.extents.len().saturating_sub(1) * EXTENT;
+        if let Some(last) = self.extents.last_mut() {
+            let target = EXTENT.min(len - covered);
+            if target > last.capacity() {
+                // Amortised doubling, but never past the extent.
+                let cap = (2 * last.capacity()).clamp(target, EXTENT);
+                last.reserve_exact(cap - last.len());
+            }
+            last.resize(target, 0);
+            covered += EXTENT;
+        }
+        while covered < len {
+            self.extents.push(vec![0; EXTENT.min(len - covered)]);
+            covered += EXTENT;
+        }
+        self.len = len;
+    }
+
+    /// Overwrite `data` at `offset`; the range must already exist.
+    fn write(&mut self, mut offset: usize, mut data: &[u8]) {
+        while !data.is_empty() {
+            let at = offset % EXTENT;
+            let (head, tail) = data.split_at(data.len().min(EXTENT - at));
+            self.extents[offset / EXTENT][at..at + head.len()].copy_from_slice(head);
+            offset += head.len();
+            data = tail;
+        }
+    }
+
+    /// Copy of bytes `offset..end` (within the file).
+    fn read(&self, mut offset: usize, end: usize) -> Bytes {
+        let mut out = Vec::with_capacity(end - offset);
+        while offset < end {
+            let at = offset % EXTENT;
+            let n = (end - offset).min(EXTENT - at);
+            out.extend_from_slice(&self.extents[offset / EXTENT][at..at + n]);
+            offset += n;
+        }
+        Bytes::from(out)
+    }
+}
 
 /// A flat path → bytes store. Paths are plain strings; a `/`-separated
 /// hierarchy is conventional but not enforced (SRB collections behave the
 /// same way).
 #[derive(Debug, Default, Clone)]
 pub struct ObjectStore {
-    files: BTreeMap<String, BytesMut>,
+    files: BTreeMap<String, File>,
     /// Running total of all file lengths. Kept incrementally because
     /// `used_bytes` sits on every write's capacity check: recomputing the
     /// sum is O(files) per operation, which a 10k-session drain turns
@@ -81,15 +144,15 @@ impl ObjectStore {
 
     /// Size of `path`, if present.
     pub fn size(&self, path: &str) -> Option<u64> {
-        self.files.get(path).map(|f| f.len() as u64)
+        self.files.get(path).map(|f| f.len as u64)
     }
 
     /// Create (or truncate) a file.
     pub fn create(&mut self, path: &str) {
         self.logical -= self.logical_of(path);
         self.overrides.remove(path);
-        if let Some(old) = self.files.insert(path.to_owned(), BytesMut::new()) {
-            self.used -= old.len() as u64;
+        if let Some(old) = self.files.insert(path.to_owned(), File::default()) {
+            self.used -= old.len as u64;
         }
     }
 
@@ -104,7 +167,7 @@ impl ObjectStore {
         self.overrides.remove(path);
         match self.files.remove(path) {
             Some(old) => {
-                self.used -= old.len() as u64;
+                self.used -= old.len as u64;
                 true
             }
             None => false,
@@ -129,15 +192,15 @@ impl ObjectStore {
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
         let offset = usize::try_from(offset).expect("offset fits in memory model");
         let end = offset + data.len();
-        if f.len() < end {
-            let growth = (end - f.len()) as u64;
+        if f.len < end {
+            let growth = (end - f.len) as u64;
             self.used += growth;
             if !self.overrides.contains_key(path) {
                 self.logical += growth;
             }
-            f.resize(end, 0);
+            f.grow(end);
         }
-        f[offset..end].copy_from_slice(data);
+        f.write(offset, data);
         Ok(())
     }
 
@@ -149,11 +212,10 @@ impl ObjectStore {
             .get(path)
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
         let offset = usize::try_from(offset).expect("offset fits in memory model");
-        if offset >= f.len() {
+        if offset >= f.len {
             return Ok(Bytes::new());
         }
-        let end = (offset + len).min(f.len());
-        Ok(Bytes::copy_from_slice(&f[offset..end]))
+        Ok(f.read(offset, (offset + len).min(f.len)))
     }
 
     /// Full contents of a file.
@@ -162,7 +224,7 @@ impl ObjectStore {
             .files
             .get(path)
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
-        Ok(Bytes::copy_from_slice(f))
+        Ok(f.read(0, f.len))
     }
 }
 
@@ -186,6 +248,42 @@ mod tests {
         s.write_at("f", 4, b"xy").unwrap();
         let all = s.read_all("f").unwrap();
         assert_eq!(&all[..], &[0, 0, 0, 0, b'x', b'y']);
+    }
+
+    #[test]
+    fn files_span_extents_like_one_buffer() {
+        let mut s = ObjectStore::new();
+        let mut model = Vec::new();
+        s.create("f");
+        // Appends that straddle extent boundaries, a sparse write two
+        // extents past EOF, then an overwrite across a boundary.
+        let writes = [
+            (0, EXTENT - 3),
+            (EXTENT - 3, 10),
+            (EXTENT + 7, 2 * EXTENT),
+            (5 * EXTENT + 1, 9),
+            (2 * EXTENT - 5, 11),
+        ];
+        for (i, (offset, len)) in writes.into_iter().enumerate() {
+            let data: Vec<u8> = (0..len).map(|j| (i * 31 + j % 251) as u8 | 1).collect();
+            s.write_at("f", offset as u64, &data).unwrap();
+            if model.len() < offset + len {
+                model.resize(offset + len, 0);
+            }
+            model[offset..offset + len].copy_from_slice(&data);
+        }
+        assert_eq!(s.size("f"), Some(model.len() as u64));
+        assert_eq!(s.used_bytes(), model.len() as u64);
+        assert_eq!(&s.read_all("f").unwrap()[..], &model[..]);
+        for (offset, len) in [
+            (EXTENT - 1, 2),
+            (3 * EXTENT, 2 * EXTENT + 5),
+            (0, 7 * EXTENT),
+        ] {
+            let end = (offset + len).min(model.len());
+            let got = s.read_at("f", offset as u64, len).unwrap();
+            assert_eq!(&got[..], &model[offset..end]);
+        }
     }
 
     #[test]

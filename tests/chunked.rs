@@ -1,7 +1,7 @@
 //! Session-level properties of the content-addressed chunk plane: typed
 //! ingest roundtrips, logical-vs-physical accounting, predictor feedback,
-//! corruption surfacing as a typed fatal error, deprecated shim
-//! compatibility, and chaos tolerance with chunking enabled.
+//! corruption surfacing as a typed fatal error, and chaos tolerance with
+//! chunking enabled.
 
 use msr::prelude::*;
 
@@ -170,29 +170,6 @@ fn corrupted_chunk_surfaces_typed_fatal_error() {
         other => panic!("expected ChunkCorrupt, got {other}"),
     }
     assert_eq!(classify(&err), ErrorClass::Fatal);
-}
-
-/// The pre-typed-ingest entry points still work (routing through the
-/// dataset's `IngestSpec`) so existing callers keep compiling and
-/// passing while they migrate.
-#[test]
-#[allow(deprecated)]
-fn deprecated_raw_shims_still_roundtrip() {
-    let sys = MsrSystem::testbed(7400);
-    let mut s = sys
-        .session()
-        .app("legacy")
-        .user("u")
-        .iterations(3)
-        .build()
-        .unwrap();
-    let spec = chunked_spec("state", LocationHint::LocalDisk);
-    let h = s.open(spec.clone()).unwrap();
-    let data = churned("state", 0, spec.snapshot_bytes() as usize);
-    s.dump_raw(h, 0, &data).unwrap();
-    let (back, _) = s.fetch_raw(h, 0).unwrap();
-    assert_eq!(back, data, "shims must route through the chunk plane too");
-    s.finalize().unwrap();
 }
 
 /// Chaos with chunking enabled: injected transient faults on the dump
