@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use msr_obs::{Recorder, Registry};
 use msr_runtime::{Dims3, Distribution, IoEngine, IoStrategy, Pattern, ProcGrid};
 use msr_sim::Clock;
-use msr_storage::{share, DiskParams, LocalDisk, ObservedResource, OpenMode, SharedResource};
+use msr_storage::{share, DiskParams, Front, LocalDisk, OpenMode, SharedResource};
 
 fn disk() -> LocalDisk {
     LocalDisk::new("b", DiskParams::simple(100.0, 1 << 30), 0)
@@ -30,19 +30,11 @@ fn cases(registry: &Registry, clock: &Clock) -> Vec<(&'static str, SharedResourc
         ("bare", share(disk())),
         (
             "traced",
-            share(ObservedResource::new(
-                disk(),
-                registry.recorder(),
-                clock.clone(),
-            )),
+            share(Front::new(disk()).observed(registry.recorder(), clock.clone())),
         ),
         (
             "disabled",
-            share(ObservedResource::new(
-                disk(),
-                Recorder::disabled(),
-                clock.clone(),
-            )),
+            share(Front::new(disk()).observed(Recorder::disabled(), clock.clone())),
         ),
     ]
 }

@@ -14,8 +14,8 @@ use msr_predict::{PTool, PerfDb, Predictor, RatioBook};
 use msr_runtime::{IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration, Trace};
 use msr_storage::{
-    share, testbed, FaultInjector, FaultLog, FaultPlan, KeepAlive, KeepAliveHandle,
-    ObservedResource, SharedResource, StorageKind,
+    testbed, FaultLog, FaultPlan, Front, KeepAliveHandle, SharedResource, StorageKind,
+    StorageResource,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -47,7 +47,10 @@ pub struct MsrSystem {
     /// Registered tenants: weights, quotas and SLOs consulted by the
     /// scheduler's admission controller (see `crate::tenant`).
     pub tenants: TenantRegistry,
-    resources: BTreeMap<StorageKind, SharedResource>,
+    /// Every resource behind its [`Front`], kept typed so fault injection
+    /// and keep-alive are configured in place: a `SharedResource` handed
+    /// out earlier sees the stage switched on.
+    resources: BTreeMap<StorageKind, Arc<Mutex<Front>>>,
     /// Learned per-dataset `moved / logical` byte ratios from the chunk
     /// plane, consulted wherever eq. (2) prices a chunked dataset's bytes
     /// (scored placement, prefetch admission, lifecycle pricing).
@@ -86,31 +89,16 @@ impl MsrSystem {
         let obs = Registry::new();
         // Every layer writes into the same registry through its own
         // recorder, stamped with the shared virtual clock.
-        let mut resources: BTreeMap<StorageKind, SharedResource> = BTreeMap::new();
-        resources.insert(
-            StorageKind::LocalDisk,
-            share(ObservedResource::new(
-                tb.local,
-                obs.recorder(),
-                clock.clone(),
-            )),
-        );
-        resources.insert(
-            StorageKind::RemoteDisk,
-            share(ObservedResource::new(
-                tb.remote_disk,
-                obs.recorder(),
-                clock.clone(),
-            )),
-        );
-        resources.insert(
-            StorageKind::RemoteTape,
-            share(ObservedResource::new(
-                tb.tape,
-                obs.recorder(),
-                clock.clone(),
-            )),
-        );
+        let front = |device: Front| {
+            let kind = device.kind();
+            let observed = device.observed(obs.recorder(), clock.clone());
+            (kind, Arc::new(Mutex::new(observed)))
+        };
+        let resources = BTreeMap::from([
+            front(Front::new(tb.local)),
+            front(Front::new(tb.remote_disk)),
+            front(Front::new(tb.tape)),
+        ]);
         tb.net.write().set_observer(obs.recorder(), clock.clone());
         let mut engine = IoEngine::default();
         engine.set_observer(obs.recorder(), clock.clone());
@@ -173,12 +161,16 @@ impl MsrSystem {
 
     /// The resource of a kind, if registered.
     pub fn resource(&self, kind: StorageKind) -> Option<SharedResource> {
-        self.resources.get(&kind).cloned()
+        self.resources
+            .get(&kind)
+            .map(|r| r.clone() as SharedResource)
     }
 
     /// All registered resources.
     pub fn resources(&self) -> impl Iterator<Item = (StorageKind, SharedResource)> + '_ {
-        self.resources.iter().map(|(k, r)| (*k, r.clone()))
+        self.resources
+            .iter()
+            .map(|(k, r)| (*k, r.clone() as SharedResource))
     }
 
     /// Inject or clear an outage on a resource (§5's "tape system is down
@@ -189,36 +181,34 @@ impl MsrSystem {
         }
     }
 
-    /// Interpose a seeded transient-fault injector in front of `kind`'s
-    /// resource. Returns the shared fault log for reconciling what was
-    /// injected against what the resilience machinery reports, or `None`
-    /// if the kind is not registered. The injector's seed derives from the
-    /// system seed and the kind, so chaos runs replay deterministically.
+    /// Switch on the seeded transient-fault stage in front of `kind`'s
+    /// resource (replacing any earlier plan). Returns the shared fault log
+    /// for reconciling what was injected against what the resilience
+    /// machinery reports, or `None` if the kind is not registered. The
+    /// stage's seed derives from the system seed and the kind, so chaos
+    /// runs replay deterministically.
     pub fn inject_faults(&mut self, kind: StorageKind, plan: FaultPlan) -> Option<FaultLog> {
-        let inner = self.resources.get(&kind)?.clone();
+        let front = self.resources.get(&kind)?;
         let seed = derive_seed(self.seed, &format!("fault:{kind}"));
-        let (wrapped, log) = FaultInjector::wrap(inner, plan, self.clock.clone(), seed);
-        self.resources.insert(kind, wrapped);
-        Some(log)
+        Some(front.lock().inject_faults(plan, self.clock.clone(), seed))
     }
 
-    /// Interpose a connection/read-open keep-alive pool in front of each
-    /// *remote* resource (remote disk and tape; local disk's connection is
-    /// already free). Contiguous batches then pay `T_conn + T_open` once
-    /// per lease of `ttl` virtual time. Each pool is wired into the
-    /// circuit breaker: a resource that trips drops its warm connections
-    /// immediately, so recovery always pays a fresh, observable setup.
-    /// Returns the stats handle per wrapped kind. Opt-in — plain systems
-    /// keep the paper's pay-every-time eq. (1) accounting.
+    /// Switch on the connection/read-open keep-alive stage in front of
+    /// each *remote* resource (remote disk and tape; local disk's
+    /// connection is already free). Contiguous batches then pay
+    /// `T_conn + T_open` once per lease of `ttl` virtual time. Each pool is
+    /// wired into the circuit breaker: a resource that trips drops its
+    /// warm connections immediately, so recovery always pays a fresh,
+    /// observable setup. Returns the stats handle per kind. Opt-in — plain
+    /// systems keep the paper's pay-every-time eq. (1) accounting.
     pub fn enable_keepalive(&mut self, ttl: SimDuration) -> Vec<(StorageKind, KeepAliveHandle)> {
         let mut handles = Vec::new();
         for kind in [StorageKind::RemoteDisk, StorageKind::RemoteTape] {
-            let Some(inner) = self.resources.get(&kind).cloned() else {
+            let Some(front) = self.resources.get(&kind) else {
                 continue;
             };
-            let (wrapped, handle) =
-                KeepAlive::wrap(inner, ttl, self.clock.clone(), self.obs.recorder());
-            self.resources.insert(kind, wrapped);
+            let (clock, recorder) = (self.clock.clone(), self.obs.recorder());
+            let handle = front.lock().enable_keepalive(ttl, clock, recorder);
             let pool = handle.clone();
             self.health.on_trip(move |tripped| {
                 if tripped == kind {
@@ -258,7 +248,7 @@ impl MsrSystem {
     /// its tables in the MDMS) and return how much virtual time the sweep
     /// itself consumed.
     pub fn run_ptool(&mut self, ptool: &PTool) -> CoreResult<SimDuration> {
-        let resources: Vec<SharedResource> = self.resources.values().cloned().collect();
+        let resources: Vec<SharedResource> = self.resources().map(|(_, r)| r).collect();
         let mut db = PerfDb::new();
         ptool.populate(&mut db, &resources)?;
         db.export_to_catalog(&mut self.catalog.lock());

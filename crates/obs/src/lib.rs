@@ -12,7 +12,7 @@
 //! `msr-predict`'s `PerfDbFeeder` consumes it to keep the performance
 //! database tracking observed behaviour online.
 //!
-//! Everything is timestamped with the simulation clock ([`SimTime`]), not
+//! Everything is timestamped with the simulation clock ([`msr_sim::SimTime`]), not
 //! wall time: traces line up with predicted/actual comparisons.
 //!
 //! Building this crate with `default-features = false` compiles all record

@@ -901,8 +901,12 @@ mod tests {
     use crate::layout::{Dims3, Pattern, ProcGrid};
     use msr_storage::{share, DiskParams, LocalDisk};
 
+    fn bare_disk() -> LocalDisk {
+        LocalDisk::new("t", DiskParams::simple(100.0, 1 << 30), 0)
+    }
+
     fn disk() -> SharedResource {
-        share(LocalDisk::new("t", DiskParams::simple(100.0, 1 << 30), 0))
+        share(bare_disk())
     }
 
     fn dist8(n: u64) -> Distribution {
@@ -1178,10 +1182,12 @@ mod tests {
         use super::*;
         use crate::retry::RetryPolicy;
         use msr_sim::Clock;
-        use msr_storage::{FaultInjector, FaultPlan};
+        use msr_storage::{FaultPlan, Front};
 
         fn faulty(plan: FaultPlan) -> (SharedResource, msr_storage::FaultLog) {
-            FaultInjector::wrap(disk(), plan, Clock::new(), 11)
+            let mut front = Front::new(bare_disk());
+            let log = front.inject_faults(plan, Clock::new(), 11);
+            (share(front), log)
         }
 
         #[test]

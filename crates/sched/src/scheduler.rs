@@ -10,7 +10,7 @@
 //! **Dispatch** is discrete-event: requests are dealt into per-resource
 //! FIFO queues (interleaved across sessions at chain granularity so no
 //! client starves), and a binary heap of resource-completion events (see
-//! [`crate::event`]) keeps one pending event per resource. When a
+//! `crate::event`) keeps one pending event per resource. When a
 //! resource comes free its event fires, the dispatcher pops at most one
 //! *batch* — a maximal run of contiguous requests from the same session
 //! and dataset, capped at [`MAX_CHAIN`] — executes it, and re-arms the
@@ -204,7 +204,7 @@ impl<'a> Scheduler<'a> {
     ///
     /// Dispatch is discrete-event: a binary min-heap holds one pending
     /// completion event per resource (keyed `(SimTime, StorageKind, seq)`,
-    /// see [`crate::event`]), and each fired event serves exactly one
+    /// see `crate::event`), and each fired event serves exactly one
     /// batch — a staged-ready run or a chained queue head — on that
     /// resource, plans and executes its background fetches, then re-arms
     /// the resource at its advanced cursor. Sessions wake lazily (a

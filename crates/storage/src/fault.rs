@@ -1,7 +1,7 @@
 //! Seeded transient-fault injection for any storage resource.
 //!
-//! [`FaultInjector`] is a [`StorageResource`] decorator that perturbs the
-//! data path according to a [`FaultPlan`]: per-op transient error
+//! The fault stage of a [`Front`](crate::Front) perturbs the data path
+//! according to a [`FaultPlan`]: per-op transient error
 //! probability, latency spikes, torn (partial) transfers, and flapping
 //! up/down windows driven by an [`OutageSchedule`] in virtual time. All
 //! randomness comes from a seeded stream (`msr_sim::stream_rng`), so a
@@ -14,22 +14,18 @@
 //! policy treats as retryable — so existing failure semantics (offline,
 //! capacity, network) are untouched.
 //!
-//! Torn transfers are the delicate case: the injector performs *half* of
-//! the requested transfer against the inner resource, then restores the
-//! file cursor (via a shadow cursor table) and reports `Transient`. A
+//! Torn transfers are the delicate case: the stage performs *half* of
+//! the requested transfer against the device, then restores the file
+//! cursor (via a shadow cursor table) and reports `Transient`. A
 //! retry therefore re-runs the full call from the original position and
 //! the data ends up bitwise correct — a torn fault can cost time but never
 //! silently corrupt.
 
 use crate::error::StorageError;
-use crate::resource::{
-    share, Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, SharedResource,
-    StorageKind, StorageResource,
-};
+use crate::resource::Cost;
 use crate::StorageResult;
-use bytes::Bytes;
 use msr_net::OutageSchedule;
-use msr_sim::{stream_rng, Clock, SimDuration, SimTime};
+use msr_sim::{stream_rng, Clock, SimTime};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng};
 use std::collections::HashMap;
@@ -124,7 +120,7 @@ pub struct FaultRecord {
     pub kind: FaultKind,
 }
 
-/// Shared, clonable log of every fault an injector produced.
+/// Shared, clonable log of every fault one resource's fault stage produced.
 #[derive(Debug, Clone, Default)]
 pub struct FaultLog {
     records: Arc<Mutex<Vec<FaultRecord>>>,
@@ -170,293 +166,92 @@ impl FaultLog {
     }
 }
 
-/// A [`StorageResource`] decorator injecting seeded transient faults.
-///
-/// Wraps a [`SharedResource`] (the form resources take once registered in
-/// an `MsrSystem`), so it can be spliced over an already-shared resource
-/// without unwrapping it.
-pub struct FaultInjector {
-    inner: SharedResource,
-    // `name()`/`kind()` return borrows, which cannot live through a lock
-    // guard on `inner` — cache them at wrap time.
-    name: String,
-    kind: StorageKind,
+/// State of a [`Front`](crate::Front)'s fault stage: the plan, its seeded
+/// stream and the decisions it takes. The stage never touches the device
+/// itself — `Front` asks it what to do and makes the calls — and is told
+/// the resource's `name` per call instead of caching it.
+pub(crate) struct Faults {
     plan: FaultPlan,
     clock: Clock,
     rng: StdRng,
     burst_left: u32,
     log: FaultLog,
-    // Shadow of every open handle's cursor, so a torn transfer can seek
-    // the inner resource back to where the call started.
-    cursors: HashMap<u32, u64>,
+    /// Shadow of every open handle's cursor, so a torn transfer can seek
+    /// the device back to where the call started.
+    pub cursors: HashMap<u32, u64>,
 }
 
-impl FaultInjector {
-    /// Wrap `inner` with the given plan. Returns the wrapped resource plus
-    /// the shared fault log for reconciliation. The RNG stream is derived
-    /// from `seed` and the resource name, so distinct resources fault
-    /// independently under one master seed.
-    pub fn wrap(
-        inner: SharedResource,
-        plan: FaultPlan,
-        clock: Clock,
-        seed: u64,
-    ) -> (SharedResource, FaultLog) {
-        let (name, kind) = {
-            let r = inner.lock();
-            (r.name().to_string(), r.kind())
-        };
+impl Faults {
+    /// A stage for the resource called `name`. The RNG stream is derived
+    /// from `seed` and the name, so distinct resources fault independently
+    /// under one master seed.
+    pub fn new(plan: FaultPlan, clock: Clock, seed: u64, name: &str) -> (Self, FaultLog) {
         let log = FaultLog::default();
-        let rng = stream_rng(seed, &format!("fault:{name}"));
-        let burst_left = plan.error_burst;
-        let injector = FaultInjector {
-            inner,
-            name,
-            kind,
+        let stage = Faults {
+            rng: stream_rng(seed, &format!("fault:{name}")),
+            burst_left: plan.error_burst,
             plan,
             clock,
-            rng,
-            burst_left,
             log: log.clone(),
             cursors: HashMap::new(),
         };
-        (share(injector), log)
+        (stage, log)
     }
 
-    fn transient(&self, op: &'static str) -> StorageError {
-        StorageError::Transient {
-            resource: self.name.clone(),
-            op,
-        }
-    }
-
-    fn record(&self, op: &'static str, kind: FaultKind) {
+    fn record(&self, name: &str, op: &'static str, kind: FaultKind) {
         self.log.push(FaultRecord {
             at: self.clock.now(),
-            resource: self.name.clone(),
+            resource: name.to_owned(),
             op,
             kind,
         });
     }
 
+    /// Log one injected fault of `kind` and build the error it surfaces as.
+    pub fn inject(&self, name: &str, op: &'static str, kind: FaultKind) -> StorageError {
+        self.record(name, op, kind);
+        StorageError::Transient {
+            resource: name.to_owned(),
+            op,
+        }
+    }
+
+    /// Whether a flap window covers the virtual clock right now.
+    pub fn flapped_down(&self) -> bool {
+        self.plan
+            .flap
+            .as_ref()
+            .is_some_and(|f| !f.is_up(self.clock.now()))
+    }
+
     /// Common pre-call gate for every data-path op: flap window, then
-    /// deterministic burst, then probabilistic error. Returns the error to
-    /// surface, if any.
-    fn gate(&mut self, op: &'static str) -> Option<StorageError> {
-        if let Some(flap) = &self.plan.flap {
-            if !flap.is_up(self.clock.now()) {
-                self.record(op, FaultKind::FlapDown);
-                return Some(self.transient(op));
-            }
+    /// deterministic burst, then probabilistic error.
+    pub fn gate(&mut self, name: &str, op: &'static str) -> StorageResult<()> {
+        if self.flapped_down() {
+            return Err(self.inject(name, op, FaultKind::FlapDown));
         }
         if self.burst_left > 0 {
             self.burst_left -= 1;
-            self.record(op, FaultKind::Error);
-            return Some(self.transient(op));
+            return Err(self.inject(name, op, FaultKind::Error));
         }
         if self.plan.error_prob > 0.0 && self.rng.random_bool(self.plan.error_prob) {
-            self.record(op, FaultKind::Error);
-            return Some(self.transient(op));
+            return Err(self.inject(name, op, FaultKind::Error));
         }
-        None
+        Ok(())
     }
 
     /// Post-call latency perturbation for calls that succeeded.
-    fn spike<T>(&mut self, op: &'static str, mut cost: Cost<T>) -> Cost<T> {
+    pub fn spike<T>(&mut self, name: &str, op: &'static str, mut cost: Cost<T>) -> Cost<T> {
         if self.plan.spike_prob > 0.0 && self.rng.random_bool(self.plan.spike_prob) {
             cost.time = cost.time * self.plan.spike_factor;
-            self.record(op, FaultKind::Spike);
+            self.record(name, op, FaultKind::Spike);
         }
         cost
     }
 
-    fn should_tear(&mut self) -> bool {
+    /// Whether to tear the transfer about to run.
+    pub fn should_tear(&mut self) -> bool {
         self.plan.torn_prob > 0.0 && self.rng.random_bool(self.plan.torn_prob)
-    }
-
-    /// Seek the inner resource back to `pos` after a torn transfer. If the
-    /// restore itself fails, surface *that* error — better a loud failure
-    /// than a handle silently left mid-file.
-    fn restore_cursor(&mut self, h: FileHandle, pos: u64) -> StorageResult<()> {
-        self.inner.lock().seek(h, pos).map(|_| ())
-    }
-}
-
-impl StorageResource for FaultInjector {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> StorageKind {
-        self.kind
-    }
-
-    fn is_online(&self) -> bool {
-        let flapped_down = self
-            .plan
-            .flap
-            .as_ref()
-            .is_some_and(|f| !f.is_up(self.clock.now()));
-        self.inner.lock().is_online() && !flapped_down
-    }
-
-    fn set_online(&mut self, up: bool) {
-        self.inner.lock().set_online(up);
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.inner.lock().capacity_bytes()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes()
-    }
-
-    fn logical_bytes(&self) -> u64 {
-        self.inner.lock().logical_bytes()
-    }
-
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
-        self.inner.lock().set_logical_size(path, bytes);
-    }
-
-    fn set_capacity(&mut self, bytes: u64) {
-        self.inner.lock().set_capacity(bytes);
-    }
-
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.inner.lock().connect()
-    }
-
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        self.inner.lock().disconnect()
-    }
-
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        if let Some(e) = self.gate("open") {
-            return Err(e);
-        }
-        let cost = self.inner.lock().open(path, mode)?;
-        let cursor = if mode == OpenMode::Append {
-            self.inner.lock().file_size(path).unwrap_or(0)
-        } else {
-            0
-        };
-        self.cursors.insert(cost.value.raw(), cursor);
-        Ok(self.spike("open", cost))
-    }
-
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        if let Some(e) = self.gate("seek") {
-            return Err(e);
-        }
-        let cost = self.inner.lock().seek(h, pos)?;
-        self.cursors.insert(h.raw(), pos);
-        Ok(self.spike("seek", cost))
-    }
-
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        if let Some(e) = self.gate("read") {
-            return Err(e);
-        }
-        if len > 1 && self.should_tear() {
-            // Transfer half, discard it, and put the cursor back: the
-            // caller sees a clean transient failure it can retry in full.
-            let start = self.cursors.get(&h.raw()).copied().unwrap_or(0);
-            self.inner.lock().read(h, len / 2)?;
-            self.restore_cursor(h, start)?;
-            self.record("read", FaultKind::Torn);
-            return Err(self.transient("read"));
-        }
-        let cost = self.inner.lock().read(h, len)?;
-        if let Some(c) = self.cursors.get_mut(&h.raw()) {
-            *c += cost.value.len() as u64;
-        }
-        Ok(self.spike("read", cost))
-    }
-
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        if let Some(e) = self.gate("write") {
-            return Err(e);
-        }
-        if data.len() > 1 && self.should_tear() {
-            let start = self.cursors.get(&h.raw()).copied().unwrap_or(0);
-            self.inner.lock().write(h, &data[..data.len() / 2])?;
-            self.restore_cursor(h, start)?;
-            self.record("write", FaultKind::Torn);
-            return Err(self.transient("write"));
-        }
-        let cost = self.inner.lock().write(h, data)?;
-        if let Some(c) = self.cursors.get_mut(&h.raw()) {
-            *c += cost.value as u64;
-        }
-        Ok(self.spike("write", cost))
-    }
-
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
-        if let Some(e) = self.gate("close") {
-            return Err(e);
-        }
-        let cost = self.inner.lock().close(h)?;
-        self.cursors.remove(&h.raw());
-        Ok(self.spike("close", cost))
-    }
-
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.inner.lock().delete(path)
-    }
-
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.inner.lock().vault(path)
-    }
-
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        // The shelf robot lives behind the same faulty front door as the
-        // data path: outage windows and error bursts fault recalls too.
-        if let Some(e) = self.gate("recall") {
-            return Err(e);
-        }
-        self.inner.lock().recall(path)
-    }
-
-    fn is_vaulted(&self, path: &str) -> bool {
-        self.inner.lock().is_vaulted(path)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.lock().exists(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.inner.lock().file_size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.lock().list(prefix)
-    }
-
-    fn stats(&self) -> ResourceStats {
-        self.inner.lock().stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.lock().reset_stats();
-    }
-
-    fn set_stream_hint(&mut self, streams: u32) {
-        self.inner.lock().set_stream_hint(streams);
-    }
-
-    fn stream_hint(&self) -> u32 {
-        self.inner.lock().stream_hint()
-    }
-
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
-        self.inner.lock().fixed_costs(op)
-    }
-
-    fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
-        self.inner.lock().transfer_model(op, bytes, streams)
     }
 }
 
@@ -464,14 +259,19 @@ impl StorageResource for FaultInjector {
 mod tests {
     use super::*;
     use crate::local_disk::{DiskParams, LocalDisk};
+    use crate::resource::{share, OpenMode, SharedResource};
+    use crate::Front;
+    use msr_sim::SimDuration;
 
-    fn disk() -> SharedResource {
-        share(LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0))
+    fn faulty(plan: FaultPlan, clock: Clock, seed: u64) -> (SharedResource, FaultLog) {
+        let mut front = Front::new(LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0));
+        let log = front.inject_faults(plan, clock, seed);
+        (share(front), log)
     }
 
     fn wrap(plan: FaultPlan) -> (SharedResource, FaultLog, Clock) {
         let clock = Clock::new();
-        let (r, log) = FaultInjector::wrap(disk(), plan, clock.clone(), 42);
+        let (r, log) = faulty(plan, clock.clone(), 42);
         (r, log, clock)
     }
 
@@ -508,9 +308,9 @@ mod tests {
         let h = r.open("f", OpenMode::Create).unwrap().value;
         let payload: Vec<u8> = (0..64u8).collect();
         // Every attempt tears (p = 1), so loosen the plan mid-test is not
-        // possible; instead assert the failure, then verify the inner file
-        // still reads back correctly after a manual full write via a
-        // tear-free injector on the same store.
+        // possible; instead assert the failure, then verify the file still
+        // reads back correctly after a 1-byte write, which is too small to
+        // tear.
         let err = r.write(h, &payload).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(log.count(FaultKind::Torn), 1);
@@ -559,8 +359,7 @@ mod tests {
     fn error_prob_is_seed_deterministic() {
         let run = || {
             let clock = Clock::new();
-            let (r, log) =
-                FaultInjector::wrap(disk(), FaultPlan::none().with_error_prob(0.3), clock, 7);
+            let (r, log) = faulty(FaultPlan::none().with_error_prob(0.3), clock, 7);
             let mut r = r.lock();
             let mut outcomes = Vec::new();
             for i in 0..50 {

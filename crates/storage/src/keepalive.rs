@@ -2,20 +2,21 @@
 //!
 //! Eq. (1) charges `T_conn + T_open` at the head of every access chain and
 //! `T_close + T_connclose` at its tail. Contiguous batches against the same
-//! server should pay the connection setup once: [`KeepAlive`] is a
-//! [`StorageResource`] decorator that, instead of tearing a connection down
-//! on `disconnect`, parks it in a virtual-time [`LeasePool`]. A `connect`
+//! server should pay the connection setup once: the keep-alive stage of a
+//! [`Front`](crate::Front), instead of tearing a connection down on
+//! `disconnect`, parks it in a virtual-time [`LeasePool`]. A `connect`
 //! that arrives while the lease is warm cancels the parked teardown and
-//! costs nothing; a lease that lapses settles the real `disconnect` lazily,
-//! off the caller's critical path (the time is tracked as deferred
-//! teardown, visible through [`KeepAliveHandle::deferred_teardown`]).
+//! costs nothing, provided the device confirms the connection is still
+//! usable; a lease that lapses settles the real `disconnect` lazily, off
+//! the caller's critical path (the time is tracked as deferred teardown,
+//! visible through [`KeepAliveHandle::deferred_teardown`]).
 //!
 //! Read-mode opens get the same treatment per path: re-opening a path for
 //! reading within the TTL — with no intervening write or delete to it — is
-//! charged zero open time. The inner `open` is **still called**, so the
+//! charged zero open time. The device's `open` is **still called**, so the
 //! resource hands back a real handle and native-call statistics and jitter
-//! streams stay in the exact order an unwrapped run would produce; only the
-//! charged time changes.
+//! streams stay in the exact order an unfronted run would produce; only
+//! the charged time changes.
 //!
 //! Resilience integration: [`KeepAliveHandle::drop_pooled`] flags every
 //! lease for immediate settlement — the circuit-breaker `HealthTracker`
@@ -23,12 +24,7 @@
 //! stale warm connection. The flag is reaped lazily on the next native call
 //! to avoid lock-order coupling between the health map and the resource.
 
-use crate::resource::{
-    share, Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, SharedResource,
-    StorageKind, StorageResource,
-};
-use crate::StorageResult;
-use bytes::Bytes;
+use crate::resource::{FileHandle, OpenMode};
 use msr_net::LeasePool;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration};
@@ -44,7 +40,7 @@ fn open_key(path: &str) -> String {
     format!("open:{path}")
 }
 
-/// Snapshot of one wrapper's keep-alive accounting.
+/// Snapshot of one resource's keep-alive accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KeepAliveStats {
     /// `connect` calls that re-used a warm connection (setup skipped).
@@ -63,8 +59,8 @@ struct HandleState {
     drop_requested: AtomicBool,
 }
 
-/// Clonable external handle onto a [`KeepAlive`] wrapper: cumulative stats
-/// plus the breaker-trip hook.
+/// Clonable external handle onto a resource's keep-alive stage: cumulative
+/// stats plus the breaker-trip hook.
 #[derive(Debug, Clone, Default)]
 pub struct KeepAliveHandle {
     state: Arc<Mutex<HandleState>>,
@@ -76,12 +72,12 @@ impl KeepAliveHandle {
         self.state.lock().stats
     }
 
-    /// Teardown time the wrapper settled off the critical path so far.
+    /// Teardown time the stage settled off the critical path so far.
     pub fn deferred_teardown(&self) -> SimDuration {
         self.state.lock().stats.deferred_teardown
     }
 
-    /// Flag every pooled lease for settlement on the wrapper's next native
+    /// Flag every pooled lease for settlement on the resource's next native
     /// call. Safe to invoke from health-tracker callbacks: nothing is
     /// locked beyond the handle itself.
     pub fn drop_pooled(&self) {
@@ -92,47 +88,28 @@ impl KeepAliveHandle {
     }
 }
 
-/// A [`StorageResource`] decorator pooling connection and read-open costs.
-///
-/// Wraps a [`SharedResource`] (the registered form), like
-/// [`crate::FaultInjector`], so it can be spliced over an existing entry
-/// without unwrapping it.
-pub struct KeepAlive {
-    inner: SharedResource,
-    // `name()`/`kind()` return borrows that cannot live through a lock
-    // guard on `inner` — cached at wrap time.
-    name: String,
-    kind: StorageKind,
+/// State of a [`Front`](crate::Front)'s keep-alive stage: the lease pool
+/// and what it knows about parked teardowns and open handles. Like the
+/// fault stage it never touches the device; `Front` makes the calls.
+pub(crate) struct Leases {
     clock: Clock,
     recorder: Recorder,
     pool: LeasePool,
-    /// A client `disconnect` was absorbed; the inner resource is still
-    /// connected until the conn lease lapses.
+    /// A client `disconnect` was absorbed; the device is still connected
+    /// until the conn lease lapses.
     teardown_parked: bool,
-    /// Open handle → (path, writable), to invalidate open leases on
-    /// mutation through a handle.
-    handles: HashMap<u32, (String, bool)>,
+    /// Open handle → path, to invalidate open leases on mutation through
+    /// a handle.
+    handles: HashMap<u32, String>,
     handle: KeepAliveHandle,
 }
 
-impl KeepAlive {
-    /// Wrap `inner` with leases lasting `ttl` of virtual time. Returns the
-    /// wrapped resource plus the external stats/drop handle.
-    pub fn wrap(
-        inner: SharedResource,
-        ttl: SimDuration,
-        clock: Clock,
-        recorder: Recorder,
-    ) -> (SharedResource, KeepAliveHandle) {
-        let (name, kind) = {
-            let r = inner.lock();
-            (r.name().to_string(), r.kind())
-        };
+impl Leases {
+    /// A stage whose leases last `ttl` of virtual time, plus its external
+    /// stats/drop handle.
+    pub fn new(ttl: SimDuration, clock: Clock, recorder: Recorder) -> (Self, KeepAliveHandle) {
         let handle = KeepAliveHandle::default();
-        let wrapper = KeepAlive {
-            inner,
-            name,
-            kind,
+        let stage = Leases {
             clock,
             recorder,
             pool: LeasePool::new(ttl),
@@ -140,37 +117,31 @@ impl KeepAlive {
             handles: HashMap::new(),
             handle: handle.clone(),
         };
-        (share(wrapper), handle)
+        (stage, handle)
     }
 
-    fn count(&self, op: &'static str) {
+    fn count(&self, name: &str, op: &'static str, n: f64) {
         if self.recorder.enabled() {
             self.recorder
-                .count(Layer::Storage, &self.name, op, self.clock.now(), 1.0);
+                .count(Layer::Storage, name, op, self.clock.now(), n);
         }
     }
 
-    fn note_expirations(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.handle.state.lock().stats.expirations += n;
-        if self.recorder.enabled() {
-            self.recorder.count(
-                Layer::Storage,
-                &self.name,
-                ops::LEASE_EXPIRE,
-                self.clock.now(),
-                n as f64,
-            );
+    /// Account leases that expired since `before` (a pool counter).
+    fn note_expirations(&self, name: &str, before: u64) {
+        let n = self.pool.stats().expirations - before;
+        if n > 0 {
+            self.handle.state.lock().stats.expirations += n;
+            self.count(name, ops::LEASE_EXPIRE, n as f64);
         }
     }
 
-    /// Settle lapsed state before any native call: honour a pending
-    /// `drop_pooled`, reap TTL-expired leases, and if the conn lease is no
-    /// longer live while a teardown is parked, perform the real disconnect
-    /// now, off the critical path.
-    fn settle(&mut self) -> StorageResult<()> {
+    /// Settle lapsed state before a native call: honour a pending
+    /// `drop_pooled`, reap TTL-expired leases. Returns whether a parked
+    /// teardown lost its lease — the caller then performs the real
+    /// disconnect, off the critical path, and reports it to
+    /// [`Leases::deferred`].
+    pub fn settle(&mut self, name: &str) -> bool {
         let dropped = self
             .handle
             .state
@@ -183,196 +154,78 @@ impl KeepAlive {
         } else {
             self.pool.reap(self.clock.now());
         }
-        self.note_expirations(self.pool.stats().expirations - before);
-        if self.teardown_parked && !self.pool.is_live(CONN_KEY, self.clock.now()) {
+        self.note_expirations(name, before);
+        let due = self.teardown_parked && !self.pool.is_live(CONN_KEY, self.clock.now());
+        if due {
             self.teardown_parked = false;
-            let cost = self.inner.lock().disconnect()?;
-            self.handle.state.lock().stats.deferred_teardown += cost.time;
         }
-        Ok(())
+        due
     }
 
-    fn invalidate_path(&mut self, path: &str) {
-        let before = self.pool.stats().expirations;
-        self.pool.invalidate(&open_key(path));
-        self.note_expirations(self.pool.stats().expirations - before);
+    /// Teardown time settled off the critical path.
+    pub fn deferred(&self, teardown: SimDuration) {
+        self.handle.state.lock().stats.deferred_teardown += teardown;
     }
 
-    fn conn_teardown_estimate(&self) -> SimDuration {
-        self.inner.lock().fixed_costs(OpKind::Read).connclose
-    }
-}
-
-impl std::fmt::Debug for KeepAlive {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeepAlive")
-            .field("name", &self.name)
-            .field("kind", &self.kind)
-            .field("pool", &self.pool)
-            .field("teardown_parked", &self.teardown_parked)
-            .finish_non_exhaustive()
-    }
-}
-
-impl StorageResource for KeepAlive {
-    fn name(&self) -> &str {
-        &self.name
+    /// Whether a parked teardown still holds a warm lease.
+    pub fn warm(&self) -> bool {
+        self.teardown_parked && self.pool.is_live(CONN_KEY, self.clock.now())
     }
 
-    fn kind(&self) -> StorageKind {
-        self.kind
+    /// A `connect` re-used the warm connection: cancel the parked teardown.
+    /// The lease keeps running from its disconnect-time touch.
+    pub fn conn_hit(&mut self, name: &str) {
+        self.teardown_parked = false;
+        self.handle.state.lock().stats.conn_hits += 1;
+        self.count(name, ops::LEASE_HIT, 1.0);
     }
 
-    fn is_online(&self) -> bool {
-        self.inner.lock().is_online()
-    }
-
-    fn set_online(&mut self, up: bool) {
-        self.inner.lock().set_online(up);
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.inner.lock().capacity_bytes()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes()
-    }
-
-    fn logical_bytes(&self) -> u64 {
-        self.inner.lock().logical_bytes()
-    }
-
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
-        self.inner.lock().set_logical_size(path, bytes);
-    }
-
-    fn set_capacity(&mut self, bytes: u64) {
-        self.inner.lock().set_capacity(bytes);
-    }
-
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.settle()?;
-        if self.teardown_parked && self.pool.is_live(CONN_KEY, self.clock.now()) {
-            // Warm connection: cancel the parked teardown instead of paying
-            // setup. The lease keeps running from its disconnect-time touch.
-            self.teardown_parked = false;
-            self.handle.state.lock().stats.conn_hits += 1;
-            self.count(ops::LEASE_HIT);
-            return Ok(Cost::free(()));
-        }
-        self.inner.lock().connect()
-    }
-
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        self.settle()?;
-        // Park the teardown: the inner stays connected until the lease
-        // lapses (settled lazily) or the next connect re-uses it.
+    /// Absorb a client `disconnect`: the device stays connected until the
+    /// lease lapses (settled lazily) or the next connect re-uses it.
+    pub fn park(&mut self, teardown_estimate: SimDuration) {
         self.teardown_parked = true;
         self.pool
-            .acquire(CONN_KEY, self.clock.now(), self.conn_teardown_estimate());
-        Ok(Cost::free(()))
+            .acquire(CONN_KEY, self.clock.now(), teardown_estimate);
     }
 
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        self.settle()?;
+    /// Before an `open`: a writable mode kills the path's read lease, a
+    /// read mode takes (or renews) it. Returns whether the open is a hit.
+    pub fn before_open(&mut self, name: &str, path: &str, mode: OpenMode) -> bool {
         if mode.writable() {
-            self.invalidate_path(path);
-            let cost = self.inner.lock().open(path, mode)?;
-            self.handles
-                .insert(cost.value.raw(), (path.to_owned(), true));
-            return Ok(cost);
+            self.invalidate_path(name, path);
+            return false;
         }
-        let key = open_key(path);
-        let now = self.clock.now();
-        let hit = self.pool.acquire(&key, now, SimDuration::ZERO);
-        // The inner open always runs: the handle, the native-call stats and
-        // the jitter stream must match an unwrapped run exactly.
-        let cost = self.inner.lock().open(path, mode)?;
-        self.handles
-            .insert(cost.value.raw(), (path.to_owned(), false));
+        self.pool
+            .acquire(&open_key(path), self.clock.now(), SimDuration::ZERO)
+    }
+
+    /// After a successful `open`; `hit` as returned by
+    /// [`Leases::before_open`].
+    pub fn opened(&mut self, name: &str, h: FileHandle, path: &str, hit: bool) {
+        self.handles.insert(h.raw(), path.to_owned());
         if hit {
             self.handle.state.lock().stats.open_hits += 1;
-            self.count(ops::LEASE_HIT);
-            Ok(Cost::new(SimDuration::ZERO, cost.value))
-        } else {
-            Ok(cost)
+            self.count(name, ops::LEASE_HIT, 1.0);
         }
     }
 
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        self.inner.lock().seek(h, pos)
-    }
-
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        self.inner.lock().read(h, len)
-    }
-
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        if let Some((path, _)) = self.handles.get(&h.raw()).cloned() {
-            self.invalidate_path(&path);
+    /// Before a `write` through `h`: the path's read lease dies.
+    pub fn before_write(&mut self, name: &str, h: FileHandle) {
+        if let Some(path) = self.handles.get(&h.raw()).cloned() {
+            self.invalidate_path(name, &path);
         }
-        self.inner.lock().write(h, data)
     }
 
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
+    /// Before a `close` of `h`.
+    pub fn closed(&mut self, h: FileHandle) {
         self.handles.remove(&h.raw());
-        self.inner.lock().close(h)
     }
 
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.invalidate_path(path);
-        self.inner.lock().delete(path)
-    }
-
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        // Shelving the tape makes any warm read lease on the path a lie.
-        self.invalidate_path(path);
-        self.inner.lock().vault(path)
-    }
-
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.inner.lock().recall(path)
-    }
-
-    fn is_vaulted(&self, path: &str) -> bool {
-        self.inner.lock().is_vaulted(path)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.lock().exists(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.inner.lock().file_size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.lock().list(prefix)
-    }
-
-    fn stats(&self) -> ResourceStats {
-        self.inner.lock().stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.lock().reset_stats();
-    }
-
-    fn set_stream_hint(&mut self, streams: u32) {
-        self.inner.lock().set_stream_hint(streams);
-    }
-
-    fn stream_hint(&self) -> u32 {
-        self.inner.lock().stream_hint()
-    }
-
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
-        self.inner.lock().fixed_costs(op)
-    }
-
-    fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
-        self.inner.lock().transfer_model(op, bytes, streams)
+    /// Drop the read lease on `path` (mutation, delete, vault).
+    pub fn invalidate_path(&mut self, name: &str, path: &str) {
+        let before = self.pool.stats().expirations;
+        self.pool.invalidate(&open_key(path));
+        self.note_expirations(name, before);
     }
 }
 
@@ -380,9 +233,11 @@ impl StorageResource for KeepAlive {
 mod tests {
     use super::*;
     use crate::profiles::sdsc_remote_disk;
-    use msr_net::{share as share_net, LinkSpec, Network};
+    use crate::resource::{share, SharedResource, StorageResource};
+    use crate::{Front, RemoteDisk, StorageError};
+    use msr_net::{share as share_net, LinkId, LinkSpec, Network, SharedNetwork};
 
-    fn remote() -> (SharedResource, Clock) {
+    fn remote() -> (RemoteDisk, SharedNetwork) {
         let mut n = Network::new(7);
         let anl = n.add_site("ANL");
         let sdsc = n.add_site("SDSC");
@@ -392,19 +247,18 @@ mod tests {
             LinkSpec::ideal(SimDuration::from_millis(25.0), 4.0),
         );
         let net = share_net(n);
-        let disk = sdsc_remote_disk(net, anl, sdsc, 11);
-        (share(disk), Clock::new())
+        (sdsc_remote_disk(net.clone(), anl, sdsc, 11), net)
     }
 
     fn wrap(ttl: f64) -> (SharedResource, KeepAliveHandle, Clock) {
-        let (inner, clock) = remote();
-        let (r, h) = KeepAlive::wrap(
-            inner,
+        let clock = Clock::new();
+        let mut front = Front::new(remote().0);
+        let h = front.enable_keepalive(
             SimDuration::from_secs(ttl),
             clock.clone(),
             Recorder::disabled(),
         );
-        (r, h, clock)
+        (share(front), h, clock)
     }
 
     #[test]
@@ -498,5 +352,28 @@ mod tests {
         );
         assert_eq!(h.stats().conn_hits, 0);
         assert!(h.deferred_teardown() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn warm_lease_connect_does_not_mask_an_outage() {
+        let (bare, net) = remote();
+        let mut front = Front::new(bare);
+        let h = front.enable_keepalive(
+            SimDuration::from_secs(300.0),
+            Clock::new(),
+            Recorder::disabled(),
+        );
+        front.connect().unwrap();
+        front.disconnect().unwrap(); // parked: the lease is warm from here on
+        front.set_online(false);
+        assert!(matches!(front.connect(), Err(StorageError::Offline { .. })));
+        front.set_online(true);
+        net.write().set_link_up(LinkId::from_index(0), false);
+        assert!(matches!(front.connect(), Err(StorageError::Network(_))));
+        assert_eq!(h.stats().conn_hits, 0, "a refused connect is not a hit");
+        net.write().set_link_up(LinkId::from_index(0), true);
+        assert_eq!(front.connect().unwrap().time, SimDuration::ZERO);
+        assert_eq!(h.stats().conn_hits, 1, "the lease survived the outage");
+        assert_eq!(front.stats().connects, 1, "and no second setup was paid");
     }
 }

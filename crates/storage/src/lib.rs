@@ -16,6 +16,11 @@
 //!   sequential positioning, very large latency, effectively unlimited
 //!   capacity.
 //!
+//! The three are one [`Device`] with a per-kind [`CostModel`]: the file
+//! mechanics exist once, only the eq. (1) terms differ. A [`Front`] puts
+//! the optional keep-alive, fault-injection and observe stages in front of
+//! any device, and [`CompositeResource`] aggregates the space of several.
+//!
 //! All resources implement the object-safe [`StorageResource`] trait — the
 //! "native storage interface" consumed by the run-time optimization layer.
 //! Model-only hooks ([`StorageResource::fixed_costs`],
@@ -24,25 +29,28 @@
 //! seeded jitter so "actual" timings fluctuate like the paper's WAN numbers.
 
 pub mod composite;
+pub mod device;
 pub mod error;
 pub mod fault;
+pub mod front;
 pub mod keepalive;
 pub mod local_disk;
 pub mod object_store;
-pub mod observe;
 pub mod profiles;
 pub mod rate;
 pub mod remote_disk;
 pub mod resource;
+pub mod srb;
 pub mod tape;
 
 pub use composite::CompositeResource;
+pub use device::{CostModel, Device};
 pub use error::StorageError;
-pub use fault::{FaultInjector, FaultKind, FaultLog, FaultPlan, FaultRecord};
-pub use keepalive::{KeepAlive, KeepAliveHandle, KeepAliveStats};
+pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
+pub use front::Front;
+pub use keepalive::{KeepAliveHandle, KeepAliveStats};
 pub use local_disk::{DiskParams, LocalDisk};
 pub use object_store::ObjectStore;
-pub use observe::ObservedResource;
 pub use profiles::{
     anl_local_disk, hpss_params, hpss_protocol, sdsc_hpss_tape, sdsc_remote_disk, srb_protocol,
     testbed,

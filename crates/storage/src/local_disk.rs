@@ -5,16 +5,10 @@
 //! capacity*, which is the whole point of the paper: local disks are fast
 //! and scarce, so only datasets needed soon should land here.
 
-use crate::error::StorageError;
-use crate::object_store::ObjectStore;
+use crate::device::{CostModel, Device};
 use crate::rate::RateCurve;
-use crate::resource::{
-    Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
-    StorageKind, StorageResource,
-};
-use crate::StorageResult;
-use bytes::Bytes;
-use msr_sim::{stream_rng, Jitter, SimDuration};
+use crate::resource::{FixedCosts, OpKind, StorageKind};
+use msr_sim::{Jitter, SimDuration};
 use rand::rngs::StdRng;
 
 /// Cost parameters of a local disk.
@@ -54,277 +48,87 @@ impl DiskParams {
     }
 }
 
-/// A simulated local disk.
-#[derive(Debug)]
-pub struct LocalDisk {
-    name: String,
-    params: DiskParams,
-    store: ObjectStore,
-    handles: HandleTable,
-    stats: ResourceStats,
-    online: bool,
-    stream_hint: u32,
-    rng: StdRng,
-}
+/// A simulated local disk. It has no physical state beyond its files, so
+/// its cost model is the parameter set itself.
+pub type LocalDisk = Device<DiskParams>;
 
 impl LocalDisk {
     /// Create a local disk with the given parameters. `seed` controls the
     /// device-noise stream.
     pub fn new(name: impl Into<String>, params: DiskParams, seed: u64) -> Self {
-        let name = name.into();
-        let rng = stream_rng(seed, &format!("localdisk:{name}"));
-        LocalDisk {
-            name,
-            params,
-            store: ObjectStore::new(),
-            handles: HandleTable::default(),
-            stats: ResourceStats::default(),
-            online: true,
-            stream_hint: 1,
-            rng,
-        }
-    }
-
-    /// Direct access to the backing store (test and tooling support).
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
-    /// Number of currently open handles (leak detection in tests).
-    pub fn open_handles(&self) -> usize {
-        self.handles.open_count()
-    }
-
-    fn check_online(&self) -> StorageResult<()> {
-        if self.online {
-            Ok(())
-        } else {
-            Err(StorageError::Offline {
-                resource: self.name.clone(),
-            })
-        }
-    }
-
-    fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        self.params.jitter.apply(d, &mut self.rng)
-    }
-
-    /// Bytes the write would add beyond the file's current extent.
-    fn growth(&self, path: &str, cursor: u64, len: u64) -> u64 {
-        let current = self.store.size(path).unwrap_or(0);
-        (cursor + len).saturating_sub(current)
+        Device::assemble(name.into(), params, "localdisk", seed)
     }
 }
 
-impl StorageResource for LocalDisk {
-    fn name(&self) -> &str {
-        &self.name
+impl DiskParams {
+    fn curve(&self, op: OpKind) -> &RateCurve {
+        match op {
+            OpKind::Read => &self.read_curve,
+            OpKind::Write => &self.write_curve,
+        }
     }
+}
 
+impl CostModel for DiskParams {
     fn kind(&self) -> StorageKind {
         StorageKind::LocalDisk
     }
 
-    fn is_online(&self) -> bool {
-        self.online
+    fn jitter(&self) -> Jitter {
+        self.jitter
     }
 
-    fn set_online(&mut self, up: bool) {
-        self.online = up;
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.params.capacity
+    fn capacity(&self) -> u64 {
+        self.capacity
     }
 
     fn set_capacity(&mut self, bytes: u64) {
-        self.params.capacity = bytes;
+        self.capacity = bytes;
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.store.used_bytes()
-    }
-
-    fn logical_bytes(&self) -> u64 {
-        self.store.logical_bytes()
-    }
-
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
-        self.store.set_logical(path, bytes);
-    }
-
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        Ok(Cost::free(())) // local filesystem: no connection phase
-    }
-
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        Ok(Cost::free(()))
-    }
-
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        self.check_online()?;
-        let cursor = match mode {
-            OpenMode::Read => {
-                if !self.store.exists(path) {
-                    return Err(StorageError::NotFound(path.to_owned()));
-                }
-                0
-            }
-            OpenMode::Create => {
-                self.store.create(path);
-                0
-            }
-            OpenMode::OverWrite => {
-                self.store.ensure(path);
-                0
-            }
-            OpenMode::Append => {
-                self.store.ensure(path);
-                self.store.size(path).unwrap_or(0)
-            }
-        };
-        let h = self.handles.insert(OpenFile {
-            path: path.to_owned(),
-            mode,
-            cursor,
-        });
-        self.stats.opens += 1;
-        let base = if mode == OpenMode::Read {
-            self.params.open_read
-        } else {
-            self.params.open_write
-        };
-        let t = self.jittered(base);
-        Ok(Cost::new(t, h))
-    }
-
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.handles.get_mut(h)?.cursor = pos;
-        self.stats.seeks += 1;
-        let t = self.jittered(self.params.seek);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        self.check_online()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.readable() {
-            return Err(StorageError::BadMode { op: "read" });
-        }
-        let data = self.store.read_at(&path, cursor, len)?;
-        self.handles.get_mut(h)?.cursor += data.len() as u64;
-        self.stats.reads += 1;
-        self.stats.bytes_read += data.len() as u64;
-        let contended =
-            self.params.read_curve.time_for(data.len() as u64) * f64::from(self.stream_hint);
-        let t = self.jittered(contended);
-        Ok(Cost::new(t, data))
-    }
-
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.check_online()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.writable() {
-            return Err(StorageError::BadMode { op: "write" });
-        }
-        let growth = self.growth(&path, cursor, data.len() as u64);
-        let available = self.available_bytes();
-        if growth > available {
-            return Err(StorageError::CapacityExceeded {
-                resource: self.name.clone(),
-                requested: growth,
-                available,
-            });
-        }
-        self.store.write_at(&path, cursor, data)?;
-        self.handles.get_mut(h)?.cursor += data.len() as u64;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        let contended =
-            self.params.write_curve.time_for(data.len() as u64) * f64::from(self.stream_hint);
-        let t = self.jittered(contended);
-        Ok(Cost::new(t, data.len()))
-    }
-
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
-        self.handles.remove(h)?;
-        self.stats.closes += 1;
-        let t = self.jittered(self.params.close);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        if self.store.delete(path) {
-            Ok(Cost::new(self.params.close, ()))
-        } else {
-            Err(StorageError::NotFound(path.to_owned()))
-        }
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.store.size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.store.list(prefix)
-    }
-
-    fn stats(&self) -> ResourceStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = ResourceStats::default();
-    }
-
-    fn set_stream_hint(&mut self, streams: u32) {
-        self.stream_hint = streams.max(1);
-    }
-
-    fn stream_hint(&self) -> u32 {
-        self.stream_hint
-    }
-
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
+    fn file_costs(&self, op: OpKind) -> FixedCosts {
         FixedCosts {
-            conn: SimDuration::ZERO,
             open: match op {
-                OpKind::Read => self.params.open_read,
-                OpKind::Write => self.params.open_write,
+                OpKind::Read => self.open_read,
+                OpKind::Write => self.open_write,
             },
-            seek: self.params.seek,
-            close: self.params.close,
-            connclose: SimDuration::ZERO,
+            seek: self.seek,
+            close: self.close,
+            ..FixedCosts::default() // local filesystem: no connection phase
         }
+    }
+
+    fn delete_cost(&self) -> SimDuration {
+        self.close
+    }
+
+    fn seek_cost(&mut self, _path: &str, _pos: u64, _rng: &mut StdRng) -> SimDuration {
+        self.seek
+    }
+
+    fn stream_cost(
+        &mut self,
+        op: OpKind,
+        _path: &str,
+        _end: u64,
+        bytes: u64,
+        streams: u32,
+    ) -> SimDuration {
+        self.transfer_model(op, bytes, streams)
     }
 
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
-        let curve = match op {
-            OpKind::Read => &self.params.read_curve,
-            OpKind::Write => &self.params.write_curve,
-        };
         // Concurrent streams serialize on the spindle: each call sees the
         // device busy with the other streams' interleaved requests.
-        curve.time_for(bytes) * streams.max(1) as f64
+        self.curve(op).time_for(bytes) * streams.max(1) as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
+    use crate::resource::{OpenMode, StorageResource};
 
     fn disk() -> LocalDisk {
         LocalDisk::new("d0", DiskParams::simple(10.0, 10_000_000), 0)

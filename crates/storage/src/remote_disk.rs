@@ -5,17 +5,12 @@
 //! (`T_conn`/`T_connclose` in Table 1), end-to-end open/seek/close constants
 //! and transfers that pay both the WAN pipe and the server's disks.
 
-use crate::error::StorageError;
-use crate::object_store::ObjectStore;
+use crate::device::{CostModel, Device};
 use crate::rate::RateCurve;
-use crate::resource::{
-    Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
-    StorageKind, StorageResource,
-};
-use crate::StorageResult;
-use bytes::Bytes;
-use msr_net::{Connection, ProtocolCosts, SharedNetwork, SiteId};
-use msr_sim::{stream_rng, Jitter, SimDuration};
+use crate::resource::{FixedCosts, OpKind, StorageKind};
+use crate::srb::SrbLink;
+use msr_net::{ProtocolCosts, SharedNetwork, SiteId};
+use msr_sim::{Jitter, SimDuration};
 use rand::rngs::StdRng;
 
 /// End-to-end fixed operation constants for a remote SRB resource —
@@ -33,14 +28,10 @@ pub struct RemoteFixed {
     pub close_write: SimDuration,
 }
 
-/// A simulated SRB remote disk resource.
+/// Cost model of an SRB disk farm: the link plus server-side constants.
 #[derive(Debug)]
-pub struct RemoteDisk {
-    name: String,
-    net: SharedNetwork,
-    client: SiteId,
-    server: SiteId,
-    proto: ProtocolCosts,
+pub struct RemoteDiskModel {
+    link: SrbLink,
     fixed: RemoteFixed,
     /// Server-side disk transfer curve (the WAN usually dominates, but the
     /// server's disks are real and show up for big requests).
@@ -49,14 +40,10 @@ pub struct RemoteDisk {
     server_write: RateCurve,
     capacity: u64,
     jitter: Jitter,
-    conn: Option<Connection>,
-    store: ObjectStore,
-    handles: HandleTable,
-    stats: ResourceStats,
-    online: bool,
-    stream_hint: u32,
-    rng: StdRng,
 }
+
+/// A simulated SRB remote disk resource.
+pub type RemoteDisk = Device<RemoteDiskModel>;
 
 impl RemoteDisk {
     /// Build a remote disk. The WAN characteristics come from the network's
@@ -74,110 +61,37 @@ impl RemoteDisk {
         capacity: u64,
         seed: u64,
     ) -> Self {
-        let name = name.into();
-        let rng = stream_rng(seed, &format!("remotedisk:{name}"));
-        RemoteDisk {
-            name,
-            net,
-            client,
-            server,
-            proto,
+        let model = RemoteDiskModel {
+            link: SrbLink::new(net, client, server, proto),
             fixed,
             server_read,
             server_write,
             capacity,
             jitter: Jitter::LogNormal { sigma: 0.02 },
-            conn: None,
-            store: ObjectStore::new(),
-            handles: HandleTable::default(),
-            stats: ResourceStats::default(),
-            online: true,
-            stream_hint: 1,
-            rng,
-        }
-    }
-
-    /// Direct access to the backing store (tests, tooling).
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
-    fn check_online(&self) -> StorageResult<()> {
-        if self.online {
-            Ok(())
-        } else {
-            Err(StorageError::Offline {
-                resource: self.name.clone(),
-            })
-        }
-    }
-
-    fn live_conn(&self) -> StorageResult<&Connection> {
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        if conn.is_up(&self.net.read()) {
-            Ok(conn)
-        } else {
-            Err(StorageError::Network(msr_net::NetError::RouteDown))
-        }
-    }
-
-    fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        self.jitter.apply(d, &mut self.rng)
-    }
-
-    /// Jittered wire cost of one call of `bytes`, contending with
-    /// `stream_hint` same-sized concurrent calls: the WAN pipe carries
-    /// `bytes x hint` in total while this call completes. Jitter draws
-    /// from this resource's own stream so concurrent traffic elsewhere
-    /// cannot reorder it.
-    fn wire(&mut self, bytes: u64) -> StorageResult<SimDuration> {
-        let hint = self.stream_hint.max(1);
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        let net = self.net.read();
-        Ok(conn.request_with(&net, bytes * u64::from(hint), hint, &mut self.rng)?)
-    }
-
-    fn wire_nominal(&self, bytes: u64, streams: u32) -> SimDuration {
-        match &self.conn {
-            Some(conn) => conn.request_nominal(&self.net.read(), bytes, streams),
-            None => {
-                // Predictor path before any connection exists: use a fresh
-                // route resolution.
-                let net = self.net.read();
-                match net.route(self.client, self.server) {
-                    Ok(route) => {
-                        net.transfer_nominal(&route, bytes, streams) + self.proto.per_request
-                    }
-                    Err(_) => SimDuration::ZERO,
-                }
-            }
-        }
-    }
-
-    fn growth(&self, path: &str, cursor: u64, len: u64) -> u64 {
-        let current = self.store.size(path).unwrap_or(0);
-        (cursor + len).saturating_sub(current)
+        };
+        Device::assemble(name.into(), model, "remotedisk", seed)
     }
 }
 
-impl StorageResource for RemoteDisk {
-    fn name(&self) -> &str {
-        &self.name
+impl RemoteDiskModel {
+    fn server_time(&self, op: OpKind, bytes: u64) -> SimDuration {
+        match op {
+            OpKind::Read => self.server_read.time_for(bytes),
+            OpKind::Write => self.server_write.time_for(bytes),
+        }
     }
+}
 
+impl CostModel for RemoteDiskModel {
     fn kind(&self) -> StorageKind {
         StorageKind::RemoteDisk
     }
 
-    fn is_online(&self) -> bool {
-        self.online
+    fn jitter(&self) -> Jitter {
+        self.jitter
     }
 
-    fn set_online(&mut self, up: bool) {
-        self.online = up;
-    }
-
-    fn capacity_bytes(&self) -> u64 {
+    fn capacity(&self) -> u64 {
         self.capacity
     }
 
@@ -185,213 +99,55 @@ impl StorageResource for RemoteDisk {
         self.capacity = bytes;
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.store.used_bytes()
+    fn link(&self) -> Option<&SrbLink> {
+        Some(&self.link)
     }
 
-    fn logical_bytes(&self) -> u64 {
-        self.store.logical_bytes()
+    fn link_mut(&mut self) -> Option<&mut SrbLink> {
+        Some(&mut self.link)
     }
 
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
-        self.store.set_logical(path, bytes);
-    }
-
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        if let Some(conn) = &self.conn {
-            if conn.is_up(&self.net.read()) {
-                return Ok(Cost::free(())); // idempotent reconnect
-            }
-        }
-        let (cost, conn) =
-            Connection::establish(&self.net.read(), self.client, self.server, self.proto)?;
-        self.conn = Some(conn);
-        self.stats.connects += 1;
-        let t = self.jittered(cost);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        match self.conn.take() {
-            Some(conn) => Ok(Cost::new(conn.close_cost(), ())),
-            None => Ok(Cost::free(())),
-        }
-    }
-
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let cursor = match mode {
-            OpenMode::Read => {
-                if !self.store.exists(path) {
-                    return Err(StorageError::NotFound(path.to_owned()));
-                }
-                0
-            }
-            OpenMode::Create => {
-                self.store.create(path);
-                0
-            }
-            OpenMode::OverWrite => {
-                self.store.ensure(path);
-                0
-            }
-            OpenMode::Append => {
-                self.store.ensure(path);
-                self.store.size(path).unwrap_or(0)
-            }
-        };
-        let h = self.handles.insert(OpenFile {
-            path: path.to_owned(),
-            mode,
-            cursor,
-        });
-        self.stats.opens += 1;
-        let t = self.jittered(self.fixed.open);
-        Ok(Cost::new(t, h))
-    }
-
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.live_conn()?;
-        self.handles.get_mut(h)?.cursor = pos;
-        self.stats.seeks += 1;
-        let t = self.jittered(self.fixed.seek);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.readable() {
-            return Err(StorageError::BadMode { op: "read" });
-        }
-        let data = self.store.read_at(&path, cursor, len)?;
-        self.handles.get_mut(h)?.cursor += data.len() as u64;
-        self.stats.reads += 1;
-        self.stats.bytes_read += data.len() as u64;
-        let wire = self.wire(data.len() as u64)?;
-        let server =
-            self.server_read.time_for(data.len() as u64) * f64::from(self.stream_hint.max(1));
-        let t = wire + self.jittered(server);
-        Ok(Cost::new(t, data))
-    }
-
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.writable() {
-            return Err(StorageError::BadMode { op: "write" });
-        }
-        let growth = self.growth(&path, cursor, data.len() as u64);
-        let available = self.available_bytes();
-        if growth > available {
-            return Err(StorageError::CapacityExceeded {
-                resource: self.name.clone(),
-                requested: growth,
-                available,
-            });
-        }
-        self.store.write_at(&path, cursor, data)?;
-        self.handles.get_mut(h)?.cursor += data.len() as u64;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        let wire = self.wire(data.len() as u64)?;
-        let server =
-            self.server_write.time_for(data.len() as u64) * f64::from(self.stream_hint.max(1));
-        let t = wire + self.jittered(server);
-        Ok(Cost::new(t, data.len()))
-    }
-
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
-        let f = self.handles.remove(h)?;
-        self.stats.closes += 1;
-        let base = if f.mode.writable() {
-            self.fixed.close_write
-        } else {
-            self.fixed.close_read
-        };
-        let t = self.jittered(base);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.live_conn()?;
-        if self.store.delete(path) {
-            Ok(Cost::new(self.fixed.close_read, ()))
-        } else {
-            Err(StorageError::NotFound(path.to_owned()))
-        }
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.store.size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.store.list(prefix)
-    }
-
-    fn stats(&self) -> ResourceStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = ResourceStats::default();
-    }
-
-    fn set_stream_hint(&mut self, streams: u32) {
-        self.stream_hint = streams.max(1);
-    }
-
-    fn stream_hint(&self) -> u32 {
-        self.stream_hint
-    }
-
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
-        let net = self.net.read();
-        let conn = match net.route(self.client, self.server) {
-            Ok(route) => net.route_latency(&route) * 2.0 + self.proto.conn_setup,
-            Err(_) => self.proto.conn_setup,
-        };
+    fn file_costs(&self, op: OpKind) -> FixedCosts {
         FixedCosts {
-            conn,
             open: self.fixed.open,
             seek: self.fixed.seek,
             close: match op {
                 OpKind::Read => self.fixed.close_read,
-                OpKind::Write => self.fixed.close_write,
+                OpKind::Write => self.fixed.close_write, // flush: larger
             },
-            connclose: self.proto.conn_teardown,
+            ..FixedCosts::default()
         }
     }
 
+    fn delete_cost(&self) -> SimDuration {
+        self.fixed.close_read
+    }
+
+    fn seek_cost(&mut self, _path: &str, _pos: u64, _rng: &mut StdRng) -> SimDuration {
+        self.fixed.seek
+    }
+
+    fn stream_cost(
+        &mut self,
+        op: OpKind,
+        _path: &str,
+        _end: u64,
+        bytes: u64,
+        streams: u32,
+    ) -> SimDuration {
+        self.server_time(op, bytes) * f64::from(streams)
+    }
+
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
-        let server = match op {
-            OpKind::Read => self.server_read.time_for(bytes),
-            OpKind::Write => self.server_write.time_for(bytes),
-        };
-        self.wire_nominal(bytes, streams) + server
+        self.link.wire_nominal(bytes, streams) + self.server_time(op, bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
+    use crate::resource::{OpenMode, StorageResource};
     use msr_net::{LinkSpec, Network};
 
     fn testnet() -> (SharedNetwork, SiteId, SiteId) {
@@ -428,7 +184,7 @@ mod tests {
             1 << 40,
             0,
         );
-        d.jitter = Jitter::None;
+        d.model.jitter = Jitter::None;
         d
     }
 

@@ -81,6 +81,15 @@ impl OpenMode {
     pub fn readable(self) -> bool {
         matches!(self, OpenMode::Read)
     }
+
+    /// The transfer direction a handle opened in this mode serves.
+    pub fn op(self) -> OpKind {
+        if self.writable() {
+            OpKind::Write
+        } else {
+            OpKind::Read
+        }
+    }
 }
 
 /// A value together with the virtual time its production cost.
@@ -378,6 +387,7 @@ impl HandleTable {
         Ok(f)
     }
 
+    #[cfg(test)]
     pub fn open_count(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }

@@ -9,17 +9,12 @@
 //! seeking costs time proportional to the distance travelled — unlike the
 //! constant-time disk seek of Table 1.
 
-use crate::error::StorageError;
-use crate::object_store::ObjectStore;
+use crate::device::{CostModel, Device};
 use crate::rate::RateCurve;
-use crate::resource::{
-    Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
-    StorageKind, StorageResource,
-};
-use crate::StorageResult;
-use bytes::Bytes;
-use msr_net::{Connection, ProtocolCosts, SharedNetwork, SiteId};
-use msr_sim::{stream_rng, Jitter, SimDuration};
+use crate::resource::{FixedCosts, OpKind, StorageKind};
+use crate::srb::SrbLink;
+use msr_net::{ProtocolCosts, SharedNetwork, SiteId};
+use msr_sim::{Jitter, SimDuration};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -79,32 +74,25 @@ struct DriveState {
     last_use: u64,
 }
 
-/// A simulated remote tape resource.
+/// Cost model and physical state of a tape tier: the link, the drive
+/// pool with what is mounted where, and the off-site shelf.
 #[derive(Debug)]
-pub struct TapeResource {
-    name: String,
-    net: SharedNetwork,
-    client: SiteId,
-    server: SiteId,
-    proto: ProtocolCosts,
+pub struct TapeModel {
+    link: SrbLink,
     params: TapeParams,
     drives: Vec<Option<DriveState>>,
     use_counter: u64,
-    conn: Option<Connection>,
-    store: ObjectStore,
-    handles: HandleTable,
-    stats: ResourceStats,
     /// Number of physical mounts performed (observability for tests and the
     /// drive-count ablation).
     mounts: usize,
-    online: bool,
-    stream_hint: u32,
     /// Paths whose tapes are on the off-site shelf: readable only after a
     /// recall. Ordered set so iteration (and serialization, if ever) is
     /// deterministic.
     vaulted: BTreeSet<String>,
-    rng: StdRng,
 }
+
+/// A simulated remote tape resource.
+pub type TapeResource = Device<TapeModel>;
 
 impl TapeResource {
     /// Build a tape resource reached over `net` from `client` to `server`.
@@ -117,76 +105,32 @@ impl TapeResource {
         params: TapeParams,
         seed: u64,
     ) -> Self {
-        let name = name.into();
-        let rng = stream_rng(seed, &format!("tape:{name}"));
-        let drives = vec![None; params.num_drives.max(1)];
-        TapeResource {
-            name,
-            net,
-            client,
-            server,
-            proto,
+        let model = TapeModel {
+            link: SrbLink::new(net, client, server, proto),
+            drives: vec![None; params.num_drives.max(1)],
             params,
-            drives,
             use_counter: 0,
-            conn: None,
-            store: ObjectStore::new(),
-            handles: HandleTable::default(),
-            stats: ResourceStats::default(),
             mounts: 0,
-            online: true,
-            stream_hint: 1,
             vaulted: BTreeSet::new(),
-            rng,
-        }
+        };
+        Device::assemble(name.into(), model, "tape", seed)
     }
 
     /// Physical mounts performed so far.
     pub fn mount_count(&self) -> usize {
-        self.mounts
+        self.model.mounts
     }
+}
 
-    /// Direct access to the backing store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
-    fn check_online(&self) -> StorageResult<()> {
-        if self.online {
-            Ok(())
-        } else {
-            Err(StorageError::Offline {
-                resource: self.name.clone(),
-            })
-        }
-    }
-
-    fn live_conn(&self) -> StorageResult<()> {
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        if conn.is_up(&self.net.read()) {
-            Ok(())
-        } else {
-            Err(StorageError::Network(msr_net::NetError::RouteDown))
-        }
-    }
-
-    fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        self.params.jitter.apply(d, &mut self.rng)
-    }
-
+impl TapeModel {
     /// Ensure the file's tape volume is mounted on some drive; returns
     /// (drive index, cost). Cost covers unmount of an evicted tape plus the
     /// mount.
-    fn ensure_mounted(&mut self, path: &str) -> (usize, SimDuration) {
-        let volume = volume_of(path).to_owned();
+    fn ensure_mounted(&mut self, path: &str, rng: &mut StdRng) -> (usize, SimDuration) {
         self.use_counter += 1;
         let stamp = self.use_counter;
         // Already mounted?
-        if let Some(i) = self
-            .drives
-            .iter()
-            .position(|d| d.as_ref().is_some_and(|d| d.volume == volume))
-        {
+        if let Some(i) = self.drive_of(path) {
             self.drives[i].as_mut().expect("checked above").last_use = stamp;
             return (i, SimDuration::ZERO);
         }
@@ -214,14 +158,14 @@ impl TapeResource {
             .as_secs();
         let mount = self.params.mount_min
             + SimDuration::from_secs(if mount_span > 0.0 {
-                self.rng.random_range(0.0..=mount_span)
+                rng.random_range(0.0..=mount_span)
             } else {
                 0.0
             });
         cost += mount;
         self.mounts += 1;
         self.drives[slot] = Some(DriveState {
-            volume,
+            volume: volume_of(path).to_owned(),
             position: 0,
             last_use: stamp,
         });
@@ -247,16 +191,6 @@ impl TapeResource {
             .position(|d| d.as_ref().is_some_and(|d| d.volume == volume))
     }
 
-    /// Jittered wire cost of one call of `bytes` contending with
-    /// `stream_hint` concurrent calls. Jitter draws from this resource's
-    /// own stream so concurrent traffic elsewhere cannot reorder it.
-    fn wire(&mut self, bytes: u64) -> StorageResult<SimDuration> {
-        let hint = self.stream_hint.max(1);
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        let net = self.net.read();
-        Ok(conn.request_with(&net, bytes * u64::from(hint), hint, &mut self.rng)?)
-    }
-
     /// Drive-pool rounds needed for `streams` concurrent tape calls.
     fn drive_rounds(&self, streams: u32) -> u32 {
         streams
@@ -264,299 +198,117 @@ impl TapeResource {
             .div_ceil(self.params.num_drives.max(1) as u32)
     }
 
-    fn wire_nominal(&self, bytes: u64, streams: u32) -> SimDuration {
-        let net = self.net.read();
-        match &self.conn {
-            Some(conn) => conn.request_nominal(&net, bytes, streams),
-            None => match net.route(self.client, self.server) {
-                Ok(route) => net.transfer_nominal(&route, bytes, streams) + self.proto.per_request,
-                Err(_) => SimDuration::ZERO,
-            },
+    fn stream_time(&self, op: OpKind, bytes: u64) -> SimDuration {
+        match op {
+            OpKind::Read => self.params.read_curve.time_for(bytes),
+            OpKind::Write => self.params.write_curve.time_for(bytes),
         }
     }
 }
 
-impl StorageResource for TapeResource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
+impl CostModel for TapeModel {
     fn kind(&self) -> StorageKind {
         StorageKind::RemoteTape
     }
 
-    fn is_online(&self) -> bool {
-        self.online
+    fn jitter(&self) -> Jitter {
+        self.params.jitter
     }
 
-    fn set_online(&mut self, up: bool) {
-        self.online = up;
-    }
-
-    fn capacity_bytes(&self) -> u64 {
+    fn capacity(&self) -> u64 {
         u64::MAX // "we assume they can hold any size of data"
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.store.used_bytes()
+    fn link(&self) -> Option<&SrbLink> {
+        Some(&self.link)
     }
 
-    fn logical_bytes(&self) -> u64 {
-        self.store.logical_bytes()
+    fn link_mut(&mut self) -> Option<&mut SrbLink> {
+        Some(&mut self.link)
     }
 
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
-        self.store.set_logical(path, bytes);
-    }
-
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        if let Some(conn) = &self.conn {
-            if conn.is_up(&self.net.read()) {
-                return Ok(Cost::free(()));
-            }
-        }
-        let (cost, conn) =
-            Connection::establish(&self.net.read(), self.client, self.server, self.proto)?;
-        self.conn = Some(conn);
-        self.stats.connects += 1;
-        let t = self.jittered(cost);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        match self.conn.take() {
-            Some(conn) => Ok(Cost::new(conn.close_cost(), ())),
-            None => Ok(Cost::free(())),
-        }
-    }
-
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        self.check_online()?;
-        self.live_conn()?;
-        // A vaulted tape is off-site for every mode — even a truncating
-        // create would need the volume in the silo.
-        if self.vaulted.contains(path) {
-            return Err(StorageError::Vaulted(path.to_owned()));
-        }
-        let cursor = match mode {
-            OpenMode::Read => {
-                if !self.store.exists(path) {
-                    return Err(StorageError::NotFound(path.to_owned()));
-                }
-                0
-            }
-            OpenMode::Create => {
-                self.store.create(path);
-                0
-            }
-            OpenMode::OverWrite => {
-                self.store.ensure(path);
-                0
-            }
-            OpenMode::Append => {
-                self.store.ensure(path);
-                self.store.size(path).unwrap_or(0)
-            }
-        };
-        // Open includes getting the tape ready to move data: the mount.
-        let (drive, mount_cost) = self.ensure_mounted(path);
-        let rewind = self.position_cost(drive, cursor);
-        let h = self.handles.insert(OpenFile {
-            path: path.to_owned(),
-            mode,
-            cursor,
-        });
-        self.stats.opens += 1;
-        let t = self.jittered(self.params.open) + mount_cost + rewind;
-        Ok(Cost::new(t, h))
-    }
-
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let path = self.handles.get(h)?.path.clone();
-        self.handles.get_mut(h)?.cursor = pos;
-        self.stats.seeks += 1;
-        // Seeking tape physically winds the media.
-        let cost = match self.drive_of(&path) {
-            Some(drive) => self.position_cost(drive, pos),
-            None => {
-                let (drive, mount) = self.ensure_mounted(&path);
-                mount + self.position_cost(drive, pos)
-            }
-        };
-        let t = self.jittered(cost);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.readable() {
-            return Err(StorageError::BadMode { op: "read" });
-        }
-        // The tape may have been evicted by another file since open.
-        let (drive, remount) = self.ensure_mounted(&path);
-        let reposition = self.position_cost(drive, cursor);
-        let data = self.store.read_at(&path, cursor, len)?;
-        let new_pos = cursor + data.len() as u64;
-        self.handles.get_mut(h)?.cursor = new_pos;
-        self.drives[drive].as_mut().expect("mounted").position = new_pos;
-        self.stats.reads += 1;
-        self.stats.bytes_read += data.len() as u64;
-        let rounds = self.drive_rounds(self.stream_hint);
-        let stream = self.params.read_curve.time_for(data.len() as u64) * f64::from(rounds);
-        let wire = self.wire(data.len() as u64)?;
-        let t = remount + reposition + self.jittered(stream) + wire;
-        Ok(Cost::new(t, data))
-    }
-
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.check_online()?;
-        self.live_conn()?;
-        let (path, cursor, mode) = {
-            let f = self.handles.get(h)?;
-            (f.path.clone(), f.cursor, f.mode)
-        };
-        if !mode.writable() {
-            return Err(StorageError::BadMode { op: "write" });
-        }
-        let (drive, remount) = self.ensure_mounted(&path);
-        let reposition = self.position_cost(drive, cursor);
-        self.store.write_at(&path, cursor, data)?;
-        let new_pos = cursor + data.len() as u64;
-        self.handles.get_mut(h)?.cursor = new_pos;
-        self.drives[drive].as_mut().expect("mounted").position = new_pos;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        let rounds = self.drive_rounds(self.stream_hint);
-        let stream = self.params.write_curve.time_for(data.len() as u64) * f64::from(rounds);
-        let wire = self.wire(data.len() as u64)?;
-        let t = remount + reposition + self.jittered(stream) + wire;
-        Ok(Cost::new(t, data.len()))
-    }
-
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
-        let f = self.handles.remove(h)?;
-        self.stats.closes += 1;
-        let base = if f.mode.writable() {
-            self.params.close_write
-        } else {
-            self.params.close_read
-        };
-        let t = self.jittered(base);
-        Ok(Cost::new(t, ()))
-    }
-
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.live_conn()?;
-        if self.store.delete(path) {
-            // Pruning a vaulted dump destroys the shelf copy too — no
-            // recall needed to expire data.
-            self.vaulted.remove(path);
-            Ok(Cost::new(self.params.close_write, ()))
-        } else {
-            Err(StorageError::NotFound(path.to_owned()))
-        }
-    }
-
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        if !self.store.exists(path) {
-            return Err(StorageError::NotFound(path.to_owned()));
-        }
-        // Shelving is a catalog update plus a robot export done off the
-        // data path; charge the same bookkeeping cost as a delete. No
-        // jitter: the surrounding jitter stream must stay unperturbed so
-        // lifecycle-on runs do not reorder other resources' draws.
-        self.vaulted.insert(path.to_owned());
-        Ok(Cost::new(self.params.close_write, ()))
-    }
-
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.live_conn()?;
-        if !self.store.exists(path) {
-            return Err(StorageError::NotFound(path.to_owned()));
-        }
-        if self.vaulted.remove(path) {
-            Ok(Cost::new(self.params.recall, ()))
-        } else {
-            Ok(Cost::free(()))
-        }
-    }
-
-    fn is_vaulted(&self, path: &str) -> bool {
-        self.vaulted.contains(path)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
-    }
-
-    fn file_size(&self, path: &str) -> Option<u64> {
-        self.store.size(path)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.store.list(prefix)
-    }
-
-    fn stats(&self) -> ResourceStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = ResourceStats::default();
-    }
-
-    fn set_stream_hint(&mut self, streams: u32) {
-        self.stream_hint = streams.max(1);
-    }
-
-    fn stream_hint(&self) -> u32 {
-        self.stream_hint
-    }
-
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
-        let net = self.net.read();
-        let conn = match net.route(self.client, self.server) {
-            Ok(route) => net.route_latency(&route) * 2.0 + self.proto.conn_setup,
-            Err(_) => self.proto.conn_setup,
-        };
+    fn file_costs(&self, op: OpKind) -> FixedCosts {
         FixedCosts {
-            conn,
             open: self.params.open,
             seek: self.params.position_base,
             close: match op {
                 OpKind::Read => self.params.close_read,
                 OpKind::Write => self.params.close_write,
             },
-            connclose: self.proto.conn_teardown,
+            ..FixedCosts::default()
+        }
+    }
+
+    fn delete_cost(&self) -> SimDuration {
+        self.params.close_write
+    }
+
+    fn seek_cost(&mut self, path: &str, pos: u64, rng: &mut StdRng) -> SimDuration {
+        // Seeking tape physically winds the media.
+        match self.drive_of(path) {
+            Some(drive) => self.position_cost(drive, pos),
+            None => {
+                let (drive, mount) = self.ensure_mounted(path, rng);
+                mount + self.position_cost(drive, pos)
+            }
+        }
+    }
+
+    fn position(
+        &mut self,
+        path: &str,
+        target: u64,
+        rng: &mut StdRng,
+    ) -> (SimDuration, SimDuration) {
+        let (drive, mount) = self.ensure_mounted(path, rng);
+        (mount, self.position_cost(drive, target))
+    }
+
+    fn stream_cost(
+        &mut self,
+        op: OpKind,
+        path: &str,
+        end: u64,
+        bytes: u64,
+        streams: u32,
+    ) -> SimDuration {
+        // The transfer left the head at `end`.
+        if let Some(drive) = self.drive_of(path) {
+            self.drives[drive].as_mut().expect("mounted").position = end;
+        }
+        self.stream_time(op, bytes) * f64::from(self.drive_rounds(streams))
+    }
+
+    fn recall_cost(&self) -> Option<SimDuration> {
+        Some(self.params.recall)
+    }
+
+    fn is_vaulted(&self, path: &str) -> bool {
+        self.vaulted.contains(path)
+    }
+
+    fn set_vaulted(&mut self, path: &str, vaulted: bool) -> bool {
+        if vaulted {
+            self.vaulted.insert(path.to_owned())
+        } else {
+            self.vaulted.remove(path)
         }
     }
 
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
         let streams = streams.max(1);
-        let stream_t = match op {
-            OpKind::Read => self.params.read_curve.time_for(bytes),
-            OpKind::Write => self.params.write_curve.time_for(bytes),
-        };
         // More concurrent streams than drives: rounds of drive usage.
         let rounds = self.drive_rounds(streams);
-        self.wire_nominal(bytes * u64::from(streams), streams) + stream_t * f64::from(rounds)
+        self.link.wire_nominal(bytes * u64::from(streams), streams)
+            + self.stream_time(op, bytes) * f64::from(rounds)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
+    use crate::resource::{OpenMode, StorageResource};
     use msr_net::{LinkSpec, Network};
 
     fn testnet() -> (SharedNetwork, SiteId, SiteId) {

@@ -3,27 +3,24 @@
 //! the API layer build on.
 
 use msr_net::{LinkSpec, Network};
-use msr_sim::SimDuration;
+use msr_obs::Registry;
+use msr_sim::{Clock, SimDuration};
 use msr_storage::{
-    share, CompositeResource, DiskParams, LocalDisk, OpenMode, RateCurve, RemoteDisk,
-    SharedResource, StorageError, StorageResource, TapeResource,
+    share, CompositeResource, DiskParams, FaultPlan, Front, LocalDisk, OpKind, OpenMode, RateCurve,
+    RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
 };
 
-fn local() -> SharedResource {
-    share(LocalDisk::new(
-        "c-local",
-        DiskParams::simple(20.0, 1 << 30),
-        1,
-    ))
+fn local() -> LocalDisk {
+    LocalDisk::new("c-local", DiskParams::simple(20.0, 1 << 30), 1)
 }
 
-fn remote() -> SharedResource {
+fn remote() -> RemoteDisk {
     let mut n = Network::new(1);
     let a = n.add_site("A");
     let b = n.add_site("B");
     n.add_link(a, b, LinkSpec::ideal(SimDuration::from_millis(10.0), 1.0));
     let net = msr_net::share(n);
-    share(RemoteDisk::new(
+    RemoteDisk::new(
         "c-remote",
         net,
         a,
@@ -39,16 +36,16 @@ fn remote() -> SharedResource {
         RateCurve::constant_bandwidth(5.0),
         1 << 30,
         1,
-    ))
+    )
 }
 
-fn tape() -> SharedResource {
+fn tape() -> TapeResource {
     let mut n = Network::new(2);
     let a = n.add_site("A");
     let b = n.add_site("B");
     n.add_link(a, b, LinkSpec::ideal(SimDuration::from_millis(10.0), 1.0));
     let net = msr_net::share(n);
-    share(TapeResource::new(
+    TapeResource::new(
         "c-tape",
         net,
         a,
@@ -56,11 +53,11 @@ fn tape() -> SharedResource {
         msr_storage::hpss_protocol(),
         msr_storage::hpss_params(),
         2,
-    ))
+    )
 }
 
-fn composite() -> SharedResource {
-    share(CompositeResource::new(
+fn composite() -> CompositeResource {
+    CompositeResource::new(
         "c-composite",
         vec![
             share(LocalDisk::new(
@@ -74,11 +71,33 @@ fn composite() -> SharedResource {
                 4,
             )),
         ],
-    ))
+    )
+}
+
+/// `device` behind a [`Front`] with all three stages switched on — live
+/// recorder, a fault plan that injects nothing, an hour of keep-alive — so
+/// every stage's bookkeeping runs under the battery without changing what
+/// the contract promises.
+fn fronted(device: impl StorageResource + 'static) -> SharedResource {
+    let clock = Clock::new();
+    let recorder = Registry::new().recorder();
+    let mut front = Front::new(device).observed(recorder.clone(), clock.clone());
+    front.inject_faults(FaultPlan::none(), clock.clone(), 7);
+    front.enable_keepalive(SimDuration::from_secs(3600.0), clock, recorder);
+    share(front)
 }
 
 fn all_resources() -> Vec<SharedResource> {
-    vec![local(), remote(), tape(), composite()]
+    vec![
+        share(local()),
+        share(remote()),
+        share(tape()),
+        share(composite()),
+        fronted(local()),
+        fronted(remote()),
+        fronted(tape()),
+        fronted(composite()),
+    ]
 }
 
 fn with_each(f: impl Fn(&mut dyn StorageResource)) {
@@ -314,4 +333,66 @@ fn stream_hint_never_speeds_up_io() {
             r.name()
         );
     });
+}
+
+/// A front forwards every info method untouched, whatever it wraps — here
+/// a composite with one child offline, whose `available_bytes` is *not*
+/// `capacity - used`.
+#[test]
+fn front_is_transparent_for_every_info_method() {
+    fn half_offline() -> CompositeResource {
+        let small = share(LocalDisk::new(
+            "child-a",
+            DiskParams::simple(20.0, 1 << 20),
+            3,
+        ));
+        let big = share(LocalDisk::new(
+            "child-b",
+            DiskParams::simple(20.0, 1 << 30),
+            4,
+        ));
+        let mut c = CompositeResource::new("c-composite", vec![small.clone(), big]);
+        c.connect().unwrap();
+        for (path, len) in [("t/a", 600_000), ("t/b", 700_000), ("u/c", 10)] {
+            let h = c.open(path, OpenMode::Create).unwrap().value;
+            c.write(h, &vec![3u8; len]).unwrap();
+            c.close(h).unwrap();
+        }
+        c.set_logical_size("t/a", 42);
+        c.set_stream_hint(3);
+        small.lock().set_online(false);
+        c
+    }
+    fn info(r: &dyn StorageResource) -> String {
+        let mut out = format!(
+            "{} {:?} online={} cap={} used={} logical={} avail={} hint={} {:?} {:?} {:?}",
+            r.name(),
+            r.kind(),
+            r.is_online(),
+            r.capacity_bytes(),
+            r.used_bytes(),
+            r.logical_bytes(),
+            r.available_bytes(),
+            r.stream_hint(),
+            r.stats(),
+            r.list(""),
+            r.list("t/"),
+        );
+        for p in ["t/a", "t/b", "u/c", "ghost"] {
+            out += &format!(" {}:{:?}:{}", r.exists(p), r.file_size(p), r.is_vaulted(p));
+        }
+        for op in [OpKind::Read, OpKind::Write] {
+            let (fixed, model) = (r.fixed_costs(op), r.transfer_model(op, 1 << 20, 4));
+            out += &format!(" {fixed:?} {model:?}");
+        }
+        out
+    }
+    let bare = half_offline();
+    assert_ne!(
+        bare.available_bytes(),
+        bare.capacity_bytes() - bare.used_bytes(),
+        "the case must tell a forwarded `available_bytes` from the default"
+    );
+    let front = fronted(half_offline());
+    assert_eq!(info(&*front.lock()), info(&bare));
 }
