@@ -454,6 +454,10 @@ fn run_dedup(scale: Scale, seed: u64) -> DedupPoint {
         "learned moved/logical ratio: {:.3}   wall clock: raw {:.3}s chunked {:.3}s",
         p.learned_ratio, p.raw_wall_s, p.chunked_wall_s
     );
+    println!(
+        "virtual makespan: raw {:.1}s chunked {:.1}s",
+        p.raw_makespan_s, p.chunked_makespan_s
+    );
     p
 }
 

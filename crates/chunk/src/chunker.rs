@@ -74,6 +74,11 @@ impl ChunkPolicy {
     }
 }
 
+/// The largest chunk any policy can cut: CDC's maximum (four times the
+/// average) at the clamped 4 MiB average. Decoders refuse any length
+/// above it before they allocate.
+pub const MAX_CHUNK_BYTES: usize = 4 * 4096 * 1024;
+
 impl fmt::Display for ChunkPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

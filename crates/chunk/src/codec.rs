@@ -7,6 +7,7 @@
 //! are stored raw, so compression never inflates and `Codec::None` is a
 //! pure pass-through frame.
 
+use crate::chunker::MAX_CHUNK_BYTES;
 use crate::error::ChunkError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -59,7 +60,7 @@ impl fmt::Display for Codec {
 
 // Frame layout: [tag: u8][ulen: u32 le][payload].
 // tag 0 = raw payload, tag 1 = lz-compressed payload.
-const FRAME_HEADER: usize = 5;
+pub(crate) const FRAME_HEADER: usize = 5;
 const TAG_RAW: u8 = 0;
 const TAG_LZ: u8 = 1;
 
@@ -184,13 +185,21 @@ impl Compressor {
 }
 
 /// The uncompressed length a frame declares, without decompressing it.
+/// The header is untrusted: a length above the largest chunk any policy
+/// cuts is refused here, before any decoder sizes a buffer from it.
 pub fn decompressed_len(frame: &[u8]) -> Result<usize, ChunkError> {
-    if frame.len() < FRAME_HEADER {
+    let Some(&[_, a, b, c, d]) = frame.first_chunk::<FRAME_HEADER>() else {
         return Err(ChunkError::BadFrame {
             detail: format!("frame of {} B is shorter than the header", frame.len()),
         });
+    };
+    let ulen = u32::from_le_bytes([a, b, c, d]) as usize;
+    if ulen > MAX_CHUNK_BYTES {
+        return Err(ChunkError::BadFrame {
+            detail: format!("frame declares {ulen} B, above the {MAX_CHUNK_BYTES} B chunk clamp"),
+        });
     }
-    Ok(u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize)
+    Ok(ulen)
 }
 
 /// Decompress a frame produced by [`compress`].

@@ -8,8 +8,8 @@ use std::fmt;
 /// cryptographic, but with full avalanche over both lanes it is collision
 /// safe at the scales this system stores, and it is a pure function of the
 /// input bytes so digests are identical at any thread count and across
-/// runs. Digests key the [`crate::ChunkStore`] and name the `cas/<hex>`
-/// chunk objects on storage.
+/// runs. Digests key the [`crate::ChunkStore`]; the digest of a dump's
+/// encoded manifest names its `cas/pack-<hex>` object on storage.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; 16]);
 
@@ -62,8 +62,8 @@ impl Digest {
         Digest(out)
     }
 
-    /// Lowercase hex form (32 chars) — also the chunk's object name under
-    /// `cas/`.
+    /// Lowercase hex form (32 chars) — what a pack's object name under
+    /// `cas/` ends in.
     pub fn hex(&self) -> String {
         let mut s = String::with_capacity(32);
         for b in self.0 {

@@ -4,8 +4,9 @@ use crate::digest::Digest;
 use std::fmt;
 
 /// Failures in the chunked data plane's pure layer: corrupt frames,
-/// corrupt manifests, and — the one that matters most — a chunk whose
-/// content no longer matches its digest. The I/O engine wraps these with
+/// corrupt manifests, pack objects that do not hold what the index says,
+/// and — the one that matters most — a chunk whose content no longer
+/// matches its digest. The I/O engine wraps these with
 /// the storage path; `msr-core` surfaces them as `CoreError::ChunkCorrupt`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkError {
@@ -31,6 +32,12 @@ pub enum ChunkError {
         /// What was wrong.
         detail: String,
     },
+    /// A pack object is not the length the index recorded, or a frame
+    /// range falls outside it.
+    BadPack {
+        /// What was wrong.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ChunkError {
@@ -48,6 +55,7 @@ impl fmt::Display for ChunkError {
             ),
             ChunkError::BadManifest { detail } => write!(f, "corrupt manifest: {detail}"),
             ChunkError::BadFrame { detail } => write!(f, "corrupt chunk frame: {detail}"),
+            ChunkError::BadPack { detail } => write!(f, "corrupt chunk pack: {detail}"),
         }
     }
 }

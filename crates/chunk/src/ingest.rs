@@ -17,8 +17,9 @@ use std::fmt;
 /// * `codec` compresses each chunk ([`Codec::Lz4Like`]);
 /// * `content_addressed` keys chunks by digest in the per-resource
 ///   [`crate::ChunkStore`], so a dump ships and stores only the chunks the
-///   resource does not already hold. When `false`, chunks are packed into
-///   one self-contained object per dump — compression without dedup.
+///   resource does not already hold. When `false` (inline mode), the
+///   frames follow the manifest in one self-contained object per dump —
+///   compression without dedup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IngestSpec {
     /// How dumps are split into chunks; `Disabled` bypasses the chunk
@@ -26,8 +27,8 @@ pub struct IngestSpec {
     pub policy: ChunkPolicy,
     /// Per-chunk compression.
     pub codec: Codec,
-    /// Dedup chunks against the per-resource store (`cas/` objects) or
-    /// pack them inline per dump.
+    /// Dedup chunks against the per-resource store (`cas/` packs) or
+    /// keep them inline in each dump's own object.
     pub content_addressed: bool,
 }
 
@@ -102,6 +103,10 @@ pub struct DeltaSummary {
     pub chunks_total: usize,
     /// Chunks that had to ship (store misses).
     pub chunks_shipped: usize,
+    /// Objects the dump wrote, each paying its own open and close: the
+    /// manifest, plus the pack when anything was new (an inline dump is
+    /// one object).
+    pub objects_written: usize,
 }
 
 impl DeltaSummary {
@@ -147,7 +152,7 @@ mod tests {
         let spec = IngestSpec::raw().with_codec(Codec::Lz4Like(2));
         assert!(spec.is_active());
         assert_eq!(spec.policy, ChunkPolicy::default_active());
-        assert!(!spec.content_addressed, "compression-only pack mode");
+        assert!(!spec.content_addressed, "compression-only inline mode");
     }
 
     #[test]
@@ -164,6 +169,7 @@ mod tests {
             moved_bytes: 250,
             chunks_total: 16,
             chunks_shipped: 4,
+            objects_written: 2,
         };
         assert!((d.ratio() - 0.25).abs() < 1e-12);
         assert_eq!(d.bytes_saved(), 750);
@@ -173,6 +179,7 @@ mod tests {
             moved_bytes: 0,
             chunks_total: 0,
             chunks_shipped: 0,
+            objects_written: 1,
         };
         assert_eq!(empty.ratio(), 1.0);
     }

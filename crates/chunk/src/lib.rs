@@ -13,13 +13,16 @@
 //! * [`Codec`] — optional per-chunk compression ([`Codec::Lz4Like`], an
 //!   LZ77 byte-oriented compressor with an exact, dependency-free
 //!   decompressor).
-//! * [`ChunkStore`] — a per-resource digest-keyed refcount table: how many
+//! * [`ChunkStore`] — a per-resource digest-keyed index: how many
 //!   manifests reference each stored chunk, how many of those references
-//!   are vaulted, and the physical (compressed) footprint.
+//!   are vaulted, which pack holds its frame and where, and per pack the
+//!   live-frame and resident-reference counts that decide when the pack
+//!   object is deleted, vaulted or recalled.
 //! * [`Manifest`] — the ordered chunk list written as the dump object; a
-//!   chunked dump on storage is one manifest plus `cas/<digest>` chunk
-//!   objects (content-addressed mode) or one self-contained pack object
-//!   (compression-only mode).
+//!   chunked dump on storage is one manifest plus at most one
+//!   `cas/pack-<id>` object holding the frames it added to the store
+//!   (content-addressed mode), or one self-contained object with the
+//!   frames inline (compression-only inline mode).
 //!
 //! Everything here is pure data manipulation: no virtual-time charges, no
 //! storage access. The I/O engine (`msr-runtime`) owns the transfer path
@@ -41,12 +44,12 @@ mod ingest;
 mod manifest;
 mod store;
 
-pub use chunker::{split, split_segmented, split_serial, ChunkPolicy};
+pub use chunker::{split, split_segmented, split_serial, ChunkPolicy, MAX_CHUNK_BYTES};
 pub use codec::{
     compress, decompress, decompress_into, decompressed_len, raw_span, Codec, Compressor,
 };
 pub use digest::Digest;
 pub use error::ChunkError;
 pub use ingest::{DeltaSummary, IngestSpec};
-pub use manifest::{cas_path, ChunkRef, Manifest};
-pub use store::{ChunkStore, StoreStats};
+pub use manifest::{pack_path, ChunkRef, Manifest};
+pub use store::{ChunkStore, FrameLoc, PackRead, PackRun, StoreStats};

@@ -3,12 +3,18 @@
 //! A chunked dump's object at the dataset path is a *manifest*: the
 //! ordered list of chunk digests with their uncompressed/compressed sizes,
 //! plus the policy and codec that produced them. In content-addressed mode
-//! the chunk frames live in separate `cas/<digest>` objects shared across
-//! dumps; in pack mode (compression without content addressing) the frames
+//! the frames live in plane-owned *pack* objects, one per dump that had
+//! anything new to ship: `cas/pack-<id>` holds that dump's new frames
+//! concatenated in first-occurrence order, and each manifest entry flags
+//! whether its frame is in this dump's own pack. The pack id is the digest
+//! of the encoded manifest, so a manifest names its pack without storing
+//! the name, a retried dump recreates the same object, and the whole
+//! `digest → (pack, offset)` index can be rebuilt from manifests alone.
+//! In inline mode (compression without content addressing) the frames
 //! follow the manifest header inside the same object.
 
-use crate::chunker::ChunkPolicy;
-use crate::codec::Codec;
+use crate::chunker::{ChunkPolicy, MAX_CHUNK_BYTES};
+use crate::codec::{Codec, FRAME_HEADER};
 use crate::digest::Digest;
 use crate::error::ChunkError;
 
@@ -21,6 +27,9 @@ pub struct ChunkRef {
     pub ulen: u32,
     /// Stored (frame) length.
     pub clen: u32,
+    /// The frame ships in *this* dump's pack: the first occurrence of a
+    /// chunk the store did not hold. Never set in inline mode.
+    pub packed: bool,
 }
 
 /// A parsed manifest.
@@ -36,15 +45,19 @@ pub struct Manifest {
     /// Chunks in dump order.
     pub chunks: Vec<ChunkRef>,
     /// `true` when the chunk frames follow the header in the same object
-    /// (pack mode) instead of living in `cas/` objects.
+    /// (inline mode) instead of living in `cas/` packs.
     pub inline: bool,
 }
 
 const MAGIC: &[u8; 4] = b"MSRC";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const FLAG_INLINE: u8 = 1;
 const HEADER: usize = 4 + 1 + 1 + 2 + 4 + 4 + 8; // magic ver flags codec policy count logical
 const ENTRY: usize = 16 + 4 + 4;
+/// Top bit of an entry's `clen` word: the frame is in this dump's pack.
+/// A frame is at most `MAX_CHUNK_BYTES + FRAME_HEADER` long, so the bit is
+/// spare and version 2 is no larger than version 1.
+const PACKED_BIT: u32 = 1 << 31;
 
 fn policy_tag(p: &ChunkPolicy) -> (u8, u32) {
     match *p {
@@ -71,6 +84,17 @@ impl Manifest {
         self.chunks.iter().map(|c| c.clen as u64).sum()
     }
 
+    /// Stored bytes of the frames flagged into this dump's pack — the
+    /// pack object's length (0: the dump was fully deduplicated and has
+    /// no pack).
+    pub fn packed_bytes(&self) -> u64 {
+        self.chunks
+            .iter()
+            .filter(|c| c.packed)
+            .map(|c| c.clen as u64)
+            .sum()
+    }
+
     /// Size of the header + chunk table (the manifest object itself in
     /// content-addressed mode).
     pub fn header_bytes(&self) -> u64 {
@@ -92,54 +116,83 @@ impl Manifest {
         out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.logical.to_le_bytes());
         for c in &self.chunks {
+            debug_assert!(c.clen & PACKED_BIT == 0, "frame length uses the flag bit");
+            let clen = if c.packed {
+                c.clen | PACKED_BIT
+            } else {
+                c.clen
+            };
             out.extend_from_slice(c.digest.as_bytes());
             out.extend_from_slice(&c.ulen.to_le_bytes());
-            out.extend_from_slice(&c.clen.to_le_bytes());
+            out.extend_from_slice(&clen.to_le_bytes());
         }
         out
     }
 
     /// Decode a manifest header + chunk table from the front of `data`.
     /// Returns the manifest and the offset where inline frames begin
-    /// (== `data.len()` for content-addressed manifests).
+    /// (== `data.len()` for content-addressed manifests). The bytes are
+    /// untrusted: every count and length is bounded before anything is
+    /// sized or sliced from it.
     pub fn decode(data: &[u8]) -> Result<(Manifest, usize), ChunkError> {
         let bad = |detail: String| ChunkError::BadManifest { detail };
-        if data.len() < HEADER {
+        let Some(head) = data.first_chunk::<HEADER>() else {
             return Err(bad(format!("{} B is shorter than the header", data.len())));
-        }
-        if &data[..4] != MAGIC {
+        };
+        if &head[..4] != MAGIC {
             return Err(bad("bad magic — not a chunk manifest".to_owned()));
         }
-        if data[4] != VERSION {
-            return Err(bad(format!("unsupported manifest version {}", data[4])));
+        if head[4] != VERSION {
+            return Err(bad(format!("unsupported manifest version {}", head[4])));
         }
-        let inline = data[5] & FLAG_INLINE != 0;
-        let codec = Codec::from_tag(data[6], data[7])?;
-        let mut pparam = [0u8; 4];
-        pparam[..3].copy_from_slice(&data[9..12]);
-        let policy = policy_from_tag(data[8], u32::from_le_bytes(pparam))?;
-        let count = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
-        let logical = u64::from_le_bytes(data[16..24].try_into().unwrap());
-        let table_end = HEADER + count * ENTRY;
-        if data.len() < table_end {
+        if head[5] & !FLAG_INLINE != 0 {
+            return Err(bad(format!("unknown header flags {:#04x}", head[5])));
+        }
+        let inline = head[5] & FLAG_INLINE != 0;
+        let codec = Codec::from_tag(head[6], head[7])?;
+        let policy = policy_from_tag(
+            head[8],
+            u32::from_le_bytes([head[9], head[10], head[11], 0]),
+        )?;
+        let count = le_u32(&head[12..16]) as usize;
+        let logical = u64::from_le_bytes(head[16..24].try_into().expect("8-byte slice"));
+        // The table must fit in what was read before `count` sizes anything.
+        let table = data[HEADER..].chunks_exact(ENTRY);
+        if table.len() < count {
             return Err(bad(format!(
-                "chunk table truncated: {count} entries need {table_end} B, have {}",
-                data.len()
+                "chunk table truncated: {count} entries declared, {} present",
+                table.len()
             )));
         }
         let mut chunks = Vec::with_capacity(count);
-        let mut at = HEADER;
-        for _ in 0..count {
-            let mut digest = [0u8; 16];
-            digest.copy_from_slice(&data[at..at + 16]);
-            chunks.push(ChunkRef {
-                digest: Digest(digest),
-                ulen: u32::from_le_bytes(data[at + 16..at + 20].try_into().unwrap()),
-                clen: u32::from_le_bytes(data[at + 20..at + 24].try_into().unwrap()),
-            });
-            at += ENTRY;
+        let mut total = 0u64;
+        for (i, e) in table.take(count).enumerate() {
+            let word = le_u32(&e[20..24]);
+            let c = ChunkRef {
+                digest: Digest(e[..16].try_into().expect("16-byte slice")),
+                ulen: le_u32(&e[16..20]),
+                clen: word & !PACKED_BIT,
+                packed: word & PACKED_BIT != 0,
+            };
+            let (ulen, clen) = (c.ulen as usize, c.clen as usize);
+            if ulen == 0 || ulen > MAX_CHUNK_BYTES {
+                return Err(bad(format!(
+                    "chunk {i} declares {ulen} B, outside 1..={MAX_CHUNK_BYTES}"
+                )));
+            }
+            if !(FRAME_HEADER..=ulen + FRAME_HEADER).contains(&clen) {
+                return Err(bad(format!(
+                    "chunk {i} declares a {clen} B frame for {ulen} B of data"
+                )));
+            }
+            if c.packed && inline {
+                return Err(bad(format!(
+                    "chunk {i} is flagged packed in an inline dump"
+                )));
+            }
+            total += u64::from(c.ulen);
+            chunks.push(c);
         }
-        let total: u64 = chunks.iter().map(|c| c.ulen as u64).sum();
         if total != logical {
             return Err(bad(format!(
                 "chunk lengths sum to {total} B but header declares {logical}"
@@ -153,14 +206,18 @@ impl Manifest {
                 chunks,
                 inline,
             },
-            table_end,
+            HEADER + count * ENTRY,
         ))
     }
 }
 
-/// The object name a chunk digest stores under (content-addressed mode).
-pub fn cas_path(digest: &Digest) -> String {
-    format!("cas/{}", digest.hex())
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4-byte slice"))
+}
+
+/// The object name of the pack a manifest with digest `id` owns.
+pub fn pack_path(id: &Digest) -> String {
+    format!("cas/pack-{}", id.hex())
 }
 
 #[cfg(test)]
@@ -177,11 +234,13 @@ mod tests {
                     digest: Digest::of(b"a"),
                     ulen: 100,
                     clen: 40,
+                    packed: false,
                 },
                 ChunkRef {
                     digest: Digest::of(b"b"),
                     ulen: 200,
                     clen: 205,
+                    packed: !inline,
                 },
             ],
             inline,
@@ -198,7 +257,19 @@ mod tests {
             assert_eq!(back, m);
             assert_eq!(off, enc.len());
             assert_eq!(back.stored_bytes(), 245);
+            assert_eq!(back.packed_bytes(), if inline { 0 } else { 205 });
         }
+    }
+
+    #[test]
+    fn the_packed_flag_rides_in_a_spare_bit() {
+        // Version 2 costs no bytes over version 1, and flipping the flag
+        // changes the bytes — hence the pack id.
+        let m = sample(false);
+        let mut unflagged = m.clone();
+        unflagged.chunks[1].packed = false;
+        assert_eq!(m.encode().len(), HEADER + 2 * ENTRY);
+        assert_ne!(m.encode(), unflagged.encode());
     }
 
     #[test]
@@ -231,6 +302,14 @@ mod tests {
         assert!(Manifest::decode(&lie).is_err());
         // Not even a header.
         assert!(Manifest::decode(b"short").is_err());
+        // The version-1 layout is gone, not tolerated.
+        let mut v1 = enc.clone();
+        v1[4] = 1;
+        assert!(Manifest::decode(&v1).is_err());
+        // A packed flag has no meaning in an inline dump.
+        let mut inline = enc.clone();
+        inline[5] = FLAG_INLINE;
+        assert!(Manifest::decode(&inline).is_err());
     }
 
     #[test]
@@ -247,8 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn cas_path_shape() {
+    fn pack_path_shape() {
         let d = Digest::of(b"x");
-        assert_eq!(cas_path(&d), format!("cas/{}", d.hex()));
+        assert_eq!(pack_path(&d), format!("cas/pack-{}", d.hex()));
     }
 }

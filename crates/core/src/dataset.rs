@@ -219,8 +219,9 @@ impl DatasetSpecBuilder {
 
     /// Toggle content addressing on a chunked ingest: `true` (the
     /// [`chunked`](Self::chunked) default) dedups frames via the shared
-    /// per-resource store; `false` packs frames inline after the manifest
-    /// header — compression without dedup.
+    /// per-resource store; `false` (inline mode) keeps the frames after
+    /// the manifest header in the dump's own object — compression without
+    /// dedup.
     pub fn content_addressed(mut self, on: bool) -> Self {
         self.spec.ingest = self.spec.ingest.with_content_addressed(on);
         self
@@ -299,13 +300,13 @@ mod tests {
         assert!(d.ingest.content_addressed);
         assert_eq!(d.ingest.policy, ChunkPolicy::cdc(32));
         assert_eq!(d.ingest.codec, Codec::Lz4Like(2));
-        // Pack mode: compression without dedup.
-        let packed = DatasetSpec::builder("ckpt")
+        // Inline mode: compression without dedup.
+        let inline = DatasetSpec::builder("ckpt")
             .chunked(ChunkPolicy::cdc(32))
             .content_addressed(false)
             .build();
-        assert!(packed.ingest.is_active());
-        assert!(!packed.ingest.content_addressed);
+        assert!(inline.ingest.is_active());
+        assert!(!inline.ingest.content_addressed);
         // Codec set before chunking survives the policy switch.
         let swapped = DatasetSpec::builder("ckpt")
             .compression(Codec::Lz4Like(1))

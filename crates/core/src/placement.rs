@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::hints::LocationHint;
 use crate::system::MsrSystem;
 use crate::CoreResult;
-use msr_predict::{dump_time, AccessSummary};
+use msr_predict::dump_time;
 use msr_runtime::Distribution;
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
@@ -93,7 +93,7 @@ fn by_score(
     // Price the bytes the chunk plane will actually move: the learned
     // per-dataset dedup/compression ratio scales the access (a bitwise
     // no-op at the default ratio of 1.0).
-    let access = AccessSummary::of(dist).scaled(sys.predicted_ratio(&spec.name));
+    let access = sys.predicted_access(&spec.name, dist);
     let mut best: Option<(StorageKind, SimDuration)> = None;
     // Walking the preference order makes it the tie-break: a later kind
     // must be strictly faster to displace an earlier one.
@@ -150,7 +150,7 @@ fn by_performance(
             resource: "<performance database not populated — run PTool>".into(),
             op: OpKind::Write,
         })?;
-    let access = AccessSummary::of(dist).scaled(sys.predicted_ratio(&spec.name));
+    let access = sys.predicted_access(&spec.name, dist);
     let mut meeting: Vec<(StorageKind, u64)> = Vec::new();
     let mut fastest: Option<(StorageKind, SimDuration)> = None;
     for kind in [
@@ -196,7 +196,7 @@ mod tests {
     use super::*;
     use crate::hints::FutureUse;
     use msr_meta::ElementType;
-    use msr_predict::PTool;
+    use msr_predict::{AccessSummary, PTool};
     use msr_runtime::ProcGrid;
 
     fn auto_spec(future_use: FutureUse) -> DatasetSpec {

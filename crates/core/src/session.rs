@@ -18,7 +18,7 @@ use crate::CoreResult;
 use bytes::Bytes;
 use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId};
 use msr_obs::{ops, Layer, Recorder};
-use msr_predict::{AccessSummary, DatasetPlan, PredictionReport, RunSpec};
+use msr_predict::{DatasetPlan, PredictionReport, RunSpec};
 use msr_runtime::{
     staging_cache, Distribution, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid, RetryPolicy,
     StagingCache,
@@ -564,9 +564,9 @@ impl<'a> Session<'a> {
                 frequency: d.spec.frequency,
                 strategy: d.spec.strategy,
                 // Chunked datasets are priced at their learned
-                // post-dedup/post-compression size; raw datasets scale by
-                // 1.0 (a bitwise no-op).
-                access: AccessSummary::of(&d.dist).scaled(self.sys.predicted_ratio(&d.spec.name)),
+                // post-dedup/post-compression size and object count; raw
+                // datasets at their plain shape, bit for bit.
+                access: self.sys.predicted_access(&d.spec.name, &d.dist),
             })
             .collect();
         let report = predictor.predict(&RunSpec {

@@ -10,8 +10,8 @@ use crate::CoreResult;
 use msr_meta::{Catalog, ResourceRec, RunId};
 use msr_net::{LinkId, SharedNetwork};
 use msr_obs::{Recorder, Registry};
-use msr_predict::{PTool, PerfDb, Predictor, RatioBook};
-use msr_runtime::{IoEngine, IoStrategy, ProcGrid, RetryPolicy};
+use msr_predict::{AccessSummary, PTool, PerfDb, Predictor, RatioBook};
+use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration, Trace};
 use msr_storage::{
     testbed, FaultLog, FaultPlan, Front, KeepAliveHandle, SharedResource, StorageKind,
@@ -331,7 +331,12 @@ impl MsrSystem {
         let deltas = self.engine.chunk_plane().take_deltas();
         let mut book = self.ratios.lock();
         for d in &deltas {
-            book.observe(&d.dataset, d.logical_bytes, d.moved_bytes);
+            book.observe(
+                &d.dataset,
+                d.logical_bytes,
+                d.moved_bytes,
+                d.objects_written,
+            );
         }
         deltas.len()
     }
@@ -340,6 +345,14 @@ impl MsrSystem {
     /// chunk plane has reported a dump for it).
     pub fn predicted_ratio(&self, dataset: &str) -> f64 {
         self.ratios.lock().ratio(dataset)
+    }
+
+    /// The access eq. (2) should price for one dump of `dataset` laid out
+    /// as `dist`: bytes at the learned ratio, stored as the learned number
+    /// of objects. Exactly `AccessSummary::of(dist)` for a dataset the
+    /// chunk plane never reported, so raw predictions do not move.
+    pub fn predicted_access(&self, dataset: &str, dist: &Distribution) -> AccessSummary {
+        self.ratios.lock().priced(dataset, AccessSummary::of(dist))
     }
 }
 

@@ -32,7 +32,7 @@ use crate::policy::RetentionPolicy;
 use msr_core::MsrSystem;
 use msr_meta::{AccessMode, DatasetRec, DumpState, Location, RunId};
 use msr_obs::{ops, Layer};
-use msr_predict::{fetch_estimate, profile_for, AccessSummary};
+use msr_predict::{fetch_estimate, profile_for};
 use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
@@ -586,7 +586,7 @@ impl LifecycleEngine {
         let profile = profile_for(sys.predictor().map(|p| &p.db), &res, OpKind::Write);
         // Chunked datasets price their learned post-dedup/post-compression
         // bytes; raw datasets scale by 1.0 (a no-op).
-        let access = AccessSummary::of(&dist).scaled(sys.predicted_ratio(&d.name));
+        let access = sys.predicted_access(&d.name, &dist);
         fetch_estimate(&profile, strategy, &access).as_secs()
     }
 }

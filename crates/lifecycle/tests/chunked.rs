@@ -1,7 +1,8 @@
 //! Lifecycle over content-addressed data: retention pruning must
-//! garbage-collect unreferenced chunks, and vaulting/recall must move a
-//! chunked dump's frames with it — never stranding a chunk another dump
-//! still references, never serving a vaulted one.
+//! garbage-collect unreferenced chunks — deleting a pack once its last
+//! live frame is gone — and vaulting/recall must move a chunked dump's
+//! packs with it — never stranding a pack another dump still references,
+//! never serving a vaulted one.
 
 use msr_core::{ChunkPolicy, Codec, DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_lifecycle::{LifecycleConfig, LifecycleEngine, RetentionPolicy};
@@ -131,6 +132,16 @@ fn retention_pruning_garbage_collects_unreferenced_chunks() {
         before.stored_bytes,
         after.stored_bytes
     );
+    // Reclamation is by whole pack: the index and the resource agree on
+    // which packs are left, and nothing else lives under `cas/`.
+    let on_disk = sys
+        .resource(StorageKind::LocalDisk)
+        .unwrap()
+        .lock()
+        .list("cas/");
+    assert!(on_disk.iter().all(|p| p.starts_with("cas/pack-")));
+    assert_eq!(after.packs, on_disk.len());
+    assert!(after.packs <= before.packs);
 
     // The survivors still read back exactly.
     let grid = ProcGrid::new(1, 1, 1);
@@ -166,6 +177,14 @@ fn vault_and_recall_roundtrip_chunked_dumps() {
     sys.clock.advance(SimDuration::from_secs(400.0));
     let t = engine.tick(&sys);
     assert_eq!(t.vaulted, 3, "dumps at 0, 3, 6 shelved");
+    // With no resident dump left, every pack went to the shelf too.
+    let tape = sys.resource(StorageKind::RemoteTape).unwrap();
+    let packs = tape.lock().list("cas/");
+    assert!(
+        !packs.is_empty() && packs.len() <= 3,
+        "at most one per dump"
+    );
+    assert!(packs.iter().all(|p| tape.lock().is_vaulted(p)));
     assert!(
         sys.read_dataset(run, "chk", 6, grid, IoStrategy::Collective)
             .is_err(),
@@ -174,6 +193,7 @@ fn vault_and_recall_roundtrip_chunked_dumps() {
 
     let recalled = engine.recall_dataset(&sys, run, "chk").unwrap();
     assert_eq!(recalled, 3);
+    assert!(!packs.iter().any(|p| tape.lock().is_vaulted(p)));
     for iter in [0u32, 3, 6] {
         let (data, _) = sys
             .read_dataset(run, "chk", iter, grid, IoStrategy::Collective)

@@ -14,7 +14,6 @@
 //! the paper.
 
 pub mod connection;
-pub mod delta;
 pub mod error;
 pub mod failure;
 pub mod lease;
@@ -23,7 +22,6 @@ pub mod network;
 pub mod site;
 
 pub use connection::{Connection, ProtocolCosts};
-pub use delta::DeltaPlan;
 pub use error::NetError;
 pub use failure::OutageSchedule;
 pub use lease::{LeasePool, LeaseStats};

@@ -151,8 +151,8 @@ pub mod ops {
     /// Logical bytes dedup + compression avoided moving for one chunked
     /// dump (runtime layer counter; the value is bytes).
     pub const CHUNK_SAVED_BYTES: &str = "chunk_saved_bytes";
-    /// Chunk objects garbage-collected after their last reference was
-    /// released (runtime layer counter).
+    /// Pack objects deleted after their last live frame's last reference
+    /// was released (runtime layer counter).
     pub const CHUNK_GC: &str = "chunk_gc";
 }
 

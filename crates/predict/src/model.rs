@@ -33,6 +33,10 @@ pub struct AccessSummary {
     pub extent_bytes: u64,
     /// Bytes a single process owns (subfile's unit).
     pub proc_bytes: u64,
+    /// Objects one dump is stored as, each opened and closed once: 1 for
+    /// a raw dump, the learned manifest + pack count for a chunked one
+    /// (see [`crate::RatioBook`]).
+    pub objects: f64,
 }
 
 impl AccessSummary {
@@ -48,6 +52,7 @@ impl AccessSummary {
             run_bytes: chunks.first().map(|c| c.len).unwrap_or(0),
             extent_bytes: extent,
             proc_bytes: dist.bytes_for(0),
+            objects: 1.0,
         }
     }
 
@@ -110,7 +115,14 @@ pub fn dump_time_with(
             f.open + contended + f.close
         }
     };
-    session + per_proc
+    let dump = session + per_proc;
+    // Every object beyond the first pays its own open and close. Raw
+    // dumps are one object and skip the term, bit for bit.
+    if access.objects > 1.0 {
+        dump + (f.open + f.close) * (access.objects - 1.0)
+    } else {
+        dump
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +185,35 @@ mod tests {
         .unwrap()
         .as_secs();
         assert!((8.0..9.0).contains(&t), "got {t}");
+    }
+
+    #[test]
+    fn each_extra_object_costs_exactly_one_open_and_close() {
+        let d = db();
+        let p = d.get("sdsc-disk", OpKind::Write).unwrap();
+        let one = access(64, (2, 2, 2), 4);
+        for strategy in [
+            IoStrategy::Collective,
+            IoStrategy::Naive,
+            IoStrategy::DataSieving,
+            IoStrategy::Subfile,
+        ] {
+            let base = dump_time_with(p, strategy, &one);
+            for objects in [2.0, 1.7, 3.0] {
+                let many = AccessSummary { objects, ..one };
+                assert_eq!(
+                    dump_time_with(p, strategy, &many),
+                    base + (p.fixed.open + p.fixed.close) * (objects - 1.0),
+                    "{strategy} at {objects} objects"
+                );
+            }
+            // One object — or a nonsense count below it — is the raw
+            // price, bit for bit.
+            for objects in [1.0, 0.0, f64::NAN] {
+                let same = AccessSummary { objects, ..one };
+                assert_eq!(dump_time_with(p, strategy, &same), base);
+            }
+        }
     }
 
     #[test]

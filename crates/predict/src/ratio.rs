@@ -1,29 +1,42 @@
-//! Per-dataset transfer-ratio learning for the chunked data plane.
+//! Per-dataset transfer-shape learning for the chunked data plane.
 //!
 //! When a dataset is ingested through `msr-chunk`, the bytes that actually
 //! cross the wire and land on media are the *post-compression, post-dedup*
 //! bytes — often far fewer than the logical dump size eq. (2) would
-//! otherwise price. The [`RatioBook`] learns the observed
-//! `moved / logical` ratio per dataset with the same exponential moving
-//! average the [`crate::feeder::PerfDbFeeder`] uses for eq. (1)
-//! components, and [`AccessSummary::scaled`] applies it so placement,
-//! prefetch admission, and lifecycle pricing all estimate the bytes the
-//! chunk plane will really move.
+//! otherwise price — and a dump is stored as more than one object (a
+//! manifest, plus a pack of new frames), each paying its own open and
+//! close. The [`RatioBook`] learns both per dataset — the observed
+//! `moved / logical` byte ratio and the objects written per dump — with
+//! the same exponential moving average the
+//! [`crate::feeder::PerfDbFeeder`] uses for eq. (1) components, and
+//! [`RatioBook::priced`] applies them so placement, prefetch admission,
+//! and lifecycle pricing all estimate what the chunk plane will really
+//! move and how many objects it will touch.
 //!
 //! Datasets the book has never observed (or with chunking disabled)
-//! predict at ratio `1.0`, and [`AccessSummary::scaled`] is a bitwise
-//! no-op at `1.0` — predictions without chunking are unchanged.
+//! predict at ratio `1.0` and one object, where [`RatioBook::priced`] is a
+//! bitwise no-op — predictions without chunking are unchanged.
 
 use crate::model::AccessSummary;
 use std::collections::BTreeMap;
 
-/// EWMA book of observed `moved / logical` byte ratios, keyed by dataset.
+/// What the book holds for one dataset.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// EWMA of `moved / logical` bytes.
+    ratio: f64,
+    /// EWMA of objects written per dump.
+    objects: f64,
+}
+
+/// EWMA book of the observed shape of chunked dumps, keyed by dataset:
+/// the `moved / logical` byte ratio and the objects written per dump.
 #[derive(Debug, Clone)]
 pub struct RatioBook {
     /// EWMA smoothing factor in `(0, 1]`: weight of the newest
     /// observation. Matches the feeder's default of `0.3`.
     pub alpha: f64,
-    cells: BTreeMap<String, f64>,
+    cells: BTreeMap<String, Cell>,
 }
 
 impl Default for RatioBook {
@@ -42,15 +55,24 @@ impl RatioBook {
     }
 
     /// Fold one observed dump: `logical` bytes requested, `moved` bytes
-    /// actually shipped (frames for absent chunks plus the manifest).
-    /// Zero-byte dumps are ignored — they carry no ratio information.
-    pub fn observe(&mut self, dataset: &str, logical: u64, moved: u64) {
+    /// actually shipped (frames for absent chunks plus the manifest) as
+    /// `objects` objects. Zero-byte dumps are ignored — they carry no
+    /// ratio information.
+    pub fn observe(&mut self, dataset: &str, logical: u64, moved: u64, objects: usize) {
         if logical == 0 {
             return;
         }
-        let sample = (moved as f64 / logical as f64).clamp(0.0, 2.0);
+        let sample = Cell {
+            ratio: (moved as f64 / logical as f64).clamp(0.0, 2.0),
+            objects: objects as f64,
+        };
+        let alpha = self.alpha;
+        let fold = |old: f64, new: f64| old * (1.0 - alpha) + new * alpha;
         match self.cells.get_mut(dataset) {
-            Some(cell) => *cell = *cell * (1.0 - self.alpha) + sample * self.alpha,
+            Some(cell) => {
+                cell.ratio = fold(cell.ratio, sample.ratio);
+                cell.objects = fold(cell.objects, sample.objects);
+            }
             None => {
                 // First observation is adopted outright, as the feeder
                 // does when it inserts a new transfer anchor.
@@ -63,7 +85,28 @@ impl RatioBook {
     /// observed yet (raw datasets never enter the book, so they always
     /// predict at full logical size).
     pub fn ratio(&self, dataset: &str) -> f64 {
-        self.cells.get(dataset).copied().unwrap_or(1.0)
+        self.cells.get(dataset).map_or(1.0, |c| c.ratio)
+    }
+
+    /// The learned objects per dump of `dataset`, or `1.0` when nothing
+    /// has been observed yet.
+    pub fn objects(&self, dataset: &str) -> f64 {
+        self.cells.get(dataset).map_or(1.0, |c| c.objects)
+    }
+
+    /// `access` as eq. (2) should price one dump of `dataset`: byte
+    /// figures scaled by the learned ratio, the learned object count
+    /// attached. The one place a chunked dataset's shape enters a
+    /// prediction; returns `access` unchanged for a dataset the book has
+    /// never seen.
+    pub fn priced(&self, dataset: &str, access: AccessSummary) -> AccessSummary {
+        match self.cells.get(dataset) {
+            Some(cell) => AccessSummary {
+                objects: cell.objects,
+                ..access.scaled(cell.ratio)
+            },
+            None => access,
+        }
     }
 
     /// Number of datasets with learned ratios.
@@ -81,7 +124,8 @@ impl AccessSummary {
     /// This access with every byte figure scaled by `ratio` — the shape
     /// eq. (2) should price when the chunk plane is expected to move only
     /// `ratio` of the logical bytes. Counts (`nprocs`, `runs_per_proc`)
-    /// are untouched: dedup shrinks transfers, not the access pattern.
+    /// and `objects` are untouched: dedup shrinks transfers, not the
+    /// access pattern.
     ///
     /// At `ratio >= 1.0` (or a non-finite ratio) this returns `self`
     /// unchanged, so predictions for unchunked datasets stay bitwise
@@ -108,6 +152,7 @@ impl AccessSummary {
             run_bytes: scale(self.run_bytes),
             extent_bytes: scale(self.extent_bytes),
             proc_bytes: scale(self.proc_bytes),
+            objects: self.objects,
         }
     }
 }
@@ -124,6 +169,7 @@ mod tests {
             run_bytes: 8192,
             extent_bytes: 1 << 17,
             proc_bytes: 1 << 17,
+            objects: 1.0,
         }
     }
 
@@ -131,17 +177,32 @@ mod tests {
     fn unknown_datasets_predict_at_full_size() {
         let book = RatioBook::new();
         assert_eq!(book.ratio("astro3d"), 1.0);
+        assert_eq!(book.objects("astro3d"), 1.0);
         assert_eq!(access().scaled(book.ratio("astro3d")), access());
+        assert_eq!(book.priced("astro3d", access()), access());
     }
 
     #[test]
     fn first_observation_is_adopted_then_smoothed() {
         let mut book = RatioBook::new();
-        book.observe("ckpt", 1000, 250);
+        book.observe("ckpt", 1000, 250, 2);
         assert!((book.ratio("ckpt") - 0.25).abs() < 1e-12);
-        book.observe("ckpt", 1000, 750);
+        assert_eq!(book.objects("ckpt"), 2.0);
+        book.observe("ckpt", 1000, 750, 1);
         // 0.25 * 0.7 + 0.75 * 0.3 = 0.40
         assert!((book.ratio("ckpt") - 0.40).abs() < 1e-12);
+        // 2 * 0.7 + 1 * 0.3 = 1.7
+        assert!((book.objects("ckpt") - 1.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn priced_scales_bytes_and_attaches_the_object_count() {
+        let mut book = RatioBook::new();
+        book.observe("ckpt", 1000, 250, 2);
+        let a = book.priced("ckpt", access());
+        assert_eq!(a.total_bytes, 1 << 18);
+        assert_eq!(a.objects, 2.0);
+        assert_eq!(a.nprocs, 8);
     }
 
     #[test]
@@ -162,6 +223,7 @@ mod tests {
             run_bytes: 3,
             extent_bytes: 3,
             proc_bytes: 3,
+            objects: 1.0,
         };
         let s = a.scaled(0.001);
         assert_eq!(s.total_bytes, 1);
@@ -171,9 +233,9 @@ mod tests {
     #[test]
     fn ratios_above_one_and_zero_dumps_are_handled() {
         let mut book = RatioBook::new();
-        book.observe("d", 0, 500);
+        book.observe("d", 0, 500, 2);
         assert_eq!(book.ratio("d"), 1.0);
-        book.observe("d", 100, 500); // clamped to 2.0
+        book.observe("d", 100, 500, 1); // clamped to 2.0
         assert!((book.ratio("d") - 2.0).abs() < 1e-12);
         // Inflating ratios still price at the unscaled shape: the plane
         // never ships more than logical + bounded framing overhead.

@@ -4,25 +4,46 @@
 //! module instead of the raw object path. The payload is split into
 //! chunks ([`msr_chunk::ChunkPolicy`]), each chunk digested over its
 //! *uncompressed* bytes and optionally compressed; the dump's object at
-//! the dataset path becomes a [`Manifest`]. In content-addressed mode the
-//! frames live in per-resource `cas/<digest>` objects shared across
-//! dumps, tracked by a refcounted [`ChunkStore`] — a dump only ships the
-//! chunks its destination does not already hold, which is where the WAN
-//! savings of checkpoint-every-N producers come from. In pack mode
-//! (`content_addressed: false`) the frames follow the manifest header in
-//! one self-contained object: compression without dedup.
+//! the dataset path becomes a [`Manifest`]. In content-addressed mode a
+//! dump is **at most two objects**: the frames the destination's
+//! refcounted [`ChunkStore`] does not already hold go, concatenated in
+//! first-occurrence order, into one plane-owned pack `cas/pack-<id>`
+//! (none when the dump is fully deduplicated), then the manifest is
+//! written. Frames are shared across dumps through the store's
+//! `digest → (pack, offset)` index — a dump only ships what is new, which
+//! is where the WAN savings of checkpoint-every-N producers come from,
+//! and it pays eq. (1)'s per-object open and close twice, not once per
+//! chunk. In inline mode (`content_addressed: false`) the frames follow
+//! the manifest header in one self-contained object: compression without
+//! dedup.
 //!
 //! # Cost model
 //!
 //! A chunked write gathers the global array to an aggregator (two-phase
 //! exchange when `nprocs > 1`), charges one node-memory scan for the
 //! chunk/digest/compress pass, then issues rank-0 sequential native calls
-//! for every *absent* chunk frame and the manifest. Reads mirror this:
-//! native reads for the manifest and each referenced frame, a decompress
-//! scan, then the scatter exchange. Native call order is fixed (dump
-//! order), so virtual times are bitwise reproducible at any
-//! `MSR_THREADS`; host-side splitting, compression and verification run
-//! on the work-stealing pool but their results are order-collected.
+//! for the pack and the manifest. Reads mirror this: the manifest, then
+//! per referenced pack one open, one seek + read per run of abutting
+//! frames (no seek for a run at offset 0; nothing between runs is
+//! transferred) and one close, a decompress scan, then the scatter
+//! exchange. Native call order is fixed (dump order for writes, pack
+//! first-occurrence then offset order for reads), so virtual times are
+//! bitwise reproducible at any `MSR_THREADS`; host-side splitting,
+//! compression and verification run on the work-stealing pool but their
+//! results are order-collected.
+//!
+//! # Write order and faults
+//!
+//! Pack → manifest → index commit → release of the replaced dump. A
+//! fault after the pack and before the manifest leaves an unreferenced
+//! pack and nothing else: no manifest or index entry points at it, and
+//! because the pack id is the digest of the manifest bytes, a retry of
+//! the same dump recreates the same object name. New references are
+//! committed before the replaced manifest's are released, so a chunk
+//! shared between the old and new dump never hits refcount zero
+//! mid-flight. Packs are reclaimed whole: one is deleted when its last
+//! live frame dies, vaulted when its last resident reference goes and
+//! recalled when the first returns.
 //!
 //! # Sharding and locking
 //!
@@ -32,9 +53,7 @@
 //! on plane bookkeeping (the shard map itself is touched only briefly,
 //! under a read-mostly lock). A shard mutex nests strictly *inside* the
 //! owning resource's lock: every path that takes both locks the resource
-//! first. On overwrite, new chunk references are committed before the
-//! replaced manifest's references are released, so a chunk shared
-//! between the old and new dump never hits refcount zero mid-flight.
+//! first. The write path's presence peek takes the shard lock alone.
 
 use crate::engine::{memcpy_cost, IoEngine, IoReport, OpCx, StatsDelta};
 use crate::error::RuntimeError;
@@ -43,8 +62,9 @@ use crate::strategy::IoStrategy;
 use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_chunk::{
-    cas_path, compress, decompress_into, raw_span, split, ChunkError, ChunkPolicy, ChunkRef,
-    ChunkStore, Codec, DeltaSummary, Digest, IngestSpec, Manifest, StoreStats,
+    compress, decompress_into, decompressed_len, pack_path, raw_span, split, ChunkError,
+    ChunkPolicy, ChunkRef, ChunkStore, Codec, DeltaSummary, Digest, IngestSpec, Manifest,
+    StoreStats,
 };
 use msr_obs::{ops, Layer};
 use msr_sim::SimDuration;
@@ -52,6 +72,7 @@ use msr_storage::{Cost, OpenMode, SharedResource, StorageError, StorageResource}
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -113,7 +134,7 @@ struct ManifestMeta {
     codec: Codec,
     /// Logical payload bytes.
     logical: u64,
-    /// Pack mode: frames inline in the manifest object, no store refs.
+    /// Inline mode: frames inline in the manifest object, no store refs.
     inline: bool,
     /// The dump is in the tape vault (its store references are counted in
     /// the vaulted population).
@@ -214,9 +235,84 @@ impl ChunkPlane {
 /// One planned chunk of an outgoing dump.
 struct Planned {
     digest: Digest,
-    ulen: u32,
-    /// Compressed frame under the *requested* codec.
-    frame: Vec<u8>,
+    /// Frame under the *requested* codec. `None` when the plan saw no
+    /// need to ship the chunk — the store held it at the peek, or it
+    /// repeats an earlier chunk of the same dump — and so never
+    /// compressed it.
+    frame: Option<Vec<u8>>,
+}
+
+/// The host-side plan of one dump: boundaries, digests and the frames
+/// worth compressing. A pure function of content (and, for which frames
+/// exist, of the peeked store), collected in order, so the objects
+/// written from it are identical at any thread count.
+struct DumpPlan<'a> {
+    data: &'a [u8],
+    ranges: Vec<Range<usize>>,
+    chunks: Vec<Planned>,
+    /// Compression scratch taken from / returned to the worker pool.
+    scratch_allocs: usize,
+    scratch_reuses: usize,
+}
+
+impl<'a> DumpPlan<'a> {
+    /// Plan in two parallel passes: split + digest, then compress only
+    /// what ships. With a `peek` shard (content-addressed mode) that is
+    /// the first occurrence of each chunk the store does not hold right
+    /// now; the shard lock is taken alone, never under a resource lock.
+    /// Without one (inline mode) every chunk is compressed.
+    fn new(data: &'a [u8], ingest: &IngestSpec, peek: Option<&Mutex<Shard>>) -> DumpPlan<'a> {
+        let ranges = split(data, &ingest.policy);
+        let digests: Vec<Digest> = ranges
+            .par_iter()
+            .map(|r| Digest::of(&data[r.clone()]))
+            .collect();
+        let ships: Vec<bool> = match peek {
+            None => vec![true; digests.len()],
+            Some(shard) => {
+                let sh = shard.lock();
+                let mut seen: HashSet<Digest> = HashSet::with_capacity(digests.len());
+                digests
+                    .iter()
+                    .map(|d| seen.insert(*d) && !sh.store.contains(d))
+                    .collect()
+            }
+        };
+        let scratch_allocs = AtomicUsize::new(0);
+        let scratch_reuses = AtomicUsize::new(0);
+        let chunks: Vec<Planned> = (0..ranges.len())
+            .into_par_iter()
+            .map(|i| {
+                let chunk = &data[ranges[i].clone()];
+                let frame = ships[i].then(|| {
+                    if !ingest.codec.is_active() {
+                        // `Codec::None` needs no match table: skip the pool.
+                        return compress(&ingest.codec, chunk);
+                    }
+                    let (mut comp, reused) = chunk_scratch::take_compressor();
+                    if reused {
+                        scratch_reuses.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        scratch_allocs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let frame = comp.compress(&ingest.codec, chunk);
+                    chunk_scratch::give_compressor(comp);
+                    frame
+                });
+                Planned {
+                    digest: digests[i],
+                    frame,
+                }
+            })
+            .collect();
+        DumpPlan {
+            data,
+            ranges,
+            chunks,
+            scratch_allocs: scratch_allocs.into_inner(),
+            scratch_reuses: scratch_reuses.into_inner(),
+        }
+    }
 }
 
 /// One verified chunk on the read path: a zero-copy slice of the frame
@@ -269,46 +365,37 @@ impl IoEngine {
         if !mode.writable() {
             return Err(RuntimeError::Storage(StorageError::BadMode { op: "write" }));
         }
-        // Host-side planning: boundaries, digests and frames are pure
-        // functions of content, so the parallel map collects in order and
-        // the plan is identical at any thread count. Compression scratch
-        // comes from the worker pool; its alloc/reuse totals fold into
-        // the op's scratch telemetry after the region.
-        let scratch_allocs = AtomicUsize::new(0);
-        let scratch_reuses = AtomicUsize::new(0);
-        let ranges = split(data, &ingest.policy);
-        let planned: Vec<Planned> = ranges
-            .into_par_iter()
-            .map(|r| {
-                let chunk = &data[r];
-                let frame = if ingest.codec.is_active() {
-                    let (mut comp, reused) = chunk_scratch::take_compressor();
-                    if reused {
-                        scratch_reuses.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        scratch_allocs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let frame = comp.compress(&ingest.codec, chunk);
-                    chunk_scratch::give_compressor(comp);
-                    frame
-                } else {
-                    // `Codec::None` needs no match table: skip the pool.
-                    compress(&ingest.codec, chunk)
-                };
-                Planned {
-                    digest: Digest::of(chunk),
-                    ulen: chunk.len() as u32,
-                    frame,
-                }
-            })
-            .collect();
-        let total = data.len() as u64;
+        let peek = ingest.content_addressed.then(|| {
+            let resource = res.lock().name().to_owned();
+            self.plane.shard(&resource)
+        });
+        let plan = DumpPlan::new(data, ingest, peek.as_deref());
+        self.write_planned(res, path, plan, dist, strategy, ingest, dataset)
+    }
+
+    /// The storage half of [`IoEngine::write_chunked`]: ship `plan` under
+    /// the resource lock. Presence is decided again here, against the
+    /// locked shard; a chunk the plan skipped that has left the store
+    /// since the peek is compressed under the lock (rare, and the frame
+    /// is the one the plan would have made).
+    #[allow(clippy::too_many_arguments)]
+    fn write_planned(
+        &self,
+        res: &SharedResource,
+        path: &str,
+        mut plan: DumpPlan<'_>,
+        dist: &Distribution,
+        strategy: IoStrategy,
+        ingest: &IngestSpec,
+        dataset: &str,
+    ) -> RuntimeResult<IoReport> {
+        let total = plan.data.len() as u64;
         let nprocs = dist.nprocs();
 
         let mut r = res.lock();
         let delta = StatsDelta::start(&*r);
         let mut cx = OpCx::new(nprocs);
-        cx.note_scratch_many(scratch_allocs.into_inner(), scratch_reuses.into_inner());
+        cx.note_scratch_many(plan.scratch_allocs, plan.scratch_reuses);
         r.set_stream_hint(1);
 
         // Gather the distributed array to the aggregator, then one
@@ -324,156 +411,112 @@ impl IoEngine {
 
         let resource = r.name().to_owned();
         let shard = self.plane.shard(&resource);
-        let (moved, shipped, hits, gc_deletes);
-        let manifest_bytes;
+        let (moved, shipped, dead_packs);
         {
             let mut sh = shard.lock();
             let sh = &mut *sh;
 
-            if ingest.content_addressed {
-                // Ship each distinct absent chunk once, in dump order.
-                let mut seen: HashSet<Digest> = HashSet::with_capacity(planned.len());
-                let mut to_ship: Vec<&Planned> = Vec::new();
-                for c in &planned {
-                    if seen.insert(c.digest) && !sh.store.contains(&c.digest) {
-                        to_ship.push(c);
+            // Manifest entries, and the frames that ship — concatenated
+            // into one object in either mode: the pack of new frames in
+            // first-occurrence order, or every frame inline behind the
+            // manifest.
+            let cas = ingest.content_addressed;
+            let mut chunks: Vec<ChunkRef> = Vec::with_capacity(plan.chunks.len());
+            let mut frames: Vec<Vec<u8>> = Vec::new();
+            // Stored length of each chunk this dump's pack adds, for the
+            // entries that repeat it.
+            let mut fresh: HashMap<Digest, u32> = HashMap::new();
+            for (c, range) in plan.chunks.iter_mut().zip(&plan.ranges) {
+                let ulen = range.len() as u32;
+                // A dedup hit keeps the sizes of the frame actually on
+                // storage, whatever codec first wrote it.
+                let held = if cas {
+                    let stored = sh.store.locate(&c.digest).map(|l| (l.ulen, l.clen));
+                    stored.or_else(|| fresh.get(&c.digest).map(|&clen| (ulen, clen)))
+                } else {
+                    None
+                };
+                let (ulen, clen) = held.unwrap_or_else(|| {
+                    let frame = c
+                        .frame
+                        .take()
+                        .unwrap_or_else(|| compress(&ingest.codec, &plan.data[range.clone()]));
+                    let clen = frame.len() as u32;
+                    frames.push(frame);
+                    if cas {
+                        fresh.insert(c.digest, clen);
                     }
-                }
-                let mut moved_now = 0u64;
-                for c in &to_ship {
-                    let cas = cas_path(&c.digest);
-                    let open =
-                        self.retried(&mut cx, 0, &mut *r, |r| r.open(&cas, OpenMode::Create))?;
-                    cx.tl.charge(0, open.time);
-                    let w = self.retried(&mut cx, 0, &mut *r, |r| r.write(open.value, &c.frame))?;
-                    cx.tl.charge(0, w.time);
-                    let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
-                    cx.tl.charge(0, cl.time);
-                    r.set_logical_size(&cas, 0);
-                    moved_now += c.frame.len() as u64;
-                }
-                // Manifest entries use the sizes of the frames actually on
-                // storage: a dedup hit keeps the codec it was first
-                // written with.
-                let chunks: Vec<ChunkRef> = planned
-                    .iter()
-                    .map(|c| {
-                        let (ulen, clen) = sh
-                            .store
-                            .sizes(&c.digest)
-                            .unwrap_or((c.ulen, c.frame.len() as u32));
-                        ChunkRef {
-                            digest: c.digest,
-                            ulen,
-                            clen,
-                        }
-                    })
-                    .collect();
-                let manifest = Manifest {
-                    policy: ingest.policy,
-                    codec: ingest.codec,
-                    logical: total,
-                    chunks: chunks.clone(),
-                    inline: false,
-                };
-                manifest_bytes = manifest.encode();
-                let open = self.retried(&mut cx, 0, &mut *r, |r| r.open(path, OpenMode::Create))?;
-                cx.tl.charge(0, open.time);
-                let w = self.retried(&mut cx, 0, &mut *r, |r| {
-                    r.write(open.value, &manifest_bytes)
-                })?;
-                cx.tl.charge(0, w.time);
-                let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
-                cx.tl.charge(0, cl.time);
-                r.set_logical_size(path, total);
-
-                // Commit the new references, then release the replaced
-                // dump's — shared chunks never hit zero in between.
-                for c in &chunks {
-                    sh.store.acquire(c.digest, c.ulen, c.clen);
-                }
-                let old = sh.manifests.insert(
-                    path.to_owned(),
-                    ManifestMeta {
-                        chunks,
-                        policy: ingest.policy,
-                        codec: ingest.codec,
-                        logical: total,
-                        inline: false,
-                        vaulted: false,
-                    },
-                );
-                gc_deletes = match &old {
-                    Some(old) if !old.inline => sh.store.release_all(&old.chunks, old.vaulted),
-                    _ => Vec::new(),
-                };
-                shipped = to_ship.len();
-                hits = planned.len() - shipped;
-                moved = moved_now + manifest_bytes.len() as u64;
-            } else {
-                // Pack mode: manifest header + every frame in one object.
-                let chunks: Vec<ChunkRef> = planned
-                    .iter()
-                    .map(|c| ChunkRef {
-                        digest: c.digest,
-                        ulen: c.ulen,
-                        clen: c.frame.len() as u32,
-                    })
-                    .collect();
-                let manifest = Manifest {
-                    policy: ingest.policy,
-                    codec: ingest.codec,
-                    logical: total,
-                    chunks: chunks.clone(),
-                    inline: true,
-                };
-                let mut obj = manifest.encode();
-                for c in &planned {
-                    obj.extend_from_slice(&c.frame);
-                }
-                manifest_bytes = obj;
-                let open = self.retried(&mut cx, 0, &mut *r, |r| r.open(path, OpenMode::Create))?;
-                cx.tl.charge(0, open.time);
-                let w = self.retried(&mut cx, 0, &mut *r, |r| {
-                    r.write(open.value, &manifest_bytes)
-                })?;
-                cx.tl.charge(0, w.time);
-                let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
-                cx.tl.charge(0, cl.time);
-                r.set_logical_size(path, total);
-                // Release a replaced content-addressed dump's references
-                // even when the new dump is packed.
-                let old = sh.manifests.insert(
-                    path.to_owned(),
-                    ManifestMeta {
-                        chunks,
-                        policy: ingest.policy,
-                        codec: ingest.codec,
-                        logical: total,
-                        inline: true,
-                        vaulted: false,
-                    },
-                );
-                gc_deletes = match &old {
-                    Some(old) if !old.inline => sh.store.release_all(&old.chunks, old.vaulted),
-                    _ => Vec::new(),
-                };
-                shipped = planned.len();
-                hits = 0;
-                moved = manifest_bytes.len() as u64;
+                    (ulen, clen)
+                });
+                chunks.push(ChunkRef {
+                    digest: c.digest,
+                    ulen,
+                    clen,
+                    packed: cas && held.is_none(),
+                });
             }
+            shipped = frames.len();
+            let manifest = Manifest {
+                policy: ingest.policy,
+                codec: ingest.codec,
+                logical: total,
+                chunks,
+                inline: !cas,
+            };
+            let mut object = manifest.encode();
+            // The dump's pack id: a pure function of its manifest.
+            let pack = Digest::of(&object);
+            let pack_bytes = if manifest.inline {
+                frames.iter().for_each(|f| object.extend_from_slice(f));
+                0
+            } else {
+                let frames = frames.concat();
+                if !frames.is_empty() {
+                    let pack_path = pack_path(&pack);
+                    self.write_object(&mut cx, &mut *r, &pack_path, &frames)?;
+                    r.set_logical_size(&pack_path, 0);
+                }
+                frames.len()
+            };
+            self.write_object(&mut cx, &mut *r, path, &object)?;
+            r.set_logical_size(path, total);
+            moved = (object.len() + pack_bytes) as u64;
+
+            // Commit the new references, then release the replaced
+            // dump's — shared chunks never hit zero in between.
+            if cas {
+                sh.store.commit(&manifest.chunks, pack);
+            }
+            let old = sh.manifests.insert(
+                path.to_owned(),
+                ManifestMeta {
+                    chunks: manifest.chunks,
+                    policy: ingest.policy,
+                    codec: ingest.codec,
+                    logical: total,
+                    inline: manifest.inline,
+                    vaulted: false,
+                },
+            );
+            dead_packs = match &old {
+                Some(old) if !old.inline => sh.store.release_all(&old.chunks, old.vaulted),
+                _ => Vec::new(),
+            };
             sh.pending.push(DeltaSummary {
                 dataset: dataset.to_owned(),
                 logical_bytes: total,
                 moved_bytes: moved,
-                chunks_total: planned.len(),
+                chunks_total: plan.chunks.len(),
                 chunks_shipped: shipped,
+                objects_written: 1 + usize::from(pack_bytes > 0),
             });
         }
-        // GC frames orphaned by the overwrite. A failed delete leaks the
-        // frame but must not fail the (already committed) write.
-        for d in &gc_deletes {
-            if let Ok(cost) = r.delete(&cas_path(d)) {
+        let hits = plan.chunks.len() - shipped;
+        // Delete packs the overwrite left without a live frame. A failed
+        // delete leaks the pack but must not fail the (already committed)
+        // write.
+        for id in &dead_packs {
+            if let Ok(cost) = r.delete(&pack_path(id)) {
                 cx.tl.charge(0, cost.time);
             }
         }
@@ -519,13 +562,13 @@ impl IoEngine {
                     (total - moved) as f64,
                 );
             }
-            if !gc_deletes.is_empty() {
+            if !dead_packs.is_empty() {
                 self.recorder.count(
                     Layer::Runtime,
                     &resource,
                     ops::CHUNK_GC,
                     now,
-                    gc_deletes.len() as f64,
+                    dead_packs.len() as f64,
                 );
             }
         }
@@ -564,8 +607,9 @@ impl IoEngine {
             });
         }
 
-        // Fetch each distinct frame once, in first-occurrence order.
-        // Inline frames are zero-copy slices of the manifest object.
+        // Fetch each distinct frame once. Inline frames are zero-copy
+        // slices of the manifest object; content-addressed frames are
+        // zero-copy slices of the runs read out of their packs.
         let mut frames: HashMap<Digest, Bytes> = HashMap::with_capacity(manifest.chunks.len());
         if manifest.inline {
             let mut at = frames_at;
@@ -583,12 +627,56 @@ impl IoEngine {
                 at = end;
             }
         } else {
-            for c in &manifest.chunks {
-                if frames.contains_key(&c.digest) {
-                    continue;
+            // The index says where every frame lives and refuses a
+            // manifest that disagrees with it; nothing is sliced before
+            // the pack and each run proved to be the length it recorded.
+            let own_pack = Digest::of(&obj[..frames_at]);
+            let shard = self.plane.shard_if(r.name()).unwrap_or_default();
+            let plan = shard.lock().store.read_plan(&manifest, &own_pack);
+            for pack in plan.map_err(chunk_err)? {
+                let pack_path = pack_path(&pack.pack);
+                let bad_pack = |what: String| {
+                    chunk_err(ChunkError::BadPack {
+                        detail: format!("{pack_path} {what}"),
+                    })
+                };
+                match r.file_size(&pack_path) {
+                    Some(len) if len == pack.bytes => {}
+                    Some(len) => {
+                        return Err(bad_pack(format!(
+                            "is {len} B, the index recorded {}",
+                            pack.bytes
+                        )))
+                    }
+                    None => return Err(RuntimeError::Storage(StorageError::NotFound(pack_path))),
                 }
-                let frame = self.read_object(&mut cx, &mut *r, &cas_path(&c.digest))?;
-                frames.insert(c.digest, frame);
+                let open =
+                    self.retried(&mut cx, 0, &mut *r, |r| r.open(&pack_path, OpenMode::Read))?;
+                cx.tl.charge(0, open.time);
+                for run in pack.runs {
+                    // The cursor of a fresh handle is already at 0.
+                    if run.offset != 0 {
+                        let sk =
+                            self.retried(&mut cx, 0, &mut *r, |r| r.seek(open.value, run.offset))?;
+                        cx.tl.charge(0, sk.time);
+                    }
+                    let read =
+                        self.retried(&mut cx, 0, &mut *r, |r| r.read(open.value, run.len))?;
+                    cx.tl.charge(0, read.time);
+                    if read.value.len() != run.len {
+                        return Err(bad_pack(format!(
+                            "returned {} of the {} B at offset {}",
+                            read.value.len(),
+                            run.len,
+                            run.offset
+                        )));
+                    }
+                    for (digest, range) in run.frames {
+                        frames.insert(digest, read.value.slice(range));
+                    }
+                }
+                let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
+                cx.tl.charge(0, cl.time);
             }
         }
 
@@ -602,6 +690,15 @@ impl IoEngine {
             .enumerate()
             .map(|(i, c)| {
                 let frame = &frames[&c.digest];
+                let declared = decompressed_len(frame)?;
+                if declared != c.ulen as usize {
+                    return Err(ChunkError::BadFrame {
+                        detail: format!(
+                            "chunk {i}: frame declares {declared} B, the manifest {} B",
+                            c.ulen
+                        ),
+                    });
+                }
                 let plain = match raw_span(frame)? {
                     Some(span) => Plain::Shared(frame.slice(span)),
                     None => {
@@ -700,8 +797,8 @@ impl IoEngine {
 
     /// Delete a dump, raw or chunked. For a chunked dump the manifest
     /// object goes first, then its chunk references are released and any
-    /// frame whose refcount hit zero is garbage-collected. Returns the
-    /// accumulated native-call time.
+    /// pack left without a live frame is deleted. Returns the accumulated
+    /// native-call time.
     pub fn delete_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
@@ -730,32 +827,32 @@ impl IoEngine {
         let Some(meta) = meta else {
             return Ok(Cost::new(time, ()));
         };
-        let gcs = if meta.inline {
+        let dead_packs = if meta.inline {
             Vec::new()
         } else {
             sh.store.release_all(&meta.chunks, meta.vaulted)
         };
         drop(sh);
-        for d in &gcs {
-            if let Ok(cost) = r.delete(&cas_path(d)) {
+        for id in &dead_packs {
+            if let Ok(cost) = r.delete(&pack_path(id)) {
                 time += cost.time;
             }
         }
-        if self.recorder.enabled() && !gcs.is_empty() {
+        if self.recorder.enabled() && !dead_packs.is_empty() {
             self.recorder.count(
                 Layer::Runtime,
                 &resource,
                 ops::CHUNK_GC,
                 self.clock.now(),
-                gcs.len() as f64,
+                dead_packs.len() as f64,
             );
         }
         Ok(Cost::new(time, ()))
     }
 
     /// Vault a dump, raw or chunked. A chunked dump vaults its manifest
-    /// and marks its references vaulted; each frame object moves to the
-    /// vault only once *every* dump referencing it is vaulted.
+    /// and marks its references vaulted; each pack moves to the vault
+    /// only once *every* dump referencing a frame in it is vaulted.
     pub fn vault_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
@@ -771,17 +868,14 @@ impl IoEngine {
             return Ok(Cost::free(()));
         }
         let mut time = r.vault(path)?.time;
-        let mut to_vault: Vec<Digest> = Vec::new();
-        if !meta.inline {
-            for c in &meta.chunks {
-                if sh.store.vault_ref(&c.digest) {
-                    to_vault.push(c.digest);
-                }
-            }
-        }
+        let to_vault = if meta.inline {
+            Vec::new()
+        } else {
+            sh.store.vault_all(&meta.chunks)
+        };
         meta.vaulted = true;
-        for d in &to_vault {
-            if let Ok(cost) = r.vault(&cas_path(d)) {
+        for id in &to_vault {
+            if let Ok(cost) = r.vault(&pack_path(id)) {
                 time += cost.time;
             }
         }
@@ -789,7 +883,7 @@ impl IoEngine {
     }
 
     /// Recall a dump from the vault, raw or chunked. The first dump to
-    /// need a shared frame recalls the frame object for everyone.
+    /// need a frame of a shared pack recalls the pack for everyone.
     pub fn recall_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
@@ -805,21 +899,35 @@ impl IoEngine {
             return Ok(Cost::free(()));
         }
         let mut time = r.recall(path)?.time;
-        let mut to_recall: Vec<Digest> = Vec::new();
-        if !meta.inline {
-            for c in &meta.chunks {
-                if sh.store.recall_ref(&c.digest) {
-                    to_recall.push(c.digest);
-                }
-            }
-        }
+        let to_recall = if meta.inline {
+            Vec::new()
+        } else {
+            sh.store.recall_all(&meta.chunks)
+        };
         meta.vaulted = false;
-        for d in &to_recall {
-            if let Ok(cost) = r.recall(&cas_path(d)) {
+        for id in &to_recall {
+            if let Ok(cost) = r.recall(&pack_path(id)) {
                 time += cost.time;
             }
         }
         Ok(Cost::new(time, ()))
+    }
+
+    /// One whole object via native open/write/close on the aggregator.
+    fn write_object(
+        &self,
+        cx: &mut OpCx,
+        r: &mut dyn StorageResource,
+        path: &str,
+        bytes: &[u8],
+    ) -> RuntimeResult<()> {
+        let open = self.retried(cx, 0, r, |r| r.open(path, OpenMode::Create))?;
+        cx.tl.charge(0, open.time);
+        let w = self.retried(cx, 0, r, |r| r.write(open.value, bytes))?;
+        cx.tl.charge(0, w.time);
+        let cl = self.retried(cx, 0, r, |r| r.close(open.value))?;
+        cx.tl.charge(0, cl.time);
+        Ok(())
     }
 
     /// One whole object via native open/read/close on the aggregator.
@@ -840,5 +948,182 @@ impl IoEngine {
         let cl = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, cl.time);
         Ok(read.value)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{Dims3, Pattern, ProcGrid};
+    use msr_storage::{share, DiskParams, LocalDisk};
+    use std::collections::BTreeMap;
+
+    const SIDE: u64 = 32;
+    const BYTES: usize = (SIDE * SIDE * SIDE) as usize;
+
+    fn disk() -> SharedResource {
+        share(LocalDisk::new("t", DiskParams::simple(100.0, 1 << 30), 0))
+    }
+
+    fn dist() -> Distribution {
+        Distribution::new(Dims3::cube(SIDE), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1)).unwrap()
+    }
+
+    fn ingest() -> IngestSpec {
+        IngestSpec::chunked(ChunkPolicy::fixed(4)).with_codec(Codec::Lz4Like(2))
+    }
+
+    /// Eight 4 KiB blocks, each compressible and distinct, except that
+    /// block 5 repeats block 1; `iter` rewrites block `iter % 8`.
+    fn churned(iter: u64) -> Vec<u8> {
+        let block = |tag: u64| -> Vec<u8> {
+            (0..4096u64)
+                .map(|i| ((i % 97) * (tag + 3) % 251) as u8)
+                .collect()
+        };
+        let mut out = Vec::with_capacity(BYTES);
+        for b in 0..8u64 {
+            out.extend(block(if b == 5 { 1 } else { b }));
+        }
+        if iter > 0 {
+            let at = (iter % 8) as usize * 4096;
+            out[at..at + 4096].copy_from_slice(&block(100 + iter));
+        }
+        out
+    }
+
+    fn write(engine: &IoEngine, res: &SharedResource, path: &str, data: &[u8]) -> IoReport {
+        engine
+            .write_chunked(
+                res,
+                path,
+                data,
+                &dist(),
+                IoStrategy::Collective,
+                OpenMode::Create,
+                &ingest(),
+                "d",
+            )
+            .unwrap()
+    }
+
+    /// Every object on `res`, by path.
+    fn objects(res: &SharedResource) -> BTreeMap<String, Vec<u8>> {
+        let mut r = res.lock();
+        let mut out = BTreeMap::new();
+        for path in r.list("") {
+            let len = r.file_size(&path).unwrap() as usize;
+            let h = r.open(&path, OpenMode::Read).unwrap().value;
+            out.insert(path, r.read(h, len).unwrap().value.to_vec());
+            r.close(h).unwrap();
+        }
+        out
+    }
+
+    /// The one-pass plan this module used to run: compress *every* chunk
+    /// of every dump, then keep the frames a store that saw the earlier
+    /// dumps lacks. Returns the objects it would leave on storage.
+    fn one_pass(dumps: &[(&str, Vec<u8>)]) -> BTreeMap<String, Vec<u8>> {
+        let spec = ingest();
+        let mut held: HashMap<Digest, u32> = HashMap::new();
+        let mut out = BTreeMap::new();
+        for (path, data) in dumps {
+            let mut chunks = Vec::new();
+            let mut pack = Vec::new();
+            for range in split(data, &spec.policy) {
+                let chunk = &data[range];
+                let frame = compress(&spec.codec, chunk);
+                let digest = Digest::of(chunk);
+                let packed = !held.contains_key(&digest);
+                let clen = *held.entry(digest).or_insert(frame.len() as u32);
+                if packed {
+                    pack.extend_from_slice(&frame);
+                }
+                chunks.push(ChunkRef {
+                    digest,
+                    ulen: chunk.len() as u32,
+                    clen,
+                    packed,
+                });
+            }
+            let manifest = Manifest {
+                policy: spec.policy,
+                codec: spec.codec,
+                logical: data.len() as u64,
+                chunks,
+                inline: false,
+            }
+            .encode();
+            if !pack.is_empty() {
+                out.insert(pack_path(&Digest::of(&manifest)), pack);
+            }
+            out.insert((*path).to_owned(), manifest);
+        }
+        out
+    }
+
+    #[test]
+    fn two_pass_plan_writes_what_the_one_pass_plan_would() {
+        let engine = IoEngine::default();
+        let res = disk();
+        // A base, two churned dumps, and a byte-identical re-dump.
+        let dumps = [
+            ("d.t0", churned(0)),
+            ("d.t1", churned(1)),
+            ("d.t2", churned(2)),
+            ("d.t3", churned(2)),
+        ];
+        let mut reports = Vec::new();
+        for (path, data) in &dumps {
+            reports.push(write(&engine, &res, path, data));
+        }
+        let stored = objects(&res);
+        assert_eq!(stored, one_pass(&dumps), "frames, manifests and packs");
+        assert_eq!(stored.len(), 4 + 3, "the re-dump wrote no pack");
+
+        // The re-dump compressed nothing and still pays the whole
+        // chunk/digest scan: its time is the scan plus one manifest put,
+        // replayed here call for call on a twin disk.
+        let twin = disk();
+        let mut t = twin.lock();
+        let open = t.open("d.t3", OpenMode::Create).unwrap();
+        let put = t.write(open.value, &stored["d.t3"]).unwrap();
+        let close = t.close(open.value).unwrap();
+        assert_eq!(
+            reports[3].elapsed,
+            memcpy_cost(BYTES as u64) + open.time + put.time + close.time
+        );
+    }
+
+    #[test]
+    fn a_chunk_gone_since_the_peek_is_compressed_under_the_lock() {
+        let engine = IoEngine::default();
+        let res = disk();
+        let data = churned(3);
+        write(&engine, &res, "d.t0", &data);
+        // Plan against a store that holds every chunk: nothing is
+        // compressed...
+        let shard = engine.plane.shard("t");
+        let plan = DumpPlan::new(&data, &ingest(), Some(&shard));
+        assert!(plan.chunks.iter().all(|c| c.frame.is_none()));
+        // ...then the chunks leave before the plan is shipped.
+        engine.delete_dump(&res, "d.t0").unwrap();
+        assert!(objects(&res).is_empty());
+        engine
+            .write_planned(
+                &res,
+                "d.t1",
+                plan,
+                &dist(),
+                IoStrategy::Collective,
+                &ingest(),
+                "d",
+            )
+            .unwrap();
+        assert_eq!(objects(&res), one_pass(&[("d.t1", data.clone())]));
+        let (back, _) = engine
+            .read_chunked(&res, "d.t1", &dist(), IoStrategy::Collective)
+            .unwrap();
+        assert_eq!(back, data);
     }
 }

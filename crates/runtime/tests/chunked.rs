@@ -1,7 +1,7 @@
 //! Chunk-plane integration tests: dedup, GC, vault gating, corruption
 //! detection and thread-count determinism at the engine level.
 
-use msr_chunk::{cas_path, ChunkPolicy, Codec, Digest, IngestSpec};
+use msr_chunk::{pack_path, ChunkPolicy, Codec, Digest, IngestSpec};
 use msr_runtime::{
     Dims3, Distribution, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid, RuntimeError,
 };
@@ -208,7 +208,7 @@ fn delete_dump_gcs_unreferenced_frames_only() {
     assert_eq!(
         res.lock().list("cas/").len(),
         0,
-        "frame objects deleted from storage"
+        "pack objects deleted from storage"
     );
     assert!(!engine.chunk_plane().is_chunked("t", "d.t1"));
 }
@@ -232,7 +232,7 @@ fn corrupted_frame_surfaces_a_digest_mismatch() {
             "d",
         )
         .unwrap();
-    // Flip a byte inside one stored frame, behind the engine's back.
+    // Flip bytes inside the dump's pack, behind the engine's back.
     let victim = res.lock().list("cas/").into_iter().next().unwrap();
     {
         let mut r = res.lock();
@@ -256,8 +256,92 @@ fn corrupted_frame_surfaces_a_digest_mismatch() {
     }
 }
 
+/// One whole object, read natively.
+fn get(res: &SharedResource, path: &str) -> Vec<u8> {
+    let mut r = res.lock();
+    let len = r.file_size(path).unwrap() as usize;
+    let h = r.open(path, OpenMode::Read).unwrap().value;
+    let bytes = r.read(h, len).unwrap().value.to_vec();
+    r.close(h).unwrap();
+    bytes
+}
+
+/// Replace one whole object, behind the engine's back.
+fn put(res: &SharedResource, path: &str, bytes: &[u8]) {
+    let mut r = res.lock();
+    let h = r.open(path, OpenMode::Create).unwrap().value;
+    r.write(h, bytes).unwrap();
+    r.close(h).unwrap();
+}
+
 #[test]
-fn pack_mode_compresses_without_cas_objects() {
+fn mutated_manifests_and_packs_read_back_exactly_or_fail_typed() {
+    let engine = IoEngine::default();
+    let res = disk();
+    let d = dist(32 * 32 * 32, 1);
+    let ingest = IngestSpec::chunked(ChunkPolicy::fixed(4)).with_codec(Codec::Lz4Like(2));
+    let mut last = Vec::new();
+    for iter in 0..2u64 {
+        last = churned(d.total_bytes() as usize, iter);
+        engine
+            .write_chunked(
+                &res,
+                &format!("d.t{iter}"),
+                &last,
+                &d,
+                IoStrategy::Collective,
+                OpenMode::Create,
+                &ingest,
+                "d",
+            )
+            .unwrap();
+    }
+    // d.t1 reads its own pack and, for the chunks it kept, d.t0's.
+    let mut victims = res.lock().list("cas/");
+    assert_eq!(victims.len(), 2);
+    victims.push("d.t1".to_owned());
+    let mut refused = 0;
+    for path in &victims {
+        let good = get(&res, path);
+        // Truncations, every bit of the leading (header) bytes, and one
+        // bit of every seventh byte after them.
+        let cuts = [0, 1, good.len() / 2, good.len() - 1]
+            .into_iter()
+            .map(|n| good[..n].to_vec());
+        let flips = (0..good.len()).flat_map(|at| {
+            let bits = match at {
+                0..32 => 0..8,
+                _ if at % 7 == 0 => at % 8..at % 8 + 1,
+                _ => 0..0,
+            };
+            let good = &good;
+            bits.map(move |bit| {
+                let mut m = good.clone();
+                m[at] ^= 1 << bit;
+                m
+            })
+        });
+        for mutated in cuts.chain(flips) {
+            put(&res, path, &mutated);
+            match engine.read_chunked(&res, "d.t1", &d, IoStrategy::Collective) {
+                // A flip in a frame d.t1 does not reference, or in a
+                // manifest byte no read depends on, changes nothing.
+                Ok((back, _)) => assert_eq!(back, last, "{path}: silent corruption"),
+                Err(RuntimeError::Chunk { .. }) => refused += 1,
+                Err(other) => panic!("{path}: untyped failure {other}"),
+            }
+        }
+        put(&res, path, &good);
+    }
+    assert!(refused > 100, "the corpus must bite: {refused} refusals");
+    let (back, _) = engine
+        .read_chunked(&res, "d.t1", &d, IoStrategy::Collective)
+        .unwrap();
+    assert_eq!(back, last, "restored objects read back");
+}
+
+#[test]
+fn inline_mode_compresses_without_cas_objects() {
     let engine = IoEngine::default();
     let res = disk();
     let d = dist(32 * 32 * 32, 1);
@@ -280,7 +364,7 @@ fn pack_mode_compresses_without_cas_objects() {
     let physical = res.lock().file_size("d").unwrap();
     assert!(
         physical < d.total_bytes(),
-        "packed object {} B beats logical {} B",
+        "inline object {} B beats logical {} B",
         physical,
         d.total_bytes()
     );
@@ -314,19 +398,19 @@ fn vault_gating_waits_for_every_reference() {
             )
             .unwrap();
     }
-    let frame = {
-        let r = res.lock();
-        r.list("cas/").into_iter().next().unwrap()
-    };
+    // Identical dumps: d.t0's pack holds every frame, d.t1 wrote none.
+    let packs = res.lock().list("cas/");
+    assert_eq!(packs.len(), 1);
+    let pack = &packs[0];
     engine.vault_dump(&res, "d.t0").unwrap();
     assert!(
-        !res.lock().is_vaulted(&frame),
-        "frame still referenced by the resident d.t1"
+        !res.lock().is_vaulted(pack),
+        "pack still referenced by the resident d.t1"
     );
     engine.vault_dump(&res, "d.t1").unwrap();
-    assert!(res.lock().is_vaulted(&frame), "all references vaulted");
+    assert!(res.lock().is_vaulted(pack), "all references vaulted");
     engine.recall_dump(&res, "d.t0").unwrap();
-    assert!(!res.lock().is_vaulted(&frame), "first recall restores it");
+    assert!(!res.lock().is_vaulted(pack), "first recall restores it");
     let (back, _) = engine
         .read_chunked(&res, "d.t0", &d, IoStrategy::Naive)
         .unwrap();
@@ -437,8 +521,8 @@ fn same_payload_same_digests_at_any_thread_count() {
     });
     assert_eq!(seq, par);
     assert!(seq.len() > 1);
-    // cas paths are stable hex names.
-    assert!(cas_path(&seq[0]).starts_with("cas/"));
+    // Pack paths are stable hex names under the plane's prefix.
+    assert!(pack_path(&seq[0]).starts_with("cas/pack-"));
 }
 
 #[test]

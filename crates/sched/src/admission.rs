@@ -11,7 +11,7 @@ use msr_core::{
 };
 use msr_meta::AccessMode;
 use msr_obs::{ops, Layer};
-use msr_predict::{fetch_estimate, profile_for, queue_wait, AccessSummary, ResourceProfile};
+use msr_predict::{fetch_estimate, profile_for, queue_wait, ResourceProfile};
 use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::{OpKind, OpenMode, StorageKind};
@@ -29,10 +29,10 @@ pub(crate) struct Estimator {
 }
 
 impl Estimator {
-    /// Predicted service time (seconds) of one `op` with `strategy` over
-    /// `dist` on `kind`. `ratio` scales the priced bytes — the learned
-    /// post-dedup/post-compression figure for chunked datasets, `1.0`
-    /// (a bitwise no-op) for raw ones.
+    /// Predicted service time (seconds) of one `op` of `dataset` with
+    /// `strategy` over `dist` on `kind`. A chunked dataset is priced at
+    /// its learned post-dedup/post-compression bytes and object count, a
+    /// raw one at its plain shape.
     fn cost_op(
         &mut self,
         sys: &MsrSystem,
@@ -40,13 +40,13 @@ impl Estimator {
         op: OpKind,
         strategy: IoStrategy,
         dist: &Distribution,
-        ratio: f64,
+        dataset: &str,
     ) -> f64 {
         let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
             let res = sys.resource(kind).expect("priced on a registered kind");
             profile_for(sys.predictor().map(|p| &p.db), &res, op)
         });
-        fetch_estimate(profile, strategy, &AccessSummary::of(dist).scaled(ratio)).as_secs()
+        fetch_estimate(profile, strategy, &sys.predicted_access(dataset, dist)).as_secs()
     }
 
     /// Predicted service time (seconds) of `req` on `kind`.
@@ -55,8 +55,7 @@ impl Estimator {
             RequestBody::Write { .. } => OpKind::Write,
             RequestBody::Read => OpKind::Read,
         };
-        let ratio = sys.predicted_ratio(&req.dataset);
-        self.cost_op(sys, kind, op, req.strategy, &req.dist, ratio)
+        self.cost_op(sys, kind, op, req.strategy, &req.dist, &req.dataset)
     }
 }
 
@@ -182,15 +181,12 @@ impl Scheduler<'_> {
             };
             pricing.requests += dumps + reads;
             pricing.bytes += (dumps + reads) as u64 * spec.snapshot_bytes();
-            let ratio = sys.predicted_ratio(&spec.name);
-            pricing.est_secs += dumps as f64
-                * self
-                    .estimator
-                    .cost_op(sys, kind, OpKind::Write, spec.strategy, &dist, ratio)
-                + reads as f64
-                    * self
-                        .estimator
-                        .cost_op(sys, kind, OpKind::Read, spec.strategy, &dist, ratio);
+            let mut cost = |op| {
+                self.estimator
+                    .cost_op(sys, kind, op, spec.strategy, &dist, &spec.name)
+            };
+            pricing.est_secs +=
+                dumps as f64 * cost(OpKind::Write) + reads as f64 * cost(OpKind::Read);
         }
         Ok(pricing)
     }

@@ -113,6 +113,15 @@ fn chunked_drains_dedup_on_the_store() {
     // Each manifest represents one 16³×f32 dump; deduped chunks keep the
     // store's physical footprint under the logical bytes dumped. (The LCG
     // payloads are incompressible, so the saving is all dedup.)
+    // A dump ships at most one pack, and nothing else lives under `cas/`.
+    let on_disk = sys
+        .resource(StorageKind::RemoteDisk)
+        .unwrap()
+        .lock()
+        .list("cas/");
+    assert!(on_disk.iter().all(|p| p.starts_with("cas/pack-")));
+    assert_eq!(stats.packs, on_disk.len());
+    assert!(stats.packs <= manifests, "{stats:?} for {manifests} dumps");
     let dumped = manifests as u64 * 16 * 16 * 16 * 4;
     assert!(
         stats.stored_bytes < dumped,

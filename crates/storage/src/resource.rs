@@ -229,7 +229,7 @@ pub trait StorageResource: Send {
 
     /// Declare that `path` logically represents `bytes` of application
     /// data regardless of its stored length (the chunk plane marks a
-    /// manifest with the dump's payload size and shared `cas/` objects
+    /// manifest with the dump's payload size and shared `cas/` packs
     /// with 0). Default: ignored, logical == physical.
     fn set_logical_size(&mut self, _path: &str, _bytes: u64) {}
 

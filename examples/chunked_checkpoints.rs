@@ -88,13 +88,14 @@ fn main() -> CoreResult<()> {
         .store_stats(&name)
         .expect("chunked writes populate the store");
     println!(
-        "chunk store: {} chunks, {} dedup hits / {} inserts, {} GCed",
-        stats.chunks, stats.hits, stats.inserts, stats.gcs
+        "chunk store: {} chunks in {} packs ({} dead bytes), {} dedup hits / {} inserts, {} GCed",
+        stats.chunks, stats.packs, stats.dead_bytes, stats.hits, stats.inserts, stats.gcs
     );
 
     // Drain the write deltas into the predictor: every eq. (2) pricing
     // site (placement, admission, prefetch, migration) now scales this
-    // dataset's byte terms by the learned moved/logical ratio.
+    // dataset's byte terms by the learned moved/logical ratio and counts
+    // the objects a dump is written as.
     sys.sync_ratios();
     println!(
         "learned moved/logical ratio for `state`: {:.3}",
