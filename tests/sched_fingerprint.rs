@@ -99,7 +99,7 @@ fn chunked_producers_fingerprint_is_frozen() {
     assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
     assert_eq!(
         fingerprint(&report),
-        "0353e3da2ccd46a2",
+        "c207acbd212e8019",
         "chunked producer report moved"
     );
 }
