@@ -1,13 +1,13 @@
 //! Frozen `SchedReport` fingerprints.
 //!
-//! `crates/sched/tests/equivalence.rs` holds the event engine to the
-//! round engine, but the two share their leaf accounting (`Drain::serve`,
-//! `requeue`, `finalize`): a bug there moves both reports together and
-//! the equivalence suite cannot see it. These golden fingerprints —
-//! FNV-1a-64 of the full report JSON at seed 2000 — pin the absolute
-//! bytes instead, the same pattern as `cut_fingerprint_is_frozen` in
-//! `crates/chunk/tests/parallel_cdc.rs`. A changed constant means every
-//! committed scheduler ledger moved; it must be a deliberate decision.
+//! FNV-1a-64 of the full report JSON at seed 2000, the same pattern as
+//! `cut_fingerprint_is_frozen` in `crates/chunk/tests/parallel_cdc.rs`.
+//! The grid — the mixed client fleet and the tape-heavy consumer fleet at
+//! 1/4/16 sessions with read-ahead off and on, a weighted two-tenant
+//! fleet, chunked producers at 1/4 — is drained by both dispatch engines
+//! at the default worker pool and at a one-worker pool, and every drain
+//! must hash to the pinned constant. A changed constant means every
+//! scheduler number moved; it must be a deliberate decision.
 
 use msr::apps::multi::{consumer_fleet, dedup_fleet};
 use msr::prelude::*;
@@ -41,32 +41,106 @@ fn drain(
     }
 }
 
+/// Drain `programs` on a fresh `testbed` with both engines, at the default
+/// pool and at a one-worker pool, and hold every report to `pin`. Returns
+/// the event engine's default-pool drain.
+fn pinned(
+    label: &str,
+    pin: &str,
+    testbed: impl Fn() -> MsrSystem,
+    programs: impl Fn() -> Vec<SessionProgram>,
+    prefetch: bool,
+) -> (MsrSystem, SchedReport) {
+    let run = |event| {
+        let sys = testbed();
+        let report = drain(&sys, programs(), prefetch, event);
+        (sys, report)
+    };
+    let check = |(sys, report): (MsrSystem, SchedReport), how: &str| {
+        let moved = format!("{label} prefetch={prefetch} moved ({how})");
+        assert_eq!(fingerprint(&report), pin, "{moved}");
+        (sys, report)
+    };
+    check(
+        rayon::pool::with_threads(1, || run(false)),
+        "round engine, one pool worker",
+    );
+    check(
+        rayon::pool::with_threads(1, || run(true)),
+        "one pool worker",
+    );
+    check(run(false), "round engine");
+    check(run(true), "default pool")
+}
+
+fn testbed() -> MsrSystem {
+    MsrSystem::testbed(SEED)
+}
+
+/// Read-ahead finds nothing to stage in the mixed fleet, so both settings
+/// share one constant per fleet size.
 #[test]
 fn client_fleet_on_demand_fingerprint_is_frozen() {
-    for event in [true, false] {
-        let sys = MsrSystem::testbed(SEED);
-        let report = drain(&sys, client_fleet(16, 16, 12), false, event);
-        assert_eq!(report.prefetch_hits, 0);
-        assert_eq!(
-            fingerprint(&report),
-            "51b3ccdfdfde6c5b",
-            "client fleet report moved (event engine: {event})"
-        );
+    for (n, pin) in [
+        (1, "49bfca3baa161997"),
+        (4, "39d38b593a6130f7"),
+        (16, "51b3ccdfdfde6c5b"),
+    ] {
+        for prefetch in [false, true] {
+            let label = format!("client fleet n={n}");
+            let fleet = || client_fleet(n, 16, 12);
+            let (_, report) = pinned(&label, pin, testbed, fleet, prefetch);
+            assert_eq!(report.prefetched, 0);
+        }
     }
 }
 
 #[test]
 fn consumer_fleet_staged_fingerprint_is_frozen() {
-    for event in [true, false] {
-        let sys = MsrSystem::testbed(SEED);
-        let report = drain(&sys, consumer_fleet(16, 16, 24), true, event);
-        assert!(report.prefetch_hits > 0, "the staged serve path must run");
-        assert_eq!(
-            fingerprint(&report),
-            "c2ed991948dcb915",
-            "consumer fleet report moved (event engine: {event})"
-        );
+    for (n, off_pin, on_pin) in [
+        (1, "a3ab6036079214d9", "a3ab6036079214d9"),
+        (4, "19fe0399794aac4d", "4ce1a7529e2887cc"),
+        (16, "239980141c38da2c", "c2ed991948dcb915"),
+    ] {
+        let label = format!("consumer fleet n={n}");
+        let fleet = || consumer_fleet(n, 16, 24);
+        let (_, off) = pinned(&label, off_pin, testbed, fleet, false);
+        let (_, on) = pinned(&label, on_pin, testbed, fleet, true);
+        assert_eq!(off.prefetch_hits, 0);
+        // A lone session has no idle window to fetch in.
+        assert_eq!(on.prefetch_hits > 0, n > 1, "the staged serve path");
+        if n == 16 {
+            // What read-ahead is for: 2 168.8 s on demand, 1 239.6 s staged.
+            assert!(
+                off.makespan.as_secs() >= 1.5 * on.makespan.as_secs(),
+                "read-ahead must cut the tape fleet's makespan: {} vs {}",
+                off.makespan,
+                on.makespan
+            );
+        }
     }
+}
+
+/// Weighted-fair dispatch: two tenants with distinct weights sharing every
+/// resource, tenant rows included in the report.
+#[test]
+fn weighted_tenants_fingerprint_is_frozen() {
+    let two_tenants = || {
+        let sys = testbed();
+        sys.tenants.register(Tenant::new("sim").with_weight(8.0));
+        sys.tenants.register(Tenant::new("viz").with_weight(2.0));
+        sys
+    };
+    let fleet = || {
+        let program = |i| match i % 2 {
+            0 => ClientKind::Producer.program(i, 16, 12).tenant("sim"),
+            _ => ClientKind::Renderer.program(i, 16, 12).tenant("viz"),
+        };
+        (0..6).map(program).collect()
+    };
+    let pin = "d0b3f590635611cb";
+    let (_, report) = pinned("weighted tenants", pin, two_tenants, fleet, true);
+    assert_eq!(report.tenants.len(), 2);
 }
 
 #[test]
@@ -90,17 +164,42 @@ fn antagonist_tenants_fingerprint_is_frozen() {
         "191283323008018e",
         "antagonist report moved"
     );
+
+    // What the protection is for: the quiet tenant's tail stays near what
+    // it is with the testbed to itself (24.439 s against 20.943 s).
+    let quiet_p99 = |r: &SchedReport| {
+        let quiet = r.tenants.iter().find(|t| t.tenant == "quiet");
+        quiet.expect("quiet tenant row").wait_p99.as_secs()
+    };
+    let solo = run_overloaded(&MsrSystem::testbed(SEED), quiet_fleet(4, 16, 24)).unwrap();
+    assert!(
+        quiet_p99(&report) <= 1.25 * quiet_p99(&solo),
+        "protected quiet p99 {} vs solo {}",
+        quiet_p99(&report),
+        quiet_p99(&solo)
+    );
 }
 
 #[test]
 fn chunked_producers_fingerprint_is_frozen() {
-    let sys = MsrSystem::testbed(SEED);
-    let report = drain(&sys, dedup_fleet(4, 16, 24, true), false, true);
+    let fleet = |n| move || dedup_fleet(n, 16, 24, true);
+    let label = "chunked producers";
+    pinned(label, "d48a20b84823d155", testbed, fleet(1), false);
+    let (sys, report) = pinned(label, "c207acbd212e8019", testbed, fleet(4), false);
     assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
+
+    // What crossed the WAN and what the store holds for it.
+    let remote = sys.resource(StorageKind::RemoteDisk).unwrap();
+    let (name, stats) = {
+        let r = remote.lock();
+        (r.name().to_owned(), r.stats())
+    };
+    let store = sys.engine.chunk_plane().store_stats(&name).unwrap();
+    assert_eq!(stats.bytes_written, 397_836, "WAN bytes moved");
     assert_eq!(
-        fingerprint(&report),
-        "c207acbd212e8019",
-        "chunked producer report moved"
+        (store.chunks, store.inserts, store.hits, store.stored_bytes),
+        (45, 45, 44, 394_836),
+        "store accounting moved: {store:?}"
     );
 }
 
