@@ -35,8 +35,8 @@ pub use astro3d::{Astro3d, Astro3dConfig, PlacementPlan, StepMode};
 pub use image::Image;
 pub use multi::{
     batch_fleet, client_fleet, consumer_fleet, noisy_fleet, quiet_fleet,
-    register_antagonist_tenants, run_concurrent, run_concurrent_prefetch, run_overloaded,
-    run_sequential, strip_tenants, ClientKind,
+    register_antagonist_tenants, run_concurrent, run_overloaded, run_sequential, strip_tenants,
+    ClientKind,
 };
 pub use volren::{render, RenderMode};
 pub use workload::synthetic_volume;

@@ -4,9 +4,9 @@
 //! the testbed serves a *mix* — several Astro3D producers dumping while
 //! Volren feeds render and post-processing readers pull dumps back. This
 //! module declares that mix as [`SessionProgram`]s so the scheduler (and
-//! the bench ledger) can admit the same fleet at any concurrency level
-//! and compare against running the identical clients back-to-back through
-//! the plain session API.
+//! the `benchmark/` workloads) can admit the same fleet at any concurrency
+//! level and compare against running the identical clients back-to-back
+//! through the plain session API.
 
 use msr_core::{CoreResult, DatasetSpec, FutureUse, MsrSystem};
 use msr_meta::ElementType;
@@ -126,8 +126,7 @@ pub fn consumer_fleet(n: usize, cube: u64, iterations: u32) -> Vec<SessionProgra
 /// dispatcher itself, not payload memcpys. At these sizes a 10k-session
 /// drain holds every admitted payload in a few hundred MB — the scale the
 /// discrete-event scheduler's O(log resources + batch) dispatch step
-/// exists for, where the retired round loop's O(sessions × resources)
-/// walk was impractical.
+/// exists for.
 pub fn scaling_fleet(n: usize) -> Vec<SessionProgram> {
     client_fleet(n, 8, 12)
 }
@@ -136,8 +135,7 @@ pub fn scaling_fleet(n: usize) -> Vec<SessionProgram> {
 /// every 3 iterations, pinned to local disk for fast restart. Each dump
 /// is a fresh file (`Create`), so a long campaign accumulates an aging
 /// history of snapshots — exactly what a lifecycle engine's retention and
-/// demotion passes exist to thin. The workload the `BENCH_lifecycle`
-/// ledger runs in epochs.
+/// demotion passes exist to thin.
 pub fn checkpoint_producer(index: usize, cube: u64, iterations: u32) -> SessionProgram {
     SessionProgram::new(&format!("ckpt-{index:02}"))
         .user("sim")
@@ -166,7 +164,7 @@ pub fn checkpoint_fleet(n: usize, cube: u64, iterations: u32) -> Vec<SessionProg
 /// (CDC boundaries, LZ-style compression). Successive dumps share most of
 /// their bytes, so the chunked variant ships only each iteration's churn
 /// window across the WAN; the raw variant re-ships every byte. The pair
-/// the `BENCH_dedup` ledger compares.
+/// `tests/chunked.rs` compares.
 pub fn dedup_producer(index: usize, cube: u64, iterations: u32, chunked: bool) -> SessionProgram {
     let mut spec = DatasetSpec::builder("chk")
         .element(ElementType::F32)
@@ -277,7 +275,7 @@ pub fn strip_tenants(mut programs: Vec<SessionProgram>) -> Vec<SessionProgram> {
 }
 
 /// Register the three antagonist tenants with the protection profile the
-/// overload bench and acceptance tests use: `quiet` gets an 8× dispatch
+/// acceptance tests use: `quiet` gets an 8× dispatch
 /// weight; `noisy` gets a hard cap of `noisy_cap` queued requests (work
 /// past the cap is shed); `batch` gets a `batch_slo` admission SLO with
 /// a defer-not-shed overload policy.
@@ -320,20 +318,6 @@ pub fn run_overloaded(sys: &MsrSystem, programs: Vec<SessionProgram>) -> CoreRes
 /// Admit every program into one scheduler on `sys` and drain the queues.
 pub fn run_concurrent(sys: &MsrSystem, programs: Vec<SessionProgram>) -> CoreResult<SchedReport> {
     let mut sched = Scheduler::new(sys);
-    for p in programs {
-        sched.admit(p)?;
-    }
-    sched.run()
-}
-
-/// [`run_concurrent`] with prediction-driven read-ahead forced on or off,
-/// independent of `MSR_PREFETCH`.
-pub fn run_concurrent_prefetch(
-    sys: &MsrSystem,
-    programs: Vec<SessionProgram>,
-    prefetch: bool,
-) -> CoreResult<SchedReport> {
-    let mut sched = Scheduler::new(sys).with_prefetch(prefetch);
     for p in programs {
         sched.admit(p)?;
     }

@@ -10,7 +10,7 @@
 //! 3. **protected** — the same fleet tagged, with the antagonist tenant
 //!    profile registered (quiet 8× weight, noisy request-capped, batch
 //!    defer-on-SLO). The quiet tenant's p99 must stay within 1.25× of
-//!    solo — the bound `BENCH_tenant.json` publishes.
+//!    solo.
 //!
 //! Run at both worker-pool shapes: the protected drain must be bitwise
 //! identical at `MSR_THREADS`=1 and a wide pool.

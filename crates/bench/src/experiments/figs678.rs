@@ -78,14 +78,6 @@ pub fn fig8(seed: u64) -> Vec<CurvePoint> {
     sweep(share(tb.tape), &figure_sizes())
 }
 
-/// All three curves at once, the per-resource sweeps fanned out across the
-/// pool. Each figure builds its own seeded testbed, so the result is
-/// identical to calling [`fig6`], [`fig7`] and [`fig8`] back to back.
-pub fn figs678_all(seed: u64) -> (Vec<CurvePoint>, Vec<CurvePoint>, Vec<CurvePoint>) {
-    let ((f6, f7), f8) = rayon::join(|| rayon::join(|| fig6(seed), || fig7(seed)), || fig8(seed));
-    (f6, f7, f8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,14 +111,6 @@ mod tests {
             assert!(c6[i].model_write_s < c7[i].model_write_s);
             assert!(c7[i].model_write_s < c8[i].model_write_s);
         }
-    }
-
-    #[test]
-    fn parallel_fanout_matches_sequential_figures() {
-        let (f6, f7, f8) = rayon::with_threads(4, || figs678_all(9));
-        assert_eq!(f6, fig6(9));
-        assert_eq!(f7, fig7(9));
-        assert_eq!(f8, fig8(9));
     }
 
     #[test]

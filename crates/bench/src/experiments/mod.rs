@@ -1,19 +1,13 @@
 //! The per-table/per-figure experiment implementations.
 
 pub mod ablations;
-pub mod dedup;
 pub mod example42;
 pub mod failover;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;
 pub mod figs678;
-pub mod ingest;
-pub mod lifecycle;
-pub mod prefetch;
-pub mod sched;
 pub mod table1;
-pub mod tenant;
 
 use msr_apps::{Astro3d, Astro3dConfig, PlacementPlan, StepMode};
 use msr_core::{CoreResult, MsrSystem, Session};

@@ -19,19 +19,11 @@ pub use experiments::ablations::{
     ablation_net_load, ablation_strategies, ablation_superfile_cache, ablation_tape_drives,
     ablation_writebehind,
 };
-pub use experiments::dedup::{dedup_checkpoints, DedupPoint};
 pub use experiments::example42::example42;
 pub use experiments::failover::failover_demo;
 pub use experiments::fig10::{fig10a, fig10b, fig10c};
 pub use experiments::fig11::fig11;
 pub use experiments::fig9::fig9;
-pub use experiments::figs678::{fig6, fig7, fig8, figs678_all, CurvePoint};
-pub use experiments::ingest::{ingest_throughput, IngestPoint, StagePoint};
-pub use experiments::lifecycle::{lifecycle_tiering, LifecyclePoint};
-pub use experiments::prefetch::{prefetch_overlap, PrefetchPoint, PREFETCH_LEVELS};
-pub use experiments::sched::{
-    fleet_scaling, sched_throughput, FleetPoint, SchedPoint, DEFAULT_LEVELS, FLEET_LEVELS,
-};
+pub use experiments::figs678::{fig6, fig7, fig8, CurvePoint};
 pub use experiments::table1::table1;
-pub use experiments::tenant::{tenant_overload, TenantPoint};
 pub use experiments::Scale;

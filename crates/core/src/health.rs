@@ -72,7 +72,6 @@ pub struct HealthTracker {
     threshold: u32,
     /// Virtual time an open breaker waits before allowing a probe.
     cooldown: SimDuration,
-    enabled: Mutex<bool>,
     clock: Clock,
     rec: Recorder,
     /// Invoked on every trip, after the state lock is released — e.g. the
@@ -88,7 +87,6 @@ impl HealthTracker {
             state: Mutex::new(BTreeMap::new()),
             threshold: 3,
             cooldown: SimDuration::from_secs(60.0),
-            enabled: Mutex::new(true),
             clock,
             rec,
             on_trip: Mutex::new(Vec::new()),
@@ -115,24 +113,10 @@ impl HealthTracker {
         self
     }
 
-    /// Turn the breaker off entirely (every `allows` returns `true`, no
-    /// state changes) — the "resilience off" baseline for benchmarks.
-    pub fn set_enabled(&self, enabled: bool) {
-        *self.enabled.lock() = enabled;
-    }
-
-    /// Whether the breaker is consulted at all.
-    pub fn enabled(&self) -> bool {
-        *self.enabled.lock()
-    }
-
     /// Whether placement may route an operation to `kind` right now.
     /// An open breaker whose cooldown has expired transitions to half-open
     /// here and admits the caller as the probe.
     pub fn allows(&self, kind: StorageKind) -> bool {
-        if !self.enabled() {
-            return true;
-        }
         let mut map = self.state.lock();
         let h = map.entry(kind).or_default();
         match h.state {
@@ -152,9 +136,6 @@ impl HealthTracker {
 
     /// Record a successful session-level operation on `kind`.
     pub fn record_success(&self, kind: StorageKind) {
-        if !self.enabled() {
-            return;
-        }
         let mut map = self.state.lock();
         let h = map.entry(kind).or_default();
         h.counters.successes += 1;
@@ -169,9 +150,6 @@ impl HealthTracker {
     /// breaker at the threshold; a failed half-open probe re-opens it
     /// immediately.
     pub fn record_failure(&self, kind: StorageKind) {
-        if !self.enabled() {
-            return;
-        }
         let mut map = self.state.lock();
         let h = map.entry(kind).or_default();
         h.counters.failures += 1;
@@ -249,7 +227,6 @@ impl std::fmt::Debug for HealthTracker {
         f.debug_struct("HealthTracker")
             .field("threshold", &self.threshold)
             .field("cooldown", &self.cooldown)
-            .field("enabled", &self.enabled())
             .finish_non_exhaustive()
     }
 }
@@ -340,20 +317,6 @@ mod tests {
         assert!(t.allows(k));
         t.record_failure(k);
         assert_eq!(trips.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn disabled_tracker_is_transparent() {
-        let clock = Clock::new();
-        let t = tracker(&clock);
-        t.set_enabled(false);
-        let k = StorageKind::RemoteTape;
-        for _ in 0..10 {
-            t.record_failure(k);
-        }
-        assert!(t.allows(k));
-        assert_eq!(t.state(k), BreakerState::Closed);
-        assert_eq!(t.counters(k), HealthCounters::default());
     }
 
     #[test]

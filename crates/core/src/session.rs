@@ -383,8 +383,11 @@ impl<'a> Session<'a> {
         reason: &str,
     ) -> CoreResult<()> {
         let d = &self.datasets[h.0];
-        let remaining = d.spec.snapshot_bytes()
-            * u64::from(self.iterations / d.spec.frequency.max(1) + 1 - d.dumps);
+        // A dataset may have been dumped more often than its schedule (the
+        // same iteration written twice); the dump that failed is still owed.
+        let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
+        let remaining =
+            d.spec.snapshot_bytes() * u64::from(scheduled.saturating_sub(d.dumps).max(1));
         let next = placement::fallback(self.sys, &d.spec, remaining, Some(from))?;
         self.sys.trace.record(
             self.sys.clock.now(),
@@ -784,32 +787,39 @@ mod tests {
 
     #[test]
     fn tape_outage_fails_over_midrun() {
-        let sys = MsrSystem::testbed(2);
-        let mut s = sys
-            .session()
-            .app("app")
-            .user("u")
-            .iterations(12)
-            .grid(ProcGrid::new(1, 1, 1))
-            .build()
-            .unwrap();
-        let sp = spec("ckpt", LocationHint::RemoteTape).with_future_use(FutureUse::Archive);
-        let h = s.open(sp.clone()).unwrap();
-        s.write_iteration(h, 0, &payload(&sp)).unwrap();
-        // Tape goes down for maintenance.
-        sys.set_resource_online(msr_storage::StorageKind::RemoteTape, false);
-        let rep = s.write_iteration(h, 6, &payload(&sp)).unwrap().unwrap();
-        assert!(rep.bytes > 0);
-        let report = s.finalize().unwrap();
-        assert_eq!(
-            report.datasets[0].location,
-            Some(StorageKind::RemoteDisk),
-            "archive preference falls back to remote disk"
-        );
-        assert!(report
-            .events
-            .iter()
-            .any(|e| e.reason == "resource offline" && e.at_iteration == 6));
+        // `(iterations, dumps before the outage, the dump that meets it)`.
+        // The second run has already dumped more often than its schedule
+        // (iteration 0 written twice) when the outage hits.
+        for (iterations, before, after) in [(12, &[0][..], 6), (0, &[0, 0][..], 0)] {
+            let sys = MsrSystem::testbed(2);
+            let mut s = sys
+                .session()
+                .app("app")
+                .user("u")
+                .iterations(iterations)
+                .grid(ProcGrid::new(1, 1, 1))
+                .build()
+                .unwrap();
+            let sp = spec("ckpt", LocationHint::RemoteTape).with_future_use(FutureUse::Archive);
+            let h = s.open(sp.clone()).unwrap();
+            for &iter in before {
+                s.write_iteration(h, iter, &payload(&sp)).unwrap();
+            }
+            // Tape goes down for maintenance.
+            sys.set_resource_online(msr_storage::StorageKind::RemoteTape, false);
+            let rep = s.write_iteration(h, after, &payload(&sp)).unwrap().unwrap();
+            assert!(rep.bytes > 0);
+            let report = s.finalize().unwrap();
+            assert_eq!(
+                report.datasets[0].location,
+                Some(StorageKind::RemoteDisk),
+                "archive preference falls back to remote disk"
+            );
+            assert!(report
+                .events
+                .iter()
+                .any(|e| e.reason == "resource offline" && e.at_iteration == after));
+        }
     }
 
     #[test]

@@ -220,15 +220,6 @@ impl MsrSystem {
         handles
     }
 
-    /// Turn the resilience machinery off: no retries, no circuit breaking.
-    /// Failures propagate to the session's plain failover path, as before
-    /// this subsystem existed — the "off" baseline for measuring the
-    /// overhead of resilience on fault-free runs.
-    pub fn disable_resilience(&mut self) {
-        self.engine.set_retry_policy(RetryPolicy::none());
-        self.health.set_enabled(false);
-    }
-
     /// Background load on the ANL↔SDSC WAN (equivalent competing streams).
     pub fn set_wan_background_load(&self, load: f64) {
         if let Some(l) = self.wan_link {

@@ -5,9 +5,8 @@
 //! read-ahead state and the whole-drain counters — and [`Drain::serve`] is
 //! the single place one served request is accounted: queue wait, cursor
 //! advance, load-board release, catalog recency and the session's
-//! [`Contrib`]. Both dispatch engines (the event loop in
-//! [`crate::scheduler`] and the round-based reference in [`crate::oracle`])
-//! decide *what* to serve on their own and account it here.
+//! [`Contrib`]. The event loop in [`crate::scheduler`] decides *what* to
+//! serve and accounts it here.
 
 use crate::event::{EventQueue, PlanGate};
 use crate::prefetch::{Fetched, Prefetcher, RoundPlan};
@@ -65,12 +64,10 @@ pub(crate) enum Phase {
 }
 
 /// One served request's timing contribution to its session's totals.
-/// Float sums are order-sensitive, so contributions carry the position
-/// the round engine would have applied them at — `(round, phase, kind)` —
-/// and the finalizer folds them in that order. The event engine applies
-/// outcomes in event-time order instead of round order; sorting
-/// contributions (stably) by this key makes its per-session totals
-/// bitwise identical to the round engine's.
+/// Float sums are order-sensitive, so the finalizer folds a session's
+/// contributions in one fixed order, the one `tests/sched_fingerprint.rs`
+/// pins: sorted (stably) by `(step, phase, kind)`, where `step` is the
+/// serving resource's own dispatch-step count.
 pub(crate) struct Contrib {
     pub step: u64,
     pub phase: Phase,
@@ -111,9 +108,8 @@ pub(crate) struct Drain<'a> {
     pub remaining: BTreeMap<u64, f64>,
     pub deadlines: BTreeMap<u64, SimTime>,
     gates: BTreeMap<StorageKind, PlanGate>,
-    /// Per-resource dispatch-step counts (event engine). The round
-    /// engine's global `rounds` equals the longest per-resource step
-    /// sequence, so `max(steps)` reproduces it bitwise.
+    /// Per-resource dispatch-step counts: each contribution's `step`, and
+    /// their maximum is [`SchedReport::rounds`](crate::SchedReport::rounds).
     steps: BTreeMap<StorageKind, u64>,
     pub prefetcher: Option<Prefetcher>,
     pub batches: u64,
@@ -180,15 +176,15 @@ impl<'a> Drain<'a> {
         bg.fold(self.frontier(), |m, &t| m.max(t))
     }
 
-    /// Advance and return `kind`'s dispatch-step count — its round number
-    /// under the round engine, the key that orders its contributions.
+    /// Advance and return `kind`'s dispatch-step count, the key that
+    /// orders its contributions.
     pub fn next_step(&mut self, kind: StorageKind) -> u64 {
         let s = self.steps.entry(kind).or_insert(0);
         *s += 1;
         *s
     }
 
-    /// The round count the round engine would have reported.
+    /// Dispatch steps taken by the busiest resource.
     pub fn rounds(&self) -> u64 {
         self.steps.values().copied().max().unwrap_or(0)
     }
@@ -212,7 +208,7 @@ impl<'a> Drain<'a> {
         }
     }
 
-    /// The event engine's pop phase: select the WFQ lane whose head batch
+    /// The pop phase: select the WFQ lane whose head batch
     /// has the smallest start tag, then pop a staged-ready run off that
     /// lane's head if the prefetcher has one landed, otherwise one chained
     /// batch, into `out` (empty on entry). The popped batch's eq. (2) cost
@@ -280,7 +276,7 @@ impl<'a> Drain<'a> {
         step: u64,
         batch: impl IntoIterator<Item = Queued>,
     ) {
-        let mut b = self.open_batch(kind, step, Phase::Staged, true);
+        let mut b = self.open_batch(kind, step, Phase::Staged);
         let mut leftovers = Vec::new();
         for item in batch {
             let p = self
@@ -302,29 +298,25 @@ impl<'a> Drain<'a> {
         }
     }
 
-    /// Apply a foreground batch's outcomes: one dispatch charge (when
-    /// `charged` — a fetch-only task owes the foreground cursor nothing),
-    /// then each report advances the resource cursor.
+    /// Apply a foreground batch's outcomes: one dispatch charge, then each
+    /// report advances the resource cursor.
     pub fn serve_batch(
         &mut self,
         kind: StorageKind,
         step: u64,
-        charged: bool,
         served: impl IntoIterator<Item = (Queued, RequestOutcome)>,
     ) {
-        let mut b = self.open_batch(kind, step, Phase::OnDemand, charged);
+        let mut b = self.open_batch(kind, step, Phase::OnDemand);
         for (item, outcome) in served {
             self.serve(&mut b, item, outcome.into_report());
         }
         self.close_batch(b);
     }
 
-    fn open_batch(&mut self, kind: StorageKind, step: u64, phase: Phase, charged: bool) -> Batch {
+    fn open_batch(&mut self, kind: StorageKind, step: u64, phase: Phase) -> Batch {
         let cursor = self.cursors.entry(kind).or_insert(self.start);
         let start = *cursor;
-        if charged {
-            *cursor += dispatch_overhead();
-        }
+        *cursor += dispatch_overhead();
         Batch {
             kind,
             comp: kind.to_string(),
@@ -336,8 +328,8 @@ impl<'a> Drain<'a> {
         }
     }
 
-    /// Account one served request — the single definition both engines
-    /// and both serve kinds share. In order: the queue-wait span, the
+    /// Account one served request — the single definition both serve
+    /// kinds share. In order: the queue-wait span, the
     /// cursor advance, the load board's depth / predicted-backlog / tenant
     /// releases, the deadline checker's remaining work, the catalog's
     /// recency columns, and the session's report and timing contribution.

@@ -2,23 +2,21 @@
 //! resource-completion events and the per-resource bookkeeping the event
 //! loop keeps between steps.
 //!
-//! The round-based dispatcher walked every resource (and, through the
-//! prefetch planner, every queued request) once per round, making each
-//! dispatch step O(sessions × resources). The event engine instead keeps
-//! **one pending completion event per resource**: when a resource's
-//! cursor reaches the event's time, the engine pops one batch from that
-//! resource's queue, executes it, and re-arms the resource at its new
-//! cursor. Sessions are woken lazily — a session is only touched when the
-//! resource at its queue head comes free — so a dispatch step costs
-//! O(log resources + batch) regardless of how many sessions are admitted.
+//! The event loop keeps **one pending completion event per resource**:
+//! when a resource's cursor reaches the event's time, the engine pops one
+//! batch from that resource's queue, executes it, and re-arms the resource
+//! at its new cursor. Sessions are woken lazily — a session is only touched
+//! when the resource at its queue head comes free — so a dispatch step
+//! costs O(log resources + batch) regardless of how many sessions are
+//! admitted.
 //!
 //! Determinism: events are ordered by `(SimTime, StorageKind, seq)`.
 //! Virtual times are exact `f64` arithmetic on deterministic inputs (the
 //! seeded jitter streams), `StorageKind` breaks exact-time ties in fixed
-//! resource order (the same order the round engine applied outcomes in),
-//! and `seq` — the push counter — makes the ordering total. Nothing in
-//! the ordering depends on host time, thread scheduling or map iteration
-//! order, so a drain is bitwise reproducible at any `MSR_THREADS`.
+//! resource order, and `seq` — the push counter — makes the ordering
+//! total. Nothing in the ordering depends on host time, thread scheduling
+//! or map iteration order, so a drain is bitwise reproducible at any
+//! `MSR_THREADS`.
 
 use msr_sim::SimTime;
 use msr_storage::StorageKind;
@@ -90,10 +88,8 @@ impl EventQueue {
 }
 
 /// Reusable per-step scratch owned by the event loop, so steady-state
-/// dispatch allocates nothing: the round engine's per-round
-/// `staged_served`/`picked`/`blocked` vectors and task collections are
-/// gone, and the batch/outcome buffers below are drained and reused
-/// every step.
+/// dispatch allocates nothing: the batch/outcome buffers below are
+/// drained and reused every step.
 #[derive(Default)]
 pub(crate) struct Scratch<B, S> {
     /// The batch popped from the queue head this step.

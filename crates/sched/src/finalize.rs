@@ -1,5 +1,4 @@
-//! Fold a finished drain into the [`SchedReport`]. Shared by both
-//! dispatch engines.
+//! Fold a finished drain into the [`SchedReport`].
 
 use crate::drain::Drain;
 use crate::report::{SchedReport, SessionReport, TenantReport};
@@ -13,8 +12,9 @@ impl Scheduler<'_> {
     /// sessions across resources; the clock moves once, to the latest
     /// cursor), finalize every catalog session (disconnect costs charged)
     /// in admission order, and compute the whole-run totals.
-    pub(crate) fn finalize_report(mut self, drain: Drain, rounds: u64) -> CoreResult<SchedReport> {
+    pub(crate) fn finalize_report(mut self, drain: Drain) -> CoreResult<SchedReport> {
         let start = drain.start;
+        let rounds = drain.rounds();
         debug_assert_eq!(self.admitted.len(), drain.accs.len());
         self.sys.clock.advance_to(drain.end());
         // Fold the drain's chunk-plane transfer observations into the
@@ -34,7 +34,7 @@ impl Scheduler<'_> {
         let mut sessions = Vec::new();
         let mut total_bytes = 0u64;
         // Per-tenant rollup: the overload counters plus session totals, in
-        // tenant-id order (deterministic across engines and thread counts).
+        // tenant-id order (deterministic across thread counts).
         let mut tmap: BTreeMap<TenantId, TenantReport> = BTreeMap::new();
         for (&tid, c) in &self.tcounts {
             let e = tmap.entry(tid).or_default();
@@ -48,9 +48,9 @@ impl Scheduler<'_> {
             .zip(drain.accs)
         {
             acc.reports.sort_by_key(|&(seq, _)| seq);
-            // Fold timing contributions in round order (stable, so
-            // intra-batch order is kept): float sums are order-sensitive
-            // and both engines must report bitwise-identical totals.
+            // Fold timing contributions in `(step, phase, kind)` order
+            // (stable, so intra-batch order is kept): float sums are
+            // order-sensitive and this is the order the fingerprints pin.
             acc.contribs.sort_by_key(|c| (c.step, c.phase, c.kind));
             let mut wait_time = SimDuration::ZERO;
             let mut io_time = SimDuration::ZERO;

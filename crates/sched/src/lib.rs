@@ -39,7 +39,6 @@ mod admission;
 mod drain;
 mod event;
 mod finalize;
-mod oracle;
 mod prefetch;
 pub mod program;
 pub mod report;

@@ -43,8 +43,8 @@ pub(crate) struct Fetched {
 
 impl RoundPlan {
     /// Execute the fetches against the owning resource, in plan order.
-    /// Both engines call this right after the resource's foreground batch
-    /// so every seeded jitter stream draws in the same per-resource order.
+    /// Called right after the resource's foreground batch so every seeded
+    /// jitter stream draws in the same per-resource order.
     pub fn execute(self, engine: &IoEngine, res: &SharedResource) -> Fetched {
         let results = self
             .fetches
@@ -115,7 +115,7 @@ impl Prefetcher {
     /// walk saw — reads with no final plan/decline verdict yet (their write
     /// is still ahead, or their file does not exist yet). It is `None`
     /// when the walk was skipped outright (wrong kind, empty queue, open
-    /// circuit). The event engine's [`PlanGate`](crate::event::PlanGate)
+    /// circuit). The event loop's [`PlanGate`](crate::event::PlanGate)
     /// uses it to skip provably side-effect-free walks: decisions are
     /// final, so once nothing is undecided the walk can change nothing.
     pub fn plan(
@@ -234,7 +234,7 @@ impl Prefetcher {
     /// write makes the copy stale; an on-demand read means the fetch
     /// arrived too late — either way the staged bytes were wasted. Returns
     /// whether a previously *planned* path was re-opened for future
-    /// fetching (the event engine must re-walk its plan gate when that
+    /// fetching (the event loop must re-walk its plan gate when that
     /// happens).
     pub fn note_foreground(
         &mut self,

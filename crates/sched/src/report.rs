@@ -64,10 +64,9 @@ pub struct SchedReport {
     pub makespan: SimDuration,
     /// Bytes moved across all sessions.
     pub total_bytes: u64,
-    /// Dispatch steps taken by the busiest resource. Under the
-    /// discrete-event engine each resource counts its own completion
-    /// events and this is the maximum; on a fault-free drain it equals
-    /// the global round count the old round-based dispatcher reported.
+    /// Dispatch steps taken by the busiest resource: each resource counts
+    /// the completion events that served it a batch, and this is the
+    /// maximum.
     pub rounds: u64,
     /// Batches dispatched.
     pub batches: u64,
@@ -85,7 +84,7 @@ pub struct SchedReport {
     /// Candidate reads whose predicted fetch did not fit the predicted
     /// idle window and were never fetched.
     pub prefetch_declined: u64,
-    /// Lifecycle-engine totals across the run's between-round ticks (all
+    /// Lifecycle-engine totals across the run's between-step ticks (all
     /// zero with no lifecycle attached).
     #[serde(default)]
     pub lifecycle: TickTotals,

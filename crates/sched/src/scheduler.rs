@@ -20,9 +20,7 @@
 //! sessions are admitted. Events are totally ordered by
 //! `(time, resource, seq)` and every outcome is computed from seeded
 //! jitter streams on the dispatcher thread, which keeps per-session
-//! accounting bitwise identical at any `MSR_THREADS` — and identical to
-//! the retired round-robin engine ([`Scheduler::run_round_based`], kept
-//! compiled as the equivalence-test reference) on fault-free drains.
+//! accounting bitwise identical at any `MSR_THREADS`.
 //!
 //! **Virtual time** is tracked as one cursor per resource: a request's
 //! service starts at its resource's cursor, its wait is the cursor minus
@@ -36,18 +34,18 @@
 //! is already open is never dispatched to, its queue draining to fallback
 //! resources the same way.
 //!
-//! **Read-ahead** (opt-in via [`Scheduler::with_prefetch`] or
-//! `MSR_PREFETCH=1`) walks the tail of each resource's admitted queue
-//! between rounds, prices every future remote read with the eq. (2)
-//! estimator (`msr-predict`), and stages the ones whose predicted fetch
+//! **Read-ahead** (opt-in via [`Scheduler::with_prefetch`]) walks the
+//! tail of each resource's admitted queue at each of its dispatch steps,
+//! prices every future remote read with the eq. (2) estimator
+//! (`msr-predict`), and stages the ones whose predicted fetch
 //! fits inside the predicted idle window before their chain is served.
 //! Fetches run as a *background stream* on the resource — accounted on a
 //! separate background cursor that overlaps the foreground cursor — and
 //! land in a shared [`StagingCache`](msr_runtime::StagingCache); when a staged read reaches the head
 //! of its queue it is served at memory speed instead of paying the remote
 //! resource again. Planning, admission and serving all happen on the
-//! dispatcher thread, and each resource's fetches execute inside the same
-//! closure as its foreground batch, so the determinism contract (bitwise
+//! dispatcher thread, and each resource's fetches execute right after its
+//! foreground batch, so the determinism contract (bitwise
 //! identical per-session reports at any `MSR_THREADS`) is preserved with
 //! prefetch on. A fetch that fails is dropped silently — the read falls
 //! back to the normal on-demand path and the session never sees the error.
@@ -129,21 +127,16 @@ pub struct Scheduler<'a> {
 
 impl<'a> Scheduler<'a> {
     /// A scheduler over `sys`. Nothing is queued until programs are
-    /// admitted. Prediction-driven read-ahead defaults to the
-    /// `MSR_PREFETCH` environment variable (`1`/`on`/`true`), off when
-    /// unset.
+    /// admitted. Prediction-driven read-ahead is off until
+    /// [`with_prefetch`](Scheduler::with_prefetch) turns it on.
     pub fn new(sys: &'a MsrSystem) -> Scheduler<'a> {
-        let prefetch = std::env::var("MSR_PREFETCH").is_ok_and(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            v == "1" || v == "on" || v == "true"
-        });
         Scheduler {
             sys,
             rec: sys.obs_recorder(),
             admitted: Vec::new(),
             locations: BTreeMap::new(),
             specs: BTreeMap::new(),
-            prefetch,
+            prefetch: false,
             lifecycle: None,
             lifecycle_every: 4,
             estimator: Estimator::default(),
@@ -155,8 +148,8 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Attach a lifecycle engine: between dispatch rounds (every
-    /// [`lifecycle_every`](Scheduler::lifecycle_every) rounds, on the
+    /// Attach a lifecycle engine: between dispatch steps (every
+    /// [`lifecycle_every`](Scheduler::lifecycle_every) fired events, on the
     /// dispatcher thread) it prunes, demotes, promotes and vaults datasets
     /// whose runs are *not* admitted here — in-flight data is never moved
     /// under a queued request. Ticks derive from a single catalog snapshot
@@ -167,7 +160,7 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Tick the attached lifecycle engine every `n` dispatch rounds
+    /// Tick the attached lifecycle engine every `n` fired events
     /// (default 4; clamped to at least 1). No effect without
     /// [`with_lifecycle`](Scheduler::with_lifecycle).
     pub fn lifecycle_every(mut self, n: u64) -> Self {
@@ -175,8 +168,7 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Enable or disable prediction-driven read-ahead for this run,
-    /// overriding `MSR_PREFETCH`.
+    /// Enable or disable prediction-driven read-ahead for this run.
     pub fn with_prefetch(mut self, on: bool) -> Self {
         self.prefetch = on;
         self
@@ -210,10 +202,8 @@ impl<'a> Scheduler<'a> {
     /// the resource at its advanced cursor. Sessions wake lazily (a
     /// session is touched only when the resource at its queue head comes
     /// free), so one dispatch step is O(log resources + batch) no matter
-    /// how many sessions are admitted. In fault-free drains the per-
-    /// resource operation sequence is identical to the retired round loop
-    /// ([`Scheduler::run_round_based`]), so reports are bitwise identical
-    /// to it — and, as before, independent of `MSR_THREADS`.
+    /// how many sessions are admitted, and reports are independent of
+    /// `MSR_THREADS`.
     pub fn run(mut self) -> CoreResult<SchedReport> {
         let sys = self.sys;
         let mut drain = Drain::new(&mut self, sys.clock.now());
@@ -251,10 +241,9 @@ impl<'a> Scheduler<'a> {
                         self.requeue(&mut drain, kind, batch, "circuit open");
                     } else {
                         // Normal step: plan fetches, execute the foreground
-                        // batch inline, then the fetches, in plan order — the
-                        // same per-resource op order the round engine's pool
-                        // closure uses, so every seeded jitter stream draws
-                        // identically.
+                        // batch inline, then the fetches, in plan order — a
+                        // fixed per-resource op order, so every seeded jitter
+                        // stream draws identically at any pool width.
                         let plan = drain.plan_step(kind);
                         let res = sys.resource(kind).expect("placed on registered kind");
                         scratch.served.clear();
@@ -274,7 +263,7 @@ impl<'a> Scheduler<'a> {
                         scratch.unserved.extend(pending);
                         let fetched = plan.map(|plan| plan.execute(&sys.engine, &res));
 
-                        drain.serve_batch(kind, step, true, scratch.served.drain(..));
+                        drain.serve_batch(kind, step, scratch.served.drain(..));
                         drain.land_fetches(kind, fetched);
                         if let Some(reason) = error {
                             sys.health.record_failure(kind);
@@ -283,8 +272,7 @@ impl<'a> Scheduler<'a> {
                         }
                     }
 
-                    // Lifecycle tick on event-time boundaries (the event
-                    // engine's analogue of "every N rounds").
+                    // Lifecycle tick every `lifecycle_every` fired events.
                     if let Some(lc) = &self.lifecycle {
                         if fired.is_multiple_of(self.lifecycle_every) {
                             drain.lifecycle_tick(lc);
@@ -326,7 +314,6 @@ impl<'a> Scheduler<'a> {
             }
         }
 
-        let rounds = drain.rounds();
-        self.finalize_report(drain, rounds)
+        self.finalize_report(drain)
     }
 }

@@ -18,9 +18,8 @@
 //! are exact `f64` arithmetic on model-derived estimates, and ties break
 //! toward the smaller tenant id — nothing depends on host time, thread
 //! count or hash order. With a single lane (every session on the default
-//! tenant) `select` always returns that lane and the structure *is* the
-//! old FIFO, which is what keeps the event-vs-round equivalence suite
-//! bitwise green.
+//! tenant) `select` always returns that lane and the structure *is* a
+//! plain FIFO.
 
 use msr_core::TenantId;
 use std::collections::{BTreeMap, VecDeque};

@@ -228,6 +228,84 @@ fn outage_mid_drain_requeues_to_fallback() {
         .any(|e| e.op == msr_obs::ops::SCHED_REQUEUE && e.detail.contains("remote disk")));
 }
 
+/// Chaos drain: tape goes dark after admission placed archives on it. The
+/// event engine must requeue every stranded request to the fallback
+/// resource (no session-visible errors), update the catalog, and produce
+/// the same report at any worker-pool width.
+#[test]
+fn chaos_failover_requeues_deterministically_under_event_engine() {
+    let run = || {
+        let sys = MsrSystem::testbed(13);
+        let mut sched = Scheduler::new(&sys).with_prefetch(true);
+        for i in 0..4 {
+            sched.admit(astro_program(i).readbacks(3)).unwrap();
+        }
+        sys.set_resource_online(StorageKind::RemoteTape, false);
+        sched.run().unwrap()
+    };
+    let report = run();
+    let requeues: u32 = report.sessions.iter().map(|s| s.requeues).sum();
+    assert!(requeues > 0, "outage must force failover requeues");
+    for s in &report.sessions {
+        assert!(s.errors.is_empty(), "failover must stay transparent");
+        assert_eq!(s.reports.len() as u64, s.requests);
+        assert_ne!(
+            s.placements["temp"],
+            StorageKind::RemoteTape,
+            "stranded archives must drain off the dead resource"
+        );
+    }
+    let wide = serde_json::to_string(&report).unwrap();
+    let narrow = rayon::pool::with_threads(1, || serde_json::to_string(&run()).unwrap());
+    assert_eq!(wide, narrow, "chaos drains must not depend on worker count");
+}
+
+/// The full admission-control stack — quotas, SLO pricing, deferral and
+/// deadlines — stays bitwise deterministic across worker-pool widths.
+#[test]
+fn admission_control_drains_are_thread_count_independent() {
+    let drain = || {
+        let sys = MsrSystem::testbed(2200);
+        sys.tenants
+            .register(msr_core::Tenant::new("sim").with_weight(8.0).with_quota(
+                msr_core::TenantQuota {
+                    max_queued_requests: Some(64),
+                    ..msr_core::TenantQuota::default()
+                },
+            ));
+        sys.tenants.register(
+            msr_core::Tenant::new("viz")
+                .with_slo(SimDuration::from_secs(1e-3))
+                .with_overload(msr_core::OverloadPolicy::Defer {
+                    max_deferred: 4,
+                    ttl: SimDuration::from_secs(1e9),
+                }),
+        );
+        let mut sched = Scheduler::new(&sys).with_prefetch(true);
+        for i in 0..4 {
+            sched.admit(astro_program(i).tenant("sim")).unwrap();
+        }
+        for i in 0..2 {
+            // Over-SLO behind the astro backlog: parks, admitted later.
+            sched.admit(volren_program(i).tenant("viz")).unwrap();
+        }
+        sched
+            .admit(
+                astro_program(9)
+                    .tenant("sim")
+                    .deadline(SimDuration::from_secs(1e-6)),
+            )
+            .unwrap();
+        serde_json::to_string(&sched.run().unwrap()).unwrap()
+    };
+    let wide = rayon::pool::with_threads(4, drain);
+    let narrow = rayon::pool::with_threads(1, drain);
+    assert_eq!(
+        wide, narrow,
+        "admission-control drain must not depend on MSR_THREADS"
+    );
+}
+
 /// Scheduler activity shows up in the observability snapshot: queue-depth
 /// gauges and wait/dispatch spans under the `sched` layer.
 #[test]

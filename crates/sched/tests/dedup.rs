@@ -7,7 +7,7 @@
 //! predictor's `RatioBook` at the report-finalization barrier. None of
 //! that may perturb the scheduler's bitwise-determinism contract: the same
 //! fleet must produce byte-identical `SchedReport` JSON at any
-//! `MSR_THREADS`, under both dispatch engines.
+//! `MSR_THREADS`.
 
 use msr_core::{ChunkPolicy, Codec, DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_meta::ElementType;
@@ -34,35 +34,25 @@ fn chunked_producer(i: usize) -> SessionProgram {
         )
 }
 
-fn drain(seed: u64, n: usize, event: bool) -> (String, f64) {
+fn drain(seed: u64, n: usize) -> (String, f64) {
     let sys = MsrSystem::testbed(seed);
     let mut sched = Scheduler::new(&sys).with_prefetch(true);
     for i in 0..n {
         sched.admit(chunked_producer(i)).unwrap();
     }
-    let report = if event {
-        sched.run().unwrap()
-    } else {
-        sched.run_round_based().unwrap()
-    };
-    let json = serde_json::to_string(&report).unwrap();
+    let json = serde_json::to_string(&sched.run().unwrap()).unwrap();
     (json, sys.predicted_ratio("state"))
 }
 
-/// Chunked fleets drain to byte-identical reports under both engines and
-/// at a single-threaded worker pool.
+/// Chunked fleets drain to byte-identical reports at a single-threaded
+/// worker pool.
 #[test]
 fn chunked_drains_are_bitwise_deterministic() {
     for n in [1usize, 4] {
-        let (event, _) = drain(3000, n, true);
-        let (round, _) = drain(3000, n, false);
+        let (wide, _) = drain(3000, n);
+        let (narrow, _) = rayon::pool::with_threads(1, || drain(3000, n));
         assert_eq!(
-            event, round,
-            "chunked fleet n={n}: event engine diverged from round engine"
-        );
-        let (narrow, _) = rayon::pool::with_threads(1, || drain(3000, n, true));
-        assert_eq!(
-            narrow, event,
+            narrow, wide,
             "chunked fleet n={n}: drain diverged at MSR_THREADS=1"
         );
     }
@@ -73,12 +63,12 @@ fn chunked_drains_are_bitwise_deterministic() {
 /// is the same ratio at any worker-pool width.
 #[test]
 fn chunked_drains_teach_the_predictor() {
-    let (_, ratio) = drain(3100, 1, true);
+    let (_, ratio) = drain(3100, 1);
     assert!(
         ratio < 0.9,
         "churn producer should dedup a real fraction of bytes, got ratio {ratio}"
     );
-    let (_, narrow) = rayon::pool::with_threads(1, || drain(3100, 1, true));
+    let (_, narrow) = rayon::pool::with_threads(1, || drain(3100, 1));
     assert_eq!(
         ratio.to_bits(),
         narrow.to_bits(),

@@ -91,6 +91,22 @@ fn between_round_ticks_manage_prior_epochs_only() {
             );
         }
     }
+
+    // What tiering is for: the same two epochs with no engine leave more
+    // on the fast tier, and retention never grows what is stored overall.
+    let unmanaged = MsrSystem::testbed(61);
+    epoch(&unmanaged, 2, false);
+    unmanaged.clock.advance(SimDuration::from_secs(700.0));
+    epoch(&unmanaged, 2, false);
+    let (on, off) = (sys.usage(), unmanaged.usage());
+    let local = StorageKind::LocalDisk;
+    assert!(
+        on[&local] < off[&local],
+        "lifecycle run holds {} local-disk bytes, unmanaged {}",
+        on[&local],
+        off[&local]
+    );
+    assert!(on.values().sum::<u64>() <= off.values().sum::<u64>());
 }
 
 /// The full two-epoch lifecycle scenario produces a bitwise-identical

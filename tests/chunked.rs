@@ -306,19 +306,26 @@ fn packs(res: &SharedResource) -> Vec<String> {
 
 /// Dedup has to win on time, not only on bytes: with one pack per dump
 /// the chunked fleet pays two objects' fixed costs per checkpoint, not
-/// one per chunk, and drains faster than the same fleet dumping raw.
+/// one per chunk, and drains faster than the same fleet dumping raw —
+/// while shipping under a third of its bytes across the WAN.
 #[test]
 fn a_chunked_fleet_drains_faster_than_its_raw_twin() {
     let drain = |chunked: bool| {
         let sys = MsrSystem::testbed(7600);
         let report = run_concurrent(&sys, dedup_fleet(4, 64, 24, chunked)).unwrap();
         assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
-        report.makespan
+        let remote = sys.resource(StorageKind::RemoteDisk).unwrap();
+        let wan_bytes = remote.lock().stats().bytes_written;
+        (report.makespan, wan_bytes)
     };
-    let (chunked, raw) = (drain(true), drain(false));
+    let ((chunked, chunked_wan), (raw, raw_wan)) = (drain(true), drain(false));
     assert!(
         chunked < raw,
         "chunked drain {chunked} must beat its raw twin {raw}"
+    );
+    assert!(
+        3 * chunked_wan <= raw_wan,
+        "chunked fleet shipped {chunked_wan} WAN bytes, raw {raw_wan}"
     );
 }
 

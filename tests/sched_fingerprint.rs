@@ -4,9 +4,11 @@
 //! `cut_fingerprint_is_frozen` in `crates/chunk/tests/parallel_cdc.rs`.
 //! The grid — the mixed client fleet and the tape-heavy consumer fleet at
 //! 1/4/16 sessions with read-ahead off and on, a weighted two-tenant
-//! fleet, chunked producers at 1/4 — is drained by both dispatch engines
-//! at the default worker pool and at a one-worker pool, and every drain
-//! must hash to the pinned constant. A changed constant means every
+//! fleet, chunked producers at 1/4 — is drained at the default worker
+//! pool and at a one-worker pool, and every drain must hash to the pinned
+//! constant. Among the bytes pinned: the `(step, phase, kind)` order each
+//! session's float totals are folded in, and `SchedReport.rounds`, the
+//! busiest resource's dispatch-step count. A changed constant means every
 //! scheduler number moved; it must be a deliberate decision.
 
 use msr::apps::multi::{consumer_fleet, dedup_fleet};
@@ -22,28 +24,18 @@ fn fingerprint(report: &SchedReport) -> String {
     format!("{fnv:016x}")
 }
 
-/// Admit `programs` on `sys` and drain with the event engine, or with the
-/// round-based reference engine when `event` is false.
-fn drain(
-    sys: &MsrSystem,
-    programs: Vec<SessionProgram>,
-    prefetch: bool,
-    event: bool,
-) -> SchedReport {
+/// Admit `programs` on `sys` and drain them.
+fn drain(sys: &MsrSystem, programs: Vec<SessionProgram>, prefetch: bool) -> SchedReport {
     let mut sched = Scheduler::new(sys).with_prefetch(prefetch);
     for p in programs {
         sched.admit(p).unwrap();
     }
-    if event {
-        sched.run().unwrap()
-    } else {
-        sched.run_round_based().unwrap()
-    }
+    sched.run().unwrap()
 }
 
-/// Drain `programs` on a fresh `testbed` with both engines, at the default
-/// pool and at a one-worker pool, and hold every report to `pin`. Returns
-/// the event engine's default-pool drain.
+/// Drain `programs` on a fresh `testbed` at the default pool and at a
+/// one-worker pool, and hold both reports to `pin`. Returns the
+/// default-pool drain.
 fn pinned(
     label: &str,
     pin: &str,
@@ -51,26 +43,18 @@ fn pinned(
     programs: impl Fn() -> Vec<SessionProgram>,
     prefetch: bool,
 ) -> (MsrSystem, SchedReport) {
-    let run = |event| {
+    let run = || {
         let sys = testbed();
-        let report = drain(&sys, programs(), prefetch, event);
+        let report = drain(&sys, programs(), prefetch);
         (sys, report)
     };
-    let check = |(sys, report): (MsrSystem, SchedReport), how: &str| {
+    let narrow = rayon::pool::with_threads(1, run);
+    let wide = run();
+    for (how, (_, report)) in [("one pool worker", &narrow), ("default pool", &wide)] {
         let moved = format!("{label} prefetch={prefetch} moved ({how})");
-        assert_eq!(fingerprint(&report), pin, "{moved}");
-        (sys, report)
-    };
-    check(
-        rayon::pool::with_threads(1, || run(false)),
-        "round engine, one pool worker",
-    );
-    check(
-        rayon::pool::with_threads(1, || run(true)),
-        "one pool worker",
-    );
-    check(run(false), "round engine");
-    check(run(true), "default pool")
+        assert_eq!(fingerprint(report), pin, "{moved}");
+    }
+    wide
 }
 
 fn testbed() -> MsrSystem {
@@ -171,7 +155,7 @@ fn antagonist_tenants_fingerprint_is_frozen() {
         let quiet = r.tenants.iter().find(|t| t.tenant == "quiet");
         quiet.expect("quiet tenant row").wait_p99.as_secs()
     };
-    let solo = run_overloaded(&MsrSystem::testbed(SEED), quiet_fleet(4, 16, 24)).unwrap();
+    let solo = run_overloaded(&testbed(), quiet_fleet(4, 16, 24)).unwrap();
     assert!(
         quiet_p99(&report) <= 1.25 * quiet_p99(&solo),
         "protected quiet p99 {} vs solo {}",
@@ -183,9 +167,8 @@ fn antagonist_tenants_fingerprint_is_frozen() {
 #[test]
 fn chunked_producers_fingerprint_is_frozen() {
     let fleet = |n| move || dedup_fleet(n, 16, 24, true);
-    let label = "chunked producers";
-    pinned(label, "d48a20b84823d155", testbed, fleet(1), false);
-    let (sys, report) = pinned(label, "c207acbd212e8019", testbed, fleet(4), false);
+    pinned("chunked n=1", "d48a20b84823d155", testbed, fleet(1), false);
+    let (sys, report) = pinned("chunked n=4", "c207acbd212e8019", testbed, fleet(4), false);
     assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
 
     // What crossed the WAN and what the store holds for it.
@@ -211,7 +194,7 @@ fn seeded_fault_requeue_fingerprint_is_frozen() {
         FaultPlan::none().with_error_prob(0.3),
     )
     .unwrap();
-    let report = drain(&sys, consumer_fleet(8, 16, 24), true, true);
+    let report = drain(&sys, consumer_fleet(8, 16, 24), true);
     let requeues: u32 = report.sessions.iter().map(|s| s.requeues).sum();
     assert!(requeues > 0, "seeded faults must force requeues");
     assert_eq!(
