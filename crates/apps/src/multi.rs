@@ -10,6 +10,7 @@
 
 use msr_core::{CoreResult, DatasetSpec, FutureUse, MsrSystem};
 use msr_meta::ElementType;
+use msr_sched::program::PayloadSource;
 use msr_sched::{SchedReport, Scheduler, SessionProgram};
 use msr_sim::SimDuration;
 
@@ -340,14 +341,15 @@ pub fn run_sequential(sys: &MsrSystem, programs: &[SessionProgram]) -> CoreResul
         let handles: Vec<_> = p
             .datasets
             .iter()
-            .map(|d| s.open(d.clone()).map(|h| (h, d.clone())))
+            .map(|d| {
+                let source = PayloadSource::new(0, &d.name, d.snapshot_bytes() as usize);
+                s.open(d.clone()).map(|h| (h, source))
+            })
             .collect::<CoreResult<_>>()?;
         for iter in 0..=p.iterations {
-            for (h, d) in &handles {
+            for (h, source) in &handles {
                 if s.dumps_at(*h, iter) {
-                    let data =
-                        msr_sched::program::payload(0, &d.name, iter, d.snapshot_bytes() as usize);
-                    s.write_iteration(*h, iter, &data)?;
+                    s.write_iteration(*h, iter, &source.dump(iter))?;
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! deal of those requests into per-resource weighted-fair queues.
 
 use crate::drain::{pop_chain, Acc, Drain, Queues};
-use crate::program::{payload, SessionProgram};
+use crate::program::{PayloadSource, SessionProgram};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
 use msr_core::{
     dataset_base_path, placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant,
@@ -121,7 +121,7 @@ impl Scheduler<'_> {
         self.tenant_names.insert(tid, tenant.name.clone());
         self.weights.insert(tid, tenant.weight);
         match self.admission_gate(&program, tid, &tenant)? {
-            GateVerdict::Admit => Ok(Some(self.open_and_expand(program, tid)?)),
+            GateVerdict::Admit => Ok(Some(self.open_and_expand(&program, tid)?)),
             GateVerdict::Shed(e) => {
                 self.tcounts.entry(tid).or_default().shed += 1;
                 self.rec.instant(
@@ -272,8 +272,10 @@ impl Scheduler<'_> {
 
     /// Open the program's catalog session, place its datasets, expand it
     /// into tagged requests and account them (depth, predicted backlog,
-    /// tenant usage) on the system's load board.
-    fn open_and_expand(&mut self, program: SessionProgram, tid: TenantId) -> CoreResult<u64> {
+    /// tenant usage) on the system's load board. Every step that can fail
+    /// comes before the first write to scheduler state, so a program that
+    /// errors leaves nothing behind under the id the next admission takes.
+    fn open_and_expand(&mut self, program: &SessionProgram, tid: TenantId) -> CoreResult<u64> {
         let id = self.admitted.len() as u64;
         let mut session = self
             .sys
@@ -287,21 +289,19 @@ impl Scheduler<'_> {
             session.open(spec.clone())?;
         }
         let run = session.run_id();
-        for d in session.report().datasets {
-            if let Some(kind) = d.location {
-                self.locations.insert((id, d.name), kind);
-            }
-        }
-        for spec in &program.datasets {
-            self.specs.insert((id, spec.name.clone()), spec.clone());
-        }
+        let placed: BTreeMap<String, StorageKind> = session
+            .report()
+            .datasets
+            .into_iter()
+            .filter_map(|d| Some((d.name, d.location?)))
+            .collect();
 
         let mut requests = VecDeque::new();
         let mut seq = 0u64;
         // Dataset-major expansion keeps one dataset's dumps at consecutive
         // sequence numbers, which is what makes them batchable.
         for spec in &program.datasets {
-            if !self.locations.contains_key(&(id, spec.name.clone())) || spec.frequency == 0 {
+            if !placed.contains_key(&spec.name) || spec.frequency == 0 {
                 continue;
             }
             let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
@@ -321,6 +321,9 @@ impl Scheduler<'_> {
                 ingest: spec.ingest,
                 body,
             };
+            // One base stream for all of this dataset's dumps, dropped
+            // before the next dataset's is made.
+            let source = PayloadSource::new(id, &spec.name, spec.snapshot_bytes() as usize);
             let mut dumps = Vec::new();
             for iter in 0..=program.iterations {
                 if !iter.is_multiple_of(spec.frequency) {
@@ -334,7 +337,7 @@ impl Scheduler<'_> {
                     AccessMode::OverWrite => 0,
                 };
                 dumps.push((path.clone(), row));
-                let data = payload(id, &spec.name, iter, spec.snapshot_bytes() as usize);
+                let data = source.dump(iter);
                 requests.push_back((request(seq, path, RequestBody::Write { data, mode }), row));
                 seq += 1;
             }
@@ -359,7 +362,7 @@ impl Scheduler<'_> {
         let mut tenant_bytes = 0u64;
         let mut tenant_secs = 0.0f64;
         for (req, _) in &requests {
-            let kind = self.locations[&(id, req.dataset.clone())];
+            let kind = placed[&req.dataset];
             *per_kind.entry(kind).or_insert(0) += 1;
             let est = self.estimator.cost(self.sys, kind, req);
             self.sys.load.backlog_enqueued(kind, est);
@@ -387,12 +390,18 @@ impl Scheduler<'_> {
             &format!("session {id}: {} requests, run{}", requests.len(), run.0),
         );
 
+        for (dataset, kind) in placed {
+            self.locations.insert((id, dataset), kind);
+        }
+        for spec in &program.datasets {
+            self.specs.insert((id, spec.name.clone()), spec.clone());
+        }
         if let Some(d) = program.deadline {
             self.deadlines.insert(id, d);
         }
         self.admitted.push(Admitted {
             id,
-            app: program.app,
+            app: program.app.clone(),
             run,
             tenant: tid,
             session,
@@ -468,16 +477,15 @@ impl Scheduler<'_> {
     /// elapsed, re-run the admission gate on the rest, and deal whatever
     /// now fits into the live queues (admitted at `now`; the session's
     /// chains keep program order — fairness against the sessions already
-    /// draining comes from the WFQ lanes, not the deal). With `force` (the
-    /// event heap just emptied) every program gets a final verdict — admit
-    /// or expire — so the drain always terminates. Returns whether
-    /// anything was admitted.
-    pub(crate) fn admit_deferred(
-        &mut self,
-        drain: &mut Drain,
-        now: SimTime,
-        force: bool,
-    ) -> CoreResult<bool> {
+    /// draining comes from the WFQ lanes, not the deal). A program whose
+    /// gate or open fails with a typed error (its resources went offline
+    /// while it was parked, say) expires with that error as the reason:
+    /// one parked program must not cost the drain its report, nor the
+    /// programs queued behind it their verdict. With `force` (the event
+    /// heap just emptied) every program gets a final verdict — admit or
+    /// expire — so the drain always terminates. Returns whether anything
+    /// was admitted.
+    pub(crate) fn admit_deferred(&mut self, drain: &mut Drain, now: SimTime, force: bool) -> bool {
         let mut any = false;
         for d in std::mem::take(&mut self.deferred) {
             if now > d.expires {
@@ -488,35 +496,46 @@ impl Scheduler<'_> {
                 self.expire(&d, now, "tenant unregistered");
                 continue;
             };
-            match self.admission_gate(&d.program, d.tenant, &tenant)? {
-                GateVerdict::Admit => {
-                    let deadline = d.program.deadline;
-                    let id = self.open_and_expand(d.program, d.tenant)?;
-                    let mut est = 0.0f64;
-                    while let Some(kind) =
-                        self.deal_chain(id as usize, now, &mut drain.queues, &mut est)
-                    {
-                        // A resource that was idle (cursor behind the
-                        // frontier) cannot have served this work before it
-                        // arrived.
-                        let c = drain.cursors.entry(kind).or_insert(now);
-                        *c = (*c).max(now);
-                    }
-                    let a = &self.admitted[id as usize];
-                    drain.busy.insert(a.run);
-                    drain.accs.push(Acc::new(a.run, a.tenant, now));
-                    if let Some(dl) = deadline {
-                        drain.remaining.insert(id, est);
-                        drain.deadlines.insert(id, now + dl);
-                    }
-                    drain.dirty_gates();
-                    any = true;
+            // `None`: the gate still says shed or defer.
+            let opened = self
+                .admission_gate(&d.program, d.tenant, &tenant)
+                .and_then(|verdict| match verdict {
+                    GateVerdict::Admit => self.open_and_expand(&d.program, d.tenant).map(Some),
+                    _ => Ok(None),
+                });
+            let id = match opened {
+                Ok(Some(id)) => id,
+                Ok(None) if force => {
+                    self.expire(&d, now, "still over limits with queues drained");
+                    continue;
                 }
-                _ if force => self.expire(&d, now, "still over limits with queues drained"),
-                _ => self.deferred.push_back(d),
+                Ok(None) => {
+                    self.deferred.push_back(d);
+                    continue;
+                }
+                Err(e) => {
+                    self.expire(&d, now, &e.to_string());
+                    continue;
+                }
+            };
+            let mut est = 0.0f64;
+            while let Some(kind) = self.deal_chain(id as usize, now, &mut drain.queues, &mut est) {
+                // A resource that was idle (cursor behind the frontier)
+                // cannot have served this work before it arrived.
+                let c = drain.cursors.entry(kind).or_insert(now);
+                *c = (*c).max(now);
             }
+            let a = &self.admitted[id as usize];
+            drain.busy.insert(a.run);
+            drain.accs.push(Acc::new(a.run, a.tenant, now));
+            if let Some(dl) = d.program.deadline {
+                drain.remaining.insert(id, est);
+                drain.deadlines.insert(id, now + dl);
+            }
+            drain.dirty_gates();
+            any = true;
         }
-        Ok(any)
+        any
     }
 
     /// Count and record one deferred program dropped unadmitted.

@@ -294,7 +294,7 @@ impl<'a> Scheduler<'a> {
                     // drained-down load board every few events.
                     if !self.deferred.is_empty() && fired.is_multiple_of(DEFER_RETRY_EVERY) {
                         let frontier = drain.frontier();
-                        self.admit_deferred(&mut drain, frontier, false)?;
+                        self.admit_deferred(&mut drain, frontier, false);
                     }
                 }
                 drain.rearm(&mut events, &mut armed);
@@ -307,7 +307,7 @@ impl<'a> Scheduler<'a> {
                 break;
             }
             let frontier = drain.frontier();
-            let admitted_any = self.admit_deferred(&mut drain, frontier, true)?;
+            let admitted_any = self.admit_deferred(&mut drain, frontier, true);
             drain.rearm(&mut events, &mut armed);
             if !admitted_any {
                 break;

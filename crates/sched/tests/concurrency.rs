@@ -5,7 +5,7 @@ use msr_core::{DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_meta::ElementType;
 use msr_predict::PTool;
 use msr_runtime::ProcGrid;
-use msr_sched::{program::payload, Scheduler, SessionProgram};
+use msr_sched::{program::PayloadSource, Scheduler, SessionProgram};
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
 
@@ -435,18 +435,19 @@ fn readback_roundtrips_through_the_catalog() {
     assert_eq!(s.requests, 4);
     assert!(s.reports.iter().any(|r| r.native_reads > 0));
 
-    // The consumer path reads the same bytes the payload generator made.
-    let (data, _) = sys
-        .read_dataset(
-            msr_meta::RunId(s.run),
-            "field",
-            0,
-            ProcGrid::new(1, 1, 1),
-            msr_runtime::IoStrategy::Collective,
-        )
-        .unwrap();
-    assert_eq!(
-        data,
-        payload(id, "field", 0, spec.snapshot_bytes() as usize).to_vec()
-    );
+    // The consumer path reads the same bytes the payload generator made,
+    // every dump from the one source of its dataset.
+    let source = PayloadSource::new(id, "field", spec.snapshot_bytes() as usize);
+    for iter in [0, 6, 12] {
+        let (data, _) = sys
+            .read_dataset(
+                msr_meta::RunId(s.run),
+                "field",
+                iter,
+                ProcGrid::new(1, 1, 1),
+                msr_runtime::IoStrategy::Collective,
+            )
+            .unwrap();
+        assert_eq!(data, source.dump(iter), "dump {iter}");
+    }
 }

@@ -164,6 +164,55 @@ fn deferred_program_is_admitted_mid_drain() {
     assert_eq!((row.deferred, row.expired, row.sessions), (1, 0, 1));
 }
 
+/// A parked program that can no longer be placed when its turn comes (every
+/// resource went dark while it waited) expires with the typed error as its
+/// reason. The drain still ends `Ok` and still accounts for the session it
+/// was already serving — one parked program must not cost the whole report.
+#[test]
+fn deferred_program_that_cannot_be_placed_expires_without_aborting_the_drain() {
+    let sys = MsrSystem::testbed(83);
+    let mut sched = Scheduler::new(&sys);
+    sched.admit(disk_program("heavy", 40)).unwrap();
+    let backlog = sys.load.predicted_backlog(StorageKind::LocalDisk);
+    sys.tenants.register(
+        Tenant::new("patient")
+            .with_slo(SimDuration::from_secs(backlog * 0.5))
+            .with_overload(OverloadPolicy::Defer {
+                max_deferred: 2,
+                ttl: SimDuration::from_secs(1e9),
+            }),
+    );
+    assert!(sched
+        .admit(disk_program("patient-app", 2).tenant("patient"))
+        .unwrap()
+        .is_none());
+    for kind in [
+        StorageKind::LocalDisk,
+        StorageKind::RemoteDisk,
+        StorageKind::RemoteTape,
+    ] {
+        sys.set_resource_online(kind, false);
+    }
+
+    let report = sched
+        .run()
+        .expect("a parked program's typed error must not abort the drain");
+    assert_eq!(report.sessions.len(), 1, "the parked program never opened");
+    let heavy = &report.sessions[0];
+    assert_eq!(heavy.app, "heavy");
+    assert_eq!(heavy.requests, 0, "no resource could serve anything");
+    assert!(
+        !heavy.errors.is_empty(),
+        "abandoned dumps surface as errors"
+    );
+    let row = report
+        .tenants
+        .iter()
+        .find(|t| t.tenant == "patient")
+        .unwrap();
+    assert_eq!((row.deferred, row.expired, row.sessions), (1, 1, 0));
+}
+
 /// A parked program whose TTL elapses before the backlog clears expires:
 /// counted on the tenant, never run, never errored.
 #[test]

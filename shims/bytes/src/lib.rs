@@ -9,10 +9,12 @@ use std::sync::Arc;
 use std::{cmp, fmt};
 
 /// An immutable, reference-counted byte buffer. Cloning and slicing are
-/// O(1) and share the underlying allocation.
+/// O(1) and share the underlying allocation, which is the vector the
+/// buffer was made from: `Arc<[u8]>::from(Vec<u8>)` would reallocate and
+/// copy every byte to put the reference counts in front of them.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -85,12 +87,12 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes ownership of `v`'s allocation without copying.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -267,6 +269,20 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.slice(..2), Bytes::from(vec![2, 3]));
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> must not copy");
+        assert_eq!(b.slice(16..).as_ptr(), ptr.wrapping_add(16));
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.resize(4096, 1);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr, "freeze must not copy");
     }
 
     #[test]
