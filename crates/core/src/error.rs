@@ -37,8 +37,6 @@ pub enum CoreError {
     },
     /// The requested dataset was DISABLEd for this run.
     DatasetDisabled(String),
-    /// A handle was used after the session finalized.
-    SessionClosed,
     /// Admission control shed the session: the eq. (2) predicted queue
     /// wait exceeded the tenant's SLO (and its overload policy was shed,
     /// or its deferral queue was full).
@@ -84,7 +82,6 @@ impl fmt::Display for CoreError {
             CoreError::DatasetDisabled(name) => {
                 write!(f, "dataset {name} is DISABLEd for this run")
             }
-            CoreError::SessionClosed => f.write_str("session already finalized"),
             CoreError::Rejected {
                 tenant,
                 predicted_wait,
@@ -221,8 +218,7 @@ pub fn classify(e: &CoreError) -> ErrorClass {
         CoreError::Meta(_)
         | CoreError::Predict(_)
         | CoreError::NoUsableResource { .. }
-        | CoreError::DatasetDisabled(_)
-        | CoreError::SessionClosed => ErrorClass::Fatal,
+        | CoreError::DatasetDisabled(_) => ErrorClass::Fatal,
         // Overload shedding is a deliberate decision, not a transient
         // condition the session layer should route around: retrying or
         // failing over would defeat the admission controller. The caller
@@ -312,7 +308,6 @@ mod tests {
                 bytes: 1,
             },
             CoreError::DatasetDisabled("d".into()),
-            CoreError::SessionClosed,
             CoreError::Rejected {
                 tenant: "t".into(),
                 predicted_wait: SimDuration::from_secs(9.0),

@@ -199,14 +199,6 @@ impl MsrSystem {
                 report.bytes,
             );
         }
-        self.trace.record(
-            self.clock.now(),
-            "staging",
-            format!(
-                "{dataset}: {from} -> {to}, {} files, {} B",
-                report.files, report.bytes
-            ),
-        );
         // Point the catalog at the staged copy, then drop the originals.
         {
             let mut catalog = self.catalog.lock();

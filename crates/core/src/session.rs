@@ -7,6 +7,15 @@
 //! filled up are transparently re-placed (the §5 reliability example) and
 //! the catalog is updated so consumers can still find the data.
 //! `finalize()` closes connections and returns the run's accounting.
+//!
+//! A dump's lifecycle inside a session is five steps, each defined once
+//! here: *naming* ([`Session::request`]), *connect-on-demand*, *execution*
+//! ([`Session::execute`]), *completion accounting* ([`Session::complete`])
+//! and *re-placement* ([`Session::replace`]). A step moves no clock; it
+//! returns its cost for the caller to charge. `write_iteration` and
+//! `read_iteration` loop over the steps and charge the global clock; the
+//! scheduler (`msr-sched`) calls the same steps for the sessions it
+//! admitted and charges its per-resource cursors.
 
 use crate::dataset::DatasetSpec;
 use crate::error::{classify, CoreError, ErrorClass};
@@ -20,11 +29,11 @@ use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId};
 use msr_obs::{ops, Layer, Recorder};
 use msr_predict::{DatasetPlan, PredictionReport, RunSpec};
 use msr_runtime::{
-    staging_cache, Distribution, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid, RetryPolicy,
-    StagingCache,
+    staging_cache, Distribution, EngineRequest, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid,
+    RequestBody, RequestOutcome, RequestTag, RetryPolicy, StagingCache,
 };
-use msr_sim::SimDuration;
-use msr_storage::{OpKind, StorageKind};
+use msr_sim::{SimDuration, SimTime};
+use msr_storage::{OpKind, OpenMode, StorageKind};
 use std::collections::BTreeSet;
 
 /// Budget for the session's degraded-read staging copies.
@@ -40,17 +49,52 @@ struct DatasetState {
     dist: Distribution,
     location: Option<StorageKind>,
     meta_id: DatasetId,
+    /// Catalog path of the dataset: the prefix every dump file derives
+    /// from (see [`AccessMode::dump_file`]).
+    base: String,
     dumps: u32,
     bytes: u64,
     io_time: SimDuration,
     native_calls: usize,
 }
 
-/// Catalog path of dataset `name` in run `run` of `app` — the prefix every
-/// dump file of the dataset derives from (see
-/// [`AccessMode::dump_file`](msr_meta::AccessMode::dump_file)).
-pub fn dataset_base_path(app: &str, run: RunId, name: &str) -> String {
-    format!("{app}/run{}/{name}", run.0)
+/// How a dump file of an `amode` dataset is opened for writing.
+fn open_mode(amode: AccessMode) -> OpenMode {
+    match amode {
+        AccessMode::Create => OpenMode::Create,
+        AccessMode::OverWrite => OpenMode::OverWrite,
+    }
+}
+
+/// The catalog dump row the dump at `iter` keys on: an `OverWrite`
+/// dataset rewrites one file, so all its dumps share row 0.
+fn dump_row(amode: AccessMode, iter: u32) -> u32 {
+    match amode {
+        AccessMode::Create => iter,
+        AccessMode::OverWrite => 0,
+    }
+}
+
+/// Mirror one served request into the catalog's recency columns, for the
+/// lifecycle engine's heat tracking. The hook is free: no query cost, no
+/// clock movement.
+fn note_served(
+    sys: &MsrSystem,
+    run: RunId,
+    dataset: &str,
+    row: u32,
+    written: Option<u64>,
+    at: SimTime,
+) {
+    let mut catalog = sys.catalog.lock();
+    match written {
+        Some(bytes) => catalog.note_dump(run, dataset, row, at.as_secs(), bytes),
+        None => catalog.note_access(run, dataset, Some(row), at.as_secs()),
+    }
+}
+
+fn kind_or_dash(kind: Option<StorageKind>) -> String {
+    kind.map_or_else(|| "-".into(), |k| k.to_string())
 }
 
 /// An active application session.
@@ -64,7 +108,6 @@ pub struct Session<'a> {
     connected: BTreeSet<StorageKind>,
     events: Vec<PlacementEvent>,
     conn_time: SimDuration,
-    finalized: bool,
     rec: Recorder,
     /// Last good copy of each dump, for degraded reads while the
     /// authoritative resource is open-circuit.
@@ -119,7 +162,6 @@ impl<'a> Session<'a> {
             connected: BTreeSet::new(),
             events: Vec::new(),
             conn_time: SimDuration::ZERO,
-            finalized: false,
             rec,
             staged: staging_cache(STAGE_CACHE_BYTES),
             engine_override: retry.map(|policy| {
@@ -157,9 +199,12 @@ impl<'a> Session<'a> {
         self.iterations
     }
 
-    fn ensure_connected(&mut self, kind: StorageKind) -> CoreResult<()> {
+    /// Connect-on-demand: establish this session's connection to `kind`
+    /// unless it already holds one. Returns the setup time, already on
+    /// the session's `conn_time`, for the caller to charge.
+    fn connect(&mut self, kind: StorageKind) -> CoreResult<SimDuration> {
         if self.connected.contains(&kind) {
-            return Ok(());
+            return Ok(SimDuration::ZERO);
         }
         let res = self.sys.resource(kind).ok_or(CoreError::NoUsableResource {
             dataset: String::new(),
@@ -167,17 +212,13 @@ impl<'a> Session<'a> {
         })?;
         let cost = res.lock().connect()?;
         self.conn_time += cost.time;
-        self.sys.clock.advance(cost.time);
         self.connected.insert(kind);
-        Ok(())
+        Ok(cost.time)
     }
 
     /// Declare a dataset (Fig. 5's `open`): resolves placement, records the
     /// catalog row and establishes the connection.
     pub fn open(&mut self, spec: DatasetSpec) -> CoreResult<DatasetHandle> {
-        if self.finalized {
-            return Err(CoreError::SessionClosed);
-        }
         let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, self.grid)?;
         let run_bytes = spec.run_bytes(self.iterations);
         let location = placement::resolve(self.sys, &spec, &dist, run_bytes)?;
@@ -186,7 +227,7 @@ impl<'a> Session<'a> {
             Some(kind) => Location::Stored(kind),
             None => Location::Disabled,
         };
-        let base_path = dataset_base_path(&self.app, self.run, &spec.name);
+        let base = format!("{}/run{}/{}", self.app, self.run.0, spec.name);
         let meta_id = {
             let mut catalog = self.sys.catalog.lock();
             let id = catalog.add_dataset(DatasetRec {
@@ -200,7 +241,7 @@ impl<'a> Session<'a> {
                 strategy: spec.strategy.to_string(),
                 location: meta_location,
                 frequency: spec.frequency,
-                path: base_path,
+                path: base.clone(),
                 predicted_secs: None,
                 last_access_secs: 0.0,
                 heat: 0,
@@ -214,24 +255,6 @@ impl<'a> Session<'a> {
             LocationHint::Auto => format!("auto ({})", spec.future_use),
             h => format!("hint {h}"),
         };
-        self.sys.trace.record(
-            self.sys.clock.now(),
-            "placement",
-            format!(
-                "{} -> {} ({reason})",
-                spec.name,
-                location
-                    .map(|k| k.to_string())
-                    .unwrap_or_else(|| "-".into())
-            ),
-        );
-        self.events.push(PlacementEvent {
-            dataset: spec.name.clone(),
-            from: None,
-            to: location,
-            at_iteration: 0,
-            reason,
-        });
         self.rec.count(
             Layer::Meta,
             "catalog",
@@ -244,21 +267,25 @@ impl<'a> Session<'a> {
             &spec.name,
             ops::DATASET_OPEN,
             self.sys.clock.now(),
-            &format!(
-                "-> {}",
-                location
-                    .map(|k| k.to_string())
-                    .unwrap_or_else(|| "-".into())
-            ),
+            &format!("-> {}", kind_or_dash(location)),
         );
+        self.events.push(PlacementEvent {
+            dataset: spec.name.clone(),
+            from: None,
+            to: location,
+            at_iteration: 0,
+            reason,
+        });
         if let Some(kind) = location {
-            self.ensure_connected(kind)?;
+            let setup = self.connect(kind)?;
+            self.sys.clock.advance(setup);
         }
         self.datasets.push(DatasetState {
             spec,
             dist,
             location,
             meta_id,
+            base,
             dumps: 0,
             bytes: 0,
             io_time: SimDuration::ZERO,
@@ -273,9 +300,135 @@ impl<'a> Session<'a> {
         d.location.is_some() && d.spec.frequency != 0 && iter.is_multiple_of(d.spec.frequency)
     }
 
-    fn dump_path(state: &DatasetState, app: &str, run: RunId, iter: u32) -> String {
-        let base = dataset_base_path(app, run, &state.spec.name);
-        state.spec.amode.dump_file(&base, iter)
+    /// The resource dataset `h` currently lives on (`None` = DISABLEd).
+    pub fn location(&self, h: DatasetHandle) -> Option<StorageKind> {
+        self.datasets[h.0].location
+    }
+
+    /// Naming: the engine request for dataset `h`'s dump at `iter` — a
+    /// write of `data`, or the read-back when `data` is `None`.
+    pub fn request(
+        &self,
+        h: DatasetHandle,
+        iter: u32,
+        tag: RequestTag,
+        data: Option<Bytes>,
+    ) -> EngineRequest {
+        let d = &self.datasets[h.0];
+        EngineRequest {
+            tag,
+            dataset: d.spec.name.clone(),
+            path: d.spec.amode.dump_file(&d.base, iter),
+            dist: d.dist,
+            strategy: d.spec.strategy,
+            // Reads self-describe through the registered manifest;
+            // carrying the spec keeps report lines symmetrical.
+            ingest: d.spec.ingest,
+            body: match data {
+                Some(data) => RequestBody::Write {
+                    data,
+                    mode: open_mode(d.spec.amode),
+                },
+                None => RequestBody::Read,
+            },
+        }
+    }
+
+    /// The tag of a request issued directly (not by a scheduler).
+    fn direct_tag(&self, iter: u32) -> RequestTag {
+        RequestTag {
+            session: self.run.0,
+            seq: u64::from(iter),
+        }
+    }
+
+    /// Execution: run `req` (built by [`request`](Self::request) for
+    /// dataset `h`) on the dataset's resource through this session's
+    /// engine. A success closes the resource's circuit breaker; what a
+    /// failure means is the caller's decision.
+    pub fn execute(&self, h: DatasetHandle, req: &EngineRequest) -> CoreResult<RequestOutcome> {
+        let d = &self.datasets[h.0];
+        let kind = d
+            .location
+            .ok_or_else(|| CoreError::DatasetDisabled(d.spec.name.clone()))?;
+        let res = self.sys.resource(kind).expect("placed on registered kind");
+        let outcome = self.io_engine().execute(&res, req)?;
+        self.sys.health.record_success(kind);
+        Ok(outcome)
+    }
+
+    /// Completion accounting: fold one served request of dataset `h` —
+    /// `req`, the dump at `iter`, done at `at` with `report` — into the
+    /// per-dataset totals and the catalog's recency columns.
+    pub fn complete(
+        &mut self,
+        h: DatasetHandle,
+        iter: u32,
+        req: &EngineRequest,
+        report: &IoReport,
+        at: SimTime,
+    ) {
+        let d = &mut self.datasets[h.0];
+        let written = match req.body {
+            RequestBody::Write { .. } => {
+                d.dumps += 1;
+                Some(report.bytes)
+            }
+            RequestBody::Read => None,
+        };
+        d.bytes += report.bytes;
+        d.io_time += report.elapsed;
+        d.native_calls += report.native_reads + report.native_writes;
+        let row = dump_row(d.spec.amode, iter);
+        note_served(self.sys, self.run, &d.spec.name, row, written, at);
+    }
+
+    /// Re-placement: move dataset `h` to the next usable resource with
+    /// room for `bytes` after `from` failed (or was refused by its
+    /// breaker) at iteration `iter`, recording the [`PlacementEvent`],
+    /// the catalog move and the observability marker. Returns the catalog
+    /// query cost for the caller to charge; the new resource is
+    /// [`location`](Self::location). With no usable resource left the
+    /// dataset stays where it was and the error says so.
+    pub fn replace(
+        &mut self,
+        h: DatasetHandle,
+        iter: u32,
+        from: StorageKind,
+        reason: &str,
+        bytes: u64,
+    ) -> CoreResult<SimDuration> {
+        let d = &mut self.datasets[h.0];
+        let next = placement::fallback(self.sys, &d.spec, bytes, Some(from))?;
+        d.location = next;
+        self.events.push(PlacementEvent {
+            dataset: d.spec.name.clone(),
+            from: Some(from),
+            to: next,
+            at_iteration: iter,
+            reason: reason.to_owned(),
+        });
+        let now = self.sys.clock.now();
+        self.rec.instant(
+            Layer::Session,
+            &d.spec.name,
+            ops::FAILOVER,
+            now,
+            &format!("{from} -> {} at iter {iter}: {reason}", kind_or_dash(next)),
+        );
+        let mut catalog = self.sys.catalog.lock();
+        catalog.set_dataset_location(
+            d.meta_id,
+            match next {
+                Some(k) => Location::Stored(k),
+                None => Location::Disabled,
+            },
+        )?;
+        let query_cost = catalog.config.query_cost;
+        drop(catalog);
+        self.rec
+            .count(Layer::Meta, "catalog", ops::QUERY, now + query_cost, 1.0);
+        Ok(query_cost)
     }
 
     /// Dump one iteration of a dataset. Returns `Ok(None)` when this
@@ -287,27 +440,14 @@ impl<'a> Session<'a> {
         iter: u32,
         data: &[u8],
     ) -> CoreResult<Option<IoReport>> {
-        if self.finalized {
-            return Err(CoreError::SessionClosed);
-        }
         if !self.dumps_at(h, iter) {
             return Ok(None);
         }
+        let payload = Bytes::from(data.to_vec());
+        let req = self.request(h, iter, self.direct_tag(iter), Some(payload.clone()));
         for _attempt in 0..3 {
-            let (kind, path, dist, strategy, amode, ingest, name) = {
-                let d = &self.datasets[h.0];
-                let Some(kind) = d.location else {
-                    return Ok(None);
-                };
-                (
-                    kind,
-                    Self::dump_path(d, &self.app, self.run, iter),
-                    d.dist,
-                    d.spec.strategy,
-                    d.spec.amode,
-                    d.spec.ingest,
-                    d.spec.name.clone(),
-                )
+            let Some(kind) = self.location(h) else {
+                return Ok(None);
             };
             // An open breaker means this resource has been failing
             // repeatedly: re-place without hammering it again.
@@ -315,42 +455,14 @@ impl<'a> Session<'a> {
                 self.fail_over(h, iter, kind, "circuit open")?;
                 continue;
             }
-            self.ensure_connected(kind)?;
-            let res = self.sys.resource(kind).expect("placed on registered kind");
-            let mode = match amode {
-                AccessMode::Create => msr_storage::OpenMode::Create,
-                AccessMode::OverWrite => msr_storage::OpenMode::OverWrite,
-            };
-            match self
-                .io_engine()
-                .write_chunked(&res, &path, data, &dist, strategy, mode, &ingest, &name)
-                .map_err(CoreError::from)
-            {
-                Ok(report) => {
-                    self.sys.health.record_success(kind);
-                    self.staged.lock().put(&path, Bytes::from(data.to_vec()));
-                    let d = &mut self.datasets[h.0];
-                    d.dumps += 1;
-                    d.bytes += report.bytes;
-                    d.io_time += report.elapsed;
-                    d.native_calls += report.native_reads + report.native_writes;
-                    self.sys.clock.advance(report.elapsed);
-                    // Recency bookkeeping for the lifecycle engine. The hook
-                    // is free: no query cost, no clock movement. OverWrite
-                    // datasets rewrite one file, so their single dump row
-                    // keys on iteration 0.
-                    let name = self.datasets[h.0].spec.name.clone();
-                    let dump_iter = match amode {
-                        AccessMode::Create => iter,
-                        AccessMode::OverWrite => 0,
-                    };
-                    self.sys.catalog.lock().note_dump(
-                        self.run,
-                        &name,
-                        dump_iter,
-                        self.sys.clock.now().as_secs(),
-                        report.bytes,
-                    );
+            let setup = self.connect(kind)?;
+            self.sys.clock.advance(setup);
+            match self.execute(h, &req) {
+                Ok(outcome) => {
+                    let report = outcome.into_report();
+                    self.staged.lock().put(&req.path, payload);
+                    let done = self.sys.clock.advance(report.elapsed);
+                    self.complete(h, iter, &req, &report, done);
                     return Ok(Some(report));
                 }
                 Err(e) => {
@@ -371,10 +483,8 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Re-place dataset `h` on the next usable resource after `from`
-    /// failed (or was refused by its breaker) at iteration `iter`,
-    /// recording the trace line, [`PlacementEvent`], catalog move and
-    /// observability marker.
+    /// [`replace`](Self::replace) sized by what the dataset's schedule
+    /// still owes, charged to the global clock.
     fn fail_over(
         &mut self,
         h: DatasetHandle,
@@ -388,56 +498,12 @@ impl<'a> Session<'a> {
         let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
         let remaining =
             d.spec.snapshot_bytes() * u64::from(scheduled.saturating_sub(d.dumps).max(1));
-        let next = placement::fallback(self.sys, &d.spec, remaining, Some(from))?;
-        self.sys.trace.record(
-            self.sys.clock.now(),
-            "failover",
-            format!(
-                "{}: {from} -> {} at iter {iter} ({reason})",
-                d.spec.name,
-                next.map(|k| k.to_string()).unwrap_or_else(|| "-".into())
-            ),
-        );
-        self.events.push(PlacementEvent {
-            dataset: d.spec.name.clone(),
-            from: Some(from),
-            to: next,
-            at_iteration: iter,
-            reason: reason.to_owned(),
-        });
-        self.rec.instant(
-            Layer::Session,
-            &d.spec.name,
-            ops::FAILOVER,
-            self.sys.clock.now(),
-            &format!(
-                "{from} -> {} at iter {iter}: {reason}",
-                next.map(|k| k.to_string()).unwrap_or_else(|| "-".into())
-            ),
-        );
-        let meta_id = d.meta_id;
-        self.datasets[h.0].location = next;
-        let mut catalog = self.sys.catalog.lock();
-        catalog.set_dataset_location(
-            meta_id,
-            match next {
-                Some(k) => Location::Stored(k),
-                None => Location::Disabled,
-            },
-        )?;
-        self.sys.clock.advance(catalog.config.query_cost);
-        drop(catalog);
-        self.rec.count(
-            Layer::Meta,
-            "catalog",
-            ops::QUERY,
-            self.sys.clock.now(),
-            1.0,
-        );
+        let query_cost = self.replace(h, iter, from, reason, remaining)?;
+        self.sys.clock.advance(query_cost);
         Ok(())
     }
 
-    /// Serve a dump from the session's staging copy because the
+    /// Serve read `req` from the session's staging copy because the
     /// authoritative resource cannot: the data is flagged stale in the
     /// report (it is the last copy this session wrote, which may lag the
     /// resource if something else updated it) and only a memcpy is
@@ -446,38 +512,27 @@ impl<'a> Session<'a> {
         &mut self,
         h: DatasetHandle,
         kind: StorageKind,
-        path: &str,
+        req: &EngineRequest,
         why: &str,
     ) -> Option<(Vec<u8>, IoReport)> {
-        let copy = self.staged.lock().get(path)?;
+        let copy = self.staged.lock().get(&req.path)?;
+        let served = self.io_engine().staged_read(&kind.to_string(), req, &copy);
+        let Ok(RequestOutcome::Read(data, mut report)) = served else {
+            return None;
+        };
+        report.stale = true;
+        let now = self.sys.clock.advance(report.elapsed);
         let d = &mut self.datasets[h.0];
-        let bytes = copy.len() as u64;
-        let elapsed =
-            SimDuration::from_secs(bytes as f64 / (msr_runtime::engine::MEMCPY_MB_S * 1e6));
-        self.sys.clock.advance(elapsed);
-        d.io_time += elapsed;
-        d.bytes += bytes;
+        d.io_time += report.elapsed;
+        d.bytes += report.bytes;
         self.rec.instant(
             Layer::Session,
             &d.spec.name,
             ops::DEGRADED_READ,
-            self.sys.clock.now(),
-            &format!("{path} from staging copy ({kind} {why})"),
+            now,
+            &format!("{} from staging copy ({kind} {why})", req.path),
         );
-        let report = IoReport {
-            strategy: d.spec.strategy,
-            nprocs: d.dist.nprocs(),
-            native_reads: 0,
-            native_writes: 0,
-            native_opens: 0,
-            bytes,
-            elapsed,
-            total_work: elapsed,
-            retries: 0,
-            backoff: SimDuration::ZERO,
-            stale: true,
-        };
-        Some((copy.to_vec(), report))
+        Some((data, report))
     }
 
     /// Read back one of this run's dumps (e.g. for in-run analysis).
@@ -495,51 +550,29 @@ impl<'a> Session<'a> {
         let Some(kind) = d.location else {
             return Err(CoreError::DatasetDisabled(d.spec.name.clone()));
         };
-        let path = Self::dump_path(d, &self.app, self.run, iter);
-        let dist = d.dist;
-        let strategy = d.spec.strategy;
+        let req = self.request(h, iter, self.direct_tag(iter), None);
         if !self.sys.health.allows(kind) {
-            return self.degraded_read(h, kind, &path, "open-circuit").ok_or(
+            return self.degraded_read(h, kind, &req, "open-circuit").ok_or(
                 CoreError::NoUsableResource {
-                    dataset: self.datasets[h.0].spec.name.clone(),
+                    dataset: req.dataset,
                     bytes: 0,
                 },
             );
         }
-        self.ensure_connected(kind)?;
-        let res = self.sys.resource(kind).expect("registered kind");
-        match self
-            .io_engine()
-            .read_auto(&res, &path, &dist, strategy)
-            .map_err(CoreError::from)
-        {
-            Ok((data, report)) => {
-                self.sys.health.record_success(kind);
-                self.sys.clock.advance(report.elapsed);
-                let d = &mut self.datasets[h.0];
-                d.io_time += report.elapsed;
-                d.bytes += report.bytes;
-                d.native_calls += report.native_reads + report.native_writes;
-                // Free recency hook for the lifecycle engine's heat tracking.
-                let d = &self.datasets[h.0];
-                let name = d.spec.name.clone();
-                let dump_iter = match d.spec.amode {
-                    AccessMode::Create => iter,
-                    AccessMode::OverWrite => 0,
-                };
-                self.sys.catalog.lock().note_access(
-                    self.run,
-                    &name,
-                    Some(dump_iter),
-                    self.sys.clock.now().as_secs(),
-                );
+        let setup = self.connect(kind)?;
+        self.sys.clock.advance(setup);
+        match self.execute(h, &req) {
+            Ok(RequestOutcome::Read(data, report)) => {
+                let done = self.sys.clock.advance(report.elapsed);
+                self.complete(h, iter, &req, &report, done);
                 Ok((data, report))
             }
+            Ok(RequestOutcome::Written(_)) => unreachable!("a read request yields a read"),
             Err(e) => match classify(&e) {
                 ErrorClass::Fatal => Err(e),
                 ErrorClass::Retryable(_) | ErrorClass::Failover(_) => {
                     self.sys.health.record_failure(kind);
-                    self.degraded_read(h, kind, &path, "failed").ok_or(e)
+                    self.degraded_read(h, kind, &req, "failed").ok_or(e)
                 }
             },
         }
@@ -624,7 +657,6 @@ impl<'a> Session<'a> {
         }
         self.sys.clock.advance(disconnect_time);
         self.conn_time += disconnect_time;
-        self.finalized = true;
         self.rec.instant(
             Layer::Session,
             &self.app,
@@ -679,15 +711,8 @@ impl<'a> Session<'a> {
         let conn = res.lock().connect()?;
         sys.clock.advance(conn.time);
         let (data, report) = sys.engine.read_auto(&res, &path, &dist, strategy)?;
-        sys.clock.advance(report.elapsed);
-        // Free recency hook for the lifecycle engine's heat tracking.
-        let dump_iter = match rec.amode {
-            AccessMode::Create => iteration,
-            AccessMode::OverWrite => 0,
-        };
-        sys.catalog
-            .lock()
-            .note_access(run, name, Some(dump_iter), sys.clock.now().as_secs());
+        let done = sys.clock.advance(report.elapsed);
+        note_served(sys, run, name, dump_row(rec.amode, iteration), None, done);
         Ok((data, report))
     }
 }
@@ -1198,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn finalize_then_use_is_rejected() {
+    fn a_new_session_reuses_a_finalized_sessions_app_row() {
         let sys = MsrSystem::testbed(2);
         let s = sys
             .session()

@@ -12,7 +12,7 @@ use msr_net::{LinkId, SharedNetwork};
 use msr_obs::{Recorder, Registry};
 use msr_predict::{AccessSummary, PTool, PerfDb, Predictor, RatioBook};
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
-use msr_sim::{derive_seed, Clock, SimDuration, Trace};
+use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{
     testbed, FaultLog, FaultPlan, Front, KeepAliveHandle, SharedResource, StorageKind,
     StorageResource,
@@ -32,9 +32,6 @@ pub struct MsrSystem {
     pub catalog: Arc<Mutex<Catalog>>,
     /// The run-time I/O engine.
     pub engine: IoEngine,
-    /// Event trace on the virtual timeline (placements, failovers,
-    /// staging) for debugging runs.
-    pub trace: Trace,
     /// The cross-layer observability registry: every layer's structured
     /// events land here (see `msr-obs`).
     pub obs: Registry,
@@ -124,7 +121,6 @@ impl MsrSystem {
             clock,
             catalog: Arc::new(Mutex::new(catalog)),
             engine,
-            trace: Trace::default(),
             obs,
             health,
             load: LoadBoard::new(),

@@ -472,25 +472,16 @@ impl IoEngine {
     ) -> RuntimeResult<crate::request::RequestOutcome> {
         use crate::request::{RequestBody, RequestOutcome};
         let outcome = match &req.body {
-            RequestBody::Write { data, mode } if req.ingest.is_active() => {
-                RequestOutcome::Written(self.write_chunked(
-                    res,
-                    &req.path,
-                    data,
-                    &req.dist,
-                    req.strategy,
-                    *mode,
-                    &req.ingest,
-                    &req.dataset,
-                )?)
-            }
-            RequestBody::Write { data, mode } => RequestOutcome::Written(self.write(
+            // Raw ingest falls back to the plain `write` inside.
+            RequestBody::Write { data, mode } => RequestOutcome::Written(self.write_chunked(
                 res,
                 &req.path,
                 data,
                 &req.dist,
                 req.strategy,
                 *mode,
+                &req.ingest,
+                &req.dataset,
             )?),
             RequestBody::Read => {
                 let (data, report) = self.read_auto(res, &req.path, &req.dist, req.strategy)?;

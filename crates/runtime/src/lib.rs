@@ -20,8 +20,6 @@
 //!   first read stages the whole container into a memory cache and
 //!   subsequent reads are memcpys (Fig. 10(c)).
 //! * [`pipeline`] — write-behind/async-I/O overlap of compute and I/O.
-//! * [`readahead`] — the symmetric prefetch overlap model backing the
-//!   scheduler's prediction-driven read-ahead.
 //!
 //! Real bytes move through every path (gather/scatter, pack/unpack,
 //! sieve-merge), so all strategies are verified byte-for-byte against each
@@ -34,7 +32,6 @@ pub mod engine;
 pub mod error;
 pub mod layout;
 pub mod pipeline;
-pub mod readahead;
 pub mod request;
 pub mod retry;
 pub mod strategy;
@@ -46,7 +43,6 @@ pub use engine::{memcpy_cost, scratch_counters, IoEngine, IoReport};
 pub use error::RuntimeError;
 pub use layout::{Chunk, DimDist, Dims3, Distribution, Pattern, ProcGrid};
 pub use pipeline::WriteBehind;
-pub use readahead::ReadAhead;
 pub use request::{EngineRequest, RequestBody, RequestOutcome, RequestTag};
 pub use retry::RetryPolicy;
 pub use strategy::{ExchangeModel, IoStrategy};

@@ -5,16 +5,12 @@
 use crate::drain::{pop_chain, Acc, Drain, Queues};
 use crate::program::{PayloadSource, SessionProgram};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
-use msr_core::{
-    dataset_base_path, placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant,
-    TenantId,
-};
-use msr_meta::AccessMode;
+use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
 use msr_predict::{fetch_estimate, profile_for, queue_wait, ResourceProfile};
 use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, OpenMode, StorageKind};
+use msr_storage::{OpKind, StorageKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// eq. (2) service-time estimator shared by admission pricing, the load
@@ -270,11 +266,12 @@ impl Scheduler<'_> {
         Ok(GateVerdict::Admit)
     }
 
-    /// Open the program's catalog session, place its datasets, expand it
-    /// into tagged requests and account them (depth, predicted backlog,
-    /// tenant usage) on the system's load board. Every step that can fail
-    /// comes before the first write to scheduler state, so a program that
-    /// errors leaves nothing behind under the id the next admission takes.
+    /// Open the program's catalog session, place its datasets, have the
+    /// session name every dump as a tagged request and account them
+    /// (depth, predicted backlog, tenant usage) on the system's load board.
+    /// Every step that can fail comes before the first write to scheduler
+    /// state, so a program that errors leaves nothing behind under the id
+    /// the next admission takes.
     fn open_and_expand(&mut self, program: &SessionProgram, tid: TenantId) -> CoreResult<u64> {
         let id = self.admitted.len() as u64;
         let mut session = self
@@ -285,60 +282,32 @@ impl Scheduler<'_> {
             .iterations(program.iterations)
             .grid(program.grid)
             .build()?;
+        let mut handles = Vec::with_capacity(program.datasets.len());
         for spec in &program.datasets {
-            session.open(spec.clone())?;
+            handles.push(session.open(spec.clone())?);
         }
-        let run = session.run_id();
-        let placed: BTreeMap<String, StorageKind> = session
-            .report()
-            .datasets
-            .into_iter()
-            .filter_map(|d| Some((d.name, d.location?)))
-            .collect();
 
         let mut requests = VecDeque::new();
         let mut seq = 0u64;
         // Dataset-major expansion keeps one dataset's dumps at consecutive
         // sequence numbers, which is what makes them batchable.
-        for spec in &program.datasets {
-            if !placed.contains_key(&spec.name) || spec.frequency == 0 {
+        for (spec, &h) in program.datasets.iter().zip(&handles) {
+            // Iteration 0 is on every schedule: a dataset that skips it is
+            // DISABLEd, unplaced or never dumps.
+            if !session.dumps_at(h, 0) {
                 continue;
             }
-            let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
-            let mode = match spec.amode {
-                AccessMode::Create => OpenMode::Create,
-                AccessMode::OverWrite => OpenMode::OverWrite,
-            };
-            let base = dataset_base_path(&program.app, run, &spec.name);
-            let request = |seq, path, body| EngineRequest {
-                tag: RequestTag { session: id, seq },
-                dataset: spec.name.clone(),
-                path,
-                dist,
-                strategy: spec.strategy,
-                // Reads self-describe through the registered manifest;
-                // carrying the spec keeps report lines symmetrical.
-                ingest: spec.ingest,
-                body,
+            let mut request = |seq, iter, data| {
+                let tag = RequestTag { session: id, seq };
+                requests.push_back((session.request(h, iter, tag, data), h, iter));
             };
             // One base stream for all of this dataset's dumps, dropped
             // before the next dataset's is made.
             let source = PayloadSource::new(id, &spec.name, spec.snapshot_bytes() as usize);
             let mut dumps = Vec::new();
-            for iter in 0..=program.iterations {
-                if !iter.is_multiple_of(spec.frequency) {
-                    continue;
-                }
-                let path = spec.amode.dump_file(&base, iter);
-                // The catalog's dump row: an OverWrite dataset rewrites
-                // one file, so all its dumps key on iteration 0.
-                let row = match spec.amode {
-                    AccessMode::Create => iter,
-                    AccessMode::OverWrite => 0,
-                };
-                dumps.push((path.clone(), row));
-                let data = source.dump(iter);
-                requests.push_back((request(seq, path, RequestBody::Write { data, mode }), row));
+            for iter in (0..=program.iterations).filter(|&i| session.dumps_at(h, i)) {
+                dumps.push(iter);
+                request(seq, iter, Some(source.dump(iter)));
                 seq += 1;
             }
             // Consumer reads at the end of the program. `readbacks` opens a
@@ -351,8 +320,8 @@ impl Scheduler<'_> {
             } else {
                 usize::from(program.readback)
             };
-            for (path, row) in dumps.into_iter().take(consumer_reads) {
-                requests.push_back((request(seq, path, RequestBody::Read), row));
+            for iter in dumps.into_iter().take(consumer_reads) {
+                request(seq, iter, None);
                 seq += 1;
             }
         }
@@ -361,8 +330,8 @@ impl Scheduler<'_> {
         let mut per_kind: BTreeMap<StorageKind, usize> = BTreeMap::new();
         let mut tenant_bytes = 0u64;
         let mut tenant_secs = 0.0f64;
-        for (req, _) in &requests {
-            let kind = placed[&req.dataset];
+        for (req, h, _) in &requests {
+            let kind = session.location(*h).expect("dumping datasets are placed");
             *per_kind.entry(kind).or_insert(0) += 1;
             let est = self.estimator.cost(self.sys, kind, req);
             self.sys.load.backlog_enqueued(kind, est);
@@ -387,22 +356,19 @@ impl Scheduler<'_> {
             &program.app,
             ops::SESSION_ADMIT,
             now,
-            &format!("session {id}: {} requests, run{}", requests.len(), run.0),
+            &format!(
+                "session {id}: {} requests, run{}",
+                requests.len(),
+                session.run_id().0
+            ),
         );
 
-        for (dataset, kind) in placed {
-            self.locations.insert((id, dataset), kind);
-        }
-        for spec in &program.datasets {
-            self.specs.insert((id, spec.name.clone()), spec.clone());
-        }
         if let Some(d) = program.deadline {
             self.deadlines.insert(id, d);
         }
         self.admitted.push(Admitted {
             id,
             app: program.app.clone(),
-            run,
             tenant: tid,
             session,
             requests,
@@ -425,22 +391,27 @@ impl Scheduler<'_> {
     ) -> Option<StorageKind> {
         let a = &mut self.admitted[idx];
         let mut chain = Vec::new();
-        pop_chain(&mut a.requests, &mut chain, |(req, _)| req);
+        pop_chain(&mut a.requests, &mut chain, |(req, ..)| req);
         // A chain is one session × one dataset, so its placement is a
         // single lookup, not one per request.
-        let kind = self.locations[&(a.id, chain.first()?.0.dataset.clone())];
+        let (_, handle, _) = chain.first()?;
+        let kind = a
+            .session
+            .location(*handle)
+            .expect("queued datasets are placed");
         let q = queues.entry(kind).or_default();
         q.set_weight(
             a.tenant,
             self.weights.get(&a.tenant).copied().unwrap_or(1.0),
         );
-        for (req, iter) in chain {
+        for (req, handle, iter) in chain {
             let est = self.estimator.cost(self.sys, kind, &req);
             *dealt_secs += est;
             q.push_back(
                 a.tenant,
                 Queued {
                     req,
+                    handle,
                     iter,
                     submitted,
                     attempts: 0,
@@ -526,8 +497,8 @@ impl Scheduler<'_> {
                 *c = (*c).max(now);
             }
             let a = &self.admitted[id as usize];
-            drain.busy.insert(a.run);
-            drain.accs.push(Acc::new(a.run, a.tenant, now));
+            drain.busy.insert(a.session.run_id());
+            drain.accs.push(Acc::new(a.tenant, now));
             if let Some(dl) = d.program.deadline {
                 drain.remaining.insert(id, est);
                 drain.deadlines.insert(id, now + dl);

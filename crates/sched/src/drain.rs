@@ -3,20 +3,23 @@
 //! [`Drain`] owns everything a drain mutates — the per-resource queues and
 //! cursors, the per-session accumulators, deadline bookkeeping, the
 //! read-ahead state and the whole-drain counters — and [`Drain::serve`] is
-//! the single place one served request is accounted: queue wait, cursor
-//! advance, load-board release, catalog recency and the session's
-//! [`Contrib`]. The event loop in [`crate::scheduler`] decides *what* to
-//! serve and accounts it here.
+//! the single place one served request is accounted on the scheduler's
+//! side: queue wait, cursor advance, load-board release and the session's
+//! [`Contrib`]. The completion itself (per-dataset totals, catalog
+//! recency) is handed to the owning [`Session`](msr_core::Session), which
+//! accounts a scheduled dump exactly as it accounts a direct one. The
+//! event loop in [`crate::scheduler`] decides *what* to serve and
+//! accounts it here.
 
 use crate::event::{EventQueue, PlanGate};
 use crate::prefetch::{Fetched, Prefetcher, RoundPlan};
-use crate::scheduler::{dispatch_overhead, Queued, Scheduler, MAX_CHAIN};
+use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
 use crate::wfq::WfqQueue;
-use msr_core::{placement, MsrSystem, TenantId};
+use msr_core::{MsrSystem, TenantId};
 use msr_lifecycle::{LifecycleEngine, TickTotals};
-use msr_meta::{Location, RunId};
+use msr_meta::RunId;
 use msr_obs::{ops, Layer, Recorder};
-use msr_runtime::{EngineRequest, IoReport, RequestBody, RequestOutcome};
+use msr_runtime::{EngineRequest, IoReport, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::StorageKind;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -28,7 +31,6 @@ pub(crate) type Queues = BTreeMap<StorageKind, WfqQueue<Queued>>;
 
 /// Per-session accumulator while the queues drain, indexed by session id.
 pub(crate) struct Acc {
-    pub run: RunId,
     pub tenant: TenantId,
     pub reports: Vec<(u64, IoReport)>,
     pub contribs: Vec<Contrib>,
@@ -40,9 +42,8 @@ pub(crate) struct Acc {
 }
 
 impl Acc {
-    pub fn new(run: RunId, tenant: TenantId, admitted_at: SimTime) -> Acc {
+    pub fn new(tenant: TenantId, admitted_at: SimTime) -> Acc {
         Acc {
-            run,
             tenant,
             reports: Vec::new(),
             contribs: Vec::new(),
@@ -88,8 +89,8 @@ struct Batch {
 }
 
 /// Everything one drain mutates. Built once per `run`; the scheduler's
-/// own fields (placements, tenant counters, the deferral queue) stay on
-/// [`Scheduler`].
+/// own fields (the admitted sessions, tenant counters, the deferral
+/// queue) stay on [`Scheduler`].
 pub(crate) struct Drain<'a> {
     sys: &'a MsrSystem,
     rec: Recorder,
@@ -140,9 +141,9 @@ impl<'a> Drain<'a> {
             accs: sched
                 .admitted
                 .iter()
-                .map(|a| Acc::new(a.run, a.tenant, start))
+                .map(|a| Acc::new(a.tenant, start))
                 .collect(),
-            busy: sched.admitted.iter().map(|a| a.run).collect(),
+            busy: sched.admitted.iter().map(|a| a.session.run_id()).collect(),
             remaining,
             deadlines: sched
                 .deadlines
@@ -272,6 +273,7 @@ impl<'a> Drain<'a> {
     /// on-demand service.
     pub fn serve_staged(
         &mut self,
+        admitted: &mut [Admitted],
         kind: StorageKind,
         step: u64,
         batch: impl IntoIterator<Item = Queued>,
@@ -287,7 +289,7 @@ impl<'a> Drain<'a> {
                 .take(&item.req.path)
                 .and_then(|data| self.sys.engine.staged_read(&b.comp, &item.req, &data).ok());
             match outcome {
-                Some(outcome) => self.serve(&mut b, item, outcome.into_report()),
+                Some(outcome) => self.serve(admitted, &mut b, item, outcome.into_report()),
                 None => leftovers.push(item),
             }
         }
@@ -302,13 +304,14 @@ impl<'a> Drain<'a> {
     /// report advances the resource cursor.
     pub fn serve_batch(
         &mut self,
+        admitted: &mut [Admitted],
         kind: StorageKind,
         step: u64,
         served: impl IntoIterator<Item = (Queued, RequestOutcome)>,
     ) {
         let mut b = self.open_batch(kind, step, Phase::OnDemand);
         for (item, outcome) in served {
-            self.serve(&mut b, item, outcome.into_report());
+            self.serve(admitted, &mut b, item, outcome.into_report());
         }
         self.close_batch(b);
     }
@@ -331,9 +334,10 @@ impl<'a> Drain<'a> {
     /// Account one served request — the single definition both serve
     /// kinds share. In order: the queue-wait span, the
     /// cursor advance, the load board's depth / predicted-backlog / tenant
-    /// releases, the deadline checker's remaining work, the catalog's
-    /// recency columns, and the session's report and timing contribution.
-    fn serve(&mut self, b: &mut Batch, item: Queued, report: IoReport) {
+    /// releases, the deadline checker's remaining work, the owning
+    /// session's completion accounting, and the session's report and
+    /// timing contribution.
+    fn serve(&mut self, admitted: &mut [Admitted], b: &mut Batch, item: Queued, report: IoReport) {
         let (sys, kind) = (self.sys, b.kind);
         let (bytes, io) = (report.bytes, report.elapsed);
         let cursor = self.cursors.get_mut(&kind).expect("batch opened on cursor");
@@ -350,17 +354,16 @@ impl<'a> Drain<'a> {
         let at = *cursor;
         b.bytes += bytes;
         b.served += 1;
-        match b.phase {
-            Phase::Staged => {
-                let p = self
-                    .prefetcher
-                    .as_mut()
-                    .expect("staged runs imply prefetch");
-                p.hits += 1;
-                self.rec
-                    .count(Layer::Sched, &b.comp, ops::PREFETCH_HIT, at, 1.0);
-            }
-            Phase::OnDemand => sys.health.record_success(kind),
+        // (An on-demand serve closed the breaker in `Session::execute`,
+        // when the resource answered.)
+        if b.phase == Phase::Staged {
+            let p = self
+                .prefetcher
+                .as_mut()
+                .expect("staged runs imply prefetch");
+            p.hits += 1;
+            self.rec
+                .count(Layer::Sched, &b.comp, ops::PREFETCH_HIT, at, 1.0);
         }
         let depth = sys.load.dequeued(kind, 1);
         self.rec
@@ -378,21 +381,11 @@ impl<'a> Drain<'a> {
         if let Some(r) = self.remaining.get_mut(&session) {
             *r -= item.est;
         }
-        // Free recency hook: mirror the serve into the catalog's dump/heat
-        // columns so a lifecycle engine (this run's or a later one's) sees
-        // what is hot. Charges no query cost and never moves the clock.
-        {
-            let mut catalog = sys.catalog.lock();
-            let dataset = &item.req.dataset;
-            match item.req.body {
-                RequestBody::Write { .. } => {
-                    catalog.note_dump(acc.run, dataset, item.iter, at.as_secs(), bytes);
-                }
-                RequestBody::Read => {
-                    catalog.note_access(acc.run, dataset, Some(item.iter), at.as_secs());
-                }
-            }
-        }
+        // Per-dataset totals and the catalog's dump/heat columns, so a
+        // lifecycle engine (this run's or a later one's) sees what is hot.
+        admitted[session as usize]
+            .session
+            .complete(item.handle, item.iter, &item.req, &report, at);
         if self.heat {
             self.rec.count(
                 Layer::Sched,
@@ -517,9 +510,9 @@ impl Scheduler<'_> {
     }
 
     /// Move a failed (or breaker-blocked) batch — and everything else the
-    /// same dataset still has queued on `from` — to the dataset's static
-    /// fallback resource, mirroring the session layer's transparent
-    /// failover. Requests that exhaust [`MAX_ATTEMPTS`] are abandoned into
+    /// same dataset still has queued on `from` — to wherever the owning
+    /// session re-places the dataset, the step a direct session fails over
+    /// through. Requests that exhaust [`MAX_ATTEMPTS`] are abandoned into
     /// the session's error list.
     pub(crate) fn requeue(
         &mut self,
@@ -529,87 +522,70 @@ impl Scheduler<'_> {
         reason: &str,
     ) {
         let sys = self.sys;
-        let keys: BTreeSet<(u64, String)> = items
-            .iter()
-            .map(|q| (q.req.tag.session, q.req.dataset.clone()))
-            .collect();
+        // A batch is one session × one dataset (see `pop_chain`).
+        let Some(first) = items.first() else { return };
+        let (sid, handle, iter) = (first.req.tag.session, first.handle, first.iter);
         // Drag along the dataset's later requests still waiting on `from`,
         // preserving their order behind the failed batch.
         if let Some(q) = drain.queues.get_mut(&from) {
-            items.extend(q.drain_matching(|item| {
-                keys.contains(&(item.req.tag.session, item.req.dataset.clone()))
-            }));
-        }
-
-        for key in keys {
-            let (moved, rest): (Vec<Queued>, Vec<Queued>) = items
-                .into_iter()
-                .partition(|q| q.req.tag.session == key.0 && q.req.dataset == key.1);
-            items = rest;
-            let acc = &mut drain.accs[key.0 as usize];
-            let tid = acc.tenant;
-            let bytes: u64 = moved.iter().map(|q| q.req.bytes()).sum();
-            let next = placement::fallback(sys, &self.specs[&key], bytes, Some(from))
-                .ok()
-                .flatten();
-            sys.load.dequeued(from, moved.len());
-            let Some(to) = next else {
-                for q in moved {
-                    sys.load.backlog_dequeued(from, q.est);
-                    sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                    acc.errors
-                        .push(format!("{}: no usable resource ({reason})", q.req.tag));
-                }
-                continue;
-            };
-            let n = moved.len();
-            // Mirror the move into the metadata catalog so consumers still
-            // find the data (the session layer does the same on failover).
-            {
-                let mut catalog = sys.catalog.lock();
-                if let Ok(rec) = catalog.find_dataset(acc.run, &key.1) {
-                    let id = rec.id;
-                    let _ = catalog.set_dataset_location(id, Location::Stored(to));
-                }
-            }
-            self.rec.instant(
-                Layer::Sched,
-                &from.to_string(),
-                ops::SCHED_REQUEUE,
-                sys.clock.now(),
-                &format!(
-                    "s{}/{}: {from} -> {to} ({reason}, {n} requests)",
-                    key.0, key.1
-                ),
+            items.extend(
+                q.drain_matching(|item| item.req.tag.session == sid && item.handle == handle),
             );
-            acc.requeues += n as u32;
-            sys.load.enqueued(to, n);
-            let weight = self.weights.get(&tid).copied().unwrap_or(1.0);
-            let target = drain.queues.entry(to).or_default();
-            target.set_weight(tid, weight);
-            for mut q in moved {
+        }
+        let acc = &mut drain.accs[sid as usize];
+        let tid = acc.tenant;
+        let bytes: u64 = items.iter().map(|q| q.req.bytes()).sum();
+        // The catalog query cost `replace` returns goes uncharged: a
+        // requeue has never cost virtual time (DESIGN.md §8).
+        let session = &mut self.admitted[sid as usize].session;
+        let moved = session.replace(handle, iter, from, reason, bytes);
+        sys.load.dequeued(from, items.len());
+        let Some(to) = moved.ok().and_then(|_| session.location(handle)) else {
+            for q in items {
                 sys.load.backlog_dequeued(from, q.est);
-                q.attempts += 1;
-                if q.attempts >= MAX_ATTEMPTS {
-                    sys.load.dequeued(to, 1);
-                    sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
-                    acc.errors.push(format!(
-                        "{} gave up after {} attempts",
-                        q.req.tag, q.attempts
-                    ));
-                } else {
-                    // Re-price on the fallback resource: the backlog and
-                    // tenant predicted-seconds ledgers track where the
-                    // work now queues.
-                    let est = self.estimator.cost(sys, to, &q.req);
-                    sys.load.backlog_enqueued(to, est);
-                    sys.load.tenant_dequeued(tid, 0, 0, q.est);
-                    sys.load.tenant_enqueued(tid, 0, 0, est);
-                    q.est = est;
-                    target.push_back(tid, q);
-                }
+                sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                acc.errors
+                    .push(format!("{}: no usable resource ({reason})", q.req.tag));
             }
-            self.locations.insert(key, to);
+            return drain.dirty_gates();
+        };
+        let n = items.len();
+        self.rec.instant(
+            Layer::Sched,
+            &from.to_string(),
+            ops::SCHED_REQUEUE,
+            sys.clock.now(),
+            &format!(
+                "s{sid}/{}: {from} -> {to} ({reason}, {n} requests)",
+                items[0].req.dataset
+            ),
+        );
+        acc.requeues += n as u32;
+        sys.load.enqueued(to, n);
+        let weight = self.weights.get(&tid).copied().unwrap_or(1.0);
+        let target = drain.queues.entry(to).or_default();
+        target.set_weight(tid, weight);
+        for mut q in items {
+            sys.load.backlog_dequeued(from, q.est);
+            q.attempts += 1;
+            if q.attempts >= MAX_ATTEMPTS {
+                sys.load.dequeued(to, 1);
+                sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                acc.errors.push(format!(
+                    "{} gave up after {} attempts",
+                    q.req.tag, q.attempts
+                ));
+            } else {
+                // Re-price on the fallback resource: the backlog and
+                // tenant predicted-seconds ledgers track where the
+                // work now queues.
+                let est = self.estimator.cost(sys, to, &q.req);
+                sys.load.backlog_enqueued(to, est);
+                sys.load.tenant_dequeued(tid, 0, 0, q.est);
+                sys.load.tenant_enqueued(tid, 0, 0, est);
+                q.est = est;
+                target.push_back(tid, q);
+            }
         }
         drain.dirty_gates();
     }

@@ -72,13 +72,10 @@ impl Scheduler<'_> {
                 }
             };
             let fin = a.session.finalize()?;
-            // Range over this session's keys only: a full-map filter here
-            // is O(sessions²) across the finalize loop, which a 10k-fleet
-            // drain actually feels.
-            let placements = self
-                .locations
-                .range((a.id, String::new())..(a.id + 1, String::new()))
-                .map(|((_, name), &kind)| (name.clone(), kind))
+            let placements = fin
+                .datasets
+                .into_iter()
+                .filter_map(|d| Some((d.name, d.location?)))
                 .collect();
             total_bytes += acc.bytes;
             let requests = acc.reports.len() as u64;
@@ -90,7 +87,7 @@ impl Scheduler<'_> {
             sessions.push(SessionReport {
                 session: a.id,
                 app: a.app,
-                run: a.run.0,
+                run: fin.run.0,
                 placements,
                 requests,
                 bytes: acc.bytes,

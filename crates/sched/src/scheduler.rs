@@ -1,11 +1,15 @@
 //! The admission scheduler: many concurrent sessions against one
 //! [`MsrSystem`].
 //!
-//! **Admission** opens a real catalog session per program, resolves each
-//! dataset's placement through `msr-core` (whose scored AUTO policy reads
-//! this scheduler's live queue depths off the system's
-//! [`LoadBoard`](msr_core::LoadBoard)) and expands the program into tagged
-//! [`EngineRequest`]s.
+//! **Admission** opens a real catalog [`Session`] per program, which
+//! resolves each dataset's placement (the scored AUTO policy reads this
+//! scheduler's live queue depths off the system's
+//! [`LoadBoard`](msr_core::LoadBoard)), and asks that session to name
+//! every dump of the program as a tagged [`EngineRequest`]. The session
+//! stays the owner of each dataset's dump lifecycle for the whole drain:
+//! the scheduler decides *when* and *where in the queue*; naming,
+//! execution, completion accounting and re-placement are the session's
+//! steps (see `msr_core::session`).
 //!
 //! **Dispatch** is discrete-event: requests are dealt into per-resource
 //! FIFO queues (interleaved across sessions at chain granularity so no
@@ -28,11 +32,12 @@
 //! so concurrent sessions overlap across resources instead of serializing
 //! on the global clock, which is advanced once at the end of the drain.
 //!
-//! **Failure handling** mirrors the session layer: a failed batch records
-//! a breaker failure and the failed dataset's remaining requests are
-//! re-queued onto the static fallback resource; a resource whose circuit
-//! is already open is never dispatched to, its queue draining to fallback
-//! resources the same way.
+//! **Failure handling**: a failed batch records a breaker failure, the
+//! owning session re-places the dataset ([`Session::replace`], the step
+//! `write_iteration` fails over through) and the dataset's remaining
+//! requests move to the queue of wherever it landed; a resource whose
+//! circuit is already open is never dispatched to, its queue draining to
+//! fallback resources the same way.
 //!
 //! **Read-ahead** (opt-in via [`Scheduler::with_prefetch`]) walks the
 //! tail of each resource's admitted queue at each of its dispatch steps,
@@ -54,9 +59,8 @@ use crate::admission::{Deferred, Estimator, TenantCounters};
 use crate::drain::Drain;
 use crate::event::{EventQueue, Scratch};
 use crate::report::SchedReport;
-use msr_core::{CoreError, CoreResult, DatasetSpec, MsrSystem, Session, TenantId};
+use msr_core::{CoreResult, DatasetHandle, MsrSystem, Session, TenantId};
 use msr_lifecycle::LifecycleEngine;
-use msr_meta::RunId;
 use msr_obs::Recorder;
 use msr_runtime::{EngineRequest, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
@@ -82,17 +86,20 @@ const DEFER_RETRY_EVERY: u64 = 8;
 pub(crate) struct Admitted<'a> {
     pub id: u64,
     pub app: String,
-    pub run: RunId,
     pub tenant: TenantId,
+    /// Owner of every dataset's dump lifecycle: names the requests,
+    /// executes them, accounts their completions and re-places on failure.
     pub session: Session<'a>,
     /// The expanded program not yet dealt into queues: each request with
-    /// the iteration its catalog dump row keys on.
-    pub requests: VecDeque<(EngineRequest, u32)>,
+    /// the dataset and iteration the session named it for.
+    pub requests: VecDeque<(EngineRequest, DatasetHandle, u32)>,
 }
 
 pub(crate) struct Queued {
     pub req: EngineRequest,
-    /// Iteration of the catalog dump row this request writes or reads.
+    /// The dataset (in the owning session) and iteration `req` dumps or
+    /// reads back.
+    pub handle: DatasetHandle,
     pub iter: u32,
     pub submitted: SimTime,
     pub attempts: u32,
@@ -108,9 +115,6 @@ pub struct Scheduler<'a> {
     pub(crate) sys: &'a MsrSystem,
     pub(crate) rec: Recorder,
     pub(crate) admitted: Vec<Admitted<'a>>,
-    /// Current resource of each `(session, dataset)`, updated on requeue.
-    pub(crate) locations: BTreeMap<(u64, String), StorageKind>,
-    pub(crate) specs: BTreeMap<(u64, String), DatasetSpec>,
     pub(crate) prefetch: bool,
     pub(crate) lifecycle: Option<LifecycleEngine>,
     pub(crate) lifecycle_every: u64,
@@ -134,8 +138,6 @@ impl<'a> Scheduler<'a> {
             sys,
             rec: sys.obs_recorder(),
             admitted: Vec::new(),
-            locations: BTreeMap::new(),
-            specs: BTreeMap::new(),
             prefetch: false,
             lifecycle: None,
             lifecycle_every: 4,
@@ -230,7 +232,7 @@ impl<'a> Scheduler<'a> {
                             let res = sys.resource(kind).expect("placed on registered kind");
                             plan.execute(&sys.engine, &res)
                         });
-                        drain.serve_staged(kind, step, scratch.batch.drain(..));
+                        drain.serve_staged(&mut self.admitted, kind, step, scratch.batch.drain(..));
                         drain.land_fetches(kind, fetched);
                     } else if !sys.health.allows(kind) {
                         // Open circuit: never dispatch to the resource — the
@@ -245,25 +247,28 @@ impl<'a> Scheduler<'a> {
                         // fixed per-resource op order, so every seeded jitter
                         // stream draws identically at any pool width.
                         let plan = drain.plan_step(kind);
-                        let res = sys.resource(kind).expect("placed on registered kind");
                         scratch.served.clear();
                         scratch.unserved.clear();
                         let mut error: Option<String> = None;
                         let mut pending = scratch.batch.drain(..);
                         for q in pending.by_ref() {
-                            match sys.engine.execute(&res, &q.req) {
+                            let session = &self.admitted[q.req.tag.session as usize].session;
+                            match session.execute(q.handle, &q.req) {
                                 Ok(outcome) => scratch.served.push((q, outcome)),
                                 Err(e) => {
-                                    error = Some(CoreError::from(e).to_string());
+                                    error = Some(e.to_string());
                                     scratch.unserved.push(q);
                                     break;
                                 }
                             }
                         }
                         scratch.unserved.extend(pending);
-                        let fetched = plan.map(|plan| plan.execute(&sys.engine, &res));
+                        let fetched = plan.map(|plan| {
+                            let res = sys.resource(kind).expect("placed on registered kind");
+                            plan.execute(&sys.engine, &res)
+                        });
 
-                        drain.serve_batch(kind, step, scratch.served.drain(..));
+                        drain.serve_batch(&mut self.admitted, kind, step, scratch.served.drain(..));
                         drain.land_fetches(kind, fetched);
                         if let Some(reason) = error {
                             sys.health.record_failure(kind);

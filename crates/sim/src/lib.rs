@@ -23,7 +23,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timeline;
-pub mod trace;
 
 pub use clock::Clock;
 pub use jitter::Jitter;
@@ -31,4 +30,3 @@ pub use rng::{derive_seed, stream_rng};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;
-pub use trace::{Trace, TraceEvent};

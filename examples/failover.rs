@@ -16,6 +16,7 @@
 //! cargo run --release --example failover
 //! ```
 
+use msr::obs::ops;
 use msr::prelude::*;
 
 fn main() -> CoreResult<()> {
@@ -91,8 +92,8 @@ fn main() -> CoreResult<()> {
     }
 
     println!("\nvirtual-time trace of the failover path:");
-    for ev in sys.trace.events_in("failover") {
-        println!("  [{}] {}", ev.at, ev.message);
+    for ev in sys.obs.events().iter().filter(|e| e.op == ops::FAILOVER) {
+        println!("  [{}] {}: {}", ev.at, ev.resource, ev.detail);
     }
 
     println!("\nfinal location: {:?}", report.datasets[0].location);
