@@ -9,9 +9,10 @@
 //! `finalize()` closes connections and returns the run's accounting.
 //!
 //! A dump's lifecycle inside a session is five steps, each defined once
-//! here: *naming* ([`Session::request`]), *connect-on-demand*, *execution*
-//! ([`Session::execute`]), *completion accounting* ([`Session::complete`])
-//! and *re-placement* ([`Session::replace`]). A step moves no clock; it
+//! here: *naming* ([`Session::request`]), *connect-on-demand*
+//! ([`Session::connect`]), *execution* ([`Session::execute`]), *completion
+//! accounting* ([`Session::complete`]) and *re-placement*
+//! ([`Session::replace`]). A step moves no clock; it
 //! returns its cost for the caller to charge. `write_iteration` and
 //! `read_iteration` loop over the steps and charge the global clock; the
 //! scheduler (`msr-sched`) calls the same steps for the sessions it
@@ -30,10 +31,10 @@ use msr_obs::{ops, Layer, Recorder};
 use msr_predict::{DatasetPlan, PredictionReport, RunSpec};
 use msr_runtime::{
     staging_cache, Distribution, EngineRequest, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid,
-    RequestBody, RequestOutcome, RequestTag, RetryPolicy, StagingCache,
+    RequestBody, RequestOutcome, RequestTag, RetryPolicy, RuntimeError, StagingCache,
 };
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, OpenMode, StorageKind};
+use msr_storage::{OpKind, OpenMode, StorageError, StorageKind};
 use std::collections::BTreeSet;
 
 /// Budget for the session's degraded-read staging copies.
@@ -202,7 +203,7 @@ impl<'a> Session<'a> {
     /// Connect-on-demand: establish this session's connection to `kind`
     /// unless it already holds one. Returns the setup time, already on
     /// the session's `conn_time`, for the caller to charge.
-    fn connect(&mut self, kind: StorageKind) -> CoreResult<SimDuration> {
+    pub fn connect(&mut self, kind: StorageKind) -> CoreResult<SimDuration> {
         if self.connected.contains(&kind) {
             return Ok(SimDuration::ZERO);
         }
@@ -345,16 +346,33 @@ impl<'a> Session<'a> {
     /// Execution: run `req` (built by [`request`](Self::request) for
     /// dataset `h`) on the dataset's resource through this session's
     /// engine. A success closes the resource's circuit breaker; what a
-    /// failure means is the caller's decision.
-    pub fn execute(&self, h: DatasetHandle, req: &EngineRequest) -> CoreResult<RequestOutcome> {
+    /// failure means is the caller's decision. Returns, beside the
+    /// outcome, any connection setup paid inside for the caller to charge:
+    /// when the device reports the link gone (every session shares the
+    /// one link per resource, and another's `finalize` tears it down) the
+    /// cached connection was wrong, so the session reconnects and retries
+    /// once.
+    pub fn execute(
+        &mut self,
+        h: DatasetHandle,
+        req: &EngineRequest,
+    ) -> CoreResult<(RequestOutcome, SimDuration)> {
         let d = &self.datasets[h.0];
         let kind = d
             .location
             .ok_or_else(|| CoreError::DatasetDisabled(d.spec.name.clone()))?;
         let res = self.sys.resource(kind).expect("placed on registered kind");
-        let outcome = self.io_engine().execute(&res, req)?;
+        let mut setup = SimDuration::ZERO;
+        let outcome = match self.io_engine().execute(&res, req) {
+            Err(RuntimeError::Storage(StorageError::NotConnected)) => {
+                self.connected.remove(&kind);
+                setup = self.connect(kind)?;
+                self.io_engine().execute(&res, req)
+            }
+            first => first,
+        }?;
         self.sys.health.record_success(kind);
-        Ok(outcome)
+        Ok((outcome, setup))
     }
 
     /// Completion accounting: fold one served request of dataset `h` —
@@ -458,7 +476,8 @@ impl<'a> Session<'a> {
             let setup = self.connect(kind)?;
             self.sys.clock.advance(setup);
             match self.execute(h, &req) {
-                Ok(outcome) => {
+                Ok((outcome, setup)) => {
+                    self.sys.clock.advance(setup);
                     let report = outcome.into_report();
                     self.staged.lock().put(&req.path, payload);
                     let done = self.sys.clock.advance(report.elapsed);
@@ -562,12 +581,13 @@ impl<'a> Session<'a> {
         let setup = self.connect(kind)?;
         self.sys.clock.advance(setup);
         match self.execute(h, &req) {
-            Ok(RequestOutcome::Read(data, report)) => {
+            Ok((RequestOutcome::Read(data, report), setup)) => {
+                self.sys.clock.advance(setup);
                 let done = self.sys.clock.advance(report.elapsed);
                 self.complete(h, iter, &req, &report, done);
                 Ok((data, report))
             }
-            Ok(RequestOutcome::Written(_)) => unreachable!("a read request yields a read"),
+            Ok((RequestOutcome::Written(_), _)) => unreachable!("a read request yields a read"),
             Err(e) => match classify(&e) {
                 ErrorClass::Fatal => Err(e),
                 ErrorClass::Retryable(_) | ErrorClass::Failover(_) => {
@@ -1244,6 +1264,57 @@ mod tests {
             .build()
             .unwrap();
         assert!(s2.open(spec("y", LocationHint::LocalDisk)).is_ok());
+    }
+
+    /// Two sessions share the one SRB link to the remote disks. The first
+    /// to finalize tears it down under the second, whose cached
+    /// "connected" flag is now wrong: its next dump reconnects, pays the
+    /// setup and lands, instead of dying with `NotConnected`.
+    #[test]
+    fn a_link_torn_down_by_another_session_is_reconnected() {
+        let sys = MsrSystem::testbed(2);
+        let open = |app: &str| {
+            let mut s = sys
+                .session()
+                .app(app)
+                .user("u")
+                .iterations(12)
+                .grid(ProcGrid::new(1, 1, 1))
+                .build()
+                .unwrap();
+            let h = s.open(spec("x", LocationHint::RemoteDisk)).unwrap();
+            (s, h)
+        };
+        let sp = spec("x", LocationHint::RemoteDisk);
+        let (mut first, h1) = open("first");
+        let (mut second, h2) = open("second");
+        first
+            .write_iteration(h1, 0, &payload(&sp))
+            .unwrap()
+            .unwrap();
+        second
+            .write_iteration(h2, 0, &payload(&sp))
+            .unwrap()
+            .unwrap();
+        let before = second.report().conn_time;
+        first.finalize().unwrap();
+
+        let clock = sys.clock.now();
+        let rep = second
+            .write_iteration(h2, 6, &payload(&sp))
+            .unwrap()
+            .unwrap();
+        let setup = second.report().conn_time - before;
+        assert!(setup > SimDuration::ZERO, "the reconnect is paid for");
+        assert_eq!(sys.clock.now(), clock + setup + rep.elapsed);
+        let (back, _) = second.read_iteration(h2, 6).unwrap();
+        assert_eq!(back, payload(&sp));
+        let report = second.finalize().unwrap();
+        assert_eq!(report.datasets[0].location, Some(StorageKind::RemoteDisk));
+        assert!(
+            !report.events.iter().any(|e| e.from.is_some()),
+            "no failover"
+        );
     }
 
     #[test]

@@ -164,6 +164,12 @@ impl<'a> Drain<'a> {
         self.cursors.get(&kind).copied().unwrap_or(self.start)
     }
 
+    /// Keep `kind` busy for `d` more: connection setup a session paid
+    /// outside any served request.
+    pub fn charge(&mut self, kind: StorageKind, d: SimDuration) {
+        *self.cursors.entry(kind).or_insert(self.start) += d;
+    }
+
     /// The latest foreground cursor: how far the drain has progressed.
     pub fn frontier(&self) -> SimTime {
         self.cursors.values().fold(self.start, |m, &t| m.max(t))
@@ -532,15 +538,24 @@ impl Scheduler<'_> {
                 q.drain_matching(|item| item.req.tag.session == sid && item.handle == handle),
             );
         }
-        let acc = &mut drain.accs[sid as usize];
-        let tid = acc.tenant;
         let bytes: u64 = items.iter().map(|q| q.req.bytes()).sum();
         // The catalog query cost `replace` returns goes uncharged: a
         // requeue has never cost virtual time (DESIGN.md §8).
         let session = &mut self.admitted[sid as usize].session;
         let moved = session.replace(handle, iter, from, reason, bytes);
+        let next = moved.ok().and_then(|_| session.location(handle));
+        // The fallback may be a resource no session of this drain holds a
+        // link to: set it up before the first moved request is dispatched.
+        // A refused connect is left for that dispatch to fail on.
+        if let Some(to) = next {
+            if let Ok(setup) = session.connect(to) {
+                drain.charge(to, setup);
+            }
+        }
+        let acc = &mut drain.accs[sid as usize];
+        let tid = acc.tenant;
         sys.load.dequeued(from, items.len());
-        let Some(to) = moved.ok().and_then(|_| session.location(handle)) else {
+        let Some(to) = next else {
             for q in items {
                 sys.load.backlog_dequeued(from, q.est);
                 sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);

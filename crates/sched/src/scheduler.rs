@@ -252,9 +252,12 @@ impl<'a> Scheduler<'a> {
                         let mut error: Option<String> = None;
                         let mut pending = scratch.batch.drain(..);
                         for q in pending.by_ref() {
-                            let session = &self.admitted[q.req.tag.session as usize].session;
+                            let session = &mut self.admitted[q.req.tag.session as usize].session;
                             match session.execute(q.handle, &q.req) {
-                                Ok(outcome) => scratch.served.push((q, outcome)),
+                                Ok((outcome, setup)) => {
+                                    drain.charge(kind, setup);
+                                    scratch.served.push((q, outcome));
+                                }
                                 Err(e) => {
                                     error = Some(e.to_string());
                                     scratch.unserved.push(q);

@@ -9,8 +9,8 @@
 //! the entire drain, an outage landing mid-drain, and every resource dark
 //! at once (nothing left to fail over to).
 
-use msr_core::{DatasetSpec, FutureUse, LocationHint, MsrSystem};
-use msr_meta::ElementType;
+use msr_core::{BreakerState, DatasetSpec, FutureUse, LocationHint, MsrSystem};
+use msr_meta::{ElementType, Location, RunId};
 use msr_sched::{Scheduler, SessionProgram};
 use msr_sim::SimDuration;
 use msr_storage::StorageKind;
@@ -33,7 +33,9 @@ fn archive_program(i: usize) -> SessionProgram {
 
 /// A resource that is dark for the *whole* drain parks: every stranded
 /// request re-queues to the fallback, the drain terminates with a finite
-/// makespan, and no request is lost or wedged on the dead resource.
+/// makespan, and no request is lost or wedged on the dead resource. The
+/// fallback is a resource no session had connected: the re-placement
+/// connects it, so every request moves exactly once and lands there.
 #[test]
 fn whole_drain_outage_parks_and_drains_to_fallback() {
     let sys = MsrSystem::testbed(71);
@@ -45,8 +47,6 @@ fn whole_drain_outage_parks_and_drains_to_fallback() {
     let report = sched.run().expect("drain must terminate, not wedge");
     assert!(report.makespan > SimDuration::ZERO);
     assert!(report.makespan.as_secs().is_finite(), "wedged makespan");
-    let requeues: u32 = report.sessions.iter().map(|s| s.requeues).sum();
-    assert!(requeues > 0, "tape work must have moved to the fallback");
     for s in &report.sessions {
         assert!(s.errors.is_empty(), "failover must stay transparent");
         assert_eq!(
@@ -54,12 +54,28 @@ fn whole_drain_outage_parks_and_drains_to_fallback() {
             s.requests,
             "every request must be served exactly once"
         );
-        assert_ne!(
+        assert_eq!(
+            u64::from(s.requeues),
+            s.requests,
+            "one move per request: the fallback must not bounce them on"
+        );
+        assert_eq!(
             s.placements["hist"],
-            StorageKind::RemoteTape,
-            "nothing may remain placed on the dead resource"
+            StorageKind::RemoteDisk,
+            "archive data falls back to the remote disks"
+        );
+        let mut catalog = sys.catalog.lock();
+        assert_eq!(
+            catalog.find_dataset(RunId(s.run), "hist").unwrap().location,
+            Location::Stored(StorageKind::RemoteDisk),
+            "the catalog and the report name the same resource"
         );
     }
+    assert_eq!(
+        sys.health.state(StorageKind::RemoteDisk),
+        BreakerState::Closed,
+        "a healthy fallback must not be blamed for a missing connection"
+    );
 }
 
 /// The outage drives the *failure path*, not just the planner pre-check:
