@@ -594,6 +594,149 @@ mod tests {
         Astro3d::new(Astro3dConfig::small(n, 12))
     }
 
+    /// The producer's cheap step and encoders as they stood before the
+    /// single-pass rewrite, kept verbatim as the oracle (`sinf` is libm's,
+    /// so there is no frozen hash to hold them to instead).
+    mod reference {
+        use super::Astro3d;
+        use crate::reference::f32s_to_bytes;
+        use rayon::prelude::*;
+
+        pub(super) fn cheap_step(sim: &mut Astro3d) {
+            let phase = sim.iter as f32 * 0.37;
+            for field in [
+                &mut sim.rho,
+                &mut sim.temp,
+                &mut sim.ux,
+                &mut sim.uy,
+                &mut sim.uz,
+            ] {
+                field.rotate_right(1);
+                for (i, v) in field.iter_mut().enumerate() {
+                    *v = (*v + 0.001 * ((i as f32 * 0.01 + phase).sin())).max(1e-3);
+                }
+            }
+            sim.iter += 1;
+        }
+
+        pub(super) fn normalize_u8(xs: &[f32]) -> Vec<u8> {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &x in xs {
+                lo = lo.min(x);
+                hi = hi.max(x);
+            }
+            let span = (hi - lo).max(1e-12);
+            xs.par_iter()
+                .map(|&x| (((x - lo) / span) * 255.0) as u8)
+                .collect()
+        }
+
+        pub(super) fn field_bytes(sim: &Astro3d, name: &str) -> Option<Vec<u8>> {
+            let pressure = || -> Vec<f32> {
+                sim.rho
+                    .par_iter()
+                    .zip(sim.temp.par_iter())
+                    .map(|(r, t)| r * t)
+                    .collect()
+            };
+            let f32_field = |xs: &[f32]| Some(f32s_to_bytes(xs));
+            match name {
+                "press" | "restart_press" => f32_field(&pressure()),
+                "temp" | "restart_temp" => f32_field(&sim.temp),
+                "rho" | "restart_rho" => f32_field(&sim.rho),
+                "ux" | "restart_ux" => f32_field(&sim.ux),
+                "uy" | "restart_uy" => f32_field(&sim.uy),
+                "uz" | "restart_uz" => f32_field(&sim.uz),
+                "vr_scalar" => Some(normalize_u8(&sim.temp)),
+                "vr_press" => Some(normalize_u8(&pressure())),
+                "vr_rho" => Some(normalize_u8(&sim.rho)),
+                "vr_temp" => Some(normalize_u8(&sim.temp)),
+                "vr_mach" => {
+                    let m: Vec<f32> = (0..sim.rho.len())
+                        .into_par_iter()
+                        .map(|i| {
+                            let speed = (sim.ux[i] * sim.ux[i]
+                                + sim.uy[i] * sim.uy[i]
+                                + sim.uz[i] * sim.uz[i])
+                                .sqrt();
+                            speed / sim.temp[i].max(1e-6).sqrt()
+                        })
+                        .collect();
+                    Some(normalize_u8(&m))
+                }
+                "vr_ek" => {
+                    let e: Vec<f32> = (0..sim.rho.len())
+                        .into_par_iter()
+                        .map(|i| {
+                            0.5 * sim.rho[i]
+                                * (sim.ux[i] * sim.ux[i]
+                                    + sim.uy[i] * sim.uy[i]
+                                    + sim.uz[i] * sim.uz[i])
+                        })
+                        .collect();
+                    Some(normalize_u8(&e))
+                }
+                "vr_logrho" => {
+                    let l: Vec<f32> = sim.rho.par_iter().map(|r| r.max(1e-6).ln()).collect();
+                    Some(normalize_u8(&l))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    #[test]
+    fn cheap_steps_dump_the_reference_bytes() {
+        // 33^3 spans several ripple blocks and a ragged one; 1 and 2 are
+        // smaller than any block or lane count.
+        for n in [1, 2, 5, 17, 33] {
+            let cfg = Astro3dConfig {
+                step_mode: StepMode::Cheap,
+                ..Astro3dConfig::small(n, 12)
+            };
+            let mut new = Astro3d::new(cfg.clone());
+            let mut old = Astro3d::new(cfg);
+            for step in 1..=7 {
+                new.advance();
+                reference::cheap_step(&mut old);
+                assert_eq!(new.iteration(), step);
+                for name in ANALYSIS_VARS.iter().chain(&VIZ_VARS).chain(&RESTART_VARS) {
+                    assert_eq!(
+                        new.field_bytes(name),
+                        reference::field_bytes(&old, name),
+                        "{name} after {step} cheap steps at n = {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_u8_matches_the_reference() {
+        let mut s = sim(12);
+        for _ in 0..3 {
+            s.step();
+        }
+        let two_valued: Vec<f32> = (0..1001)
+            .map(|i| if i % 3 == 0 { -1.0 } else { 4.0 })
+            .collect();
+        let zeros: Vec<f32> = (0..37)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        for xs in [
+            &[][..],
+            &[2.5; 1000],
+            &zeros,
+            &two_valued,
+            &s.temp,
+            &s.rho[..s.rho.len() - 1],
+            &s.ux,
+            &s.pressure(),
+        ] {
+            assert_eq!(Astro3d::normalize_u8(xs), reference::normalize_u8(xs));
+        }
+    }
+
     #[test]
     fn nineteen_datasets_with_paper_shapes() {
         let s = sim(16);

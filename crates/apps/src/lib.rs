@@ -58,6 +58,26 @@ pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
         .collect()
 }
 
+/// The byte converters as they stood before the single-pass rewrite, kept
+/// verbatim as the oracle the fast ones are held to.
+#[cfg(test)]
+pub(crate) mod reference {
+    pub(crate) fn f32s_to_bytes(xs: &[f32]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(xs.len() * 4);
+        for x in xs {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        out
+    }
+
+    pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,5 +95,23 @@ mod tests {
             bytes_to_f32s(&[0u8; 7]).len() == 1,
             "trailing bytes ignored"
         );
+    }
+
+    #[test]
+    fn converters_match_the_reference() {
+        for len in [0, 1, 7, (1 << 20) + 3] {
+            // Every bit pattern class, NaN payloads included: compare bits.
+            let xs: Vec<f32> = (0..len as u32)
+                .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+                .collect();
+            assert_eq!(f32s_to_bytes(&xs), reference::f32s_to_bytes(&xs), "{len}");
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + i / 251) as u8).collect();
+            let bits = |fs: Vec<f32>| fs.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(bytes_to_f32s(&bytes)),
+                bits(reference::bytes_to_f32s(&bytes)),
+                "{len}"
+            );
+        }
     }
 }

@@ -287,6 +287,56 @@ mod tests {
     }
 
     #[test]
+    fn appends_keep_the_extent_shape() {
+        // Length and capacity of every extent: what the `File` doc
+        // comment's RSS argument rests on.
+        let shape = |s: &ObjectStore| -> Vec<(usize, usize)> {
+            s.files["f"]
+                .extents
+                .iter()
+                .map(|e| (e.len(), e.capacity()))
+                .collect()
+        };
+        let mut s = ObjectStore::new();
+        s.create("f");
+        let mut end = 0;
+        let mut append = |s: &mut ObjectStore, len: usize| {
+            s.write_at("f", end as u64, &vec![7; len]).unwrap();
+            end += len;
+        };
+        // The last extent doubles, but never past the extent.
+        append(&mut s, 100);
+        assert_eq!(shape(&s), [(100, 100)]);
+        append(&mut s, 50);
+        assert_eq!(shape(&s), [(150, 200)]);
+        append(&mut s, 1000);
+        assert_eq!(shape(&s), [(1150, 1150)]);
+        append(&mut s, EXTENT / 2);
+        assert_eq!(shape(&s), [(1150 + EXTENT / 2, 1150 + EXTENT / 2)]);
+        append(&mut s, 10);
+        assert_eq!(shape(&s), [(1160 + EXTENT / 2, EXTENT)]);
+        // One append that fills the tail and spills over three extents.
+        append(&mut s, 3 * EXTENT);
+        assert_eq!(
+            shape(&s),
+            [
+                (EXTENT, EXTENT),
+                (EXTENT, EXTENT),
+                (EXTENT, EXTENT),
+                (1160 + EXTENT / 2, 1160 + EXTENT / 2)
+            ]
+        );
+        // An overwrite that runs past EOF appends only its tail.
+        s.write_at("f", (end - 4) as u64, &[9; 12]).unwrap();
+        assert_eq!(shape(&s)[3], (1168 + EXTENT / 2, EXTENT));
+        assert_eq!(s.size("f"), Some((end + 8) as u64));
+        assert_eq!(s.used_bytes(), (end + 8) as u64);
+        let all = s.read_all("f").unwrap();
+        assert!(all[..end - 4].iter().all(|&b| b == 7));
+        assert_eq!(&all[end - 4..], &[9; 12]);
+    }
+
+    #[test]
     fn overwrite_in_place() {
         let mut s = ObjectStore::new();
         s.create("f");
