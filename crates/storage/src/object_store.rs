@@ -29,16 +29,21 @@ struct File {
 }
 
 impl File {
+    /// Make room in the last extent for `target` bytes: amortised
+    /// doubling, but never past the extent.
+    fn reserve_last(last: &mut Vec<u8>, target: usize) {
+        if target > last.capacity() {
+            let cap = (2 * last.capacity()).clamp(target, EXTENT);
+            last.reserve_exact(cap - last.len());
+        }
+    }
+
     /// Zero-extend to `len` bytes (never shrinks).
     fn grow(&mut self, len: usize) {
         let mut covered = self.extents.len().saturating_sub(1) * EXTENT;
         if let Some(last) = self.extents.last_mut() {
             let target = EXTENT.min(len - covered);
-            if target > last.capacity() {
-                // Amortised doubling, but never past the extent.
-                let cap = (2 * last.capacity()).clamp(target, EXTENT);
-                last.reserve_exact(cap - last.len());
-            }
+            Self::reserve_last(last, target);
             last.resize(target, 0);
             covered += EXTENT;
         }
@@ -47,6 +52,20 @@ impl File {
             covered += EXTENT;
         }
         self.len = len;
+    }
+
+    /// Append `data` at the end of the file, writing each new byte once:
+    /// the same extents [`File::grow`] would make, built from the data
+    /// instead of zero-filled and then overwritten.
+    fn append(&mut self, mut data: &[u8]) {
+        self.len += data.len();
+        if let Some(last) = self.extents.last_mut() {
+            let (head, tail) = data.split_at(data.len().min(EXTENT - last.len()));
+            Self::reserve_last(last, last.len() + head.len());
+            last.extend_from_slice(head);
+            data = tail;
+        }
+        self.extents.extend(data.chunks(EXTENT).map(<[u8]>::to_vec));
     }
 
     /// Overwrite `data` at `offset`; the range must already exist.
@@ -198,9 +217,15 @@ impl ObjectStore {
             if !self.overrides.contains_key(path) {
                 self.logical += growth;
             }
-            f.grow(end);
         }
-        f.write(offset, data);
+        // Zero-fill only a gap before the data; what lands past the old
+        // end of file is appended, not zeroed first.
+        if f.len < offset {
+            f.grow(offset);
+        }
+        let (inside, past) = data.split_at(data.len().min(f.len - offset));
+        f.write(offset, inside);
+        f.append(past);
         Ok(())
     }
 
