@@ -228,6 +228,78 @@ mod tests {
 
     #[cfg(feature = "record")]
     #[test]
+    fn capacity_drops_count_exactly() {
+        let reg = Registry::with_capacity(16);
+        let rec = reg.recorder();
+        for i in 0..100 {
+            rec.instant(Layer::App, "w", "tick", at(i as f64), "why");
+        }
+        drop(rec);
+        let events = reg.events();
+        assert_eq!(events.len(), 16);
+        assert_eq!(reg.dropped(), 84);
+        // The oldest are the ones kept, each still with its own detail.
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..16).collect::<Vec<u64>>());
+        assert!(events.iter().all(|e| e.detail == "why"));
+        assert_eq!(reg.snapshot().dropped, 84);
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
+    fn empty_keys_and_detail_round_trip() {
+        let reg = Registry::new();
+        let rec = reg.recorder();
+        rec.span(Layer::App, "", "", at(1.0), SimDuration::from_secs(2.0), 7);
+        rec.instant(Layer::App, "", "", at(3.0), "");
+        rec.count(Layer::App, "", "", at(4.0), -0.0);
+        rec.instant(Layer::App, "r", "o", at(5.0), "d");
+        let events = reg.events();
+        assert_eq!(events.len(), 4);
+        for e in &events[..3] {
+            assert_eq!((e.resource.as_str(), e.op.as_str()), ("", ""));
+            assert_eq!(e.detail, "");
+        }
+        assert_eq!((events[0].kind, events[0].bytes), (EventKind::Span, 7));
+        assert_eq!(events[0].dur, SimDuration::from_secs(2.0));
+        assert_eq!((events[0].value, events[1].bytes), (0.0, 0));
+        assert_eq!(events[1].kind, EventKind::Instant);
+        assert_eq!(events[2].kind, EventKind::Count);
+        assert_eq!(events[2].value.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(events[2].bytes, 0);
+        assert_eq!(events[3].detail, "d");
+        let snap = reg.snapshot();
+        assert_eq!(snap.per_op[0].resource, "");
+        assert_eq!(snap.gauges[0].key, "app//");
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
+    fn recorders_interleave_by_seq_across_a_flush_boundary() {
+        use crate::recorder::FLUSH_BATCH;
+        let reg = Registry::new();
+        let a = reg.recorder();
+        let b = reg.recorder();
+        let n = 2 * FLUSH_BATCH + 7;
+        for i in 0..n {
+            a.instant(Layer::App, "a", "tick", at(i as f64), &format!("a{i}"));
+            b.count(Layer::App, "b", "tick", at(i as f64), i as f64);
+        }
+        let events = reg.events();
+        assert_eq!(events.len(), 2 * n);
+        for (i, pair) in events.chunks(2).enumerate() {
+            assert_eq!((pair[0].seq, pair[1].seq), (2 * i as u64, 2 * i as u64 + 1));
+            assert_eq!(
+                (pair[0].resource.as_str(), pair[1].resource.as_str()),
+                ("a", "b")
+            );
+            assert_eq!(pair[0].detail, format!("a{i}"));
+            assert_eq!(pair[1].value, i as f64);
+        }
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
     fn snapshot_aggregates_per_op() {
         let reg = Registry::new();
         let rec = reg.recorder();
