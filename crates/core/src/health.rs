@@ -213,7 +213,7 @@ impl HealthTracker {
         if self.rec.enabled() {
             self.rec.instant(
                 Layer::Session,
-                &kind.to_string(),
+                kind.name(),
                 ops::BREAKER,
                 self.clock.now(),
                 &format!("-> {to}: {why}"),

@@ -4,8 +4,10 @@
 
 use crate::event::{Event, EventKind, Layer};
 use crate::ops;
+use crate::packed::{Interner, Packed};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// A simple exact-percentile histogram: samples are retained and sorted on
 /// demand. Good for post-run snapshots; not a streaming sketch.
@@ -128,64 +130,135 @@ pub struct MetricsSnapshot {
     pub net_failures: u64,
 }
 
+/// Rows grouped by `(layer, resource id, op id)`. The row's public name is
+/// built once, when a key is first seen, and decides both which row the
+/// key feeds (two keys that spell the same name share one) and where the
+/// row sorts in the output — ids and first-seen order decide nothing.
+struct Rows<N, R> {
+    by_key: HashMap<(Layer, u32, u32), usize>,
+    by_name: BTreeMap<N, usize>,
+    rows: Vec<R>,
+}
+
+impl<N: Ord, R> Rows<N, R> {
+    fn new() -> Self {
+        Rows {
+            by_key: HashMap::new(),
+            by_name: BTreeMap::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn row(&mut self, p: &Packed, name: impl FnOnce() -> N, new: impl FnOnce(&N) -> R) -> &mut R {
+        let (by_name, rows) = (&mut self.by_name, &mut self.rows);
+        let at = *self
+            .by_key
+            .entry((p.layer, p.resource, p.op))
+            .or_insert_with(|| match by_name.entry(name()) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(fresh) => {
+                    rows.push(new(fresh.key()));
+                    *fresh.insert(rows.len() - 1)
+                }
+            });
+        &mut self.rows[at]
+    }
+
+    /// `(name, row)` in name order.
+    fn into_sorted(self) -> impl Iterator<Item = (N, R)> {
+        let mut rows: Vec<Option<R>> = self.rows.into_iter().map(Some).collect();
+        self.by_name
+            .into_iter()
+            .map(move |(name, at)| (name, rows[at].take().expect("one name per row")))
+    }
+}
+
 impl MetricsSnapshot {
     /// Fold `events` into per-key statistics.
     pub fn aggregate(events: &[Event], dropped: u64) -> MetricsSnapshot {
+        let mut names = Interner::default();
+        let records: Vec<Packed> = events
+            .iter()
+            .map(|e| {
+                let payload = match e.kind {
+                    EventKind::Span => e.bytes,
+                    EventKind::Count => e.value.to_bits(),
+                    EventKind::Instant => 0,
+                };
+                Packed {
+                    seq: e.seq,
+                    resource: names.intern(&e.resource).1,
+                    op: names.intern(&e.op).1,
+                    ..Packed::new(e.kind, e.layer, e.at, e.dur, payload)
+                }
+            })
+            .collect();
+        MetricsSnapshot::fold(&records, &names, dropped)
+    }
+
+    /// Fold stored records, in order of record, into per-key statistics.
+    pub(crate) fn fold(records: &[Packed], names: &Interner, dropped: u64) -> MetricsSnapshot {
         struct Acc {
             count: u64,
             bytes: u64,
             hist: Histogram,
         }
-        let mut spans: BTreeMap<(String, String, String), Acc> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, GaugeStat> = BTreeMap::new();
+        let mut spans: Rows<(&str, &str, &str), Acc> = Rows::new();
+        let mut gauges: Rows<String, GaugeStat> = Rows::new();
+        let failover = names.lookup(ops::FAILOVER);
+        let transfer_failed = names.lookup(ops::TRANSFER_FAILED);
         let mut failovers = 0u64;
         let mut net_failures = 0u64;
 
-        for e in events {
-            if e.layer == Layer::Session && e.op == ops::FAILOVER {
+        for p in records {
+            if p.layer == Layer::Session && Some(p.op) == failover {
                 failovers += 1;
             }
-            if e.layer == Layer::Network && e.op == ops::TRANSFER_FAILED {
+            if p.layer == Layer::Network && Some(p.op) == transfer_failed {
                 net_failures += 1;
             }
-            match e.kind {
+            let name = || (p.layer.name(), names.name(p.resource), names.name(p.op));
+            match p.kind {
                 EventKind::Span => {
-                    let key = (e.layer.name().to_owned(), e.resource.clone(), e.op.clone());
-                    let acc = spans.entry(key).or_insert_with(|| Acc {
+                    let acc = spans.row(p, name, |_| Acc {
                         count: 0,
                         bytes: 0,
                         hist: Histogram::new(),
                     });
                     acc.count += 1;
-                    acc.bytes += e.bytes;
-                    acc.hist.record(e.dur.as_secs());
+                    acc.bytes += p.bytes();
+                    acc.hist.record(p.dur.as_secs());
                 }
                 EventKind::Count => {
-                    let key = format!("{}/{}/{}", e.layer.name(), e.resource, e.op);
-                    let g = gauges.entry(key.clone()).or_insert(GaugeStat {
-                        key,
+                    let key = || {
+                        let (layer, resource, op) = name();
+                        format!("{layer}/{resource}/{op}")
+                    };
+                    let g = gauges.row(p, key, |key| GaugeStat {
+                        key: key.clone(),
                         count: 0,
                         last: 0.0,
                         max: f64::MIN,
                         sum: 0.0,
                     });
+                    let value = p.value();
                     g.count += 1;
-                    g.last = e.value;
-                    g.max = g.max.max(e.value);
-                    g.sum += e.value;
+                    g.last = value;
+                    g.max = g.max.max(value);
+                    g.sum += value;
                 }
                 EventKind::Instant => {}
             }
         }
 
         let per_op = spans
-            .into_iter()
+            .into_sorted()
             .map(|((layer, resource, op), mut acc)| {
                 let total = acc.hist.sum();
                 OpMetrics {
-                    layer,
-                    resource,
-                    op,
+                    layer: layer.to_owned(),
+                    resource: resource.to_owned(),
+                    op: op.to_owned(),
                     count: acc.count,
                     bytes: acc.bytes,
                     total_secs: total,
@@ -204,10 +277,10 @@ impl MetricsSnapshot {
             .collect();
 
         MetricsSnapshot {
-            events: events.len() as u64,
+            events: records.len() as u64,
             dropped,
             per_op,
-            gauges: gauges.into_values().collect(),
+            gauges: gauges.into_sorted().map(|(_, g)| g).collect(),
             failovers,
             net_failures,
         }

@@ -2,27 +2,65 @@
 //! the shared registry so hot paths touch the global store only once per
 //! [`FLUSH_BATCH`] events.
 
-use crate::event::{Event, EventKind, Layer};
+// With the sink compiled out the buffer, the key cache and the flush path
+// have no caller left.
+#![cfg_attr(not(feature = "record"), allow(dead_code, unused_imports))]
+
+use crate::event::{EventKind, Layer};
+use crate::packed::{Interner, Log, Packed};
 use crate::registry::Inner;
 use msr_sim::{SimDuration, SimTime};
 use parking_lot::Mutex;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Events buffered per recorder before a flush into the registry.
 pub const FLUSH_BATCH: usize = 64;
 
-/// One recorder's private buffer (the "per-session buffer" of the design).
+/// Names a [`KeyCache`] remembers; the next new one replaces the oldest.
+const KEY_CACHE: usize = 8;
+
+/// The ids of the names one recorder used most recently, so a repeated key
+/// costs a few string compares: no registry lock, no hash. Names are
+/// compared by content, never by address.
 #[derive(Debug, Default)]
-pub(crate) struct ShardBuf {
-    pub(crate) buf: Mutex<Vec<Event>>,
+struct KeyCache {
+    slots: Vec<(Arc<str>, u32)>,
+    oldest: usize,
+}
+
+impl KeyCache {
+    fn id(&mut self, name: &str, names: &Mutex<Interner>) -> u32 {
+        if let Some((_, id)) = self.slots.iter().find(|(known, _)| **known == *name) {
+            return *id;
+        }
+        let slot = names.lock().intern(name);
+        let id = slot.1;
+        if self.slots.len() < KEY_CACHE {
+            self.slots.push(slot);
+        } else {
+            self.slots[self.oldest] = slot;
+            self.oldest = (self.oldest + 1) % KEY_CACHE;
+        }
+        id
+    }
+}
+
+/// One recorder's private state (the "per-session buffer" of the design):
+/// the batch not yet flushed and the key caches for its two name fields.
+#[derive(Debug, Default)]
+pub(crate) struct Shard {
+    pending: Log,
+    resources: KeyCache,
+    ops: KeyCache,
 }
 
 /// Drain every live recorder buffer into the registry store.
-pub(crate) fn flush_all(reg: &Arc<Inner>) {
+pub(crate) fn flush_all(reg: &Inner) {
     let mut shards = reg.shards.lock();
     shards.retain(|weak| match weak.upgrade() {
         Some(shard) => {
-            reg.ingest(&mut shard.buf.lock());
+            reg.ingest(&mut shard.lock().pending);
             true
         }
         None => false,
@@ -35,7 +73,7 @@ pub(crate) fn flush_all(reg: &Arc<Inner>) {
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     #[cfg(feature = "record")]
-    inner: Option<(Arc<ShardBuf>, Arc<Inner>)>,
+    inner: Option<(Arc<Mutex<Shard>>, Arc<Inner>)>,
 }
 
 impl Recorder {
@@ -47,7 +85,7 @@ impl Recorder {
 
     #[cfg(feature = "record")]
     pub(crate) fn attached(reg: &Arc<Inner>) -> Recorder {
-        let shard = Arc::new(ShardBuf::default());
+        let shard = Arc::new(Mutex::new(Shard::default()));
         reg.shards.lock().push(Arc::downgrade(&shard));
         Recorder {
             inner: Some((shard, Arc::clone(reg))),
@@ -72,14 +110,23 @@ impl Recorder {
         }
     }
 
+    /// Store `e` under the next sequence number, with `resource` and `op`
+    /// resolved to ids. No heap allocation unless `detail` is non-empty or
+    /// a buffer grows.
     #[cfg(feature = "record")]
-    fn emit(&self, mut e: Event) {
+    fn emit(&self, mut e: Packed, resource: &str, op: &str, detail: &str) {
         if let Some((shard, reg)) = &self.inner {
-            e.seq = reg.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut buf = shard.buf.lock();
-            buf.push(e);
-            if buf.len() >= FLUSH_BATCH {
-                reg.ingest(&mut buf);
+            let mut guard = shard.lock();
+            let shard = &mut *guard;
+            e.resource = shard.resources.id(resource, &reg.names);
+            e.op = shard.ops.id(op, &reg.names);
+            e.seq = reg.seq.fetch_add(1, Ordering::Relaxed);
+            shard.pending.events.push(e);
+            if !detail.is_empty() {
+                shard.pending.details.push((e.seq, detail.into()));
+            }
+            if shard.pending.events.len() >= FLUSH_BATCH {
+                reg.ingest(&mut shard.pending);
             }
         }
     }
@@ -97,20 +144,12 @@ impl Recorder {
         bytes: u64,
     ) {
         #[cfg(feature = "record")]
-        if self.inner.is_some() {
-            self.emit(Event {
-                seq: 0,
-                at,
-                dur,
-                layer,
-                resource: resource.to_owned(),
-                op: op.to_owned(),
-                bytes,
-                value: 0.0,
-                detail: String::new(),
-                kind: EventKind::Span,
-            });
-        }
+        self.emit(
+            Packed::new(EventKind::Span, layer, at, dur, bytes),
+            resource,
+            op,
+            "",
+        );
         #[cfg(not(feature = "record"))]
         {
             let _ = (layer, resource, op, at, dur, bytes);
@@ -121,20 +160,12 @@ impl Recorder {
     #[inline]
     pub fn instant(&self, layer: Layer, resource: &str, op: &str, at: SimTime, detail: &str) {
         #[cfg(feature = "record")]
-        if self.inner.is_some() {
-            self.emit(Event {
-                seq: 0,
-                at,
-                dur: SimDuration::ZERO,
-                layer,
-                resource: resource.to_owned(),
-                op: op.to_owned(),
-                bytes: 0,
-                value: 0.0,
-                detail: detail.to_owned(),
-                kind: EventKind::Instant,
-            });
-        }
+        self.emit(
+            Packed::new(EventKind::Instant, layer, at, SimDuration::ZERO, 0),
+            resource,
+            op,
+            detail,
+        );
         #[cfg(not(feature = "record"))]
         {
             let _ = (layer, resource, op, at, detail);
@@ -146,20 +177,18 @@ impl Recorder {
     #[inline]
     pub fn count(&self, layer: Layer, resource: &str, op: &str, at: SimTime, value: f64) {
         #[cfg(feature = "record")]
-        if self.inner.is_some() {
-            self.emit(Event {
-                seq: 0,
-                at,
-                dur: SimDuration::ZERO,
+        self.emit(
+            Packed::new(
+                EventKind::Count,
                 layer,
-                resource: resource.to_owned(),
-                op: op.to_owned(),
-                bytes: 0,
-                value,
-                detail: String::new(),
-                kind: EventKind::Count,
-            });
-        }
+                at,
+                SimDuration::ZERO,
+                value.to_bits(),
+            ),
+            resource,
+            op,
+            "",
+        );
         #[cfg(not(feature = "record"))]
         {
             let _ = (layer, resource, op, at, value);
@@ -173,7 +202,7 @@ impl Drop for Recorder {
         if let Some((shard, reg)) = &self.inner {
             // Last handle to this buffer: push the tail into the registry.
             if Arc::strong_count(shard) == 1 {
-                reg.ingest(&mut shard.buf.lock());
+                reg.ingest(&mut shard.lock().pending);
             }
         }
     }

@@ -3,35 +3,53 @@
 
 use crate::event::Event;
 use crate::metrics::MetricsSnapshot;
+use crate::packed::{Interner, Log};
 use crate::recorder::Recorder;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default bound on retained events (~100 MB worst case); older events are
-/// kept, new ones dropped and counted once the bound is hit.
+/// Default bound on retained events: 48 MB of packed records at the bound,
+/// plus the details of its instants. Older events are kept, new ones
+/// dropped and counted once the bound is hit.
 pub const DEFAULT_CAPACITY: usize = 1_000_000;
 
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
+    #[cfg_attr(not(feature = "record"), allow(dead_code))]
     pub(crate) seq: AtomicU64,
-    pub(crate) events: Mutex<Vec<Event>>,
-    pub(crate) shards: Mutex<Vec<std::sync::Weak<crate::recorder::ShardBuf>>>,
+    pub(crate) log: Mutex<Log>,
+    pub(crate) names: Mutex<Interner>,
+    pub(crate) shards: Mutex<Vec<std::sync::Weak<Mutex<crate::recorder::Shard>>>>,
     pub(crate) capacity: usize,
     pub(crate) dropped: AtomicU64,
 }
 
 impl Inner {
-    /// Accept a batch from a recorder buffer.
-    pub(crate) fn ingest(&self, batch: &mut Vec<Event>) {
-        let mut events = self.events.lock();
-        for e in batch.drain(..) {
-            if events.len() < self.capacity {
-                events.push(e);
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Accept a recorder's pending batch, oldest first, up to the capacity
+    /// bound; what does not fit is dropped, details included, and counted.
+    pub(crate) fn ingest(&self, batch: &mut Log) {
+        let mut log = self.log.lock();
+        let room = self.capacity.saturating_sub(log.events.len());
+        let (kept, lost) = batch.events.split_at(batch.events.len().min(room));
+        if !lost.is_empty() {
+            self.dropped.fetch_add(lost.len() as u64, Ordering::Relaxed);
+            batch
+                .details
+                .retain(|(seq, _)| lost.iter().all(|p| p.seq != *seq));
         }
+        log.events.extend_from_slice(kept);
+        log.details.append(&mut batch.details);
+        batch.events.clear();
+    }
+
+    /// Flush every recorder, then run `read` over the store in order of
+    /// record with the names its ids stand for.
+    fn read<T>(&self, read: impl FnOnce(&Log, &Interner) -> T) -> T {
+        crate::recorder::flush_all(self);
+        let mut log = self.log.lock();
+        log.sort();
+        read(&log, &self.names.lock())
     }
 }
 
@@ -71,12 +89,9 @@ impl Registry {
     }
 
     /// All recorded events in emission order. Flushes every live recorder
-    /// buffer first.
+    /// buffer first, then builds one owned [`Event`] per stored record.
     pub fn events(&self) -> Vec<Event> {
-        crate::recorder::flush_all(&self.inner);
-        let mut events = self.inner.events.lock().clone();
-        events.sort_by_key(|e| e.seq);
-        events
+        self.inner.read(Log::materialise)
     }
 
     /// Number of events dropped due to the capacity bound.
@@ -84,15 +99,20 @@ impl Registry {
         self.inner.dropped.load(Ordering::Relaxed)
     }
 
-    /// Discard everything recorded so far (the sequence counter keeps
-    /// increasing, so later events still sort after earlier ones).
+    /// Discard everything recorded so far, the drop count with it (the
+    /// sequence counter keeps increasing, so later events still sort after
+    /// earlier ones).
     pub fn clear(&self) {
         crate::recorder::flush_all(&self.inner);
-        self.inner.events.lock().clear();
+        self.inner.log.lock().clear();
+        self.inner.dropped.store(0, Ordering::Relaxed);
     }
 
-    /// Aggregate the event stream into per-(layer, resource, op) metrics.
+    /// Aggregate the event stream into per-(layer, resource, op) metrics,
+    /// straight from the stored records.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::aggregate(&self.events(), self.dropped())
+        // The flush inside `read` can drop: count after it.
+        self.inner
+            .read(|log, names| MetricsSnapshot::fold(&log.events, names, self.dropped()))
     }
 }

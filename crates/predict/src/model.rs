@@ -43,14 +43,13 @@ impl AccessSummary {
     /// Summarize a concrete distribution (rank 0 is representative; block
     /// decompositions are balanced to ±1 element).
     pub fn of(dist: &Distribution) -> Self {
-        let chunks = dist.chunks_for(0);
-        let extent = dist.extent_for(0).map(|e| e.len).unwrap_or(0);
+        let (runs_per_proc, run_bytes, extent_bytes) = dist.run_shape(0);
         AccessSummary {
             total_bytes: dist.total_bytes(),
             nprocs: dist.nprocs() as u32,
-            runs_per_proc: chunks.len() as u64,
-            run_bytes: chunks.first().map(|c| c.len).unwrap_or(0),
-            extent_bytes: extent,
+            runs_per_proc,
+            run_bytes,
+            extent_bytes,
             proc_bytes: dist.bytes_for(0),
             objects: 1.0,
         }

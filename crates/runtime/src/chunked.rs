@@ -68,7 +68,7 @@ use msr_chunk::{
 };
 use msr_obs::{ops, Layer};
 use msr_sim::SimDuration;
-use msr_storage::{Cost, OpenMode, SharedResource, StorageError, StorageResource};
+use msr_storage::{Cost, OpKind, OpenMode, SharedResource, StorageError, StorageResource};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -536,7 +536,7 @@ impl IoEngine {
             backoff: cx.backoff,
             stale: false,
         };
-        self.record_strategy(r.name(), "write", &report);
+        self.record_strategy(r.name(), OpKind::Write, &report);
         self.record_scratch(&resource, &cx);
         if self.recorder.enabled() {
             let now = self.clock.now();
@@ -770,7 +770,7 @@ impl IoEngine {
             backoff: cx.backoff,
             stale: false,
         };
-        self.record_strategy(r.name(), "read", &report);
+        self.record_strategy(r.name(), OpKind::Read, &report);
         self.record_scratch(r.name(), &cx);
         Ok((out, report))
     }

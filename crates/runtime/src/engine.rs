@@ -28,7 +28,9 @@ use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration, Timeline};
-use msr_storage::{Cost, OpenMode, ResourceStats, SharedResource, StorageError, StorageResource};
+use msr_storage::{
+    Cost, OpKind, OpenMode, ResourceStats, SharedResource, StorageError, StorageResource,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -286,6 +288,21 @@ impl StatsDelta {
     }
 }
 
+/// The op key of a strategy span, `"<op>:<strategy>"`, without formatting
+/// it per request.
+fn strategy_op(op: OpKind, strategy: IoStrategy) -> &'static str {
+    match (op, strategy) {
+        (OpKind::Read, IoStrategy::Naive) => "read:naive",
+        (OpKind::Read, IoStrategy::DataSieving) => "read:data-sieving",
+        (OpKind::Read, IoStrategy::Collective) => "read:collective",
+        (OpKind::Read, IoStrategy::Subfile) => "read:subfile",
+        (OpKind::Write, IoStrategy::Naive) => "write:naive",
+        (OpKind::Write, IoStrategy::DataSieving) => "write:data-sieving",
+        (OpKind::Write, IoStrategy::Collective) => "write:collective",
+        (OpKind::Write, IoStrategy::Subfile) => "write:subfile",
+    }
+}
+
 /// The open mode each process uses: only the first toucher of a fresh file
 /// may truncate.
 fn proc_mode(mode: OpenMode, first: bool) -> OpenMode {
@@ -364,12 +381,12 @@ impl IoEngine {
         self.clock = clock;
     }
 
-    pub(crate) fn record_strategy(&self, resource: &str, verb: &str, report: &IoReport) {
+    pub(crate) fn record_strategy(&self, resource: &str, op: OpKind, report: &IoReport) {
         if self.recorder.enabled() {
             self.recorder.span(
                 Layer::Runtime,
                 resource,
-                &format!("{verb}:{}", report.strategy),
+                strategy_op(op, report.strategy),
                 self.clock.now(),
                 report.elapsed,
                 report.bytes,
@@ -454,7 +471,7 @@ impl IoEngine {
             backoff: cx.backoff,
             stale: false,
         };
-        self.record_strategy(r.name(), "write", &report);
+        self.record_strategy(r.name(), OpKind::Write, &report);
         self.record_scratch(r.name(), &cx);
         Ok(report)
     }
@@ -585,7 +602,7 @@ impl IoEngine {
             backoff: cx.backoff,
             stale: false,
         };
-        self.record_strategy(r.name(), "read", &report);
+        self.record_strategy(r.name(), OpKind::Read, &report);
         Ok((out, report))
     }
 
@@ -906,6 +923,15 @@ mod tests {
 
     fn payload(bytes: u64) -> Vec<u8> {
         (0..bytes).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn strategy_op_keys_spell_op_and_strategy() {
+        for op in [OpKind::Read, OpKind::Write] {
+            for strategy in IoStrategy::ALL {
+                assert_eq!(strategy_op(op, strategy), format!("{op}:{strategy}"));
+            }
+        }
     }
 
     #[test]

@@ -299,16 +299,45 @@ impl Distribution {
         chunks
     }
 
+    /// `(runs, first run bytes, covering extent bytes)` of `rank` in closed
+    /// form: what `chunks_for(rank)` would report as its length, its first
+    /// run's length and the span from its first byte to its last, without
+    /// building the list. All zero for a rank that owns nothing.
+    ///
+    /// Rows along z merge into one run only where the rank owns the whole z
+    /// extent, and those runs merge across x only where it also owns the
+    /// whole y extent — hence `ex·ey` runs, `ex`, or one.
+    pub fn run_shape(&self, rank: usize) -> (u64, u64, u64) {
+        self.shape(rank)
+            .map_or((0, 0, 0), |(runs, first, extent)| (runs, first, extent.len))
+    }
+
     /// The covering extent (first byte .. last byte) of a process's runs —
     /// what data sieving accesses in one native call.
     pub fn extent_for(&self, rank: usize) -> Option<Chunk> {
-        let chunks = self.chunks_for(rank);
-        let first = chunks.first()?;
-        let last = chunks.last()?;
-        Some(Chunk {
-            offset: first.offset,
-            len: last.end() - first.offset,
-        })
+        self.shape(rank).map(|(_, _, extent)| extent)
+    }
+
+    /// `(runs, first run bytes, covering extent)`, `None` for a rank that
+    /// owns nothing.
+    fn shape(&self, rank: usize) -> Option<(u64, u64, Chunk)> {
+        let [(x0, ex), (y0, ey), (z0, ez)] = self.local_ranges(rank);
+        if ex == 0 || ey == 0 || ez == 0 {
+            return None;
+        }
+        let (ny, nz, es) = (self.dims.y, self.dims.z, self.elem_size);
+        let (runs, first) = if ez < nz {
+            (ex * ey, ez)
+        } else if ey < ny {
+            (ex, ey * nz)
+        } else {
+            (1, ex * ny * nz)
+        };
+        let extent = Chunk {
+            offset: ((x0 * ny + y0) * nz + z0) * es,
+            len: (((ex - 1) * ny + (ey - 1)) * nz + ez) * es,
+        };
+        Some((runs, first * es, extent))
     }
 }
 
@@ -446,6 +475,68 @@ mod tests {
                 assert!(c.offset >= e.offset && c.end() <= e.end());
             }
         }
+    }
+
+    /// Every grid of at most 12 processes the pattern allows.
+    fn legal_grids(pattern: Pattern) -> Vec<ProcGrid> {
+        let extents = |d: DimDist| match d {
+            DimDist::Block => 1..=12u32,
+            DimDist::Star => 1..=1,
+        };
+        let mut grids = Vec::new();
+        for px in extents(pattern.0[0]) {
+            for py in extents(pattern.0[1]) {
+                for pz in extents(pattern.0[2]) {
+                    if px * py * pz <= 12 {
+                        grids.push(ProcGrid::new(px, py, pz));
+                    }
+                }
+            }
+        }
+        grids
+    }
+
+    #[test]
+    fn run_shape_and_extent_equal_the_run_list() {
+        let mut shapes: Vec<Dims3> = Vec::new();
+        for x in [1, 2, 5, 8, 17] {
+            for y in [1, 2, 5, 8, 17] {
+                shapes.extend([1, 2, 5, 8, 17].map(|z| Dims3 { x, y, z }));
+            }
+        }
+        shapes.push(Dims3 { x: 3, y: 8, z: 5 });
+        let mut idle_ranks = 0;
+        for pattern in ["BBB", "BB*", "B**", "*B*", "**B", "***"] {
+            let pattern = Pattern::parse(pattern).unwrap();
+            for grid in legal_grids(pattern) {
+                for &dims in &shapes {
+                    let d = Distribution::new(dims, 4, pattern, grid).unwrap();
+                    for rank in 0..d.nprocs() {
+                        let chunks = d.chunks_for(rank);
+                        let listed = match (chunks.first(), chunks.last()) {
+                            (Some(first), Some(last)) => Some(Chunk {
+                                offset: first.offset,
+                                len: last.end() - first.offset,
+                            }),
+                            _ => None,
+                        };
+                        idle_ranks += usize::from(listed.is_none());
+                        let at = format!("{dims} {pattern} {grid} rank {rank}");
+                        assert_eq!(d.extent_for(rank), listed, "{at}");
+                        assert_eq!(
+                            d.run_shape(rank),
+                            (
+                                chunks.len() as u64,
+                                chunks.first().map_or(0, |c| c.len),
+                                listed.map_or(0, |e| e.len),
+                            ),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(idle_ranks > 0, "a dimension shorter than its grid");
     }
 
     #[test]

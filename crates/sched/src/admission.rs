@@ -345,7 +345,7 @@ impl Scheduler<'_> {
             let depth = self.sys.load.enqueued(kind, n);
             self.rec.count(
                 Layer::Sched,
-                &kind.to_string(),
+                kind.name(),
                 ops::QUEUE_DEPTH,
                 now,
                 depth as f64,

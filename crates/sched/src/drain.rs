@@ -80,7 +80,7 @@ pub(crate) struct Contrib {
 /// One batch being applied to its resource's cursor.
 struct Batch {
     kind: StorageKind,
-    comp: String,
+    comp: &'static str,
     step: u64,
     phase: Phase,
     start: SimTime,
@@ -293,7 +293,7 @@ impl<'a> Drain<'a> {
                 .expect("staged runs imply prefetch");
             let outcome = p
                 .take(&item.req.path)
-                .and_then(|data| self.sys.engine.staged_read(&b.comp, &item.req, &data).ok());
+                .and_then(|data| self.sys.engine.staged_read(b.comp, &item.req, &data).ok());
             match outcome {
                 Some(outcome) => self.serve(admitted, &mut b, item, outcome.into_report()),
                 None => leftovers.push(item),
@@ -328,7 +328,7 @@ impl<'a> Drain<'a> {
         *cursor += dispatch_overhead();
         Batch {
             kind,
-            comp: kind.to_string(),
+            comp: kind.name(),
             step,
             phase,
             start,
@@ -350,7 +350,7 @@ impl<'a> Drain<'a> {
         let wait = cursor.since(item.submitted);
         self.rec.span(
             Layer::Sched,
-            &b.comp,
+            b.comp,
             ops::SCHED_WAIT,
             item.submitted,
             wait,
@@ -369,13 +369,13 @@ impl<'a> Drain<'a> {
                 .expect("staged runs imply prefetch");
             p.hits += 1;
             self.rec
-                .count(Layer::Sched, &b.comp, ops::PREFETCH_HIT, at, 1.0);
+                .count(Layer::Sched, b.comp, ops::PREFETCH_HIT, at, 1.0);
         }
         let depth = sys.load.dequeued(kind, 1);
         self.rec
-            .count(Layer::Sched, &b.comp, ops::QUEUE_DEPTH, at, depth as f64);
+            .count(Layer::Sched, b.comp, ops::QUEUE_DEPTH, at, depth as f64);
         if let (Phase::OnDemand, Some(p)) = (b.phase, self.prefetcher.as_mut()) {
-            if p.note_foreground(&self.rec, &b.comp, &item.req, at) {
+            if p.note_foreground(&self.rec, b.comp, &item.req, at) {
                 self.gates.entry(kind).or_default().dirty = true;
             }
         }
@@ -421,7 +421,7 @@ impl<'a> Drain<'a> {
         self.max_batch = self.max_batch.max(b.served);
         self.rec.span(
             Layer::Sched,
-            &b.comp,
+            b.comp,
             ops::SCHED_DISPATCH,
             b.start,
             self.cursor(b.kind).since(b.start),
@@ -493,7 +493,7 @@ impl Scheduler<'_> {
             let depth = self.sys.load.dequeued(kind, removed.len());
             self.rec.count(
                 Layer::Sched,
-                &kind.to_string(),
+                kind.name(),
                 ops::QUEUE_DEPTH,
                 at,
                 depth as f64,
@@ -567,7 +567,7 @@ impl Scheduler<'_> {
         let n = items.len();
         self.rec.instant(
             Layer::Sched,
-            &from.to_string(),
+            from.name(),
             ops::SCHED_REQUEUE,
             sys.clock.now(),
             &format!(

@@ -174,7 +174,7 @@ impl Prefetcher {
                         self.declines += 1;
                         rec.count(
                             Layer::Sched,
-                            &kind.to_string(),
+                            kind.name(),
                             ops::PREFETCH_DECLINE,
                             fg_cursor,
                             1.0,
@@ -266,7 +266,7 @@ impl Prefetcher {
     /// Fold one resource's completed fetches into the staging cache and
     /// advance its background cursor by the *measured* fetch times.
     pub fn apply_fetches(&mut self, rec: &Recorder, kind: StorageKind, fetched: Fetched) {
-        let comp = kind.to_string();
+        let comp = kind.name();
         let mut t = fetched.start;
         for (f, result) in fetched.results {
             match result {
@@ -275,7 +275,7 @@ impl Prefetcher {
                     t += report.elapsed;
                     rec.span(
                         Layer::Sched,
-                        &comp,
+                        comp,
                         ops::PREFETCH,
                         began,
                         report.elapsed,
@@ -292,7 +292,7 @@ impl Prefetcher {
                         // The cache declined (admitting would evict an
                         // entry needed sooner): the fetch was wasted.
                         self.waste += 1;
-                        rec.count(Layer::Sched, &comp, ops::PREFETCH_WASTE, t, 1.0);
+                        rec.count(Layer::Sched, comp, ops::PREFETCH_WASTE, t, 1.0);
                     }
                 }
                 Err(e) => {
@@ -301,7 +301,7 @@ impl Prefetcher {
                     // recorded — the session never asked for this work.
                     rec.instant(
                         Layer::Sched,
-                        &comp,
+                        comp,
                         ops::PREFETCH,
                         t,
                         &format!("fetch {} failed: {e}", f.path),

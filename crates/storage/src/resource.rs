@@ -28,14 +28,21 @@ pub enum StorageKind {
     RemoteTape,
 }
 
-impl fmt::Display for StorageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl StorageKind {
+    /// The kind's display name, e.g. `"local disk"` — what [`fmt::Display`]
+    /// writes, without building a `String` for it.
+    pub fn name(self) -> &'static str {
+        match self {
             StorageKind::LocalDisk => "local disk",
             StorageKind::RemoteDisk => "remote disk",
             StorageKind::RemoteTape => "remote tape",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for StorageKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
