@@ -256,6 +256,7 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn create_write_read_roundtrip() {
@@ -359,6 +360,130 @@ mod tests {
         let all = s.read_all("f").unwrap();
         assert!(all[..end - 4].iter().all(|&b| b == 7));
         assert_eq!(&all[end - 4..], &[9; 12]);
+    }
+
+    /// How one write of the model walk reaches the store.
+    type WalkWrite = fn(&mut ObjectStore, &str, u64, &[u8], &mut StdRng) -> StorageResult<()>;
+
+    /// Drive the store and a `BTreeMap<String, Vec<u8>>` model through
+    /// `steps` seeded moves over six paths and compare them after every
+    /// one: the touched file's bytes, every size, `used_bytes`,
+    /// `logical_bytes` and `list`; every file's bytes each 64 steps and at
+    /// the end.
+    fn model_walk(seed: u64, steps: usize, write: WalkWrite) {
+        const PATHS: [&str; 6] = ["a/0", "a/1", "a/2", "b/0", "b/1", "c"];
+        const LENS: [usize; 5] = [0, 1, EXTENT - 3, EXTENT + 3, 3 * EXTENT + 5];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool = vec![0u8; 4 * EXTENT];
+        rng.fill_bytes(&mut pool);
+
+        let mut s = ObjectStore::new();
+        let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut overrides: BTreeMap<String, u64> = BTreeMap::new();
+        let same_bytes = |s: &ObjectStore, files: &BTreeMap<String, Vec<u8>>, path: &str| {
+            match files.get(path) {
+                Some(want) => assert!(s.read_all(path).unwrap() == want[..], "bytes of {path}"),
+                None => assert!(matches!(s.read_all(path), Err(StorageError::NotFound(_)))),
+            }
+        };
+        for step in 0..steps {
+            let path = PATHS[rng.random_range(0..PATHS.len())];
+            let len_now = files.get(path).map_or(0, Vec::len);
+            match rng.random_range(0..16u32) {
+                0 => {
+                    s.create(path);
+                    files.insert(path.to_owned(), Vec::new());
+                    overrides.remove(path);
+                }
+                1 => {
+                    s.ensure(path);
+                    files.entry(path.to_owned()).or_default();
+                }
+                2 => {
+                    overrides.remove(path);
+                    assert_eq!(s.delete(path), files.remove(path).is_some(), "step {step}");
+                }
+                3 => {
+                    let bytes = rng.random_range(0..1u64 << 22);
+                    s.set_logical(path, bytes);
+                    if files.contains_key(path) {
+                        overrides.insert(path.to_owned(), bytes);
+                    }
+                }
+                4..=6 => {
+                    // Any range, also one starting or ending past EOF.
+                    let offset = rng.random_range(0..=len_now + 3);
+                    let len = rng.random_range(0..=len_now + EXTENT);
+                    match files.get(path) {
+                        Some(want) => {
+                            let got = s.read_at(path, offset as u64, len).unwrap();
+                            let lo = offset.min(want.len());
+                            let hi = (offset + len).min(want.len());
+                            assert!(got == want[lo..hi], "step {step}: {path} {offset}+{len}");
+                        }
+                        None => assert!(matches!(
+                            s.read_at(path, offset as u64, len),
+                            Err(StorageError::NotFound(_))
+                        )),
+                    }
+                }
+                // A file that has grown long is truncated instead, so
+                // the walk keeps meeting short and empty files.
+                _ if len_now > 5 * EXTENT => {
+                    s.create(path);
+                    files.insert(path.to_owned(), Vec::new());
+                    overrides.remove(path);
+                }
+                _ => {
+                    let offset = match rng.random_range(0..4u32) {
+                        0 => 0,
+                        1 => rng.random_range(0..=len_now),
+                        2 => len_now,
+                        _ => len_now + rng.random_range(1..=EXTENT + 3),
+                    };
+                    let len = LENS[rng.random_range(0..LENS.len())];
+                    let from = rng.random_range(0..=pool.len() - len);
+                    let data = &pool[from..from + len];
+                    let result = write(&mut s, path, offset as u64, data, &mut rng);
+                    match files.get_mut(path) {
+                        Some(f) => {
+                            result.unwrap();
+                            if f.len() < offset + len {
+                                f.resize(offset + len, 0);
+                            }
+                            f[offset..offset + len].copy_from_slice(data);
+                        }
+                        None => assert!(matches!(result, Err(StorageError::NotFound(_)))),
+                    }
+                }
+            }
+            same_bytes(&s, &files, path);
+            if step % 64 == 63 || step + 1 == steps {
+                PATHS.iter().for_each(|p| same_bytes(&s, &files, p));
+            }
+            for p in PATHS {
+                assert_eq!(s.size(p), files.get(p).map(|f| f.len() as u64), "{step}");
+            }
+            let used: u64 = files.values().map(|f| f.len() as u64).sum();
+            let logical: u64 = files
+                .iter()
+                .map(|(p, f)| overrides.get(p).copied().unwrap_or(f.len() as u64))
+                .sum();
+            assert_eq!(s.used_bytes(), used, "step {step}");
+            assert_eq!(s.logical_bytes(), logical, "step {step}");
+            assert_eq!(s.file_count(), files.len(), "step {step}");
+            for prefix in ["", "a/", "b/1", "z"] {
+                let want: Vec<&String> = files.keys().filter(|k| k.starts_with(prefix)).collect();
+                assert_eq!(s.list(prefix).iter().collect::<Vec<_>>(), want, "{step}");
+            }
+        }
+    }
+
+    #[test]
+    fn store_matches_a_vec_model_over_a_seeded_walk() {
+        model_walk(0x5eed_0b1e, 2500, |s, path, offset, data, _| {
+            s.write_at(path, offset, data)
+        });
     }
 
     #[test]
