@@ -161,10 +161,13 @@ impl MsrSystem {
                     self.engine
                         .read_auto(&src, file, &dist, IoStrategy::Collective)?;
                 let ingest = plane.ingest_of(&src_name, file).unwrap_or_default();
-                let write = self.engine.write_chunked(
+                let bytes = data.len() as u64;
+                // The read-back is ours to give: a raw dump's buffer
+                // becomes the destination's object.
+                let write = self.engine.write_shared(
                     &dst,
                     file,
-                    &data,
+                    data.into(),
                     &dist,
                     IoStrategy::Collective,
                     OpenMode::Create,
@@ -173,7 +176,7 @@ impl MsrSystem {
                 )?;
                 self.clock.advance(read.elapsed + write.elapsed);
                 report.files += 1;
-                report.bytes += data.len() as u64;
+                report.bytes += bytes;
                 report.read_time += read.elapsed;
                 report.write_time += write.elapsed;
             }

@@ -466,21 +466,25 @@ impl IoEngine {
             let mut object = manifest.encode();
             // The dump's pack id: a pure function of its manifest.
             let pack = Digest::of(&object);
+            // Both objects are handed to the resource, which may keep
+            // them: each is built at its final size.
             let pack_bytes = if manifest.inline {
+                object.reserve_exact(frames.iter().map(Vec::len).sum());
                 frames.iter().for_each(|f| object.extend_from_slice(f));
                 0
             } else {
                 let frames = frames.concat();
-                if !frames.is_empty() {
+                let pack_bytes = frames.len();
+                if pack_bytes > 0 {
                     let pack_path = pack_path(&pack);
-                    self.write_object(&mut cx, &mut *r, &pack_path, &frames)?;
+                    self.write_object(&mut cx, &mut *r, &pack_path, frames.into())?;
                     r.set_logical_size(&pack_path, 0);
                 }
-                frames.len()
+                pack_bytes
             };
-            self.write_object(&mut cx, &mut *r, path, &object)?;
-            r.set_logical_size(path, total);
             moved = (object.len() + pack_bytes) as u64;
+            self.write_object(&mut cx, &mut *r, path, object.into())?;
+            r.set_logical_size(path, total);
 
             // Commit the new references, then release the replaced
             // dump's — shared chunks never hit zero in between.
@@ -919,11 +923,11 @@ impl IoEngine {
         cx: &mut OpCx,
         r: &mut dyn StorageResource,
         path: &str,
-        bytes: &[u8],
+        bytes: Bytes,
     ) -> RuntimeResult<()> {
         let open = self.retried(cx, 0, r, |r| r.open(path, OpenMode::Create))?;
         cx.tl.charge(0, open.time);
-        let w = self.retried(cx, 0, r, |r| r.write(open.value, bytes))?;
+        let w = self.retried(cx, 0, r, |r| r.write_shared(open.value, bytes.clone()))?;
         cx.tl.charge(0, w.time);
         let cl = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, cl.time);

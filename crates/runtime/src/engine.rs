@@ -161,6 +161,14 @@ fn scatter_windows<S: Send>(
         .for_each(|(window, src)| copy(window, src));
 }
 
+/// The global array assembled from a read's deferred runs (every run was
+/// checked to be whole, so together they cover it).
+fn scattered(dist: &Distribution, ops: Vec<(usize, usize, Bytes)>) -> Vec<u8> {
+    let mut out = vec![0u8; dist.total_bytes() as usize];
+    scatter_windows(&mut out, ops, |window, src| window.copy_from_slice(&src));
+    out
+}
+
 /// Outcome of one engine operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IoReport {
@@ -303,6 +311,39 @@ fn strategy_op(op: OpKind, strategy: IoStrategy) -> &'static str {
     }
 }
 
+/// The span key of a session's requests, `"session:<id>"`, written into
+/// `buf` (the prefix and a `u64`'s twenty digits fit) instead of a `String`
+/// per request.
+fn session_key(buf: &mut [u8; 28], mut id: u64) -> &str {
+    const PREFIX: &[u8] = b"session:";
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (id % 10) as u8;
+        id /= 10;
+        if id == 0 {
+            break;
+        }
+    }
+    at -= PREFIX.len();
+    buf[at..at + PREFIX.len()].copy_from_slice(PREFIX);
+    std::str::from_utf8(&buf[at..]).expect("ASCII prefix and digits")
+}
+
+/// A native read of `want` bytes that came back short means the object is
+/// shorter than the distribution says: fail, rather than hand back zeros
+/// where the missing bytes would be.
+fn whole_read(read: &Bytes, want: u64) -> RuntimeResult<()> {
+    if read.len() as u64 == want {
+        Ok(())
+    } else {
+        Err(RuntimeError::SizeMismatch {
+            expected: want,
+            got: read.len() as u64,
+        })
+    }
+}
+
 /// The open mode each process uses: only the first toucher of a fresh file
 /// may truncate.
 fn proc_mode(mode: OpenMode, first: bool) -> OpenMode {
@@ -432,6 +473,46 @@ impl IoEngine {
         strategy: IoStrategy,
         mode: OpenMode,
     ) -> RuntimeResult<IoReport> {
+        self.write_raw(res, path, data, None, dist, strategy, mode)
+    }
+
+    /// [`IoEngine::write_chunked`] for a caller that can give the buffer
+    /// away (a queued request's payload, a migration's read-back): a raw
+    /// collective dump hands `data` to the resource's single native
+    /// [`write_shared`](StorageResource::write_shared), so a resource that
+    /// keeps its data in memory stores the buffer instead of a copy of it.
+    /// Reports, costs and stored bytes are those of the borrowed call.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_shared(
+        &self,
+        res: &SharedResource,
+        path: &str,
+        data: Bytes,
+        dist: &Distribution,
+        strategy: IoStrategy,
+        mode: OpenMode,
+        ingest: &msr_chunk::IngestSpec,
+        dataset: &str,
+    ) -> RuntimeResult<IoReport> {
+        if ingest.is_active() {
+            return self.write_chunked(res, path, &data, dist, strategy, mode, ingest, dataset);
+        }
+        self.write_raw(res, path, &data, Some(&data), dist, strategy, mode)
+    }
+
+    /// The raw write behind both entry points; `owned` is `data` again,
+    /// when the caller gave it away.
+    #[allow(clippy::too_many_arguments)]
+    fn write_raw(
+        &self,
+        res: &SharedResource,
+        path: &str,
+        data: &[u8],
+        owned: Option<&Bytes>,
+        dist: &Distribution,
+        strategy: IoStrategy,
+        mode: OpenMode,
+    ) -> RuntimeResult<IoReport> {
         if data.len() as u64 != dist.total_bytes() {
             return Err(RuntimeError::SizeMismatch {
                 expected: dist.total_bytes(),
@@ -449,7 +530,7 @@ impl IoEngine {
             IoStrategy::Naive => self.write_naive(&mut *r, path, data, dist, mode, &mut cx),
             IoStrategy::DataSieving => self.write_sieving(&mut *r, path, data, dist, mode, &mut cx),
             IoStrategy::Collective => {
-                self.write_collective(&mut *r, path, data, dist, mode, &mut cx)
+                self.write_collective(&mut *r, path, data, owned, dist, mode, &mut cx)
             }
             IoStrategy::Subfile => self.write_subfile(&mut *r, path, data, dist, mode, &mut cx),
         };
@@ -489,11 +570,12 @@ impl IoEngine {
     ) -> RuntimeResult<crate::request::RequestOutcome> {
         use crate::request::{RequestBody, RequestOutcome};
         let outcome = match &req.body {
-            // Raw ingest falls back to the plain `write` inside.
-            RequestBody::Write { data, mode } => RequestOutcome::Written(self.write_chunked(
+            // Raw ingest falls back to the plain write inside, which
+            // stores the request's buffer rather than a copy.
+            RequestBody::Write { data, mode } => RequestOutcome::Written(self.write_shared(
                 res,
                 &req.path,
-                data,
+                data.clone(),
                 &req.dist,
                 req.strategy,
                 *mode,
@@ -509,7 +591,7 @@ impl IoEngine {
             let report = outcome.report();
             self.recorder.span(
                 Layer::Runtime,
-                &format!("session:{}", req.tag.session),
+                session_key(&mut [0; 28], req.tag.session),
                 "request",
                 self.clock.now(),
                 report.elapsed,
@@ -565,7 +647,9 @@ impl IoEngine {
     }
 
     /// Read dataset file `path` from `res` into a freshly assembled global
-    /// array buffer.
+    /// array buffer. An object shorter than `dist` describes (the half a
+    /// torn write left, say) is a [`RuntimeError::SizeMismatch`] from the
+    /// first native read that comes back short, never zero padding.
     pub fn read(
         &self,
         res: &SharedResource,
@@ -573,19 +657,18 @@ impl IoEngine {
         dist: &Distribution,
         strategy: IoStrategy,
     ) -> RuntimeResult<(Vec<u8>, IoReport)> {
-        let mut out = vec![0u8; dist.total_bytes() as usize];
         let mut r = res.lock();
         let delta = StatsDelta::start(&*r);
         let mut cx = OpCx::new(dist.nprocs());
 
         let result = match strategy {
-            IoStrategy::Naive => self.read_naive(&mut *r, path, &mut out, dist, &mut cx),
-            IoStrategy::DataSieving => self.read_sieving(&mut *r, path, &mut out, dist, &mut cx),
-            IoStrategy::Collective => self.read_collective(&mut *r, path, &mut out, dist, &mut cx),
-            IoStrategy::Subfile => self.read_subfile(&mut *r, path, &mut out, dist, &mut cx),
+            IoStrategy::Naive => self.read_naive(&mut *r, path, dist, &mut cx),
+            IoStrategy::DataSieving => self.read_sieving(&mut *r, path, dist, &mut cx),
+            IoStrategy::Collective => self.read_collective(&mut *r, path, dist, &mut cx),
+            IoStrategy::Subfile => self.read_subfile(&mut *r, path, dist, &mut cx),
         };
         r.set_stream_hint(1);
-        result?;
+        let out = result?;
 
         cx.tl.barrier();
         let (nr, nw, no) = delta.finish(&*r);
@@ -699,11 +782,13 @@ impl IoEngine {
         Ok(())
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn write_collective(
         &self,
         r: &mut dyn StorageResource,
         path: &str,
         data: &[u8],
+        owned: Option<&Bytes>,
         dist: &Distribution,
         mode: OpenMode,
         cx: &mut OpCx,
@@ -718,7 +803,10 @@ impl IoEngine {
         r.set_stream_hint(1);
         let open = self.retried(cx, 0, r, |r| r.open(path, mode))?;
         cx.tl.charge(0, open.time);
-        let write = self.retried(cx, 0, r, |r| r.write(open.value, data))?;
+        let write = self.retried(cx, 0, r, |r| match owned {
+            Some(buf) => r.write_shared(open.value, buf.clone()),
+            None => r.write(open.value, data),
+        })?;
         cx.tl.charge(0, write.time);
         let close = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, close.time);
@@ -773,10 +861,9 @@ impl IoEngine {
         &self,
         r: &mut dyn StorageResource,
         path: &str,
-        out: &mut [u8],
         dist: &Distribution,
         cx: &mut OpCx,
-    ) -> RuntimeResult<()> {
+    ) -> RuntimeResult<Vec<u8>> {
         r.set_stream_hint(dist.nprocs() as u32);
         // Phase 1 (sequential): every native call and timeline charge, in
         // the exact order of the sequential engine; copies are deferred.
@@ -789,6 +876,7 @@ impl IoEngine {
                 let seek = self.retried(cx, p, r, |r| r.seek(h, chunk.offset))?;
                 cx.tl.charge(p, seek.time);
                 let read = self.retried(cx, p, r, |r| r.read(h, chunk.len as usize))?;
+                whole_read(&read.value, chunk.len)?;
                 cx.tl.charge(p, read.time);
                 ops.push((chunk.offset as usize, read.value.len(), read.value));
             }
@@ -796,18 +884,16 @@ impl IoEngine {
             cx.tl.charge(p, close.time);
         }
         // Phase 2 (parallel): scatter every run into the global buffer.
-        scatter_windows(out, ops, |window, src| window.copy_from_slice(&src));
-        Ok(())
+        Ok(scattered(dist, ops))
     }
 
     fn read_sieving(
         &self,
         r: &mut dyn StorageResource,
         path: &str,
-        out: &mut [u8],
         dist: &Distribution,
         cx: &mut OpCx,
-    ) -> RuntimeResult<()> {
+    ) -> RuntimeResult<Vec<u8>> {
         r.set_stream_hint(dist.nprocs() as u32);
         // Phase 1 (sequential): one covering-extent read per process;
         // the per-chunk extractions are deferred as zero-copy slices.
@@ -821,37 +907,39 @@ impl IoEngine {
             let seek = self.retried(cx, p, r, |r| r.seek(open.value, extent.offset))?;
             cx.tl.charge(p, seek.time);
             let read = self.retried(cx, p, r, |r| r.read(open.value, extent.len as usize))?;
+            whole_read(&read.value, extent.len)?;
             cx.tl.charge(p, read.time);
             for chunk in dist.chunks_for(p) {
                 let src = (chunk.offset - extent.offset) as usize;
-                let end = (src + chunk.len as usize).min(read.value.len());
-                if src < end {
-                    ops.push((chunk.offset as usize, end - src, read.value.slice(src..end)));
-                }
+                let n = chunk.len as usize;
+                ops.push((chunk.offset as usize, n, read.value.slice(src..src + n)));
             }
             cx.tl.charge(p, memcpy_cost(dist.bytes_for(p)));
             let close = self.retried(cx, p, r, |r| r.close(open.value))?;
             cx.tl.charge(p, close.time);
         }
         // Phase 2 (parallel): sieve-extract every chunk into place.
-        scatter_windows(out, ops, |window, src| window.copy_from_slice(&src));
-        Ok(())
+        Ok(scattered(dist, ops))
     }
 
     fn read_collective(
         &self,
         r: &mut dyn StorageResource,
         path: &str,
-        out: &mut [u8],
         dist: &Distribution,
         cx: &mut OpCx,
-    ) -> RuntimeResult<()> {
+    ) -> RuntimeResult<Vec<u8>> {
+        let total = dist.total_bytes();
         r.set_stream_hint(1);
         let open = self.retried(cx, 0, r, |r| r.open(path, OpenMode::Read))?;
         cx.tl.charge(0, open.time);
-        let read = self.retried(cx, 0, r, |r| r.read(open.value, out.len()))?;
+        let read = self.retried(cx, 0, r, |r| r.read(open.value, total as usize))?;
+        whole_read(&read.value, total)?;
         cx.tl.charge(0, read.time);
-        parallel_copy(out, &read.value);
+        // One pass: what the resource returned is either a view of the
+        // buffer it stores, copied out here, or a buffer it gathered for
+        // this call, which becomes the caller's as it is.
+        let out = Vec::from(read.value);
         let close = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, close.time);
         cx.tl.barrier();
@@ -860,17 +948,16 @@ impl IoEngine {
             .exchange
             .shuffle_cost(dist.total_bytes(), dist.nprocs());
         cx.tl.charge_all(shuffle);
-        Ok(())
+        Ok(out)
     }
 
     fn read_subfile(
         &self,
         r: &mut dyn StorageResource,
         path: &str,
-        out: &mut [u8],
         dist: &Distribution,
         cx: &mut OpCx,
-    ) -> RuntimeResult<()> {
+    ) -> RuntimeResult<Vec<u8>> {
         r.set_stream_hint(dist.nprocs() as u32);
         // Phase 1 (sequential): read each packed subfile; the unpack of
         // every run is deferred as a zero-copy slice of the packed block.
@@ -881,6 +968,7 @@ impl IoEngine {
             cx.tl.charge(p, open.time);
             let read =
                 self.retried(cx, p, r, |r| r.read(open.value, dist.bytes_for(p) as usize))?;
+            whole_read(&read.value, dist.bytes_for(p))?;
             cx.tl.charge(p, read.time);
             let mut src = 0usize;
             for chunk in dist.chunks_for(p) {
@@ -893,8 +981,7 @@ impl IoEngine {
             cx.tl.charge(p, close.time);
         }
         // Phase 2 (parallel): unpack all blocks back into global order.
-        scatter_windows(out, ops, |window, src| window.copy_from_slice(&src));
-        Ok(())
+        Ok(scattered(dist, ops))
     }
 }
 
@@ -1184,6 +1271,76 @@ mod tests {
             .write(&res, "d", &data, &dist, IoStrategy::Naive, OpenMode::Create)
             .unwrap();
         assert_eq!(res.lock().stream_hint(), 1);
+    }
+
+    /// Dump under `strategy`, cut the object (the last rank's subfile,
+    /// for the subfile layout) to half its length — what a torn write
+    /// leaves behind — and read it back.
+    fn read_of_a_halved_object(strategy: IoStrategy) -> RuntimeError {
+        let dist = dist8(16);
+        let data = payload(dist.total_bytes());
+        let engine = IoEngine::default();
+        let res = disk();
+        engine
+            .write(&res, "d", &data, &dist, strategy, OpenMode::Create)
+            .unwrap();
+        {
+            let mut r = res.lock();
+            let object = match strategy {
+                IoStrategy::Subfile => subfile_path("d", dist.nprocs() - 1),
+                _ => "d".to_owned(),
+            };
+            let half = r.file_size(&object).unwrap() as usize / 2;
+            let h = r.open(&object, OpenMode::Create).unwrap().value;
+            r.write(h, &data[..half]).unwrap();
+            r.close(h).unwrap();
+        }
+        engine.read(&res, "d", &dist, strategy).unwrap_err()
+    }
+
+    #[test]
+    fn naive_read_of_a_short_object_is_a_size_mismatch() {
+        // The first run that starts past the half comes back empty.
+        let err = read_of_a_halved_object(IoStrategy::Naive);
+        assert!(
+            matches!(err, RuntimeError::SizeMismatch { got: 0, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sieving_read_of_a_short_object_is_a_size_mismatch() {
+        let err = read_of_a_halved_object(IoStrategy::DataSieving);
+        assert!(matches!(err, RuntimeError::SizeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn collective_read_of_a_short_object_is_a_size_mismatch() {
+        let total = dist8(16).total_bytes();
+        let err = read_of_a_halved_object(IoStrategy::Collective);
+        assert!(
+            matches!(err, RuntimeError::SizeMismatch { expected, got }
+                if expected == total && got == total / 2),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn subfile_read_of_a_short_object_is_a_size_mismatch() {
+        let block = dist8(16).bytes_for(7);
+        let err = read_of_a_halved_object(IoStrategy::Subfile);
+        assert!(
+            matches!(err, RuntimeError::SizeMismatch { expected, got }
+                if expected == block && got == block / 2),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn session_keys_spell_the_prefix_and_the_id() {
+        for id in [0, 7, 10, 4_294_967_296, u64::MAX] {
+            assert_eq!(session_key(&mut [0; 28], id), format!("session:{id}"));
+        }
     }
 
     #[test]

@@ -160,6 +160,42 @@ impl CompositeResource {
             })
         }
     }
+
+    /// A write of `len` bytes through `h`, `call` being the child's native
+    /// call; run a second time on the new child when the first one filled
+    /// up and the file had to spill.
+    fn write_with(
+        &mut self,
+        h: FileHandle,
+        len: usize,
+        call: impl Fn(&mut dyn StorageResource, FileHandle) -> StorageResult<Cost<usize>>,
+    ) -> StorageResult<Cost<usize>> {
+        let st = self.child_for_handle(h)?;
+        let result = call(&mut *self.children[st.child].lock(), st.inner);
+        let out = match result {
+            Ok(out) => out,
+            Err(StorageError::CapacityExceeded { .. }) => {
+                // The child filled up: aggregate space by migrating the
+                // file to a sibling with room, then retry the write there.
+                let path = self
+                    .open_paths
+                    .get(&handle_id(h))
+                    .cloned()
+                    .ok_or(StorageError::BadHandle)?;
+                let migration = self.spill(h, &path, len as u64)?;
+                let st = self.child_for_handle(h)?;
+                let retried = call(&mut *self.children[st.child].lock(), st.inner)?;
+                Cost::new(migration + retried.time, retried.value)
+            }
+            Err(e) => return Err(e),
+        };
+        self.stats.writes += 1;
+        self.stats.bytes_written += out.value as u64;
+        if let Some(s) = self.handles.get_mut(&handle_id(h)) {
+            s.cursor += out.value as u64;
+        }
+        Ok(out)
+    }
 }
 
 fn handle_id(h: FileHandle) -> u32 {
@@ -318,31 +354,13 @@ impl StorageResource for CompositeResource {
     }
 
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        let st = self.child_for_handle(h)?;
-        let result = self.children[st.child].lock().write(st.inner, data);
-        let out = match result {
-            Ok(out) => out,
-            Err(StorageError::CapacityExceeded { .. }) => {
-                // The child filled up: aggregate space by migrating the
-                // file to a sibling with room, then retry the write there.
-                let path = self
-                    .open_paths
-                    .get(&handle_id(h))
-                    .cloned()
-                    .ok_or(StorageError::BadHandle)?;
-                let migration = self.spill(h, &path, data.len() as u64)?;
-                let st = self.child_for_handle(h)?;
-                let retried = self.children[st.child].lock().write(st.inner, data)?;
-                Cost::new(migration + retried.time, retried.value)
-            }
-            Err(e) => return Err(e),
-        };
-        self.stats.writes += 1;
-        self.stats.bytes_written += out.value as u64;
-        if let Some(s) = self.handles.get_mut(&handle_id(h)) {
-            s.cursor += out.value as u64;
-        }
-        Ok(out)
+        self.write_with(h, data.len(), |child, inner| child.write(inner, data))
+    }
+
+    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
+        self.write_with(h, data.len(), |child, inner| {
+            child.write_shared(inner, data.clone())
+        })
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
@@ -476,6 +494,54 @@ mod tests {
             assert_eq!(c.read(h, 80).unwrap().value.len(), 80);
             c.close(h).unwrap();
         }
+    }
+
+    #[test]
+    fn a_shared_write_spills_like_a_borrowed_one_and_lands_uncopied() {
+        // "b" is opened on child0 (1 byte free is enough to open), its
+        // first write fits, the second overflows and moves the file.
+        let script = |c: &mut CompositeResource, shared: Option<&Bytes>| {
+            put(c, "a", 60).unwrap();
+            let h = c.open("b", OpenMode::Create).unwrap().value;
+            let first = c.write(h, &[1u8; 30]).unwrap();
+            let second = match shared {
+                Some(buf) => c.write_shared(h, buf.clone()),
+                None => c.write(h, &[2u8; 50]),
+            }
+            .unwrap();
+            let close = c.close(h).unwrap();
+            let times = [first.time, second.time, close.time].map(|t| t.as_secs().to_bits());
+            (
+                times,
+                second.value,
+                c.stats(),
+                c.child_of("b"),
+                c.used_bytes(),
+            )
+        };
+        let mut borrowed = composite(&[100, 100]);
+        let mut shared = composite(&[100, 100]);
+        let buf = Bytes::from(vec![2u8; 50]);
+        let want = script(&mut borrowed, None);
+        assert_eq!(script(&mut shared, Some(&buf)), want);
+        assert_eq!(want.3, Some(1), "the file moved to the child with room");
+        let read_back = |c: &mut CompositeResource| {
+            let h = c.open("b", OpenMode::Read).unwrap().value;
+            c.read(h, 80).unwrap().value
+        };
+        assert_eq!(read_back(&mut shared), read_back(&mut borrowed));
+
+        // A whole object that overflows its first child is retried on the
+        // next one with the same buffer, which that child then keeps.
+        let mut c = composite(&[100, 100]);
+        put(&mut c, "a", 60).unwrap();
+        let whole = Bytes::from(vec![3u8; 70]);
+        let h = c.open("w", OpenMode::Create).unwrap().value;
+        assert_eq!(c.write_shared(h, whole.clone()).unwrap().value, 70);
+        c.close(h).unwrap();
+        assert_eq!(c.child_of("w"), Some(1));
+        let h = c.open("w", OpenMode::Read).unwrap().value;
+        assert_eq!(c.read(h, 70).unwrap().value.as_ptr(), whole.as_ptr());
     }
 
     #[test]

@@ -172,6 +172,43 @@ impl<M: CostModel> Device<M> {
         }
     }
 
+    /// A native write of `len` bytes through `h`: every check, the
+    /// positioning, the counters and the cost, with `put` storing the bytes
+    /// at `(path, cursor)`. Both write entry points are this body, so they
+    /// cannot drift apart.
+    fn write_with(
+        &mut self,
+        h: FileHandle,
+        len: usize,
+        put: impl FnOnce(&mut ObjectStore, &str, u64) -> StorageResult<()>,
+    ) -> StorageResult<Cost<usize>> {
+        self.check_online()?;
+        self.check_live()?;
+        let f = self.handles.get(h)?;
+        if !f.mode.writable() {
+            return Err(StorageError::BadMode { op: "write" });
+        }
+        let n = len as u64;
+        // Only bytes beyond the file's current extent count as growth.
+        let growth = (f.cursor + n).saturating_sub(self.store.size(&f.path).unwrap_or(0));
+        let available = self.available_bytes();
+        if growth > available {
+            return Err(StorageError::CapacityExceeded {
+                resource: self.name.clone(),
+                requested: growth,
+                available,
+            });
+        }
+        let f = self.handles.get_mut(h)?;
+        let positioned = self.model.position(&f.path, f.cursor, &mut self.rng);
+        put(&mut self.store, &f.path, f.cursor)?;
+        f.cursor += n;
+        self.stats.writes += 1;
+        self.stats.bytes_written += n;
+        let t = self.transfer_cost(OpKind::Write, h, positioned, n)?;
+        Ok(Cost::new(t, len))
+    }
+
     /// The transfer term of eq. (1) for a call that has just moved `bytes`
     /// through `h` (cursor already advanced): positioning, plus the
     /// device's noisy streaming time, plus the wire. The wire draws before
@@ -323,31 +360,15 @@ impl<M: CostModel> StorageResource for Device<M> {
     }
 
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.check_online()?;
-        self.check_live()?;
-        let f = self.handles.get(h)?;
-        if !f.mode.writable() {
-            return Err(StorageError::BadMode { op: "write" });
-        }
-        let n = data.len() as u64;
-        // Only bytes beyond the file's current extent count as growth.
-        let growth = (f.cursor + n).saturating_sub(self.store.size(&f.path).unwrap_or(0));
-        let available = self.available_bytes();
-        if growth > available {
-            return Err(StorageError::CapacityExceeded {
-                resource: self.name.clone(),
-                requested: growth,
-                available,
-            });
-        }
-        let f = self.handles.get_mut(h)?;
-        let positioned = self.model.position(&f.path, f.cursor, &mut self.rng);
-        self.store.write_at(&f.path, f.cursor, data)?;
-        f.cursor += n;
-        self.stats.writes += 1;
-        self.stats.bytes_written += n;
-        let t = self.transfer_cost(OpKind::Write, h, positioned, n)?;
-        Ok(Cost::new(t, data.len()))
+        self.write_with(h, data.len(), |store, path, at| {
+            store.write_at(path, at, data)
+        })
+    }
+
+    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
+        self.write_with(h, data.len(), |store, path, at| {
+            store.write_shared_at(path, at, data)
+        })
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {

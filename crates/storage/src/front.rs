@@ -155,6 +155,32 @@ impl Front {
         }
     }
 
+    /// A write of `data` through every stage, with `whole` making the
+    /// device call that moves all of it. A torn write moves its first half
+    /// through the borrowed `write`, whichever entry point was called.
+    fn write_with(
+        &mut self,
+        h: FileHandle,
+        data: &[u8],
+        whole: impl FnOnce(&mut dyn StorageResource) -> StorageResult<Cost<usize>>,
+    ) -> StorageResult<Cost<usize>> {
+        if let Some(l) = &mut self.leases {
+            l.before_write(self.device.name(), h);
+        }
+        self.gate("write")?;
+        if let Some(start) = self.tear_from(h, data.len()) {
+            self.call(
+                ops::WRITE,
+                |d| d.write(h, &data[..data.len() / 2]),
+                |n| *n as u64,
+            )?;
+            return self.torn("write", h, start);
+        }
+        let cost = self.call(ops::WRITE, whole, |n| *n as u64)?;
+        self.advance_shadow(h, cost.value as u64);
+        Ok(self.spike("write", cost))
+    }
+
     // --- keep-alive stage helpers ---
 
     /// Settle lapsed leases before a native call; if a parked teardown
@@ -297,21 +323,12 @@ impl StorageResource for Front {
     }
 
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        if let Some(l) = &mut self.leases {
-            l.before_write(self.device.name(), h);
-        }
-        self.gate("write")?;
-        if let Some(start) = self.tear_from(h, data.len()) {
-            self.call(
-                ops::WRITE,
-                |d| d.write(h, &data[..data.len() / 2]),
-                |n| *n as u64,
-            )?;
-            return self.torn("write", h, start);
-        }
-        let cost = self.call(ops::WRITE, |d| d.write(h, data), |n| *n as u64)?;
-        self.advance_shadow(h, cost.value as u64);
-        Ok(self.spike("write", cost))
+        self.write_with(h, data, |d| d.write(h, data))
+    }
+
+    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
+        let view = data.clone();
+        self.write_with(h, &view, |d| d.write_shared(h, data))
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {

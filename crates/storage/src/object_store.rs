@@ -13,17 +13,30 @@ use std::collections::BTreeMap;
 /// Bytes per extent of a stored file.
 const EXTENT: usize = 256 << 10;
 
-/// One file's contents as a run of extents: every extent but the last
-/// holds exactly [`EXTENT`] bytes, so no file needs one contiguous buffer
-/// of its whole length and appends never re-copy what is already stored.
-/// The reason is the allocator, not the copy: PTool's scratch file reaches
-/// 64 MiB (four 16 MiB appends), and a single buffer of that size is
-/// either carved from free heap or — when earlier frees left no hole that
-/// large — mapped fresh on top of it, which makes a drain's peak RSS differ
-/// by 10 % between identical runs. Extents are requests any fragmented
-/// heap can serve.
+/// One file's contents, in one of two forms.
+///
+/// **Extents** (the default, and the only form a borrowed
+/// [`ObjectStore::write_at`] ever makes): a run of extents of which every
+/// one but the last holds exactly [`EXTENT`] bytes, so no file needs one
+/// contiguous buffer of its whole length and appends never re-copy what is
+/// already stored. The reason is the allocator, not the copy: PTool's
+/// scratch file reaches 64 MiB (four 16 MiB appends), and a single buffer
+/// of that size is either carved from free heap or — when earlier frees
+/// left no hole that large — mapped fresh on top of it, which makes a
+/// drain's peak RSS differ by 10 % between identical runs. Extents are
+/// requests any fragmented heap can serve.
+///
+/// **Shared**: a file written as one whole object from an owned buffer
+/// ([`ObjectStore::write_shared_at`] at offset 0, covering the file's whole
+/// current length) *is* that buffer — the writer already paid for the
+/// allocation, so keeping it adds none — and reads hand back
+/// [`Bytes::slice`]s of it. While `shared` is set `extents` is empty and
+/// `len` is the buffer's length. Any other mutation first copies the
+/// buffer into extents, once ([`File::unshare`]); the writer's `Bytes` is
+/// never written through.
 #[derive(Debug, Default, Clone)]
 struct File {
+    shared: Option<Bytes>,
     extents: Vec<Vec<u8>>,
     len: usize,
 }
@@ -79,8 +92,12 @@ impl File {
         }
     }
 
-    /// Copy of bytes `offset..end` (within the file).
+    /// Bytes `offset..end` (within the file): a slice of the shared
+    /// buffer, or a copy gathered from the extents.
     fn read(&self, mut offset: usize, end: usize) -> Bytes {
+        if let Some(whole) = &self.shared {
+            return whole.slice(offset..end);
+        }
         let mut out = Vec::with_capacity(end - offset);
         while offset < end {
             let at = offset % EXTENT;
@@ -89,6 +106,15 @@ impl File {
             offset += n;
         }
         Bytes::from(out)
+    }
+
+    /// Leave the shared form: copy the buffer into extents, exactly the
+    /// ones a borrowed write of the same bytes to an empty file makes.
+    fn unshare(&mut self) {
+        if let Some(whole) = self.shared.take() {
+            self.len = 0;
+            self.append(&whole);
+        }
     }
 }
 
@@ -202,22 +228,28 @@ impl ObjectStore {
             .collect()
     }
 
+    /// Move the totals for `path` having grown by `growth` bytes.
+    fn grew(&mut self, path: &str, growth: usize) {
+        self.used += growth as u64;
+        if !self.overrides.contains_key(path) {
+            self.logical += growth as u64;
+        }
+    }
+
+    /// The file at `path`, for mutation.
+    fn file_mut(&mut self, path: &str) -> StorageResult<&mut File> {
+        self.files
+            .get_mut(path)
+            .ok_or_else(|| StorageError::NotFound(path.to_owned()))
+    }
+
     /// Write `data` at `offset`, zero-filling any gap and growing the file
     /// as needed. The file must exist.
     pub fn write_at(&mut self, path: &str, offset: u64, data: &[u8]) -> StorageResult<()> {
-        let f = self
-            .files
-            .get_mut(path)
-            .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
         let offset = usize::try_from(offset).expect("offset fits in memory model");
-        let end = offset + data.len();
-        if f.len < end {
-            let growth = (end - f.len) as u64;
-            self.used += growth;
-            if !self.overrides.contains_key(path) {
-                self.logical += growth;
-            }
-        }
+        let f = self.file_mut(path)?;
+        let growth = (offset + data.len()).saturating_sub(f.len);
+        f.unshare();
         // Zero-fill only a gap before the data; what lands past the old
         // end of file is appended, not zeroed first.
         if f.len < offset {
@@ -226,6 +258,29 @@ impl ObjectStore {
         let (inside, past) = data.split_at(data.len().min(f.len - offset));
         f.write(offset, inside);
         f.append(past);
+        self.grew(path, growth);
+        Ok(())
+    }
+
+    /// [`ObjectStore::write_at`] for a caller that can give the buffer
+    /// away. A non-empty write at offset 0 that covers the file's whole
+    /// current length (a fresh or just-truncated file, or an in-place
+    /// rewrite no shorter than what is there) makes `data` the file, with
+    /// no copy; anything else is the borrowed write. What the store reports
+    /// and returns afterwards is the same either way.
+    pub fn write_shared_at(&mut self, path: &str, offset: u64, data: Bytes) -> StorageResult<()> {
+        // The store may keep `data` for as long as the file lives, so the
+        // allocation behind it should be the object and nothing more.
+        debug_assert_eq!(data.hidden_bytes(), 0, "{path}: buffer is not exact");
+        let f = self.file_mut(path)?;
+        if offset != 0 || data.is_empty() || data.len() < f.len {
+            return self.write_at(path, offset, &data);
+        }
+        let growth = data.len() - f.len;
+        f.extents = Vec::new();
+        f.len = data.len();
+        f.shared = Some(data);
+        self.grew(path, growth);
         Ok(())
     }
 
@@ -484,6 +539,87 @@ mod tests {
         model_walk(0x5eed_0b1e, 2500, |s, path, offset, data, _| {
             s.write_at(path, offset, data)
         });
+    }
+
+    #[test]
+    fn store_matches_the_model_with_owned_writes_mixed_in() {
+        model_walk(0x0b1e_5eed, 2500, |s, path, offset, data, rng| {
+            if rng.random_bool(0.5) {
+                s.write_shared_at(path, offset, Bytes::copy_from_slice(data))
+            } else {
+                s.write_at(path, offset, data)
+            }
+        });
+    }
+
+    #[test]
+    fn a_whole_object_written_owned_is_kept_not_copied() {
+        let mut s = ObjectStore::new();
+        let payload = Bytes::from(vec![5u8; EXTENT + 9]);
+        s.create("f");
+        s.write_shared_at("f", 0, payload.clone()).unwrap();
+        assert!(s.files["f"].extents.is_empty());
+        assert_eq!(s.read_all("f").unwrap().as_ptr(), payload.as_ptr());
+        let mid = s.read_at("f", 7, EXTENT).unwrap();
+        assert_eq!(mid.as_ptr(), payload[7..].as_ptr());
+        assert_eq!(mid.len(), EXTENT);
+        assert_eq!(s.read_at("f", 7, 2 * EXTENT).unwrap().len(), EXTENT + 2);
+        assert!(s.read_at("f", (EXTENT + 9) as u64, 1).unwrap().is_empty());
+        // A rewrite in place that is no shorter swaps the buffer, whatever
+        // form the file had; the override keeps logical where it was.
+        s.set_logical("f", 77);
+        let longer = Bytes::from(vec![6u8; EXTENT + 10]);
+        s.write_shared_at("f", 0, longer.clone()).unwrap();
+        assert_eq!(s.read_all("f").unwrap().as_ptr(), longer.as_ptr());
+        assert_eq!(
+            (s.used_bytes(), s.logical_bytes()),
+            (EXTENT as u64 + 10, 77)
+        );
+        // Shorter than the file, past its start, or empty: the borrowed write.
+        s.write_shared_at("f", 0, Bytes::from(vec![7u8; 4]))
+            .unwrap();
+        assert_eq!(s.files["f"].extents.len(), 2);
+        assert_eq!(s.size("f"), Some(EXTENT as u64 + 10));
+        s.create("g");
+        s.write_shared_at("g", 3, Bytes::from(vec![8u8; 4]))
+            .unwrap();
+        s.write_shared_at("g", 0, Bytes::new()).unwrap();
+        assert!(s.files["g"].shared.is_none());
+        assert_eq!(&s.read_all("g").unwrap()[..], &[0, 0, 0, 8, 8, 8, 8]);
+        assert!(matches!(
+            s.write_shared_at("nope", 0, Bytes::from(vec![1])),
+            Err(StorageError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn mutating_a_shared_file_copies_it_into_the_borrowed_shape() {
+        let data: Vec<u8> = (0..2 * EXTENT + 100).map(|i| (i % 241) as u8).collect();
+        let payload = Bytes::from(data.clone());
+        let mut shared = ObjectStore::new();
+        shared.create("f");
+        shared.write_shared_at("f", 0, payload.clone()).unwrap();
+        let mut borrowed = ObjectStore::new();
+        borrowed.create("f");
+        borrowed.write_at("f", 0, &data).unwrap();
+        for s in [&mut shared, &mut borrowed] {
+            s.write_at("f", (EXTENT - 2) as u64, &[1, 2, 3, 4]).unwrap();
+            s.write_at("f", (2 * EXTENT + 100) as u64, &[9; 50])
+                .unwrap();
+        }
+        let shape = |s: &ObjectStore| -> Vec<(usize, usize)> {
+            let extents = s.files["f"].extents.iter();
+            extents.map(|e| (e.len(), e.capacity())).collect()
+        };
+        assert!(shared.files["f"].shared.is_none());
+        assert_eq!(shape(&shared), shape(&borrowed));
+        assert_eq!(
+            shared.read_all("f").unwrap(),
+            borrowed.read_all("f").unwrap()
+        );
+        assert_eq!(shared.used_bytes(), borrowed.used_bytes());
+        // The writer's buffer was copied out of, never written through.
+        assert_eq!(payload, data);
     }
 
     #[test]

@@ -269,6 +269,16 @@ pub trait StorageResource: Send {
     /// Write bytes at the cursor, advancing it.
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>>;
 
+    /// [`write`](StorageResource::write) for a caller that can give the
+    /// buffer away: same checks, same cost, same counters, same bytes on
+    /// the resource — but a resource that keeps its data in memory may keep
+    /// `data` itself instead of copying it. Hand over exact-size buffers;
+    /// whatever the allocation holds beyond `data` lives as long as the
+    /// file does.
+    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
+        self.write(h, &data)
+    }
+
     /// Close a handle.
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>>;
 

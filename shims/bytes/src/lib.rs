@@ -68,6 +68,16 @@ impl Bytes {
         }
     }
 
+    /// Bytes of the shared allocation this handle keeps alive but does
+    /// not show: the vector's spare capacity plus whatever lies outside the
+    /// slice. Zero for a buffer made from an exact-size `Vec` and never
+    /// narrowed. Shim-only (the real crate does not expose its allocation):
+    /// call it from debug assertions, nothing else.
+    #[doc(hidden)]
+    pub fn hidden_bytes(&self) -> usize {
+        self.data.capacity() - self.len()
+    }
+
     /// Copy the contents out into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
@@ -95,6 +105,20 @@ impl From<Vec<u8>> for Bytes {
             data: Arc::new(v),
             start: 0,
             end,
+        }
+    }
+}
+
+/// Gives the bytes back as a vector: the allocation itself when this is
+/// the only handle and shows all of it, a copy otherwise (as the real
+/// crate does).
+impl From<Bytes> for Vec<u8> {
+    fn from(b: Bytes) -> Vec<u8> {
+        let view = b.start..b.end;
+        match Arc::try_unwrap(b.data) {
+            Ok(v) if view == (0..v.len()) => v,
+            Ok(v) => v[view].to_vec(),
+            Err(shared) => shared[view].to_vec(),
         }
     }
 }
@@ -283,6 +307,21 @@ mod tests {
         m.resize(4096, 1);
         let ptr = m.as_ptr();
         assert_eq!(m.freeze().as_ptr(), ptr, "freeze must not copy");
+    }
+
+    #[test]
+    fn into_vec_takes_a_sole_whole_handle_and_copies_any_other() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4]);
+        let ptr = b.as_ptr();
+        let v = Vec::from(b);
+        assert_eq!((v.as_ptr(), &v[..]), (ptr, &[1u8, 2, 3, 4][..]));
+
+        let b = Bytes::from(v);
+        let held = b.clone();
+        let copy = Vec::from(b);
+        assert_ne!(copy.as_ptr(), ptr, "another handle still reads it");
+        assert_eq!(copy, held);
+        assert_eq!(Vec::from(held.slice(1..3)), [2, 3]);
     }
 
     #[test]

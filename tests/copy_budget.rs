@@ -1,0 +1,194 @@
+//! The copy budget of a dump, pinned by pointer and by allocation count.
+//!
+//! A raw collective dump's bytes are written once: the refcounted buffer a
+//! request carries is what the resource stores, and a native read hands
+//! back a view of it. A stopwatch cannot hold that; these tests compare
+//! `as_ptr()`s and count the allocations of one peculiar size, so a
+//! re-introduced copy fails here whatever the host is doing.
+
+use bytes::Bytes;
+use msr::prelude::*;
+use msr::runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
+use msr::storage::SharedResource;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes of the dump `one_allocation_serves_the_store_and_the_staging_cache`
+/// writes: 11 × 13 × 17 `f32`s, a size nothing else in this binary asks for.
+const WATCHED: usize = 11 * 13 * 17 * 4;
+static WATCHED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static WATCHED_LAST: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting requests for exactly [`WATCHED`] bytes
+/// and remembering where the last one landed.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are passed through as they are.
+        let p = unsafe { System.alloc(layout) };
+        if layout.size() == WATCHED {
+            WATCHED_ALLOCS.fetch_add(1, Ordering::SeqCst);
+            WATCHED_LAST.store(p as usize, Ordering::SeqCst);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: `p` came from `alloc` above, that is from `System`.
+        unsafe { System.dealloc(p, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn payload(len: usize, salt: usize) -> Bytes {
+    Bytes::from(
+        (0..len)
+            .map(|i| ((i * 7 + salt) % 251) as u8)
+            .collect::<Vec<u8>>(),
+    )
+}
+
+fn dist(n: u64) -> Distribution {
+    Distribution::new(Dims3::cube(n), 4, Pattern::bbb(), ProcGrid::new(2, 2, 2)).unwrap()
+}
+
+fn write_request(path: &str, n: u64, data: Bytes, mode: OpenMode) -> EngineRequest {
+    EngineRequest {
+        tag: RequestTag { session: 7, seq: 0 },
+        dataset: "d".into(),
+        path: path.into(),
+        dist: dist(n),
+        strategy: IoStrategy::Collective,
+        ingest: IngestSpec::raw(),
+        body: RequestBody::Write { data, mode },
+    }
+}
+
+/// One native open / read / close of the first `len` bytes of `path`.
+fn native_read(res: &SharedResource, path: &str, len: usize) -> Bytes {
+    let mut r = res.lock();
+    let h = r.open(path, OpenMode::Read).unwrap().value;
+    let got = r.read(h, len).unwrap().value;
+    r.close(h).unwrap();
+    got
+}
+
+#[test]
+fn an_executed_dump_is_stored_as_the_buffer_the_request_carried() {
+    let sys = MsrSystem::testbed(31);
+    let local = sys.resource(StorageKind::LocalDisk).unwrap();
+    let data = payload(16 * 16 * 16 * 4, 1);
+    let req = write_request("dump", 16, data.clone(), OpenMode::Create);
+    sys.engine.execute(&local, &req).unwrap();
+    let first = native_read(&local, "dump", data.len());
+    let second = native_read(&local, "dump", data.len());
+    assert_eq!(first.as_ptr(), data.as_ptr(), "the store copied the dump");
+    assert_eq!(second.as_ptr(), data.as_ptr(), "a read copied the dump");
+    assert_eq!(first, data);
+    // A partial read is a view into the same allocation.
+    let mut r = local.lock();
+    let h = r.open("dump", OpenMode::Read).unwrap().value;
+    r.seek(h, 100).unwrap();
+    assert_eq!(r.read(h, 50).unwrap().value.as_ptr(), data[100..].as_ptr());
+    r.close(h).unwrap();
+}
+
+#[test]
+fn one_allocation_serves_the_store_and_the_staging_cache() {
+    let sys = MsrSystem::testbed(32);
+    let mut s = sys
+        .session()
+        .app("app")
+        .user("u")
+        .iterations(6)
+        .grid(ProcGrid::new(1, 1, 1))
+        .build()
+        .unwrap();
+    let spec = DatasetSpec::builder("d")
+        .element(ElementType::F32)
+        .dims(Dims3 {
+            x: 11,
+            y: 13,
+            z: 17,
+        })
+        .hint(LocationHint::RemoteDisk)
+        .build();
+    let h = s.open(spec).unwrap();
+    let data = payload(WATCHED, 2).to_vec();
+    let before = WATCHED_ALLOCS.load(Ordering::SeqCst);
+    s.write_iteration(h, 0, &data).unwrap().unwrap();
+    assert_eq!(
+        WATCHED_ALLOCS.load(Ordering::SeqCst) - before,
+        1,
+        "write_iteration owns the caller's bytes once; the store and the \
+         staging cache must both hold that one buffer"
+    );
+    let the_copy = WATCHED_LAST.load(Ordering::SeqCst);
+    let rdisk = sys.resource(StorageKind::RemoteDisk).unwrap();
+    let path = rdisk.lock().list("app/").pop().unwrap();
+    let stored = native_read(&rdisk, &path, WATCHED);
+    assert_eq!(stored.as_ptr() as usize, the_copy, "the store holds it");
+    assert_ne!(stored.as_ptr(), data.as_ptr());
+    drop(stored);
+
+    // The staged copy a degraded read serves is the same buffer: serving
+    // it allocates the caller's output and nothing else of that size.
+    sys.set_wan_up(false);
+    let before = WATCHED_ALLOCS.load(Ordering::SeqCst);
+    let (back, report) = s.read_iteration(h, 0).unwrap();
+    assert!(report.stale);
+    assert_eq!(back, data);
+    assert_eq!(WATCHED_ALLOCS.load(Ordering::SeqCst) - before, 1);
+}
+
+#[test]
+fn a_partial_write_copies_out_of_the_writers_buffer_not_into_it() {
+    let sys = MsrSystem::testbed(33);
+    let local = sys.resource(StorageKind::LocalDisk).unwrap();
+    let data = payload(16 * 16 * 16 * 4, 3);
+    let original = data.to_vec();
+    let req = write_request("dump", 16, data.clone(), OpenMode::Create);
+    sys.engine.execute(&local, &req).unwrap();
+    {
+        let mut r = local.lock();
+        let h = r.open("dump", OpenMode::OverWrite).unwrap().value;
+        r.seek(h, 1000).unwrap();
+        r.write(h, &[0xee; 24]).unwrap();
+        r.close(h).unwrap();
+    }
+    assert_eq!(data, original, "the writer's buffer was written through");
+    let mut want = original;
+    want[1000..1024].fill(0xee);
+    let stored = native_read(&local, "dump", want.len());
+    assert_eq!(stored, want);
+    assert_ne!(stored.as_ptr(), data.as_ptr());
+    assert_eq!(local.lock().used_bytes(), want.len() as u64);
+}
+
+#[test]
+fn a_same_length_overwrite_dump_swaps_the_buffer() {
+    let sys = MsrSystem::testbed(34);
+    let local = sys.resource(StorageKind::LocalDisk).unwrap();
+    let len = 16 * 16 * 16 * 4;
+    let (first, second) = (payload(len, 4), payload(len, 5));
+    let create = write_request("restart", 16, first.clone(), OpenMode::Create);
+    sys.engine.execute(&local, &create).unwrap();
+    let overwrite = write_request("restart", 16, second.clone(), OpenMode::OverWrite);
+    sys.engine.execute(&local, &overwrite).unwrap();
+    let stored = native_read(&local, "restart", len);
+    assert_eq!(stored.as_ptr(), second.as_ptr(), "the rewrite was copied");
+    assert_eq!(local.lock().used_bytes(), len as u64);
+    // The engine's own read-back builds its output in one pass from that
+    // view: right bytes, and not the stored buffer itself.
+    let (back, _) = sys
+        .engine
+        .read(&local, "restart", &dist(16), IoStrategy::Collective)
+        .unwrap();
+    assert_eq!(back, second);
+    assert_ne!(back.as_ptr(), second.as_ptr());
+}

@@ -19,7 +19,12 @@
 //! One case is deliberately absent: `connect` on a warm keep-alive lease
 //! while the resource is offline or its WAN route is down. The walk skips
 //! that call (see `Walk::connect_allowed`).
+//!
+//! The same script run with every write issued as `write_shared` must
+//! produce the same transcripts, line for line: handing the buffer over
+//! changes who owns the allocation and nothing a caller can observe.
 
+use bytes::Bytes;
 use msr::net::OutageSchedule;
 use msr::prelude::*;
 use msr::sim::stream_rng;
@@ -69,11 +74,14 @@ struct Walk<'a> {
     parked: bool,
     offline: bool,
     wan_down: bool,
+    /// Issue writes as `write_shared` (the buffer given away) instead of
+    /// `write`.
+    shared: bool,
     out: String,
 }
 
 impl<'a> Walk<'a> {
-    fn new(sys: &'a MsrSystem, kind: StorageKind) -> Self {
+    fn new(sys: &'a MsrSystem, kind: StorageKind, shared: bool) -> Self {
         Walk {
             sys,
             kind,
@@ -83,6 +91,7 @@ impl<'a> Walk<'a> {
             parked: false,
             offline: false,
             wan_down: false,
+            shared,
             out: String::new(),
         }
     }
@@ -162,7 +171,11 @@ impl<'a> Walk<'a> {
     fn write(&mut self, h: FileHandle, len: usize) {
         let mut data = vec![0u8; len];
         self.rng.fill_bytes(&mut data);
-        let r = self.res.lock().write(h, &data);
+        let r = if self.shared {
+            self.res.lock().write_shared(h, Bytes::from(data))
+        } else {
+            self.res.lock().write(h, &data)
+        };
         self.log(&format!("write {} {len}", h.raw()), &r, |n| n.to_string());
     }
 
@@ -478,7 +491,7 @@ impl<'a> Walk<'a> {
             self.close(h);
         }
         self.probe();
-        fingerprint(&self.out)
+        self.out
     }
 }
 
@@ -499,9 +512,9 @@ fn fault_plan() -> FaultPlan {
 }
 
 /// Run the script over the three kinds of one system; returns the three
-/// per-kind fingerprints, then one over the fault logs, the keep-alive
-/// stats and the obs event stream.
-fn run(faults: bool, keepalive: bool) -> [String; 4] {
+/// per-kind transcripts, then one of the fault logs, the keep-alive stats
+/// and the obs event stream.
+fn transcripts(faults: bool, keepalive: bool, shared: bool) -> [String; 4] {
     let mut sys = MsrSystem::testbed(SEED);
     let logs: Vec<FaultLog> = if faults {
         KINDS
@@ -516,7 +529,7 @@ fn run(faults: bool, keepalive: bool) -> [String; 4] {
     } else {
         Vec::new()
     };
-    let [local, rdisk, tape] = KINDS.map(|kind| Walk::new(&sys, kind).run());
+    let [local, rdisk, tape] = KINDS.map(|kind| Walk::new(&sys, kind, shared).run());
 
     let mut tail = String::new();
     for log in &logs {
@@ -528,7 +541,37 @@ fn run(faults: bool, keepalive: bool) -> [String; 4] {
     for e in sys.obs.events() {
         writeln!(tail, "{e:?}").unwrap();
     }
-    [local, rdisk, tape, fingerprint(&tail)]
+    [local, rdisk, tape, tail]
+}
+
+/// The four transcripts of the borrowed-write script, hashed.
+fn run(faults: bool, keepalive: bool) -> [String; 4] {
+    transcripts(faults, keepalive, false).map(|t| fingerprint(&t))
+}
+
+/// Shared and borrowed writes are indistinguishable to every observer but
+/// the allocator, with every optional stage off and on: torn halves, fault
+/// draws, lease drops, spikes, cursors, stats and spans line up.
+#[test]
+fn shared_writes_leave_every_transcript_as_it_is() {
+    for (faults, keepalive) in [(false, false), (true, false), (false, true), (true, true)] {
+        let borrowed = transcripts(faults, keepalive, false);
+        let shared = transcripts(faults, keepalive, true);
+        for (part, (b, s)) in ["local", "rdisk", "tape", "logs+obs"]
+            .iter()
+            .zip(borrowed.iter().zip(&shared))
+        {
+            let differs = b.lines().zip(s.lines()).position(|(b, s)| b != s);
+            if let Some(at) = differs {
+                panic!(
+                    "faults={faults} keepalive={keepalive} {part} line {at}:\n  write        {}\n  write_shared {}",
+                    b.lines().nth(at).unwrap(),
+                    s.lines().nth(at).unwrap()
+                );
+            }
+            assert_eq!(b.len(), s.len(), "{part}: one transcript is longer");
+        }
+    }
 }
 
 #[test]
