@@ -27,13 +27,17 @@ pub enum RenderMode {
 }
 
 /// Render a cubic u8 volume of side `n` (row-major `[x][y][z]`) into an
-/// `n × n` image by casting rays along z.
+/// `n × n` image by casting rays along z. An empty volume renders the empty
+/// 0×0 image.
 ///
 /// # Panics
 /// Panics when `volume.len() != n³`.
 pub fn render(volume: &[u8], n: usize, mode: RenderMode) -> Image {
     assert_eq!(volume.len(), n * n * n, "volume must be n^3 bytes");
     let mut img = Image::new(n as u32, n as u32);
+    if n == 0 {
+        return img;
+    }
     img.pixels
         .par_chunks_mut(n)
         .enumerate()
@@ -204,6 +208,13 @@ mod tests {
     #[should_panic(expected = "n^3")]
     fn wrong_volume_size_panics() {
         render(&[0u8; 10], 3, RenderMode::MaxIntensity);
+    }
+
+    #[test]
+    fn an_empty_volume_renders_the_empty_image() {
+        for mode in [RenderMode::MaxIntensity, RenderMode::Compositing] {
+            assert_eq!(render(&[], 0, mode), Image::new(0, 0), "{mode:?}");
+        }
     }
 
     #[test]
