@@ -62,21 +62,16 @@ struct ResourceHealth {
     counters: HealthCounters,
 }
 
-/// Callback invoked when a resource's breaker trips open.
-type TripListener = Box<dyn Fn(StorageKind) + Send + Sync>;
+/// Consecutive failures that trip a breaker.
+const THRESHOLD: u32 = 3;
 
 /// The per-resource circuit breaker consulted by placement.
 pub struct HealthTracker {
     state: Mutex<BTreeMap<StorageKind, ResourceHealth>>,
-    /// Consecutive failures that trip the breaker.
-    threshold: u32,
     /// Virtual time an open breaker waits before allowing a probe.
     cooldown: SimDuration,
     clock: Clock,
     rec: Recorder,
-    /// Invoked on every trip, after the state lock is released — e.g. the
-    /// keep-alive pool dropping a tripped resource's warm connections.
-    on_trip: Mutex<Vec<TripListener>>,
 }
 
 impl HealthTracker {
@@ -85,26 +80,10 @@ impl HealthTracker {
     pub fn new(clock: Clock, rec: Recorder) -> Self {
         HealthTracker {
             state: Mutex::new(BTreeMap::new()),
-            threshold: 3,
             cooldown: SimDuration::from_secs(60.0),
             clock,
             rec,
-            on_trip: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Register a callback invoked (with the tripped kind) every time a
-    /// breaker goes `Closed`/`HalfOpen` → `Open`. Listeners run after the
-    /// tracker's own state lock is released, so they may call back into
-    /// other shared components freely.
-    pub fn on_trip(&self, listener: impl Fn(StorageKind) + Send + Sync + 'static) {
-        self.on_trip.lock().push(Box::new(listener));
-    }
-
-    /// Override the consecutive-failure trip threshold (min 1).
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.threshold = threshold.max(1);
-        self
     }
 
     /// Override the open→half-open cooldown.
@@ -156,7 +135,7 @@ impl HealthTracker {
         h.consecutive_failures += 1;
         let trip = match h.state {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => h.consecutive_failures >= self.threshold,
+            BreakerState::Closed => h.consecutive_failures >= THRESHOLD,
             BreakerState::Open => false,
         };
         if trip {
@@ -169,12 +148,6 @@ impl HealthTracker {
             h.opened_at = self.clock.now();
             h.counters.trips += 1;
             self.transition(kind, BreakerState::Open, reason);
-        }
-        drop(map);
-        if trip {
-            for listener in self.on_trip.lock().iter() {
-                listener(kind);
-            }
         }
     }
 
@@ -225,7 +198,7 @@ impl HealthTracker {
 impl std::fmt::Debug for HealthTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthTracker")
-            .field("threshold", &self.threshold)
+            .field("threshold", &THRESHOLD)
             .field("cooldown", &self.cooldown)
             .finish_non_exhaustive()
     }
@@ -292,31 +265,6 @@ mod tests {
         t.record_success(k);
         assert_eq!(t.state(k), BreakerState::Closed);
         assert!(t.allows(k));
-    }
-
-    #[test]
-    fn trip_listeners_fire_on_every_trip_only() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let clock = Clock::new();
-        let t = tracker(&clock).with_cooldown(SimDuration::from_secs(5.0));
-        let trips = Arc::new(AtomicUsize::new(0));
-        let seen = trips.clone();
-        t.on_trip(move |kind| {
-            assert_eq!(kind, StorageKind::RemoteTape);
-            seen.fetch_add(1, Ordering::SeqCst);
-        });
-        let k = StorageKind::RemoteTape;
-        t.record_failure(k);
-        t.record_failure(k);
-        assert_eq!(trips.load(Ordering::SeqCst), 0, "below threshold");
-        t.record_failure(k);
-        assert_eq!(trips.load(Ordering::SeqCst), 1);
-        // Failed half-open probe trips again.
-        clock.advance(SimDuration::from_secs(5.0));
-        assert!(t.allows(k));
-        t.record_failure(k);
-        assert_eq!(trips.load(Ordering::SeqCst), 2);
     }
 
     #[test]

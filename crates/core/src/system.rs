@@ -14,8 +14,7 @@ use msr_predict::{AccessSummary, PTool, PerfDb, Predictor, RatioBook};
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{
-    testbed, FaultLog, FaultPlan, Front, KeepAliveHandle, SharedResource, StorageKind,
-    StorageResource,
+    testbed, FaultLog, FaultPlan, Front, SharedResource, StorageKind, StorageResource,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -45,8 +44,8 @@ pub struct MsrSystem {
     /// scheduler's admission controller (see `crate::tenant`).
     pub tenants: TenantRegistry,
     /// Every resource behind its [`Front`], kept typed so fault injection
-    /// and keep-alive are configured in place: a `SharedResource` handed
-    /// out earlier sees the stage switched on.
+    /// is configured in place: a `SharedResource` handed out earlier sees
+    /// the stage switched on.
     resources: BTreeMap<StorageKind, Arc<Mutex<Front>>>,
     /// Learned per-dataset `moved / logical` byte ratios from the chunk
     /// plane, consulted wherever eq. (2) prices a chunked dataset's bytes
@@ -187,33 +186,6 @@ impl MsrSystem {
         let front = self.resources.get(&kind)?;
         let seed = derive_seed(self.seed, &format!("fault:{kind}"));
         Some(front.lock().inject_faults(plan, self.clock.clone(), seed))
-    }
-
-    /// Switch on the connection/read-open keep-alive stage in front of
-    /// each *remote* resource (remote disk and tape; local disk's
-    /// connection is already free). Contiguous batches then pay
-    /// `T_conn + T_open` once per lease of `ttl` virtual time. Each pool is
-    /// wired into the circuit breaker: a resource that trips drops its
-    /// warm connections immediately, so recovery always pays a fresh,
-    /// observable setup. Returns the stats handle per kind. Opt-in — plain
-    /// systems keep the paper's pay-every-time eq. (1) accounting.
-    pub fn enable_keepalive(&mut self, ttl: SimDuration) -> Vec<(StorageKind, KeepAliveHandle)> {
-        let mut handles = Vec::new();
-        for kind in [StorageKind::RemoteDisk, StorageKind::RemoteTape] {
-            let Some(front) = self.resources.get(&kind) else {
-                continue;
-            };
-            let (clock, recorder) = (self.clock.clone(), self.obs.recorder());
-            let handle = front.lock().enable_keepalive(ttl, clock, recorder);
-            let pool = handle.clone();
-            self.health.on_trip(move |tripped| {
-                if tripped == kind {
-                    pool.drop_pooled();
-                }
-            });
-            handles.push((kind, handle));
-        }
-        handles
     }
 
     /// Background load on the ANL↔SDSC WAN (equivalent competing streams).

@@ -16,7 +16,6 @@
 pub mod connection;
 pub mod error;
 pub mod failure;
-pub mod lease;
 pub mod link;
 pub mod network;
 pub mod site;
@@ -24,7 +23,6 @@ pub mod site;
 pub use connection::{Connection, ProtocolCosts};
 pub use error::NetError;
 pub use failure::OutageSchedule;
-pub use lease::{LeasePool, LeaseStats};
 pub use link::{LinkId, LinkSpec};
 pub use network::Network;
 pub use site::SiteId;

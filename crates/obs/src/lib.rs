@@ -121,12 +121,6 @@ pub mod ops {
     /// the predicted fetch time exceeded the predicted idle window (sched
     /// layer counter).
     pub const PREFETCH_DECLINE: &str = "prefetch_decline";
-    /// A connection or open lease re-used within its TTL, skipping the
-    /// eq. (1) setup cost (storage layer counter).
-    pub const LEASE_HIT: &str = "lease_hit";
-    /// A pooled lease expired or was dropped (cooldown, breaker trip),
-    /// charging its deferred teardown (storage layer counter).
-    pub const LEASE_EXPIRE: &str = "lease_expire";
     /// A fresh scratch buffer allocated by the engine pack/sieve phase
     /// (runtime layer counter).
     pub const SCRATCH_ALLOC: &str = "scratch_alloc";

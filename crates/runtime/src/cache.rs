@@ -1,29 +1,28 @@
-//! A byte-budgeted LRU cache with optional prefetch priorities.
+//! A byte-budgeted LRU cache.
 //!
-//! Backs the superfile read path (see [`crate::superfile::StagingCache`]):
-//! the first remote read stages the whole container into memory; later
-//! reads — from any instance sharing the cache — are served from here at
-//! memory speed. Values are [`Bytes`], so hits are O(1) reference-counted
-//! views, never copies.
-//!
-//! The prediction-driven prefetcher knows *when* each staged buffer will
-//! be consumed (its position in the admitted request queue), which admits
-//! a better-than-LRU policy: [`LruCache::put_prioritized`] tags an entry
-//! with its next use, and eviction then follows Belady's rule among the
-//! tagged entries — evict the one needed furthest in the future, and never
-//! evict a nearer-future entry to admit a farther one. Untagged (plain
-//! `put`) entries carry no schedule, so they evict first, in LRU order; a
-//! cache that only ever sees plain `put` behaves exactly as before.
+//! Shared as a [`StagingCache`], it holds a session's copies for degraded
+//! reads and the scheduler's read-ahead: a staged buffer is served from
+//! here at memory speed until it is invalidated or evicted, oldest use
+//! first. Values are [`Bytes`], so hits are O(1) reference-counted views,
+//! never copies.
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// An [`LruCache`] shareable across threads.
+pub type StagingCache = Arc<Mutex<LruCache>>;
+
+/// A [`StagingCache`] bounded to `capacity` bytes.
+pub fn staging_cache(capacity: u64) -> StagingCache {
+    Arc::new(Mutex::new(LruCache::new(capacity)))
+}
 
 #[derive(Debug, Clone)]
 struct Entry {
     data: Bytes,
     stamp: u64,
-    /// Predicted next use (queue position); `None` for plain LRU entries.
-    next_use: Option<u64>,
 }
 
 /// An LRU cache of named byte buffers with a total-bytes capacity.
@@ -101,63 +100,11 @@ impl LruCache {
         self.entries.contains_key(key)
     }
 
-    /// The next-use tag of a cached entry (`None` for plain LRU entries).
-    pub fn next_use(&self, key: &str) -> Option<u64> {
-        self.entries.get(key).and_then(|e| e.next_use)
-    }
-
-    /// The best eviction victim among entries that may be evicted to admit
-    /// something needed at `incoming` (or anything, when `None`): plain
-    /// LRU entries first (oldest stamp), then prioritized entries needed
-    /// furthest in the future — but never one needed sooner than the
-    /// incoming entry.
-    fn victim(&self, incoming: Option<u64>) -> Option<String> {
-        if let Some((key, _)) = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.next_use.is_none())
-            .min_by_key(|(_, e)| e.stamp)
-        {
-            return Some(key.clone());
-        }
-        self.entries
-            .iter()
-            .filter_map(|(k, e)| e.next_use.map(|u| (k, u)))
-            .filter(|&(_, u)| incoming.is_none_or(|i| u > i))
-            .max_by_key(|&(_, u)| u)
-            .map(|(k, _)| k.clone())
-    }
-
-    /// Bytes reclaimable for an entry next needed at `incoming`.
-    fn freeable(&self, incoming: Option<u64>) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| match (e.next_use, incoming) {
-                (None, _) => true,
-                (Some(_), None) => true,
-                (Some(u), Some(i)) => u > i,
-            })
-            .map(|e| e.data.len() as u64)
-            .sum()
-    }
-
-    /// Insert a buffer, evicting as needed (plain entries in LRU order,
-    /// then prioritized entries furthest-next-use first). Returns whether
-    /// the buffer was cached: buffers larger than the whole capacity are
-    /// not cached at all (and any stale entry under the same key is
-    /// dropped, so a later `get` can never serve outdated bytes).
+    /// Insert a buffer, evicting least recently used entries as needed.
+    /// Returns whether the buffer was cached: buffers larger than the whole
+    /// capacity are not cached at all (and any stale entry under the same
+    /// key is dropped, so a later `get` can never serve outdated bytes).
     pub fn put(&mut self, key: &str, data: Bytes) -> bool {
-        self.insert(key, data, None)
-    }
-
-    /// Insert a prefetched buffer whose consumer sits at queue position
-    /// `next_use`. Declines — evicting nothing — when admission would
-    /// require evicting an entry needed sooner than `next_use`.
-    pub fn put_prioritized(&mut self, key: &str, data: Bytes, next_use: u64) -> bool {
-        self.insert(key, data, Some(next_use))
-    }
-
-    fn insert(&mut self, key: &str, data: Bytes, next_use: Option<u64>) -> bool {
         let size = data.len() as u64;
         if size > self.capacity {
             self.invalidate(key);
@@ -167,16 +114,13 @@ impl LruCache {
         if let Some(old) = self.entries.remove(key) {
             self.used -= old.data.len() as u64;
         }
-        if self.used + size > self.capacity
-            && self.used + size - self.freeable(next_use) > self.capacity
-        {
-            // Admitting would evict an entry needed sooner: decline whole.
-            return false;
-        }
         while self.used + size > self.capacity {
             let victim = self
-                .victim(next_use)
-                .expect("freeable bytes imply an evictable victim");
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| k.clone())
+                .expect("a cache over budget holds an entry");
             self.invalidate(&victim);
         }
         self.used += size;
@@ -185,7 +129,6 @@ impl LruCache {
             Entry {
                 data,
                 stamp: self.tick,
-                next_use,
             },
         );
         true
@@ -312,84 +255,5 @@ mod tests {
         c.put("big", bytes(95, 9));
         assert!(c.contains("big"));
         assert!(c.used_bytes() <= 100);
-    }
-
-    /// A scripted prefetch program where plain LRU makes the wrong call.
-    /// Three staged reads, consumed in queue order 1, 2, 3, with room for
-    /// only two. LRU would evict the *least recently inserted* — the entry
-    /// needed next — while furthest-next-use evicts the one needed last.
-    #[test]
-    fn furthest_next_use_beats_lru_on_a_scripted_program() {
-        let mut c = LruCache::new(20);
-        assert!(c.put_prioritized("p1", bytes(10, 1), 1));
-        assert!(c.put_prioritized("p3", bytes(10, 3), 3));
-        // Staging p2 must evict p3 (furthest), never p1 (needed next).
-        assert!(c.put_prioritized("p2", bytes(10, 2), 2));
-        assert!(c.contains("p1"), "nearest-future entry survives");
-        assert!(c.contains("p2"));
-        assert!(!c.contains("p3"), "furthest-future entry was evicted");
-
-        // Plain LRU on the same script evicts p1 — the wrong entry.
-        let mut lru = LruCache::new(20);
-        lru.put("p1", bytes(10, 1));
-        lru.put("p3", bytes(10, 3));
-        lru.put("p2", bytes(10, 2));
-        assert!(!lru.contains("p1"), "LRU sacrifices the next consumer");
-    }
-
-    #[test]
-    fn prioritized_put_declines_rather_than_evict_a_nearer_entry() {
-        let mut c = LruCache::new(20);
-        assert!(c.put_prioritized("p1", bytes(10, 1), 1));
-        assert!(c.put_prioritized("p2", bytes(10, 2), 2));
-        // p9 is needed after both residents: admitting it would evict an
-        // entry a nearer-future chain needs, so the put declines whole.
-        assert!(!c.put_prioritized("p9", bytes(15, 9), 9));
-        assert!(c.contains("p1") && c.contains("p2"), "nothing was evicted");
-        assert_eq!(c.used_bytes(), 20);
-    }
-
-    #[test]
-    fn plain_entries_evict_before_prioritized_ones() {
-        let mut c = LruCache::new(30);
-        c.put("plain", bytes(10, 0));
-        c.put_prioritized("p5", bytes(10, 5), 5);
-        c.put_prioritized("p1", bytes(10, 1), 1);
-        // One more prioritized entry: the unscheduled plain entry goes
-        // first even though it is the most recently touched.
-        c.get("plain");
-        assert!(c.put_prioritized("p3", bytes(10, 3), 3));
-        assert!(!c.contains("plain"));
-        assert!(c.contains("p5") && c.contains("p1") && c.contains("p3"));
-    }
-
-    #[test]
-    fn zero_capacity_rejects_prioritized_puts() {
-        let mut c = LruCache::new(0);
-        assert!(!c.put_prioritized("a", bytes(1, 1), 1));
-        assert!(c.is_empty());
-        assert_eq!(c.used_bytes(), 0);
-        // The zero-byte corner fits a zero-byte budget, as with plain put.
-        assert!(c.put_prioritized("empty", bytes(0, 0), 1));
-        assert_eq!(c.used_bytes(), 0);
-    }
-
-    #[test]
-    fn oversized_prioritized_put_drops_stale_and_caches_nothing() {
-        let mut c = LruCache::new(50);
-        assert!(c.put_prioritized("a", bytes(40, 1), 1));
-        assert!(!c.put_prioritized("a", bytes(60, 2), 1));
-        assert!(!c.contains("a"), "stale bytes must not survive");
-        assert_eq!(c.used_bytes(), 0);
-        assert_eq!(c.next_use("a"), None);
-    }
-
-    #[test]
-    fn next_use_tag_is_reported() {
-        let mut c = LruCache::new(100);
-        c.put("plain", bytes(1, 0));
-        c.put_prioritized("p7", bytes(1, 7), 7);
-        assert_eq!(c.next_use("plain"), None);
-        assert_eq!(c.next_use("p7"), Some(7));
     }
 }

@@ -37,7 +37,7 @@ pub mod retry;
 pub mod strategy;
 pub mod superfile;
 
-pub use cache::LruCache;
+pub use cache::{staging_cache, LruCache, StagingCache};
 pub use chunked::ChunkPlane;
 pub use engine::{memcpy_cost, scratch_counters, IoEngine, IoReport};
 pub use error::RuntimeError;
@@ -46,7 +46,7 @@ pub use pipeline::WriteBehind;
 pub use request::{EngineRequest, RequestBody, RequestOutcome, RequestTag};
 pub use retry::RetryPolicy;
 pub use strategy::{ExchangeModel, IoStrategy};
-pub use superfile::{staging_cache, StagingCache, Superfile, SuperfileStats};
+pub use superfile::{Superfile, SuperfileStats};
 
 /// Convenience result alias for runtime operations.
 pub type RuntimeResult<T> = Result<T, RuntimeError>;

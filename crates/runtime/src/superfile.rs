@@ -8,27 +8,13 @@
 //! a single large native read, and every subsequent member read is a memory
 //! copy.
 
-use crate::cache::LruCache;
 use crate::error::RuntimeError;
 use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_sim::SimDuration;
 use msr_storage::{FileHandle, OpenMode, SharedResource};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// A staging cache shareable across [`Superfile`] instances (and threads).
-///
-/// Staged container images are [`Bytes`] — reference-counted, so a cache
-/// hit hands back an O(1) view and member reads slice it without copying.
-pub type StagingCache = Arc<Mutex<LruCache>>;
-
-/// A [`StagingCache`] bounded to `capacity` bytes.
-pub fn staging_cache(capacity: u64) -> StagingCache {
-    Arc::new(Mutex::new(LruCache::new(capacity)))
-}
 
 /// Default staging-cache budget: containers larger than this are not staged
 /// and members are fetched individually (still one open, but per-member
@@ -75,7 +61,6 @@ pub struct Superfile {
     write_handle: Option<FileHandle>,
     cache: Option<Bytes>,
     cache_limit: u64,
-    staging: Option<StagingCache>,
     stats: SuperfileStats,
 }
 
@@ -93,14 +78,15 @@ impl Superfile {
                 write_handle: Some(open.value),
                 cache: None,
                 cache_limit: DEFAULT_CACHE_LIMIT,
-                staging: None,
                 stats: SuperfileStats::default(),
             },
         ))
     }
 
     /// Open an existing superfile by loading its index member
-    /// (`<path>.idx`). Cost: one small open/read/close.
+    /// (`<path>.idx`). Cost: one small open/read/close. An index with a
+    /// member that does not lie inside the container is
+    /// [`RuntimeError::CorruptSuperfile`].
     pub fn open(res: &SharedResource, path: &str) -> RuntimeResult<(SimDuration, Superfile)> {
         let mut r = res.lock();
         let idx_path = format!("{path}.idx");
@@ -113,6 +99,14 @@ impl Superfile {
         t += r.close(open.value)?.time;
         let index: Index = serde_json::from_slice(&read.value)
             .map_err(|e| RuntimeError::CorruptSuperfile(e.to_string()))?;
+        for (name, &(off, len)) in &index.members {
+            if off.checked_add(len).is_none_or(|stop| stop > index.end) {
+                return Err(RuntimeError::CorruptSuperfile(format!(
+                    "member {name} at {off}+{len} lies outside the {}-byte container",
+                    index.end
+                )));
+            }
+        }
         Ok((
             t,
             Superfile {
@@ -121,7 +115,6 @@ impl Superfile {
                 write_handle: None,
                 cache: None,
                 cache_limit: DEFAULT_CACHE_LIMIT,
-                staging: None,
                 stats: SuperfileStats::default(),
             },
         ))
@@ -130,15 +123,6 @@ impl Superfile {
     /// Cap the staging cache (ablation hook).
     pub fn with_cache_limit(mut self, bytes: u64) -> Self {
         self.cache_limit = bytes;
-        self
-    }
-
-    /// Attach a shared [`StagingCache`]: staged container images are
-    /// published there (keyed by container path), so another instance
-    /// opening the same container skips the staging read entirely and
-    /// serves members as zero-copy slices of the shared image.
-    pub fn with_staging_cache(mut self, cache: StagingCache) -> Self {
-        self.staging = Some(cache);
         self
     }
 
@@ -188,9 +172,6 @@ impl Superfile {
             .insert(name.to_owned(), (self.index.end, data.len() as u64));
         self.index.end += data.len() as u64;
         self.cache = None; // staged image is stale
-        if let Some(staging) = &self.staging {
-            staging.lock().invalidate(&self.path);
-        }
         self.stats.writes += 1;
         Ok(t)
     }
@@ -228,37 +209,22 @@ impl Superfile {
         let mut t = SimDuration::ZERO;
 
         if self.cache.is_none() && self.index.end <= self.cache_limit {
-            // A sibling instance may have staged this container already:
-            // the shared image is `Bytes`, so the hit is an O(1) view — no
-            // native read, no copy.
-            let shared = self
-                .staging
-                .as_ref()
-                .and_then(|c| c.lock().get(&self.path))
-                .filter(|img| img.len() as u64 == self.index.end);
-            if let Some(img) = shared {
-                self.cache = Some(img);
-            } else {
-                // Stage the container.
-                let mut r = res.lock();
-                let open = r.open(&self.path, OpenMode::Read)?;
-                t += open.time;
-                let read = r.read(open.value, self.index.end as usize)?;
-                t += read.time;
-                t += r.close(open.value)?.time;
-                if read.value.len() as u64 != self.index.end {
-                    return Err(RuntimeError::CorruptSuperfile(format!(
-                        "container truncated: {} of {} bytes",
-                        read.value.len(),
-                        self.index.end
-                    )));
-                }
-                if let Some(staging) = &self.staging {
-                    staging.lock().put(&self.path, read.value.clone());
-                }
-                self.cache = Some(read.value);
-                self.stats.stagings += 1;
+            // Stage the container.
+            let mut r = res.lock();
+            let open = r.open(&self.path, OpenMode::Read)?;
+            t += open.time;
+            let read = r.read(open.value, self.index.end as usize)?;
+            t += read.time;
+            t += r.close(open.value)?.time;
+            if read.value.len() as u64 != self.index.end {
+                return Err(RuntimeError::CorruptSuperfile(format!(
+                    "container truncated: {} of {} bytes",
+                    read.value.len(),
+                    self.index.end
+                )));
             }
+            self.cache = Some(read.value);
+            self.stats.stagings += 1;
         }
 
         match &self.cache {
@@ -277,6 +243,12 @@ impl Superfile {
                 let read = r.read(open.value, len as usize)?;
                 t += read.time;
                 t += r.close(open.value)?.time;
+                if read.value.len() as u64 != len {
+                    return Err(RuntimeError::CorruptSuperfile(format!(
+                        "member {name} truncated: {} of {len} bytes",
+                        read.value.len()
+                    )));
+                }
                 self.stats.remote_reads += 1;
                 Ok((t, read.value))
             }
@@ -388,69 +360,53 @@ mod tests {
     }
 
     #[test]
-    fn shared_staging_cache_skips_the_second_staging_read() {
-        let res = disk();
-        let (_, mut sf) = Superfile::create(&res, "c").unwrap();
-        for i in 0..6 {
-            sf.write_member(&res, &format!("m{i}"), &image(i)).unwrap();
-        }
-        sf.close(&res).unwrap();
-
-        let shared = staging_cache(1 << 20);
-        let (_, sf1) = Superfile::open(&res, "c").unwrap();
-        let mut sf1 = sf1.with_staging_cache(shared.clone());
-        sf1.read_member(&res, "m0").unwrap();
-        assert_eq!(sf1.stats().stagings, 1);
-        let reads_after_first = res.lock().stats().reads;
-
-        // A sibling instance reuses the shared image: zero native reads.
-        let (_, sf2) = Superfile::open(&res, "c").unwrap();
-        let mut sf2 = sf2.with_staging_cache(shared.clone());
-        let (_, d) = sf2.read_member(&res, "m3").unwrap();
-        assert_eq!(&d[..], &image(3)[..]);
-        assert_eq!(sf2.stats().stagings, 0, "no native staging read");
-        // Only sf2's index load hit the resource, not the container.
-        assert_eq!(res.lock().stats().reads, reads_after_first + 1);
-        assert_eq!(shared.lock().hits(), 1);
-    }
-
-    #[test]
-    fn write_invalidates_the_shared_staging_image() {
-        let res = disk();
-        let shared = staging_cache(1 << 20);
-        let (_, sf) = Superfile::create(&res, "c").unwrap();
-        let mut sf = sf.with_staging_cache(shared.clone());
-        sf.write_member(&res, "a", &image(1)).unwrap();
-        sf.close(&res).unwrap();
-        sf.read_member(&res, "a").unwrap();
-        assert!(shared.lock().contains("c"));
-        sf.write_member(&res, "b", &image(2)).unwrap();
-        assert!(!shared.lock().contains("c"), "stale image must be dropped");
-        sf.close(&res).unwrap();
-        let (_, d) = sf.read_member(&res, "b").unwrap();
-        assert_eq!(&d[..], &image(2)[..]);
-    }
-
-    #[test]
-    fn tiny_shared_cache_degrades_to_private_staging() {
-        let res = disk();
-        let shared = staging_cache(8); // cannot hold any container
-        let (_, sf) = Superfile::create(&res, "c").unwrap();
-        let mut sf = sf.with_staging_cache(shared.clone());
-        sf.write_member(&res, "a", &image(0)).unwrap();
-        sf.close(&res).unwrap();
-        let (_, d) = sf.read_member(&res, "a").unwrap();
-        assert_eq!(&d[..], &image(0)[..]);
-        assert_eq!(sf.stats().stagings, 1, "private staging still works");
-        assert!(shared.lock().is_empty());
-    }
-
-    #[test]
     fn opening_unclosed_superfile_fails() {
         let res = disk();
         let (_, mut sf) = Superfile::create(&res, "c").unwrap();
         sf.write_member(&res, "a", &image(0)).unwrap();
         // No close: the index member does not exist yet.
         assert!(Superfile::open(&res, "c").is_err());
+    }
+
+    /// A 4-byte container under a hand-written index member.
+    fn hostile(index: &str) -> SharedResource {
+        let res = disk();
+        for (path, bytes) in [("c", &b"abcd"[..]), ("c.idx", index.as_bytes())] {
+            let mut r = res.lock();
+            let h = r.open(path, OpenMode::Create).unwrap().value;
+            r.write(h, bytes).unwrap();
+            r.close(h).unwrap();
+        }
+        res
+    }
+
+    #[test]
+    fn index_member_past_the_container_end_is_corrupt() {
+        let res = hostile(r#"{"end":4,"members":{"m":[2,100]}}"#);
+        assert!(matches!(
+            Superfile::open(&res, "c"),
+            Err(RuntimeError::CorruptSuperfile(_))
+        ));
+    }
+
+    #[test]
+    fn index_member_whose_end_overflows_is_corrupt() {
+        let res = hostile(r#"{"end":4,"members":{"m":[18446744073709551615,2]}}"#);
+        assert!(matches!(
+            Superfile::open(&res, "c"),
+            Err(RuntimeError::CorruptSuperfile(_))
+        ));
+    }
+
+    #[test]
+    fn short_unstaged_member_read_is_corrupt() {
+        let res = hostile(r#"{"end":10,"members":{"m":[0,10]}}"#);
+        let (_, sf) = Superfile::open(&res, "c").unwrap();
+        let mut sf = sf.with_cache_limit(1);
+        assert!(matches!(
+            sf.read_member(&res, "m"),
+            Err(RuntimeError::CorruptSuperfile(_))
+        ));
+        assert_eq!(sf.stats().remote_reads, 0);
     }
 }

@@ -21,9 +21,6 @@ pub(crate) struct PlannedFetch {
     path: String,
     dist: Distribution,
     strategy: IoStrategy,
-    /// Queue position at plan time — the staging cache's furthest-next-use
-    /// eviction tag.
-    next_use: u64,
 }
 
 /// A resource's admitted fetch work for one step, starting on the
@@ -146,7 +143,7 @@ impl Prefetcher {
         let mut writes_ahead: BTreeSet<&str> = BTreeSet::new();
         let mut fetches = Vec::new();
         let mut undecided = 0usize;
-        for (idx, item) in q.iter().enumerate() {
+        for item in q.iter() {
             let req = &item.req;
             let est = SimDuration::from_secs(item.est);
             if let RequestBody::Write { .. } = req.body {
@@ -163,7 +160,6 @@ impl Prefetcher {
                             path: req.path.clone(),
                             dist: req.dist,
                             strategy: req.strategy,
-                            next_use: idx as u64,
                         });
                     } else {
                         // Too close to its own service: fetching would push
@@ -281,16 +277,11 @@ impl Prefetcher {
                         report.elapsed,
                         report.bytes,
                     );
-                    if self
-                        .cache
-                        .lock()
-                        .put_prioritized(&f.path, Bytes::from(bytes), f.next_use)
-                    {
+                    if self.cache.lock().put(&f.path, Bytes::from(bytes)) {
                         self.ready.insert(f.path, t);
                         self.staged += 1;
                     } else {
-                        // The cache declined (admitting would evict an
-                        // entry needed sooner): the fetch was wasted.
+                        // Larger than the whole cache: the fetch was wasted.
                         self.waste += 1;
                         rec.count(Layer::Sched, comp, ops::PREFETCH_WASTE, t, 1.0);
                     }

@@ -6,7 +6,6 @@
 use msr_core::{DatasetSpec, FutureUse, MsrSystem};
 use msr_meta::ElementType;
 use msr_sched::{SchedReport, Scheduler, SessionProgram};
-use msr_sim::SimDuration;
 use msr_storage::{FaultPlan, StorageKind};
 
 /// An archival producer that reads its three earliest dumps back at the
@@ -128,46 +127,4 @@ fn mid_prefetch_faults_degrade_to_on_demand() {
         assert_eq!(s.reports.len() as u64, s.requests);
     }
     assert_eq!(report.requests(), 5 * 8, "5 writes + 3 reads per session");
-}
-
-/// Warm connection leases across scheduled batches: a second fleet
-/// admitted after the first finalizes reconnects inside the lease TTL, so
-/// its connects are free, the parked teardowns are settled off the
-/// critical path, and total connection time drops against an identically
-/// seeded cold-connect baseline.
-#[test]
-fn keepalive_warm_leases_cut_scheduled_conn_time() {
-    fn two_batches(sys: &MsrSystem) -> (SchedReport, SchedReport) {
-        let mut first = Scheduler::new(sys).with_prefetch(false);
-        for p in fleet(3) {
-            first.admit(p).unwrap();
-        }
-        let a = first.run().unwrap();
-        let mut second = Scheduler::new(sys).with_prefetch(false);
-        for p in fleet(3) {
-            second.admit(p).unwrap();
-        }
-        (a, second.run().unwrap())
-    }
-    let conn = |r: &SchedReport| -> f64 { r.sessions.iter().map(|s| s.conn_time.as_secs()).sum() };
-
-    let base_sys = MsrSystem::testbed(31);
-    let (base_a, base_b) = two_batches(&base_sys);
-
-    let mut ka_sys = MsrSystem::testbed(31);
-    let handles = ka_sys.enable_keepalive(SimDuration::from_secs(3600.0));
-    assert_eq!(handles.len(), 2, "remote disk and tape wrapped");
-    let (ka_a, ka_b) = two_batches(&ka_sys);
-
-    assert!(
-        conn(&ka_a) + conn(&ka_b) < conn(&base_a) + conn(&base_b),
-        "pooled leases must cut connection time: {} vs {}",
-        conn(&ka_a) + conn(&ka_b),
-        conn(&base_a) + conn(&base_b)
-    );
-    let stats: Vec<_> = handles.iter().map(|(k, h)| (*k, h.stats())).collect();
-    assert!(
-        stats.iter().any(|(_, s)| s.conn_hits > 0),
-        "the second batch must reconnect on warm leases: {stats:?}"
-    );
 }

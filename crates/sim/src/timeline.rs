@@ -13,9 +13,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
     elapsed: Vec<SimDuration>,
-    /// Number of barrier synchronizations performed (observability for
-    /// strategy tests: collective I/O should barrier once per dataset dump).
-    barriers: usize,
 }
 
 impl Timeline {
@@ -27,7 +24,6 @@ impl Timeline {
         assert!(nprocs > 0, "timeline needs at least one process");
         Timeline {
             elapsed: vec![SimDuration::ZERO; nprocs],
-            barriers: 0,
         }
     }
 
@@ -54,7 +50,6 @@ impl Timeline {
         for e in &mut self.elapsed {
             *e = m;
         }
-        self.barriers += 1;
         m
     }
 
@@ -72,33 +67,10 @@ impl Timeline {
             .fold(SimDuration::ZERO, SimDuration::max)
     }
 
-    /// The minimum elapsed time over processes.
-    pub fn min_elapsed(&self) -> SimDuration {
-        self.elapsed
-            .iter()
-            .copied()
-            .fold(SimDuration::from_secs(f64::MAX), SimDuration::min)
-    }
-
     /// Sum over processes — total resource-seconds consumed (used by
     /// efficiency ablations).
     pub fn total_work(&self) -> SimDuration {
         self.elapsed.iter().copied().sum()
-    }
-
-    /// Load imbalance: makespan / mean. 1.0 means perfectly balanced.
-    pub fn imbalance(&self) -> f64 {
-        let mean = self.total_work().as_secs() / self.nprocs() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.makespan().as_secs() / mean
-        }
-    }
-
-    /// Number of barriers performed.
-    pub fn barrier_count(&self) -> usize {
-        self.barriers
     }
 
     /// Merge another timeline that ran *after* this one on the same
@@ -108,7 +80,6 @@ impl Timeline {
         for (e, l) in self.elapsed.iter_mut().zip(&later.elapsed) {
             *e += *l;
         }
-        self.barriers += later.barriers;
     }
 }
 
@@ -132,7 +103,6 @@ mod tests {
         t.charge(0, secs(1.0));
         t.charge(2, secs(3.0));
         assert_eq!(t.makespan(), secs(3.0));
-        assert_eq!(t.min_elapsed(), SimDuration::ZERO);
         assert_eq!(t.total_work(), secs(4.0));
     }
 
@@ -145,7 +115,6 @@ mod tests {
         for p in 0..3 {
             assert_eq!(t.elapsed(p), secs(5.0));
         }
-        assert_eq!(t.barrier_count(), 1);
     }
 
     #[test]
@@ -167,20 +136,5 @@ mod tests {
         a.then(&b);
         assert_eq!(a.elapsed(0), secs(3.0));
         assert_eq!(a.elapsed(1), secs(2.0));
-        assert_eq!(a.barrier_count(), 1);
-    }
-
-    #[test]
-    fn imbalance_of_balanced_load_is_one() {
-        let mut t = Timeline::new(4);
-        t.charge_all(secs(2.0));
-        assert!((t.imbalance() - 1.0).abs() < 1e-12);
-        t.charge(0, secs(2.0));
-        assert!(t.imbalance() > 1.0);
-    }
-
-    #[test]
-    fn imbalance_of_empty_timeline_is_one() {
-        assert_eq!(Timeline::new(3).imbalance(), 1.0);
     }
 }

@@ -1,10 +1,10 @@
 //! The one interposition point in front of a storage device.
 //!
-//! A [`Front`] owns its device and carries three optional stages in a
+//! A [`Front`] owns its device and carries two optional stages in a
 //! fixed order:
 //!
 //! ```text
-//! caller → keep-alive → faults → observe → device
+//! caller → faults → observe → device
 //! ```
 //!
 //! * **observe** emits one `msr-obs` span per native call that reached the
@@ -19,16 +19,13 @@
 //! * **faults** ([`crate::fault`]) gates, tears and spikes data-path calls.
 //!   Sitting above observe, a torn transfer's half call and cursor restore
 //!   show up as spans, and a spike does not distort what PTool learns.
-//! * **keep-alive** ([`crate::keepalive`]) pools connection and read-open
-//!   costs. Sitting above faults, a leased re-open still runs the gate.
 //!
 //! Every info method forwards to the device exactly once, here, so a front
 //! is transparent whatever it wraps (a [`crate::CompositeResource`]
 //! included). Stages are configured in place: handles to the shared
-//! resource stay valid when faults or keep-alive are switched on.
+//! resource stay valid when faults are switched on.
 
 use crate::fault::{FaultKind, FaultLog, FaultPlan, Faults};
-use crate::keepalive::{KeepAliveHandle, Leases};
 use crate::resource::{
     Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, StorageKind, StorageResource,
 };
@@ -37,13 +34,11 @@ use bytes::Bytes;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration};
 
-/// A storage device behind its optional keep-alive, fault and observe
-/// stages.
+/// A storage device behind its optional fault and observe stages.
 pub struct Front {
     device: Box<dyn StorageResource>,
     observe: Option<(Recorder, Clock)>,
     faults: Option<Faults>,
-    leases: Option<Leases>,
 }
 
 impl Front {
@@ -53,7 +48,6 @@ impl Front {
             device: Box::new(device),
             observe: None,
             faults: None,
-            leases: None,
         }
     }
 
@@ -70,19 +64,6 @@ impl Front {
         let (stage, log) = Faults::new(plan, clock, seed, self.device.name());
         self.faults = Some(stage);
         log
-    }
-
-    /// Switch the keep-alive stage on with leases lasting `ttl` of virtual
-    /// time. Returns the external stats/drop handle.
-    pub fn enable_keepalive(
-        &mut self,
-        ttl: SimDuration,
-        clock: Clock,
-        recorder: Recorder,
-    ) -> KeepAliveHandle {
-        let (stage, handle) = Leases::new(ttl, clock, recorder);
-        self.leases = Some(stage);
-        handle
     }
 
     /// The single place a native call reaches the device: run it and, on
@@ -164,9 +145,6 @@ impl Front {
         data: &[u8],
         whole: impl FnOnce(&mut dyn StorageResource) -> StorageResult<Cost<usize>>,
     ) -> StorageResult<Cost<usize>> {
-        if let Some(l) = &mut self.leases {
-            l.before_write(self.device.name(), h);
-        }
         self.gate("write")?;
         if let Some(start) = self.tear_from(h, data.len()) {
             self.call(
@@ -179,30 +157,6 @@ impl Front {
         let cost = self.call(ops::WRITE, whole, |n| *n as u64)?;
         self.advance_shadow(h, cost.value as u64);
         Ok(self.spike("write", cost))
-    }
-
-    // --- keep-alive stage helpers ---
-
-    /// Settle lapsed leases before a native call; if a parked teardown
-    /// lost its lease, perform the real disconnect now, off the caller's
-    /// critical path.
-    fn settle(&mut self) -> StorageResult<()> {
-        let Some(l) = &mut self.leases else {
-            return Ok(());
-        };
-        if l.settle(self.device.name()) {
-            let cost = self.call(ops::CONNCLOSE, |d| d.disconnect(), |_| 0)?;
-            if let Some(l) = &self.leases {
-                l.deferred(cost.time);
-            }
-        }
-        Ok(())
-    }
-
-    fn invalidate_lease(&mut self, path: &str) {
-        if let Some(l) = &mut self.leases {
-            l.invalidate_path(self.device.name(), path);
-        }
     }
 }
 
@@ -248,39 +202,14 @@ impl StorageResource for Front {
     }
 
     fn connect(&mut self) -> StorageResult<Cost<()>> {
-        self.settle()?;
-        if let Some(l) = self.leases.as_mut().filter(|l| l.warm()) {
-            // Warm connection: cancel the parked teardown instead of paying
-            // setup — once the device confirms the connection is usable.
-            // Its idempotent `connect` is free, draws nothing and counts
-            // nothing on a live connection, so it is asked below the
-            // observe stage and stays invisible; an outage since the parked
-            // disconnect surfaces as the error an unfronted resource gives.
-            let probe = self.device.connect()?;
-            l.conn_hit(self.device.name());
-            return Ok(probe);
-        }
         self.call(ops::CONN, |d| d.connect(), |_| 0)
     }
 
     fn disconnect(&mut self) -> StorageResult<Cost<()>> {
-        self.settle()?;
-        if let Some(l) = &mut self.leases {
-            l.park(self.device.fixed_costs(OpKind::Read).connclose);
-            return Ok(Cost::free(()));
-        }
         self.call(ops::CONNCLOSE, |d| d.disconnect(), |_| 0)
     }
 
     fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
-        self.settle()?;
-        let hit = match &mut self.leases {
-            Some(l) => l.before_open(self.device.name(), path, mode),
-            None => false,
-        };
-        // The device's open always runs, leased or not: the handle, the
-        // native-call stats and the jitter stream must match an unfronted
-        // run exactly.
         self.gate("open")?;
         let cost = self.call(ops::OPEN, |d| d.open(path, mode), |_| 0)?;
         if let Some(f) = &mut self.faults {
@@ -290,14 +219,7 @@ impl StorageResource for Front {
             };
             f.cursors.insert(cost.value.raw(), cursor);
         }
-        let mut cost = self.spike("open", cost);
-        if let Some(l) = &mut self.leases {
-            l.opened(self.device.name(), cost.value, path, hit);
-        }
-        if hit {
-            cost.time = SimDuration::ZERO;
-        }
-        Ok(cost)
+        Ok(self.spike("open", cost))
     }
 
     fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
@@ -332,9 +254,6 @@ impl StorageResource for Front {
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
-        if let Some(l) = &mut self.leases {
-            l.closed(h);
-        }
         self.gate("close")?;
         let cost = self.call(ops::CLOSE, |d| d.close(h), |_| 0)?;
         if let Some(f) = &mut self.faults {
@@ -344,13 +263,10 @@ impl StorageResource for Front {
     }
 
     fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        self.invalidate_lease(path);
         self.call(ops::DELETE, |d| d.delete(path), |_| 0)
     }
 
     fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        // Shelving the tape makes any warm read lease on the path a lie.
-        self.invalidate_lease(path);
         self.call(ops::VAULT, |d| d.vault(path), |_| 0)
     }
 

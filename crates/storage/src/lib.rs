@@ -18,7 +18,7 @@
 //!
 //! The three are one [`Device`] with a per-kind [`CostModel`]: the file
 //! mechanics exist once, only the eq. (1) terms differ. A [`Front`] puts
-//! the optional keep-alive, fault-injection and observe stages in front of
+//! the optional fault-injection and observe stages in front of
 //! any device, and [`CompositeResource`] aggregates the space of several.
 //!
 //! All resources implement the object-safe [`StorageResource`] trait — the
@@ -33,7 +33,6 @@ pub mod device;
 pub mod error;
 pub mod fault;
 pub mod front;
-pub mod keepalive;
 pub mod local_disk;
 pub mod object_store;
 pub mod profiles;
@@ -48,7 +47,6 @@ pub use device::{CostModel, Device};
 pub use error::StorageError;
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 pub use front::Front;
-pub use keepalive::{KeepAliveHandle, KeepAliveStats};
 pub use local_disk::{DiskParams, LocalDisk};
 pub use object_store::ObjectStore;
 pub use profiles::{

@@ -101,16 +101,6 @@ impl RateCurve {
         }
     }
 
-    /// Effective bandwidth (MB/s) for a request of `bytes`.
-    pub fn bandwidth_at(&self, bytes: u64) -> f64 {
-        let t = self.time_for(bytes).as_secs();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            bytes as f64 / 1e6 / t
-        }
-    }
-
     /// The anchor points (for inspection / serialization round trips).
     pub fn anchors(&self) -> &[(u64, f64)] {
         &self.anchors
@@ -185,11 +175,5 @@ mod tests {
     #[should_panic(expected = "at least one anchor")]
     fn empty_anchor_list_rejected() {
         RateCurve::from_anchors(vec![]);
-    }
-
-    #[test]
-    fn bandwidth_at_reports_effective_rate() {
-        let c = RateCurve::constant_bandwidth(5.0);
-        assert!((c.bandwidth_at(10 * MB) - 5.0).abs() < 1e-9);
     }
 }

@@ -74,16 +74,14 @@ fn composite() -> CompositeResource {
     )
 }
 
-/// `device` behind a [`Front`] with all three stages switched on — live
-/// recorder, a fault plan that injects nothing, an hour of keep-alive — so
-/// every stage's bookkeeping runs under the battery without changing what
-/// the contract promises.
+/// `device` behind a [`Front`] with both stages switched on — live
+/// recorder and a fault plan that injects nothing — so every stage's
+/// bookkeeping runs under the battery without changing what the contract
+/// promises.
 fn fronted(device: impl StorageResource + 'static) -> SharedResource {
     let clock = Clock::new();
-    let recorder = Registry::new().recorder();
-    let mut front = Front::new(device).observed(recorder.clone(), clock.clone());
-    front.inject_faults(FaultPlan::none(), clock.clone(), 7);
-    front.enable_keepalive(SimDuration::from_secs(3600.0), clock, recorder);
+    let mut front = Front::new(device).observed(Registry::new().recorder(), clock.clone());
+    front.inject_faults(FaultPlan::none(), clock, 7);
     share(front)
 }
 

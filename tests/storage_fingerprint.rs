@@ -7,18 +7,18 @@
 //! random walk over every native call, outage toggles included — and
 //! hashes everything a caller can observe: the bit pattern of every
 //! `Cost.time`, every error variant, the bytes read back, final
-//! `ResourceStats`, `FaultLog` records, `KeepAliveStats` and the obs event
-//! stream. Same FNV-1a-64 recipe as the scheduler file. A changed constant
-//! means a jitter draw, a check order or a span moved somewhere between
-//! the caller and the device; it must be a deliberate decision.
+//! `ResourceStats`, `FaultLog` records and the obs event stream. Same
+//! FNV-1a-64 recipe as the scheduler file. A changed constant means a
+//! jitter draw, a check order or a span moved somewhere between the caller
+//! and the device; it must be a deliberate decision.
 //!
 //! Everything is built through `MsrSystem` (`testbed`, `inject_faults`,
-//! `enable_keepalive`, `resource`, `set_resource_online`, `set_wan_up`), so
-//! the file does not depend on how `msr-storage` composes its types.
+//! `resource`, `set_resource_online`, `set_wan_up`), so the file does not
+//! depend on how `msr-storage` composes its types.
 //!
-//! One case is deliberately absent: `connect` on a warm keep-alive lease
-//! while the resource is offline or its WAN route is down. The walk skips
-//! that call (see `Walk::connect_allowed`).
+//! The script never reconnects after a `disconnect` while the resource is
+//! offline or its WAN route is down (see `Walk::connect_allowed`); the
+//! constants below pin the script with that gap in it.
 //!
 //! The same script run with every write issued as `write_shared` must
 //! produce the same transcripts, line for line: handing the buffer over
@@ -60,7 +60,7 @@ fn fingerprint(transcript: &str) -> String {
 }
 
 /// One resource under the script: the transcript plus what the script must
-/// remember to stay clear of the excluded case.
+/// remember to stay clear of the skipped case.
 struct Walk<'a> {
     sys: &'a MsrSystem,
     kind: StorageKind,
@@ -69,8 +69,7 @@ struct Walk<'a> {
     /// Handles the script believes open, with whether they were opened
     /// for reading.
     open: Vec<(FileHandle, bool)>,
-    /// The last connection call was a `disconnect` (a keep-alive pool may
-    /// be holding the teardown).
+    /// The last connection call was a `disconnect`.
     parked: bool,
     offline: bool,
     wan_down: bool,
@@ -376,25 +375,25 @@ impl<'a> Walk<'a> {
         self.write(h, 10);
         self.close(h);
 
-        // Connection teardown and re-establishment; with a keep-alive pool
-        // one reconnect is warm and one finds the lease lapsed.
+        // Connection teardown and re-establishment, with read re-opens
+        // around a mutation in between.
         self.disconnect();
         self.disconnect();
         self.advance(5.0);
         self.connect();
-        let h = self.open("a/x", OpenMode::Read); // first read-open pays
+        let h = self.open("a/x", OpenMode::Read);
         self.close(h);
-        let h = self.open("a/x", OpenMode::Read); // leased re-open
+        let h = self.open("a/x", OpenMode::Read);
         self.read(h, 100);
         self.close(h);
-        let h = self.open("a/x", OpenMode::Append); // mutation drops the lease
+        let h = self.open("a/x", OpenMode::Append);
         self.write(h, 10);
         self.close(h);
         let h = self.open("a/x", OpenMode::Read);
         self.close(h);
         self.disconnect();
         self.advance(5_000.0);
-        self.open("a/x", OpenMode::Read); // remote kinds: settled, NotConnected
+        self.open("a/x", OpenMode::Read); // remote kinds: NotConnected
         self.connect();
         self.probe();
     }
@@ -512,9 +511,9 @@ fn fault_plan() -> FaultPlan {
 }
 
 /// Run the script over the three kinds of one system; returns the three
-/// per-kind transcripts, then one of the fault logs, the keep-alive stats
-/// and the obs event stream.
-fn transcripts(faults: bool, keepalive: bool, shared: bool) -> [String; 4] {
+/// per-kind transcripts, then one of the fault logs and the obs event
+/// stream.
+fn transcripts(faults: bool, shared: bool) -> [String; 4] {
     let mut sys = MsrSystem::testbed(SEED);
     let logs: Vec<FaultLog> = if faults {
         KINDS
@@ -524,19 +523,11 @@ fn transcripts(faults: bool, keepalive: bool, shared: bool) -> [String; 4] {
     } else {
         Vec::new()
     };
-    let leases = if keepalive {
-        sys.enable_keepalive(SimDuration::from_secs(60.0))
-    } else {
-        Vec::new()
-    };
     let [local, rdisk, tape] = KINDS.map(|kind| Walk::new(&sys, kind, shared).run());
 
     let mut tail = String::new();
     for log in &logs {
         writeln!(tail, "{:?}", log.records()).unwrap();
-    }
-    for (kind, handle) in &leases {
-        writeln!(tail, "{kind:?} {:?}", handle.stats()).unwrap();
     }
     for e in sys.obs.events() {
         writeln!(tail, "{e:?}").unwrap();
@@ -545,18 +536,18 @@ fn transcripts(faults: bool, keepalive: bool, shared: bool) -> [String; 4] {
 }
 
 /// The four transcripts of the borrowed-write script, hashed.
-fn run(faults: bool, keepalive: bool) -> [String; 4] {
-    transcripts(faults, keepalive, false).map(|t| fingerprint(&t))
+fn run(faults: bool) -> [String; 4] {
+    transcripts(faults, false).map(|t| fingerprint(&t))
 }
 
 /// Shared and borrowed writes are indistinguishable to every observer but
-/// the allocator, with every optional stage off and on: torn halves, fault
-/// draws, lease drops, spikes, cursors, stats and spans line up.
+/// the allocator, with the fault stage off and on: torn halves, fault
+/// draws, spikes, cursors, stats and spans line up.
 #[test]
 fn shared_writes_leave_every_transcript_as_it_is() {
-    for (faults, keepalive) in [(false, false), (true, false), (false, true), (true, true)] {
-        let borrowed = transcripts(faults, keepalive, false);
-        let shared = transcripts(faults, keepalive, true);
+    for faults in [false, true] {
+        let borrowed = transcripts(faults, false);
+        let shared = transcripts(faults, true);
         for (part, (b, s)) in ["local", "rdisk", "tape", "logs+obs"]
             .iter()
             .zip(borrowed.iter().zip(&shared))
@@ -564,7 +555,7 @@ fn shared_writes_leave_every_transcript_as_it_is() {
             let differs = b.lines().zip(s.lines()).position(|(b, s)| b != s);
             if let Some(at) = differs {
                 panic!(
-                    "faults={faults} keepalive={keepalive} {part} line {at}:\n  write        {}\n  write_shared {}",
+                    "faults={faults} {part} line {at}:\n  write        {}\n  write_shared {}",
                     b.lines().nth(at).unwrap(),
                     s.lines().nth(at).unwrap()
                 );
@@ -577,7 +568,7 @@ fn shared_writes_leave_every_transcript_as_it_is() {
 #[test]
 fn plain_resources_fingerprint_is_frozen() {
     assert_eq!(
-        run(false, false),
+        run(false),
         [
             "d8ec93da7bcee639",
             "b4451fc6a0d4f815",
@@ -591,7 +582,7 @@ fn plain_resources_fingerprint_is_frozen() {
 #[test]
 fn faulted_resources_fingerprint_is_frozen() {
     assert_eq!(
-        run(true, false),
+        run(true),
         [
             "cb376084f705317e",
             "81d3d13808fe6503",
@@ -599,35 +590,5 @@ fn faulted_resources_fingerprint_is_frozen() {
             "336764e11a75aa68"
         ],
         "[local, rdisk, tape, faults+obs] moved"
-    );
-}
-
-#[test]
-fn keepalive_resources_fingerprint_is_frozen() {
-    assert_eq!(
-        run(false, true),
-        [
-            "d8ec93da7bcee639",
-            "237a932aa01abcc7",
-            "4898bd23de78c854",
-            "f706e53b6a4310bc"
-        ],
-        "[local, rdisk, tape, leases+obs] moved"
-    );
-}
-
-/// Both optional stages at once, faults first: keep-alive sits in front of
-/// the fault injector.
-#[test]
-fn faulted_keepalive_resources_fingerprint_is_frozen() {
-    assert_eq!(
-        run(true, true),
-        [
-            "cb376084f705317e",
-            "b8a826b8802808c0",
-            "ba2fe642c9709527",
-            "b03b3bdca6297e6a"
-        ],
-        "[local, rdisk, tape, faults+leases+obs] moved"
     );
 }
