@@ -286,7 +286,6 @@ pub fn register_antagonist_tenants(sys: &MsrSystem, noisy_cap: usize, batch_slo:
     sys.tenants.register(
         msr_core::Tenant::new("noisy").with_quota(msr_core::TenantQuota {
             max_queued_requests: Some(noisy_cap),
-            ..msr_core::TenantQuota::default()
         }),
     );
     sys.tenants.register(

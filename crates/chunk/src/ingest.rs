@@ -10,16 +10,13 @@ use std::fmt;
 /// The default ([`IngestSpec::raw`]) is the pre-chunk path: dumps are
 /// written byte for byte as single objects, and every report stays bitwise
 /// identical to a build without the chunk plane. An *active* spec routes
-/// dumps through the chunk plane:
+/// dumps through the chunk plane, which keys chunks by digest in the
+/// per-resource [`crate::ChunkStore`], so a dump ships and stores only the
+/// chunks the resource does not already hold:
 ///
 /// * `policy` splits the payload ([`ChunkPolicy::cdc`] /
 ///   [`ChunkPolicy::fixed`]);
-/// * `codec` compresses each chunk ([`Codec::Lz4Like`]);
-/// * `content_addressed` keys chunks by digest in the per-resource
-///   [`crate::ChunkStore`], so a dump ships and stores only the chunks the
-///   resource does not already hold. When `false` (inline mode), the
-///   frames follow the manifest in one self-contained object per dump —
-///   compression without dedup.
+/// * `codec` compresses each chunk ([`Codec::Lz4Like`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IngestSpec {
     /// How dumps are split into chunks; `Disabled` bypasses the chunk
@@ -27,9 +24,6 @@ pub struct IngestSpec {
     pub policy: ChunkPolicy,
     /// Per-chunk compression.
     pub codec: Codec,
-    /// Dedup chunks against the per-resource store (`cas/` packs) or
-    /// keep them inline in each dump's own object.
-    pub content_addressed: bool,
 }
 
 impl IngestSpec {
@@ -43,7 +37,6 @@ impl IngestSpec {
         IngestSpec {
             policy,
             codec: Codec::None,
-            content_addressed: true,
         }
     }
 
@@ -52,15 +45,6 @@ impl IngestSpec {
     pub fn with_codec(mut self, codec: Codec) -> IngestSpec {
         self.codec = codec;
         if codec.is_active() && !self.policy.is_active() {
-            self.policy = ChunkPolicy::default_active();
-        }
-        self
-    }
-
-    /// Toggle content addressing.
-    pub fn with_content_addressed(mut self, on: bool) -> IngestSpec {
-        self.content_addressed = on;
-        if on && !self.policy.is_active() {
             self.policy = ChunkPolicy::default_active();
         }
         self
@@ -77,13 +61,7 @@ impl fmt::Display for IngestSpec {
         if !self.is_active() {
             return f.write_str("raw");
         }
-        write!(
-            f,
-            "{}+{}{}",
-            self.policy,
-            self.codec,
-            if self.content_addressed { "+cas" } else { "" }
-        )
+        write!(f, "{}+{}", self.policy, self.codec)
     }
 }
 
@@ -104,8 +82,7 @@ pub struct DeltaSummary {
     /// Chunks that had to ship (store misses).
     pub chunks_shipped: usize,
     /// Objects the dump wrote, each paying its own open and close: the
-    /// manifest, plus the pack when anything was new (an inline dump is
-    /// one object).
+    /// manifest, plus the pack when anything was new.
     pub objects_written: usize,
 }
 
@@ -139,26 +116,23 @@ mod tests {
     }
 
     #[test]
-    fn chunked_builder_enables_content_addressing() {
+    fn chunked_builder_activates_the_plane() {
         let spec = IngestSpec::chunked(ChunkPolicy::cdc(64));
         assert!(spec.is_active());
-        assert!(spec.content_addressed);
         assert_eq!(spec.codec, Codec::None);
-        assert_eq!(spec.to_string(), "cdc(~64 KiB)+none+cas");
+        assert_eq!(spec.to_string(), "cdc(~64 KiB)+none");
     }
 
     #[test]
     fn codec_alone_upgrades_to_the_default_policy() {
+        // Every active spec is content-addressed: a codec alone means the
+        // chunk plane under its default policy, the spec `chunked` makes.
         let spec = IngestSpec::raw().with_codec(Codec::Lz4Like(2));
         assert!(spec.is_active());
-        assert_eq!(spec.policy, ChunkPolicy::default_active());
-        assert!(!spec.content_addressed, "compression-only inline mode");
-    }
-
-    #[test]
-    fn content_addressing_alone_upgrades_too() {
-        let spec = IngestSpec::raw().with_content_addressed(true);
-        assert!(spec.is_active() && spec.content_addressed);
+        assert_eq!(
+            spec,
+            IngestSpec::chunked(ChunkPolicy::default_active()).with_codec(Codec::Lz4Like(2))
+        );
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //!   object is deleted, vaulted or recalled.
 //! * [`Manifest`] — the ordered chunk list written as the dump object; a
 //!   chunked dump on storage is one manifest plus at most one
-//!   `cas/pack-<id>` object holding the frames it added to the store
-//!   (content-addressed mode), or one self-contained object with the
-//!   frames inline (compression-only inline mode).
+//!   `cas/pack-<id>` object holding the frames it added to the store.
 //!
 //! Everything here is pure data manipulation: no virtual-time charges, no
 //! storage access. The I/O engine (`msr-runtime`) owns the transfer path

@@ -2,16 +2,16 @@
 //!
 //! A chunked dump's object at the dataset path is a *manifest*: the
 //! ordered list of chunk digests with their uncompressed/compressed sizes,
-//! plus the policy and codec that produced them. In content-addressed mode
-//! the frames live in plane-owned *pack* objects, one per dump that had
+//! plus the policy and codec that produced them, and nothing else. The
+//! frames live in plane-owned *pack* objects, one per dump that had
 //! anything new to ship: `cas/pack-<id>` holds that dump's new frames
 //! concatenated in first-occurrence order, and each manifest entry flags
 //! whether its frame is in this dump's own pack. The pack id is the digest
 //! of the encoded manifest, so a manifest names its pack without storing
 //! the name, a retried dump recreates the same object, and the whole
 //! `digest → (pack, offset)` index can be rebuilt from manifests alone.
-//! In inline mode (compression without content addressing) the frames
-//! follow the manifest header inside the same object.
+//! The header keeps a flags byte that is always 0; a manifest with any
+//! flag set is refused.
 
 use crate::chunker::{ChunkPolicy, MAX_CHUNK_BYTES};
 use crate::codec::{Codec, FRAME_HEADER};
@@ -28,7 +28,7 @@ pub struct ChunkRef {
     /// Stored (frame) length.
     pub clen: u32,
     /// The frame ships in *this* dump's pack: the first occurrence of a
-    /// chunk the store did not hold. Never set in inline mode.
+    /// chunk the store did not hold.
     pub packed: bool,
 }
 
@@ -44,14 +44,10 @@ pub struct Manifest {
     pub logical: u64,
     /// Chunks in dump order.
     pub chunks: Vec<ChunkRef>,
-    /// `true` when the chunk frames follow the header in the same object
-    /// (inline mode) instead of living in `cas/` packs.
-    pub inline: bool,
 }
 
 const MAGIC: &[u8; 4] = b"MSRC";
 const VERSION: u8 = 2;
-const FLAG_INLINE: u8 = 1;
 const HEADER: usize = 4 + 1 + 1 + 2 + 4 + 4 + 8; // magic ver flags codec policy count logical
 const ENTRY: usize = 16 + 4 + 4;
 /// Top bit of an entry's `clen` word: the frame is in this dump's pack.
@@ -95,8 +91,7 @@ impl Manifest {
             .sum()
     }
 
-    /// Size of the header + chunk table (the manifest object itself in
-    /// content-addressed mode).
+    /// Size of the header + chunk table: the manifest object itself.
     pub fn header_bytes(&self) -> u64 {
         (HEADER + self.chunks.len() * ENTRY) as u64
     }
@@ -106,7 +101,7 @@ impl Manifest {
         let mut out = Vec::with_capacity(HEADER + self.chunks.len() * ENTRY);
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
-        out.push(if self.inline { FLAG_INLINE } else { 0 });
+        out.push(0); // flags: none defined
         let (ctag, clevel) = self.codec.tag();
         out.push(ctag);
         out.push(clevel);
@@ -129,12 +124,10 @@ impl Manifest {
         out
     }
 
-    /// Decode a manifest header + chunk table from the front of `data`.
-    /// Returns the manifest and the offset where inline frames begin
-    /// (== `data.len()` for content-addressed manifests). The bytes are
-    /// untrusted: every count and length is bounded before anything is
-    /// sized or sliced from it.
-    pub fn decode(data: &[u8]) -> Result<(Manifest, usize), ChunkError> {
+    /// Decode a manifest object: a header and a chunk table, nothing
+    /// after them. The bytes are untrusted: every count and length is
+    /// bounded before anything is sized or sliced from it.
+    pub fn decode(data: &[u8]) -> Result<Manifest, ChunkError> {
         let bad = |detail: String| ChunkError::BadManifest { detail };
         let Some(head) = data.first_chunk::<HEADER>() else {
             return Err(bad(format!("{} B is shorter than the header", data.len())));
@@ -145,10 +138,9 @@ impl Manifest {
         if head[4] != VERSION {
             return Err(bad(format!("unsupported manifest version {}", head[4])));
         }
-        if head[5] & !FLAG_INLINE != 0 {
+        if head[5] != 0 {
             return Err(bad(format!("unknown header flags {:#04x}", head[5])));
         }
-        let inline = head[5] & FLAG_INLINE != 0;
         let codec = Codec::from_tag(head[6], head[7])?;
         let policy = policy_from_tag(
             head[8],
@@ -156,17 +148,18 @@ impl Manifest {
         )?;
         let count = le_u32(&head[12..16]) as usize;
         let logical = u64::from_le_bytes(head[16..24].try_into().expect("8-byte slice"));
-        // The table must fit in what was read before `count` sizes anything.
+        // The table must be exactly what was read before `count` sizes
+        // anything: no entry missing, no byte after the last.
         let table = data[HEADER..].chunks_exact(ENTRY);
-        if table.len() < count {
+        if table.len() != count || !table.remainder().is_empty() {
             return Err(bad(format!(
-                "chunk table truncated: {count} entries declared, {} present",
-                table.len()
+                "{} B after the header do not hold the {count} declared entries",
+                data.len() - HEADER
             )));
         }
         let mut chunks = Vec::with_capacity(count);
         let mut total = 0u64;
-        for (i, e) in table.take(count).enumerate() {
+        for (i, e) in table.enumerate() {
             let word = le_u32(&e[20..24]);
             let c = ChunkRef {
                 digest: Digest(e[..16].try_into().expect("16-byte slice")),
@@ -185,11 +178,6 @@ impl Manifest {
                     "chunk {i} declares a {clen} B frame for {ulen} B of data"
                 )));
             }
-            if c.packed && inline {
-                return Err(bad(format!(
-                    "chunk {i} is flagged packed in an inline dump"
-                )));
-            }
             total += u64::from(c.ulen);
             chunks.push(c);
         }
@@ -198,16 +186,12 @@ impl Manifest {
                 "chunk lengths sum to {total} B but header declares {logical}"
             )));
         }
-        Ok((
-            Manifest {
-                policy,
-                codec,
-                logical,
-                chunks,
-                inline,
-            },
-            HEADER + count * ENTRY,
-        ))
+        Ok(Manifest {
+            policy,
+            codec,
+            logical,
+            chunks,
+        })
     }
 }
 
@@ -224,7 +208,7 @@ pub fn pack_path(id: &Digest) -> String {
 mod tests {
     use super::*;
 
-    fn sample(inline: bool) -> Manifest {
+    fn sample() -> Manifest {
         Manifest {
             policy: ChunkPolicy::cdc(64),
             codec: Codec::Lz4Like(3),
@@ -240,32 +224,29 @@ mod tests {
                     digest: Digest::of(b"b"),
                     ulen: 200,
                     clen: 205,
-                    packed: !inline,
+                    packed: true,
                 },
             ],
-            inline,
         }
     }
 
     #[test]
     fn roundtrip() {
-        for inline in [false, true] {
-            let m = sample(inline);
-            let enc = m.encode();
-            assert_eq!(enc.len() as u64, m.header_bytes());
-            let (back, off) = Manifest::decode(&enc).unwrap();
-            assert_eq!(back, m);
-            assert_eq!(off, enc.len());
-            assert_eq!(back.stored_bytes(), 245);
-            assert_eq!(back.packed_bytes(), if inline { 0 } else { 205 });
-        }
+        let m = sample();
+        let enc = m.encode();
+        assert_eq!(enc.len() as u64, m.header_bytes());
+        assert_eq!(enc[5], 0, "no header flag is defined");
+        let back = Manifest::decode(&enc).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.stored_bytes(), 245);
+        assert_eq!(back.packed_bytes(), 205);
     }
 
     #[test]
     fn the_packed_flag_rides_in_a_spare_bit() {
         // Version 2 costs no bytes over version 1, and flipping the flag
         // changes the bytes — hence the pack id.
-        let m = sample(false);
+        let m = sample();
         let mut unflagged = m.clone();
         unflagged.chunks[1].packed = false;
         assert_eq!(m.encode().len(), HEADER + 2 * ENTRY);
@@ -273,23 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn inline_frames_start_at_the_returned_offset() {
-        let m = sample(true);
-        let mut enc = m.encode();
-        let frames_at = enc.len();
-        enc.extend_from_slice(&[9u8; 245]);
-        let (back, off) = Manifest::decode(&enc).unwrap();
-        assert_eq!(off, frames_at);
-        assert_eq!(back.chunks.len(), 2);
-    }
-
-    #[test]
     fn corrupt_manifests_are_typed_errors() {
-        let m = sample(false);
-        let enc = m.encode();
+        let enc = sample().encode();
         // Truncated table.
         assert!(matches!(
             Manifest::decode(&enc[..enc.len() - 1]),
+            Err(ChunkError::BadManifest { .. })
+        ));
+        // Bytes after the table: a manifest object is nothing else.
+        let mut long = enc.clone();
+        long.extend_from_slice(&[9u8; 245]);
+        assert!(matches!(
+            Manifest::decode(&long),
             Err(ChunkError::BadManifest { .. })
         ));
         // Bad magic.
@@ -306,10 +282,19 @@ mod tests {
         let mut v1 = enc.clone();
         v1[4] = 1;
         assert!(Manifest::decode(&v1).is_err());
-        // A packed flag has no meaning in an inline dump.
-        let mut inline = enc.clone();
-        inline[5] = FLAG_INLINE;
-        assert!(Manifest::decode(&inline).is_err());
+        // No header flag is defined: the retired inline bit, and every
+        // other nonzero flags byte, is refused.
+        for flags in 1..=u8::MAX {
+            let mut flagged = enc.clone();
+            flagged[5] = flags;
+            assert!(
+                matches!(
+                    Manifest::decode(&flagged),
+                    Err(ChunkError::BadManifest { .. })
+                ),
+                "flags {flags:#04x}"
+            );
+        }
     }
 
     #[test]
@@ -319,9 +304,8 @@ mod tests {
             codec: Codec::None,
             logical: 0,
             chunks: Vec::new(),
-            inline: false,
         };
-        let (back, _) = Manifest::decode(&m.encode()).unwrap();
+        let back = Manifest::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
     }
 

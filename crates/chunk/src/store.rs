@@ -465,7 +465,6 @@ mod tests {
             codec: Codec::None,
             logical: chunks.iter().map(|c| u64::from(c.ulen)).sum(),
             chunks: chunks.to_vec(),
-            inline: false,
         }
     }
 

@@ -123,12 +123,6 @@ impl DatasetSpec {
         self.amode = amode;
         self
     }
-
-    /// Builder-style ingest override.
-    pub fn with_ingest(mut self, ingest: IngestSpec) -> Self {
-        self.ingest = ingest;
-        self
-    }
 }
 
 /// Typed builder for [`DatasetSpec`]; start from [`DatasetSpec::builder`].
@@ -192,8 +186,8 @@ impl DatasetSpecBuilder {
     }
 
     /// Route dumps through the content-addressed chunk plane with this
-    /// boundary policy. Enables content addressing (dedup); combine with
-    /// [`compression`](Self::compression) for compressed frames.
+    /// boundary policy; combine with [`compression`](Self::compression)
+    /// for compressed frames.
     ///
     /// ```
     /// use msr_core::DatasetSpec;
@@ -210,20 +204,11 @@ impl DatasetSpecBuilder {
         self
     }
 
-    /// Per-chunk codec for chunked dumps (ignored while ingest is raw
-    /// unless [`chunked`](Self::chunked) is also called).
+    /// Per-chunk codec for chunked dumps. On a raw ingest an active codec
+    /// also routes dumps through the chunk plane, under the default
+    /// policy until [`chunked`](Self::chunked) picks another.
     pub fn compression(mut self, codec: Codec) -> Self {
         self.spec.ingest = self.spec.ingest.with_codec(codec);
-        self
-    }
-
-    /// Toggle content addressing on a chunked ingest: `true` (the
-    /// [`chunked`](Self::chunked) default) dedups frames via the shared
-    /// per-resource store; `false` (inline mode) keeps the frames after
-    /// the manifest header in the dump's own object — compression without
-    /// dedup.
-    pub fn content_addressed(mut self, on: bool) -> Self {
-        self.spec.ingest = self.spec.ingest.with_content_addressed(on);
         self
     }
 
@@ -297,16 +282,13 @@ mod tests {
             .compression(Codec::Lz4Like(2))
             .build();
         assert!(d.ingest.is_active());
-        assert!(d.ingest.content_addressed);
         assert_eq!(d.ingest.policy, ChunkPolicy::cdc(32));
         assert_eq!(d.ingest.codec, Codec::Lz4Like(2));
-        // Inline mode: compression without dedup.
-        let inline = DatasetSpec::builder("ckpt")
-            .chunked(ChunkPolicy::cdc(32))
-            .content_addressed(false)
+        // A codec alone activates the plane under the default policy.
+        let compressed = DatasetSpec::builder("ckpt")
+            .compression(Codec::Lz4Like(2))
             .build();
-        assert!(inline.ingest.is_active());
-        assert!(!inline.ingest.content_addressed);
+        assert_eq!(compressed.ingest.policy, ChunkPolicy::default_active());
         // Codec set before chunking survives the policy switch.
         let swapped = DatasetSpec::builder("ckpt")
             .compression(Codec::Lz4Like(1))

@@ -49,12 +49,11 @@ pub enum CoreError {
         slo: SimDuration,
     },
     /// Admission control shed the session: it would push the tenant past
-    /// one of its hard quotas.
+    /// its hard quota.
     QuotaExceeded {
         /// Tenant whose quota was hit.
         tenant: String,
-        /// Which quota: `"queued requests"`, `"bytes in flight"` or
-        /// `"predicted seconds"`.
+        /// Which quota: `"queued requests"`.
         resource: &'static str,
         /// Usage already charged to the tenant.
         used: u64,

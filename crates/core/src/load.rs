@@ -20,13 +20,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Every storage kind, in `Ord` order — the board's slot layout.
-const KINDS: [StorageKind; 3] = [
-    StorageKind::LocalDisk,
-    StorageKind::RemoteDisk,
-    StorageKind::RemoteTape,
-];
-
 fn slot(kind: StorageKind) -> usize {
     match kind {
         StorageKind::LocalDisk => 0,
@@ -60,10 +53,6 @@ impl Depths {
             }
         }
     }
-
-    fn snapshot(&self) -> BTreeMap<StorageKind, usize> {
-        KINDS.iter().map(|&k| (k, self.get(k))).collect()
-    }
 }
 
 /// Live per-tenant usage, charged at enqueue and released at dequeue.
@@ -73,18 +62,10 @@ impl Depths {
 pub struct TenantUsage {
     /// Engine requests the tenant currently has queued.
     pub queued: usize,
-    /// Bytes the tenant currently has in flight.
-    pub bytes: u64,
-    /// Summed eq. (1) predicted service time (seconds) of the tenant's
-    /// queued work.
-    pub predicted_secs: f64,
 }
 
 /// Shared per-resource pending-request counts. Clones observe the same
-/// board. Foreground depths (the admission queues) feed scored placement;
-/// background depths (in-flight prefetch fetches) are tracked separately
-/// so read-ahead traffic is visible in metrics without inflating the
-/// placement scores of the very resources it is trying to relieve.
+/// board. The depths (the admission queues) feed scored placement.
 ///
 /// Two mutex-guarded maps ride alongside the lock-free depth counters:
 /// per-tenant usage (for quota checks) and per-kind predicted backlog
@@ -96,7 +77,6 @@ pub struct TenantUsage {
 #[derive(Debug, Clone, Default)]
 pub struct LoadBoard {
     depths: Arc<Depths>,
-    background: Arc<Depths>,
     tenants: Arc<Mutex<BTreeMap<TenantId, TenantUsage>>>,
     backlog: Arc<Mutex<BTreeMap<StorageKind, f64>>>,
 }
@@ -123,50 +103,17 @@ impl LoadBoard {
         self.depths.sub(kind, n)
     }
 
-    /// Every kind's current depth, for metrics snapshots.
-    pub fn snapshot(&self) -> BTreeMap<StorageKind, usize> {
-        self.depths.snapshot()
+    /// Charge `n` queued requests to `tenant`.
+    pub fn tenant_enqueued(&self, tenant: TenantId, n: usize) {
+        self.tenants.lock().entry(tenant).or_default().queued += n;
     }
 
-    /// Background (prefetch) fetches currently in flight against `kind`.
-    pub fn background(&self, kind: StorageKind) -> usize {
-        self.background.get(kind)
-    }
-
-    /// Record `n` background fetches starting against `kind`.
-    pub fn bg_enqueued(&self, kind: StorageKind, n: usize) -> usize {
-        self.background.add(kind, n)
-    }
-
-    /// Record `n` background fetches finishing against `kind`. Saturates
-    /// at zero like [`LoadBoard::dequeued`].
-    pub fn bg_dequeued(&self, kind: StorageKind, n: usize) -> usize {
-        self.background.sub(kind, n)
-    }
-
-    /// Every kind's background depth, for metrics snapshots.
-    pub fn background_snapshot(&self) -> BTreeMap<StorageKind, usize> {
-        self.background.snapshot()
-    }
-
-    /// Charge `n` queued requests / `bytes` / `secs` of predicted service
-    /// time to `tenant`.
-    pub fn tenant_enqueued(&self, tenant: TenantId, n: usize, bytes: u64, secs: f64) {
-        let mut tenants = self.tenants.lock();
-        let u = tenants.entry(tenant).or_default();
-        u.queued += n;
-        u.bytes += bytes;
-        u.predicted_secs += secs;
-    }
-
-    /// Release usage previously charged to `tenant`. Saturates at zero
-    /// (and clamps negative float residue) rather than panicking.
-    pub fn tenant_dequeued(&self, tenant: TenantId, n: usize, bytes: u64, secs: f64) {
+    /// Release requests previously charged to `tenant`. Saturates at zero
+    /// rather than panicking.
+    pub fn tenant_dequeued(&self, tenant: TenantId, n: usize) {
         let mut tenants = self.tenants.lock();
         let u = tenants.entry(tenant).or_default();
         u.queued = u.queued.saturating_sub(n);
-        u.bytes = u.bytes.saturating_sub(bytes);
-        u.predicted_secs = (u.predicted_secs - secs).max(0.0);
     }
 
     /// `tenant`'s current usage (zero if it never enqueued anything).
@@ -176,11 +123,6 @@ impl LoadBoard {
             .get(&tenant)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Every tenant's current usage, for metrics snapshots.
-    pub fn tenant_snapshot(&self) -> BTreeMap<TenantId, TenantUsage> {
-        self.tenants.lock().clone()
     }
 
     /// Add `secs` of predicted service time to `kind`'s backlog.
@@ -229,31 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn background_depths_are_independent_of_foreground() {
-        let board = LoadBoard::new();
-        board.enqueued(StorageKind::RemoteTape, 2);
-        assert_eq!(board.bg_enqueued(StorageKind::RemoteTape, 3), 3);
-        // Placement reads foreground depth only.
-        assert_eq!(board.depth(StorageKind::RemoteTape), 2);
-        assert_eq!(board.background(StorageKind::RemoteTape), 3);
-        assert_eq!(board.bg_dequeued(StorageKind::RemoteTape, 5), 0);
-        assert_eq!(board.background_snapshot()[&StorageKind::RemoteTape], 0);
-        assert_eq!(board.depth(StorageKind::RemoteTape), 2);
-    }
-
-    #[test]
     fn tenant_usage_charges_and_releases() {
         let board = LoadBoard::new();
         let t = TenantId(3);
         assert_eq!(board.tenant_usage(t), TenantUsage::default());
-        board.tenant_enqueued(t, 4, 1024, 2.5);
-        board.tenant_enqueued(t, 1, 256, 0.5);
-        let u = board.tenant_usage(t);
-        assert_eq!(u.queued, 5);
-        assert_eq!(u.bytes, 1280);
-        assert_eq!(u.predicted_secs, 3.0);
+        board.tenant_enqueued(t, 4);
+        board.tenant_enqueued(t, 1);
+        assert_eq!(board.tenant_usage(t).queued, 5);
         // Over-release saturates instead of wrapping.
-        board.tenant_dequeued(t, 9, 9999, 10.0);
+        board.tenant_dequeued(t, 9);
         assert_eq!(board.tenant_usage(t), TenantUsage::default());
         // Other tenants are untouched.
         assert_eq!(board.tenant_usage(TenantId(0)), TenantUsage::default());
@@ -272,15 +198,5 @@ mod tests {
         board.backlog_dequeued(StorageKind::RemoteTape, 99.0);
         assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 0.0);
         assert_eq!(board.predicted_backlog(StorageKind::LocalDisk), 1.0);
-    }
-
-    #[test]
-    fn snapshot_reports_every_kind() {
-        let board = LoadBoard::new();
-        board.enqueued(StorageKind::LocalDisk, 4);
-        let snap = board.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[&StorageKind::LocalDisk], 4);
-        assert_eq!(snap[&StorageKind::RemoteTape], 0);
     }
 }

@@ -270,10 +270,8 @@ impl MsrSystem {
     }
 
     /// Total *logical* bytes per resource kind — the bytes applications
-    /// wrote, before dedup and compression. Tenant byte-quotas charge
-    /// these, so a tenant cannot stretch its quota by writing
-    /// highly-dedupable data. Identical to [`usage`](Self::usage) when no
-    /// chunked dataset exists.
+    /// wrote, before dedup and compression. Identical to
+    /// [`usage`](Self::usage) when no chunked dataset exists.
     pub fn usage_logical(&self) -> BTreeMap<StorageKind, u64> {
         self.resources
             .iter()

@@ -9,9 +9,9 @@
 //! here give the scheduler what it needs to prevent that:
 //!
 //! * a [`Tenant`] carries a *weight* (its share of dispatch bandwidth
-//!   under weighted-fair queueing), *quotas* (hard caps on queued
-//!   requests, bytes in flight and predicted service time) and an *SLO*
-//!   (the largest predicted queue wait it will accept at admission);
+//!   under weighted-fair queueing), a *quota* (a hard cap on queued
+//!   requests) and an *SLO* (the largest predicted queue wait it will
+//!   accept at admission);
 //! * a [`TenantQuota`] is checked at admission against the live
 //!   per-tenant usage on the `LoadBoard`;
 //! * an [`OverloadPolicy`] decides what happens when the eq. (2) priced
@@ -37,18 +37,13 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Hard per-tenant resource caps, checked at admission. `None` means
-/// unlimited. A session that would push the tenant past any cap is shed
-/// with [`crate::CoreError::QuotaExceeded`] before anything is queued.
+/// Hard per-tenant caps, checked at admission. `None` means unlimited. A
+/// session that would push the tenant past the cap is shed with
+/// [`crate::CoreError::QuotaExceeded`] before anything is queued.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantQuota {
     /// Maximum engine requests the tenant may have queued at once.
     pub max_queued_requests: Option<usize>,
-    /// Maximum bytes the tenant may have in flight at once.
-    pub max_bytes_in_flight: Option<u64>,
-    /// Maximum summed eq. (1) predicted service time (seconds) the
-    /// tenant's queued work may represent at once.
-    pub max_predicted_secs: Option<f64>,
 }
 
 impl TenantQuota {

@@ -195,11 +195,10 @@ impl TickTotals {
 
 /// The engine. Stateless between ticks — every decision re-derives from
 /// the catalog, so it can be shared, rebuilt or attached to a scheduler
-/// freely.
+/// freely. Migrations stream on a 1×1×1 grid.
 #[derive(Debug, Clone)]
 pub struct LifecycleEngine {
     cfg: LifecycleConfig,
-    grid: ProcGrid,
 }
 
 impl Default for LifecycleEngine {
@@ -209,18 +208,9 @@ impl Default for LifecycleEngine {
 }
 
 impl LifecycleEngine {
-    /// An engine over `cfg`, migrating on a 1×1×1 grid.
+    /// An engine over `cfg`.
     pub fn new(cfg: LifecycleConfig) -> LifecycleEngine {
-        LifecycleEngine {
-            cfg,
-            grid: ProcGrid::new(1, 1, 1),
-        }
-    }
-
-    /// The process grid migrations stream with.
-    pub fn with_grid(mut self, grid: ProcGrid) -> Self {
-        self.grid = grid;
-        self
+        LifecycleEngine { cfg }
     }
 
     /// The engine's configuration.
@@ -549,7 +539,7 @@ impl LifecycleEngine {
         let per_dump = self.estimate_dump(sys, d, to);
         let pressure = 1.0 + (sys.load.depth(from) + sys.load.depth(to)) as f64;
         let predicted_secs = per_dump * dumps * pressure;
-        match sys.migrate_dataset(d.run, &d.name, to, self.grid) {
+        match sys.migrate_dataset(d.run, &d.name, to, ProcGrid::new(1, 1, 1)) {
             Ok(m) => Some(MoveRec {
                 run: d.run.0,
                 dataset: d.name.clone(),
@@ -579,7 +569,8 @@ impl LifecycleEngine {
         let Ok(pattern) = Pattern::parse(&d.pattern) else {
             return 0.0;
         };
-        let Ok(dist) = Distribution::new(dims, d.etype.size(), pattern, self.grid) else {
+        let Ok(dist) = Distribution::new(dims, d.etype.size(), pattern, ProcGrid::new(1, 1, 1))
+        else {
             return 0.0;
         };
         let strategy = IoStrategy::parse(&d.strategy).unwrap_or(IoStrategy::Collective);

@@ -88,11 +88,6 @@ impl Network {
         &self.sites[id.index()].name
     }
 
-    /// Number of registered sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Add a bidirectional link between `a` and `b`.
     pub fn add_link(&mut self, a: SiteId, b: SiteId, spec: LinkSpec) -> LinkId {
         assert!(a.index() < self.sites.len() && b.index() < self.sites.len());
@@ -116,11 +111,6 @@ impl Network {
     /// Bring a whole site up or down. A down site is unroutable.
     pub fn set_site_up(&mut self, id: SiteId, up: bool) {
         self.sites[id.index()].up = up;
-    }
-
-    /// Whether the site is up.
-    pub fn site_up(&self, id: SiteId) -> bool {
-        self.sites[id.index()].up
     }
 
     /// Set the equivalent number of competing background streams on a link.

@@ -2,7 +2,7 @@
 //! statistics — throughput, latency percentiles, gauge extremes, failover
 //! counts.
 
-use crate::event::{Event, EventKind, Layer};
+use crate::event::{EventKind, Layer};
 use crate::ops;
 use crate::packed::{Interner, Packed};
 use serde::{Deserialize, Serialize};
@@ -174,28 +174,6 @@ impl<N: Ord, R> Rows<N, R> {
 }
 
 impl MetricsSnapshot {
-    /// Fold `events` into per-key statistics.
-    pub fn aggregate(events: &[Event], dropped: u64) -> MetricsSnapshot {
-        let mut names = Interner::default();
-        let records: Vec<Packed> = events
-            .iter()
-            .map(|e| {
-                let payload = match e.kind {
-                    EventKind::Span => e.bytes,
-                    EventKind::Count => e.value.to_bits(),
-                    EventKind::Instant => 0,
-                };
-                Packed {
-                    seq: e.seq,
-                    resource: names.intern(&e.resource).1,
-                    op: names.intern(&e.op).1,
-                    ..Packed::new(e.kind, e.layer, e.at, e.dur, payload)
-                }
-            })
-            .collect();
-        MetricsSnapshot::fold(&records, &names, dropped)
-    }
-
     /// Fold stored records, in order of record, into per-key statistics.
     pub(crate) fn fold(records: &[Packed], names: &Interner, dropped: u64) -> MetricsSnapshot {
         struct Acc {

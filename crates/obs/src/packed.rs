@@ -26,6 +26,9 @@ pub(crate) struct Packed {
 impl Packed {
     /// A record whose sequence number and name ids are still to be filled
     /// in. `payload` is read back by [`Packed::bytes`] / [`Packed::value`].
+    /// Only the recorder builds records, so a build without `record`
+    /// never calls this.
+    #[cfg_attr(not(feature = "record"), allow(dead_code))]
     pub(crate) fn new(
         kind: EventKind,
         layer: Layer,

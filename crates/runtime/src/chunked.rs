@@ -4,8 +4,8 @@
 //! module instead of the raw object path. The payload is split into
 //! chunks ([`msr_chunk::ChunkPolicy`]), each chunk digested over its
 //! *uncompressed* bytes and optionally compressed; the dump's object at
-//! the dataset path becomes a [`Manifest`]. In content-addressed mode a
-//! dump is **at most two objects**: the frames the destination's
+//! the dataset path becomes a [`Manifest`]. A dump is **at most two
+//! objects**: the frames the destination's
 //! refcounted [`ChunkStore`] does not already hold go, concatenated in
 //! first-occurrence order, into one plane-owned pack `cas/pack-<id>`
 //! (none when the dump is fully deduplicated), then the manifest is
@@ -13,9 +13,7 @@
 //! `digest → (pack, offset)` index — a dump only ships what is new, which
 //! is where the WAN savings of checkpoint-every-N producers come from,
 //! and it pays eq. (1)'s per-object open and close twice, not once per
-//! chunk. In inline mode (`content_addressed: false`) the frames follow
-//! the manifest header in one self-contained object: compression without
-//! dedup.
+//! chunk.
 //!
 //! # Cost model
 //!
@@ -62,9 +60,8 @@ use crate::strategy::IoStrategy;
 use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_chunk::{
-    compress, decompress_into, decompressed_len, pack_path, raw_span, split, ChunkError,
-    ChunkPolicy, ChunkRef, ChunkStore, Codec, DeltaSummary, Digest, IngestSpec, Manifest,
-    StoreStats,
+    compress, decompress_into, decompressed_len, pack_path, raw_span, split, ChunkError, ChunkRef,
+    ChunkStore, DeltaSummary, Digest, IngestSpec, Manifest, StoreStats,
 };
 use msr_obs::{ops, Layer};
 use msr_sim::SimDuration;
@@ -128,14 +125,10 @@ mod chunk_scratch {
 struct ManifestMeta {
     /// Chunk occurrences in dump order.
     chunks: Vec<ChunkRef>,
-    /// Policy that produced the boundaries.
-    policy: ChunkPolicy,
-    /// Codec the dump was written with.
-    codec: Codec,
+    /// Policy and codec the dump was written with.
+    ingest: IngestSpec,
     /// Logical payload bytes.
     logical: u64,
-    /// Inline mode: frames inline in the manifest object, no store refs.
-    inline: bool,
     /// The dump is in the tape vault (its store references are counted in
     /// the vaulted population).
     vaulted: bool,
@@ -184,12 +177,7 @@ impl ChunkPlane {
     pub fn ingest_of(&self, resource: &str, path: &str) -> Option<IngestSpec> {
         let shard = self.shard_if(resource)?;
         let sh = shard.lock();
-        let m = sh.manifests.get(path)?;
-        Some(IngestSpec {
-            policy: m.policy,
-            codec: m.codec,
-            content_addressed: !m.inline,
-        })
+        sh.manifests.get(path).map(|m| m.ingest)
     }
 
     /// Logical payload bytes of a registered chunked dump (what a
@@ -257,26 +245,22 @@ struct DumpPlan<'a> {
 
 impl<'a> DumpPlan<'a> {
     /// Plan in two parallel passes: split + digest, then compress only
-    /// what ships. With a `peek` shard (content-addressed mode) that is
-    /// the first occurrence of each chunk the store does not hold right
-    /// now; the shard lock is taken alone, never under a resource lock.
-    /// Without one (inline mode) every chunk is compressed.
-    fn new(data: &'a [u8], ingest: &IngestSpec, peek: Option<&Mutex<Shard>>) -> DumpPlan<'a> {
+    /// what ships: the first occurrence of each chunk the `peek` shard's
+    /// store does not hold right now. The shard lock is taken alone, never
+    /// under a resource lock.
+    fn new(data: &'a [u8], ingest: &IngestSpec, peek: &Mutex<Shard>) -> DumpPlan<'a> {
         let ranges = split(data, &ingest.policy);
         let digests: Vec<Digest> = ranges
             .par_iter()
             .map(|r| Digest::of(&data[r.clone()]))
             .collect();
-        let ships: Vec<bool> = match peek {
-            None => vec![true; digests.len()],
-            Some(shard) => {
-                let sh = shard.lock();
-                let mut seen: HashSet<Digest> = HashSet::with_capacity(digests.len());
-                digests
-                    .iter()
-                    .map(|d| seen.insert(*d) && !sh.store.contains(d))
-                    .collect()
-            }
+        let ships: Vec<bool> = {
+            let sh = peek.lock();
+            let mut seen: HashSet<Digest> = HashSet::with_capacity(digests.len());
+            digests
+                .iter()
+                .map(|d| seen.insert(*d) && !sh.store.contains(d))
+                .collect()
         };
         let scratch_allocs = AtomicUsize::new(0);
         let scratch_reuses = AtomicUsize::new(0);
@@ -365,11 +349,11 @@ impl IoEngine {
         if !mode.writable() {
             return Err(RuntimeError::Storage(StorageError::BadMode { op: "write" }));
         }
-        let peek = ingest.content_addressed.then(|| {
+        let peek = {
             let resource = res.lock().name().to_owned();
             self.plane.shard(&resource)
-        });
-        let plan = DumpPlan::new(data, ingest, peek.as_deref());
+        };
+        let plan = DumpPlan::new(data, ingest, &peek);
         self.write_planned(res, path, plan, dist, strategy, ingest, dataset)
     }
 
@@ -417,10 +401,8 @@ impl IoEngine {
             let sh = &mut *sh;
 
             // Manifest entries, and the frames that ship — concatenated
-            // into one object in either mode: the pack of new frames in
-            // first-occurrence order, or every frame inline behind the
-            // manifest.
-            let cas = ingest.content_addressed;
+            // into one object, the pack of new frames in first-occurrence
+            // order.
             let mut chunks: Vec<ChunkRef> = Vec::with_capacity(plan.chunks.len());
             let mut frames: Vec<Vec<u8>> = Vec::new();
             // Stored length of each chunk this dump's pack adds, for the
@@ -430,12 +412,11 @@ impl IoEngine {
                 let ulen = range.len() as u32;
                 // A dedup hit keeps the sizes of the frame actually on
                 // storage, whatever codec first wrote it.
-                let held = if cas {
-                    let stored = sh.store.locate(&c.digest).map(|l| (l.ulen, l.clen));
-                    stored.or_else(|| fresh.get(&c.digest).map(|&clen| (ulen, clen)))
-                } else {
-                    None
-                };
+                let held = sh
+                    .store
+                    .locate(&c.digest)
+                    .map(|l| (l.ulen, l.clen))
+                    .or_else(|| fresh.get(&c.digest).map(|&clen| (ulen, clen)));
                 let (ulen, clen) = held.unwrap_or_else(|| {
                     let frame = c
                         .frame
@@ -443,16 +424,14 @@ impl IoEngine {
                         .unwrap_or_else(|| compress(&ingest.codec, &plan.data[range.clone()]));
                     let clen = frame.len() as u32;
                     frames.push(frame);
-                    if cas {
-                        fresh.insert(c.digest, clen);
-                    }
+                    fresh.insert(c.digest, clen);
                     (ulen, clen)
                 });
                 chunks.push(ChunkRef {
                     digest: c.digest,
                     ulen,
                     clen,
-                    packed: cas && held.is_none(),
+                    packed: held.is_none(),
                 });
             }
             shipped = frames.len();
@@ -461,51 +440,38 @@ impl IoEngine {
                 codec: ingest.codec,
                 logical: total,
                 chunks,
-                inline: !cas,
             };
-            let mut object = manifest.encode();
+            let object = manifest.encode();
             // The dump's pack id: a pure function of its manifest.
             let pack = Digest::of(&object);
             // Both objects are handed to the resource, which may keep
             // them: each is built at its final size.
-            let pack_bytes = if manifest.inline {
-                object.reserve_exact(frames.iter().map(Vec::len).sum());
-                frames.iter().for_each(|f| object.extend_from_slice(f));
-                0
-            } else {
-                let frames = frames.concat();
-                let pack_bytes = frames.len();
-                if pack_bytes > 0 {
-                    let pack_path = pack_path(&pack);
-                    self.write_object(&mut cx, &mut *r, &pack_path, frames.into())?;
-                    r.set_logical_size(&pack_path, 0);
-                }
-                pack_bytes
-            };
+            let frames = frames.concat();
+            let pack_bytes = frames.len();
+            if pack_bytes > 0 {
+                let pack_path = pack_path(&pack);
+                self.write_object(&mut cx, &mut *r, &pack_path, frames.into())?;
+                r.set_logical_size(&pack_path, 0);
+            }
             moved = (object.len() + pack_bytes) as u64;
             self.write_object(&mut cx, &mut *r, path, object.into())?;
             r.set_logical_size(path, total);
 
             // Commit the new references, then release the replaced
             // dump's — shared chunks never hit zero in between.
-            if cas {
-                sh.store.commit(&manifest.chunks, pack);
-            }
+            sh.store.commit(&manifest.chunks, pack);
             let old = sh.manifests.insert(
                 path.to_owned(),
                 ManifestMeta {
                     chunks: manifest.chunks,
-                    policy: ingest.policy,
-                    codec: ingest.codec,
+                    ingest: *ingest,
                     logical: total,
-                    inline: manifest.inline,
                     vaulted: false,
                 },
             );
-            dead_packs = match &old {
-                Some(old) if !old.inline => sh.store.release_all(&old.chunks, old.vaulted),
-                _ => Vec::new(),
-            };
+            dead_packs = old
+                .map(|old| sh.store.release_all(&old.chunks, old.vaulted))
+                .unwrap_or_default();
             sh.pending.push(DeltaSummary {
                 dataset: dataset.to_owned(),
                 logical_bytes: total,
@@ -603,7 +569,7 @@ impl IoEngine {
             source,
         };
         let obj = self.read_object(&mut cx, &mut *r, path)?;
-        let (manifest, frames_at) = Manifest::decode(&obj).map_err(chunk_err)?;
+        let manifest = Manifest::decode(&obj).map_err(chunk_err)?;
         if manifest.logical != dist.total_bytes() {
             return Err(RuntimeError::SizeMismatch {
                 expected: dist.total_bytes(),
@@ -611,77 +577,56 @@ impl IoEngine {
             });
         }
 
-        // Fetch each distinct frame once. Inline frames are zero-copy
-        // slices of the manifest object; content-addressed frames are
-        // zero-copy slices of the runs read out of their packs.
+        // Fetch each distinct frame once, as a zero-copy slice of the run
+        // read out of its pack. The index says where every frame lives and
+        // refuses a manifest that disagrees with it; nothing is sliced
+        // before the pack and each run proved to be the length it recorded.
         let mut frames: HashMap<Digest, Bytes> = HashMap::with_capacity(manifest.chunks.len());
-        if manifest.inline {
-            let mut at = frames_at;
-            for c in &manifest.chunks {
-                let end = at + c.clen as usize;
-                if end > obj.len() {
-                    return Err(chunk_err(ChunkError::BadManifest {
-                        detail: format!(
-                            "inline frames truncated: need {end} B, object has {}",
-                            obj.len()
-                        ),
-                    }));
+        let own_pack = Digest::of(&obj);
+        let shard = self.plane.shard_if(r.name()).unwrap_or_default();
+        let plan = shard.lock().store.read_plan(&manifest, &own_pack);
+        for pack in plan.map_err(chunk_err)? {
+            let pack_path = pack_path(&pack.pack);
+            let bad_pack = |what: String| {
+                chunk_err(ChunkError::BadPack {
+                    detail: format!("{pack_path} {what}"),
+                })
+            };
+            match r.file_size(&pack_path) {
+                Some(len) if len == pack.bytes => {}
+                Some(len) => {
+                    return Err(bad_pack(format!(
+                        "is {len} B, the index recorded {}",
+                        pack.bytes
+                    )))
                 }
-                frames.entry(c.digest).or_insert_with(|| obj.slice(at..end));
-                at = end;
+                None => return Err(RuntimeError::Storage(StorageError::NotFound(pack_path))),
             }
-        } else {
-            // The index says where every frame lives and refuses a
-            // manifest that disagrees with it; nothing is sliced before
-            // the pack and each run proved to be the length it recorded.
-            let own_pack = Digest::of(&obj[..frames_at]);
-            let shard = self.plane.shard_if(r.name()).unwrap_or_default();
-            let plan = shard.lock().store.read_plan(&manifest, &own_pack);
-            for pack in plan.map_err(chunk_err)? {
-                let pack_path = pack_path(&pack.pack);
-                let bad_pack = |what: String| {
-                    chunk_err(ChunkError::BadPack {
-                        detail: format!("{pack_path} {what}"),
-                    })
-                };
-                match r.file_size(&pack_path) {
-                    Some(len) if len == pack.bytes => {}
-                    Some(len) => {
-                        return Err(bad_pack(format!(
-                            "is {len} B, the index recorded {}",
-                            pack.bytes
-                        )))
-                    }
-                    None => return Err(RuntimeError::Storage(StorageError::NotFound(pack_path))),
+            let open = self.retried(&mut cx, 0, &mut *r, |r| r.open(&pack_path, OpenMode::Read))?;
+            cx.tl.charge(0, open.time);
+            for run in pack.runs {
+                // The cursor of a fresh handle is already at 0.
+                if run.offset != 0 {
+                    let sk =
+                        self.retried(&mut cx, 0, &mut *r, |r| r.seek(open.value, run.offset))?;
+                    cx.tl.charge(0, sk.time);
                 }
-                let open =
-                    self.retried(&mut cx, 0, &mut *r, |r| r.open(&pack_path, OpenMode::Read))?;
-                cx.tl.charge(0, open.time);
-                for run in pack.runs {
-                    // The cursor of a fresh handle is already at 0.
-                    if run.offset != 0 {
-                        let sk =
-                            self.retried(&mut cx, 0, &mut *r, |r| r.seek(open.value, run.offset))?;
-                        cx.tl.charge(0, sk.time);
-                    }
-                    let read =
-                        self.retried(&mut cx, 0, &mut *r, |r| r.read(open.value, run.len))?;
-                    cx.tl.charge(0, read.time);
-                    if read.value.len() != run.len {
-                        return Err(bad_pack(format!(
-                            "returned {} of the {} B at offset {}",
-                            read.value.len(),
-                            run.len,
-                            run.offset
-                        )));
-                    }
-                    for (digest, range) in run.frames {
-                        frames.insert(digest, read.value.slice(range));
-                    }
+                let read = self.retried(&mut cx, 0, &mut *r, |r| r.read(open.value, run.len))?;
+                cx.tl.charge(0, read.time);
+                if read.value.len() != run.len {
+                    return Err(bad_pack(format!(
+                        "returned {} of the {} B at offset {}",
+                        read.value.len(),
+                        run.len,
+                        run.offset
+                    )));
                 }
-                let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
-                cx.tl.charge(0, cl.time);
+                for (digest, range) in run.frames {
+                    frames.insert(digest, read.value.slice(range));
+                }
             }
+            let cl = self.retried(&mut cx, 0, &mut *r, |r| r.close(open.value))?;
+            cx.tl.charge(0, cl.time);
         }
 
         // Decompress and verify on the pool; results collect in dump
@@ -831,11 +776,7 @@ impl IoEngine {
         let Some(meta) = meta else {
             return Ok(Cost::new(time, ()));
         };
-        let dead_packs = if meta.inline {
-            Vec::new()
-        } else {
-            sh.store.release_all(&meta.chunks, meta.vaulted)
-        };
+        let dead_packs = sh.store.release_all(&meta.chunks, meta.vaulted);
         drop(sh);
         for id in &dead_packs {
             if let Ok(cost) = r.delete(&pack_path(id)) {
@@ -872,11 +813,7 @@ impl IoEngine {
             return Ok(Cost::free(()));
         }
         let mut time = r.vault(path)?.time;
-        let to_vault = if meta.inline {
-            Vec::new()
-        } else {
-            sh.store.vault_all(&meta.chunks)
-        };
+        let to_vault = sh.store.vault_all(&meta.chunks);
         meta.vaulted = true;
         for id in &to_vault {
             if let Ok(cost) = r.vault(&pack_path(id)) {
@@ -903,11 +840,7 @@ impl IoEngine {
             return Ok(Cost::free(()));
         }
         let mut time = r.recall(path)?.time;
-        let to_recall = if meta.inline {
-            Vec::new()
-        } else {
-            sh.store.recall_all(&meta.chunks)
-        };
+        let to_recall = sh.store.recall_all(&meta.chunks);
         meta.vaulted = false;
         for id in &to_recall {
             if let Ok(cost) = r.recall(&pack_path(id)) {
@@ -959,6 +892,7 @@ impl IoEngine {
 mod tests {
     use super::*;
     use crate::layout::{Dims3, Pattern, ProcGrid};
+    use msr_chunk::{ChunkPolicy, Codec};
     use msr_storage::{share, DiskParams, LocalDisk};
     use std::collections::BTreeMap;
 
@@ -1055,7 +989,6 @@ mod tests {
                 codec: spec.codec,
                 logical: data.len() as u64,
                 chunks,
-                inline: false,
             }
             .encode();
             if !pack.is_empty() {
@@ -1108,7 +1041,7 @@ mod tests {
         // Plan against a store that holds every chunk: nothing is
         // compressed...
         let shard = engine.plane.shard("t");
-        let plan = DumpPlan::new(&data, &ingest(), Some(&shard));
+        let plan = DumpPlan::new(&data, &ingest(), &shard);
         assert!(plan.chunks.iter().all(|c| c.frame.is_none()));
         // ...then the chunks leave before the plan is shipped.
         engine.delete_dump(&res, "d.t0").unwrap();

@@ -136,11 +136,6 @@ impl Superfile {
         self.index.members.keys().cloned().collect()
     }
 
-    /// Total container payload bytes.
-    pub fn container_bytes(&self) -> u64 {
-        self.index.end
-    }
-
     /// Counters.
     pub fn stats(&self) -> SuperfileStats {
         self.stats

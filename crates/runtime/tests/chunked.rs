@@ -341,36 +341,39 @@ fn mutated_manifests_and_packs_read_back_exactly_or_fail_typed() {
 }
 
 #[test]
-fn inline_mode_compresses_without_cas_objects() {
+fn a_codec_alone_ingests_through_cas_packs() {
     let engine = IoEngine::default();
     let res = disk();
     let d = dist(32 * 32 * 32, 1);
     let ingest = IngestSpec::raw().with_codec(Codec::Lz4Like(2));
-    assert!(!ingest.content_addressed);
     let data = churned(d.total_bytes() as usize, 2);
-    engine
-        .write_chunked(
-            &res,
-            "d",
-            &data,
-            &d,
-            IoStrategy::Collective,
-            OpenMode::Create,
-            &ingest,
-            "d",
-        )
-        .unwrap();
-    assert!(res.lock().list("cas/").is_empty(), "no shared frames");
-    let physical = res.lock().file_size("d").unwrap();
+    for p in ["d.t0", "d.t1"] {
+        engine
+            .write_chunked(
+                &res,
+                p,
+                &data,
+                &d,
+                IoStrategy::Collective,
+                OpenMode::Create,
+                &ingest,
+                "d",
+            )
+            .unwrap();
+    }
+    // Identical dumps: the first wrote the one pack, the second none.
+    assert_eq!(res.lock().list("cas/").len(), 1);
+    let (used, logical) = {
+        let r = res.lock();
+        (r.used_bytes(), r.logical_bytes())
+    };
     assert!(
-        physical < d.total_bytes(),
-        "inline object {} B beats logical {} B",
-        physical,
-        d.total_bytes()
+        used < d.total_bytes(),
+        "two compressed, deduplicated dumps store {used} B, under one logical dump"
     );
-    assert_eq!(res.lock().logical_bytes(), d.total_bytes());
+    assert_eq!(logical, 2 * d.total_bytes());
     let (back, _) = engine
-        .read_auto(&res, "d", &d, IoStrategy::Collective)
+        .read_auto(&res, "d.t1", &d, IoStrategy::Collective)
         .unwrap();
     assert_eq!(back, data);
 }

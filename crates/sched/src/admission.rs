@@ -8,50 +8,36 @@ use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN
 use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
 use msr_predict::{fetch_estimate, profile_for, queue_wait, ResourceProfile};
-use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
+use msr_runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::{OpKind, StorageKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// eq. (2) service-time estimator shared by admission pricing, the load
-/// board's backlog accounting, WFQ batch costs, the prefetch planner and
-/// the deadline checker. Profiles are synthesized once per
-/// `(resource, op)` (measured PerfDb rows win when the database is
-/// populated) and never sampled from the live jitter streams, so every
-/// estimate is deterministic.
+/// eq. (2) service-time estimator shared by the load board's backlog
+/// accounting, WFQ batch costs, the prefetch planner and the deadline
+/// checker. Profiles are synthesized once per `(resource, op)` (measured
+/// PerfDb rows win when the database is populated) and never sampled from
+/// the live jitter streams, so every estimate is deterministic.
 #[derive(Default)]
 pub(crate) struct Estimator {
     profiles: BTreeMap<(StorageKind, OpKind), ResourceProfile>,
 }
 
 impl Estimator {
-    /// Predicted service time (seconds) of one `op` of `dataset` with
-    /// `strategy` over `dist` on `kind`. A chunked dataset is priced at
-    /// its learned post-dedup/post-compression bytes and object count, a
-    /// raw one at its plain shape.
-    fn cost_op(
-        &mut self,
-        sys: &MsrSystem,
-        kind: StorageKind,
-        op: OpKind,
-        strategy: IoStrategy,
-        dist: &Distribution,
-        dataset: &str,
-    ) -> f64 {
-        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
-            let res = sys.resource(kind).expect("priced on a registered kind");
-            profile_for(sys.predictor().map(|p| &p.db), &res, op)
-        });
-        fetch_estimate(profile, strategy, &sys.predicted_access(dataset, dist)).as_secs()
-    }
-
-    /// Predicted service time (seconds) of `req` on `kind`.
+    /// Predicted service time (seconds) of `req` on `kind`. A chunked
+    /// dataset is priced at its learned post-dedup/post-compression bytes
+    /// and object count, a raw one at its plain shape.
     pub fn cost(&mut self, sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
         let op = match req.body {
             RequestBody::Write { .. } => OpKind::Write,
             RequestBody::Read => OpKind::Read,
         };
-        self.cost_op(sys, kind, op, req.strategy, &req.dist, &req.dataset)
+        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
+            let res = sys.resource(kind).expect("priced on a registered kind");
+            profile_for(sys.predictor().map(|p| &p.db), &res, op)
+        });
+        let access = sys.predicted_access(&req.dataset, &req.dist);
+        fetch_estimate(profile, req.strategy, &access).as_secs()
     }
 }
 
@@ -75,13 +61,11 @@ pub(crate) struct Deferred {
     expires: SimTime,
 }
 
-/// What one program would add to the system, priced with eq. (2) before
-/// any catalog state is touched: the admission controller's input.
+/// What one program would add to the system, resolved before any catalog
+/// state is touched: the admission controller's input.
 #[derive(Default)]
 struct Pricing {
     requests: usize,
-    bytes: u64,
-    est_secs: f64,
     kinds: BTreeSet<StorageKind>,
 }
 
@@ -149,12 +133,11 @@ impl Scheduler<'_> {
         }
     }
 
-    /// Price `program` with eq. (2) without touching catalog state: how
-    /// many requests it would queue, the bytes it would put in flight, the
-    /// predicted service seconds it would add, and the resources it would
-    /// land on. Placement is resolved with the same pure scoring the later
-    /// open uses, so the admission decision prices what admission would do.
-    fn price(&mut self, program: &SessionProgram) -> CoreResult<Pricing> {
+    /// Price `program` without touching catalog state: how many requests
+    /// it would queue and the resources it would land on. Placement is
+    /// resolved with the same pure scoring the later open uses, so the
+    /// admission decision prices what admission would do.
+    fn price(&self, program: &SessionProgram) -> CoreResult<Pricing> {
         let sys = self.sys;
         let mut pricing = Pricing::default();
         for spec in &program.datasets {
@@ -176,13 +159,6 @@ impl Scheduler<'_> {
                 usize::from(program.readback)
             };
             pricing.requests += dumps + reads;
-            pricing.bytes += (dumps + reads) as u64 * spec.snapshot_bytes();
-            let mut cost = |op| {
-                self.estimator
-                    .cost_op(sys, kind, op, spec.strategy, &dist, &spec.name)
-            };
-            pricing.est_secs +=
-                dumps as f64 * cost(OpKind::Write) + reads as f64 * cost(OpKind::Read);
         }
         Ok(pricing)
     }
@@ -214,21 +190,6 @@ impl Scheduler<'_> {
                     usage.queued as u64,
                     pricing.requests as u64,
                     cap as u64,
-                );
-            }
-        }
-        if let Some(cap) = tenant.quota.max_bytes_in_flight {
-            if usage.bytes + pricing.bytes > cap {
-                return over_quota("bytes in flight", usage.bytes, pricing.bytes, cap);
-            }
-        }
-        if let Some(cap) = tenant.quota.max_predicted_secs {
-            if usage.predicted_secs + pricing.est_secs > cap {
-                return over_quota(
-                    "predicted seconds",
-                    usage.predicted_secs.ceil() as u64,
-                    pricing.est_secs.ceil() as u64,
-                    cap.ceil() as u64,
                 );
             }
         }
@@ -328,19 +289,13 @@ impl Scheduler<'_> {
 
         let now = self.sys.clock.now();
         let mut per_kind: BTreeMap<StorageKind, usize> = BTreeMap::new();
-        let mut tenant_bytes = 0u64;
-        let mut tenant_secs = 0.0f64;
         for (req, h, _) in &requests {
             let kind = session.location(*h).expect("dumping datasets are placed");
             *per_kind.entry(kind).or_insert(0) += 1;
             let est = self.estimator.cost(self.sys, kind, req);
             self.sys.load.backlog_enqueued(kind, est);
-            tenant_bytes += req.bytes();
-            tenant_secs += est;
         }
-        self.sys
-            .load
-            .tenant_enqueued(tid, requests.len(), tenant_bytes, tenant_secs);
+        self.sys.load.tenant_enqueued(tid, requests.len());
         for (kind, n) in per_kind {
             let depth = self.sys.load.enqueued(kind, n);
             self.rec.count(

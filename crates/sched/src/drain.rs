@@ -243,8 +243,7 @@ impl<'a> Drain<'a> {
 
     /// Plan `kind`'s background fetches for the current step against the
     /// post-pop queue and the pre-application foreground cursor, skipping
-    /// the queue walk when the gate proves it side-effect-free. Admitted
-    /// fetches are accounted on the load board's background lane.
+    /// the queue walk when the gate proves it side-effect-free.
     pub fn plan_step(&mut self, kind: StorageKind) -> Option<RoundPlan> {
         let fg = self.cursor(kind);
         let p = self.prefetcher.as_mut()?;
@@ -257,20 +256,14 @@ impl<'a> Drain<'a> {
         if let Some(undecided) = walked {
             gate.walked(undecided);
         }
-        if let Some(pl) = &plan {
-            self.sys.load.bg_enqueued(kind, pl.fetches.len());
-        }
         plan
     }
 
-    /// Land a step's executed fetches in the staging cache and release
-    /// them from the load board's background lane.
+    /// Land a step's executed fetches in the staging cache.
     pub fn land_fetches(&mut self, kind: StorageKind, fetched: Option<Fetched>) {
         let Some(fetched) = fetched else { return };
-        let n = fetched.results.len();
         let p = self.prefetcher.as_mut().expect("fetches imply prefetch");
         p.apply_fetches(&self.rec, kind, fetched);
-        self.sys.load.bg_dequeued(kind, n);
     }
 
     /// Serve a staged-ready run from the staging cache: one dispatch
@@ -382,8 +375,7 @@ impl<'a> Drain<'a> {
         sys.load.backlog_dequeued(kind, item.est);
         let session = item.req.tag.session;
         let acc = &mut self.accs[session as usize];
-        sys.load
-            .tenant_dequeued(acc.tenant, 1, item.req.bytes(), item.est);
+        sys.load.tenant_dequeued(acc.tenant, 1);
         if let Some(r) = self.remaining.get_mut(&session) {
             *r -= item.est;
         }
@@ -500,9 +492,7 @@ impl Scheduler<'_> {
             );
             for item in &removed {
                 self.sys.load.backlog_dequeued(kind, item.est);
-                self.sys
-                    .load
-                    .tenant_dequeued(tid, 1, item.req.bytes(), item.est);
+                self.sys.load.tenant_dequeued(tid, 1);
             }
             dropped += removed.len();
         }
@@ -558,7 +548,7 @@ impl Scheduler<'_> {
         let Some(to) = next else {
             for q in items {
                 sys.load.backlog_dequeued(from, q.est);
-                sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                sys.load.tenant_dequeued(tid, 1);
                 acc.errors
                     .push(format!("{}: no usable resource ({reason})", q.req.tag));
             }
@@ -585,19 +575,16 @@ impl Scheduler<'_> {
             q.attempts += 1;
             if q.attempts >= MAX_ATTEMPTS {
                 sys.load.dequeued(to, 1);
-                sys.load.tenant_dequeued(tid, 1, q.req.bytes(), q.est);
+                sys.load.tenant_dequeued(tid, 1);
                 acc.errors.push(format!(
                     "{} gave up after {} attempts",
                     q.req.tag, q.attempts
                 ));
             } else {
-                // Re-price on the fallback resource: the backlog and
-                // tenant predicted-seconds ledgers track where the
-                // work now queues.
+                // Re-price on the fallback resource: the backlog tracks
+                // where the work now queues.
                 let est = self.estimator.cost(sys, to, &q.req);
                 sys.load.backlog_enqueued(to, est);
-                sys.load.tenant_dequeued(tid, 0, 0, q.est);
-                sys.load.tenant_enqueued(tid, 0, 0, est);
                 q.est = est;
                 target.push_back(tid, q);
             }

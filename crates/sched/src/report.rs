@@ -124,11 +124,4 @@ impl SchedReport {
     pub fn requests(&self) -> u64 {
         self.sessions.iter().map(|s| s.requests).sum()
     }
-
-    /// Sum of all sessions' service time — what a strictly sequential
-    /// back-to-back execution of the same work would have taken, before
-    /// connection costs.
-    pub fn total_io_time(&self) -> SimDuration {
-        self.sessions.iter().map(|s| s.io_time).sum()
-    }
 }

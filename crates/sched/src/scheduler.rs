@@ -176,11 +176,6 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Whether read-ahead is enabled for this run.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch
-    }
-
     /// Sessions admitted so far.
     pub fn sessions(&self) -> usize {
         self.admitted.len()

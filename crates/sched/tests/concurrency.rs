@@ -270,7 +270,6 @@ fn admission_control_drains_are_thread_count_independent() {
             .register(msr_core::Tenant::new("sim").with_weight(8.0).with_quota(
                 msr_core::TenantQuota {
                     max_queued_requests: Some(64),
-                    ..msr_core::TenantQuota::default()
                 },
             ));
         sys.tenants.register(

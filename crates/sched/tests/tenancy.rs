@@ -31,7 +31,6 @@ fn quota_overflow_sheds_with_a_typed_error() {
     sys.tenants
         .register(Tenant::new("capped").with_quota(TenantQuota {
             max_queued_requests: Some(10),
-            ..TenantQuota::default()
         }));
     let mut sched = Scheduler::new(&sys);
     // 8 dumps fit under the 10-request cap...

@@ -21,8 +21,7 @@
 //!   show up as spans, and a spike does not distort what PTool learns.
 //!
 //! Every info method forwards to the device exactly once, here, so a front
-//! is transparent whatever it wraps (a [`crate::CompositeResource`]
-//! included). Stages are configured in place: handles to the shared
+//! is transparent. Stages are configured in place: handles to the shared
 //! resource stay valid when faults are switched on.
 
 use crate::fault::{FaultKind, FaultLog, FaultPlan, Faults};
@@ -191,10 +190,6 @@ impl StorageResource for Front {
 
     fn set_logical_size(&mut self, path: &str, bytes: u64) {
         self.device.set_logical_size(path, bytes);
-    }
-
-    fn available_bytes(&self) -> u64 {
-        self.device.available_bytes()
     }
 
     fn set_capacity(&mut self, bytes: u64) {

@@ -18,17 +18,18 @@
 //!
 //! The three are one [`Device`] with a per-kind [`CostModel`]: the file
 //! mechanics exist once, only the eq. (1) terms differ. A [`Front`] puts
-//! the optional fault-injection and observe stages in front of
-//! any device, and [`CompositeResource`] aggregates the space of several.
+//! the optional fault-injection and observe stages in front of any device.
+//! Aggregating the space of several resources is not a resource of its
+//! own: it is session failover in `msr-core`.
 //!
-//! All resources implement the object-safe [`StorageResource`] trait — the
-//! "native storage interface" consumed by the run-time optimization layer.
+//! `Device` and `Front` are the two implementations of the object-safe
+//! [`StorageResource`] trait — the "native storage interface" consumed by
+//! the run-time optimization layer.
 //! Model-only hooks ([`StorageResource::fixed_costs`],
 //! [`StorageResource::transfer_model`]) expose the deterministic cost terms
 //! the performance predictor needs, while the data-path methods apply
 //! seeded jitter so "actual" timings fluctuate like the paper's WAN numbers.
 
-pub mod composite;
 pub mod device;
 pub mod error;
 pub mod fault;
@@ -42,7 +43,6 @@ pub mod resource;
 pub mod srb;
 pub mod tape;
 
-pub use composite::CompositeResource;
 pub use device::{CostModel, Device};
 pub use error::StorageError;
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};

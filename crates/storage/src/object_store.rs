@@ -134,8 +134,7 @@ pub struct ObjectStore {
     /// file contributes its physical length unless an override was
     /// declared via [`ObjectStore::set_logical`] (the chunk plane sets a
     /// manifest's override to the dump's payload size and each shared
-    /// `cas/` object's to 0). Tenant byte-quotas charge logical bytes;
-    /// capacity checks and the LoadBoard see physical occupancy.
+    /// `cas/` object's to 0). Capacity checks see physical occupancy.
     logical: u64,
     /// Per-path logical overrides; absent paths count physical == logical.
     overrides: BTreeMap<String, u64>,

@@ -161,8 +161,7 @@ impl FixedCosts {
 pub struct FileHandle(pub(crate) u32);
 
 impl FileHandle {
-    /// The raw id (used by aggregating resources that manage their own
-    /// handle tables).
+    /// The raw id (the fault stage keys its cursor shadows by it).
     pub fn raw(self) -> u32 {
         self.0
     }
@@ -223,22 +222,19 @@ pub trait StorageResource: Send {
     fn used_bytes(&self) -> u64;
 
     /// Logical bytes currently stored: the application-visible dump bytes
-    /// before dedup and compression. Equal to [`used_bytes`] for resources
-    /// that store raw dumps; diverges when the chunk plane declares
-    /// overrides via [`set_logical_size`]. Tenant byte-quotas charge this
-    /// number.
+    /// before dedup and compression. Equal to [`used_bytes`] for files
+    /// stored raw; diverges when the chunk plane declares overrides via
+    /// [`set_logical_size`].
     ///
     /// [`used_bytes`]: StorageResource::used_bytes
     /// [`set_logical_size`]: StorageResource::set_logical_size
-    fn logical_bytes(&self) -> u64 {
-        self.used_bytes()
-    }
+    fn logical_bytes(&self) -> u64;
 
     /// Declare that `path` logically represents `bytes` of application
     /// data regardless of its stored length (the chunk plane marks a
     /// manifest with the dump's payload size and shared `cas/` packs
-    /// with 0). Default: ignored, logical == physical.
-    fn set_logical_size(&mut self, _path: &str, _bytes: u64) {}
+    /// with 0).
+    fn set_logical_size(&mut self, path: &str, bytes: u64);
 
     /// Bytes still available.
     fn available_bytes(&self) -> u64 {
@@ -247,7 +243,7 @@ pub trait StorageResource: Send {
 
     /// Administratively resize the resource (quota change). Resources with
     /// effectively unlimited capacity (tape) ignore this.
-    fn set_capacity(&mut self, _bytes: u64) {}
+    fn set_capacity(&mut self, bytes: u64);
 
     /// Establish the client connection (no-op with zero cost for local
     /// resources, SRB session setup for remote ones). Idempotent: a second
@@ -275,9 +271,7 @@ pub trait StorageResource: Send {
     /// `data` itself instead of copying it. Hand over exact-size buffers;
     /// whatever the allocation holds beyond `data` lives as long as the
     /// file does.
-    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
-        self.write(h, &data)
-    }
+    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>>;
 
     /// Close a handle.
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>>;
@@ -304,37 +298,24 @@ pub trait StorageResource: Send {
     /// same-sized concurrent native calls (the run-time layer sets this to
     /// the process count for uncoordinated strategies, and back to 1 for
     /// aggregated ones). Affects "actual" read/write costs only.
-    fn set_stream_hint(&mut self, _streams: u32) {}
+    fn set_stream_hint(&mut self, streams: u32);
 
     /// The current contention hint.
-    fn stream_hint(&self) -> u32 {
-        1
-    }
+    fn stream_hint(&self) -> u32;
 
     /// Move a resident file into the vault (off-site tape shelf): the bytes
-    /// stay accounted but every subsequent `open` for read fails with
+    /// stay accounted but every subsequent `open` fails with
     /// [`StorageError::Vaulted`] until [`StorageResource::recall`] brings
-    /// them back. Only tape implements this; the default refuses.
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        let _ = path;
-        Err(StorageError::VaultUnsupported {
-            resource: self.name().to_owned(),
-        })
-    }
+    /// them back. Only tape has a vault; the other kinds refuse with
+    /// [`StorageError::VaultUnsupported`].
+    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>>;
 
     /// Bring a vaulted file back on-site, paying the configured recall
     /// latency. A no-op with zero cost if the file is already resident.
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
-        let _ = path;
-        Err(StorageError::VaultUnsupported {
-            resource: self.name().to_owned(),
-        })
-    }
+    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>>;
 
     /// Whether a path is currently in the vault.
-    fn is_vaulted(&self, _path: &str) -> bool {
-        false
-    }
+    fn is_vaulted(&self, path: &str) -> bool;
 
     /// Deterministic fixed cost components for the predictor (Table 1 row).
     fn fixed_costs(&self, op: OpKind) -> FixedCosts;

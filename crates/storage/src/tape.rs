@@ -53,13 +53,6 @@ pub struct TapeParams {
     pub recall: SimDuration,
 }
 
-impl TapeParams {
-    /// Mid-point mount cost used by the deterministic model.
-    pub fn mount_model(&self) -> SimDuration {
-        (self.mount_min + self.mount_max) / 2.0
-    }
-}
-
 /// The tape volume a path lives on: its directory prefix. Files written
 /// under one collection land on the same tape, as HPSS does for a run's
 /// output, so opening a sibling file does not remount.

@@ -1,13 +1,13 @@
-//! Contract tests: every `StorageResource` implementation must satisfy
-//! the same behavioural battery — the guarantees the run-time layer and
-//! the API layer build on.
+//! Contract tests: every device kind, bare and behind a [`Front`], must
+//! satisfy the same behavioural battery — the guarantees the run-time
+//! layer and the API layer build on.
 
 use msr_net::{LinkSpec, Network};
 use msr_obs::Registry;
 use msr_sim::{Clock, SimDuration};
 use msr_storage::{
-    share, CompositeResource, DiskParams, FaultPlan, Front, LocalDisk, OpKind, OpenMode, RateCurve,
-    RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
+    share, DiskParams, FaultPlan, Front, LocalDisk, OpKind, OpenMode, RateCurve, RemoteDisk,
+    SharedResource, StorageError, StorageResource, TapeResource,
 };
 
 fn local() -> LocalDisk {
@@ -56,24 +56,6 @@ fn tape() -> TapeResource {
     )
 }
 
-fn composite() -> CompositeResource {
-    CompositeResource::new(
-        "c-composite",
-        vec![
-            share(LocalDisk::new(
-                "child-a",
-                DiskParams::simple(20.0, 1 << 20),
-                3,
-            )),
-            share(LocalDisk::new(
-                "child-b",
-                DiskParams::simple(20.0, 1 << 30),
-                4,
-            )),
-        ],
-    )
-}
-
 /// `device` behind a [`Front`] with both stages switched on — live
 /// recorder and a fault plan that injects nothing — so every stage's
 /// bookkeeping runs under the battery without changing what the contract
@@ -90,11 +72,9 @@ fn all_resources() -> Vec<SharedResource> {
         share(local()),
         share(remote()),
         share(tape()),
-        share(composite()),
         fronted(local()),
         fronted(remote()),
         fronted(tape()),
-        fronted(composite()),
     ]
 }
 
@@ -333,33 +313,24 @@ fn stream_hint_never_speeds_up_io() {
     });
 }
 
-/// A front forwards every info method untouched, whatever it wraps — here
-/// a composite with one child offline, whose `available_bytes` is *not*
-/// `capacity - used`.
+/// A front forwards every info method untouched — here a tape device
+/// with a vaulted file, a logical-size override, a stream hint and the
+/// device offline, so every answer differs from a resource left as built.
 #[test]
 fn front_is_transparent_for_every_info_method() {
-    fn half_offline() -> CompositeResource {
-        let small = share(LocalDisk::new(
-            "child-a",
-            DiskParams::simple(20.0, 1 << 20),
-            3,
-        ));
-        let big = share(LocalDisk::new(
-            "child-b",
-            DiskParams::simple(20.0, 1 << 30),
-            4,
-        ));
-        let mut c = CompositeResource::new("c-composite", vec![small.clone(), big]);
-        c.connect().unwrap();
+    fn shelved() -> TapeResource {
+        let mut t = tape();
+        t.connect().unwrap();
         for (path, len) in [("t/a", 600_000), ("t/b", 700_000), ("u/c", 10)] {
-            let h = c.open(path, OpenMode::Create).unwrap().value;
-            c.write(h, &vec![3u8; len]).unwrap();
-            c.close(h).unwrap();
+            let h = t.open(path, OpenMode::Create).unwrap().value;
+            t.write(h, &vec![3u8; len]).unwrap();
+            t.close(h).unwrap();
         }
-        c.set_logical_size("t/a", 42);
-        c.set_stream_hint(3);
-        small.lock().set_online(false);
-        c
+        t.vault("t/b").unwrap();
+        t.set_logical_size("t/a", 42);
+        t.set_stream_hint(3);
+        t.set_online(false);
+        t
     }
     fn info(r: &dyn StorageResource) -> String {
         let mut out = format!(
@@ -385,12 +356,14 @@ fn front_is_transparent_for_every_info_method() {
         }
         out
     }
-    let bare = half_offline();
-    assert_ne!(
-        bare.available_bytes(),
-        bare.capacity_bytes() - bare.used_bytes(),
-        "the case must tell a forwarded `available_bytes` from the default"
+    let bare = shelved();
+    assert!(
+        !bare.is_online()
+            && bare.is_vaulted("t/b")
+            && bare.stream_hint() == 3
+            && bare.logical_bytes() != bare.used_bytes(),
+        "the case must tell every forwarded answer from an untouched device's"
     );
-    let front = fronted(half_offline());
+    let front = fronted(shelved());
     assert_eq!(info(&*front.lock()), info(&bare));
 }

@@ -1,7 +1,7 @@
 //! Content-addressed checkpoints end to end: a churning checkpoint
 //! series opts into the chunk plane from the dataset builder, the store
 //! dedups everything the iterations share, the accounting splits into
-//! logical (what the application wrote, what quotas charge) vs physical
+//! logical (what the application wrote) vs physical
 //! (what the media holds), and the predictor learns the dataset's
 //! moved/logical ratio so future placement prices real bytes.
 //!
@@ -70,7 +70,7 @@ fn main() -> CoreResult<()> {
     // What the application dumped vs what the media actually holds.
     let logical = sys.usage_logical()[&StorageKind::LocalDisk];
     let physical = sys.usage()[&StorageKind::LocalDisk];
-    println!("logical bytes (quotas charge these):  {logical}");
+    println!("logical bytes (the app wrote these):  {logical}");
     println!(
         "physical bytes (the disk holds these): {physical}  ({:.1}x less)",
         logical as f64 / physical as f64

@@ -389,7 +389,7 @@ fn a_dump_spanning_three_packs_reads_only_what_it_references() {
         r.close(h).unwrap();
         bytes
     };
-    let (manifest, _) = Manifest::decode(&raw).unwrap();
+    let manifest = Manifest::decode(&raw).unwrap();
     let mut distinct: Vec<_> = manifest.chunks.iter().map(|c| (c.digest, c.clen)).collect();
     distinct.sort_unstable();
     distinct.dedup();
