@@ -126,7 +126,7 @@ pub fn consumer_fleet(n: usize, cube: u64, iterations: u32) -> Vec<SessionProgra
 /// data stays small (~2 KB payloads) and the measured cost is the
 /// dispatcher itself, not payload memcpys. At these sizes a 10k-session
 /// drain holds every admitted payload in a few hundred MB — the scale the
-/// discrete-event scheduler's O(log resources + batch) dispatch step
+/// discrete-event scheduler's O(resources + batch) dispatch step
 /// exists for.
 pub fn scaling_fleet(n: usize) -> Vec<SessionProgram> {
     client_fleet(n, 8, 12)

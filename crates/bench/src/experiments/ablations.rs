@@ -144,9 +144,9 @@ pub fn ablation_writebehind(_seed: u64) -> Vec<AblationRow> {
     let io = SimDuration::from_secs(0.8);
     let sync_total = (compute + io) * 20.0;
 
-    let mut wb = WriteBehind::new(u64::MAX);
+    let mut wb = WriteBehind::new();
     for _ in 0..20 {
-        wb.submit(1 << 20, io);
+        wb.submit(io);
         wb.compute(compute);
     }
     vec![

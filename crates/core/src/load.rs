@@ -2,16 +2,15 @@
 //!
 //! Placement wants to know how contended each storage resource is *right
 //! now*, but the queues themselves live above this crate (in the
-//! scheduler). The [`LoadBoard`] is the meeting point: the scheduler
-//! increments a resource's depth when it enqueues a request and decrements
-//! it on completion, and the AUTO placement policy reads the depths to
-//! inflate each candidate's eq. (2) score. Outside a scheduler every depth
-//! is zero and scored placement reduces to pure predicted time.
+//! scheduler). The [`LoadBoard`] is the meeting point: the scheduler books
+//! each request with [`LoadBoard::enqueue`] and releases it with
+//! [`LoadBoard::dequeue`], and the AUTO placement policy reads the depths
+//! to inflate each candidate's eq. (2) price. Outside a scheduler every
+//! depth is zero and scored placement reduces to pure predicted time.
 //!
-//! Depths are kept in fixed per-kind atomic counters, so every operation
-//! is lock-free O(1): the event-driven dispatcher updates the board once
-//! per served request and a 10k-session drain must not serialize on a
-//! mutex (or rebuild a map) to do it.
+//! Depths are kept in fixed per-kind atomic counters, so reading one is
+//! lock-free O(1) and never serializes placement behind the dispatcher,
+//! which updates the board once per served request.
 
 use crate::tenant::TenantId;
 use msr_storage::StorageKind;
@@ -37,16 +36,16 @@ impl Depths {
         self.0[slot(kind)].load(Ordering::Relaxed)
     }
 
-    fn add(&self, kind: StorageKind, n: usize) -> usize {
-        self.0[slot(kind)].fetch_add(n, Ordering::Relaxed) + n
+    fn incr(&self, kind: StorageKind) -> usize {
+        self.0[slot(kind)].fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Saturating-at-zero subtract; returns the new depth.
-    fn sub(&self, kind: StorageKind, n: usize) -> usize {
+    /// Saturating-at-zero decrement; returns the new depth.
+    fn decr(&self, kind: StorageKind) -> usize {
         let cell = &self.0[slot(kind)];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
-            let next = cur.saturating_sub(n);
+            let next = cur.saturating_sub(1);
             match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return next,
                 Err(seen) => cur = seen,
@@ -92,28 +91,26 @@ impl LoadBoard {
         self.depths.get(kind)
     }
 
-    /// Record `n` requests entering `kind`'s queue; returns the new depth.
-    pub fn enqueued(&self, kind: StorageKind, n: usize) -> usize {
-        self.depths.add(kind, n)
+    /// Book one request entering `kind`'s queue: one more of depth, one
+    /// more queued for `tenant`, and `secs` of predicted service time on
+    /// `kind`'s backlog. Returns the new depth.
+    pub fn enqueue(&self, kind: StorageKind, tenant: TenantId, secs: f64) -> usize {
+        self.tenants.lock().entry(tenant).or_default().queued += 1;
+        *self.backlog.lock().entry(kind).or_default() += secs;
+        self.depths.incr(kind)
     }
 
-    /// Record `n` requests leaving `kind`'s queue; returns the new depth.
-    /// Saturates at zero rather than panicking on double-completion.
-    pub fn dequeued(&self, kind: StorageKind, n: usize) -> usize {
-        self.depths.sub(kind, n)
-    }
-
-    /// Charge `n` queued requests to `tenant`.
-    pub fn tenant_enqueued(&self, tenant: TenantId, n: usize) {
-        self.tenants.lock().entry(tenant).or_default().queued += n;
-    }
-
-    /// Release requests previously charged to `tenant`. Saturates at zero
-    /// rather than panicking.
-    pub fn tenant_dequeued(&self, tenant: TenantId, n: usize) {
+    /// Release one request [`enqueue`](Self::enqueue) booked. Every ledger
+    /// saturates at zero rather than panicking on a double release (the
+    /// backlog also clamps float residue). Returns the new depth.
+    pub fn dequeue(&self, kind: StorageKind, tenant: TenantId, secs: f64) -> usize {
         let mut tenants = self.tenants.lock();
         let u = tenants.entry(tenant).or_default();
-        u.queued = u.queued.saturating_sub(n);
+        u.queued = u.queued.saturating_sub(1);
+        let mut backlog = self.backlog.lock();
+        let b = backlog.entry(kind).or_default();
+        *b = (*b - secs).max(0.0);
+        self.depths.decr(kind)
     }
 
     /// `tenant`'s current usage (zero if it never enqueued anything).
@@ -123,19 +120,6 @@ impl LoadBoard {
             .get(&tenant)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Add `secs` of predicted service time to `kind`'s backlog.
-    pub fn backlog_enqueued(&self, kind: StorageKind, secs: f64) {
-        *self.backlog.lock().entry(kind).or_default() += secs;
-    }
-
-    /// Remove `secs` of predicted service time from `kind`'s backlog,
-    /// clamping at zero against float residue.
-    pub fn backlog_dequeued(&self, kind: StorageKind, secs: f64) {
-        let mut backlog = self.backlog.lock();
-        let b = backlog.entry(kind).or_default();
-        *b = (*b - secs).max(0.0);
     }
 
     /// Predicted service seconds queued against `kind` — the backlog term
@@ -150,53 +134,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn depths_track_enqueue_and_dequeue() {
-        let board = LoadBoard::new();
-        assert_eq!(board.depth(StorageKind::LocalDisk), 0);
-        assert_eq!(board.enqueued(StorageKind::LocalDisk, 3), 3);
-        assert_eq!(board.enqueued(StorageKind::RemoteDisk, 1), 1);
-        assert_eq!(board.dequeued(StorageKind::LocalDisk, 2), 1);
-        assert_eq!(board.depth(StorageKind::LocalDisk), 1);
-        assert_eq!(board.depth(StorageKind::RemoteTape), 0);
-    }
-
-    #[test]
-    fn clones_share_one_board_and_dequeue_saturates() {
-        let board = LoadBoard::new();
-        let other = board.clone();
-        board.enqueued(StorageKind::RemoteTape, 2);
-        assert_eq!(other.depth(StorageKind::RemoteTape), 2);
-        assert_eq!(other.dequeued(StorageKind::RemoteTape, 5), 0);
-        assert_eq!(board.depth(StorageKind::RemoteTape), 0);
-    }
-
-    #[test]
-    fn tenant_usage_charges_and_releases() {
+    fn enqueue_and_dequeue_move_every_ledger() {
         let board = LoadBoard::new();
         let t = TenantId(3);
-        assert_eq!(board.tenant_usage(t), TenantUsage::default());
-        board.tenant_enqueued(t, 4);
-        board.tenant_enqueued(t, 1);
-        assert_eq!(board.tenant_usage(t).queued, 5);
-        // Over-release saturates instead of wrapping.
-        board.tenant_dequeued(t, 9);
-        assert_eq!(board.tenant_usage(t), TenantUsage::default());
-        // Other tenants are untouched.
-        assert_eq!(board.tenant_usage(TenantId(0)), TenantUsage::default());
+        assert_eq!(board.enqueue(StorageKind::RemoteTape, t, 4.0), 1);
+        assert_eq!(board.enqueue(StorageKind::RemoteTape, t, 1.0), 2);
+        assert_eq!(board.enqueue(StorageKind::LocalDisk, TenantId(0), 1.0), 1);
+        assert_eq!(board.tenant_usage(t).queued, 2);
+        assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 5.0);
+        assert_eq!(board.dequeue(StorageKind::RemoteTape, t, 1.5), 1);
+        assert_eq!(board.tenant_usage(t).queued, 1);
+        assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 3.5);
+        // Other kinds and tenants are untouched.
+        assert_eq!(board.depth(StorageKind::LocalDisk), 1);
+        assert_eq!(board.depth(StorageKind::RemoteDisk), 0);
+        assert_eq!(board.predicted_backlog(StorageKind::LocalDisk), 1.0);
+        assert_eq!(board.tenant_usage(TenantId(0)).queued, 1);
     }
 
     #[test]
-    fn backlog_tracks_predicted_seconds_per_kind() {
+    fn clones_share_one_board_and_releases_saturate() {
         let board = LoadBoard::new();
+        let other = board.clone();
+        let t = TenantId(1);
+        board.enqueue(StorageKind::RemoteTape, t, 2.0);
+        assert_eq!(other.depth(StorageKind::RemoteTape), 1);
+        // Over-release saturates instead of wrapping; float residue clamps.
+        assert_eq!(other.dequeue(StorageKind::RemoteTape, t, 99.0), 0);
+        assert_eq!(other.dequeue(StorageKind::RemoteTape, t, 1.0), 0);
+        assert_eq!(board.depth(StorageKind::RemoteTape), 0);
+        assert_eq!(board.tenant_usage(t), TenantUsage::default());
         assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 0.0);
-        board.backlog_enqueued(StorageKind::RemoteTape, 4.0);
-        board.backlog_enqueued(StorageKind::LocalDisk, 1.0);
-        assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 4.0);
-        board.backlog_dequeued(StorageKind::RemoteTape, 1.5);
-        assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 2.5);
-        // Float residue clamps at zero.
-        board.backlog_dequeued(StorageKind::RemoteTape, 99.0);
-        assert_eq!(board.predicted_backlog(StorageKind::RemoteTape), 0.0);
-        assert_eq!(board.predicted_backlog(StorageKind::LocalDisk), 1.0);
     }
 }

@@ -5,7 +5,6 @@ use crate::error::CoreError;
 use crate::hints::LocationHint;
 use crate::system::MsrSystem;
 use crate::CoreResult;
-use msr_predict::dump_time;
 use msr_runtime::Distribution;
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
@@ -79,35 +78,26 @@ pub fn resolve(
 /// minimum. Ties break toward the dataset's static preference order, so
 /// scored placement is deterministic.
 ///
-/// Returns `None` — degrade to the static [`fallback`] order — when the
-/// performance database is missing or has no profile for any resource, or
-/// when the winning resource is not currently usable (offline, full, or
-/// its circuit breaker is open).
+/// Each price is [`MsrSystem::price`], which scales the access by the
+/// chunk plane's learned per-dataset ratio (a bitwise no-op at 1.0).
+/// Returns `None` — degrade to the static [`fallback`] order — when no
+/// performance database is installed, or when the winning resource is not
+/// currently usable (offline, full, or its circuit breaker is open).
 fn by_score(
     sys: &MsrSystem,
     spec: &DatasetSpec,
     dist: &Distribution,
     run_bytes: u64,
 ) -> Option<StorageKind> {
-    let predictor = sys.predictor()?;
-    // Price the bytes the chunk plane will actually move: the learned
-    // per-dataset dedup/compression ratio scales the access (a bitwise
-    // no-op at the default ratio of 1.0).
-    let access = sys.predicted_access(&spec.name, dist);
+    sys.predictor()?;
     let mut best: Option<(StorageKind, SimDuration)> = None;
     // Walking the preference order makes it the tie-break: a later kind
     // must be strictly faster to displace an earlier one.
     for kind in spec.future_use.preference() {
-        let Some(res) = sys.resource(kind) else {
-            continue;
-        };
-        let name = res.lock().name().to_owned();
-        let depth = sys.load.depth(kind);
-        let Ok(score) = predictor.score(&name, OpKind::Write, spec.strategy, &access, depth) else {
-            continue;
-        };
-        if best.is_none_or(|(_, b)| score.adjusted < b) {
-            best = Some((kind, score.adjusted));
+        let price = sys.price(kind, OpKind::Write, spec.strategy, &spec.name, dist);
+        let score = price * (sys.load.depth(kind) as f64 + 1.0);
+        if best.is_none_or(|(_, b)| score < b) {
+            best = Some((kind, score));
         }
     }
     let (kind, _) = best?;
@@ -144,13 +134,11 @@ fn by_performance(
     run_bytes: u64,
     per_dump: SimDuration,
 ) -> CoreResult<Option<StorageKind>> {
-    let predictor = sys
-        .predictor()
+    sys.predictor()
         .ok_or_else(|| msr_predict::PredictError::NoProfile {
             resource: "<performance database not populated — run PTool>".into(),
             op: OpKind::Write,
         })?;
-    let access = sys.predicted_access(&spec.name, dist);
     let mut meeting: Vec<(StorageKind, u64)> = Vec::new();
     let mut fastest: Option<(StorageKind, SimDuration)> = None;
     for kind in [
@@ -161,13 +149,7 @@ fn by_performance(
         if !usable(sys, kind, run_bytes) {
             continue;
         }
-        let Some(res) = sys.resource(kind) else {
-            continue;
-        };
-        let name = res.lock().name().to_owned();
-        let Ok(t) = dump_time(&predictor.db, &name, OpKind::Write, spec.strategy, &access) else {
-            continue;
-        };
+        let t = sys.price(kind, OpKind::Write, spec.strategy, &spec.name, dist);
         if fastest.is_none_or(|(_, best)| t < best) {
             fastest = Some((kind, t));
         }
@@ -195,6 +177,7 @@ fn by_performance(
 mod tests {
     use super::*;
     use crate::hints::FutureUse;
+    use crate::tenant::TenantId;
     use msr_meta::ElementType;
     use msr_predict::{AccessSummary, PTool};
     use msr_runtime::ProcGrid;
@@ -237,7 +220,7 @@ mod tests {
         let spec = auto_spec(FutureUse::Archive);
         let dist = dist_of(&spec);
         let access = AccessSummary::of(&dist);
-        // Independently compute the predictor's argmin over all kinds.
+        // Independently compute the database's argmin over all kinds.
         let expect = [
             StorageKind::LocalDisk,
             StorageKind::RemoteDisk,
@@ -246,7 +229,7 @@ mod tests {
         .into_iter()
         .map(|k| {
             let name = sys.resource(k).unwrap().lock().name().to_owned();
-            let t = dump_time(
+            let t = msr_predict::dump_time(
                 &sys.predictor().unwrap().db,
                 &name,
                 OpKind::Write,
@@ -278,7 +261,9 @@ mod tests {
         let unloaded = resolve(&sys, &spec, &dist, spec.run_bytes(12))
             .unwrap()
             .unwrap();
-        sys.load.enqueued(unloaded, 10_000);
+        for _ in 0..10_000 {
+            sys.load.enqueue(unloaded, TenantId(0), 0.0);
+        }
         let loaded = resolve(&sys, &spec, &dist, spec.run_bytes(12))
             .unwrap()
             .unwrap();

@@ -10,11 +10,13 @@ use crate::CoreResult;
 use msr_meta::{Catalog, ResourceRec, RunId};
 use msr_net::{LinkId, SharedNetwork};
 use msr_obs::{Recorder, Registry};
-use msr_predict::{AccessSummary, PTool, PerfDb, Predictor, RatioBook};
+use msr_predict::{
+    dump_time_with, AccessSummary, PTool, PerfDb, Predictor, RatioBook, ResourceProfile,
+};
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{
-    testbed, FaultLog, FaultPlan, Front, SharedResource, StorageKind, StorageResource,
+    testbed, FaultLog, FaultPlan, Front, OpKind, SharedResource, StorageKind, StorageResource,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -51,6 +53,9 @@ pub struct MsrSystem {
     /// plane, consulted wherever eq. (2) prices a chunked dataset's bytes
     /// (scored placement, prefetch admission, lifecycle pricing).
     ratios: Mutex<RatioBook>,
+    /// The profile [`price`](Self::price) resolved per resource and
+    /// operation, kept until a call that changes it clears the table.
+    profiles: Mutex<BTreeMap<(StorageKind, OpKind), ResourceProfile>>,
     predictor: Option<Predictor>,
     policy: PlacementPolicy,
     wan_link: Option<LinkId>,
@@ -126,6 +131,7 @@ impl MsrSystem {
             tenants: TenantRegistry::new(),
             resources,
             ratios: Mutex::new(RatioBook::new()),
+            profiles: Mutex::new(BTreeMap::new()),
             predictor: None,
             policy: PlacementPolicy::Hinted,
             wan_link: Some(tb.wan_link),
@@ -193,6 +199,7 @@ impl MsrSystem {
         if let Some(l) = self.wan_link {
             self.net.write().set_background_load(l, load);
         }
+        self.profiles.lock().clear();
     }
 
     /// Bring the WAN link down or up.
@@ -200,6 +207,7 @@ impl MsrSystem {
         if let Some(l) = self.wan_link {
             self.net.write().set_link_up(l, up);
         }
+        self.profiles.lock().clear();
     }
 
     /// Run PTool over every registered resource, install the resulting
@@ -217,6 +225,7 @@ impl MsrSystem {
             res.lock().reset_stats();
         }
         self.predictor = Some(Predictor::new(db));
+        self.profiles.get_mut().clear();
         Ok(SimDuration::ZERO)
     }
 
@@ -228,6 +237,7 @@ impl MsrSystem {
     /// Install an externally built performance database.
     pub fn set_perf_db(&mut self, db: PerfDb) {
         self.predictor = Some(Predictor::new(db));
+        self.profiles.get_mut().clear();
     }
 
     /// Begin fluent session construction (the `initialization()` of
@@ -311,6 +321,38 @@ impl MsrSystem {
     pub fn predicted_access(&self, dataset: &str, dist: &Distribution) -> AccessSummary {
         self.ratios.lock().priced(dataset, AccessSummary::of(dist))
     }
+
+    /// The eq. (2) price of one `op` dump of `dataset`, laid out as `dist`,
+    /// on `kind` under `strategy` — the one single-dump estimate scored
+    /// placement, admission, read-ahead and lifecycle moves all take. The
+    /// profile is the installed database row for the resource, else
+    /// [`ResourceProfile::of_model`]; it is resolved once and kept until
+    /// [`run_ptool`](Self::run_ptool), [`set_perf_db`](Self::set_perf_db),
+    /// [`set_wan_up`](Self::set_wan_up) or
+    /// [`set_wan_background_load`](Self::set_wan_background_load) changes
+    /// what it would be. The access is
+    /// [`predicted_access`](Self::predicted_access).
+    pub fn price(
+        &self,
+        kind: StorageKind,
+        op: OpKind,
+        strategy: IoStrategy,
+        dataset: &str,
+        dist: &Distribution,
+    ) -> SimDuration {
+        let access = self.predicted_access(dataset, dist);
+        let mut profiles = self.profiles.lock();
+        let profile = profiles.entry((kind, op)).or_insert_with(|| {
+            let r = self.resources[&kind].lock();
+            let row = self
+                .predictor
+                .as_ref()
+                .and_then(|p| p.db.get(r.name(), op).ok());
+            row.cloned()
+                .unwrap_or_else(|| ResourceProfile::of_model(&*r, op))
+        });
+        dump_time_with(profile, strategy, &access)
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +397,27 @@ mod tests {
             .lock()
             .fixed_costs("sdsc-hpss", msr_storage::OpKind::Write)
             .is_some());
+    }
+
+    #[test]
+    fn price_takes_the_database_row_once_one_is_installed() {
+        let mut sys = MsrSystem::testbed(1);
+        let (cube, bbb) = (msr_runtime::Dims3::cube(16), msr_runtime::Pattern::bbb());
+        let dist = Distribution::new(cube, 4, bbb, ProcGrid::new(1, 1, 1)).unwrap();
+        let price = |sys: &MsrSystem| {
+            let strategy = IoStrategy::Collective;
+            sys.price(StorageKind::LocalDisk, OpKind::Read, strategy, "d", &dist)
+        };
+        let modelled = price(&sys);
+        assert_eq!(price(&sys), modelled);
+        let local = sys.resource(StorageKind::LocalDisk).unwrap();
+        let mut measured = ResourceProfile::of_model(&*local.lock(), OpKind::Read);
+        measured.samples = vec![(1, 123.0), (1 << 30, 123.0)];
+        let mut db = PerfDb::new();
+        db.insert(local.lock().name(), OpKind::Read, measured);
+        sys.set_perf_db(db);
+        let secs = (price(&sys) - modelled).as_secs();
+        assert!(secs > 100.0, "the planted row replaced the kept profile");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    deleted from storage and their catalog rows dropped.
 //! 2. **Demotion** — datasets idle for at least `demote_after` move one
 //!    tier *down* (local disk → remote disk → tape), coldest first, priced
-//!    with the eq. (2) estimator against the live
+//!    with [`MsrSystem::price`] inflated by the live
 //!    [`LoadBoard`](msr_core::LoadBoard) queue depths.
 //! 3. **Promotion** — datasets whose heat counter crossed `promote_heat`
 //!    within `promote_window` move one tier *up*, hottest first. A tape
@@ -32,7 +32,6 @@ use crate::policy::RetentionPolicy;
 use msr_core::MsrSystem;
 use msr_meta::{AccessMode, DatasetRec, DumpState, Location, RunId};
 use msr_obs::{ops, Layer};
-use msr_predict::{fetch_estimate, profile_for};
 use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
@@ -516,11 +515,12 @@ impl LifecycleEngine {
         all_ok
     }
 
-    /// Price one candidate migration with the eq. (2) estimator inflated
-    /// by the live queue depths on both endpoints, then execute it through
-    /// the system's staging path. `None` when the move was refused
-    /// (breaker open, destination offline or full, mid-stream fault) — the
-    /// dataset stays where it is and the next tick reconsiders.
+    /// Price one candidate migration — [`MsrSystem::price`] per dump,
+    /// inflated by the live queue depths on both endpoints — then execute
+    /// it through the system's staging path. `None` when the move was
+    /// refused (breaker open, destination offline or full, mid-stream
+    /// fault) — the dataset stays where it is and the next tick
+    /// reconsiders.
     fn migrate(
         &self,
         sys: &MsrSystem,
@@ -554,13 +554,11 @@ impl LifecycleEngine {
         }
     }
 
-    /// eq. (2) single-dump write estimate onto `to`, seconds. Falls back
-    /// to 0 when the dataset's recorded shape cannot be rebuilt (the price
-    /// then reflects queue pressure only).
+    /// [`MsrSystem::price`] of one dump written onto `to`, seconds, over
+    /// the distribution rebuilt from the catalog row. Falls back to 0 when
+    /// the recorded shape cannot be rebuilt (the price then reflects queue
+    /// pressure only).
     fn estimate_dump(&self, sys: &MsrSystem, d: &DatasetRec, to: StorageKind) -> f64 {
-        let Some(res) = sys.resource(to) else {
-            return 0.0;
-        };
         let dims = Dims3 {
             x: d.dims.first().copied().unwrap_or(1),
             y: d.dims.get(1).copied().unwrap_or(1),
@@ -574,10 +572,7 @@ impl LifecycleEngine {
             return 0.0;
         };
         let strategy = IoStrategy::parse(&d.strategy).unwrap_or(IoStrategy::Collective);
-        let profile = profile_for(sys.predictor().map(|p| &p.db), &res, OpKind::Write);
-        // Chunked datasets price their learned post-dedup/post-compression
-        // bytes; raw datasets scale by 1.0 (a no-op).
-        let access = sys.predicted_access(&d.name, &dist);
-        fetch_estimate(&profile, strategy, &access).as_secs()
+        sys.price(to, OpKind::Write, strategy, &d.name, &dist)
+            .as_secs()
     }
 }

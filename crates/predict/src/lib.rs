@@ -16,6 +16,12 @@
 //!    `T = Σ_j (N/freq(j)+1) · n(j) · t_j(s)`, generalized per strategy to
 //!    the per-process parallel makespan the run-time engine actually
 //!    produces, with `t_j(s)` interpolated from the database.
+//!
+//! Single-dump prices — scored placement, admission backlog, read-ahead
+//! and lifecycle moves — are taken through `msr_core::MsrSystem::price`,
+//! which resolves one [`ResourceProfile`] per resource and operation (the
+//! database row, else [`ResourceProfile::of_model`]) and composes eq. (1)
+//! per strategy against it, as [`dump_time`] does against the database.
 
 pub mod accuracy;
 pub mod feeder;
@@ -24,21 +30,14 @@ pub mod perfdb;
 pub mod predictor;
 pub mod ptool;
 pub mod ratio;
-pub mod readahead;
-pub mod slo;
 
 pub use accuracy::{compare, ComparisonRow};
 pub use feeder::{observed_resources, FeedSummary, PerfDbFeeder};
 pub use model::{dump_time, dump_time_with, AccessSummary};
 pub use perfdb::{PerfDb, ResourceProfile};
-pub use predictor::{
-    queue_adjusted, DatasetPlan, PlacementScore, PredictionReport, PredictionRow, Predictor,
-    RunSpec,
-};
+pub use predictor::{DatasetPlan, PredictionReport, PredictionRow, Predictor, RunSpec};
 pub use ptool::PTool;
 pub use ratio::RatioBook;
-pub use readahead::{fetch_estimate, profile_for};
-pub use slo::queue_wait;
 
 /// Convenience result alias.
 pub type PredictResult<T> = Result<T, PredictError>;

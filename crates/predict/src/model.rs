@@ -79,8 +79,9 @@ pub fn dump_time(
 }
 
 /// [`dump_time`] against an explicit profile, for callers that hold one
-/// directly — e.g. the read-ahead estimator, which synthesizes a profile
-/// from a resource's model hooks when the database has no measured row.
+/// directly — e.g. a profile synthesized from a resource's model hooks
+/// ([`ResourceProfile::of_model`](crate::ResourceProfile::of_model)) when
+/// the database has no measured row.
 pub fn dump_time_with(
     p: &crate::perfdb::ResourceProfile,
     strategy: IoStrategy,

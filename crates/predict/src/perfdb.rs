@@ -3,10 +3,14 @@
 use crate::{PredictError, PredictResult};
 use msr_meta::{Catalog, PerfSample};
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, OpKind, RateCurve, StorageKind};
+use msr_storage::{FixedCosts, OpKind, RateCurve, StorageKind, StorageResource};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
+
+/// Request sizes [`ResourceProfile::of_model`] samples the transfer model
+/// at: 4 KB to 128 MB, the range the PTool sweeps.
+const MODEL_SAMPLE_BYTES: [u64; 5] = [4_096, 65_536, 1 << 20, 1 << 24, 1 << 27];
 
 /// Everything the predictor knows about one `(resource, op)` pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,6 +24,20 @@ pub struct ResourceProfile {
 }
 
 impl ResourceProfile {
+    /// The profile `r`'s own model hooks give for `op` — what eq. (2)
+    /// prices against before a PTool sweep has measured the resource. The
+    /// hooks carry no jitter, so the synthesis is deterministic.
+    pub fn of_model(r: &dyn StorageResource, op: OpKind) -> ResourceProfile {
+        ResourceProfile {
+            kind: r.kind(),
+            fixed: r.fixed_costs(op),
+            samples: MODEL_SAMPLE_BYTES
+                .iter()
+                .map(|&b| (b, r.transfer_model(op, b, 1).as_secs()))
+                .collect(),
+        }
+    }
+
     /// Interpolated `T_read/write(s)` for a request of `bytes`.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         if self.samples.is_empty() || bytes == 0 {
@@ -225,6 +243,29 @@ mod tests {
             samples: vec![],
         };
         assert_eq!(p.transfer_time(123), SimDuration::ZERO);
+    }
+
+    fn disk() -> msr_storage::LocalDisk {
+        msr_storage::LocalDisk::new("d", msr_storage::DiskParams::simple(50.0, 1 << 30), 3)
+    }
+
+    #[test]
+    fn model_profile_tracks_the_model_hooks() {
+        let r = disk();
+        let p = ResourceProfile::of_model(&r, OpKind::Read);
+        assert_eq!(p.kind, r.kind());
+        assert_eq!(p.fixed, r.fixed_costs(OpKind::Read));
+        assert_eq!(p.samples.len(), MODEL_SAMPLE_BYTES.len());
+        // A 50 MB/s disk should price ~1 MB at ~0.02 s in the curve.
+        let t = p.transfer_time(1 << 20).as_secs();
+        assert!((0.005..0.1).contains(&t), "got {t}");
+    }
+
+    #[test]
+    fn model_profile_is_deterministic_and_prices_positive() {
+        let p = ResourceProfile::of_model(&disk(), OpKind::Write);
+        assert_eq!(p, ResourceProfile::of_model(&disk(), OpKind::Write));
+        assert!(p.native_call_time(1 << 20) > SimDuration::ZERO);
     }
 
     #[test]

@@ -130,56 +130,10 @@ pub struct Predictor {
     pub db: PerfDb,
 }
 
-/// A placement score for one candidate resource: the eq. (2) predicted
-/// time of a single dump, optionally inflated by queue pressure (see
-/// [`Predictor::score`] and [`queue_adjusted`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlacementScore {
-    /// Predicted time of one dump with an idle resource (eq. (2) inner
-    /// term: `n(j) · t_j(s)` composed per strategy).
-    pub per_dump: SimDuration,
-    /// The same, inflated by the queue depth the caller observed.
-    pub adjusted: SimDuration,
-}
-
-/// Inflate a per-dump prediction by live queue pressure: `depth` requests
-/// already queued ahead each cost roughly one service time, so the
-/// expected completion of a new arrival is `(depth + 1) · per_dump`.
-pub fn queue_adjusted(per_dump: SimDuration, depth: usize) -> SimDuration {
-    per_dump * (depth as f64 + 1.0)
-}
-
 impl Predictor {
     /// A predictor over a database.
     pub fn new(db: PerfDb) -> Self {
         Predictor { db }
-    }
-
-    /// The placement entry point: score one candidate resource for one
-    /// dump of an access shape. This is eq. (2)'s inner term — exactly
-    /// what [`Predictor::predict_dataset`] charges per dump — exposed so
-    /// schedulers and placement policies can rank resources without
-    /// constructing a whole [`RunSpec`]. `queue_depth` is the number of
-    /// requests already waiting on the resource; the returned
-    /// [`PlacementScore::adjusted`] folds that contention in while
-    /// [`PlacementScore::per_dump`] stays the idle-resource prediction.
-    ///
-    /// Errors with `PredictError::NoProfile` when the database has never
-    /// been populated for this resource/op pair — callers degrade to
-    /// their static preference order on that signal.
-    pub fn score(
-        &self,
-        resource: &str,
-        op: OpKind,
-        strategy: IoStrategy,
-        access: &AccessSummary,
-        queue_depth: usize,
-    ) -> PredictResult<PlacementScore> {
-        let per_dump = dump_time(&self.db, resource, op, strategy, access)?;
-        Ok(PlacementScore {
-            per_dump,
-            adjusted: queue_adjusted(per_dump, queue_depth),
-        })
     }
 
     /// Predict one dataset's total I/O time for a run of `iterations`.
@@ -340,44 +294,6 @@ mod tests {
         assert!(s.contains("vr_temp"));
         assert!(s.contains("DISABLE"));
         assert!(s.contains("TOTAL"));
-    }
-
-    #[test]
-    fn score_matches_the_per_dump_prediction() {
-        let db = example_db();
-        let plan = vr_plan("vr_temp", Some("anl-local"));
-        let p = Predictor::new(db);
-        let row = p.predict_dataset(120, &plan).unwrap();
-        let score = p
-            .score("anl-local", OpKind::Write, plan.strategy, &plan.access, 0)
-            .unwrap();
-        assert_eq!(score.per_dump, row.per_dump);
-        assert_eq!(score.adjusted, row.per_dump, "idle queue adds nothing");
-    }
-
-    #[test]
-    fn score_inflates_linearly_with_queue_depth() {
-        let p = Predictor::new(example_db());
-        let plan = vr_plan("vr_temp", Some("sdsc-disk"));
-        let idle = p
-            .score("sdsc-disk", OpKind::Write, plan.strategy, &plan.access, 0)
-            .unwrap();
-        let busy = p
-            .score("sdsc-disk", OpKind::Write, plan.strategy, &plan.access, 3)
-            .unwrap();
-        assert_eq!(busy.per_dump, idle.per_dump);
-        assert_eq!(busy.adjusted, queue_adjusted(idle.per_dump, 3));
-        assert!(busy.adjusted > idle.adjusted);
-    }
-
-    #[test]
-    fn score_without_a_profile_is_no_profile() {
-        let p = Predictor::new(example_db());
-        let plan = vr_plan("x", None);
-        assert!(matches!(
-            p.score("ghost", OpKind::Write, plan.strategy, &plan.access, 0),
-            Err(crate::PredictError::NoProfile { .. })
-        ));
     }
 
     #[test]

@@ -4,92 +4,39 @@
 //! (MPI-IO style). In virtual time, overlapping compute with background
 //! writes means: while the application computes for `c` seconds, up to `c`
 //! seconds of previously queued I/O drain concurrently. [`WriteBehind`]
-//! tracks the queue and yields the pipelined makespan; the buffer budget
-//! bounds how much I/O may be outstanding (a full buffer stalls the app,
-//! exactly like a real write-behind cache).
+//! tracks the pending I/O and yields the pipelined makespan.
 
 use msr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Accounting state of a write-behind pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WriteBehind {
-    /// Maximum outstanding (queued, unwritten) bytes before the submitter
-    /// blocks.
-    pub buffer_bytes: u64,
-    queued_bytes: u64,
     pending_io: SimDuration,
     app_busy: SimDuration,
-    stall: SimDuration,
-    max_queue_bytes: u64,
 }
 
 impl WriteBehind {
-    /// A pipeline with the given buffer budget.
-    pub fn new(buffer_bytes: u64) -> Self {
-        WriteBehind {
-            buffer_bytes,
-            queued_bytes: 0,
-            pending_io: SimDuration::ZERO,
-            app_busy: SimDuration::ZERO,
-            stall: SimDuration::ZERO,
-            max_queue_bytes: 0,
-        }
+    /// An idle pipeline.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Submit an I/O of `bytes` that would take `io_time` synchronously.
-    /// If the buffer cannot hold it, the application first stalls until
-    /// enough queued I/O has drained.
-    pub fn submit(&mut self, bytes: u64, io_time: SimDuration) {
-        if self.buffer_bytes > 0 && self.queued_bytes + bytes > self.buffer_bytes {
-            // Drain until it fits (or the queue is empty). Draining takes
-            // pending I/O time proportional to the bytes released.
-            let need = (self.queued_bytes + bytes).saturating_sub(self.buffer_bytes);
-            let drain_frac = if self.queued_bytes > 0 {
-                (need.min(self.queued_bytes)) as f64 / self.queued_bytes as f64
-            } else {
-                0.0
-            };
-            let drain_time = self.pending_io * drain_frac;
-            self.stall += drain_time;
-            self.app_busy += drain_time;
-            self.pending_io -= drain_time;
-            self.queued_bytes -= need.min(self.queued_bytes);
-        }
-        self.queued_bytes += bytes;
+    /// Submit an I/O that would take `io_time` synchronously.
+    pub fn submit(&mut self, io_time: SimDuration) {
         self.pending_io += io_time;
-        self.max_queue_bytes = self.max_queue_bytes.max(self.queued_bytes);
     }
 
     /// The application computes for `c`: queued I/O drains concurrently.
     pub fn compute(&mut self, c: SimDuration) {
         self.app_busy += c;
-        let drained = self.pending_io.min(c);
-        if self.pending_io > SimDuration::ZERO {
-            let frac = drained.as_secs() / self.pending_io.as_secs();
-            let bytes_drained = (self.queued_bytes as f64 * frac).round() as u64;
-            self.queued_bytes -= bytes_drained.min(self.queued_bytes);
-        }
-        self.pending_io -= drained;
-        if self.pending_io.is_zero() {
-            self.queued_bytes = 0;
-        }
+        self.pending_io -= self.pending_io.min(c);
     }
 
     /// Total elapsed virtual time so far if the run ended now: app busy
     /// time plus whatever I/O is still in flight.
     pub fn makespan(&self) -> SimDuration {
         self.app_busy + self.pending_io
-    }
-
-    /// Time the application spent stalled on a full buffer.
-    pub fn stall_time(&self) -> SimDuration {
-        self.stall
-    }
-
-    /// High-water mark of queued bytes.
-    pub fn max_queue_bytes(&self) -> u64 {
-        self.max_queue_bytes
     }
 
     /// I/O still in flight.
@@ -108,21 +55,20 @@ mod tests {
 
     #[test]
     fn perfect_overlap_hides_io() {
-        let mut p = WriteBehind::new(u64::MAX);
+        let mut p = WriteBehind::new();
         for _ in 0..10 {
-            p.submit(1000, secs(1.0));
+            p.submit(secs(1.0));
             p.compute(secs(2.0)); // compute longer than I/O: fully hidden
         }
         assert_eq!(p.makespan(), secs(20.0));
-        assert_eq!(p.stall_time(), SimDuration::ZERO);
         assert_eq!(p.pending(), SimDuration::ZERO);
     }
 
     #[test]
     fn io_bound_run_degenerates_to_io_time() {
-        let mut p = WriteBehind::new(u64::MAX);
+        let mut p = WriteBehind::new();
         for _ in 0..10 {
-            p.submit(1000, secs(3.0));
+            p.submit(secs(3.0));
             p.compute(secs(1.0));
         }
         // 10 s compute + 20 s of unhidden I/O.
@@ -131,46 +77,9 @@ mod tests {
 
     #[test]
     fn trailing_io_counts_toward_makespan() {
-        let mut p = WriteBehind::new(u64::MAX);
+        let mut p = WriteBehind::new();
         p.compute(secs(5.0));
-        p.submit(1000, secs(2.0)); // nothing to overlap with afterwards
+        p.submit(secs(2.0)); // nothing to overlap with afterwards
         assert_eq!(p.makespan(), secs(7.0));
-    }
-
-    #[test]
-    fn small_buffer_forces_stalls() {
-        let mut big = WriteBehind::new(u64::MAX);
-        let mut small = WriteBehind::new(1500);
-        for _ in 0..5 {
-            for p in [&mut big, &mut small] {
-                p.submit(1000, secs(2.0));
-                p.compute(secs(1.0));
-            }
-        }
-        assert!(small.stall_time() > SimDuration::ZERO);
-        assert!(small.max_queue_bytes() <= 1500);
-        // Total time is the same (same work), stalls just shift it earlier.
-        assert!(small.makespan().approx_eq(big.makespan(), 1e-9));
-    }
-
-    #[test]
-    fn zero_buffer_means_synchronous() {
-        let mut p = WriteBehind::new(0);
-        // buffer_bytes == 0 is treated as "unlimited disabled check" guard:
-        // the condition only fires when buffer_bytes > 0, so this behaves
-        // as unbounded. Use ≥1 for a real bound.
-        p.submit(10, secs(1.0));
-        assert_eq!(p.makespan(), secs(1.0));
-    }
-
-    #[test]
-    fn queue_highwater_tracks() {
-        let mut p = WriteBehind::new(u64::MAX);
-        p.submit(500, secs(1.0));
-        p.submit(700, secs(1.0));
-        assert_eq!(p.max_queue_bytes(), 1200);
-        p.compute(secs(10.0));
-        assert_eq!(p.pending(), SimDuration::ZERO);
-        assert_eq!(p.max_queue_bytes(), 1200);
     }
 }

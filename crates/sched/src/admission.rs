@@ -2,43 +2,26 @@
 //! expiry), expansion of an admitted program into tagged requests, and the
 //! deal of those requests into per-resource weighted-fair queues.
 
-use crate::drain::{pop_chain, Acc, Drain, Queues};
+use crate::drain::{pop_chain, Acc, Deadline, Drain, Queues};
 use crate::program::{PayloadSource, SessionProgram};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
 use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
-use msr_predict::{fetch_estimate, profile_for, queue_wait, ResourceProfile};
 use msr_runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::{OpKind, StorageKind};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-/// eq. (2) service-time estimator shared by the load board's backlog
-/// accounting, WFQ batch costs, the prefetch planner and the deadline
-/// checker. Profiles are synthesized once per `(resource, op)` (measured
-/// PerfDb rows win when the database is populated) and never sampled from
-/// the live jitter streams, so every estimate is deterministic.
-#[derive(Default)]
-pub(crate) struct Estimator {
-    profiles: BTreeMap<(StorageKind, OpKind), ResourceProfile>,
-}
-
-impl Estimator {
-    /// Predicted service time (seconds) of `req` on `kind`. A chunked
-    /// dataset is priced at its learned post-dedup/post-compression bytes
-    /// and object count, a raw one at its plain shape.
-    pub fn cost(&mut self, sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
-        let op = match req.body {
-            RequestBody::Write { .. } => OpKind::Write,
-            RequestBody::Read => OpKind::Read,
-        };
-        let profile = self.profiles.entry((kind, op)).or_insert_with(|| {
-            let res = sys.resource(kind).expect("priced on a registered kind");
-            profile_for(sys.predictor().map(|p| &p.db), &res, op)
-        });
-        let access = sys.predicted_access(&req.dataset, &req.dist);
-        fetch_estimate(profile, req.strategy, &access).as_secs()
-    }
+/// `req`'s eq. (2) service estimate on `kind`, seconds: the WFQ batch
+/// cost, the load board's backlog unit, the prefetch planner's window unit
+/// and the deadline checker's remaining-work unit.
+pub(crate) fn estimate(sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
+    let op = match req.body {
+        RequestBody::Write { .. } => OpKind::Write,
+        RequestBody::Read => OpKind::Read,
+    };
+    sys.price(kind, op, req.strategy, &req.dataset, &req.dist)
+        .as_secs()
 }
 
 /// Per-tenant overload-machinery counters, folded into the report's
@@ -196,14 +179,12 @@ impl Scheduler<'_> {
         if let Some(slo) = tenant.slo {
             let mut wait = SimDuration::ZERO;
             for &kind in &pricing.kinds {
+                // The predicted service time already queued on `kind`, plus
+                // one dispatch charge per batch it will be served in (full
+                // batches assumed; a partial final batch still pays one).
                 let backlog = SimDuration::from_secs(self.sys.load.predicted_backlog(kind));
-                let w = queue_wait(
-                    backlog,
-                    self.sys.load.depth(kind),
-                    MAX_CHAIN,
-                    dispatch_overhead(),
-                );
-                wait = wait.max(w);
+                let batches = self.sys.load.depth(kind).div_ceil(MAX_CHAIN);
+                wait = wait.max(backlog + dispatch_overhead() * batches as f64);
             }
             if wait > slo {
                 let reject = || CoreError::Rejected {
@@ -228,15 +209,14 @@ impl Scheduler<'_> {
     }
 
     /// Open the program's catalog session, place its datasets, have the
-    /// session name every dump as a tagged request and account them
-    /// (depth, predicted backlog, tenant usage) on the system's load board.
-    /// Every step that can fail comes before the first write to scheduler
-    /// state, so a program that errors leaves nothing behind under the id
-    /// the next admission takes.
+    /// session name every dump as a tagged request, price each request
+    /// once and book it on the system's load board. Every step that can
+    /// fail comes before the first write to scheduler state, so a program
+    /// that errors leaves nothing behind under the id the next admission
+    /// takes.
     fn open_and_expand(&mut self, program: &SessionProgram, tid: TenantId) -> CoreResult<u64> {
-        let id = self.admitted.len() as u64;
-        let mut session = self
-            .sys
+        let (id, sys) = (self.admitted.len() as u64, self.sys);
+        let mut session = sys
             .session()
             .app(&program.app)
             .user(&program.user)
@@ -249,6 +229,7 @@ impl Scheduler<'_> {
         }
 
         let mut requests = VecDeque::new();
+        let mut kinds = BTreeSet::new();
         let mut seq = 0u64;
         // Dataset-major expansion keeps one dataset's dumps at consecutive
         // sequence numbers, which is what makes them batchable.
@@ -258,9 +239,14 @@ impl Scheduler<'_> {
             if !session.dumps_at(h, 0) {
                 continue;
             }
+            let kind = session.location(h).expect("dumping datasets are placed");
+            kinds.insert(kind);
             let mut request = |seq, iter, data| {
                 let tag = RequestTag { session: id, seq };
-                requests.push_back((session.request(h, iter, tag, data), h, iter));
+                let req = session.request(h, iter, tag, data);
+                let est = estimate(sys, kind, &req);
+                sys.load.enqueue(kind, tid, est);
+                requests.push_back((req, h, iter, est));
             };
             // One base stream for all of this dataset's dumps, dropped
             // before the next dataset's is made.
@@ -287,24 +273,11 @@ impl Scheduler<'_> {
             }
         }
 
-        let now = self.sys.clock.now();
-        let mut per_kind: BTreeMap<StorageKind, usize> = BTreeMap::new();
-        for (req, h, _) in &requests {
-            let kind = session.location(*h).expect("dumping datasets are placed");
-            *per_kind.entry(kind).or_insert(0) += 1;
-            let est = self.estimator.cost(self.sys, kind, req);
-            self.sys.load.backlog_enqueued(kind, est);
-        }
-        self.sys.load.tenant_enqueued(tid, requests.len());
-        for (kind, n) in per_kind {
-            let depth = self.sys.load.enqueued(kind, n);
-            self.rec.count(
-                Layer::Sched,
-                kind.name(),
-                ops::QUEUE_DEPTH,
-                now,
-                depth as f64,
-            );
+        let now = sys.clock.now();
+        for kind in kinds {
+            let depth = sys.load.depth(kind) as f64;
+            self.rec
+                .count(Layer::Sched, kind.name(), ops::QUEUE_DEPTH, now, depth);
         }
         self.rec.instant(
             Layer::Sched,
@@ -333,10 +306,10 @@ impl Scheduler<'_> {
 
     /// Deal the next batchable run (same dataset, consecutive seqs, at
     /// most [`MAX_CHAIN`]) of session `idx`'s program onto its tenant's
-    /// lane of the run's resource, each request priced with the eq. (2)
-    /// estimator and added to `dealt_secs` in request order (float sums
-    /// are order-sensitive). Returns the resource, or `None` once the
-    /// program is exhausted.
+    /// lane of the run's resource, each request's admission-time estimate
+    /// added to `dealt_secs` in request order (float sums are
+    /// order-sensitive). Returns the resource, or `None` once the program
+    /// is exhausted.
     fn deal_chain(
         &mut self,
         idx: usize,
@@ -349,7 +322,7 @@ impl Scheduler<'_> {
         pop_chain(&mut a.requests, &mut chain, |(req, ..)| req);
         // A chain is one session × one dataset, so its placement is a
         // single lookup, not one per request.
-        let (_, handle, _) = chain.first()?;
+        let (_, handle, ..) = chain.first()?;
         let kind = a
             .session
             .location(*handle)
@@ -359,8 +332,7 @@ impl Scheduler<'_> {
             a.tenant,
             self.weights.get(&a.tenant).copied().unwrap_or(1.0),
         );
-        for (req, handle, iter) in chain {
-            let est = self.estimator.cost(self.sys, kind, &req);
+        for (req, handle, iter, est) in chain {
             *dealt_secs += est;
             q.push_back(
                 a.tenant,
@@ -407,8 +379,8 @@ impl Scheduler<'_> {
     /// gate or open fails with a typed error (its resources went offline
     /// while it was parked, say) expires with that error as the reason:
     /// one parked program must not cost the drain its report, nor the
-    /// programs queued behind it their verdict. With `force` (the event
-    /// heap just emptied) every program gets a final verdict — admit or
+    /// programs queued behind it their verdict. With `force` (no resource
+    /// is armed any more) every program gets a final verdict — admit or
     /// expire — so the drain always terminates. Returns whether anything
     /// was admitted.
     pub(crate) fn admit_deferred(&mut self, drain: &mut Drain, now: SimTime, force: bool) -> bool {
@@ -444,8 +416,9 @@ impl Scheduler<'_> {
                     continue;
                 }
             };
-            let mut est = 0.0f64;
-            while let Some(kind) = self.deal_chain(id as usize, now, &mut drain.queues, &mut est) {
+            let queued = self.admitted[id as usize].requests.len();
+            let mut secs = 0.0f64;
+            while let Some(kind) = self.deal_chain(id as usize, now, &mut drain.queues, &mut secs) {
                 // A resource that was idle (cursor behind the frontier)
                 // cannot have served this work before it arrived.
                 let c = drain.cursors.entry(kind).or_insert(now);
@@ -455,8 +428,8 @@ impl Scheduler<'_> {
             drain.busy.insert(a.session.run_id());
             drain.accs.push(Acc::new(a.tenant, now));
             if let Some(dl) = d.program.deadline {
-                drain.remaining.insert(id, est);
-                drain.deadlines.insert(id, now + dl);
+                let at = now + dl;
+                drain.deadlines.insert(id, Deadline { at, queued, secs });
             }
             drain.dirty_gates();
             any = true;

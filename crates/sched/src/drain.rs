@@ -11,7 +11,8 @@
 //! event loop in [`crate::scheduler`] decides *what* to serve and
 //! accounts it here.
 
-use crate::event::{EventQueue, PlanGate};
+use crate::admission::estimate;
+use crate::event::PlanGate;
 use crate::prefetch::{Fetched, Prefetcher, RoundPlan};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
 use crate::wfq::WfqQueue;
@@ -77,6 +78,30 @@ pub(crate) struct Contrib {
     pub io: SimDuration,
 }
 
+/// A session's deadline and the predicted work it still has queued.
+pub(crate) struct Deadline {
+    /// The deadline, as an absolute virtual instant.
+    pub at: SimTime,
+    /// Requests the session still has queued.
+    pub queued: usize,
+    /// Their summed predicted service seconds.
+    pub secs: f64,
+}
+
+/// Release one of `session`'s queued requests of `secs` from its deadline
+/// bookkeeping. A session with nothing left queued can no longer miss its
+/// deadline and leaves the books.
+fn release(deadlines: &mut BTreeMap<u64, Deadline>, session: u64, secs: f64) {
+    let Some(d) = deadlines.get_mut(&session) else {
+        return;
+    };
+    d.queued -= 1;
+    d.secs -= secs;
+    if d.queued == 0 {
+        deadlines.remove(&session);
+    }
+}
+
 /// One batch being applied to its resource's cursor.
 struct Batch {
     kind: StorageKind,
@@ -103,11 +128,9 @@ pub(crate) struct Drain<'a> {
     pub accs: Vec<Acc>,
     /// Admitted runs: off-limits to the lifecycle engine for the drain.
     pub busy: BTreeSet<RunId>,
-    /// Deadline bookkeeping, for sessions that declared one: predicted
-    /// service seconds still queued, and the deadline as an absolute
-    /// virtual instant.
-    pub remaining: BTreeMap<u64, f64>,
-    pub deadlines: BTreeMap<u64, SimTime>,
+    /// Deadline bookkeeping, for sessions that declared one and still
+    /// have work queued.
+    pub deadlines: BTreeMap<u64, Deadline>,
     gates: BTreeMap<StorageKind, PlanGate>,
     /// Per-resource dispatch-step counts: each contribution's `step`, and
     /// their maximum is [`SchedReport::rounds`](crate::SchedReport::rounds).
@@ -123,11 +146,16 @@ impl<'a> Drain<'a> {
     /// drain's accounting at `start`.
     pub fn new(sched: &mut Scheduler<'a>, start: SimTime) -> Drain<'a> {
         let queues = sched.build_queues(start);
-        let mut remaining: BTreeMap<u64, f64> = BTreeMap::new();
-        if !sched.deadlines.is_empty() {
+        let mut deadlines = BTreeMap::new();
+        for (&id, &d) in &sched.deadlines {
+            let (at, queued, secs) = (start + d, 0, 0.0);
+            deadlines.insert(id, Deadline { at, queued, secs });
+        }
+        if !deadlines.is_empty() {
             for item in queues.values().flat_map(|q| q.iter()) {
-                if sched.deadlines.contains_key(&item.req.tag.session) {
-                    *remaining.entry(item.req.tag.session).or_default() += item.est;
+                if let Some(d) = deadlines.get_mut(&item.req.tag.session) {
+                    d.queued += 1;
+                    d.secs += item.est;
                 }
             }
         }
@@ -144,12 +172,7 @@ impl<'a> Drain<'a> {
                 .map(|a| Acc::new(a.tenant, start))
                 .collect(),
             busy: sched.admitted.iter().map(|a| a.session.run_id()).collect(),
-            remaining,
-            deadlines: sched
-                .deadlines
-                .iter()
-                .map(|(&id, &d)| (id, start + d))
-                .collect(),
+            deadlines,
             gates: BTreeMap::new(),
             steps: BTreeMap::new(),
             prefetcher: sched.prefetch.then(Prefetcher::new),
@@ -199,10 +222,10 @@ impl<'a> Drain<'a> {
     /// Arm every resource with pending work and no event in flight: a
     /// step's own leftovers, and any queue a requeue or a deferred
     /// admission just landed work on. O(resources), resources are few.
-    pub fn rearm(&self, events: &mut EventQueue, armed: &mut BTreeSet<StorageKind>) {
+    pub fn rearm(&self, armed: &mut BTreeMap<StorageKind, SimTime>) {
         for (&kind, q) in &self.queues {
-            if !q.is_empty() && armed.insert(kind) {
-                events.push(self.cursor(kind), kind);
+            if !q.is_empty() {
+                armed.entry(kind).or_insert_with(|| self.cursor(kind));
             }
         }
     }
@@ -331,11 +354,10 @@ impl<'a> Drain<'a> {
     }
 
     /// Account one served request — the single definition both serve
-    /// kinds share. In order: the queue-wait span, the
-    /// cursor advance, the load board's depth / predicted-backlog / tenant
-    /// releases, the deadline checker's remaining work, the owning
-    /// session's completion accounting, and the session's report and
-    /// timing contribution.
+    /// kinds share. In order: the queue-wait span, the cursor advance,
+    /// the load-board release, the deadline checker's remaining work, the
+    /// owning session's completion accounting, and the session's report
+    /// and timing contribution.
     fn serve(&mut self, admitted: &mut [Admitted], b: &mut Batch, item: Queued, report: IoReport) {
         let (sys, kind) = (self.sys, b.kind);
         let (bytes, io) = (report.bytes, report.elapsed);
@@ -364,7 +386,9 @@ impl<'a> Drain<'a> {
             self.rec
                 .count(Layer::Sched, b.comp, ops::PREFETCH_HIT, at, 1.0);
         }
-        let depth = sys.load.dequeued(kind, 1);
+        let session = item.req.tag.session;
+        let tenant = self.accs[session as usize].tenant;
+        let depth = sys.load.dequeue(kind, tenant, item.est);
         self.rec
             .count(Layer::Sched, b.comp, ops::QUEUE_DEPTH, at, depth as f64);
         if let (Phase::OnDemand, Some(p)) = (b.phase, self.prefetcher.as_mut()) {
@@ -372,13 +396,8 @@ impl<'a> Drain<'a> {
                 self.gates.entry(kind).or_default().dirty = true;
             }
         }
-        sys.load.backlog_dequeued(kind, item.est);
-        let session = item.req.tag.session;
+        release(&mut self.deadlines, session, item.est);
         let acc = &mut self.accs[session as usize];
-        sys.load.tenant_dequeued(acc.tenant, 1);
-        if let Some(r) = self.remaining.get_mut(&session) {
-            *r -= item.est;
-        }
         // Per-dataset totals and the catalog's dump/heat columns, so a
         // lifecycle engine (this run's or a later one's) sees what is hot.
         admitted[session as usize]
@@ -437,15 +456,11 @@ impl<'a> Drain<'a> {
         let doomed: Vec<u64> = self
             .deadlines
             .iter()
-            .filter(|&(id, &dl)| {
-                let rem = self.remaining.get(id).copied().unwrap_or(0.0);
-                rem > 0.0 && frontier + SimDuration::from_secs(rem) > dl
-            })
+            .filter(|(_, d)| d.secs > 0.0 && frontier + SimDuration::from_secs(d.secs) > d.at)
             .map(|(&id, _)| id)
             .collect();
         for id in &doomed {
             self.deadlines.remove(id);
-            self.remaining.remove(id);
         }
         doomed
     }
@@ -470,9 +485,9 @@ pub(crate) fn pop_chain<T>(
 
 impl Scheduler<'_> {
     /// Cancel an admitted session mid-drain: everything it still has
-    /// queued is removed (load-board depth, predicted backlog and tenant
-    /// ledgers all released), its accumulator is marked cancelled and the
-    /// cancellation counts against its tenant. Requests already served
+    /// queued is removed and released from the load board, its
+    /// accumulator is marked cancelled and the cancellation counts against
+    /// its tenant. Requests already served
     /// stay accounted — the session's report finalizes partial.
     pub(crate) fn cancel_session(&mut self, drain: &mut Drain, id: u64, at: SimTime) {
         let tid = drain.accs[id as usize].tenant;
@@ -482,7 +497,10 @@ impl Scheduler<'_> {
             if removed.is_empty() {
                 continue;
             }
-            let depth = self.sys.load.dequeued(kind, removed.len());
+            let mut depth = 0;
+            for item in &removed {
+                depth = self.sys.load.dequeue(kind, tid, item.est);
+            }
             self.rec.count(
                 Layer::Sched,
                 kind.name(),
@@ -490,10 +508,6 @@ impl Scheduler<'_> {
                 at,
                 depth as f64,
             );
-            for item in &removed {
-                self.sys.load.backlog_dequeued(kind, item.est);
-                self.sys.load.tenant_dequeued(tid, 1);
-            }
             dropped += removed.len();
         }
         let reason = format!("deadline unreachable: {dropped} queued requests dropped");
@@ -542,13 +556,14 @@ impl Scheduler<'_> {
                 drain.charge(to, setup);
             }
         }
+        let tid = drain.accs[sid as usize].tenant;
+        for q in &items {
+            sys.load.dequeue(from, tid, q.est);
+        }
         let acc = &mut drain.accs[sid as usize];
-        let tid = acc.tenant;
-        sys.load.dequeued(from, items.len());
         let Some(to) = next else {
             for q in items {
-                sys.load.backlog_dequeued(from, q.est);
-                sys.load.tenant_dequeued(tid, 1);
+                release(&mut drain.deadlines, sid, q.est);
                 acc.errors
                     .push(format!("{}: no usable resource ({reason})", q.req.tag));
             }
@@ -566,25 +581,25 @@ impl Scheduler<'_> {
             ),
         );
         acc.requeues += n as u32;
-        sys.load.enqueued(to, n);
         let weight = self.weights.get(&tid).copied().unwrap_or(1.0);
         let target = drain.queues.entry(to).or_default();
         target.set_weight(tid, weight);
         for mut q in items {
-            sys.load.backlog_dequeued(from, q.est);
             q.attempts += 1;
             if q.attempts >= MAX_ATTEMPTS {
-                sys.load.dequeued(to, 1);
-                sys.load.tenant_dequeued(tid, 1);
+                release(&mut drain.deadlines, sid, q.est);
                 acc.errors.push(format!(
                     "{} gave up after {} attempts",
                     q.req.tag, q.attempts
                 ));
             } else {
-                // Re-price on the fallback resource: the backlog tracks
-                // where the work now queues.
-                let est = self.estimator.cost(sys, to, &q.req);
-                sys.load.backlog_enqueued(to, est);
+                // Re-price on the fallback resource: the backlog and the
+                // deadline checker track where the work now queues.
+                let est = estimate(sys, to, &q.req);
+                sys.load.enqueue(to, tid, est);
+                if let Some(d) = drain.deadlines.get_mut(&sid) {
+                    d.secs = d.secs - q.est + est;
+                }
                 q.est = est;
                 target.push_back(tid, q);
             }

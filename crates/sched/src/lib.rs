@@ -12,14 +12,15 @@
 //! * [`SessionProgram`] — one client's whole declared run, admitted as a
 //!   unit.
 //! * [`Scheduler`] — per-resource FIFO queues, a deterministic
-//!   discrete-event dispatcher (a binary heap of resource-completion
-//!   events; each step costs O(log resources + batch) regardless of
-//!   session count), contiguous-request batching (one
+//!   discrete-event dispatcher (one armed completion time per resource;
+//!   each step costs O(resources + batch) regardless of session count),
+//!   contiguous-request batching (one
 //!   [`dispatch_overhead`] charge per batch), and transparent failover
 //!   re-queues mirroring the session layer.
 //! * Scored placement — admission resolves AUTO hints through
-//!   `msr-core`'s placement, which ranks resources by eq. (2) predicted
-//!   time inflated by this scheduler's live queue depths (the system
+//!   `msr-core`'s placement, which ranks resources by their
+//!   [`MsrSystem::price`](msr_core::MsrSystem::price) inflated by this
+//!   scheduler's live queue depths (the system
 //!   [`msr_core::LoadBoard`]) and skips resources with open circuit
 //!   breakers.
 //! * [`SessionReport`]/[`SchedReport`] — per-session accounting in
@@ -28,9 +29,9 @@
 //!   also emitted as `sched`-layer observability events.
 //! * Multi-tenant overload protection — programs carry an optional tenant
 //!   tag ([`SessionProgram::tenant`]); dispatch runs start-time weighted-
-//!   fair queueing across per-tenant lanes (eq. (1) predicted service
-//!   times as batch costs), and admission prices every program with
-//!   eq. (2) against the live load board, shedding
+//!   fair queueing across per-tenant lanes (each request's eq. (2) price,
+//!   taken once at admission, as its batch cost), and admission prices
+//!   every program against the live load board, shedding
 //!   ([`msr_core::CoreError::Rejected`]), deferring (bounded backpressure
 //!   queue with TTL expiry) or cancelling deadline-unmeetable sessions
 //!   mid-drain. Per-tenant outcomes land in [`TenantReport`].

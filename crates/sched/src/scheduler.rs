@@ -13,18 +13,17 @@
 //!
 //! **Dispatch** is discrete-event: requests are dealt into per-resource
 //! FIFO queues (interleaved across sessions at chain granularity so no
-//! client starves), and a binary heap of resource-completion events (see
-//! `crate::event`) keeps one pending event per resource. When a
-//! resource comes free its event fires, the dispatcher pops at most one
-//! *batch* — a maximal run of contiguous requests from the same session
-//! and dataset, capped at [`MAX_CHAIN`] — executes it, and re-arms the
-//! resource at its advanced cursor. Sessions wake lazily (a session is
-//! touched only when the resource at its queue head comes free), so one
-//! dispatch step costs O(log resources + batch) no matter how many
-//! sessions are admitted. Events are totally ordered by
-//! `(time, resource, seq)` and every outcome is computed from seeded
-//! jitter streams on the dispatcher thread, which keeps per-session
-//! accounting bitwise identical at any `MSR_THREADS`.
+//! client starves), and each resource with queued work holds one armed
+//! completion time (see `crate::event`). When a resource comes free its
+//! event fires, the dispatcher pops at most one *batch* — a maximal run of
+//! contiguous requests from the same session and dataset, capped at
+//! [`MAX_CHAIN`] — executes it, and re-arms the resource at its advanced
+//! cursor. Sessions wake lazily (a session is touched only when the
+//! resource at its queue head comes free), so one dispatch step costs
+//! O(resources + batch) no matter how many sessions are admitted. Events
+//! are totally ordered by `(time, resource)` and every outcome is computed
+//! from seeded jitter streams on the dispatcher thread, which keeps
+//! per-session accounting bitwise identical at any `MSR_THREADS`.
 //!
 //! **Virtual time** is tracked as one cursor per resource: a request's
 //! service starts at its resource's cursor, its wait is the cursor minus
@@ -41,8 +40,8 @@
 //!
 //! **Read-ahead** (opt-in via [`Scheduler::with_prefetch`]) walks the
 //! tail of each resource's admitted queue at each of its dispatch steps,
-//! prices every future remote read with the eq. (2) estimator
-//! (`msr-predict`), and stages the ones whose predicted fetch
+//! prices every future remote read with the eq. (2) estimate it was
+//! admitted with ([`MsrSystem::price`]), and stages the ones whose predicted fetch
 //! fits inside the predicted idle window before their chain is served.
 //! Fetches run as a *background stream* on the resource — accounted on a
 //! separate background cursor that overlaps the foreground cursor — and
@@ -55,9 +54,9 @@
 //! prefetch on. A fetch that fails is dropped silently — the read falls
 //! back to the normal on-demand path and the session never sees the error.
 
-use crate::admission::{Deferred, Estimator, TenantCounters};
+use crate::admission::{Deferred, TenantCounters};
 use crate::drain::Drain;
-use crate::event::{EventQueue, Scratch};
+use crate::event::{pop_next, Scratch};
 use crate::report::SchedReport;
 use msr_core::{CoreResult, DatasetHandle, MsrSystem, Session, TenantId};
 use msr_lifecycle::LifecycleEngine;
@@ -65,7 +64,7 @@ use msr_obs::Recorder;
 use msr_runtime::{EngineRequest, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::StorageKind;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Fixed virtual cost of dispatching one batch to a resource (queue
 /// bookkeeping, placement lookup). Contiguous requests served in one batch
@@ -91,8 +90,9 @@ pub(crate) struct Admitted<'a> {
     /// executes them, accounts their completions and re-places on failure.
     pub session: Session<'a>,
     /// The expanded program not yet dealt into queues: each request with
-    /// the dataset and iteration the session named it for.
-    pub requests: VecDeque<(EngineRequest, DatasetHandle, u32)>,
+    /// the dataset and iteration the session named it for, and its
+    /// admission-time estimate (which becomes [`Queued::est`]).
+    pub requests: VecDeque<(EngineRequest, DatasetHandle, u32, f64)>,
 }
 
 pub(crate) struct Queued {
@@ -106,7 +106,8 @@ pub(crate) struct Queued {
     /// eq. (1) predicted service time (seconds) on the request's current
     /// resource — the WFQ batch cost, the load board's backlog unit, the
     /// prefetch planner's window unit and the deadline checker's
-    /// remaining-work unit. Recomputed on requeue.
+    /// remaining-work unit. Priced once at admission ([`MsrSystem::price`])
+    /// and again on requeue.
     pub est: f64,
 }
 
@@ -118,7 +119,6 @@ pub struct Scheduler<'a> {
     pub(crate) prefetch: bool,
     pub(crate) lifecycle: Option<LifecycleEngine>,
     pub(crate) lifecycle_every: u64,
-    pub(crate) estimator: Estimator,
     /// Admission backpressure queue, in defer order.
     pub(crate) deferred: VecDeque<Deferred>,
     pub(crate) tcounts: BTreeMap<TenantId, TenantCounters>,
@@ -141,7 +141,6 @@ impl<'a> Scheduler<'a> {
             prefetch: false,
             lifecycle: None,
             lifecycle_every: 4,
-            estimator: Estimator::default(),
             deferred: VecDeque::new(),
             tcounts: BTreeMap::new(),
             tenant_names: BTreeMap::new(),
@@ -191,28 +190,25 @@ impl<'a> Scheduler<'a> {
     /// finalized (disconnect costs charged) on the way out, and the global
     /// clock is advanced to the scheduled makespan.
     ///
-    /// Dispatch is discrete-event: a binary min-heap holds one pending
-    /// completion event per resource (keyed `(SimTime, StorageKind, seq)`,
-    /// see `crate::event`), and each fired event serves exactly one
-    /// batch — a staged-ready run or a chained queue head — on that
-    /// resource, plans and executes its background fetches, then re-arms
-    /// the resource at its advanced cursor. Sessions wake lazily (a
-    /// session is touched only when the resource at its queue head comes
-    /// free), so one dispatch step is O(log resources + batch) no matter
-    /// how many sessions are admitted, and reports are independent of
-    /// `MSR_THREADS`.
+    /// Dispatch is discrete-event: each resource with queued work holds
+    /// one armed completion time, the earliest `(time, kind)` fires (see
+    /// `crate::event`), and each fired event serves exactly one batch — a
+    /// staged-ready run or a chained queue head — on that resource, plans
+    /// and executes its background fetches, then re-arms the resource at
+    /// its advanced cursor. Sessions wake lazily (a session is touched
+    /// only when the resource at its queue head comes free), so one
+    /// dispatch step is O(resources + batch) no matter how many sessions
+    /// are admitted, and reports are independent of `MSR_THREADS`.
     pub fn run(mut self) -> CoreResult<SchedReport> {
         let sys = self.sys;
         let mut drain = Drain::new(&mut self, sys.clock.now());
-        let mut events = EventQueue::new();
-        let mut armed: BTreeSet<StorageKind> = BTreeSet::new();
+        let mut armed: BTreeMap<StorageKind, SimTime> = BTreeMap::new();
         let mut scratch: Scratch<Queued, (Queued, RequestOutcome)> = Scratch::new();
         let mut fired = 0u64;
-        drain.rearm(&mut events, &mut armed);
+        drain.rearm(&mut armed);
 
         loop {
-            while let Some((_at, kind)) = events.pop() {
-                armed.remove(&kind);
+            while let Some(kind) = pop_next(&mut armed) {
                 scratch.batch.clear();
                 let staged = drain.pop_batch(kind, &mut scratch.batch);
                 if !scratch.batch.is_empty() {
@@ -300,10 +296,10 @@ impl<'a> Scheduler<'a> {
                         self.admit_deferred(&mut drain, frontier, false);
                     }
                 }
-                drain.rearm(&mut events, &mut armed);
+                drain.rearm(&mut armed);
             }
 
-            // The event heap is empty. Give every still-parked program a
+            // No resource is armed. Give every still-parked program a
             // final verdict — admit what fits a fully drained backlog,
             // expire the rest — and keep draining if anything landed.
             if self.deferred.is_empty() {
@@ -311,7 +307,7 @@ impl<'a> Scheduler<'a> {
             }
             let frontier = drain.frontier();
             let admitted_any = self.admit_deferred(&mut drain, frontier, true);
-            drain.rearm(&mut events, &mut armed);
+            drain.rearm(&mut armed);
             if !admitted_any {
                 break;
             }

@@ -1,13 +1,13 @@
 //! Outage regression suite for the discrete-event dispatcher.
 //!
-//! PR 7 replaced the round loop with a binary heap of resource-completion
-//! events. An outaged resource must *park* — its queue drains to the
-//! fallback through the circuit-open branch and its cursor simply stops
-//! receiving events — never *wedge* the heap with a `SimTime::INFINITY`
-//! completion that would stall the drain forever. These tests hold the
-//! engine to that contract under the harshest shapes: a resource dark for
-//! the entire drain, an outage landing mid-drain, and every resource dark
-//! at once (nothing left to fail over to).
+//! The dispatcher arms one completion event per resource. An outaged
+//! resource must *park* — its queue drains to the fallback through the
+//! circuit-open branch and its cursor simply stops receiving events —
+//! never *wedge* the loop with a `SimTime::INFINITY` completion that would
+//! stall the drain forever. These tests hold the engine to that contract
+//! under the harshest shapes: a resource dark for the entire drain, an
+//! outage landing mid-drain, and every resource dark at once (nothing left
+//! to fail over to).
 
 use msr_core::{BreakerState, DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_meta::{ElementType, Location, RunId};
@@ -123,7 +123,7 @@ fn outage_failures_trip_the_breaker_and_stay_bounded() {
 
 /// Every resource dark at once: nothing to fail over to. The drain must
 /// still terminate — every request surfaces as a typed per-request error
-/// in the session report instead of wedging the event heap.
+/// in the session report instead of wedging the event loop.
 #[test]
 fn total_outage_terminates_with_typed_errors() {
     let sys = MsrSystem::testbed(73);
@@ -180,4 +180,38 @@ fn outage_drains_replay_across_thread_counts() {
     let wide = rayon::pool::with_threads(4, run);
     let narrow = rayon::pool::with_threads(1, run);
     assert_eq!(wide, narrow, "outage drain must not depend on MSR_THREADS");
+}
+
+/// A deadline session whose tape requests requeue to the remote disk is
+/// judged by what it still has queued there: its deadline bookkeeping
+/// follows the repriced work, so once everything it queued is served it
+/// is never cancelled, however long other sessions keep the drain going.
+#[test]
+fn requeued_deadline_session_is_not_cancelled_after_it_drains() {
+    let sys = MsrSystem::testbed(75);
+    let mut sched = Scheduler::new(&sys);
+    // The tape estimate (about 39 s) fits the deadline; so does the disk.
+    let deadline = SimDuration::from_secs(60.0);
+    let id = sched
+        .admit(archive_program(0).deadline(deadline))
+        .unwrap()
+        .expect("admitted");
+    // Local-disk work that keeps the drain running well past the deadline.
+    let local = DatasetSpec::builder("d")
+        .element(ElementType::F32)
+        .cube(16)
+        .frequency(1)
+        .hint(LocationHint::LocalDisk)
+        .build();
+    sched
+        .admit(SessionProgram::new("local").iterations(600).dataset(local))
+        .unwrap();
+    sys.set_resource_online(StorageKind::RemoteTape, false);
+    let report = sched.run().unwrap();
+    assert!(report.makespan.as_secs() > 2.0 * deadline.as_secs());
+    let s = &report.sessions[id as usize];
+    assert_eq!(u64::from(s.requeues), s.requests, "every request moved");
+    assert_eq!(s.reports.len(), 5, "every dump served");
+    assert!(s.completed_at.as_secs() < deadline.as_secs());
+    assert_eq!(s.cancelled, None, "a drained session cannot be doomed");
 }
