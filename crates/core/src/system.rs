@@ -15,9 +15,7 @@ use msr_predict::{
 };
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration};
-use msr_storage::{
-    testbed, FaultLog, FaultPlan, Front, OpKind, SharedResource, StorageKind, StorageResource,
-};
+use msr_storage::{share, testbed, FaultLog, FaultPlan, OpKind, SharedResource, StorageKind};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,10 +43,9 @@ pub struct MsrSystem {
     /// Registered tenants: weights, quotas and SLOs consulted by the
     /// scheduler's admission controller (see `crate::tenant`).
     pub tenants: TenantRegistry,
-    /// Every resource behind its [`Front`], kept typed so fault injection
-    /// is configured in place: a `SharedResource` handed out earlier sees
-    /// the stage switched on.
-    resources: BTreeMap<StorageKind, Arc<Mutex<Front>>>,
+    /// Every resource, observed. Fault injection is configured in place:
+    /// a `SharedResource` handed out earlier sees the stage switched on.
+    resources: BTreeMap<StorageKind, SharedResource>,
     /// Learned per-dataset `moved / logical` byte ratios from the chunk
     /// plane, consulted wherever eq. (2) prices a chunked dataset's bytes
     /// (scored placement, prefetch admission, lifecycle pricing).
@@ -90,16 +87,17 @@ impl MsrSystem {
         let obs = Registry::new();
         // Every layer writes into the same registry through its own
         // recorder, stamped with the shared virtual clock.
-        let front = |device: Front| {
-            let kind = device.kind();
-            let observed = device.observed(obs.recorder(), clock.clone());
-            (kind, Arc::new(Mutex::new(observed)))
-        };
-        let resources = BTreeMap::from([
-            front(Front::new(tb.local)),
-            front(Front::new(tb.remote_disk)),
-            front(Front::new(tb.tape)),
-        ]);
+        let resources = BTreeMap::from(
+            [
+                share(tb.local.observed(obs.recorder(), clock.clone())),
+                share(tb.remote_disk.observed(obs.recorder(), clock.clone())),
+                share(tb.tape.observed(obs.recorder(), clock.clone())),
+            ]
+            .map(|r| {
+                let kind = r.lock().kind();
+                (kind, r)
+            }),
+        );
         tb.net.write().set_observer(obs.recorder(), clock.clone());
         let mut engine = IoEngine::default();
         engine.set_observer(obs.recorder(), clock.clone());
@@ -162,16 +160,12 @@ impl MsrSystem {
 
     /// The resource of a kind, if registered.
     pub fn resource(&self, kind: StorageKind) -> Option<SharedResource> {
-        self.resources
-            .get(&kind)
-            .map(|r| r.clone() as SharedResource)
+        self.resources.get(&kind).cloned()
     }
 
     /// All registered resources.
     pub fn resources(&self) -> impl Iterator<Item = (StorageKind, SharedResource)> + '_ {
-        self.resources
-            .iter()
-            .map(|(k, r)| (*k, r.clone() as SharedResource))
+        self.resources.iter().map(|(k, r)| (*k, r.clone()))
     }
 
     /// Inject or clear an outage on a resource (§5's "tape system is down
@@ -182,16 +176,16 @@ impl MsrSystem {
         }
     }
 
-    /// Switch on the seeded transient-fault stage in front of `kind`'s
-    /// resource (replacing any earlier plan). Returns the shared fault log
+    /// Switch on the seeded transient-fault stage of `kind`'s resource
+    /// (replacing any earlier plan). Returns the shared fault log
     /// for reconciling what was injected against what the resilience
     /// machinery reports, or `None` if the kind is not registered. The
     /// stage's seed derives from the system seed and the kind, so chaos
     /// runs replay deterministically.
     pub fn inject_faults(&mut self, kind: StorageKind, plan: FaultPlan) -> Option<FaultLog> {
-        let front = self.resources.get(&kind)?;
+        let res = self.resources.get(&kind)?;
         let seed = derive_seed(self.seed, &format!("fault:{kind}"));
-        Some(front.lock().inject_faults(plan, self.clock.clone(), seed))
+        Some(res.lock().inject_faults(plan, self.clock.clone(), seed))
     }
 
     /// Background load on the ANL↔SDSC WAN (equivalent competing streams).

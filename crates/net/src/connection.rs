@@ -110,12 +110,6 @@ impl Connection {
         net.transfer_nominal(&self.route, bytes, streams) + self.costs.per_request
     }
 
-    /// Cost of a minimal control message (seek, stat): route latency plus
-    /// per-request protocol work.
-    pub fn control_nominal(&self, net: &Network) -> SimDuration {
-        net.route_latency(&self.route) + self.costs.per_request
-    }
-
     /// Teardown cost.
     pub fn close_cost(&self) -> SimDuration {
         self.costs.conn_teardown
@@ -202,12 +196,5 @@ mod tests {
         assert!(conn.refresh_route(&n));
         assert_eq!(conn.route().len(), 2);
         assert!(conn.is_up(&n));
-    }
-
-    #[test]
-    fn control_message_cost() {
-        let (n, a, s) = net();
-        let (_, conn) = Connection::establish(&n, a, s, srb_like()).unwrap();
-        assert!((conn.control_nominal(&n).as_secs() - 0.03).abs() < 1e-9);
     }
 }

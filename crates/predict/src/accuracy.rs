@@ -59,15 +59,6 @@ impl Comparison {
             self.rows.iter().map(|r| (r.predicted, r.actual)).collect();
         mape(&pairs)
     }
-
-    /// Worst absolute relative error.
-    pub fn worst_abs_error(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter_map(|r| r.rel_error())
-            .map(f64::abs)
-            .max_by(f64::total_cmp)
-    }
 }
 
 impl fmt::Display for Comparison {
@@ -135,13 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn mape_and_worst() {
+    fn mape_averages_absolute_errors() {
         let c = compare(vec![
             ("a".to_owned(), d(110.0), d(100.0)),
             ("b".to_owned(), d(80.0), d(100.0)),
         ]);
         assert!((c.mape().unwrap() - 0.15).abs() < 1e-12);
-        assert!((c.worst_abs_error().unwrap() - 0.2).abs() < 1e-12);
     }
 
     #[test]

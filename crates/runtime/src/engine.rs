@@ -197,21 +197,6 @@ pub struct IoReport {
     pub stale: bool,
 }
 
-impl IoReport {
-    /// Aggregate another report that ran *after* this one.
-    pub fn merge_sequential(&mut self, other: &IoReport) {
-        self.native_reads += other.native_reads;
-        self.native_writes += other.native_writes;
-        self.native_opens += other.native_opens;
-        self.bytes += other.bytes;
-        self.elapsed += other.elapsed;
-        self.total_work += other.total_work;
-        self.retries += other.retries;
-        self.backoff += other.backoff;
-        self.stale |= other.stale;
-    }
-}
-
 /// The run-time engine: a strategy interpreter over a storage resource.
 #[derive(Debug, Clone)]
 pub struct IoEngine {
@@ -1230,39 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_accumulates() {
-        let dist = dist8(16);
-        let data = payload(dist.total_bytes());
-        let engine = IoEngine::default();
-        let res = disk();
-        let mut a = engine
-            .write(
-                &res,
-                "a",
-                &data,
-                &dist,
-                IoStrategy::Collective,
-                OpenMode::Create,
-            )
-            .unwrap();
-        let b = engine
-            .write(
-                &res,
-                "b",
-                &data,
-                &dist,
-                IoStrategy::Collective,
-                OpenMode::Create,
-            )
-            .unwrap();
-        let elapsed_sum = a.elapsed + b.elapsed;
-        a.merge_sequential(&b);
-        assert_eq!(a.native_writes, 2);
-        assert_eq!(a.bytes, 2 * dist.total_bytes());
-        assert!(a.elapsed.approx_eq(elapsed_sum, 1e-12));
-    }
-
-    #[test]
     fn stream_hint_reset_after_operation() {
         let dist = dist8(16);
         let data = payload(dist.total_bytes());
@@ -1356,12 +1308,12 @@ mod tests {
         use super::*;
         use crate::retry::RetryPolicy;
         use msr_sim::Clock;
-        use msr_storage::{FaultPlan, Front};
+        use msr_storage::FaultPlan;
 
         fn faulty(plan: FaultPlan) -> (SharedResource, msr_storage::FaultLog) {
-            let mut front = Front::new(bare_disk());
-            let log = front.inject_faults(plan, Clock::new(), 11);
-            (share(front), log)
+            let mut disk = bare_disk();
+            let log = disk.inject_faults(plan, Clock::new(), 11);
+            (share(disk), log)
         }
 
         #[test]

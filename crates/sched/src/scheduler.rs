@@ -175,11 +175,6 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Sessions admitted so far.
-    pub fn sessions(&self) -> usize {
-        self.admitted.len()
-    }
-
     /// Programs currently parked in the admission backpressure queue.
     pub fn deferred_len(&self) -> usize {
         self.deferred.len()

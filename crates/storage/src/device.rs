@@ -1,20 +1,44 @@
-//! One simulated device: the file mechanics of the native interface,
-//! written once.
+//! One simulated device: the native interface, written once.
 //!
 //! Eq. (1) says the three resource kinds differ only in what each native
 //! call costs. [`Device`] therefore owns everything they share — the
 //! [`ObjectStore`], the open-handle table, the operation counters, the
 //! online flag, the contention hint, the capacity check and the seeded
-//! device-noise stream — and carries the single data-path
-//! `impl StorageResource`. What a call *costs*, and the physical state that
-//! cost depends on (an SRB connection, a tape drive pool, a vault shelf),
-//! lives behind the small [`CostModel`] trait, implemented once per kind.
+//! device-noise stream — and carries the single `impl StorageResource`.
+//! What a call *costs*, and the physical state that cost depends on (an
+//! SRB connection, a tape drive pool, a vault shelf), lives behind the
+//! small [`CostModel`] trait, implemented once per kind.
 //!
 //! The split is also the determinism contract: `Device` fixes the order of
 //! checks (which error surfaces first), of stats increments and of draws
 //! from the noise stream; a model only decides durations.
+//!
+//! Every native call runs through two optional stages in a fixed order:
+//!
+//! ```text
+//! caller → faults → observe → device
+//! ```
+//!
+//! * **faults** ([`crate::fault`], switched on by
+//!   [`StorageResource::inject_faults`]) gates, tears and spikes data-path
+//!   calls: the gate runs before the device is touched, the spike after
+//!   the call has been observed. `connect`, `disconnect`, `delete` and
+//!   `vault` are never gated; `recall` is. A torn transfer's half call and
+//!   the seek restoring the handle's cursor are observed; a spike is not,
+//!   so it does not distort what PTool learns.
+//! * **observe** ([`Device::observed`]) emits one `msr-obs` span per native
+//!   call that reached the device and succeeded — the exact eq. (1)
+//!   components (`conn`, `open`, `seek`, `read`, `write`, `close`,
+//!   `connclose`) with the call's jittered "actual" duration and payload
+//!   size. It is what the paper's PTool observes "in the background".
+//!   Spans are stamped with the simulation clock *as of call entry*: the
+//!   run-time engine charges per-process time on its own
+//!   [`msr_sim::Timeline`] and the session advances the global clock once
+//!   per operation, so all native calls of one dump share a timestamp
+//!   while durations stay exact.
 
 use crate::error::StorageError;
+use crate::fault::{FaultKind, FaultLog, FaultPlan, Faults};
 use crate::object_store::ObjectStore;
 use crate::resource::{
     Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
@@ -23,7 +47,8 @@ use crate::resource::{
 use crate::srb::SrbLink;
 use crate::StorageResult;
 use bytes::Bytes;
-use msr_sim::{stream_rng, Jitter, SimDuration};
+use msr_obs::{ops, Layer, Recorder};
+use msr_sim::{stream_rng, Clock, Jitter, SimDuration};
 use rand::rngs::StdRng;
 
 /// What native calls cost on one kind of device, plus the physical state
@@ -117,6 +142,10 @@ pub struct Device<M> {
     online: bool,
     stream_hint: u32,
     rng: StdRng,
+    /// The observe stage: where spans go and the clock that stamps them.
+    observe: Option<(Recorder, Clock)>,
+    /// The fault stage, once [`StorageResource::inject_faults`] set a plan.
+    faults: Option<Faults>,
 }
 
 impl<M: CostModel> Device<M> {
@@ -133,8 +162,73 @@ impl<M: CostModel> Device<M> {
             online: true,
             stream_hint: 1,
             rng,
+            observe: None,
+            faults: None,
         }
     }
+
+    /// Switch the observe stage on: emit events through `recorder`
+    /// stamped with `clock`'s current virtual time.
+    pub fn observed(mut self, recorder: Recorder, clock: Clock) -> Self {
+        self.observe = Some((recorder, clock));
+        self
+    }
+
+    /// The observe stage: record a native call that reached the device and
+    /// succeeded, moving `bytes` of payload.
+    fn span<T>(&self, op: &str, cost: Cost<T>, bytes: u64) -> Cost<T> {
+        // With the recorder disabled (or `msr-obs` built without the
+        // `record` feature) this guard is a constant and the body — clock
+        // read included — drops out of the hot path.
+        if let Some((recorder, clock)) = &self.observe {
+            if recorder.enabled() {
+                recorder.span(
+                    Layer::Storage,
+                    &self.name,
+                    op,
+                    clock.now(),
+                    cost.time,
+                    bytes,
+                );
+            }
+        }
+        cost
+    }
+
+    // --- fault stage: every helper passes through when it is off ---
+
+    fn gate(&mut self, op: &'static str) -> StorageResult<()> {
+        match &mut self.faults {
+            Some(f) => f.gate(&self.name, op),
+            None => Ok(()),
+        }
+    }
+
+    fn spike<T>(&mut self, op: &'static str, cost: Cost<T>) -> Cost<T> {
+        match &mut self.faults {
+            Some(f) => f.spike(&self.name, op, cost),
+            None => cost,
+        }
+    }
+
+    /// If the fault stage decides to tear this transfer, where the handle's
+    /// cursor must be put back afterwards.
+    fn tear_from(&mut self, h: FileHandle, len: usize) -> Option<u64> {
+        let f = self.faults.as_mut()?;
+        (len > 1 && f.should_tear()).then(|| self.handles.get(h).map_or(0, |open| open.cursor))
+    }
+
+    /// Finish a torn transfer: the half call already ran; seek the handle
+    /// back to `start` and fail. If the restore itself fails, surface
+    /// *that* error — better a loud failure than a handle silently left
+    /// mid-file.
+    fn torn<T>(&mut self, op: &'static str, h: FileHandle, start: u64) -> StorageResult<T> {
+        self.seek_to(h, start)?;
+        let f = self.faults.as_ref().expect("only the fault stage tears");
+        Err(f.inject(&self.name, op, FaultKind::Torn))
+    }
+
+    // --- device bodies shared by the staged entry points ---
 
     fn check_online(&self) -> StorageResult<()> {
         if self.online {
@@ -172,10 +266,68 @@ impl<M: CostModel> Device<M> {
         }
     }
 
-    /// A native write of `len` bytes through `h`: every check, the
-    /// positioning, the counters and the cost, with `put` storing the bytes
-    /// at `(path, cursor)`. Both write entry points are this body, so they
-    /// cannot drift apart.
+    /// An observed, ungated seek: the native call, and a torn transfer's
+    /// cursor restore.
+    fn seek_to(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
+        self.check_online()?;
+        self.check_live()?;
+        let f = self.handles.get_mut(h)?;
+        f.cursor = pos;
+        self.stats.seeks += 1;
+        let cost = self.model.seek_cost(&f.path, pos, &mut self.rng);
+        let cost = Cost::new(self.jittered(cost), ());
+        Ok(self.span(ops::SEEK, cost, 0))
+    }
+
+    /// An observed read of up to `len` bytes at the cursor.
+    fn read_at_cursor(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
+        self.check_online()?;
+        self.check_live()?;
+        let f = self.handles.get_mut(h)?;
+        if !f.mode.readable() {
+            return Err(StorageError::BadMode { op: "read" });
+        }
+        // Sequential media may have lost the mount to another file since
+        // open: position first, then touch the bytes.
+        let positioned = self.model.position(&f.path, f.cursor, &mut self.rng);
+        let data = self.store.read_at(&f.path, f.cursor, len)?;
+        let n = data.len() as u64;
+        f.cursor += n;
+        self.stats.reads += 1;
+        self.stats.bytes_read += n;
+        let t = self.transfer_cost(OpKind::Read, h, positioned, n)?;
+        Ok(self.span(ops::READ, Cost::new(t, data), n))
+    }
+
+    /// A write of `data` through the fault stage, with `whole` making the
+    /// observed device call that moves all of it. A torn write moves its
+    /// first half through the borrowed path, whichever entry point was
+    /// called.
+    fn write_staged(
+        &mut self,
+        h: FileHandle,
+        data: &[u8],
+        whole: impl FnOnce(&mut Self) -> StorageResult<Cost<usize>>,
+    ) -> StorageResult<Cost<usize>> {
+        self.gate(ops::WRITE)?;
+        if let Some(start) = self.tear_from(h, data.len()) {
+            self.write_borrowed(h, &data[..data.len() / 2])?;
+            return self.torn(ops::WRITE, h, start);
+        }
+        let cost = whole(self)?;
+        Ok(self.spike(ops::WRITE, cost))
+    }
+
+    fn write_borrowed(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
+        self.write_with(h, data.len(), |store, path, at| {
+            store.write_at(path, at, data)
+        })
+    }
+
+    /// An observed native write of `len` bytes through `h`: every check,
+    /// the positioning, the counters and the cost, with `put` storing the
+    /// bytes at `(path, cursor)`. Both write entry points are this body, so
+    /// they cannot drift apart.
     fn write_with(
         &mut self,
         h: FileHandle,
@@ -206,7 +358,7 @@ impl<M: CostModel> Device<M> {
         self.stats.writes += 1;
         self.stats.bytes_written += n;
         let t = self.transfer_cost(OpKind::Write, h, positioned, n)?;
-        Ok(Cost::new(t, len))
+        Ok(self.span(ops::WRITE, Cost::new(t, len), n))
     }
 
     /// The transfer term of eq. (1) for a call that has just moved `bytes`
@@ -244,7 +396,7 @@ impl<M: CostModel> StorageResource for Device<M> {
     }
 
     fn is_online(&self) -> bool {
-        self.online
+        self.online && !self.faults.as_ref().is_some_and(Faults::flapped_down)
     }
 
     fn set_online(&mut self, up: bool) {
@@ -271,26 +423,38 @@ impl<M: CostModel> StorageResource for Device<M> {
         self.store.set_logical(path, bytes);
     }
 
+    fn inject_faults(&mut self, plan: FaultPlan, clock: Clock, seed: u64) -> FaultLog {
+        let (stage, log) = Faults::new(plan, clock, seed, &self.name);
+        self.faults = Some(stage);
+        log
+    }
+
     fn connect(&mut self) -> StorageResult<Cost<()>> {
         self.check_online()?;
-        let Some(link) = self.model.link_mut() else {
-            return Ok(Cost::free(())); // local filesystem: no connection phase
+        // No link: a local filesystem has no connection phase. No setup:
+        // an idempotent reconnect.
+        let setup = match self.model.link_mut() {
+            Some(link) => link.connect()?,
+            None => None,
         };
-        match link.connect()? {
-            None => Ok(Cost::free(())), // idempotent reconnect
+        let t = match setup {
             Some(setup) => {
                 self.stats.connects += 1;
-                Ok(Cost::new(self.jittered(setup), ()))
+                self.jittered(setup)
             }
-        }
+            None => SimDuration::ZERO,
+        };
+        Ok(self.span(ops::CONN, Cost::new(t, ()), 0))
     }
 
     fn disconnect(&mut self) -> StorageResult<Cost<()>> {
         let teardown = self.model.link_mut().map(SrbLink::disconnect);
-        Ok(Cost::new(teardown.unwrap_or(SimDuration::ZERO), ()))
+        let cost = Cost::new(teardown.unwrap_or(SimDuration::ZERO), ());
+        Ok(self.span(ops::CONNCLOSE, cost, 0))
     }
 
     fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
+        self.gate(ops::OPEN)?;
         self.check_online()?;
         self.check_live()?;
         // A vaulted file is off-site for every mode — even a truncating
@@ -327,55 +491,48 @@ impl<M: CostModel> StorageResource for Device<M> {
         });
         self.stats.opens += 1;
         let t = self.jittered(self.model.file_costs(mode.op()).open) + mount + wind;
-        Ok(Cost::new(t, h))
+        let cost = self.span(ops::OPEN, Cost::new(t, h), 0);
+        Ok(self.spike(ops::OPEN, cost))
     }
 
     fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
-        self.check_online()?;
-        self.check_live()?;
-        let f = self.handles.get_mut(h)?;
-        f.cursor = pos;
-        self.stats.seeks += 1;
-        let cost = self.model.seek_cost(&f.path, pos, &mut self.rng);
-        Ok(Cost::new(self.jittered(cost), ()))
+        self.gate(ops::SEEK)?;
+        let cost = self.seek_to(h, pos)?;
+        Ok(self.spike(ops::SEEK, cost))
     }
 
     fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
-        self.check_online()?;
-        self.check_live()?;
-        let f = self.handles.get_mut(h)?;
-        if !f.mode.readable() {
-            return Err(StorageError::BadMode { op: "read" });
+        self.gate(ops::READ)?;
+        if let Some(start) = self.tear_from(h, len) {
+            // Transfer half, discard it, and put the cursor back: the
+            // caller sees a clean transient failure it can retry in full.
+            self.read_at_cursor(h, len / 2)?;
+            return self.torn(ops::READ, h, start);
         }
-        // Sequential media may have lost the mount to another file since
-        // open: position first, then touch the bytes.
-        let positioned = self.model.position(&f.path, f.cursor, &mut self.rng);
-        let data = self.store.read_at(&f.path, f.cursor, len)?;
-        let n = data.len() as u64;
-        f.cursor += n;
-        self.stats.reads += 1;
-        self.stats.bytes_read += n;
-        let t = self.transfer_cost(OpKind::Read, h, positioned, n)?;
-        Ok(Cost::new(t, data))
+        let cost = self.read_at_cursor(h, len)?;
+        Ok(self.spike(ops::READ, cost))
     }
 
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.write_with(h, data.len(), |store, path, at| {
-            store.write_at(path, at, data)
-        })
+        self.write_staged(h, data, |d| d.write_borrowed(h, data))
     }
 
     fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
-        self.write_with(h, data.len(), |store, path, at| {
-            store.write_shared_at(path, at, data)
+        let view = data.clone();
+        self.write_staged(h, &view, |d| {
+            d.write_with(h, data.len(), |store, path, at| {
+                store.write_shared_at(path, at, data)
+            })
         })
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
+        self.gate(ops::CLOSE)?;
         let f = self.handles.remove(h)?;
         self.stats.closes += 1;
         let t = self.jittered(self.model.file_costs(f.mode.op()).close);
-        Ok(Cost::new(t, ()))
+        let cost = self.span(ops::CLOSE, Cost::new(t, ()), 0);
+        Ok(self.spike(ops::CLOSE, cost))
     }
 
     fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
@@ -384,7 +541,7 @@ impl<M: CostModel> StorageResource for Device<M> {
         // Pruning a vaulted dump destroys the shelf copy too — no recall
         // needed to expire data.
         self.model.set_vaulted(path, false);
-        Ok(Cost::new(self.model.delete_cost(), ()))
+        Ok(self.span(ops::DELETE, Cost::new(self.model.delete_cost(), ()), 0))
     }
 
     fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
@@ -400,19 +557,24 @@ impl<M: CostModel> StorageResource for Device<M> {
         // bookkeeping cost as a delete. No jitter: the noise stream must
         // stay unperturbed so lifecycle-on runs do not reorder other draws.
         self.model.set_vaulted(path, true);
-        Ok(Cost::new(self.model.delete_cost(), ()))
+        Ok(self.span(ops::VAULT, Cost::new(self.model.delete_cost(), ()), 0))
     }
 
     fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
+        // The shelf robot lives behind the same faulty front door as the
+        // data path: outage windows and error bursts fault recalls too.
+        self.gate(ops::RECALL)?;
         let Some(latency) = self.model.recall_cost() else {
             return Err(self.vault_unsupported());
         };
         self.check_present(path)?;
-        if self.model.set_vaulted(path, false) {
-            Ok(Cost::new(latency, ()))
+        // Already resident: a free no-op.
+        let t = if self.model.set_vaulted(path, false) {
+            latency
         } else {
-            Ok(Cost::free(())) // already resident
-        }
+            SimDuration::ZERO
+        };
+        Ok(self.span(ops::RECALL, Cost::new(t, ()), 0))
     }
 
     fn is_vaulted(&self, path: &str) -> bool {
@@ -462,5 +624,79 @@ impl<M: CostModel> StorageResource for Device<M> {
 
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
         self.model.transfer_model(op, bytes, streams)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::local_disk::{DiskParams, LocalDisk};
+    use msr_obs::Registry;
+
+    fn observed() -> (Registry, LocalDisk, Clock) {
+        let reg = Registry::new();
+        let clock = Clock::new();
+        let disk = LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0)
+            .observed(reg.recorder(), clock.clone());
+        (reg, disk, clock)
+    }
+
+    #[test]
+    fn every_native_call_emits_a_span() {
+        let (reg, mut r, clock) = observed();
+        r.connect().unwrap();
+        let h = r.open("f", OpenMode::Create).unwrap().value;
+        r.seek(h, 0).unwrap();
+        r.write(h, &[7u8; 512]).unwrap();
+        r.close(h).unwrap();
+        clock.advance(SimDuration::from_secs(1.0));
+        let h = r.open("f", OpenMode::Read).unwrap().value;
+        r.read(h, 512).unwrap();
+        r.close(h).unwrap();
+        r.disconnect().unwrap();
+
+        let events = reg.events();
+        let ops_seen: Vec<&str> = events.iter().map(|e| e.op.as_str()).collect();
+        assert_eq!(
+            ops_seen,
+            vec![
+                ops::CONN,
+                ops::OPEN,
+                ops::SEEK,
+                ops::WRITE,
+                ops::CLOSE,
+                ops::OPEN,
+                ops::READ,
+                ops::CLOSE,
+                ops::CONNCLOSE
+            ]
+        );
+        let w = events.iter().find(|e| e.op == ops::WRITE).unwrap();
+        assert_eq!(w.bytes, 512);
+        assert_eq!(w.resource, "d");
+        let rd = events.iter().find(|e| e.op == ops::READ).unwrap();
+        assert_eq!(rd.bytes, 512);
+        assert_eq!(rd.at.as_secs(), 1.0, "stamped with the shared clock");
+    }
+
+    #[test]
+    fn failed_calls_emit_nothing() {
+        let (reg, mut r, _clock) = observed();
+        assert!(r.open("missing", OpenMode::Read).is_err());
+        assert!(reg.events().is_empty());
+    }
+
+    #[test]
+    fn observing_preserves_behaviour() {
+        let (_reg, mut r, _clock) = observed();
+        assert_eq!(r.name(), "d");
+        assert_eq!(r.kind(), StorageKind::LocalDisk);
+        assert!(r.is_online());
+        let h = r.open("x", OpenMode::Create).unwrap().value;
+        r.write(h, b"abc").unwrap();
+        r.close(h).unwrap();
+        assert!(r.exists("x"));
+        assert_eq!(r.file_size("x"), Some(3));
+        assert_eq!(r.stats().writes, 1);
     }
 }

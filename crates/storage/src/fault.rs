@@ -1,6 +1,6 @@
 //! Seeded transient-fault injection for any storage resource.
 //!
-//! The fault stage of a [`Front`](crate::Front) perturbs the data path
+//! A [`Device`](crate::Device)'s fault stage perturbs the data path
 //! according to a [`FaultPlan`]: per-op transient error
 //! probability, latency spikes, torn (partial) transfers, and flapping
 //! up/down windows driven by an [`OutageSchedule`] in virtual time. All
@@ -14,12 +14,11 @@
 //! policy treats as retryable — so existing failure semantics (offline,
 //! capacity, network) are untouched.
 //!
-//! Torn transfers are the delicate case: the stage performs *half* of
-//! the requested transfer against the device, then restores the file
-//! cursor (via a shadow cursor table) and reports `Transient`. A
-//! retry therefore re-runs the full call from the original position and
-//! the data ends up bitwise correct — a torn fault can cost time but never
-//! silently corrupt.
+//! Torn transfers are the delicate case: the device performs *half* of
+//! the requested transfer, then seeks the handle back to its own cursor as
+//! of call entry and reports `Transient`. A retry therefore re-runs the
+//! full call from the original position and the data ends up bitwise
+//! correct — a torn fault can cost time but never silently corrupt.
 
 use crate::error::StorageError;
 use crate::resource::Cost;
@@ -28,7 +27,6 @@ use msr_net::OutageSchedule;
 use msr_sim::{stream_rng, Clock, SimTime};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What kinds of transient misbehaviour to inject, and how often.
@@ -166,19 +164,18 @@ impl FaultLog {
     }
 }
 
-/// State of a [`Front`](crate::Front)'s fault stage: the plan, its seeded
-/// stream and the decisions it takes. The stage never touches the device
-/// itself — `Front` asks it what to do and makes the calls — and is told
-/// the resource's `name` per call instead of caching it.
+/// State of a [`Device`](crate::Device)'s fault stage: the plan, its
+/// seeded stream and the decisions it takes. The stage never touches the
+/// device's files itself — the device asks it what to do and makes the
+/// calls — and is told the resource's `name` per call instead of caching
+/// it.
+#[derive(Debug)]
 pub(crate) struct Faults {
     plan: FaultPlan,
     clock: Clock,
     rng: StdRng,
     burst_left: u32,
     log: FaultLog,
-    /// Shadow of every open handle's cursor, so a torn transfer can seek
-    /// the device back to where the call started.
-    pub cursors: HashMap<u32, u64>,
 }
 
 impl Faults {
@@ -193,7 +190,6 @@ impl Faults {
             plan,
             clock,
             log: log.clone(),
-            cursors: HashMap::new(),
         };
         (stage, log)
     }
@@ -259,14 +255,13 @@ impl Faults {
 mod tests {
     use super::*;
     use crate::local_disk::{DiskParams, LocalDisk};
-    use crate::resource::{share, OpenMode, SharedResource};
-    use crate::Front;
+    use crate::resource::{share, OpenMode, SharedResource, StorageResource};
     use msr_sim::SimDuration;
 
     fn faulty(plan: FaultPlan, clock: Clock, seed: u64) -> (SharedResource, FaultLog) {
-        let mut front = Front::new(LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0));
-        let log = front.inject_faults(plan, clock, seed);
-        (share(front), log)
+        let mut disk = LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0);
+        let log = disk.inject_faults(plan, clock, seed);
+        (share(disk), log)
     }
 
     fn wrap(plan: FaultPlan) -> (SharedResource, FaultLog, Clock) {
@@ -322,6 +317,28 @@ mod tests {
         let h = r.open("f", OpenMode::Read).unwrap().value;
         let b = r.read(h, 1).unwrap().value;
         assert_eq!(b[0], 7, "retry wrote from the original cursor");
+    }
+
+    #[test]
+    fn a_plan_switched_on_mid_file_tears_back_to_the_handles_cursor() {
+        let (r, log, clock) = wrap(FaultPlan::none());
+        let mut r = r.lock();
+        let h = r.open("f", OpenMode::Create).unwrap().value;
+        let head: Vec<u8> = (1..=10u8).collect();
+        r.write(h, &head).unwrap();
+        // A new plan while the handle is open: the restore point is the
+        // handle's cursor, not the start of the file.
+        let torn = r.inject_faults(FaultPlan::none().with_torn_prob(1.0), clock, 42);
+        assert!(r.write(h, &[9u8; 64]).unwrap_err().is_transient());
+        assert_eq!(torn.count(FaultKind::Torn), 1);
+        assert!(log.is_empty(), "the replaced plan's log stays as it was");
+        r.write(h, &[7u8]).unwrap();
+        r.close(h).unwrap();
+        // Reads of one byte are too small to tear.
+        let h = r.open("f", OpenMode::Read).unwrap().value;
+        let back: Vec<u8> = (0..11).map(|_| r.read(h, 1).unwrap().value[0]).collect();
+        assert_eq!(&back[..10], &head[..], "the file's head is intact");
+        assert_eq!(back[10], 7, "the next write landed at offset 10");
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //!   capacity.
 //!
 //! The three are one [`Device`] with a per-kind [`CostModel`]: the file
-//! mechanics exist once, only the eq. (1) terms differ. A [`Front`] puts
-//! the optional fault-injection and observe stages in front of any device.
+//! mechanics exist once, only the eq. (1) terms differ. Every device
+//! carries the optional fault-injection and observe stages itself
+//! ([`Device::observed`], [`StorageResource::inject_faults`]).
 //! Aggregating the space of several resources is not a resource of its
 //! own: it is session failover in `msr-core`.
 //!
-//! `Device` and `Front` are the two implementations of the object-safe
+//! `Device` is the one implementation of the object-safe
 //! [`StorageResource`] trait — the "native storage interface" consumed by
 //! the run-time optimization layer.
 //! Model-only hooks ([`StorageResource::fixed_costs`],
@@ -33,7 +34,6 @@
 pub mod device;
 pub mod error;
 pub mod fault;
-pub mod front;
 pub mod local_disk;
 pub mod object_store;
 pub mod profiles;
@@ -46,7 +46,6 @@ pub mod tape;
 pub use device::{CostModel, Device};
 pub use error::StorageError;
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
-pub use front::Front;
 pub use local_disk::{DiskParams, LocalDisk};
 pub use object_store::ObjectStore;
 pub use profiles::{

@@ -7,9 +7,10 @@
 //! each one is.
 
 use crate::error::StorageError;
+use crate::fault::{FaultLog, FaultPlan};
 use crate::StorageResult;
 use bytes::Bytes;
-use msr_sim::SimDuration;
+use msr_sim::{Clock, SimDuration};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -161,7 +162,7 @@ impl FixedCosts {
 pub struct FileHandle(pub(crate) u32);
 
 impl FileHandle {
-    /// The raw id (the fault stage keys its cursor shadows by it).
+    /// The raw id, e.g. for a transcript.
     pub fn raw(self) -> u32 {
         self.0
     }
@@ -196,7 +197,8 @@ pub struct ResourceStats {
     pub bytes_written: u64,
 }
 
-/// The native storage interface implemented by every simulated resource.
+/// The native storage interface, implemented once by
+/// [`Device`](crate::Device) for every simulated resource kind.
 ///
 /// Data-path methods return [`Cost`]s carrying jittered "actual" durations;
 /// the two `*_model` methods expose the deterministic components used by the
@@ -244,6 +246,12 @@ pub trait StorageResource: Send {
     /// Administratively resize the resource (quota change). Resources with
     /// effectively unlimited capacity (tape) ignore this.
     fn set_capacity(&mut self, bytes: u64);
+
+    /// Switch the seeded transient-fault stage on (replacing any earlier
+    /// plan; handles already open keep their cursors). Its draws come from
+    /// `seed` and the resource name, its records are stamped with `clock`.
+    /// Returns the shared fault log for reconciliation.
+    fn inject_faults(&mut self, plan: FaultPlan, clock: Clock, seed: u64) -> FaultLog;
 
     /// Establish the client connection (no-op with zero cost for local
     /// resources, SRB session setup for remote ones). Idempotent: a second

@@ -1,13 +1,13 @@
-//! Contract tests: every device kind, bare and behind a [`Front`], must
-//! satisfy the same behavioural battery — the guarantees the run-time
-//! layer and the API layer build on.
+//! Contract tests: every device kind, bare and with its fault and observe
+//! stages on, must satisfy the same behavioural battery — the guarantees
+//! the run-time layer and the API layer build on.
 
 use msr_net::{LinkSpec, Network};
 use msr_obs::Registry;
 use msr_sim::{Clock, SimDuration};
 use msr_storage::{
-    share, DiskParams, FaultPlan, Front, LocalDisk, OpKind, OpenMode, RateCurve, RemoteDisk,
-    SharedResource, StorageError, StorageResource, TapeResource,
+    share, CostModel, Device, DiskParams, FaultPlan, LocalDisk, OpKind, OpenMode, RateCurve,
+    RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
 };
 
 fn local() -> LocalDisk {
@@ -56,15 +56,14 @@ fn tape() -> TapeResource {
     )
 }
 
-/// `device` behind a [`Front`] with both stages switched on — live
-/// recorder and a fault plan that injects nothing — so every stage's
-/// bookkeeping runs under the battery without changing what the contract
-/// promises.
-fn fronted(device: impl StorageResource + 'static) -> SharedResource {
+/// `device` with both stages switched on — live recorder and a fault
+/// plan that injects nothing — so every stage's bookkeeping runs under the
+/// battery without changing what the contract promises.
+fn staged<M: CostModel + 'static>(device: Device<M>) -> Device<M> {
     let clock = Clock::new();
-    let mut front = Front::new(device).observed(Registry::new().recorder(), clock.clone());
-    front.inject_faults(FaultPlan::none(), clock, 7);
-    share(front)
+    let mut device = device.observed(Registry::new().recorder(), clock.clone());
+    device.inject_faults(FaultPlan::none(), clock, 7);
+    device
 }
 
 fn all_resources() -> Vec<SharedResource> {
@@ -72,9 +71,9 @@ fn all_resources() -> Vec<SharedResource> {
         share(local()),
         share(remote()),
         share(tape()),
-        fronted(local()),
-        fronted(remote()),
-        fronted(tape()),
+        share(staged(local())),
+        share(staged(remote())),
+        share(staged(tape())),
     ]
 }
 
@@ -313,9 +312,9 @@ fn stream_hint_never_speeds_up_io() {
     });
 }
 
-/// A front forwards every info method untouched — here a tape device
-/// with a vaulted file, a logical-size override, a stream hint and the
-/// device offline, so every answer differs from a resource left as built.
+/// The stages leave every info answer untouched — here a tape device with
+/// a vaulted file, a logical-size override, a stream hint and the device
+/// offline, so every answer differs from a resource left as built.
 #[test]
 fn front_is_transparent_for_every_info_method() {
     fn shelved() -> TapeResource {
@@ -362,8 +361,7 @@ fn front_is_transparent_for_every_info_method() {
             && bare.is_vaulted("t/b")
             && bare.stream_hint() == 3
             && bare.logical_bytes() != bare.used_bytes(),
-        "the case must tell every forwarded answer from an untouched device's"
+        "the case must tell every answer from an untouched device's"
     );
-    let front = fronted(shelved());
-    assert_eq!(info(&*front.lock()), info(&bare));
+    assert_eq!(info(&staged(shelved())), info(&bare));
 }
