@@ -96,7 +96,7 @@ pub fn client_fleet(n: usize, cube: u64, iterations: u32) -> Vec<SessionProgram>
 
 /// The tape-heavy consumer fleet the prefetcher is measured on: `n`
 /// archival producers that each dump one float variable every 6
-/// iterations (Archive future-use, so placement prefers tape) and read
+/// iterations (Archive future-use, pinned to tape) and read
 /// their three earliest dumps back at the end of the run as standalone
 /// read chains. While one session's writes hold the tape foreground
 /// stream, every *other* session's consumer reads are idle queue tail —
@@ -112,6 +112,7 @@ pub fn consumer_fleet(n: usize, cube: u64, iterations: u32) -> Vec<SessionProgra
                         .element(ElementType::F32)
                         .cube(cube)
                         .frequency(6)
+                        .hint(msr_core::LocationHint::RemoteTape)
                         .future_use(FutureUse::Archive)
                         .build(),
                 )
@@ -365,6 +366,8 @@ pub fn run_sequential(sys: &MsrSystem, programs: &[SessionProgram]) -> CoreResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msr_core::LocationHint;
+    use msr_storage::StorageKind;
 
     #[test]
     fn fleet_is_deterministic_and_mixed() {
@@ -389,7 +392,7 @@ mod tests {
         for s in &report.sessions {
             assert_eq!(
                 s.placements["chk"],
-                msr_storage::StorageKind::LocalDisk,
+                StorageKind::LocalDisk,
                 "checkpoints pin to local disk"
             );
             // 9 iterations at frequency 3: dumps at 0, 3, 6, 9.
@@ -405,7 +408,15 @@ mod tests {
 
     #[test]
     fn concurrent_fleet_beats_sequential_fleet() {
-        let programs = client_fleet(4, 8, 12);
+        // Each dataset pinned to the first kind its future use prefers.
+        let mut programs = client_fleet(4, 8, 12);
+        for d in programs.iter_mut().flat_map(|p| &mut p.datasets) {
+            d.hint = match d.future_use.preference()[0] {
+                StorageKind::LocalDisk => LocationHint::LocalDisk,
+                StorageKind::RemoteDisk => LocationHint::RemoteDisk,
+                StorageKind::RemoteTape => LocationHint::RemoteTape,
+            };
+        }
         let seq_sys = MsrSystem::testbed(5);
         let sequential = run_sequential(&seq_sys, &programs).unwrap();
         let sys = MsrSystem::testbed(5);

@@ -30,8 +30,10 @@ fn predicted_read(
     bytes_per_dump: u64,
     dumps: u32,
 ) -> Option<SimDuration> {
-    let predictor = sys.predictor()?;
-    let profile = predictor.db.get(resource, msr_storage::OpKind::Read).ok()?;
+    let profile = sys
+        .perf_db()
+        .get(resource, msr_storage::OpKind::Read)
+        .ok()?;
     let per = profile.fixed.total() + profile.transfer_time(bytes_per_dump);
     Some(per * f64::from(dumps))
 }

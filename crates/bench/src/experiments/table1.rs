@@ -64,7 +64,7 @@ pub fn table1(seed: u64) -> Vec<Table1Row> {
         scratch_prefix: "ptool/table1".into(),
     };
     sys.run_ptool(&ptool).expect("testbed sweep");
-    let db = &sys.predictor().expect("ptool installed").db;
+    let db = sys.perf_db();
     paper_rows()
         .into_iter()
         .map(|(location, op, paper)| Table1Row {

@@ -15,7 +15,8 @@ pub enum CoreError {
     Runtime(msr_runtime::RuntimeError),
     /// Metadata catalog failure.
     Meta(msr_meta::MetaError),
-    /// Predictor failure (only when a prediction-driven policy is active).
+    /// Performance-database failure: a PTool sweep that could not
+    /// exercise a resource.
     Predict(msr_predict::PredictError),
     /// No resource can currently satisfy the request (everything offline
     /// or full).

@@ -78,18 +78,18 @@ pub fn resolve(
 /// minimum. Ties break toward the dataset's static preference order, so
 /// scored placement is deterministic.
 ///
-/// Each price is [`MsrSystem::price`], which scales the access by the
-/// chunk plane's learned per-dataset ratio (a bitwise no-op at 1.0).
-/// Returns `None` — degrade to the static [`fallback`] order — when no
-/// performance database is installed, or when the winning resource is not
-/// currently usable (offline, full, or its circuit breaker is open).
+/// Each price is [`MsrSystem::price`], which always answers — from a
+/// measured database row, else the resource's own model — and scales the
+/// access by the chunk plane's learned per-dataset ratio (a bitwise no-op
+/// at 1.0). Returns `None` — degrade to the static [`fallback`] order —
+/// only when the winning resource is not currently usable (offline, full,
+/// or its circuit breaker is open).
 fn by_score(
     sys: &MsrSystem,
     spec: &DatasetSpec,
     dist: &Distribution,
     run_bytes: u64,
 ) -> Option<StorageKind> {
-    sys.predictor()?;
     let mut best: Option<(StorageKind, SimDuration)> = None;
     // Walking the preference order makes it the tie-break: a later kind
     // must be strictly faster to displace an earlier one.
@@ -134,11 +134,6 @@ fn by_performance(
     run_bytes: u64,
     per_dump: SimDuration,
 ) -> CoreResult<Option<StorageKind>> {
-    sys.predictor()
-        .ok_or_else(|| msr_predict::PredictError::NoProfile {
-            resource: "<performance database not populated — run PTool>".into(),
-            op: OpKind::Write,
-        })?;
     let mut meeting: Vec<(StorageKind, u64)> = Vec::new();
     let mut fastest: Option<(StorageKind, SimDuration)> = None;
     for kind in [
@@ -179,7 +174,7 @@ mod tests {
     use crate::hints::FutureUse;
     use crate::tenant::TenantId;
     use msr_meta::ElementType;
-    use msr_predict::{AccessSummary, PTool};
+    use msr_predict::{dump_time_with, AccessSummary, PTool, ResourceProfile};
     use msr_runtime::ProcGrid;
 
     fn auto_spec(future_use: FutureUse) -> DatasetSpec {
@@ -211,44 +206,49 @@ mod tests {
         sys
     }
 
-    /// With a populated performance database, AUTO ignores the static
-    /// archive order (tape first) and lands on the resource with the
-    /// minimum eq. (2) predicted per-dump time.
+    /// AUTO ignores the static archive order (tape first) and lands on the
+    /// resource with the minimum eq. (2) predicted per-dump time: priced
+    /// from the resources' own models on a fresh testbed, and from the
+    /// measured rows after a PTool sweep.
     #[test]
     fn scored_auto_lands_on_min_predicted_time_resource() {
-        let sys = populated_system(11);
-        let spec = auto_spec(FutureUse::Archive);
-        let dist = dist_of(&spec);
-        let access = AccessSummary::of(&dist);
-        // Independently compute the database's argmin over all kinds.
-        let expect = [
-            StorageKind::LocalDisk,
-            StorageKind::RemoteDisk,
-            StorageKind::RemoteTape,
-        ]
-        .into_iter()
-        .map(|k| {
-            let name = sys.resource(k).unwrap().lock().name().to_owned();
-            let t = msr_predict::dump_time(
-                &sys.predictor().unwrap().db,
-                &name,
-                OpKind::Write,
-                spec.strategy,
-                &access,
-            )
-            .unwrap();
-            (k, t)
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .unwrap()
-        .0;
-        let got = resolve(&sys, &spec, &dist, spec.run_bytes(12)).unwrap();
-        assert_eq!(got, Some(expect));
-        assert_ne!(
-            Some(StorageKind::RemoteTape),
-            got,
-            "tape (the static archive default) is not the fastest medium"
-        );
+        for swept in [false, true] {
+            let sys = if swept {
+                populated_system(11)
+            } else {
+                MsrSystem::testbed(11)
+            };
+            assert_eq!(sys.perf_db().is_empty(), !swept);
+            let spec = auto_spec(FutureUse::Archive);
+            let dist = dist_of(&spec);
+            let access = AccessSummary::of(&dist);
+            // Independently compute the argmin over all kinds.
+            let expect = [
+                StorageKind::LocalDisk,
+                StorageKind::RemoteDisk,
+                StorageKind::RemoteTape,
+            ]
+            .into_iter()
+            .map(|k| {
+                let res = sys.resource(k).unwrap();
+                let r = res.lock();
+                let profile = match sys.perf_db().get(r.name(), OpKind::Write) {
+                    Ok(row) => row.clone(),
+                    Err(_) => ResourceProfile::of_model(&*r, OpKind::Write),
+                };
+                (k, dump_time_with(&profile, spec.strategy, &access))
+            })
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .unwrap()
+            .0;
+            let got = resolve(&sys, &spec, &dist, spec.run_bytes(12)).unwrap();
+            assert_eq!(got, Some(expect), "swept={swept}");
+            assert_ne!(
+                Some(StorageKind::RemoteTape),
+                got,
+                "tape (the static archive default) is not the fastest medium (swept={swept})"
+            );
+        }
     }
 
     /// Queue depth inflates a resource's score: pile enough load on the
@@ -297,21 +297,5 @@ mod tests {
             .find(|&k| k != winner)
             .unwrap();
         assert_eq!(got, static_choice);
-    }
-
-    /// No performance database at all: AUTO behaves exactly as before the
-    /// scorer existed — the static future-use preference order.
-    #[test]
-    fn empty_predictor_falls_back_to_static_preference() {
-        let sys = MsrSystem::testbed(11);
-        assert!(sys.predictor().is_none());
-        let spec = auto_spec(FutureUse::Archive);
-        let dist = dist_of(&spec);
-        let got = resolve(&sys, &spec, &dist, spec.run_bytes(12)).unwrap();
-        assert_eq!(
-            got,
-            Some(StorageKind::RemoteTape),
-            "archive default is tape"
-        );
     }
 }

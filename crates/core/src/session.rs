@@ -28,7 +28,7 @@ use crate::CoreResult;
 use bytes::Bytes;
 use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId};
 use msr_obs::{ops, Layer, Recorder};
-use msr_predict::{DatasetPlan, PredictionReport, RunSpec};
+use msr_predict::{AccessSummary, PredictionReport, PredictionRow};
 use msr_runtime::{
     staging_cache, Distribution, EngineRequest, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid,
     RequestBody, RequestOutcome, RequestTag, RetryPolicy, RuntimeError, StagingCache,
@@ -598,37 +598,32 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Predict this session's total I/O time with the system predictor
-    /// (recording per-dataset VIRTUALTIMEs in the catalog — Fig. 11).
+    /// Predict this session's total I/O time, eq. (2), and record each
+    /// dataset's VIRTUALTIME in the catalog (Fig. 11). Every dump is priced
+    /// by [`MsrSystem::price`], the estimate placement, admission,
+    /// read-ahead and lifecycle moves take, so it answers on a fresh
+    /// system from the resources' own models and from the measured rows
+    /// once a PTool sweep has installed them. Chunked datasets are priced
+    /// at their learned post-dedup/post-compression size and object count;
+    /// raw datasets at their plain shape, bit for bit.
     pub fn predict(&self) -> CoreResult<PredictionReport> {
-        let predictor =
-            self.sys
-                .predictor()
-                .ok_or_else(|| msr_predict::PredictError::NoProfile {
-                    resource: "<performance database not populated — run PTool>".into(),
-                    op: OpKind::Write,
-                })?;
-        let plans: Vec<DatasetPlan> = self
+        let report: PredictionReport = self
             .datasets
             .iter()
-            .map(|d| DatasetPlan {
-                name: d.spec.name.clone(),
-                resource: d
-                    .location
-                    .and_then(|k| self.sys.resource(k).map(|r| r.lock().name().to_owned())),
-                op: OpKind::Write,
-                frequency: d.spec.frequency,
-                strategy: d.spec.strategy,
-                // Chunked datasets are priced at their learned
-                // post-dedup/post-compression size and object count; raw
-                // datasets at their plain shape, bit for bit.
-                access: self.sys.predicted_access(&d.spec.name, &d.dist),
+            .map(|d| {
+                let (name, strategy) = (&d.spec.name, d.spec.strategy);
+                let (resource, per_dump) = match d.location {
+                    Some(kind) => (
+                        self.sys.resource(kind).map(|r| r.lock().name().to_owned()),
+                        self.sys.price(kind, OpKind::Write, strategy, name, &d.dist),
+                    ),
+                    None => (None, SimDuration::ZERO),
+                };
+                let calls = AccessSummary::of(&d.dist).native_calls(strategy);
+                let (n, freq) = (self.iterations, d.spec.frequency);
+                PredictionRow::new(name, resource, n, freq, calls, per_dump)
             })
             .collect();
-        let report = predictor.predict(&RunSpec {
-            iterations: self.iterations,
-            datasets: plans,
-        })?;
         let mut catalog = self.sys.catalog.lock();
         for (row, d) in report.rows.iter().zip(&self.datasets) {
             catalog.set_dataset_prediction(d.meta_id, row.total.as_secs())?;
@@ -1144,9 +1139,12 @@ mod tests {
         ));
     }
 
+    /// A fresh testbed, with no PTool sweep, predicts from the resources'
+    /// own models and records every VIRTUALTIME in the catalog.
     #[test]
-    fn session_predict_requires_ptool() {
+    fn session_predict_works_on_a_fresh_testbed() {
         let sys = MsrSystem::testbed(2);
+        assert!(sys.perf_db().is_empty());
         let mut s = sys
             .session()
             .app("app")
@@ -1155,8 +1153,19 @@ mod tests {
             .grid(ProcGrid::new(1, 1, 1))
             .build()
             .unwrap();
-        s.open(spec("x", LocationHint::LocalDisk)).unwrap();
-        assert!(matches!(s.predict(), Err(CoreError::Predict(_))));
+        s.open(spec("x", LocationHint::RemoteDisk)).unwrap();
+        s.open(spec("off", LocationHint::Disable)).unwrap();
+        let pred = s.predict().unwrap();
+        assert_eq!(pred.rows[0].resource.as_deref(), Some("sdsc-disk"));
+        assert_eq!(pred.rows[0].dumps, 12 / 6 + 1);
+        assert!(pred.rows[0].total > SimDuration::ZERO);
+        assert_eq!(pred.rows[1].dumps, 0, "a DISABLEd dataset never dumps");
+        assert_eq!(pred.total, pred.rows[0].total);
+        let mut catalog = sys.catalog.lock();
+        for row in &pred.rows {
+            let rec = catalog.find_dataset(s.run_id(), &row.name).unwrap();
+            assert_eq!(rec.predicted_secs, Some(row.total.as_secs()));
+        }
     }
 
     #[test]

@@ -10,9 +10,7 @@ use crate::CoreResult;
 use msr_meta::{Catalog, ResourceRec, RunId};
 use msr_net::{LinkId, SharedNetwork};
 use msr_obs::{Recorder, Registry};
-use msr_predict::{
-    dump_time_with, AccessSummary, PTool, PerfDb, Predictor, RatioBook, ResourceProfile,
-};
+use msr_predict::{dump_time_with, AccessSummary, PTool, PerfDb, RatioBook, ResourceProfile};
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{share, testbed, FaultLog, FaultPlan, OpKind, SharedResource, StorageKind};
@@ -21,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The configured multi-storage environment: network, storage resources,
-/// metadata catalog, performance predictor and the virtual clock.
+/// metadata catalog, performance database and the virtual clock.
 pub struct MsrSystem {
     /// The internetwork.
     pub net: SharedNetwork,
@@ -53,7 +51,9 @@ pub struct MsrSystem {
     /// The profile [`price`](Self::price) resolved per resource and
     /// operation, kept until a call that changes it clears the table.
     profiles: Mutex<BTreeMap<(StorageKind, OpKind), ResourceProfile>>,
-    predictor: Option<Predictor>,
+    /// Measured rows: empty until [`run_ptool`](Self::run_ptool) or
+    /// [`set_perf_db`](Self::set_perf_db) installs some.
+    perf_db: PerfDb,
     policy: PlacementPolicy,
     wan_link: Option<LinkId>,
     seed: u64,
@@ -130,7 +130,7 @@ impl MsrSystem {
             resources,
             ratios: Mutex::new(RatioBook::new()),
             profiles: Mutex::new(BTreeMap::new()),
-            predictor: None,
+            perf_db: PerfDb::new(),
             policy: PlacementPolicy::Hinted,
             wan_link: Some(tb.wan_link),
             seed,
@@ -218,19 +218,18 @@ impl MsrSystem {
         for res in &resources {
             res.lock().reset_stats();
         }
-        self.predictor = Some(Predictor::new(db));
-        self.profiles.get_mut().clear();
+        self.set_perf_db(db);
         Ok(SimDuration::ZERO)
     }
 
-    /// The predictor, if the performance database has been populated.
-    pub fn predictor(&self) -> Option<&Predictor> {
-        self.predictor.as_ref()
+    /// The performance database's measured rows (empty before a sweep).
+    pub fn perf_db(&self) -> &PerfDb {
+        &self.perf_db
     }
 
     /// Install an externally built performance database.
     pub fn set_perf_db(&mut self, db: PerfDb) {
-        self.predictor = Some(Predictor::new(db));
+        self.perf_db = db;
         self.profiles.get_mut().clear();
     }
 
@@ -318,9 +317,11 @@ impl MsrSystem {
 
     /// The eq. (2) price of one `op` dump of `dataset`, laid out as `dist`,
     /// on `kind` under `strategy` — the one single-dump estimate scored
-    /// placement, admission, read-ahead and lifecycle moves all take. The
-    /// profile is the installed database row for the resource, else
-    /// [`ResourceProfile::of_model`]; it is resolved once and kept until
+    /// placement, admission, read-ahead, lifecycle moves and
+    /// [`Session::predict`] all take. It always answers: the profile is the
+    /// measured database row for the resource, else
+    /// [`ResourceProfile::of_model`], the resource's own fixed costs and
+    /// transfer model read live. It is resolved once and kept until
     /// [`run_ptool`](Self::run_ptool), [`set_perf_db`](Self::set_perf_db),
     /// [`set_wan_up`](Self::set_wan_up) or
     /// [`set_wan_background_load`](Self::set_wan_background_load) changes
@@ -338,10 +339,7 @@ impl MsrSystem {
         let mut profiles = self.profiles.lock();
         let profile = profiles.entry((kind, op)).or_insert_with(|| {
             let r = self.resources[&kind].lock();
-            let row = self
-                .predictor
-                .as_ref()
-                .and_then(|p| p.db.get(r.name(), op).ok());
+            let row = self.perf_db.get(r.name(), op).ok();
             row.cloned()
                 .unwrap_or_else(|| ResourceProfile::of_model(&*r, op))
         });
@@ -376,15 +374,14 @@ mod tests {
     #[test]
     fn ptool_installs_a_predictor() {
         let mut sys = MsrSystem::testbed(1);
-        assert!(sys.predictor().is_none());
+        assert!(sys.perf_db().is_empty(), "no measured row before the sweep");
         let pt = PTool {
             sizes: vec![1 << 16, 1 << 20],
             reps: 2,
             scratch_prefix: "ptool/x".into(),
         };
         sys.run_ptool(&pt).unwrap();
-        let p = sys.predictor().unwrap();
-        assert_eq!(p.db.len(), 6, "3 resources x 2 ops");
+        assert_eq!(sys.perf_db().len(), 6, "3 resources x 2 ops");
         // Mirrored into the catalog.
         assert!(sys
             .catalog

@@ -1,41 +1,8 @@
-//! The eq. (2) prediction algorithm over whole runs.
+//! Eq. (2)'s outer sum over a run: one Fig. 11 row per dataset.
 
-use crate::model::{dump_time, AccessSummary};
-use crate::perfdb::PerfDb;
-use crate::PredictResult;
-use msr_runtime::IoStrategy;
 use msr_sim::SimDuration;
-use msr_storage::OpKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// One dataset's access plan within a run — the predictor's row input
-/// (compare Fig. 11's table columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetPlan {
-    /// Dataset name.
-    pub name: String,
-    /// Performance-database resource name (e.g. `"sdsc-hpss"`), or `None`
-    /// when the dump is DISABLEd.
-    pub resource: Option<String>,
-    /// Operation direction.
-    pub op: OpKind,
-    /// Dump frequency in iterations.
-    pub frequency: u32,
-    /// I/O optimization in use.
-    pub strategy: IoStrategy,
-    /// Distribution facts.
-    pub access: AccessSummary,
-}
-
-/// A whole run to predict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSpec {
-    /// Total iterations `N`.
-    pub iterations: u32,
-    /// The datasets.
-    pub datasets: Vec<DatasetPlan>,
-}
 
 /// Per-dataset prediction (one Fig. 11 row).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,6 +21,61 @@ pub struct PredictionRow {
     pub total: SimDuration,
 }
 
+impl PredictionRow {
+    /// Eq. (2)'s outer sum for one dataset over a run of `iterations`:
+    /// `N/freq + 1` dumps of `per_dump` each, every dump issuing
+    /// `native_calls` native calls. A dataset that is never dumped —
+    /// frequency 0, or DISABLEd (`resource` is `None`) — has no dumps and
+    /// costs nothing.
+    ///
+    /// ```
+    /// use msr_predict::{dump_time_with, AccessSummary, PredictionRow, ResourceProfile};
+    /// use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+    /// use msr_storage::{FixedCosts, StorageKind};
+    ///
+    /// let disk = ResourceProfile {
+    ///     kind: StorageKind::RemoteDisk,
+    ///     fixed: FixedCosts::default(),
+    ///     samples: vec![(1_000_000, 1.0), (8_000_000, 8.0)],
+    /// };
+    /// let dist = Distribution::new(Dims3::cube(128), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1))
+    ///     .unwrap();
+    /// let access = AccessSummary::of(&dist);
+    /// let strategy = IoStrategy::Collective;
+    /// let per_dump = dump_time_with(&disk, strategy, &access);
+    /// let calls = access.native_calls(strategy);
+    /// let row = PredictionRow::new("vr_temp", Some("disk".into()), 120, 6, calls, per_dump);
+    /// assert_eq!(row.dumps, 21); // N/freq + 1, the paper's eq. (2)
+    /// assert_eq!(row.total, per_dump * 21.0);
+    /// ```
+    pub fn new(
+        name: &str,
+        resource: Option<String>,
+        iterations: u32,
+        frequency: u32,
+        native_calls: u64,
+        per_dump: SimDuration,
+    ) -> Self {
+        let dumps = match (&resource, iterations.checked_div(frequency)) {
+            (Some(_), Some(d)) => d + 1,
+            _ => 0,
+        };
+        let (native_calls, per_dump) = if dumps > 0 {
+            (native_calls, per_dump)
+        } else {
+            (0, SimDuration::ZERO)
+        };
+        PredictionRow {
+            name: name.to_owned(),
+            resource,
+            dumps,
+            native_calls,
+            per_dump,
+            total: per_dump * f64::from(dumps),
+        }
+    }
+}
+
 /// A complete prediction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictionReport {
@@ -61,6 +83,15 @@ pub struct PredictionReport {
     pub rows: Vec<PredictionRow>,
     /// Total predicted I/O time for the run.
     pub total: SimDuration,
+}
+
+/// A run's rows, summed into its total in row order.
+impl FromIterator<PredictionRow> for PredictionReport {
+    fn from_iter<I: IntoIterator<Item = PredictionRow>>(rows: I) -> Self {
+        let rows: Vec<PredictionRow> = rows.into_iter().collect();
+        let total = rows.iter().map(|r| r.total).sum();
+        PredictionReport { rows, total }
+    }
 }
 
 impl fmt::Display for PredictionReport {
@@ -95,102 +126,19 @@ impl fmt::Display for PredictionReport {
     }
 }
 
-/// The prediction algorithm.
-///
-/// ```
-/// use msr_predict::{AccessSummary, DatasetPlan, Predictor, PerfDb, ResourceProfile, RunSpec};
-/// use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
-/// use msr_storage::{FixedCosts, OpKind, StorageKind};
-///
-/// let mut db = PerfDb::new();
-/// db.insert("disk", OpKind::Write, ResourceProfile {
-///     kind: StorageKind::RemoteDisk,
-///     fixed: FixedCosts::default(),
-///     samples: vec![(1_000_000, 1.0), (8_000_000, 8.0)],
-/// });
-/// let dist = Distribution::new(Dims3::cube(128), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1))
-///     .unwrap();
-/// let spec = RunSpec {
-///     iterations: 120,
-///     datasets: vec![DatasetPlan {
-///         name: "vr_temp".into(),
-///         resource: Some("disk".into()),
-///         op: OpKind::Write,
-///         frequency: 6,
-///         strategy: IoStrategy::Collective,
-///         access: AccessSummary::of(&dist),
-///     }],
-/// };
-/// let report = Predictor::new(db).predict(&spec).unwrap();
-/// assert_eq!(report.rows[0].dumps, 21); // N/freq + 1, the paper's eq. (2)
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Predictor {
-    /// The performance database consulted for `t_j(s)`.
-    pub db: PerfDb,
-}
-
-impl Predictor {
-    /// A predictor over a database.
-    pub fn new(db: PerfDb) -> Self {
-        Predictor { db }
-    }
-
-    /// Predict one dataset's total I/O time for a run of `iterations`.
-    pub fn predict_dataset(
-        &self,
-        iterations: u32,
-        plan: &DatasetPlan,
-    ) -> PredictResult<PredictionRow> {
-        let dumps = match iterations.checked_div(plan.frequency) {
-            None => 0,
-            Some(d) => d + 1,
-        };
-        let (per_dump, native_calls) = match (&plan.resource, dumps) {
-            (Some(resource), d) if d > 0 => (
-                dump_time(&self.db, resource, plan.op, plan.strategy, &plan.access)?,
-                plan.access.native_calls(plan.strategy),
-            ),
-            _ => (SimDuration::ZERO, 0),
-        };
-        Ok(PredictionRow {
-            name: plan.name.clone(),
-            resource: plan.resource.clone(),
-            dumps,
-            native_calls,
-            per_dump,
-            total: per_dump * f64::from(dumps),
-        })
-    }
-
-    /// Predict the whole run: eq. (2)'s outer sum.
-    pub fn predict(&self, spec: &RunSpec) -> PredictResult<PredictionReport> {
-        let mut rows = Vec::with_capacity(spec.datasets.len());
-        let mut total = SimDuration::ZERO;
-        for plan in &spec.datasets {
-            let row = self.predict_dataset(spec.iterations, plan)?;
-            total += row.total;
-            rows.push(row);
-        }
-        Ok(PredictionReport { rows, total })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{dump_time_with, AccessSummary};
     use crate::perfdb::ResourceProfile;
-    use msr_runtime::{Dims3, Distribution, Pattern, ProcGrid};
+    use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
     use msr_storage::{FixedCosts, StorageKind};
 
-    /// Database calibrated to the §4.2 worked example: a 2 MB collective
+    /// Profiles calibrated to the §4.2 worked example: a 2 MB collective
     /// write costs ≈ 0.25 s locally, ≈ 8.47 s on remote disks.
-    fn example_db() -> PerfDb {
-        let mut db = PerfDb::new();
-        db.insert(
-            "anl-local",
-            OpKind::Write,
-            ResourceProfile {
+    fn example_profile(resource: &str) -> ResourceProfile {
+        match resource {
+            "anl-local" => ResourceProfile {
                 kind: StorageKind::LocalDisk,
                 fixed: FixedCosts {
                     open: SimDuration::from_secs(0.21),
@@ -199,11 +147,7 @@ mod tests {
                 },
                 samples: vec![(1 << 20, 0.0195), (1 << 21, 0.039), (1 << 24, 0.312)],
             },
-        );
-        db.insert(
-            "sdsc-disk",
-            OpKind::Write,
-            ResourceProfile {
+            _ => ResourceProfile {
                 kind: StorageKind::RemoteDisk,
                 fixed: FixedCosts {
                     conn: SimDuration::from_secs(0.44),
@@ -214,22 +158,22 @@ mod tests {
                 },
                 samples: vec![(1 << 20, 3.39), (1 << 21, 6.78), (1 << 24, 54.2)],
             },
-        );
-        db
+        }
     }
 
-    fn vr_plan(name: &str, resource: Option<&str>) -> DatasetPlan {
-        // 128^3 u8 = 2 MiB, single-process collective, freq 6.
+    /// One 128^3 u8 dataset (2 MiB, single-process collective) over 120
+    /// iterations, priced on `resource`.
+    fn vr_row(name: &str, resource: Option<&str>, frequency: u32) -> PredictionRow {
         let dist =
             Distribution::new(Dims3::cube(128), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1)).unwrap();
-        DatasetPlan {
-            name: name.into(),
-            resource: resource.map(str::to_owned),
-            op: OpKind::Write,
-            frequency: 6,
-            strategy: IoStrategy::Collective,
-            access: AccessSummary::of(&dist),
-        }
+        let access = AccessSummary::of(&dist);
+        let strategy = IoStrategy::Collective;
+        let per_dump = resource.map_or(SimDuration::ZERO, |r| {
+            dump_time_with(&example_profile(r), strategy, &access)
+        });
+        let calls = access.native_calls(strategy);
+        let resource = resource.map(str::to_owned);
+        PredictionRow::new(name, resource, 120, frequency, calls, per_dump)
     }
 
     #[test]
@@ -238,14 +182,12 @@ mod tests {
         // Paper: (120/6+1)·0.25 + (120/6+1)·8.47 = 2.59 + 177.98 ≈ 180.57.
         // (The paper's 2.59 implies a 0.123 s local per-dump; its "0.25"
         // is an inline typo. We calibrate near their arithmetic.)
-        let spec = RunSpec {
-            iterations: 120,
-            datasets: vec![
-                vr_plan("vr_temp", Some("anl-local")),
-                vr_plan("vr_press", Some("sdsc-disk")),
-            ],
-        };
-        let rep = Predictor::new(example_db()).predict(&spec).unwrap();
+        let rep: PredictionReport = [
+            vr_row("vr_temp", Some("anl-local"), 6),
+            vr_row("vr_press", Some("sdsc-disk"), 6),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(rep.rows[0].dumps, 21);
         let remote_total = rep.rows[1].total.as_secs();
         assert!((170.0..190.0).contains(&remote_total), "got {remote_total}");
@@ -255,11 +197,8 @@ mod tests {
 
     #[test]
     fn disabled_dataset_costs_nothing() {
-        let spec = RunSpec {
-            iterations: 120,
-            datasets: vec![vr_plan("vr_rho", None)],
-        };
-        let rep = Predictor::new(example_db()).predict(&spec).unwrap();
+        let rep: PredictionReport = [vr_row("vr_rho", None, 6)].into_iter().collect();
+        assert_eq!(rep.rows[0].dumps, 0);
         assert_eq!(rep.rows[0].total, SimDuration::ZERO);
         assert_eq!(rep.rows[0].native_calls, 0);
         assert_eq!(rep.total, SimDuration::ZERO);
@@ -267,41 +206,24 @@ mod tests {
 
     #[test]
     fn zero_frequency_means_never_dumped() {
-        let mut plan = vr_plan("vr_ek", Some("sdsc-disk"));
-        plan.frequency = 0;
-        let rep = Predictor::new(example_db())
-            .predict(&RunSpec {
-                iterations: 120,
-                datasets: vec![plan],
-            })
-            .unwrap();
-        assert_eq!(rep.rows[0].dumps, 0);
-        assert_eq!(rep.rows[0].total, SimDuration::ZERO);
+        let row = vr_row("vr_ek", Some("sdsc-disk"), 0);
+        assert_eq!(row.dumps, 0);
+        assert_eq!(row.native_calls, 0);
+        assert_eq!(row.total, SimDuration::ZERO);
     }
 
     #[test]
     fn report_renders_a_fig11_style_table() {
-        let spec = RunSpec {
-            iterations: 120,
-            datasets: vec![
-                vr_plan("vr_temp", Some("anl-local")),
-                vr_plan("vr_rho", None),
-            ],
-        };
-        let rep = Predictor::new(example_db()).predict(&spec).unwrap();
+        let rep: PredictionReport = [
+            vr_row("vr_temp", Some("anl-local"), 6),
+            vr_row("vr_rho", None, 6),
+        ]
+        .into_iter()
+        .collect();
         let s = rep.to_string();
         assert!(s.contains("VIRTUALTIME"));
         assert!(s.contains("vr_temp"));
         assert!(s.contains("DISABLE"));
         assert!(s.contains("TOTAL"));
-    }
-
-    #[test]
-    fn missing_resource_profile_bubbles_up() {
-        let spec = RunSpec {
-            iterations: 12,
-            datasets: vec![vr_plan("x", Some("ghost-resource"))],
-        };
-        assert!(Predictor::new(example_db()).predict(&spec).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the eq. (2) prediction algorithm: predicted run time
+//! Property tests for eq. (2)'s outer sum over a run: predicted run time
 //! must be monotone in the knobs the user can turn — non-decreasing in the
 //! iteration count and non-increasing in the dump frequency (dumping less
 //! often can never cost more).
@@ -6,10 +6,10 @@
 //! Deterministic seeded sweeps stand in for a property-testing harness
 //! (the offline build cannot pull one in).
 
-use msr_predict::{AccessSummary, DatasetPlan, PerfDb, Predictor, ResourceProfile, RunSpec};
+use msr_predict::{dump_time_with, AccessSummary, PredictionRow, ResourceProfile};
 use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, OpKind, StorageKind};
+use msr_storage::{FixedCosts, StorageKind};
 use rand::{Rng, SeedableRng, StdRng};
 
 const CASES: u64 = 64;
@@ -37,7 +37,14 @@ fn rand_profile(rng: &mut StdRng) -> ResourceProfile {
     }
 }
 
-fn rand_plan(rng: &mut StdRng, frequency: u32) -> DatasetPlan {
+/// One dataset's dump shape: the strategy and the access it prices.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    strategy: IoStrategy,
+    access: AccessSummary,
+}
+
+fn rand_plan(rng: &mut StdRng) -> Plan {
     let grid = ProcGrid::new(
         rng.random_range(1u32..=2),
         rng.random_range(1u32..=2),
@@ -51,23 +58,19 @@ fn rand_plan(rng: &mut StdRng, frequency: u32) -> DatasetPlan {
         _ => IoStrategy::Subfile,
     };
     let dist = Distribution::new(dims, 4, Pattern::bbb(), grid).unwrap();
-    DatasetPlan {
-        name: "d".into(),
-        resource: Some("r".into()),
-        op: OpKind::Write,
-        frequency,
+    Plan {
         strategy,
         access: AccessSummary::of(&dist),
     }
 }
 
-fn total(predictor: &Predictor, iterations: u32, plan: &DatasetPlan) -> f64 {
-    predictor
-        .predict(&RunSpec {
-            iterations,
-            datasets: vec![plan.clone()],
-        })
-        .unwrap()
+/// The run's predicted total: `plan` dumped every `frequency` of
+/// `iterations` on `profile`.
+fn total(profile: &ResourceProfile, iterations: u32, frequency: u32, plan: &Plan) -> f64 {
+    let per_dump = dump_time_with(profile, plan.strategy, &plan.access);
+    let calls = plan.access.native_calls(plan.strategy);
+    let resource = Some("r".to_owned());
+    PredictionRow::new("d", resource, iterations, frequency, calls, per_dump)
         .total
         .as_secs()
 }
@@ -76,18 +79,16 @@ fn total(predictor: &Predictor, iterations: u32, plan: &DatasetPlan) -> f64 {
 fn prediction_is_monotone_in_iteration_count() {
     let mut rng = StdRng::seed_from_u64(0xEC2A);
     for _ in 0..CASES {
-        let mut db = PerfDb::new();
-        db.insert("r", OpKind::Write, rand_profile(&mut rng));
-        let p = Predictor::new(db);
+        let profile = rand_profile(&mut rng);
         let freq = rng.random_range(1u32..=12);
-        let plan = rand_plan(&mut rng, freq);
+        let plan = rand_plan(&mut rng);
         let mut prev = -1.0f64;
         let base = rng.random_range(1u32..=30);
         for n in [base, base * 2, base * 4, base * 8] {
-            let t = total(&p, n, &plan);
+            let t = total(&profile, n, freq, &plan);
             assert!(
                 t >= prev,
-                "more iterations predicted cheaper: N={n} gives {t}, prev {prev} ({plan:?})"
+                "more iterations predicted cheaper: N={n} gives {t}, prev {prev} (freq {freq}, {plan:?})"
             );
             prev = t;
         }
@@ -98,33 +99,17 @@ fn prediction_is_monotone_in_iteration_count() {
 fn prediction_is_monotone_in_dump_frequency() {
     let mut rng = StdRng::seed_from_u64(0xF2E0);
     for _ in 0..CASES {
-        let mut db = PerfDb::new();
-        db.insert("r", OpKind::Write, rand_profile(&mut rng));
-        let p = Predictor::new(db);
+        let profile = rand_profile(&mut rng);
         let iterations = rng.random_range(24u32..=240);
-        let plan = rand_plan(&mut rng, 1);
+        let plan = rand_plan(&mut rng);
         let mut prev = f64::INFINITY;
         for freq in [1u32, 2, 4, 8, 16, 32] {
-            let t = total(&p, iterations, &plan.clone_with_freq(freq));
+            let t = total(&profile, iterations, freq, &plan);
             assert!(
                 t <= prev,
                 "dumping less often predicted dearer: freq={freq} gives {t}, prev {prev}"
             );
             prev = t;
         }
-    }
-}
-
-/// Helper: same plan, different frequency — the sweep must vary only the
-/// knob under test.
-trait CloneWithFreq {
-    fn clone_with_freq(&self, f: u32) -> DatasetPlan;
-}
-
-impl CloneWithFreq for DatasetPlan {
-    fn clone_with_freq(&self, f: u32) -> DatasetPlan {
-        let mut p = self.clone();
-        p.frequency = f;
-        p
     }
 }

@@ -15,8 +15,7 @@ use msr_sched::{Scheduler, SessionProgram};
 use msr_sim::SimDuration;
 use msr_storage::StorageKind;
 
-/// Tape-bound archival producer (archive data defaults to tape when the
-/// predictor is empty).
+/// Tape-bound archival producer, pinned to tape.
 fn archive_program(i: usize) -> SessionProgram {
     SessionProgram::new(&format!("archive-{i:02}"))
         .user("sim")
@@ -26,6 +25,7 @@ fn archive_program(i: usize) -> SessionProgram {
                 .element(ElementType::F32)
                 .cube(16)
                 .frequency(6)
+                .hint(LocationHint::RemoteTape)
                 .future_use(FutureUse::Archive)
                 .build(),
         )

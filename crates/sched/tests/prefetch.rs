@@ -3,13 +3,14 @@
 //! the determinism contract, and degrade to on-demand service under
 //! injected faults.
 
-use msr_core::{DatasetSpec, FutureUse, MsrSystem};
+use msr_core::{DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_meta::ElementType;
 use msr_sched::{SchedReport, Scheduler, SessionProgram};
 use msr_storage::{FaultPlan, StorageKind};
 
-/// An archival producer that reads its three earliest dumps back at the
-/// end of the run — the consumer-fleet shape from `msr-apps`.
+/// An archival producer, pinned to tape, that reads its three earliest
+/// dumps back at the end of the run — the consumer-fleet shape from
+/// `msr-apps`.
 fn archive_program(i: usize, iterations: u32) -> SessionProgram {
     SessionProgram::new(&format!("archive-{i:02}"))
         .user("post")
@@ -19,6 +20,7 @@ fn archive_program(i: usize, iterations: u32) -> SessionProgram {
                 .element(ElementType::F32)
                 .cube(16)
                 .frequency(6)
+                .hint(LocationHint::RemoteTape)
                 .future_use(FutureUse::Archive)
                 .build(),
         )

@@ -26,8 +26,8 @@ fn main() -> CoreResult<()> {
     let baseline_sys = MsrSystem::testbed(2000);
     let sequential = run_sequential(&baseline_sys, &fleet)?;
 
-    // Scheduled: calibrate the predictor so AUTO placements are scored,
-    // then admit everyone at once.
+    // Scheduled: sweep PTool so AUTO placements are scored from measured
+    // rows rather than the resources' models, then admit everyone at once.
     let mut sys = MsrSystem::testbed(2000);
     sys.run_ptool(&PTool::default())?;
     let report = run_concurrent(&sys, fleet)?;

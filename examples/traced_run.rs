@@ -84,7 +84,7 @@ fn main() -> CoreResult<()> {
     // 3. Close the loop: feed the observed native calls back into the
     //    performance database and re-predict the run.
     let feeder = PerfDbFeeder::new();
-    let mut db = sys.predictor().expect("calibrated").db.clone();
+    let mut db = sys.perf_db().clone();
     let summary = feeder.ingest(&mut db, &events);
     sys.set_perf_db(db);
     let mut s2 = sys

@@ -270,6 +270,7 @@ fn event_engine_runs_lifecycle_and_prefetch_together_under_chaos() {
                                 .element(ElementType::F32)
                                 .cube(16)
                                 .frequency(6)
+                                .hint(LocationHint::RemoteTape)
                                 .future_use(FutureUse::Archive)
                                 .build(),
                         )

@@ -78,7 +78,7 @@ fn feeder_updated_db_repredicts_strictly_more_accurately() {
         alpha: 0.5,
         ..Default::default()
     };
-    let mut db = sys.predictor().unwrap().db.clone();
+    let mut db = sys.perf_db().clone();
     let summary = feeder.ingest(&mut db, &events);
     assert!(summary.changed(), "no feedback applied: {summary:?}");
     assert!(summary.transfer_updates > 0);
