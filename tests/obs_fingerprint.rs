@@ -118,7 +118,7 @@ fn session(sys: &MsrSystem) -> Session<'_> {
 fn scheduled_fleet_event_stream_is_frozen() {
     pinned(
         "scheduled fleet",
-        ["1b4daf0d0a5f6405", "fec8ee1a15b7d609"],
+        ["4971c928c2a7b8ca", "4a7729118c99508c"],
         || {
             let sys = MsrSystem::testbed(SEED);
             let engine = LifecycleEngine::new(LifecycleConfig {

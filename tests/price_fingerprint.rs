@@ -61,7 +61,7 @@ fn admit_mixed(sys: &MsrSystem) -> Scheduler<'_> {
 
 #[test]
 fn admitted_backlog_is_frozen() {
-    for (swept, pin) in [(false, "9c4e732ce59cd232"), (true, "c65aaa29c171965d")] {
+    for (swept, pin) in [(false, "4a86d3b6f8c10680"), (true, "0639aeb289a333b2")] {
         let sys = testbed(swept);
         let _sched = admit_mixed(&sys);
         let backlog = KINDS.map(|k| sys.load.predicted_backlog(k));
@@ -95,7 +95,7 @@ fn lifecycle_move_prices_are_frozen() {
 
 #[test]
 fn slo_shed_wait_is_frozen() {
-    for (swept, pin) in [(false, "d884c6da2a973326"), (true, "6b5288b8835e8291")] {
+    for (swept, pin) in [(false, "6ff0c7e307c8f1cd"), (true, "2c03d558c13fe930")] {
         let sys = testbed(swept);
         let strict = Tenant::new("strict").with_slo(SimDuration::from_secs(1e-9));
         sys.tenants.register(strict);

@@ -66,9 +66,9 @@ fn testbed() -> MsrSystem {
 #[test]
 fn client_fleet_on_demand_fingerprint_is_frozen() {
     for (n, pin) in [
-        (1, "49bfca3baa161997"),
-        (4, "39d38b593a6130f7"),
-        (16, "51b3ccdfdfde6c5b"),
+        (1, "344000de7df95bd3"),
+        (4, "1ea0168192278eac"),
+        (16, "7088b92060d830aa"),
     ] {
         for prefetch in [false, true] {
             let label = format!("client fleet n={n}");
@@ -122,7 +122,7 @@ fn weighted_tenants_fingerprint_is_frozen() {
         };
         (0..6).map(program).collect()
     };
-    let pin = "d0b3f590635611cb";
+    let pin = "03c8c3525d6ac833";
     let (_, report) = pinned("weighted tenants", pin, two_tenants, fleet, true);
     assert_eq!(report.tenants.len(), 2);
 }
