@@ -10,11 +10,8 @@
 //! `T_conn`), which slightly over-estimates engines that hold a session
 //! connection open — a deliberate fidelity to the published algorithm.
 
-use crate::perfdb::PerfDb;
-use crate::PredictResult;
 use msr_runtime::{Distribution, IoStrategy};
 use msr_sim::SimDuration;
-use msr_storage::OpKind;
 use serde::{Deserialize, Serialize};
 
 /// The distribution facts the model needs, decoupled from `Distribution`
@@ -66,22 +63,11 @@ impl AccessSummary {
     }
 }
 
-/// Predicted cost of one dump of the dataset under `strategy` on
-/// `resource`, per the composed eq. (1). Returns the parallel makespan.
-pub fn dump_time(
-    db: &PerfDb,
-    resource: &str,
-    op: OpKind,
-    strategy: IoStrategy,
-    access: &AccessSummary,
-) -> PredictResult<SimDuration> {
-    Ok(dump_time_with(db.get(resource, op)?, strategy, access))
-}
-
-/// [`dump_time`] against an explicit profile, for callers that hold one
-/// directly — e.g. a profile synthesized from a resource's model hooks
-/// ([`ResourceProfile::of_model`](crate::ResourceProfile::of_model)) when
-/// the database has no measured row.
+/// Predicted cost of one dump of the dataset under `strategy` against the
+/// profile `p` — a measured database row, or one synthesized from a
+/// resource's model hooks
+/// ([`ResourceProfile::of_model`](crate::ResourceProfile::of_model)) —
+/// per the composed eq. (1). Returns the parallel makespan.
 pub fn dump_time_with(
     p: &crate::perfdb::ResourceProfile,
     strategy: IoStrategy,
@@ -105,7 +91,7 @@ pub fn dump_time_with(
         }
         IoStrategy::DataSieving => {
             // One covering-extent access per process (write adds the RMW
-            // read pass, priced by the caller issuing two dump_time calls
+            // read pass, priced by the caller issuing two dump_time_with calls
             // if desired; the single pass is the dominant term).
             let contended = p.transfer_time(access.extent_bytes) * f64::from(access.nprocs.max(1));
             f.open + f.seek + contended + f.close
@@ -132,31 +118,26 @@ mod tests {
     use msr_runtime::{Dims3, Pattern, ProcGrid};
     use msr_storage::{FixedCosts, StorageKind};
 
-    fn db() -> PerfDb {
-        let mut db = PerfDb::new();
-        db.insert(
-            "sdsc-disk",
-            OpKind::Write,
-            ResourceProfile {
-                kind: StorageKind::RemoteDisk,
-                fixed: FixedCosts {
-                    conn: SimDuration::from_secs(0.44),
-                    open: SimDuration::from_secs(0.42),
-                    seek: SimDuration::ZERO,
-                    close: SimDuration::from_secs(0.83),
-                    connclose: SimDuration::from_secs(0.0002),
-                },
-                // ~0.295 MB/s effective rate with a WAN latency floor at
-                // small sizes (what a full PTool sweep measures).
-                samples: vec![
-                    (4_096, 0.044),
-                    (262_144, 0.889),
-                    (2_097_152, 7.109),
-                    (16_777_216, 56.87),
-                ],
+    /// An `sdsc-disk` write row.
+    fn remote_disk() -> ResourceProfile {
+        ResourceProfile {
+            kind: StorageKind::RemoteDisk,
+            fixed: FixedCosts {
+                conn: SimDuration::from_secs(0.44),
+                open: SimDuration::from_secs(0.42),
+                seek: SimDuration::ZERO,
+                close: SimDuration::from_secs(0.83),
+                connclose: SimDuration::from_secs(0.0002),
             },
-        );
-        db
+            // ~0.295 MB/s effective rate with a WAN latency floor at
+            // small sizes (what a full PTool sweep measures).
+            samples: vec![
+                (4_096, 0.044),
+                (262_144, 0.889),
+                (2_097_152, 7.109),
+                (16_777_216, 56.87),
+            ],
+        }
     }
 
     fn access(n: u64, procs: (u32, u32, u32), elem: u64) -> AccessSummary {
@@ -175,22 +156,13 @@ mod tests {
         // 2 MB collective write to remote disk ≈ 8.5 s (paper: 8.47).
         let a = access(128, (1, 1, 1), 1);
         assert_eq!(a.total_bytes, 2_097_152);
-        let t = dump_time(
-            &db(),
-            "sdsc-disk",
-            OpKind::Write,
-            IoStrategy::Collective,
-            &a,
-        )
-        .unwrap()
-        .as_secs();
+        let t = dump_time_with(&remote_disk(), IoStrategy::Collective, &a).as_secs();
         assert!((8.0..9.0).contains(&t), "got {t}");
     }
 
     #[test]
     fn each_extra_object_costs_exactly_one_open_and_close() {
-        let d = db();
-        let p = d.get("sdsc-disk", OpKind::Write).unwrap();
+        let p = &remote_disk();
         let one = access(64, (2, 2, 2), 4);
         for strategy in [
             IoStrategy::Collective,
@@ -228,9 +200,9 @@ mod tests {
     #[test]
     fn naive_costs_dwarf_collective_on_remote() {
         let a = access(64, (2, 2, 2), 4);
-        let d = db();
-        let coll = dump_time(&d, "sdsc-disk", OpKind::Write, IoStrategy::Collective, &a).unwrap();
-        let naive = dump_time(&d, "sdsc-disk", OpKind::Write, IoStrategy::Naive, &a).unwrap();
+        let p = remote_disk();
+        let coll = dump_time_with(&p, IoStrategy::Collective, &a);
+        let naive = dump_time_with(&p, IoStrategy::Naive, &a);
         assert!(
             naive.as_secs() > 3.0 * coll.as_secs(),
             "naive {naive} vs collective {coll}"
@@ -240,17 +212,11 @@ mod tests {
     #[test]
     fn subfile_between_naive_and_collective() {
         let a = access(64, (2, 2, 2), 4);
-        let d = db();
-        let coll = dump_time(&d, "sdsc-disk", OpKind::Write, IoStrategy::Collective, &a).unwrap();
-        let sub = dump_time(&d, "sdsc-disk", OpKind::Write, IoStrategy::Subfile, &a).unwrap();
-        let naive = dump_time(&d, "sdsc-disk", OpKind::Write, IoStrategy::Naive, &a).unwrap();
+        let p = remote_disk();
+        let coll = dump_time_with(&p, IoStrategy::Collective, &a);
+        let sub = dump_time_with(&p, IoStrategy::Subfile, &a);
+        let naive = dump_time_with(&p, IoStrategy::Naive, &a);
         assert!(coll <= sub && sub <= naive, "{coll} <= {sub} <= {naive}");
-    }
-
-    #[test]
-    fn missing_profile_is_an_error() {
-        let a = access(16, (1, 1, 1), 4);
-        assert!(dump_time(&db(), "sdsc-disk", OpKind::Read, IoStrategy::Collective, &a).is_err());
     }
 
     #[test]
