@@ -22,12 +22,11 @@
 use crate::session::Session;
 use crate::system::MsrSystem;
 use crate::CoreResult;
-use msr_runtime::{ProcGrid, RetryPolicy};
+use msr_runtime::ProcGrid;
 
 /// Builder for a [`Session`]; obtained from [`MsrSystem::session`].
 ///
-/// Defaults: app `"app"`, user `"user"`, 1 iteration, a 1×1×1 grid, the
-/// system engine's retry policy.
+/// Defaults: app `"app"`, user `"user"`, 1 iteration, a 1×1×1 grid.
 #[derive(Clone)]
 pub struct SessionBuilder<'a> {
     sys: &'a MsrSystem,
@@ -35,7 +34,6 @@ pub struct SessionBuilder<'a> {
     user: String,
     iterations: u32,
     grid: ProcGrid,
-    retry: Option<RetryPolicy>,
 }
 
 impl<'a> SessionBuilder<'a> {
@@ -46,7 +44,6 @@ impl<'a> SessionBuilder<'a> {
             user: "user".to_owned(),
             iterations: 1,
             grid: ProcGrid::new(1, 1, 1),
-            retry: None,
         }
     }
 
@@ -74,42 +71,10 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Override the transient-fault [`RetryPolicy`] for this session's
-    /// I/O (the system engine's seeded default otherwise). The policy is
-    /// stateless, so sessions with different policies coexist on one
-    /// system without perturbing each other.
-    ///
-    /// ```
-    /// use msr_core::MsrSystem;
-    /// use msr_runtime::RetryPolicy;
-    ///
-    /// let sys = MsrSystem::testbed(42);
-    /// // An impatient interactive session: no transparent retries —
-    /// // transient faults fail over immediately.
-    /// let session = sys
-    ///     .session()
-    ///     .app("viz")
-    ///     .retry(RetryPolicy::none())
-    ///     .build()?;
-    /// assert!(!session.retry_policy().enabled());
-    /// # Ok::<(), msr_core::CoreError>(())
-    /// ```
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Register the run in the catalog and start the session (Fig. 5's
     /// `initialization()`).
     pub fn build(self) -> CoreResult<Session<'a>> {
-        Session::initialize(
-            self.sys,
-            &self.app,
-            &self.user,
-            self.iterations,
-            self.grid,
-            self.retry,
-        )
+        Session::initialize(self.sys, &self.app, &self.user, self.iterations, self.grid)
     }
 }
 

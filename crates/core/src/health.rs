@@ -65,31 +65,25 @@ struct ResourceHealth {
 /// Consecutive failures that trip a breaker.
 const THRESHOLD: u32 = 3;
 
+/// Virtual time an open breaker waits before allowing a probe.
+const COOLDOWN: SimDuration = SimDuration::from_secs(60.0);
+
 /// The per-resource circuit breaker consulted by placement.
 pub struct HealthTracker {
     state: Mutex<BTreeMap<StorageKind, ResourceHealth>>,
-    /// Virtual time an open breaker waits before allowing a probe.
-    cooldown: SimDuration,
     clock: Clock,
     rec: Recorder,
 }
 
 impl HealthTracker {
-    /// Testbed defaults: trip after 3 consecutive failures, probe again
+    /// A tracker that trips after 3 consecutive failures and probes again
     /// after 60 s of virtual time.
     pub fn new(clock: Clock, rec: Recorder) -> Self {
         HealthTracker {
             state: Mutex::new(BTreeMap::new()),
-            cooldown: SimDuration::from_secs(60.0),
             clock,
             rec,
         }
-    }
-
-    /// Override the open→half-open cooldown.
-    pub fn with_cooldown(mut self, cooldown: SimDuration) -> Self {
-        self.cooldown = cooldown;
-        self
     }
 
     /// Whether placement may route an operation to `kind` right now.
@@ -101,7 +95,7 @@ impl HealthTracker {
         match h.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if self.clock.now() >= h.opened_at + self.cooldown {
+                if self.clock.now() >= h.opened_at + COOLDOWN {
                     h.state = BreakerState::HalfOpen;
                     self.transition(kind, BreakerState::HalfOpen, "cooldown expired");
                     true
@@ -199,7 +193,7 @@ impl std::fmt::Debug for HealthTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthTracker")
             .field("threshold", &THRESHOLD)
-            .field("cooldown", &self.cooldown)
+            .field("cooldown", &COOLDOWN)
             .finish_non_exhaustive()
     }
 }
@@ -247,20 +241,20 @@ mod tests {
     #[test]
     fn cooldown_half_opens_and_probe_outcome_decides() {
         let clock = Clock::new();
-        let t = tracker(&clock).with_cooldown(SimDuration::from_secs(10.0));
+        let t = tracker(&clock);
         let k = StorageKind::RemoteDisk;
         for _ in 0..3 {
             t.record_failure(k);
         }
         assert!(!t.allows(k), "open during cooldown");
-        clock.advance(SimDuration::from_secs(10.0));
+        clock.advance(COOLDOWN);
         assert!(t.allows(k), "cooldown expired: probe admitted");
         assert_eq!(t.state(k), BreakerState::HalfOpen);
         // Failed probe re-opens immediately (no threshold).
         t.record_failure(k);
         assert_eq!(t.state(k), BreakerState::Open);
         assert_eq!(t.counters(k).trips, 2);
-        clock.advance(SimDuration::from_secs(10.0));
+        clock.advance(COOLDOWN);
         assert!(t.allows(k));
         t.record_success(k);
         assert_eq!(t.state(k), BreakerState::Closed);
@@ -271,13 +265,12 @@ mod tests {
     fn breaker_transitions_emit_obs_instants() {
         let reg = msr_obs::Registry::new();
         let clock = Clock::new();
-        let t = HealthTracker::new(clock.clone(), reg.recorder())
-            .with_cooldown(SimDuration::from_secs(5.0));
+        let t = HealthTracker::new(clock.clone(), reg.recorder());
         let k = StorageKind::RemoteTape;
         for _ in 0..3 {
             t.record_failure(k);
         }
-        clock.advance(SimDuration::from_secs(5.0));
+        clock.advance(COOLDOWN);
         assert!(t.allows(k));
         t.record_success(k);
         let breaker_events: Vec<_> = reg

@@ -48,7 +48,7 @@ pub use migrate::MigrationReport;
 pub use msr_chunk::{ChunkPolicy, Codec, IngestSpec};
 pub use placement::PlacementPolicy;
 pub use report::{PlacementEvent, RunReport};
-pub use session::{DatasetHandle, Session};
+pub use session::{DatasetHandle, Session, MAX_TRIES};
 pub use system::MsrSystem;
 pub use tenant::{OverloadPolicy, Tenant, TenantId, TenantQuota, TenantRegistry};
 

@@ -64,7 +64,7 @@ pub fn resolve(
                     return Ok(Some(kind));
                 }
             }
-            fallback(sys, spec, run_bytes, None)
+            fallback(sys, spec, run_bytes, None).map(Some)
         }
         PlacementPolicy::PerformanceTarget { per_dump } => {
             by_performance(sys, spec, dist, run_bytes, per_dump)
@@ -111,13 +111,13 @@ pub fn fallback(
     spec: &DatasetSpec,
     run_bytes: u64,
     exclude: Option<StorageKind>,
-) -> CoreResult<Option<StorageKind>> {
+) -> CoreResult<StorageKind> {
     for kind in spec.future_use.preference() {
         if Some(kind) == exclude {
             continue;
         }
         if usable(sys, kind, run_bytes) {
-            return Ok(Some(kind));
+            return Ok(kind);
         }
     }
     Err(CoreError::NoUsableResource {

@@ -17,9 +17,17 @@
 //! `read_iteration` loop over the steps and charge the global clock; the
 //! scheduler (`msr-sched`) calls the same steps for the sessions it
 //! admitted and charges its per-resource cursors.
+//!
+//! **Failure handling** is one policy for both callers. A request whose
+//! execution failed goes through [`Session::failed`]: a Fatal error
+//! belongs to the caller and leaves the breaker alone; any other error
+//! charges the breaker and names the failover reason. A failed write, or
+//! one the breaker refused, re-places its dataset ([`Session::replace`])
+//! and is tried again, at most [`MAX_TRIES`] times. A read never
+//! re-places: the direct path serves its staging copy, if it has one.
 
 use crate::dataset::DatasetSpec;
-use crate::error::{classify, CoreError, ErrorClass};
+use crate::error::{classify, CoreError};
 use crate::hints::LocationHint;
 use crate::placement;
 use crate::report::{DatasetReport, PlacementEvent, RunReport};
@@ -30,8 +38,8 @@ use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId};
 use msr_obs::{ops, Layer, Recorder};
 use msr_predict::{AccessSummary, PredictionReport, PredictionRow};
 use msr_runtime::{
-    staging_cache, Distribution, EngineRequest, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid,
-    RequestBody, RequestOutcome, RequestTag, RetryPolicy, RuntimeError, StagingCache,
+    staging_cache, Distribution, EngineRequest, IoReport, IoStrategy, Pattern, ProcGrid,
+    RequestBody, RequestOutcome, RequestTag, RuntimeError, StagingCache,
 };
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::{OpKind, OpenMode, StorageError, StorageKind};
@@ -39,6 +47,10 @@ use std::collections::BTreeSet;
 
 /// Budget for the session's degraded-read staging copies.
 const STAGE_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+
+/// Attempts one write gets, the first included, before it is abandoned:
+/// each failed or breaker-refused attempt re-places its dataset.
+pub const MAX_TRIES: u32 = 3;
 
 /// Handle to a dataset opened in a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,11 +125,6 @@ pub struct Session<'a> {
     /// Last good copy of each dump, for degraded reads while the
     /// authoritative resource is open-circuit.
     staged: StagingCache,
-    /// A session-private engine carrying an overridden [`RetryPolicy`];
-    /// `None` means the system engine is used unchanged. The policy is
-    /// stateless (every backoff draw is keyed by `(seed, attempt, op)`),
-    /// so a cloned engine stays bitwise consistent with the shared one.
-    engine_override: Option<IoEngine>,
 }
 
 impl<'a> Session<'a> {
@@ -127,7 +134,6 @@ impl<'a> Session<'a> {
         user: &str,
         iterations: u32,
         grid: ProcGrid,
-        retry: Option<RetryPolicy>,
     ) -> CoreResult<Session<'a>> {
         let mut catalog = sys.catalog.lock();
         let app_id = match catalog.create_app(app, "") {
@@ -165,23 +171,7 @@ impl<'a> Session<'a> {
             conn_time: SimDuration::ZERO,
             rec,
             staged: staging_cache(STAGE_CACHE_BYTES),
-            engine_override: retry.map(|policy| {
-                let mut engine = sys.engine.clone();
-                engine.set_retry_policy(policy);
-                engine
-            }),
         })
-    }
-
-    /// The engine this session performs I/O through: the system engine,
-    /// unless a per-session [`RetryPolicy`] override was configured.
-    fn io_engine(&self) -> &IoEngine {
-        self.engine_override.as_ref().unwrap_or(&self.sys.engine)
-    }
-
-    /// The retry policy in effect for this session's I/O.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        self.io_engine().retry_policy()
     }
 
     /// The catalog run id (give this to consumers so they can locate the
@@ -344,9 +334,9 @@ impl<'a> Session<'a> {
     }
 
     /// Execution: run `req` (built by [`request`](Self::request) for
-    /// dataset `h`) on the dataset's resource through this session's
-    /// engine. A success closes the resource's circuit breaker; what a
-    /// failure means is the caller's decision. Returns, beside the
+    /// dataset `h`) on the dataset's resource through the system engine.
+    /// A success closes the resource's circuit breaker; a failure is
+    /// decided by [`failed`](Self::failed). Returns, beside the
     /// outcome, any connection setup paid inside for the caller to charge:
     /// when the device reports the link gone (every session shares the
     /// one link per resource, and another's `finalize` tears it down) the
@@ -363,11 +353,11 @@ impl<'a> Session<'a> {
             .ok_or_else(|| CoreError::DatasetDisabled(d.spec.name.clone()))?;
         let res = self.sys.resource(kind).expect("placed on registered kind");
         let mut setup = SimDuration::ZERO;
-        let outcome = match self.io_engine().execute(&res, req) {
+        let outcome = match self.sys.engine.execute(&res, req) {
             Err(RuntimeError::Storage(StorageError::NotConnected)) => {
                 self.connected.remove(&kind);
                 setup = self.connect(kind)?;
-                self.io_engine().execute(&res, req)
+                self.sys.engine.execute(&res, req)
             }
             first => first,
         }?;
@@ -401,28 +391,43 @@ impl<'a> Session<'a> {
         note_served(self.sys, self.run, &d.spec.name, row, written, at);
     }
 
-    /// Re-placement: move dataset `h` to the next usable resource with
-    /// room for `bytes` after `from` failed (or was refused by its
-    /// breaker) at iteration `iter`, recording the [`PlacementEvent`],
-    /// the catalog move and the observability marker. Returns the catalog
-    /// query cost for the caller to charge; the new resource is
-    /// [`location`](Self::location). With no usable resource left the
-    /// dataset stays where it was and the error says so.
+    /// The failure rule both paths share: decide what `e`, raised by a
+    /// request on `from`, means. `None` is Fatal — the error belongs to
+    /// the caller and the breaker is not charged. Otherwise the failure is
+    /// charged to `from`'s breaker and the classified reason is returned,
+    /// for a write to re-place under (a Retryable error here has already
+    /// outlived the engine's retry budget).
+    pub fn failed(&self, from: StorageKind, e: &CoreError) -> Option<&'static str> {
+        let reason = classify(e).failover_reason()?;
+        self.sys.health.record_failure(from);
+        Some(reason)
+    }
+
+    /// Re-placement: move dataset `h` to the next usable resource after
+    /// `from` failed (or was refused by its breaker) at iteration `iter`,
+    /// recording the [`PlacementEvent`], the catalog move and the
+    /// observability marker. The new resource must have room for what
+    /// the dataset's schedule still owes. Returns the new resource and
+    /// the catalog query cost for the caller to charge. With no usable
+    /// resource left the dataset stays where it was and the error says so.
     pub fn replace(
         &mut self,
         h: DatasetHandle,
         iter: u32,
         from: StorageKind,
         reason: &str,
-        bytes: u64,
-    ) -> CoreResult<SimDuration> {
+    ) -> CoreResult<(StorageKind, SimDuration)> {
         let d = &mut self.datasets[h.0];
-        let next = placement::fallback(self.sys, &d.spec, bytes, Some(from))?;
-        d.location = next;
+        // A dataset may have been dumped more often than its schedule (the
+        // same iteration written twice); the dump that failed is still owed.
+        let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
+        let owed = d.spec.snapshot_bytes() * u64::from(scheduled.saturating_sub(d.dumps).max(1));
+        let next = placement::fallback(self.sys, &d.spec, owed, Some(from))?;
+        d.location = Some(next);
         self.events.push(PlacementEvent {
             dataset: d.spec.name.clone(),
             from: Some(from),
-            to: next,
+            to: Some(next),
             at_iteration: iter,
             reason: reason.to_owned(),
         });
@@ -432,21 +437,15 @@ impl<'a> Session<'a> {
             &d.spec.name,
             ops::FAILOVER,
             now,
-            &format!("{from} -> {} at iter {iter}: {reason}", kind_or_dash(next)),
+            &format!("{from} -> {next} at iter {iter}: {reason}"),
         );
         let mut catalog = self.sys.catalog.lock();
-        catalog.set_dataset_location(
-            d.meta_id,
-            match next {
-                Some(k) => Location::Stored(k),
-                None => Location::Disabled,
-            },
-        )?;
+        catalog.set_dataset_location(d.meta_id, Location::Stored(next))?;
         let query_cost = catalog.config.query_cost;
         drop(catalog);
         self.rec
             .count(Layer::Meta, "catalog", ops::QUERY, now + query_cost, 1.0);
-        Ok(query_cost)
+        Ok((next, query_cost))
     }
 
     /// Dump one iteration of a dataset. Returns `Ok(None)` when this
@@ -458,68 +457,40 @@ impl<'a> Session<'a> {
         iter: u32,
         data: &[u8],
     ) -> CoreResult<Option<IoReport>> {
-        if !self.dumps_at(h, iter) {
+        let Some(mut kind) = self.location(h).filter(|_| self.dumps_at(h, iter)) else {
             return Ok(None);
-        }
+        };
         let payload = Bytes::from(data.to_vec());
         let req = self.request(h, iter, self.direct_tag(iter), Some(payload.clone()));
-        for _attempt in 0..3 {
-            let Some(kind) = self.location(h) else {
-                return Ok(None);
-            };
+        for _attempt in 0..MAX_TRIES {
             // An open breaker means this resource has been failing
             // repeatedly: re-place without hammering it again.
-            if !self.sys.health.allows(kind) {
-                self.fail_over(h, iter, kind, "circuit open")?;
-                continue;
-            }
-            let setup = self.connect(kind)?;
-            self.sys.clock.advance(setup);
-            match self.execute(h, &req) {
-                Ok((outcome, setup)) => {
-                    self.sys.clock.advance(setup);
-                    let report = outcome.into_report();
-                    self.staged.lock().put(&req.path, payload);
-                    let done = self.sys.clock.advance(report.elapsed);
-                    self.complete(h, iter, &req, &report, done);
-                    return Ok(Some(report));
+            let reason = if !self.sys.health.allows(kind) {
+                "circuit open"
+            } else {
+                let setup = self.connect(kind)?;
+                self.sys.clock.advance(setup);
+                match self.execute(h, &req) {
+                    Ok((outcome, setup)) => {
+                        self.sys.clock.advance(setup);
+                        let report = outcome.into_report();
+                        self.staged.lock().put(&req.path, payload);
+                        let done = self.sys.clock.advance(report.elapsed);
+                        self.complete(h, iter, &req, &report, done);
+                        return Ok(Some(report));
+                    }
+                    Err(e) => self.failed(kind, &e).ok_or(e)?,
                 }
-                Err(e) => {
-                    // A Retryable error here already outlived the engine's
-                    // retry budget; it fails over like a hard failure.
-                    let Some(reason) = classify(&e).failover_reason() else {
-                        return Err(e);
-                    };
-                    self.sys.health.record_failure(kind);
-                    self.fail_over(h, iter, kind, reason)?;
-                }
-            }
+            };
+            let (next, query_cost) = self.replace(h, iter, kind, reason)?;
+            self.sys.clock.advance(query_cost);
+            kind = next;
         }
         let d = &self.datasets[h.0];
         Err(CoreError::NoUsableResource {
             dataset: d.spec.name.clone(),
             bytes: d.spec.snapshot_bytes(),
         })
-    }
-
-    /// [`replace`](Self::replace) sized by what the dataset's schedule
-    /// still owes, charged to the global clock.
-    fn fail_over(
-        &mut self,
-        h: DatasetHandle,
-        iter: u32,
-        from: StorageKind,
-        reason: &str,
-    ) -> CoreResult<()> {
-        let d = &self.datasets[h.0];
-        // A dataset may have been dumped more often than its schedule (the
-        // same iteration written twice); the dump that failed is still owed.
-        let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
-        let remaining =
-            d.spec.snapshot_bytes() * u64::from(scheduled.saturating_sub(d.dumps).max(1));
-        let query_cost = self.replace(h, iter, from, reason, remaining)?;
-        self.sys.clock.advance(query_cost);
-        Ok(())
     }
 
     /// Serve read `req` from the session's staging copy because the
@@ -535,7 +506,7 @@ impl<'a> Session<'a> {
         why: &str,
     ) -> Option<(Vec<u8>, IoReport)> {
         let copy = self.staged.lock().get(&req.path)?;
-        let served = self.io_engine().staged_read(&kind.to_string(), req, &copy);
+        let served = self.sys.engine.staged_read(&kind.to_string(), req, &copy);
         let Ok(RequestOutcome::Read(data, mut report)) = served else {
             return None;
         };
@@ -588,12 +559,9 @@ impl<'a> Session<'a> {
                 Ok((data, report))
             }
             Ok((RequestOutcome::Written(_), _)) => unreachable!("a read request yields a read"),
-            Err(e) => match classify(&e) {
-                ErrorClass::Fatal => Err(e),
-                ErrorClass::Retryable(_) | ErrorClass::Failover(_) => {
-                    self.sys.health.record_failure(kind);
-                    self.degraded_read(h, kind, &req, "failed").ok_or(e)
-                }
+            Err(e) => match self.failed(kind, &e) {
+                None => Err(e),
+                Some(_) => self.degraded_read(h, kind, &req, "failed").ok_or(e),
             },
         }
     }
@@ -986,7 +954,7 @@ mod tests {
     /// invisible to placement: the dump lands on the hinted resource with
     /// no failover [`PlacementEvent`], only retry accounting.
     #[test]
-    fn transient_fault_within_budget_does_not_fail_over() {
+    fn transient_fault_within_budget_is_not_replaced() {
         let mut sys = MsrSystem::testbed(7);
         let log = sys
             .inject_faults(

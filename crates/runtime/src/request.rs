@@ -87,12 +87,6 @@ pub struct EngineRequest {
 }
 
 impl EngineRequest {
-    /// Bytes this request will move (the dataset size for both
-    /// directions).
-    pub fn bytes(&self) -> u64 {
-        self.dist.total_bytes()
-    }
-
     /// `true` when `other` can join a batch behind this request:
     /// same session, same dataset and consecutive program order, so
     /// serving them back-to-back preserves program order and amortizes
@@ -167,7 +161,6 @@ mod tests {
             mode: OpenMode::Create,
         };
         assert_eq!(r.body.payload_bytes(), 512);
-        assert_eq!(r.bytes(), 512);
         assert_eq!(r.tag.to_string(), "s3#0");
         let r2 = r.clone();
         assert_eq!(r2.body.payload_bytes(), 512);

@@ -31,12 +31,17 @@
 //! so concurrent sessions overlap across resources instead of serializing
 //! on the global clock, which is advanced once at the end of the drain.
 //!
-//! **Failure handling**: a failed batch records a breaker failure, the
-//! owning session re-places the dataset ([`Session::replace`], the step
-//! `write_iteration` fails over through) and the dataset's remaining
-//! requests move to the queue of wherever it landed; a resource whose
-//! circuit is already open is never dispatched to, its queue draining to
-//! fallback resources the same way.
+//! **Failure handling** is the direct path's policy; the scheduler keeps
+//! only the queue mechanics. The owning session decides a failed request
+//! ([`Session::failed`], which charges the breaker), and a resource whose
+//! circuit is open is never dispatched to. A failed or refused write
+//! re-places its dataset ([`Session::replace`], the step `write_iteration`
+//! fails over through): the dataset's queued requests move to wherever it
+//! landed, and the catalog query and the connection setup are charged on
+//! that resource's cursor. A read never re-places its dataset. A Fatal
+//! error, or a failed or refused read, drops only the request at the head
+//! into its session's errors; the rest of the batch goes back to the head
+//! of its lane.
 //!
 //! **Read-ahead** (opt-in via [`Scheduler::with_prefetch`]) walks the
 //! tail of each resource's admitted queue at each of its dispatch steps,
@@ -221,10 +226,11 @@ impl<'a> Scheduler<'a> {
                         drain.serve_staged(&mut self.admitted, kind, step, scratch.batch.drain(..));
                         drain.land_fetches(kind, fetched);
                     } else if !sys.health.allows(kind) {
-                        // Open circuit: never dispatch to the resource — the
-                        // whole batch (and the rest of its datasets' queues)
-                        // drains to fallback resources. No plan either: the
-                        // planner refuses unhealthy resources.
+                        // Open circuit: never dispatch to the resource — a
+                        // write batch (and the rest of its dataset's queue)
+                        // drains to the fallback, a read batch loses its
+                        // head. No plan either: the planner refuses
+                        // unhealthy resources.
                         let batch = std::mem::take(&mut scratch.batch);
                         self.requeue(&mut drain, kind, batch, "circuit open");
                     } else {
@@ -235,7 +241,7 @@ impl<'a> Scheduler<'a> {
                         let plan = drain.plan_step(kind);
                         scratch.served.clear();
                         scratch.unserved.clear();
-                        let mut error: Option<String> = None;
+                        let mut error = None;
                         let mut pending = scratch.batch.drain(..);
                         for q in pending.by_ref() {
                             let session = &mut self.admitted[q.req.tag.session as usize].session;
@@ -245,7 +251,9 @@ impl<'a> Scheduler<'a> {
                                     scratch.served.push((q, outcome));
                                 }
                                 Err(e) => {
-                                    error = Some(e.to_string());
+                                    // The session's one failure rule,
+                                    // `write_iteration`'s too.
+                                    error = Some(session.failed(kind, &e).ok_or(e));
                                     scratch.unserved.push(q);
                                     break;
                                 }
@@ -259,10 +267,14 @@ impl<'a> Scheduler<'a> {
 
                         drain.serve_batch(&mut self.admitted, kind, step, scratch.served.drain(..));
                         drain.land_fetches(kind, fetched);
-                        if let Some(reason) = error {
-                            sys.health.record_failure(kind);
+                        if let Some(failed) = error {
                             let unserved = std::mem::take(&mut scratch.unserved);
-                            self.requeue(&mut drain, kind, unserved, &reason);
+                            match failed {
+                                Ok(reason) => self.requeue(&mut drain, kind, unserved, reason),
+                                Err(fatal) => {
+                                    self.drop_head(&mut drain, kind, unserved, &fatal.to_string())
+                                }
+                            }
                         }
                     }
 

@@ -21,7 +21,7 @@ impl SimDuration {
 
     /// Construct from seconds. Negative or non-finite inputs are clamped to
     /// zero — a cost model must never produce negative time.
-    pub fn from_secs(secs: f64) -> Self {
+    pub const fn from_secs(secs: f64) -> Self {
         if secs.is_finite() && secs > 0.0 {
             SimDuration(secs)
         } else {
