@@ -199,7 +199,7 @@ fn seeded_fault_requeue_fingerprint_is_frozen() {
     assert!(requeues > 0, "seeded faults must force requeues");
     assert_eq!(
         fingerprint(&report),
-        "8e821bd20b3e0e4b",
+        "0ae83b7dd1b3091c",
         "faulted drain report moved"
     );
 }
