@@ -10,7 +10,7 @@
 use crate::error::CoreError;
 use crate::system::MsrSystem;
 use crate::CoreResult;
-use msr_meta::{AccessMode, Location, RunId};
+use msr_meta::{AccessMode, Location, RunId, QUERY_COST};
 use msr_obs::{ops, Layer};
 use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
 use msr_sim::SimDuration;
@@ -55,12 +55,8 @@ impl MsrSystem {
         to: StorageKind,
         grid: ProcGrid,
     ) -> CoreResult<MigrationReport> {
-        let rec = {
-            let mut catalog = self.catalog.lock();
-            let rec = catalog.find_dataset(run, dataset)?.clone();
-            self.clock.advance(catalog.config.query_cost);
-            rec
-        };
+        let rec = self.catalog.lock().find_dataset(run, dataset)?.clone();
+        self.clock.advance(QUERY_COST);
         let Location::Stored(from) = rec.location else {
             return Err(CoreError::DatasetDisabled(dataset.to_owned()));
         };
@@ -196,11 +192,10 @@ impl MsrSystem {
             );
         }
         // Point the catalog at the staged copy, then drop the originals.
-        {
-            let mut catalog = self.catalog.lock();
-            catalog.set_dataset_location(rec.id, Location::Stored(to))?;
-            self.clock.advance(catalog.config.query_cost);
-        }
+        self.catalog
+            .lock()
+            .set_dataset_location(rec.id, Location::Stored(to))?;
+        self.clock.advance(QUERY_COST);
         for file in &files {
             // `delete_dump` releases chunk references and garbage-collects
             // frames no surviving dump shares; for raw dumps it is a plain

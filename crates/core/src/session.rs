@@ -34,7 +34,7 @@ use crate::report::{DatasetReport, PlacementEvent, RunReport};
 use crate::system::MsrSystem;
 use crate::CoreResult;
 use bytes::Bytes;
-use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId};
+use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId, QUERY_COST};
 use msr_obs::{ops, Layer, Recorder};
 use msr_predict::{AccessSummary, PredictionReport, PredictionRow};
 use msr_runtime::{
@@ -147,9 +147,8 @@ impl<'a> Session<'a> {
             Err(e) => return Err(e.into()),
         };
         let run = catalog.create_run(app_id, user_id, iterations, "")?;
-        let query_cost = catalog.config.query_cost;
         drop(catalog);
-        sys.clock.advance(query_cost * 3.0);
+        sys.clock.advance(QUERY_COST * 3.0);
         let rec = sys.obs.recorder();
         rec.count(Layer::Meta, "catalog", ops::QUERY, sys.clock.now(), 3.0);
         rec.instant(
@@ -237,7 +236,7 @@ impl<'a> Session<'a> {
                 last_access_secs: 0.0,
                 heat: 0,
             })?;
-            self.sys.clock.advance(catalog.config.query_cost);
+            self.sys.clock.advance(QUERY_COST);
             id
         };
 
@@ -407,8 +406,8 @@ impl<'a> Session<'a> {
     /// `from` failed (or was refused by its breaker) at iteration `iter`,
     /// recording the [`PlacementEvent`], the catalog move and the
     /// observability marker. The new resource must have room for what
-    /// the dataset's schedule still owes. Returns the new resource and
-    /// the catalog query cost for the caller to charge. With no usable
+    /// the dataset's schedule still owes. Returns the new resource; the
+    /// caller charges the catalog move's [`QUERY_COST`]. With no usable
     /// resource left the dataset stays where it was and the error says so.
     pub fn replace(
         &mut self,
@@ -416,7 +415,7 @@ impl<'a> Session<'a> {
         iter: u32,
         from: StorageKind,
         reason: &str,
-    ) -> CoreResult<(StorageKind, SimDuration)> {
+    ) -> CoreResult<StorageKind> {
         let d = &mut self.datasets[h.0];
         // A dataset may have been dumped more often than its schedule (the
         // same iteration written twice); the dump that failed is still owed.
@@ -439,13 +438,13 @@ impl<'a> Session<'a> {
             now,
             &format!("{from} -> {next} at iter {iter}: {reason}"),
         );
-        let mut catalog = self.sys.catalog.lock();
-        catalog.set_dataset_location(d.meta_id, Location::Stored(next))?;
-        let query_cost = catalog.config.query_cost;
-        drop(catalog);
+        self.sys
+            .catalog
+            .lock()
+            .set_dataset_location(d.meta_id, Location::Stored(next))?;
         self.rec
-            .count(Layer::Meta, "catalog", ops::QUERY, now + query_cost, 1.0);
-        Ok((next, query_cost))
+            .count(Layer::Meta, "catalog", ops::QUERY, now + QUERY_COST, 1.0);
+        Ok(next)
     }
 
     /// Dump one iteration of a dataset. Returns `Ok(None)` when this
@@ -482,9 +481,8 @@ impl<'a> Session<'a> {
                     Err(e) => self.failed(kind, &e).ok_or(e)?,
                 }
             };
-            let (next, query_cost) = self.replace(h, iter, kind, reason)?;
-            self.sys.clock.advance(query_cost);
-            kind = next;
+            kind = self.replace(h, iter, kind, reason)?;
+            self.sys.clock.advance(QUERY_COST);
         }
         let d = &self.datasets[h.0];
         Err(CoreError::NoUsableResource {
@@ -659,12 +657,8 @@ impl<'a> Session<'a> {
         grid: ProcGrid,
         strategy: IoStrategy,
     ) -> CoreResult<(Vec<u8>, IoReport)> {
-        let (rec, query_cost) = {
-            let mut catalog = sys.catalog.lock();
-            let rec = catalog.find_dataset(run, name)?.clone();
-            (rec, catalog.config.query_cost)
-        };
-        sys.clock.advance(query_cost);
+        let rec = sys.catalog.lock().find_dataset(run, name)?.clone();
+        sys.clock.advance(QUERY_COST);
         sys.obs
             .recorder()
             .count(Layer::Meta, "catalog", ops::QUERY, sys.clock.now(), 1.0);

@@ -205,14 +205,13 @@ impl MsrSystem {
     }
 
     /// Run PTool over every registered resource, install the resulting
-    /// performance database (mirrored into the catalog, as the paper stores
-    /// its tables in the MDMS) and return how much virtual time the sweep
-    /// itself consumed.
+    /// performance database and return how much virtual time the sweep
+    /// itself consumed. Running it again re-measures every resource under
+    /// the current conditions and replaces the database.
     pub fn run_ptool(&mut self, ptool: &PTool) -> CoreResult<SimDuration> {
         let resources: Vec<SharedResource> = self.resources().map(|(_, r)| r).collect();
         let mut db = PerfDb::new();
         ptool.populate(&mut db, &resources)?;
-        db.export_to_catalog(&mut self.catalog.lock());
         // PTool's probing consumed operations; clear the counters so run
         // reports start clean.
         for res in &resources {
@@ -382,12 +381,6 @@ mod tests {
         };
         sys.run_ptool(&pt).unwrap();
         assert_eq!(sys.perf_db().len(), 6, "3 resources x 2 ops");
-        // Mirrored into the catalog.
-        assert!(sys
-            .catalog
-            .lock()
-            .fixed_costs("sdsc-hpss", msr_storage::OpKind::Write)
-            .is_some());
     }
 
     #[test]

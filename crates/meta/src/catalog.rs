@@ -1,37 +1,21 @@
 //! The embedded catalog: typed tables with keys, queries and persistence.
 
 use crate::error::MetaError;
-use crate::filter::Filter;
 use crate::records::{
-    AppId, ApplicationRec, DatasetId, DatasetRec, DumpRec, DumpState, Location, PerfSample,
-    ResourceRec, RunId, RunRec, UserId, UserRec,
+    AppId, ApplicationRec, DatasetId, DatasetRec, DumpRec, DumpState, Location, ResourceRec, RunId,
+    RunRec, UserId, UserRec,
 };
 use crate::MetaResult;
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, OpKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fmt::Display;
+use std::hash::Hash;
 use std::path::Path;
 
-/// Catalog tuning knobs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CatalogConfig {
-    /// Virtual cost charged per catalog query — the campus round trip to
-    /// the NWU database. Metadata access is cheap by design (§3.2).
-    pub query_cost: SimDuration,
-}
-
-impl Default for CatalogConfig {
-    fn default() -> Self {
-        CatalogConfig {
-            query_cost: SimDuration::from_millis(4.0),
-        }
-    }
-}
-
-fn perf_key(resource: &str, op: OpKind) -> String {
-    format!("{resource}/{op}")
-}
+/// Virtual cost a caller charges per catalog query — the campus round trip
+/// to the NWU database. Metadata access is cheap by design (§3.2).
+pub const QUERY_COST: SimDuration = SimDuration::from_secs(4.0 / 1e3);
 
 /// Derived lookup tables over the row vectors. Never serialized — rebuilt
 /// wholesale after deserialization — and maintained inline on insert, so
@@ -51,12 +35,10 @@ struct Indexes {
     dumps: HashMap<(u64, u32), usize>,
 }
 
-/// The metadata database: applications, users, runs, datasets, storage
-/// resources and the performance tables that feed the predictor.
+/// The metadata database: applications, users, runs, datasets, dumps and
+/// storage resources.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct Catalog {
-    /// Tuning knobs.
-    pub config: CatalogConfig,
     apps: Vec<ApplicationRec>,
     users: Vec<UserRec>,
     runs: Vec<RunRec>,
@@ -64,8 +46,6 @@ pub struct Catalog {
     resources: Vec<ResourceRec>,
     #[serde(default)]
     dumps: Vec<DumpRec>,
-    perf: BTreeMap<String, Vec<PerfSample>>,
-    perf_fixed: BTreeMap<String, FixedCosts>,
     #[serde(skip)]
     queries: u64,
     #[serde(skip)]
@@ -73,13 +53,13 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog with default config.
+    /// An empty catalog.
     pub fn new() -> Self {
         Catalog::default()
     }
 
     /// Number of queries served (observability; each costs
-    /// [`CatalogConfig::query_cost`] of virtual time to the caller).
+    /// [`QUERY_COST`] of virtual time to the caller).
     pub fn query_count(&self) -> u64 {
         self.queries
     }
@@ -88,20 +68,60 @@ impl Catalog {
         self.queries += 1;
     }
 
-    /// Rebuild every derived index from the row vectors (after
-    /// deserialization, or after a removal shifts row positions).
-    fn rebuild_indexes(&mut self) {
+    /// Rebuild every derived index from the row vectors after
+    /// deserialization, refusing a unique name that appears twice.
+    fn rebuild_indexes(&mut self) -> MetaResult<()> {
         self.index = Indexes::default();
         for (i, a) in self.apps.iter().enumerate() {
-            self.index.apps.insert(a.name.clone(), i);
+            index_unique(
+                &mut self.index.apps,
+                a.name.clone(),
+                i,
+                "applications",
+                &a.name,
+            )?;
         }
         for (i, u) in self.users.iter().enumerate() {
-            self.index.users.insert(u.name.clone(), i);
+            index_unique(&mut self.index.users, u.name.clone(), i, "users", &u.name)?;
         }
         for (i, d) in self.datasets.iter().enumerate() {
-            self.index.datasets.insert((d.run.0, d.name.clone()), i);
+            let key = (d.run.0, d.name.clone());
+            let shown = format_args!("{}/{}", d.run, d.name);
+            index_unique(&mut self.index.datasets, key, i, "datasets", shown)?;
         }
         self.rebuild_dump_index();
+        Ok(())
+    }
+
+    /// Refuse keys a consistent catalog cannot hold: a primary key that is
+    /// not its row's position (a lookup by id would miss the row, or land
+    /// on another one) or a foreign key that names no row.
+    fn check_keys(&self) -> MetaResult<()> {
+        check_ids("applications", self.apps.iter().map(|a| a.id.0))?;
+        check_ids("users", self.users.iter().map(|u| u.id.0))?;
+        check_ids("runs", self.runs.iter().map(|r| r.id.0))?;
+        check_ids("datasets", self.datasets.iter().map(|d| d.id.0))?;
+        let refers = |table, key: &dyn Display, id: u64, rows: usize| {
+            if id < rows as u64 {
+                Ok(())
+            } else {
+                Err(MetaError::ForeignKey {
+                    table,
+                    key: key.to_string(),
+                })
+            }
+        };
+        for r in &self.runs {
+            refers("runs", &r.app, r.app.0, self.apps.len())?;
+            refers("runs", &r.user, r.user.0, self.users.len())?;
+        }
+        for d in &self.datasets {
+            refers("datasets", &d.run, d.run.0, self.runs.len())?;
+        }
+        for x in &self.dumps {
+            refers("dumps", &x.dataset, x.dataset.0, self.datasets.len())?;
+        }
+        Ok(())
     }
 
     fn rebuild_dump_index(&mut self) {
@@ -273,16 +293,6 @@ impl Catalog {
             .collect()
     }
 
-    /// Ad-hoc dataset query.
-    pub fn query_datasets(&mut self, filter: &Filter) -> Vec<DatasetRec> {
-        self.count_query();
-        self.datasets
-            .iter()
-            .filter(|d| filter.eval(*d))
-            .cloned()
-            .collect()
-    }
-
     /// Update a dataset's resolved location (placement decisions are
     /// recorded so post-processing tools can find the data).
     pub fn set_dataset_location(&mut self, id: DatasetId, loc: Location) -> MetaResult<()> {
@@ -438,41 +448,6 @@ impl Catalog {
         self.resources.clone()
     }
 
-    // ---- performance tables -------------------------------------------------
-
-    /// Replace the timing samples for `(resource, op)` — PTool's output.
-    pub fn record_perf_samples(&mut self, resource: &str, op: OpKind, samples: Vec<PerfSample>) {
-        self.perf.insert(perf_key(resource, op), samples);
-    }
-
-    /// Timing samples for `(resource, op)`.
-    pub fn perf_samples(&mut self, resource: &str, op: OpKind) -> Option<Vec<PerfSample>> {
-        self.count_query();
-        self.perf.get(&perf_key(resource, op)).cloned()
-    }
-
-    /// Record the fixed-cost row (Table 1) for `(resource, op)`.
-    pub fn record_fixed_costs(&mut self, resource: &str, op: OpKind, costs: FixedCosts) {
-        self.perf_fixed.insert(perf_key(resource, op), costs);
-    }
-
-    /// Fixed-cost row for `(resource, op)`.
-    pub fn fixed_costs(&mut self, resource: &str, op: OpKind) -> Option<FixedCosts> {
-        self.count_query();
-        self.perf_fixed.get(&perf_key(resource, op)).copied()
-    }
-
-    /// Resources with recorded performance data, in key order.
-    pub fn perf_resources(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .perf
-            .keys()
-            .filter_map(|k| k.rsplit_once('/').map(|(r, _)| r.to_owned()))
-            .collect();
-        names.dedup();
-        names
-    }
-
     // ---- persistence ---------------------------------------------------------
 
     /// Serialize the whole catalog to a JSON string.
@@ -481,10 +456,15 @@ impl Catalog {
     }
 
     /// Restore a catalog from JSON. The lookup indexes are not serialized;
-    /// they are rebuilt here.
+    /// they are rebuilt here. Rows the catalog itself could never have
+    /// written are refused: an id off its row position is
+    /// [`MetaError::NotFound`], a repeated unique name
+    /// [`MetaError::Duplicate`], a dangling reference
+    /// [`MetaError::ForeignKey`].
     pub fn from_json(s: &str) -> MetaResult<Catalog> {
         let mut c: Catalog = serde_json::from_str(s)?;
-        c.rebuild_indexes();
+        c.check_keys()?;
+        c.rebuild_indexes()?;
         Ok(c)
     }
 
@@ -498,6 +478,37 @@ impl Catalog {
     pub fn load(path: impl AsRef<Path>) -> MetaResult<Catalog> {
         Catalog::from_json(&std::fs::read_to_string(path)?)
     }
+}
+
+/// Index `key` at row `i` of `table`; a key already indexed is a repeated
+/// unique name, reported as `shown`.
+fn index_unique<K: Eq + Hash>(
+    index: &mut HashMap<K, usize>,
+    key: K,
+    i: usize,
+    table: &'static str,
+    shown: impl Display,
+) -> MetaResult<()> {
+    match index.insert(key, i) {
+        Some(_) => Err(MetaError::Duplicate {
+            table,
+            key: shown.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Refuse a table whose primary keys are not its row positions.
+fn check_ids(table: &'static str, ids: impl Iterator<Item = u64>) -> MetaResult<()> {
+    for (i, id) in ids.enumerate() {
+        if id != i as u64 {
+            return Err(MetaError::NotFound {
+                table,
+                key: format!("{id} (stored at row {i})"),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -595,18 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn query_datasets_with_filter() {
-        let (mut c, run) = seed_catalog();
-        for n in ["temp", "press", "vr_temp", "vr_press"] {
-            c.add_dataset(ds(run, n)).unwrap();
-        }
-        let vr = c.query_datasets(&Filter::Contains("name".into(), "vr_".into()));
-        assert_eq!(vr.len(), 2);
-        let all = c.datasets_for_run(run);
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
     fn resource_registration_replaces() {
         let (mut c, _) = seed_catalog();
         c.register_resource(ResourceRec {
@@ -627,40 +626,83 @@ mod tests {
     }
 
     #[test]
-    fn perf_tables_roundtrip() {
-        let (mut c, _) = seed_catalog();
-        let samples = vec![
-            PerfSample {
-                bytes: 1 << 20,
-                transfer_secs: 3.5,
-            },
-            PerfSample {
-                bytes: 1 << 22,
-                transfer_secs: 14.2,
-            },
-        ];
-        c.record_perf_samples("sdsc-disk", OpKind::Write, samples.clone());
-        assert_eq!(c.perf_samples("sdsc-disk", OpKind::Write).unwrap(), samples);
-        assert!(c.perf_samples("sdsc-disk", OpKind::Read).is_none());
-        let fixed = FixedCosts {
-            conn: SimDuration::from_secs(0.44),
-            ..Default::default()
-        };
-        c.record_fixed_costs("sdsc-disk", OpKind::Write, fixed);
-        assert_eq!(c.fixed_costs("sdsc-disk", OpKind::Write).unwrap(), fixed);
-        assert_eq!(c.perf_resources(), vec!["sdsc-disk".to_owned()]);
-    }
-
-    #[test]
     fn persistence_roundtrip() {
         let (mut c, run) = seed_catalog();
         c.add_dataset(ds(run, "temp")).unwrap();
-        c.record_fixed_costs("anl-local", OpKind::Read, FixedCosts::default());
         let json = c.to_json().unwrap();
         let mut back = Catalog::from_json(&json).unwrap();
         assert_eq!(back.find_dataset(run, "temp").unwrap().name, "temp");
-        assert!(back.fixed_costs("anl-local", OpKind::Read).is_some());
-        assert_eq!(back.query_count(), 2, "query counter is not persisted");
+        assert_eq!(back.query_count(), 1, "query counter is not persisted");
+    }
+
+    /// `c` saved and loaded back.
+    fn reload(c: &Catalog) -> MetaResult<Catalog> {
+        Catalog::from_json(&c.to_json().unwrap())
+    }
+
+    #[test]
+    fn load_rejects_an_id_off_its_row() {
+        let (mut c, run) = seed_catalog();
+        c.add_dataset(ds(run, "x")).unwrap();
+        c.datasets[0].id = DatasetId(9);
+        assert!(matches!(
+            reload(&c),
+            Err(MetaError::NotFound {
+                table: "datasets",
+                ..
+            })
+        ));
+        let (mut c, _) = seed_catalog();
+        c.apps[0].id = AppId(1);
+        assert!(matches!(
+            reload(&c),
+            Err(MetaError::NotFound {
+                table: "applications",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn load_rejects_a_duplicate_name() {
+        let (mut c, run) = seed_catalog();
+        c.add_dataset(ds(run, "x")).unwrap();
+        c.add_dataset(ds(run, "y")).unwrap();
+        c.datasets[1].name = "x".into();
+        assert!(matches!(
+            reload(&c),
+            Err(MetaError::Duplicate {
+                table: "datasets",
+                ..
+            })
+        ));
+        let (mut c, _) = seed_catalog();
+        c.create_user("other", "ANL").unwrap();
+        c.users[1].name = "xshen".into();
+        assert!(matches!(
+            reload(&c),
+            Err(MetaError::Duplicate { table: "users", .. })
+        ));
+    }
+
+    #[test]
+    fn load_rejects_a_dangling_foreign_key() {
+        let (mut c, run) = seed_catalog();
+        c.add_dataset(ds(run, "x")).unwrap();
+        c.note_dump(run, "x", 0, 1.0, 64);
+        assert!(reload(&c).is_ok());
+        let refused = |table: &str, break_key: fn(&mut Catalog)| {
+            let mut bad = reload(&c).unwrap();
+            break_key(&mut bad);
+            match reload(&bad) {
+                Err(MetaError::ForeignKey { table: t, .. }) => assert_eq!(t, table),
+                other => panic!("{table}: expected a dangling foreign key, got {other:?}"),
+            }
+        };
+        refused("runs", |c| c.runs[0].app = AppId(7));
+        refused("runs", |c| c.runs[0].user = UserId(7));
+        refused("datasets", |c| c.datasets[0].run = RunId(7));
+        refused("dumps", |c| c.dumps[0].dataset = DatasetId(7));
     }
 
     #[test]
@@ -720,6 +762,6 @@ mod tests {
         let _ = c.datasets_for_run(run);
         let _ = c.resources();
         assert_eq!(c.query_count(), before + 2);
-        assert!(c.config.query_cost > SimDuration::ZERO);
+        assert!(QUERY_COST > SimDuration::ZERO);
     }
 }

@@ -2,34 +2,33 @@
 //!
 //! The paper keeps a "small" Postgres database at NWU holding *meta-data*:
 //! which applications and users exist, which datasets each run produced,
-//! where every dataset lives (storage resource type, path), how it is
-//! partitioned across processors, and the performance samples that feed the
-//! I/O performance predictor.
+//! where every dataset lives (storage resource type, path) and how it is
+//! partitioned across processors. The paper also keeps its performance
+//! tables there; here the predictor's database is `msr-predict`'s `PerfDb`,
+//! held once by the system and persisted on its own.
 //!
 //! This crate is the embedded stand-in: a typed, relational-style
-//! [`Catalog`] with primary-key tables, foreign-key lookups, a small
-//! [`filter`] expression language for ad-hoc queries, and JSON persistence
-//! (the paper's Postgres is, for our purposes, a durable table store with
-//! an embedded C API — the catalog exercises the same code paths:
-//! dataset lookup by name, location attributes, perf-record retrieval).
+//! [`Catalog`] with primary-key tables, foreign-key lookups and JSON
+//! persistence (the paper's Postgres is, for our purposes, a durable table
+//! store with an embedded C API — the catalog exercises the same code
+//! paths: dataset lookup by name, location attributes, dump recency). A
+//! load checks what inserts check: ids match row positions, unique names
+//! are unique and every foreign key names a row.
 //!
 //! Metadata access is deliberately cheap (§3.2: "As meta-data access is
 //! inexpensive, there is no need to provide a run-time library on top"); a
-//! flat per-query cost models the campus round trip to NWU.
+//! flat per-query cost, [`QUERY_COST`], models the campus round trip to
+//! NWU.
 
 pub mod catalog;
 pub mod error;
-pub mod filter;
-pub mod parse;
 pub mod records;
 
-pub use catalog::{Catalog, CatalogConfig};
+pub use catalog::{Catalog, QUERY_COST};
 pub use error::MetaError;
-pub use filter::{Filter, Record, Value};
-pub use parse::ParseError;
 pub use records::{
     AccessMode, AppId, ApplicationRec, DatasetId, DatasetRec, DumpRec, DumpState, ElementType,
-    Location, PerfSample, ResourceRec, RunId, RunRec, UserId, UserRec,
+    Location, ResourceRec, RunId, RunRec, UserId, UserRec,
 };
 
 /// Convenience result alias for catalog operations.

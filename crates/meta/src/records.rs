@@ -283,17 +283,6 @@ pub struct ResourceRec {
     pub capacity: u64,
 }
 
-/// One timing sample of the performance database: a complete native-call
-/// measurement for a given resource/op/size (the rows behind Figs. 6–8 and
-/// Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PerfSample {
-    /// Request size in bytes.
-    pub bytes: u64,
-    /// Measured transfer time `T_read/write(s)`, seconds.
-    pub transfer_secs: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ pub enum Layer {
     Sched,
     /// `msr-meta` catalog traffic.
     Meta,
-    /// `msr-predict` predictions and feeder activity.
+    /// `msr-predict` predictions.
     Predict,
     /// Application/workload markers.
     App,
@@ -90,11 +90,5 @@ impl Event {
     /// End time of the operation.
     pub fn end(&self) -> SimTime {
         self.at + self.dur
-    }
-
-    /// `true` for span events describing a storage-layer native call — the
-    /// records the performance-database feeder consumes.
-    pub fn is_native_call(&self) -> bool {
-        self.layer == Layer::Storage && self.kind == EventKind::Span
     }
 }

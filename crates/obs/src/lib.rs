@@ -1,16 +1,15 @@
 //! `msr-obs` — cross-layer observability for the multi-storage resource
 //! architecture.
 //!
-//! The paper's PTool "runs in the background and collects performance
-//! numbers automatically"; this crate is that background. Every
-//! architectural layer (storage native calls, network transfers, runtime
+//! Every architectural layer (storage native calls, network transfers, runtime
 //! strategies, session lifecycle) emits structured [`Event`]s through a
 //! [`Recorder`] — a cheap clonable handle holding a per-component buffer
 //! that batches into a shared [`Registry`]. Exporters turn the collected
 //! stream into JSON-lines, an aggregated [`MetricsSnapshot`] or Chrome
-//! `trace_event` JSON (loadable in `about:tracing` / Perfetto), and
-//! `msr-predict`'s `PerfDbFeeder` consumes it to keep the performance
-//! database tracking observed behaviour online.
+//! `trace_event` JSON (loadable in `about:tracing` / Perfetto). The stream
+//! is for explaining a run; the performance database is filled by PTool
+//! alone, and re-running the sweep is how predictions follow changed
+//! conditions.
 //!
 //! Everything is timestamped with the simulation clock ([`msr_sim::SimTime`]), not
 //! wall time: traces line up with predicted/actual comparisons.
@@ -37,8 +36,8 @@ pub use metrics::{GaugeStat, Histogram, MetricsSnapshot, OpMetrics};
 pub use recorder::Recorder;
 pub use registry::{Registry, DEFAULT_CAPACITY};
 
-/// Canonical operation names for the eq. (1) native-call components, used by
-/// both the storage instrumentation and the performance-database feeder.
+/// Canonical operation names for the eq. (1) native-call components and the
+/// other layers' events, shared by emitters and readers of the stream.
 pub mod ops {
     /// `T_conn`: connect to a storage server.
     pub const CONN: &str = "conn";

@@ -1,5 +1,5 @@
 //! The shared event registry: per-recorder buffers drain here, exporters
-//! and the performance-database feeder read from here.
+//! read from here.
 
 use crate::event::Event;
 use crate::metrics::MetricsSnapshot;

@@ -11,7 +11,8 @@
 //! 2. **PTool** ([`PTool`]) — "a tool … to help users automatically
 //!    generate performance data stored in databases": it sweeps request
 //!    sizes against the live resources, measures every component, and fills
-//!    the database (optionally mirroring it into the metadata catalog).
+//!    the database. It is the database's one writer: to re-predict under
+//!    new conditions (a loaded WAN, a slowed server), sweep again.
 //! 3. The **prediction algorithm** — eq. (2):
 //!    `T = Σ_j (N/freq(j)+1) · n(j) · t_j(s)`. The inner term,
 //!    [`dump_time_with`], composes eq. (1) per strategy into the
@@ -27,7 +28,6 @@
 //! strategy against it with [`dump_time_with`].
 
 pub mod accuracy;
-pub mod feeder;
 pub mod model;
 pub mod perfdb;
 pub mod predictor;
@@ -35,7 +35,6 @@ pub mod ptool;
 pub mod ratio;
 
 pub use accuracy::{compare, ComparisonRow};
-pub use feeder::{observed_resources, FeedSummary, PerfDbFeeder};
 pub use model::{dump_time_with, AccessSummary};
 pub use perfdb::{PerfDb, ResourceProfile};
 pub use predictor::{PredictionReport, PredictionRow};

@@ -1,7 +1,6 @@
 //! The performance database.
 
 use crate::{PredictError, PredictResult};
-use msr_meta::{Catalog, PerfSample};
 use msr_sim::SimDuration;
 use msr_storage::{FixedCosts, OpKind, RateCurve, StorageKind, StorageResource};
 use serde::{Deserialize, Serialize};
@@ -83,12 +82,6 @@ impl PerfDb {
             })
     }
 
-    /// Look up a profile mutably (used by the online feeder to fold
-    /// observed timings back into the table).
-    pub fn get_mut(&mut self, resource: &str, op: OpKind) -> Option<&mut ResourceProfile> {
-        self.profiles.get_mut(&key(resource, op))
-    }
-
     /// Whether a profile exists.
     pub fn contains(&self, resource: &str, op: OpKind) -> bool {
         self.profiles.contains_key(&key(resource, op))
@@ -113,67 +106,6 @@ impl PerfDb {
             .collect();
         names.dedup();
         names
-    }
-
-    /// Mirror this database into the metadata catalog (the paper stores its
-    /// performance tables in the Postgres MDMS).
-    pub fn export_to_catalog(&self, catalog: &mut Catalog) {
-        for (k, p) in &self.profiles {
-            let Some((resource, op)) = k.rsplit_once('/') else {
-                continue;
-            };
-            let op = if op == "read" {
-                OpKind::Read
-            } else {
-                OpKind::Write
-            };
-            catalog.record_fixed_costs(resource, op, p.fixed);
-            catalog.record_perf_samples(
-                resource,
-                op,
-                p.samples
-                    .iter()
-                    .map(|&(bytes, transfer_secs)| PerfSample {
-                        bytes,
-                        transfer_secs,
-                    })
-                    .collect(),
-            );
-        }
-    }
-
-    /// Rebuild a database from catalog tables (kinds default from the
-    /// registered resources; unknown resources get `RemoteDisk`).
-    pub fn import_from_catalog(catalog: &mut Catalog) -> PerfDb {
-        let kinds: BTreeMap<String, StorageKind> = catalog
-            .resources()
-            .into_iter()
-            .map(|r| (r.name, r.kind))
-            .collect();
-        let mut db = PerfDb::new();
-        for resource in catalog.perf_resources() {
-            for op in [OpKind::Read, OpKind::Write] {
-                let (Some(samples), Some(fixed)) = (
-                    catalog.perf_samples(&resource, op),
-                    catalog.fixed_costs(&resource, op),
-                ) else {
-                    continue;
-                };
-                db.insert(
-                    &resource,
-                    op,
-                    ResourceProfile {
-                        kind: kinds
-                            .get(&resource)
-                            .copied()
-                            .unwrap_or(StorageKind::RemoteDisk),
-                        fixed,
-                        samples: samples.iter().map(|s| (s.bytes, s.transfer_secs)).collect(),
-                    },
-                );
-            }
-        }
-        db
     }
 
     /// Persist as JSON.
@@ -266,23 +198,6 @@ mod tests {
         let p = ResourceProfile::of_model(&disk(), OpKind::Write);
         assert_eq!(p, ResourceProfile::of_model(&disk(), OpKind::Write));
         assert!(p.native_call_time(1 << 20) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn catalog_roundtrip() {
-        let mut db = PerfDb::new();
-        db.insert("sdsc-disk", OpKind::Write, profile());
-        db.insert("sdsc-disk", OpKind::Read, profile());
-        let mut cat = Catalog::new();
-        cat.register_resource(msr_meta::ResourceRec {
-            name: "sdsc-disk".into(),
-            kind: StorageKind::RemoteDisk,
-            site: "SDSC".into(),
-            capacity: 1 << 40,
-        });
-        db.export_to_catalog(&mut cat);
-        let back = PerfDb::import_from_catalog(&mut cat);
-        assert_eq!(back, db);
     }
 
     #[test]

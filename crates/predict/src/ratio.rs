@@ -7,18 +7,23 @@
 //! manifest, plus a pack of new frames), each paying its own open and
 //! close. The [`RatioBook`] learns both per dataset — the observed
 //! `moved / logical` byte ratio and the objects written per dump — with
-//! the same exponential moving average the
-//! [`crate::feeder::PerfDbFeeder`] uses for eq. (1) components, and
-//! [`RatioBook::priced`] applies them so placement, prefetch admission,
-//! and lifecycle pricing all estimate what the chunk plane will really
-//! move and how many objects it will touch.
+//! an exponential moving average that weighs the newest dump at `0.3`,
+//! and [`RatioBook::priced`] applies them so placement, prefetch
+//! admission, and lifecycle pricing all estimate what the chunk plane will
+//! really move and how many objects it will touch.
 //!
 //! Datasets the book has never observed (or with chunking disabled)
 //! predict at ratio `1.0` and one object, where [`RatioBook::priced`] is a
-//! bitwise no-op — predictions without chunking are unchanged.
+//! bitwise no-op — predictions without chunking are unchanged. The
+//! benchmark's `ckpt_chunked` workload measures what the book is worth:
+//! with `priced` made an identity its `predict_agreement_pct` falls from
+//! 88.55 to 60.93 at seed 2000 (DESIGN.md §5).
 
 use crate::model::AccessSummary;
 use std::collections::BTreeMap;
+
+/// EWMA smoothing factor: the weight of the newest observed dump.
+const ALPHA: f64 = 0.3;
 
 /// What the book holds for one dataset.
 #[derive(Debug, Clone, Copy)]
@@ -31,25 +36,13 @@ struct Cell {
 
 /// EWMA book of the observed shape of chunked dumps, keyed by dataset:
 /// the `moved / logical` byte ratio and the objects written per dump.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RatioBook {
-    /// EWMA smoothing factor in `(0, 1]`: weight of the newest
-    /// observation. Matches the feeder's default of `0.3`.
-    pub alpha: f64,
     cells: BTreeMap<String, Cell>,
 }
 
-impl Default for RatioBook {
-    fn default() -> Self {
-        RatioBook {
-            alpha: 0.3,
-            cells: BTreeMap::new(),
-        }
-    }
-}
-
 impl RatioBook {
-    /// A book with the default smoothing (`alpha = 0.3`).
+    /// An empty book.
     pub fn new() -> Self {
         Self::default()
     }
@@ -66,16 +59,14 @@ impl RatioBook {
             ratio: (moved as f64 / logical as f64).clamp(0.0, 2.0),
             objects: objects as f64,
         };
-        let alpha = self.alpha;
-        let fold = |old: f64, new: f64| old * (1.0 - alpha) + new * alpha;
+        let fold = |old: f64, new: f64| old * (1.0 - ALPHA) + new * ALPHA;
         match self.cells.get_mut(dataset) {
             Some(cell) => {
                 cell.ratio = fold(cell.ratio, sample.ratio);
                 cell.objects = fold(cell.objects, sample.objects);
             }
             None => {
-                // First observation is adopted outright, as the feeder
-                // does when it inserts a new transfer anchor.
+                // The first observation is adopted outright.
                 self.cells.insert(dataset.to_string(), sample);
             }
         }

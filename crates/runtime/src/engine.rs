@@ -51,22 +51,13 @@ pub fn memcpy_cost(bytes: u64) -> SimDuration {
 /// independent of which buffer was handed out.
 mod scratch {
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     static POOL: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static REUSES: AtomicU64 = AtomicU64::new(0);
     /// Bound on pooled buffers, so a wide dump doesn't pin memory forever.
     const MAX_POOLED: usize = 64;
 
     fn take() -> Option<Vec<u8>> {
-        let pooled = POOL.lock().pop();
-        if pooled.is_some() {
-            REUSES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        pooled
+        POOL.lock().pop()
     }
 
     /// A zero-filled buffer of exactly `len` bytes; `true` when it came
@@ -102,19 +93,6 @@ mod scratch {
             pool.push(buf);
         }
     }
-
-    /// Cumulative `(fresh allocations, pool reuses)` across the process.
-    pub fn counters() -> (u64, u64) {
-        (
-            ALLOCS.load(Ordering::Relaxed),
-            REUSES.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Cumulative scratch-pool counters: `(fresh allocations, pool reuses)`.
-pub fn scratch_counters() -> (u64, u64) {
-    scratch::counters()
 }
 
 /// Window size for parallel bulk copies of one contiguous buffer.
@@ -354,11 +332,6 @@ impl IoEngine {
     /// Replace the retry policy applied around native calls.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// The retry policy currently in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Issue one native call under the retry policy. Transient failures

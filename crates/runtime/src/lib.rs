@@ -39,7 +39,7 @@ pub mod superfile;
 
 pub use cache::{staging_cache, LruCache, StagingCache};
 pub use chunked::ChunkPlane;
-pub use engine::{memcpy_cost, scratch_counters, IoEngine, IoReport};
+pub use engine::{memcpy_cost, IoEngine, IoReport};
 pub use error::RuntimeError;
 pub use layout::{Chunk, DimDist, Dims3, Distribution, Pattern, ProcGrid};
 pub use pipeline::WriteBehind;

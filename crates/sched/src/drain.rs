@@ -18,7 +18,7 @@ use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN
 use crate::wfq::WfqQueue;
 use msr_core::{MsrSystem, TenantId, MAX_TRIES};
 use msr_lifecycle::{LifecycleEngine, TickTotals};
-use msr_meta::RunId;
+use msr_meta::{RunId, QUERY_COST};
 use msr_obs::{ops, Layer, Recorder};
 use msr_runtime::{EngineRequest, IoReport, RequestBody, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
@@ -551,8 +551,8 @@ impl Scheduler<'_> {
         // The fallback may be a resource no session of this drain holds a
         // link to: set it up before the first moved request is dispatched.
         // A refused connect is left for that dispatch to fail on.
-        if let Some((to, query_cost)) = next {
-            drain.charge(to, query_cost);
+        if let Some(to) = next {
+            drain.charge(to, QUERY_COST);
             if let Ok(setup) = session.connect(to) {
                 drain.charge(to, setup);
             }
@@ -562,7 +562,7 @@ impl Scheduler<'_> {
             sys.load.dequeue(from, tid, q.est);
         }
         let acc = &mut drain.accs[sid as usize];
-        let Some((to, _)) = next else {
+        let Some(to) = next else {
             for q in items {
                 release(&mut drain.deadlines, sid, q.est);
                 acc.errors

@@ -49,11 +49,6 @@ impl SimDuration {
         self.0 * 1e3
     }
 
-    /// True if this duration is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {

@@ -1,7 +1,7 @@
 //! Observability end to end: run an Astro3D workload with every layer
 //! instrumented, print the aggregated metrics snapshot, export the event
-//! stream as Chrome trace JSON + JSON-lines, and feed the observations back
-//! into the performance database for a sharper re-prediction.
+//! stream as Chrome trace JSON + JSON-lines, and re-run the PTool sweep
+//! under the loaded WAN for a sharper re-prediction.
 //!
 //! ```text
 //! cargo run --release --example traced_run
@@ -21,7 +21,7 @@ fn main() -> CoreResult<()> {
     sys.run_ptool(&PTool::default())?;
     sys.obs.clear();
 
-    // A background-loaded WAN makes the trace (and the feedback) interesting.
+    // A background-loaded WAN makes the trace (and the re-sweep) interesting.
     sys.set_wan_background_load(2.0);
 
     let grid = ProcGrid::new(2, 2, 2);
@@ -81,12 +81,9 @@ fn main() -> CoreResult<()> {
         events.len()
     );
 
-    // 3. Close the loop: feed the observed native calls back into the
-    //    performance database and re-predict the run.
-    let feeder = PerfDbFeeder::new();
-    let mut db = sys.perf_db().clone();
-    let summary = feeder.ingest(&mut db, &events);
-    sys.set_perf_db(db);
+    // 3. Close the loop: measure the resources again under the current
+    //    load and re-predict the run.
+    sys.run_ptool(&PTool::default())?;
     let mut s2 = sys
         .session()
         .app("astro3d-re")
@@ -99,11 +96,10 @@ fn main() -> CoreResult<()> {
     }
     let fresh = s2.predict()?.total;
     println!(
-        "actual I/O {:.2}s | predicted from calibration {:.2}s | after feeding \
-         {} observed calls back: {:.2}s",
+        "actual I/O {:.2}s | predicted from calibration {:.2}s | after a \
+         re-sweep: {:.2}s",
         report.total_io.as_secs(),
         stale.as_secs(),
-        summary.spans,
         fresh.as_secs()
     );
     Ok(())

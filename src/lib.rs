@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use msr_meta::{AccessMode, ElementType, RunId};
     pub use msr_obs::{chrome_trace, jsonl, Layer, MetricsSnapshot, Recorder, Registry};
-    pub use msr_predict::{compare, PTool, PerfDbFeeder};
+    pub use msr_predict::{compare, PTool};
     pub use msr_runtime::{Dims3, IoStrategy, Pattern, ProcGrid, RetryPolicy, Superfile};
     pub use msr_sched::{SchedReport, Scheduler, SessionProgram, SessionReport, TenantReport};
     pub use msr_sim::SimDuration;

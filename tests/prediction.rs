@@ -1,6 +1,7 @@
 //! Prediction integration: PTool → PerfDb → eq. (2) vs actual sessions,
-//! catalog persistence of the performance tables, and the §7
-//! performance-target policy.
+//! disk persistence of the performance database, re-prediction after a
+//! re-sweep under changed conditions, and the §7 performance-target
+//! policy.
 
 use msr::predict::{compare, PerfDb};
 use msr::prelude::*;
@@ -53,17 +54,6 @@ fn predictions_within_tolerance_on_every_kind() {
             "{hint:?}: predicted {p:.2} actual {a:.2} err {err:.2}"
         );
     }
-}
-
-#[test]
-fn perfdb_roundtrips_through_the_catalog() {
-    let mut sys = MsrSystem::testbed(302);
-    sys.run_ptool(&quick_ptool()).unwrap();
-    let db = sys.perf_db().clone();
-    // The catalog copy can rebuild an identical database (the paper keeps
-    // its performance tables in the Postgres MDMS).
-    let rebuilt = PerfDb::import_from_catalog(&mut sys.catalog.lock());
-    assert_eq!(rebuilt, db);
 }
 
 #[test]
@@ -164,4 +154,81 @@ fn accuracy_report_over_multiple_datasets() {
     let mape = cmp.mape().unwrap();
     assert!(mape < 0.5, "MAPE {mape}");
     assert!(cmp.to_string().contains("MAPE"));
+}
+
+fn rel_err(pred: SimDuration, actual: SimDuration) -> f64 {
+    (pred.as_secs() - actual.as_secs()).abs() / actual.as_secs()
+}
+
+/// Calibration happens on a quiet WAN, then background traffic appears.
+/// The prediction from the stale calibration misses badly; after PTool
+/// sweeps the resources again under the new load, the same prediction
+/// lands strictly closer to what the run actually cost.
+#[test]
+fn resweep_repredicts_strictly_more_accurately() {
+    let mut sys = MsrSystem::testbed(7);
+    let sweep = PTool {
+        sizes: vec![1 << 18, 1 << 20, 1 << 21],
+        reps: 2,
+        scratch_prefix: "ptool/fb".into(),
+    };
+    // Calibrate on an idle system — the paper's Table 1 / Figs. 6–8 sweep.
+    sys.run_ptool(&sweep).unwrap();
+
+    // Conditions change after calibration: three competing WAN streams.
+    sys.set_wan_background_load(3.0);
+
+    let grid = ProcGrid::new(1, 1, 1);
+    let sp = DatasetSpec::astro3d_default("vr_press", ElementType::U8, 128)
+        .with_hint(LocationHint::RemoteDisk);
+    let data: Vec<u8> = (0..sp.snapshot_bytes()).map(|i| (i % 251) as u8).collect();
+
+    let mut s = sys
+        .session()
+        .app("astro3d")
+        .user("xshen")
+        .iterations(12)
+        .grid(grid)
+        .build()
+        .unwrap();
+    let h = s.open(sp.clone()).unwrap();
+    let stale = s.predict().unwrap().total;
+    for iter in 0..=12 {
+        s.write_iteration(h, iter, &data).unwrap();
+    }
+    let actual = s.finalize().unwrap().total_io;
+    assert!(actual > SimDuration::ZERO);
+    // The stale database still believes in the quiet WAN.
+    assert!(
+        stale < actual,
+        "stale calibration should underestimate under load: {} vs {}",
+        stale.as_secs(),
+        actual.as_secs()
+    );
+
+    // Measure the resources again under the current load.
+    sys.run_ptool(&sweep).unwrap();
+
+    // Re-predict the same plan with the re-swept database.
+    let mut s2 = sys
+        .session()
+        .app("astro3d-next")
+        .user("xshen")
+        .iterations(12)
+        .grid(grid)
+        .build()
+        .unwrap();
+    s2.open(sp).unwrap();
+    let fresh = s2.predict().unwrap().total;
+
+    let (e_stale, e_fresh) = (rel_err(stale, actual), rel_err(fresh, actual));
+    assert!(
+        e_fresh < e_stale,
+        "re-swept DB should predict strictly better: stale err {:.3} ({}s), fresh err {:.3} ({}s), actual {}s",
+        e_stale,
+        stale.as_secs(),
+        e_fresh,
+        fresh.as_secs(),
+        actual.as_secs()
+    );
 }

@@ -437,7 +437,6 @@ fn direct_and_scheduled_writes_are_replaced_alike() {
 
     // The fallback's cursor: the catalog query, the connection setup,
     // then the one batch that serves the moved dumps.
-    let query_cost = scheduled.catalog.lock().config.query_cost;
     let events = scheduled.obs.events();
     let setup = events
         .iter()
@@ -449,7 +448,7 @@ fn direct_and_scheduled_writes_are_replaced_alike() {
         .find(|e| e.op == ops::SCHED_DISPATCH && e.resource == "remote disk")
         .expect("the moved dumps are served");
     let lead = dispatch.at.since(start).as_secs();
-    let expect = (query_cost + setup).as_secs();
+    let expect = (msr::meta::QUERY_COST + setup).as_secs();
     assert!(
         (lead - expect).abs() < 1e-9,
         "{lead} s before the first batch, expected {expect} s"
