@@ -3,7 +3,7 @@
 //! staging cache, and write-behind buffering.
 
 use msr_core::MsrSystem;
-use msr_net::{LinkSpec, Network, SiteId};
+use msr_net::{LinkSpec, Network};
 use msr_runtime::{
     Dims3, Distribution, IoEngine, IoStrategy, Pattern, ProcGrid, Superfile, WriteBehind,
 };
@@ -38,18 +38,12 @@ pub fn ablation_strategies(seed: u64) -> Vec<AblationRow> {
 }
 
 fn tape_with_drives(drives: usize, seed: u64) -> SharedResource {
-    let mut n = Network::new(seed);
-    let a: SiteId = n.add_site("ANL");
-    let s = n.add_site("SDSC");
-    n.add_link(a, s, LinkSpec::wan(0.28));
-    let net = msr_net::share(n);
+    let net = msr_net::share(Network::new("ANL", "SDSC", LinkSpec::wan(0.28)));
     let mut params = hpss_params();
     params.num_drives = drives;
     share(TapeResource::new(
         "hpss-abl",
         net,
-        a,
-        s,
         hpss_protocol(),
         params,
         seed,

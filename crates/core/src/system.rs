@@ -8,7 +8,7 @@ use crate::session::Session;
 use crate::tenant::TenantRegistry;
 use crate::CoreResult;
 use msr_meta::{Catalog, ResourceRec, RunId};
-use msr_net::{LinkId, SharedNetwork};
+use msr_net::SharedNetwork;
 use msr_obs::{Recorder, Registry};
 use msr_predict::{dump_time_with, AccessSummary, PTool, PerfDb, RatioBook, ResourceProfile};
 use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// The configured multi-storage environment: network, storage resources,
 /// metadata catalog, performance database and the virtual clock.
 pub struct MsrSystem {
-    /// The internetwork.
+    /// The ANL↔SDSC WAN.
     pub net: SharedNetwork,
     /// Global virtual clock.
     pub clock: Clock,
@@ -55,13 +55,13 @@ pub struct MsrSystem {
     /// [`set_perf_db`](Self::set_perf_db) installs some.
     perf_db: PerfDb,
     policy: PlacementPolicy,
-    wan_link: Option<LinkId>,
     seed: u64,
 }
 
 impl MsrSystem {
     /// Build the calibrated §3.2 testbed environment: local disks at ANL,
-    /// SRB remote disks and HPSS tape at SDSC, catalog at NWU.
+    /// SRB remote disks and HPSS tape at SDSC over one WAN link, catalog at
+    /// NWU (priced per query by `QUERY_COST`; there is no NWU link).
     ///
     /// ```
     /// use msr_core::{DatasetSpec, LocationHint, MsrSystem};
@@ -132,7 +132,6 @@ impl MsrSystem {
             profiles: Mutex::new(BTreeMap::new()),
             perf_db: PerfDb::new(),
             policy: PlacementPolicy::Hinted,
-            wan_link: Some(tb.wan_link),
             seed,
         }
     }
@@ -190,17 +189,13 @@ impl MsrSystem {
 
     /// Background load on the ANL↔SDSC WAN (equivalent competing streams).
     pub fn set_wan_background_load(&self, load: f64) {
-        if let Some(l) = self.wan_link {
-            self.net.write().set_background_load(l, load);
-        }
+        self.net.write().set_background_load(load);
         self.profiles.lock().clear();
     }
 
     /// Bring the WAN link down or up.
     pub fn set_wan_up(&self, up: bool) {
-        if let Some(l) = self.wan_link {
-            self.net.write().set_link_up(l, up);
-        }
+        self.net.write().set_up(up);
         self.profiles.lock().clear();
     }
 

@@ -1,32 +1,17 @@
 //! Network error type.
 
-use crate::site::SiteId;
 use std::fmt;
 
 /// Failures surfaced by the network simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// A site handle did not belong to this network.
-    UnknownSite(SiteId),
-    /// No live route exists between the endpoints (links down, sites down,
-    /// or disconnected topology).
-    NoRoute {
-        /// Source site.
-        from: SiteId,
-        /// Destination site.
-        to: SiteId,
-    },
-    /// The connection's route went down after it was established.
+    /// The link is down.
     RouteDown,
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::UnknownSite(s) => write!(f, "unknown site {s}"),
-            NetError::NoRoute { from, to } => {
-                write!(f, "no live route from {from} to {to}")
-            }
             NetError::RouteDown => write!(f, "connection route is down"),
         }
     }

@@ -3,7 +3,7 @@
 //! The paper's final §5 example assumes "the remote tape system is down for
 //! maintenance". [`OutageSchedule`] lets an experiment declare maintenance
 //! windows in virtual time and ask whether a component should currently be
-//! up, which the harness then applies to links, sites or storage resources.
+//! up, which the harness then applies to the link or to storage resources.
 
 use msr_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -13,8 +13,7 @@ use serde::{Deserialize, Serialize};
 pub struct Outage {
     /// Start of the outage (inclusive).
     pub from: SimTime,
-    /// End of the outage (exclusive). Use [`SimTime::INFINITY`] for an
-    /// open-ended outage.
+    /// End of the outage (exclusive).
     pub until: SimTime,
 }
 
@@ -46,30 +45,9 @@ impl OutageSchedule {
         self
     }
 
-    /// Add an outage that starts at `from_secs` and never ends.
-    pub fn with_permanent_outage(mut self, from_secs: f64) -> Self {
-        self.windows.push(Outage {
-            from: SimTime::from_secs(from_secs),
-            until: SimTime::INFINITY,
-        });
-        self
-    }
-
     /// Should the component be up at virtual time `t`?
     pub fn is_up(&self, t: SimTime) -> bool {
         !self.windows.iter().any(|w| w.covers(t))
-    }
-
-    /// The next state-change boundary strictly after `t`, if any. The
-    /// open-ended [`SimTime::INFINITY`] boundary is never a transition — a
-    /// permanent outage has no recovery edge. Useful for event-driven
-    /// experiment loops.
-    pub fn next_transition(&self, t: SimTime) -> Option<SimTime> {
-        self.windows
-            .iter()
-            .flat_map(|w| [w.from, w.until])
-            .filter(|&b| b > t && b.is_finite())
-            .min_by(|a, b| a.as_secs().total_cmp(&b.as_secs()))
     }
 }
 
@@ -82,7 +60,6 @@ mod tests {
         let s = OutageSchedule::always_up();
         assert!(s.is_up(SimTime::EPOCH));
         assert!(s.is_up(SimTime::from_secs(1e9)));
-        assert_eq!(s.next_transition(SimTime::EPOCH), None);
     }
 
     #[test]
@@ -102,52 +79,5 @@ mod tests {
         assert!(!s.is_up(SimTime::from_secs(4.0)));
         assert!(!s.is_up(SimTime::from_secs(6.0)));
         assert!(s.is_up(SimTime::from_secs(8.0)));
-    }
-
-    #[test]
-    fn permanent_outage_never_recovers() {
-        let s = OutageSchedule::always_up().with_permanent_outage(100.0);
-        assert!(s.is_up(SimTime::from_secs(99.0)));
-        assert!(!s.is_up(SimTime::from_secs(1e12)));
-        assert!(!s.is_up(SimTime::from_secs(f64::MAX)));
-    }
-
-    #[test]
-    fn permanent_outage_uses_infinity_sentinel() {
-        let s = OutageSchedule::always_up().with_permanent_outage(100.0);
-        // Onset is a transition; the open end is not.
-        assert_eq!(
-            s.next_transition(SimTime::EPOCH),
-            Some(SimTime::from_secs(100.0))
-        );
-        assert_eq!(s.next_transition(SimTime::from_secs(100.0)), None);
-        // A finite window ending at f64::MAX (no longer a magic value) still
-        // transitions; only the true sentinel is open-ended.
-        let fin = OutageSchedule::always_up().with_outage(0.0, f64::MAX);
-        assert_eq!(
-            fin.next_transition(SimTime::EPOCH),
-            Some(SimTime::from_secs(f64::MAX))
-        );
-    }
-
-    #[test]
-    fn permanent_outage_onset_boundary() {
-        let s = OutageSchedule::always_up().with_permanent_outage(50.0);
-        assert!(s.is_up(SimTime::from_secs(49.999_999)));
-        assert!(!s.is_up(SimTime::from_secs(50.0)));
-    }
-
-    #[test]
-    fn next_transition_order() {
-        let s = OutageSchedule::always_up().with_outage(10.0, 20.0);
-        assert_eq!(
-            s.next_transition(SimTime::EPOCH),
-            Some(SimTime::from_secs(10.0))
-        );
-        assert_eq!(
-            s.next_transition(SimTime::from_secs(15.0)),
-            Some(SimTime::from_secs(20.0))
-        );
-        assert_eq!(s.next_transition(SimTime::from_secs(20.0)), None);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! These presets reproduce the paper's experimental environment (§3.2):
 //! an SP-2 at ANL with local SSA disks, an SRB-fronted disk farm and HPSS
-//! tape tier at SDSC across a WAN, and the metadata database at NWU over a
-//! metro link. Constants are calibrated against the paper's published
-//! numbers:
+//! tape tier at SDSC across one WAN link. The metadata database at NWU is
+//! not on the network: a catalog query costs `msr_meta::QUERY_COST`.
+//! Constants are calibrated against the paper's published numbers:
 //!
 //! * Table 1 fixed costs — matched exactly (conn 0.44/0.81 s, open
 //!   0.42/6.17 s, close 0.63/0.83/0.46/0.42 s, connclose 0.0002 s, local
@@ -18,7 +18,7 @@ use crate::local_disk::{DiskParams, LocalDisk};
 use crate::rate::RateCurve;
 use crate::remote_disk::{RemoteDisk, RemoteFixed};
 use crate::tape::{TapeParams, TapeResource};
-use msr_net::{LinkId, LinkSpec, Network, ProtocolCosts, SharedNetwork, SiteId};
+use msr_net::{LinkSpec, Network, ProtocolCosts, SharedNetwork};
 use msr_sim::{Jitter, SimDuration};
 
 /// Sustained application-level WAN rate between ANL and SDSC (MB/s).
@@ -71,17 +71,10 @@ pub fn anl_local_disk(seed: u64) -> LocalDisk {
 }
 
 /// The SRB remote disk farm at SDSC (Table 1 rows 3–4).
-pub fn sdsc_remote_disk(
-    net: SharedNetwork,
-    client: SiteId,
-    server: SiteId,
-    seed: u64,
-) -> RemoteDisk {
+pub fn sdsc_remote_disk(net: SharedNetwork, seed: u64) -> RemoteDisk {
     RemoteDisk::new(
         "sdsc-disk",
         net,
-        client,
-        server,
         srb_protocol(),
         RemoteFixed {
             open: SimDuration::from_secs(0.42),
@@ -121,35 +114,14 @@ pub fn hpss_params() -> TapeParams {
 pub const DEFAULT_RECALL_SECS: f64 = 4.0 * 3600.0;
 
 /// The HPSS tape tier at SDSC (Table 1 rows 5–6).
-pub fn sdsc_hpss_tape(
-    net: SharedNetwork,
-    client: SiteId,
-    server: SiteId,
-    seed: u64,
-) -> TapeResource {
-    TapeResource::new(
-        "sdsc-hpss",
-        net,
-        client,
-        server,
-        hpss_protocol(),
-        hpss_params(),
-        seed,
-    )
+pub fn sdsc_hpss_tape(net: SharedNetwork, seed: u64) -> TapeResource {
+    TapeResource::new("sdsc-hpss", net, hpss_protocol(), hpss_params(), seed)
 }
 
 /// The full experimental environment of §3.2, wired together.
 pub struct Testbed {
-    /// The shared internetwork.
+    /// The ANL↔SDSC WAN, for load/outage injection.
     pub net: SharedNetwork,
-    /// Compute site (SP-2).
-    pub anl: SiteId,
-    /// Storage site (SRB disks + HPSS).
-    pub sdsc: SiteId,
-    /// Metadata site (Postgres-stand-in catalog).
-    pub nwu: SiteId,
-    /// The ANL↔SDSC WAN link, for load/outage injection.
-    pub wan_link: LinkId,
     /// Node-local disks at ANL.
     pub local: LocalDisk,
     /// SRB disk farm at SDSC.
@@ -160,32 +132,13 @@ pub struct Testbed {
 
 /// Build the calibrated testbed. All noise streams derive from `seed`.
 pub fn testbed(seed: u64) -> Testbed {
-    let mut n = Network::new(seed);
-    let anl = n.add_site("ANL");
-    let sdsc = n.add_site("SDSC");
-    let nwu = n.add_site("NWU");
-    let wan_link = n.add_link(
-        anl,
-        sdsc,
-        LinkSpec {
-            latency: SimDuration::from_millis(25.0),
-            bandwidth_mb_s: WAN_RATE_MB_S,
-            jitter: Jitter::wan_default(),
-        },
-    );
-    n.add_link(anl, nwu, LinkSpec::campus(10.0));
-    let net = msr_net::share(n);
-
+    let net = msr_net::share(Network::new("ANL", "SDSC", LinkSpec::wan(WAN_RATE_MB_S)));
     let local = anl_local_disk(seed);
-    let remote_disk = sdsc_remote_disk(net.clone(), anl, sdsc, seed);
-    let tape = sdsc_hpss_tape(net.clone(), anl, sdsc, seed);
+    let remote_disk = sdsc_remote_disk(net.clone(), seed);
+    let tape = sdsc_hpss_tape(net.clone(), seed);
 
     Testbed {
         net,
-        anl,
-        sdsc,
-        nwu,
-        wan_link,
         local,
         remote_disk,
         tape,
@@ -277,16 +230,5 @@ mod tests {
         let tb = testbed(0);
         // One Astro3D run ≈ 2.2 GB > local capacity, the paper's dilemma.
         assert!(tb.local.capacity_bytes() < 2_200_000_000);
-    }
-
-    #[test]
-    fn testbed_sites_are_wired() {
-        let tb = testbed(0);
-        let net = tb.net.read();
-        assert_eq!(net.site_name(tb.anl), "ANL");
-        assert_eq!(net.site_name(tb.sdsc), "SDSC");
-        assert_eq!(net.site_name(tb.nwu), "NWU");
-        assert!(net.route(tb.anl, tb.sdsc).is_ok());
-        assert!(net.route(tb.anl, tb.nwu).is_ok());
     }
 }

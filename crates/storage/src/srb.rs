@@ -8,56 +8,63 @@
 
 use crate::error::StorageError;
 use crate::StorageResult;
-use msr_net::{Connection, NetError, ProtocolCosts, SharedNetwork, SiteId};
+use msr_net::{NetError, Network, ProtocolCosts, SharedNetwork};
 use msr_sim::SimDuration;
 use rand::rngs::StdRng;
 
-/// A client's SRB session with one remote server.
+/// A client's SRB session with the remote server at the far end of the
+/// WAN.
 #[derive(Debug)]
 pub struct SrbLink {
     net: SharedNetwork,
-    client: SiteId,
-    server: SiteId,
     proto: ProtocolCosts,
-    conn: Option<Connection>,
+    connected: bool,
 }
 
 impl SrbLink {
-    /// A not-yet-connected link; WAN characteristics come from the
-    /// network's links between `client` and `server`.
-    pub fn new(net: SharedNetwork, client: SiteId, server: SiteId, proto: ProtocolCosts) -> Self {
+    /// A not-yet-connected link; WAN characteristics come from `net`.
+    pub fn new(net: SharedNetwork, proto: ProtocolCosts) -> Self {
         SrbLink {
             net,
-            client,
-            server,
             proto,
-            conn: None,
+            connected: false,
         }
     }
 
-    /// Establish the session unless a live one exists (idempotent
-    /// reconnect); returns the setup cost when work was done.
+    /// Setup handshake: one round trip plus protocol work.
+    fn setup_cost(&self, net: &Network) -> SimDuration {
+        net.latency() * 2.0 + self.proto.conn_setup
+    }
+
+    /// Establish the session unless one exists (idempotent reconnect);
+    /// returns the setup cost when work was done. Fails while the WAN is
+    /// down, leaving an existing session in place.
     pub fn connect(&mut self) -> StorageResult<Option<SimDuration>> {
         let net = self.net.read();
-        if self.conn.as_ref().is_some_and(|c| c.is_up(&net)) {
+        if !net.is_up() {
+            return Err(StorageError::Network(NetError::RouteDown));
+        }
+        if self.connected {
             return Ok(None);
         }
-        let (cost, conn) = Connection::establish(&net, self.client, self.server, self.proto)?;
-        self.conn = Some(conn);
-        Ok(Some(cost))
+        self.connected = true;
+        Ok(Some(self.setup_cost(&net)))
     }
 
     /// Drop the session; returns the teardown cost (zero if none existed).
     pub fn disconnect(&mut self) -> SimDuration {
-        self.conn
-            .take()
-            .map_or(SimDuration::ZERO, |c| c.close_cost())
+        if std::mem::take(&mut self.connected) {
+            self.proto.conn_teardown
+        } else {
+            SimDuration::ZERO
+        }
     }
 
-    /// A session exists and its route is up.
+    /// A session exists and the WAN is up.
     pub fn check_live(&self) -> StorageResult<()> {
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        if conn.is_up(&self.net.read()) {
+        if !self.connected {
+            Err(StorageError::NotConnected)
+        } else if self.net.read().is_up() {
             Ok(())
         } else {
             Err(StorageError::Network(NetError::RouteDown))
@@ -68,30 +75,35 @@ impl SrbLink {
     /// same-sized concurrent calls: the WAN pipe carries `bytes × streams`
     /// in total while this call completes.
     pub fn wire(&self, bytes: u64, streams: u32, rng: &mut StdRng) -> StorageResult<SimDuration> {
-        let conn = self.conn.as_ref().ok_or(StorageError::NotConnected)?;
-        let net = self.net.read();
-        Ok(conn.request_with(&net, bytes * u64::from(streams), streams, rng)?)
+        if !self.connected {
+            return Err(StorageError::NotConnected);
+        }
+        let wire = self
+            .net
+            .read()
+            .transfer_with(bytes * u64::from(streams), streams, rng)?;
+        Ok(wire + self.proto.per_request)
     }
 
-    /// Noise-free wire cost (predictor path). Before any connection exists
-    /// the route is resolved afresh.
+    /// Noise-free wire cost (predictor path); zero while there is neither
+    /// a session nor a live WAN to open one over.
     pub fn wire_nominal(&self, bytes: u64, streams: u32) -> SimDuration {
         let net = self.net.read();
-        match &self.conn {
-            Some(conn) => conn.request_nominal(&net, bytes, streams),
-            None => match net.route(self.client, self.server) {
-                Ok(route) => net.transfer_nominal(&route, bytes, streams) + self.proto.per_request,
-                Err(_) => SimDuration::ZERO,
-            },
+        if self.connected || net.is_up() {
+            net.transfer_nominal(bytes, streams) + self.proto.per_request
+        } else {
+            SimDuration::ZERO
         }
     }
 
-    /// The connection columns of Table 1: `(T_conn, T_connclose)`.
+    /// The connection columns of Table 1: `(T_conn, T_connclose)`. While
+    /// the WAN is down `T_conn` is the protocol setup alone.
     pub fn conn_costs(&self) -> (SimDuration, SimDuration) {
         let net = self.net.read();
-        let conn = match net.route(self.client, self.server) {
-            Ok(route) => net.route_latency(&route) * 2.0 + self.proto.conn_setup,
-            Err(_) => self.proto.conn_setup,
+        let conn = if net.is_up() {
+            self.setup_cost(&net)
+        } else {
+            self.proto.conn_setup
         };
         (conn, self.proto.conn_teardown)
     }

@@ -13,7 +13,7 @@ use crate::device::{CostModel, Device};
 use crate::rate::RateCurve;
 use crate::resource::{FixedCosts, OpKind, StorageKind};
 use crate::srb::SrbLink;
-use msr_net::{ProtocolCosts, SharedNetwork, SiteId};
+use msr_net::{ProtocolCosts, SharedNetwork};
 use msr_sim::{Jitter, SimDuration};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -88,18 +88,16 @@ pub struct TapeModel {
 pub type TapeResource = Device<TapeModel>;
 
 impl TapeResource {
-    /// Build a tape resource reached over `net` from `client` to `server`.
+    /// Build a tape resource reached over `net`.
     pub fn new(
         name: impl Into<String>,
         net: SharedNetwork,
-        client: SiteId,
-        server: SiteId,
         proto: ProtocolCosts,
         params: TapeParams,
         seed: u64,
     ) -> Self {
         let model = TapeModel {
-            link: SrbLink::new(net, client, server, proto),
+            link: SrbLink::new(net, proto),
             drives: vec![None; params.num_drives.max(1)],
             params,
             use_counter: 0,
@@ -304,12 +302,12 @@ mod tests {
     use crate::resource::{OpenMode, StorageResource};
     use msr_net::{LinkSpec, Network};
 
-    fn testnet() -> (SharedNetwork, SiteId, SiteId) {
-        let mut n = Network::new(4);
-        let a = n.add_site("ANL");
-        let s = n.add_site("SDSC");
-        n.add_link(a, s, LinkSpec::ideal(SimDuration::from_millis(25.0), 0.30));
-        (msr_net::share(n), a, s)
+    fn testnet() -> SharedNetwork {
+        msr_net::share(Network::new(
+            "ANL",
+            "SDSC",
+            LinkSpec::ideal(SimDuration::from_millis(25.0), 0.30),
+        ))
     }
 
     fn params(drives: usize) -> TapeParams {
@@ -331,12 +329,9 @@ mod tests {
     }
 
     fn tape(drives: usize) -> TapeResource {
-        let (net, a, s) = testnet();
         let mut t = TapeResource::new(
             "hpss",
-            net,
-            a,
-            s,
+            testnet(),
             ProtocolCosts {
                 conn_setup: SimDuration::from_secs(0.76),
                 conn_teardown: SimDuration::from_micros(200.0),

@@ -14,17 +14,18 @@ fn local() -> LocalDisk {
     LocalDisk::new("c-local", DiskParams::simple(20.0, 1 << 30), 1)
 }
 
+fn net() -> msr_net::SharedNetwork {
+    msr_net::share(Network::new(
+        "A",
+        "B",
+        LinkSpec::ideal(SimDuration::from_millis(10.0), 1.0),
+    ))
+}
+
 fn remote() -> RemoteDisk {
-    let mut n = Network::new(1);
-    let a = n.add_site("A");
-    let b = n.add_site("B");
-    n.add_link(a, b, LinkSpec::ideal(SimDuration::from_millis(10.0), 1.0));
-    let net = msr_net::share(n);
     RemoteDisk::new(
         "c-remote",
-        net,
-        a,
-        b,
+        net(),
         msr_storage::srb_protocol(),
         msr_storage::remote_disk::RemoteFixed {
             open: SimDuration::from_secs(0.4),
@@ -40,16 +41,9 @@ fn remote() -> RemoteDisk {
 }
 
 fn tape() -> TapeResource {
-    let mut n = Network::new(2);
-    let a = n.add_site("A");
-    let b = n.add_site("B");
-    n.add_link(a, b, LinkSpec::ideal(SimDuration::from_millis(10.0), 1.0));
-    let net = msr_net::share(n);
     TapeResource::new(
         "c-tape",
-        net,
-        a,
-        b,
+        net(),
         msr_storage::hpss_protocol(),
         msr_storage::hpss_params(),
         2,
