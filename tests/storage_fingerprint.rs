@@ -571,8 +571,8 @@ fn plain_resources_fingerprint_is_frozen() {
         run(false),
         [
             "d8ec93da7bcee639",
-            "b4451fc6a0d4f815",
-            "0545636fe9a4575c",
+            "8b9602e7d03a74ae",
+            "2ddcf2d1d3d2b121",
             "4a1c755990ec1f0a"
         ],
         "[local, rdisk, tape, obs] moved"
@@ -585,8 +585,8 @@ fn faulted_resources_fingerprint_is_frozen() {
         run(true),
         [
             "cb376084f705317e",
-            "81d3d13808fe6503",
-            "77adfafa1fe47afc",
+            "42dca4e8b325591a",
+            "3bf86e10552dd222",
             "336764e11a75aa68"
         ],
         "[local, rdisk, tape, faults+obs] moved"
