@@ -11,6 +11,7 @@
 //! [`crate::MsrSystem`]; timestamps come from the system's virtual clock,
 //! so chaos runs replay deterministically.
 
+use crate::error::{classify, CoreError};
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration, SimTime};
 use msr_storage::StorageKind;
@@ -143,6 +144,16 @@ impl HealthTracker {
             h.counters.trips += 1;
             self.transition(kind, BreakerState::Open, reason);
         }
+    }
+
+    /// The failure rule: decide what `e`, raised by a request on `kind`,
+    /// means. `None` is Fatal — the error belongs to the caller and the
+    /// breaker is not charged. Otherwise the failure is charged to
+    /// `kind`'s breaker and the classified reason is returned.
+    pub(crate) fn charge(&self, kind: StorageKind, e: &CoreError) -> Option<&'static str> {
+        let reason = classify(e).failover_reason()?;
+        self.record_failure(kind);
+        Some(reason)
     }
 
     /// The current breaker state of `kind` (without side effects).

@@ -27,7 +27,7 @@
 //! re-places: the direct path serves its staging copy, if it has one.
 
 use crate::dataset::DatasetSpec;
-use crate::error::{classify, CoreError};
+use crate::error::CoreError;
 use crate::hints::LocationHint;
 use crate::placement;
 use crate::report::{DatasetReport, PlacementEvent, RunReport};
@@ -390,16 +390,14 @@ impl<'a> Session<'a> {
         note_served(self.sys, self.run, &d.spec.name, row, written, at);
     }
 
-    /// The failure rule both paths share: decide what `e`, raised by a
-    /// request on `from`, means. `None` is Fatal — the error belongs to
-    /// the caller and the breaker is not charged. Otherwise the failure is
-    /// charged to `from`'s breaker and the classified reason is returned,
-    /// for a write to re-place under (a Retryable error here has already
-    /// outlived the engine's retry budget).
+    /// The failure rule both paths (and staging) share: decide what `e`,
+    /// raised by a request on `from`, means. `None` is Fatal — the error
+    /// belongs to the caller and the breaker is not charged. Otherwise the
+    /// failure is charged to `from`'s breaker and the classified reason is
+    /// returned, for a write to re-place under (a Retryable error here has
+    /// already outlived the engine's retry budget).
     pub fn failed(&self, from: StorageKind, e: &CoreError) -> Option<&'static str> {
-        let reason = classify(e).failover_reason()?;
-        self.sys.health.record_failure(from);
-        Some(reason)
+        self.sys.health.charge(from, e)
     }
 
     /// Re-placement: move dataset `h` to the next usable resource after
