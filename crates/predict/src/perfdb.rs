@@ -82,11 +82,6 @@ impl PerfDb {
             })
     }
 
-    /// Whether a profile exists.
-    pub fn contains(&self, resource: &str, op: OpKind) -> bool {
-        self.profiles.contains_key(&key(resource, op))
-    }
-
     /// Number of stored profiles.
     pub fn len(&self) -> usize {
         self.profiles.len()
@@ -95,17 +90,6 @@ impl PerfDb {
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
-    }
-
-    /// Resource names present (deduplicated, sorted).
-    pub fn resources(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .profiles
-            .keys()
-            .filter_map(|k| k.rsplit_once('/').map(|(r, _)| r.to_owned()))
-            .collect();
-        names.dedup();
-        names
     }
 
     /// Persist as JSON.
@@ -142,13 +126,12 @@ mod tests {
     fn insert_and_lookup() {
         let mut db = PerfDb::new();
         db.insert("sdsc-disk", OpKind::Write, profile());
-        assert!(db.contains("sdsc-disk", OpKind::Write));
-        assert!(!db.contains("sdsc-disk", OpKind::Read));
+        assert!(db.get("sdsc-disk", OpKind::Write).is_ok());
+        assert!(db.get("sdsc-disk", OpKind::Read).is_err());
         assert!(matches!(
             db.get("hpss", OpKind::Write),
             Err(PredictError::NoProfile { .. })
         ));
-        assert_eq!(db.resources(), vec!["sdsc-disk".to_owned()]);
     }
 
     #[test]

@@ -194,8 +194,8 @@ mod tests {
         let mut db = PerfDb::new();
         small_ptool().populate(&mut db, &resources).unwrap();
         assert_eq!(db.len(), 4);
-        assert!(db.contains("anl-local", OpKind::Read));
-        assert!(db.contains("sdsc-disk", OpKind::Write));
+        assert!(db.get("anl-local", OpKind::Read).is_ok());
+        assert!(db.get("sdsc-disk", OpKind::Write).is_ok());
     }
 
     #[test]
