@@ -10,7 +10,7 @@ use std::fmt;
 pub enum Layer {
     /// `msr-storage` native calls (the eq. (1) components).
     Storage,
-    /// `msr-net` link/route transfers.
+    /// `msr-net` transfers over the WAN link.
     Network,
     /// `msr-runtime` strategy execution.
     Runtime,

@@ -55,7 +55,7 @@ pub mod ops {
     pub const CLOSE: &str = "close";
     /// A failover re-placement (session layer).
     pub const FAILOVER: &str = "failover";
-    /// A network transfer over a route (network layer).
+    /// A network transfer over the WAN link (network layer).
     pub const TRANSFER: &str = "transfer";
     /// A failed network transfer (network layer instant).
     pub const TRANSFER_FAILED: &str = "transfer_failed";
