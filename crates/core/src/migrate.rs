@@ -156,14 +156,14 @@ impl MsrSystem {
                     .map_err(|e| (from, e.into()))?;
                 let ingest = plane.ingest_of(&src_name, file).unwrap_or_default();
                 let bytes = data.len() as u64;
-                // The read-back is ours to give: a raw dump's buffer
-                // becomes the destination's object.
+                // The read-back is ours to give: a raw dump's object — its
+                // buffer, or its recipe — becomes the destination's.
                 let write = self
                     .engine
                     .write_shared(
                         &dst,
                         file,
-                        data.into(),
+                        data,
                         &dist,
                         IoStrategy::Collective,
                         OpenMode::Create,

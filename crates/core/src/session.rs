@@ -42,7 +42,7 @@ use msr_runtime::{
     RequestBody, RequestOutcome, RequestTag, RuntimeError, StagingCache,
 };
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, OpenMode, StorageError, StorageKind};
+use msr_storage::{OpKind, OpenMode, Payload, StorageError, StorageKind};
 use std::collections::BTreeSet;
 
 /// Budget for the session's degraded-read staging copies.
@@ -302,7 +302,7 @@ impl<'a> Session<'a> {
         h: DatasetHandle,
         iter: u32,
         tag: RequestTag,
-        data: Option<Bytes>,
+        data: Option<Payload>,
     ) -> EngineRequest {
         let d = &self.datasets[h.0];
         EngineRequest {
@@ -458,7 +458,7 @@ impl<'a> Session<'a> {
             return Ok(None);
         };
         let payload = Bytes::from(data.to_vec());
-        let req = self.request(h, iter, self.direct_tag(iter), Some(payload.clone()));
+        let req = self.request(h, iter, self.direct_tag(iter), Some(payload.clone().into()));
         for _attempt in 0..MAX_TRIES {
             // An open breaker means this resource has been failing
             // repeatedly: re-place without hammering it again.
@@ -688,7 +688,7 @@ impl<'a> Session<'a> {
         let (data, report) = sys.engine.read_auto(&res, &path, &dist, strategy)?;
         let done = sys.clock.advance(report.elapsed);
         note_served(sys, run, name, dump_row(rec.amode, iteration), None, done);
-        Ok((data, report))
+        Ok((data.into_vec(), report))
     }
 }
 

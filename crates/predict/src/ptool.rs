@@ -11,7 +11,7 @@
 use crate::perfdb::{PerfDb, ResourceProfile};
 use crate::PredictResult;
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, OpKind, OpenMode, SharedResource};
+use msr_storage::{FixedCosts, OpKind, OpenMode, Payload, SharedResource};
 
 /// The measurement sweep configuration.
 #[derive(Debug, Clone)]
@@ -99,14 +99,17 @@ impl PTool {
         let mut read_samples = Vec::with_capacity(self.sizes.len());
         for &size in &self.sizes {
             let path = format!("{}.{}", self.scratch_prefix, size);
-            let payload = vec![0xA5u8; size as usize];
+            // A fill the resource keeps as its recipe: appending it to
+            // itself only moves the file's end, so the sweep stores nothing
+            // of the sizes it measures.
+            let payload = Payload::fill(0xA5, size as usize);
             // Write sweep: sequential appends keep tape streaming, matching
             // how datasets are dumped.
             let h = r.open(&path, OpenMode::Create)?.value;
-            r.write(h, &payload)?; // warm-up (mount, first-touch)
+            r.write_shared(h, payload.clone())?; // warm-up (mount, first-touch)
             let mut ws = Vec::with_capacity(reps);
             for _ in 0..reps {
-                ws.push(r.write(h, &payload)?.time.as_secs());
+                ws.push(r.write_shared(h, payload.clone())?.time.as_secs());
             }
             r.close(h)?;
             write_samples.push((size, median(ws)));

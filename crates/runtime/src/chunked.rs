@@ -65,7 +65,7 @@ use msr_chunk::{
 };
 use msr_obs::{ops, Layer};
 use msr_sim::SimDuration;
-use msr_storage::{Cost, OpKind, OpenMode, SharedResource, StorageError, StorageResource};
+use msr_storage::{Cost, OpKind, OpenMode, Payload, SharedResource, StorageError, StorageResource};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -725,22 +725,26 @@ impl IoEngine {
     }
 
     /// Read `path` whichever way it was written: through the chunk plane
-    /// when a manifest is registered for it, raw otherwise.
+    /// when a manifest is registered for it, raw otherwise. A raw
+    /// collective read returns the object as the resource keeps it
+    /// ([`StorageResource::read_shared`]), so a caller that writes it on
+    /// copies a recipe as a recipe.
     pub fn read_auto(
         &self,
         res: &SharedResource,
         path: &str,
         dist: &Distribution,
         strategy: IoStrategy,
-    ) -> RuntimeResult<(Vec<u8>, IoReport)> {
+    ) -> RuntimeResult<(Payload, IoReport)> {
         let chunked = {
             let r = res.lock();
             self.plane.is_chunked(r.name(), path)
         };
         if chunked {
-            self.read_chunked(res, path, dist, strategy)
+            let (data, report) = self.read_chunked(res, path, dist, strategy)?;
+            Ok((data.into(), report))
         } else {
-            self.read(res, path, dist, strategy)
+            self.read_raw(res, path, dist, strategy)
         }
     }
 
@@ -860,7 +864,9 @@ impl IoEngine {
     ) -> RuntimeResult<()> {
         let open = self.retried(cx, 0, r, |r| r.open(path, OpenMode::Create))?;
         cx.tl.charge(0, open.time);
-        let w = self.retried(cx, 0, r, |r| r.write_shared(open.value, bytes.clone()))?;
+        let w = self.retried(cx, 0, r, |r| {
+            r.write_shared(open.value, bytes.clone().into())
+        })?;
         cx.tl.charge(0, w.time);
         let cl = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, cl.time);

@@ -29,10 +29,11 @@ use bytes::Bytes;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration, Timeline};
 use msr_storage::{
-    Cost, OpKind, OpenMode, ResourceStats, SharedResource, StorageError, StorageResource,
+    Cost, OpKind, OpenMode, Payload, ResourceStats, SharedResource, StorageError, StorageResource,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Node memory-copy rate used for pack/unpack/sieve costs (MB/s, year-2000
 /// node class).
@@ -296,13 +297,13 @@ fn session_key(buf: &mut [u8; 28], mut id: u64) -> &str {
 /// A native read of `want` bytes that came back short means the object is
 /// shorter than the distribution says: fail, rather than hand back zeros
 /// where the missing bytes would be.
-fn whole_read(read: &Bytes, want: u64) -> RuntimeResult<()> {
-    if read.len() as u64 == want {
+fn whole_read(got: usize, want: u64) -> RuntimeResult<()> {
+    if got as u64 == want {
         Ok(())
     } else {
         Err(RuntimeError::SizeMismatch {
             expected: want,
-            got: read.len() as u64,
+            got: got as u64,
         })
     }
 }
@@ -431,21 +432,22 @@ impl IoEngine {
         strategy: IoStrategy,
         mode: OpenMode,
     ) -> RuntimeResult<IoReport> {
-        self.write_raw(res, path, data, None, dist, strategy, mode)
+        self.write_raw(res, path, Src::Borrowed(data), dist, strategy, mode)
     }
 
-    /// [`IoEngine::write_chunked`] for a caller that can give the buffer
+    /// [`IoEngine::write_chunked`] for a caller that can give the payload
     /// away (a queued request's payload, a migration's read-back): a raw
     /// collective dump hands `data` to the resource's single native
     /// [`write_shared`](StorageResource::write_shared), so a resource that
-    /// keeps its data in memory stores the buffer instead of a copy of it.
+    /// keeps its data in memory stores the buffer, or the recipe, instead
+    /// of a copy of the bytes. Every other write takes `data`'s bytes.
     /// Reports, costs and stored bytes are those of the borrowed call.
     #[allow(clippy::too_many_arguments)]
     pub fn write_shared(
         &self,
         res: &SharedResource,
         path: &str,
-        data: Bytes,
+        data: Payload,
         dist: &Distribution,
         strategy: IoStrategy,
         mode: OpenMode,
@@ -453,20 +455,18 @@ impl IoEngine {
         dataset: &str,
     ) -> RuntimeResult<IoReport> {
         if ingest.is_active() {
+            let data = data.into_bytes();
             return self.write_chunked(res, path, &data, dist, strategy, mode, ingest, dataset);
         }
-        self.write_raw(res, path, &data, Some(&data), dist, strategy, mode)
+        self.write_raw(res, path, Src::Owned(data), dist, strategy, mode)
     }
 
-    /// The raw write behind both entry points; `owned` is `data` again,
-    /// when the caller gave it away.
-    #[allow(clippy::too_many_arguments)]
+    /// The raw write behind both entry points.
     fn write_raw(
         &self,
         res: &SharedResource,
         path: &str,
-        data: &[u8],
-        owned: Option<&Bytes>,
+        data: Src<'_>,
         dist: &Distribution,
         strategy: IoStrategy,
         mode: OpenMode,
@@ -485,12 +485,18 @@ impl IoEngine {
         let mut cx = OpCx::new(dist.nprocs());
 
         let result = match strategy {
-            IoStrategy::Naive => self.write_naive(&mut *r, path, data, dist, mode, &mut cx),
-            IoStrategy::DataSieving => self.write_sieving(&mut *r, path, data, dist, mode, &mut cx),
-            IoStrategy::Collective => {
-                self.write_collective(&mut *r, path, data, owned, dist, mode, &mut cx)
+            IoStrategy::Naive => {
+                self.write_naive(&mut *r, path, &data.bytes(), dist, mode, &mut cx)
             }
-            IoStrategy::Subfile => self.write_subfile(&mut *r, path, data, dist, mode, &mut cx),
+            IoStrategy::DataSieving => {
+                self.write_sieving(&mut *r, path, &data.bytes(), dist, mode, &mut cx)
+            }
+            IoStrategy::Collective => {
+                self.write_collective(&mut *r, path, &data, dist, mode, &mut cx)
+            }
+            IoStrategy::Subfile => {
+                self.write_subfile(&mut *r, path, &data.bytes(), dist, mode, &mut cx)
+            }
         };
         r.set_stream_hint(1);
         result?;
@@ -529,7 +535,7 @@ impl IoEngine {
         use crate::request::{RequestBody, RequestOutcome};
         let outcome = match &req.body {
             // Raw ingest falls back to the plain write inside, which
-            // stores the request's buffer rather than a copy.
+            // stores the request's payload rather than a copy.
             RequestBody::Write { data, mode } => RequestOutcome::Written(self.write_shared(
                 res,
                 &req.path,
@@ -542,7 +548,7 @@ impl IoEngine {
             )?),
             RequestBody::Read => {
                 let (data, report) = self.read_auto(res, &req.path, &req.dist, req.strategy)?;
-                RequestOutcome::Read(data, report)
+                RequestOutcome::Read(data.into_vec(), report)
             }
         };
         if self.recorder.enabled() {
@@ -615,15 +621,35 @@ impl IoEngine {
         dist: &Distribution,
         strategy: IoStrategy,
     ) -> RuntimeResult<(Vec<u8>, IoReport)> {
+        let (data, report) = self.read_raw(res, path, dist, strategy)?;
+        Ok((data.into_vec(), report))
+    }
+
+    /// [`IoEngine::read`], the global array as the collective read gets
+    /// it: a whole object as the resource keeps it (held bytes or recipe),
+    /// any other read's assembled buffer.
+    pub(crate) fn read_raw(
+        &self,
+        res: &SharedResource,
+        path: &str,
+        dist: &Distribution,
+        strategy: IoStrategy,
+    ) -> RuntimeResult<(Payload, IoReport)> {
         let mut r = res.lock();
         let delta = StatsDelta::start(&*r);
         let mut cx = OpCx::new(dist.nprocs());
 
         let result = match strategy {
-            IoStrategy::Naive => self.read_naive(&mut *r, path, dist, &mut cx),
-            IoStrategy::DataSieving => self.read_sieving(&mut *r, path, dist, &mut cx),
+            IoStrategy::Naive => self
+                .read_naive(&mut *r, path, dist, &mut cx)
+                .map(Payload::from),
+            IoStrategy::DataSieving => self
+                .read_sieving(&mut *r, path, dist, &mut cx)
+                .map(Payload::from),
             IoStrategy::Collective => self.read_collective(&mut *r, path, dist, &mut cx),
-            IoStrategy::Subfile => self.read_subfile(&mut *r, path, dist, &mut cx),
+            IoStrategy::Subfile => self
+                .read_subfile(&mut *r, path, dist, &mut cx)
+                .map(Payload::from),
         };
         r.set_stream_hint(1);
         let out = result?;
@@ -740,13 +766,11 @@ impl IoEngine {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn write_collective(
         &self,
         r: &mut dyn StorageResource,
         path: &str,
-        data: &[u8],
-        owned: Option<&Bytes>,
+        data: &Src<'_>,
         dist: &Distribution,
         mode: OpenMode,
         cx: &mut OpCx,
@@ -761,9 +785,9 @@ impl IoEngine {
         r.set_stream_hint(1);
         let open = self.retried(cx, 0, r, |r| r.open(path, mode))?;
         cx.tl.charge(0, open.time);
-        let write = self.retried(cx, 0, r, |r| match owned {
-            Some(buf) => r.write_shared(open.value, buf.clone()),
-            None => r.write(open.value, data),
+        let write = self.retried(cx, 0, r, |r| match data {
+            Src::Owned(payload) => r.write_shared(open.value, payload.clone()),
+            Src::Borrowed(bytes) => r.write(open.value, bytes),
         })?;
         cx.tl.charge(0, write.time);
         let close = self.retried(cx, 0, r, |r| r.close(open.value))?;
@@ -834,7 +858,7 @@ impl IoEngine {
                 let seek = self.retried(cx, p, r, |r| r.seek(h, chunk.offset))?;
                 cx.tl.charge(p, seek.time);
                 let read = self.retried(cx, p, r, |r| r.read(h, chunk.len as usize))?;
-                whole_read(&read.value, chunk.len)?;
+                whole_read(read.value.len(), chunk.len)?;
                 cx.tl.charge(p, read.time);
                 ops.push((chunk.offset as usize, read.value.len(), read.value));
             }
@@ -865,7 +889,7 @@ impl IoEngine {
             let seek = self.retried(cx, p, r, |r| r.seek(open.value, extent.offset))?;
             cx.tl.charge(p, seek.time);
             let read = self.retried(cx, p, r, |r| r.read(open.value, extent.len as usize))?;
-            whole_read(&read.value, extent.len)?;
+            whole_read(read.value.len(), extent.len)?;
             cx.tl.charge(p, read.time);
             for chunk in dist.chunks_for(p) {
                 let src = (chunk.offset - extent.offset) as usize;
@@ -886,18 +910,18 @@ impl IoEngine {
         path: &str,
         dist: &Distribution,
         cx: &mut OpCx,
-    ) -> RuntimeResult<Vec<u8>> {
+    ) -> RuntimeResult<Payload> {
         let total = dist.total_bytes();
         r.set_stream_hint(1);
         let open = self.retried(cx, 0, r, |r| r.open(path, OpenMode::Read))?;
         cx.tl.charge(0, open.time);
-        let read = self.retried(cx, 0, r, |r| r.read(open.value, total as usize))?;
-        whole_read(&read.value, total)?;
+        // The object as the resource keeps it: a caller that wants the
+        // bytes makes them in one pass, copying a view of a held buffer,
+        // generating a recipe, or taking a gathered buffer as it is.
+        let read = self.retried(cx, 0, r, |r| r.read_shared(open.value, total as usize))?;
+        whole_read(read.value.len(), total)?;
         cx.tl.charge(0, read.time);
-        // One pass: what the resource returned is either a view of the
-        // buffer it stores, copied out here, or a buffer it gathered for
-        // this call, which becomes the caller's as it is.
-        let out = Vec::from(read.value);
+        let out = read.value;
         let close = self.retried(cx, 0, r, |r| r.close(open.value))?;
         cx.tl.charge(0, close.time);
         cx.tl.barrier();
@@ -926,7 +950,7 @@ impl IoEngine {
             cx.tl.charge(p, open.time);
             let read =
                 self.retried(cx, p, r, |r| r.read(open.value, dist.bytes_for(p) as usize))?;
-            whole_read(&read.value, dist.bytes_for(p))?;
+            whole_read(read.value.len(), dist.bytes_for(p))?;
             cx.tl.charge(p, read.time);
             let mut src = 0usize;
             for chunk in dist.chunks_for(p) {
@@ -940,6 +964,33 @@ impl IoEngine {
         }
         // Phase 2 (parallel): unpack all blocks back into global order.
         Ok(scattered(dist, ops))
+    }
+}
+
+/// A raw write's data as the caller hands it over.
+enum Src<'a> {
+    /// Lent for the call: the resource copies what it keeps.
+    Borrowed(&'a [u8]),
+    /// Given away: a collective dump's resource may keep it as it is.
+    Owned(Payload),
+}
+
+impl Src<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Src::Borrowed(bytes) => bytes.len(),
+            Src::Owned(payload) => payload.len(),
+        }
+    }
+
+    /// The bytes, for a strategy that moves them in pieces: a view of
+    /// lent or held bytes, a recipe generated.
+    fn bytes(&self) -> Cow<'_, [u8]> {
+        match self {
+            Src::Borrowed(bytes) => Cow::Borrowed(bytes),
+            Src::Owned(Payload::Bytes(bytes)) => Cow::Borrowed(bytes),
+            Src::Owned(Payload::Recipe(recipe)) => Cow::Owned(recipe.range(0, recipe.len()).into()),
+        }
     }
 }
 

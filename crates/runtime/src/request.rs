@@ -13,9 +13,8 @@
 use crate::engine::IoReport;
 use crate::layout::Distribution;
 use crate::strategy::IoStrategy;
-use bytes::Bytes;
 use msr_chunk::IngestSpec;
-use msr_storage::OpenMode;
+use msr_storage::{OpenMode, Payload};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -39,13 +38,14 @@ impl fmt::Display for RequestTag {
 }
 
 /// The direction-specific half of a request. Writes carry their payload as
-/// cheaply clonable [`Bytes`] so a queued request does not copy the dump.
+/// a cheaply clonable [`Payload`] — shared bytes, or the recipe they are
+/// generated from — so a queued request does not copy the dump.
 #[derive(Debug, Clone)]
 pub enum RequestBody {
     /// Dump the payload as the dataset file.
     Write {
-        /// The full global-array bytes to write.
-        data: Bytes,
+        /// The full global array to write.
+        data: Payload,
         /// Create a fresh snapshot or overwrite in place.
         mode: OpenMode,
     },
@@ -157,7 +157,7 @@ mod tests {
     fn write_payload_is_cheap_to_clone_and_counted() {
         let mut r = req(3, 0, "d");
         r.body = RequestBody::Write {
-            data: Bytes::from(vec![7u8; 512]),
+            data: Payload::from(vec![7u8; 512]),
             mode: OpenMode::Create,
         };
         assert_eq!(r.body.payload_bytes(), 512);

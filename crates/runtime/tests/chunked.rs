@@ -375,7 +375,7 @@ fn a_codec_alone_ingests_through_cas_packs() {
     let (back, _) = engine
         .read_auto(&res, "d.t1", &d, IoStrategy::Collective)
         .unwrap();
-    assert_eq!(back, data);
+    assert_eq!(back.into_vec(), data);
 }
 
 #[test]

@@ -7,9 +7,9 @@ use crate::program::{PayloadSource, SessionProgram};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
 use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
-use msr_runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
+use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, StorageKind};
+use msr_storage::{OpKind, Payload, StorageKind};
 use std::collections::{BTreeSet, VecDeque};
 
 /// `req`'s eq. (2) service estimate on `kind`, seconds: the WFQ batch
@@ -248,13 +248,21 @@ impl Scheduler<'_> {
                 sys.load.enqueue(kind, tid, est);
                 requests.push_back((req, h, iter, est));
             };
-            // One base stream for all of this dataset's dumps, dropped
-            // before the next dataset's is made.
-            let source = PayloadSource::new(id, &spec.name, spec.snapshot_bytes() as usize);
+            // A raw collective dump reaches the resource as it is queued,
+            // so it carries only its recipe. Every other write carries its
+            // bytes, made from one base stream for all of this dataset's
+            // dumps, dropped before the next dataset's is made.
+            let len = spec.snapshot_bytes() as usize;
+            let source = (spec.strategy != IoStrategy::Collective || spec.ingest.is_active())
+                .then(|| PayloadSource::new(id, &spec.name, len));
             let mut dumps = Vec::new();
             for iter in (0..=program.iterations).filter(|&i| session.dumps_at(h, i)) {
                 dumps.push(iter);
-                request(seq, iter, Some(source.dump(iter)));
+                let data = match &source {
+                    Some(source) => source.dump(iter).into(),
+                    None => Payload::dump(id, &spec.name, iter, len),
+                };
+                request(seq, iter, Some(data));
                 seq += 1;
             }
             // Consumer reads at the end of the program. `readbacks` opens a

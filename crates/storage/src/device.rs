@@ -40,6 +40,7 @@
 use crate::error::StorageError;
 use crate::fault::{FaultKind, FaultLog, FaultPlan, Faults};
 use crate::object_store::ObjectStore;
+use crate::payload::Payload;
 use crate::resource::{
     Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
     StorageKind, StorageResource,
@@ -279,8 +280,9 @@ impl<M: CostModel> Device<M> {
         Ok(self.span(ops::SEEK, cost, 0))
     }
 
-    /// An observed read of up to `len` bytes at the cursor.
-    fn read_at_cursor(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
+    /// An observed read of up to `len` bytes at the cursor, as the file
+    /// keeps them ([`ObjectStore::read_shared_at`]).
+    fn read_at_cursor(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>> {
         self.check_online()?;
         self.check_live()?;
         let f = self.handles.get_mut(h)?;
@@ -290,7 +292,7 @@ impl<M: CostModel> Device<M> {
         // Sequential media may have lost the mount to another file since
         // open: position first, then touch the bytes.
         let positioned = self.model.position(&f.path, f.cursor, &mut self.rng);
-        let data = self.store.read_at(&f.path, f.cursor, len)?;
+        let data = self.store.read_shared_at(&f.path, f.cursor, len)?;
         let n = data.len() as u64;
         f.cursor += n;
         self.stats.reads += 1;
@@ -299,19 +301,20 @@ impl<M: CostModel> Device<M> {
         Ok(self.span(ops::READ, Cost::new(t, data), n))
     }
 
-    /// A write of `data` through the fault stage, with `whole` making the
-    /// observed device call that moves all of it. A torn write moves its
-    /// first half through the borrowed path, whichever entry point was
-    /// called.
-    fn write_staged(
+    /// A write of `len` bytes through the fault stage, with `whole` making
+    /// the observed device call that moves all of them. A torn write moves
+    /// the first half, which `half` produces, through the borrowed path,
+    /// whichever entry point was called.
+    fn write_staged<H: AsRef<[u8]>>(
         &mut self,
         h: FileHandle,
-        data: &[u8],
+        len: usize,
+        half: impl FnOnce(usize) -> H,
         whole: impl FnOnce(&mut Self) -> StorageResult<Cost<usize>>,
     ) -> StorageResult<Cost<usize>> {
         self.gate(ops::WRITE)?;
-        if let Some(start) = self.tear_from(h, data.len()) {
-            self.write_borrowed(h, &data[..data.len() / 2])?;
+        if let Some(start) = self.tear_from(h, len) {
+            self.write_borrowed(h, half(len / 2).as_ref())?;
             return self.torn(ops::WRITE, h, start);
         }
         let cost = whole(self)?;
@@ -502,6 +505,10 @@ impl<M: CostModel> StorageResource for Device<M> {
     }
 
     fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
+        Ok(self.read_shared(h, len)?.map(Payload::into_bytes))
+    }
+
+    fn read_shared(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>> {
         self.gate(ops::READ)?;
         if let Some(start) = self.tear_from(h, len) {
             // Transfer half, discard it, and put the cursor back: the
@@ -514,16 +521,22 @@ impl<M: CostModel> StorageResource for Device<M> {
     }
 
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
-        self.write_staged(h, data, |d| d.write_borrowed(h, data))
+        let half = |n| &data[..n];
+        self.write_staged(h, data.len(), half, |d| d.write_borrowed(h, data))
     }
 
-    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>> {
+    fn write_shared(&mut self, h: FileHandle, data: Payload) -> StorageResult<Cost<usize>> {
         let view = data.clone();
-        self.write_staged(h, &view, |d| {
-            d.write_with(h, data.len(), |store, path, at| {
-                store.write_shared_at(path, at, data)
-            })
-        })
+        self.write_staged(
+            h,
+            data.len(),
+            |n| view.range(0, n),
+            |d| {
+                d.write_with(h, data.len(), |store, path, at| {
+                    store.write_shared_at(path, at, data)
+                })
+            },
+        )
     }
 
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {

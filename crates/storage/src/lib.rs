@@ -5,7 +5,9 @@
 //! are modelled, each with an eq.(1)-shaped cost structure
 //! (`T_conn + T_open + T_seek + T_read/write(s) + T_fileclose + T_connclose`)
 //! and a real in-memory object store behind it, so that reads return the
-//! bytes that were written and the upper layers are testable end-to-end:
+//! bytes that were written and the upper layers are testable end-to-end
+//! (a synthetic dump may be kept as the [`Recipe`] its bytes are generated
+//! from, see [`payload`]):
 //!
 //! * [`LocalDisk`] — the SP-2 node's SSA disks behind a UNIX-FS/PIOFS-style
 //!   interface. No connection cost, cheap open/close, ~tens of MB/s.
@@ -36,6 +38,7 @@ pub mod error;
 pub mod fault;
 pub mod local_disk;
 pub mod object_store;
+pub mod payload;
 pub mod profiles;
 pub mod rate;
 pub mod remote_disk;
@@ -48,6 +51,7 @@ pub use error::StorageError;
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 pub use local_disk::{DiskParams, LocalDisk};
 pub use object_store::ObjectStore;
+pub use payload::{Payload, Recipe};
 pub use profiles::{
     anl_local_disk, hpss_params, hpss_protocol, sdsc_hpss_tape, sdsc_remote_disk, srb_protocol,
     testbed,

@@ -6,6 +6,7 @@
 //! superfile packing, …) can be verified byte-for-byte, not just timed.
 
 use crate::error::StorageError;
+use crate::payload::{Payload, Recipe};
 use crate::StorageResult;
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -19,24 +20,24 @@ const EXTENT: usize = 256 << 10;
 /// [`ObjectStore::write_at`] ever makes): a run of extents of which every
 /// one but the last holds exactly [`EXTENT`] bytes, so no file needs one
 /// contiguous buffer of its whole length and appends never re-copy what is
-/// already stored. The reason is the allocator, not the copy: PTool's
-/// scratch file reaches 64 MiB (four 16 MiB appends), and a single buffer
-/// of that size is either carved from free heap or — when earlier frees
-/// left no hole that large — mapped fresh on top of it, which makes a
-/// drain's peak RSS differ by 10 % between identical runs. Extents are
-/// requests any fragmented heap can serve.
+/// already stored. The reason is the allocator, not the copy: a 64 MiB
+/// file written in 16 MiB appends as one buffer is either carved from free
+/// heap or — when earlier frees left no hole that large — mapped fresh on
+/// top of it, which makes a drain's peak RSS differ by 10 % between
+/// identical runs. Extents are requests any fragmented heap can serve.
 ///
-/// **Shared**: a file written as one whole object from an owned buffer
-/// ([`ObjectStore::write_shared_at`] at offset 0, covering the file's whole
-/// current length) *is* that buffer — the writer already paid for the
-/// allocation, so keeping it adds none — and reads hand back
-/// [`Bytes::slice`]s of it. While `shared` is set `extents` is empty and
-/// `len` is the buffer's length. Any other mutation first copies the
-/// buffer into extents, once ([`File::unshare`]); the writer's `Bytes` is
-/// never written through.
+/// **Whole**: a file written as one whole object from a given-away
+/// [`Payload`] ([`ObjectStore::write_shared_at`] at offset 0, covering the
+/// file's whole current length) *is* that payload. Held bytes are kept —
+/// the writer already paid for the allocation, so keeping it adds none —
+/// and reads hand back [`Bytes::slice`]s of them; a recipe is kept as the
+/// tens of bytes it is, and reads generate the range asked for. While
+/// `whole` is set `extents` is empty and `len` is the payload's length.
+/// Any other mutation first copies the payload into extents, once
+/// ([`File::unshare`]); the writer's `Bytes` is never written through.
 #[derive(Debug, Default, Clone)]
 struct File {
-    shared: Option<Bytes>,
+    whole: Option<Payload>,
     extents: Vec<Vec<u8>>,
     len: usize,
 }
@@ -92,11 +93,15 @@ impl File {
         }
     }
 
-    /// Bytes `offset..end` (within the file): a slice of the shared
-    /// buffer, or a copy gathered from the extents.
-    fn read(&self, mut offset: usize, end: usize) -> Bytes {
-        if let Some(whole) = &self.shared {
-            return whole.slice(offset..end);
+    /// Bytes `offset..end` (within the file): the whole payload when that
+    /// is what was asked for, a range of it, or a copy gathered from the
+    /// extents.
+    fn read(&self, mut offset: usize, end: usize) -> Payload {
+        if let Some(whole) = &self.whole {
+            if offset == 0 && end == self.len {
+                return whole.clone();
+            }
+            return Payload::Bytes(whole.range(offset, end));
         }
         let mut out = Vec::with_capacity(end - offset);
         while offset < end {
@@ -105,15 +110,28 @@ impl File {
             out.extend_from_slice(&self.extents[offset / EXTENT][at..at + n]);
             offset += n;
         }
-        Bytes::from(out)
+        Payload::from(out)
     }
 
-    /// Leave the shared form: copy the buffer into extents, exactly the
-    /// ones a borrowed write of the same bytes to an empty file makes.
+    /// Leave the whole form: copy the payload into extents, exactly the
+    /// ones a borrowed write of the same bytes to an empty file makes. A
+    /// recipe is generated straight into them.
     fn unshare(&mut self) {
-        if let Some(whole) = self.shared.take() {
-            self.len = 0;
-            self.append(&whole);
+        match self.whole.take() {
+            None => {}
+            Some(Payload::Bytes(whole)) => {
+                self.len = 0;
+                self.append(&whole);
+            }
+            Some(Payload::Recipe(recipe)) => {
+                let mut at = 0;
+                while at < self.len {
+                    let mut extent = vec![0; EXTENT.min(self.len - at)];
+                    recipe.generate(at, &mut extent);
+                    at += extent.len();
+                    self.extents.push(extent);
+                }
+            }
         }
     }
 }
@@ -261,24 +279,39 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// [`ObjectStore::write_at`] for a caller that can give the buffer
+    /// [`ObjectStore::write_at`] for a caller that can give the payload
     /// away. A non-empty write at offset 0 that covers the file's whole
     /// current length (a fresh or just-truncated file, or an in-place
     /// rewrite no shorter than what is there) makes `data` the file, with
-    /// no copy; anything else is the borrowed write. What the store reports
-    /// and returns afterwards is the same either way.
-    pub fn write_shared_at(&mut self, path: &str, offset: u64, data: Bytes) -> StorageResult<()> {
+    /// no copy. A fill written over or appended to a file that is the same
+    /// fill only moves the file's end. Anything else is the borrowed write
+    /// of `data`'s bytes. What the store reports and returns afterwards is
+    /// the same either way.
+    pub fn write_shared_at(&mut self, path: &str, offset: u64, data: Payload) -> StorageResult<()> {
         // The store may keep `data` for as long as the file lives, so the
         // allocation behind it should be the object and nothing more.
-        debug_assert_eq!(data.hidden_bytes(), 0, "{path}: buffer is not exact");
-        let f = self.file_mut(path)?;
-        if offset != 0 || data.is_empty() || data.len() < f.len {
-            return self.write_at(path, offset, &data);
+        if let Payload::Bytes(b) = &data {
+            debug_assert_eq!(b.hidden_bytes(), 0, "{path}: buffer is not exact");
         }
-        let growth = data.len() - f.len;
+        let f = self.file_mut(path)?;
+        let at = usize::try_from(offset).expect("offset fits in memory model");
+        let end = at + data.len();
+        let growth = end.saturating_sub(f.len);
+        let fill = match (&f.whole, &data) {
+            (
+                Some(Payload::Recipe(Recipe::Fill { byte: have, .. })),
+                Payload::Recipe(Recipe::Fill { byte, .. }),
+            ) if have == byte && at <= f.len => Some(*byte),
+            _ => None,
+        };
+        let whole = match fill {
+            _ if at == 0 && !data.is_empty() && end >= f.len => data,
+            Some(byte) => Payload::fill(byte, f.len.max(end)),
+            None => return self.write_at(path, offset, &data.into_bytes()),
+        };
         f.extents = Vec::new();
-        f.len = data.len();
-        f.shared = Some(data);
+        f.len = whole.len();
+        f.whole = Some(whole);
         self.grew(path, growth);
         Ok(())
     }
@@ -286,13 +319,21 @@ impl ObjectStore {
     /// Read up to `len` bytes at `offset`. Short reads happen at EOF; a read
     /// entirely past EOF returns an empty buffer.
     pub fn read_at(&self, path: &str, offset: u64, len: usize) -> StorageResult<Bytes> {
+        self.read_shared_at(path, offset, len)
+            .map(Payload::into_bytes)
+    }
+
+    /// [`ObjectStore::read_at`] for a caller that can take the file as it
+    /// is kept: a read of a whole-form file's whole length returns its
+    /// payload (held bytes or recipe), any other read the bytes.
+    pub fn read_shared_at(&self, path: &str, offset: u64, len: usize) -> StorageResult<Payload> {
         let f = self
             .files
             .get(path)
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
         let offset = usize::try_from(offset).expect("offset fits in memory model");
         if offset >= f.len {
-            return Ok(Bytes::new());
+            return Ok(Payload::Bytes(Bytes::new()));
         }
         Ok(f.read(offset, (offset + len).min(f.len)))
     }
@@ -303,7 +344,7 @@ impl ObjectStore {
             .files
             .get(path)
             .ok_or_else(|| StorageError::NotFound(path.to_owned()))?;
-        Ok(f.read(0, f.len))
+        Ok(f.read(0, f.len).into_bytes())
     }
 }
 
@@ -417,14 +458,15 @@ mod tests {
     }
 
     /// How one write of the model walk reaches the store.
-    type WalkWrite = fn(&mut ObjectStore, &str, u64, &[u8], &mut StdRng) -> StorageResult<()>;
+    type WalkWrite = fn(&mut ObjectStore, &str, u64, Payload, &mut StdRng) -> StorageResult<()>;
 
     /// Drive the store and a `BTreeMap<String, Vec<u8>>` model through
     /// `steps` seeded moves over six paths and compare them after every
     /// one: the touched file's bytes, every size, `used_bytes`,
     /// `logical_bytes` and `list`; every file's bytes each 64 steps and at
-    /// the end.
-    fn model_walk(seed: u64, steps: usize, write: WalkWrite) {
+    /// the end. With `recipes`, half the writes carry a recipe (a dump or
+    /// one of two fills) instead of bytes from the pool.
+    fn model_walk(seed: u64, steps: usize, recipes: bool, write: WalkWrite) {
         const PATHS: [&str; 6] = ["a/0", "a/1", "a/2", "b/0", "b/1", "c"];
         const LENS: [usize; 5] = [0, 1, EXTENT - 3, EXTENT + 3, 3 * EXTENT + 5];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -497,7 +539,16 @@ mod tests {
                     };
                     let len = LENS[rng.random_range(0..LENS.len())];
                     let from = rng.random_range(0..=pool.len() - len);
-                    let data = &pool[from..from + len];
+                    let data = if recipes && rng.random_bool(0.5) {
+                        match rng.random_range(0..3u32) {
+                            0 => Payload::fill(0xA5, len),
+                            1 => Payload::fill(0, len),
+                            _ => Payload::dump(rng.random_range(0..3), "walk", step as u32, len),
+                        }
+                    } else {
+                        Payload::from(pool[from..from + len].to_vec())
+                    };
+                    let bytes = data.clone().into_bytes();
                     let result = write(&mut s, path, offset as u64, data, &mut rng);
                     match files.get_mut(path) {
                         Some(f) => {
@@ -505,7 +556,7 @@ mod tests {
                             if f.len() < offset + len {
                                 f.resize(offset + len, 0);
                             }
-                            f[offset..offset + len].copy_from_slice(data);
+                            f[offset..offset + len].copy_from_slice(&bytes);
                         }
                         None => assert!(matches!(result, Err(StorageError::NotFound(_)))),
                     }
@@ -535,20 +586,75 @@ mod tests {
 
     #[test]
     fn store_matches_a_vec_model_over_a_seeded_walk() {
-        model_walk(0x5eed_0b1e, 2500, |s, path, offset, data, _| {
-            s.write_at(path, offset, data)
+        model_walk(0x5eed_0b1e, 2500, false, |s, path, offset, data, _| {
+            s.write_at(path, offset, &data.into_bytes())
         });
+    }
+
+    /// Half the writes give their payload away, half are borrowed.
+    fn mixed(
+        s: &mut ObjectStore,
+        path: &str,
+        offset: u64,
+        data: Payload,
+        rng: &mut StdRng,
+    ) -> StorageResult<()> {
+        if rng.random_bool(0.5) {
+            s.write_shared_at(path, offset, data)
+        } else {
+            s.write_at(path, offset, &data.into_bytes())
+        }
     }
 
     #[test]
     fn store_matches_the_model_with_owned_writes_mixed_in() {
-        model_walk(0x0b1e_5eed, 2500, |s, path, offset, data, rng| {
-            if rng.random_bool(0.5) {
-                s.write_shared_at(path, offset, Bytes::copy_from_slice(data))
-            } else {
-                s.write_at(path, offset, data)
-            }
-        });
+        model_walk(0x0b1e_5eed, 2500, false, mixed);
+    }
+
+    #[test]
+    fn store_matches_the_model_with_recipe_writes_mixed_in() {
+        model_walk(0x7ec1_9e5e, 2500, true, mixed);
+    }
+
+    #[test]
+    fn a_recipe_is_kept_as_its_key() {
+        let mut s = ObjectStore::new();
+        let dump = Payload::dump(7, "chk", 3, 3 * EXTENT + 5);
+        s.create("f");
+        s.write_shared_at("f", 0, dump.clone()).unwrap();
+        assert!(s.files["f"].extents.is_empty());
+        assert_eq!(s.used_bytes(), 3 * EXTENT as u64 + 5);
+        let kept = s.read_shared_at("f", 0, 4 * EXTENT).unwrap();
+        assert!(matches!(kept, Payload::Recipe(r) if r.len() == 3 * EXTENT + 5));
+        let want = dump.clone().into_bytes();
+        assert_eq!(s.read_at("f", 9, EXTENT).unwrap(), want[9..EXTENT + 9]);
+        // Appending a fill to the same fill only moves the end; over a
+        // shorter stretch it changes nothing.
+        s.create("g");
+        for at in [0, 4 * EXTENT, 8 * EXTENT, 5] {
+            s.write_shared_at("g", at as u64, Payload::fill(0xA5, 4 * EXTENT))
+                .unwrap();
+        }
+        assert!(s.files["g"].extents.is_empty());
+        assert_eq!(s.size("g"), Some(12 * EXTENT as u64));
+        assert_eq!(s.used_bytes(), 15 * EXTENT as u64 + 5);
+        // Another fill byte is the borrowed write.
+        s.write_shared_at("g", 1, Payload::fill(0, 2)).unwrap();
+        assert_eq!(s.files["g"].extents.len(), 12);
+        assert_eq!(&s.read_at("g", 0, 4).unwrap()[..], &[0xA5, 0, 0, 0xA5]);
+        // A partial overwrite makes the extents a borrowed write would.
+        let mut borrowed = ObjectStore::new();
+        borrowed.create("f");
+        borrowed.write_at("f", 0, &want).unwrap();
+        for t in [&mut s, &mut borrowed] {
+            t.write_at("f", EXTENT as u64 - 1, &[1, 2]).unwrap();
+        }
+        let shape = |s: &ObjectStore| -> Vec<(usize, usize)> {
+            let extents = s.files["f"].extents.iter();
+            extents.map(|e| (e.len(), e.capacity())).collect()
+        };
+        assert_eq!(shape(&s), shape(&borrowed));
+        assert_eq!(s.read_all("f").unwrap(), borrowed.read_all("f").unwrap());
     }
 
     #[test]
@@ -556,7 +662,7 @@ mod tests {
         let mut s = ObjectStore::new();
         let payload = Bytes::from(vec![5u8; EXTENT + 9]);
         s.create("f");
-        s.write_shared_at("f", 0, payload.clone()).unwrap();
+        s.write_shared_at("f", 0, payload.clone().into()).unwrap();
         assert!(s.files["f"].extents.is_empty());
         assert_eq!(s.read_all("f").unwrap().as_ptr(), payload.as_ptr());
         let mid = s.read_at("f", 7, EXTENT).unwrap();
@@ -568,25 +674,25 @@ mod tests {
         // form the file had; the override keeps logical where it was.
         s.set_logical("f", 77);
         let longer = Bytes::from(vec![6u8; EXTENT + 10]);
-        s.write_shared_at("f", 0, longer.clone()).unwrap();
+        s.write_shared_at("f", 0, longer.clone().into()).unwrap();
         assert_eq!(s.read_all("f").unwrap().as_ptr(), longer.as_ptr());
         assert_eq!(
             (s.used_bytes(), s.logical_bytes()),
             (EXTENT as u64 + 10, 77)
         );
         // Shorter than the file, past its start, or empty: the borrowed write.
-        s.write_shared_at("f", 0, Bytes::from(vec![7u8; 4]))
+        s.write_shared_at("f", 0, Bytes::from(vec![7u8; 4]).into())
             .unwrap();
         assert_eq!(s.files["f"].extents.len(), 2);
         assert_eq!(s.size("f"), Some(EXTENT as u64 + 10));
         s.create("g");
-        s.write_shared_at("g", 3, Bytes::from(vec![8u8; 4]))
+        s.write_shared_at("g", 3, Bytes::from(vec![8u8; 4]).into())
             .unwrap();
-        s.write_shared_at("g", 0, Bytes::new()).unwrap();
-        assert!(s.files["g"].shared.is_none());
+        s.write_shared_at("g", 0, Bytes::new().into()).unwrap();
+        assert!(s.files["g"].whole.is_none());
         assert_eq!(&s.read_all("g").unwrap()[..], &[0, 0, 0, 8, 8, 8, 8]);
         assert!(matches!(
-            s.write_shared_at("nope", 0, Bytes::from(vec![1])),
+            s.write_shared_at("nope", 0, Bytes::from(vec![1]).into()),
             Err(StorageError::NotFound(_))
         ));
     }
@@ -597,7 +703,9 @@ mod tests {
         let payload = Bytes::from(data.clone());
         let mut shared = ObjectStore::new();
         shared.create("f");
-        shared.write_shared_at("f", 0, payload.clone()).unwrap();
+        shared
+            .write_shared_at("f", 0, payload.clone().into())
+            .unwrap();
         let mut borrowed = ObjectStore::new();
         borrowed.create("f");
         borrowed.write_at("f", 0, &data).unwrap();
@@ -610,7 +718,7 @@ mod tests {
             let extents = s.files["f"].extents.iter();
             extents.map(|e| (e.len(), e.capacity())).collect()
         };
-        assert!(shared.files["f"].shared.is_none());
+        assert!(shared.files["f"].whole.is_none());
         assert_eq!(shape(&shared), shape(&borrowed));
         assert_eq!(
             shared.read_all("f").unwrap(),

@@ -8,6 +8,7 @@
 
 use crate::error::StorageError;
 use crate::fault::{FaultLog, FaultPlan};
+use crate::payload::Payload;
 use crate::StorageResult;
 use bytes::Bytes;
 use msr_sim::{Clock, SimDuration};
@@ -270,16 +271,23 @@ pub trait StorageResource: Send {
     /// Read up to `len` bytes at the cursor, advancing it.
     fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>>;
 
+    /// [`read`](StorageResource::read) for a caller that can take the file
+    /// as it is kept: same checks, same cost, same counters. A read of a
+    /// whole-object file's whole length returns the object — its bytes, or
+    /// the recipe they are generated from — and any other read returns the
+    /// bytes [`read`](StorageResource::read) would.
+    fn read_shared(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>>;
+
     /// Write bytes at the cursor, advancing it.
     fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>>;
 
     /// [`write`](StorageResource::write) for a caller that can give the
-    /// buffer away: same checks, same cost, same counters, same bytes on
+    /// payload away: same checks, same cost, same counters, same bytes on
     /// the resource — but a resource that keeps its data in memory may keep
-    /// `data` itself instead of copying it. Hand over exact-size buffers;
-    /// whatever the allocation holds beyond `data` lives as long as the
-    /// file does.
-    fn write_shared(&mut self, h: FileHandle, data: Bytes) -> StorageResult<Cost<usize>>;
+    /// `data` itself, held bytes or recipe, instead of a copy of its bytes.
+    /// Hand over exact-size buffers; whatever the allocation holds beyond
+    /// `data` lives as long as the file does.
+    fn write_shared(&mut self, h: FileHandle, data: Payload) -> StorageResult<Cost<usize>>;
 
     /// Close a handle.
     fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>>;

@@ -6,8 +6,8 @@ use msr_net::{LinkSpec, Network};
 use msr_obs::Registry;
 use msr_sim::{Clock, SimDuration};
 use msr_storage::{
-    share, CostModel, Device, DiskParams, FaultPlan, LocalDisk, OpKind, OpenMode, RateCurve,
-    RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
+    share, CostModel, Device, DiskParams, FaultPlan, LocalDisk, OpKind, OpenMode, Payload,
+    RateCurve, RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
 };
 
 fn local() -> LocalDisk {
@@ -90,6 +90,27 @@ fn write_read_roundtrip_bytes_exact() {
         let got = r.read(h, payload.len()).unwrap().value;
         r.close(h).unwrap();
         assert_eq!(&got[..], &payload[..], "{}", r.name());
+    });
+}
+
+#[test]
+fn a_recipe_file_reads_back_its_bytes_and_its_recipe() {
+    with_each(|r| {
+        let dump = Payload::dump(7, "chk", 3, 50_000);
+        let bytes = dump.clone().into_bytes();
+        let h = r.open("contract/recipe", OpenMode::Create).unwrap().value;
+        assert_eq!(r.write_shared(h, dump).unwrap().value, 50_000);
+        r.close(h).unwrap();
+        assert_eq!(r.file_size("contract/recipe"), Some(50_000), "{}", r.name());
+        let h = r.open("contract/recipe", OpenMode::Read).unwrap().value;
+        let whole = r.read_shared(h, 60_000).unwrap().value;
+        assert!(matches!(whole, Payload::Recipe(_)), "{}", r.name());
+        r.seek(h, 0).unwrap();
+        assert_eq!(r.read(h, 50_000).unwrap().value, bytes, "{}", r.name());
+        r.seek(h, 123).unwrap();
+        let part = r.read_shared(h, 1_000).unwrap().value;
+        assert_eq!(part.into_bytes(), bytes[123..1_123], "{}", r.name());
+        r.close(h).unwrap();
     });
 }
 

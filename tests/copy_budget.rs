@@ -2,13 +2,16 @@
 //!
 //! A raw collective dump's bytes are written once: the refcounted buffer a
 //! request carries is what the resource stores, and a native read hands
-//! back a view of it. A stopwatch cannot hold that; these tests compare
-//! `as_ptr()`s and count the allocations of one peculiar size, so a
+//! back a view of it. A dump the scheduler synthesises is not written at
+//! all: it is queued and stored as its recipe, and its bytes are made when
+//! they are read. A stopwatch cannot hold that; these tests compare
+//! `as_ptr()`s and count the allocations of peculiar sizes, so a
 //! re-introduced copy fails here whatever the host is doing.
 
 use bytes::Bytes;
 use msr::prelude::*;
 use msr::runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
+use msr::sched::program::payload as dump_payload;
 use msr::storage::SharedResource;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,9 +21,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const WATCHED: usize = 11 * 13 * 17 * 4;
 static WATCHED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static WATCHED_LAST: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of the dump `a_scheduled_raw_dump_allocates_nothing_until_read`
+/// admits: 7 × 11 × 19 `f32`s, another size nothing else here asks for.
+const RECIPE: usize = 7 * 11 * 19 * 4;
+static RECIPE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator, counting requests for exactly [`WATCHED`] bytes
-/// and remembering where the last one landed.
+/// The system allocator, counting requests for exactly [`WATCHED`] bytes,
+/// remembering where the last one landed, and counting requests for
+/// exactly [`RECIPE`] bytes.
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -32,6 +40,9 @@ unsafe impl GlobalAlloc for Counting {
         if layout.size() == WATCHED {
             WATCHED_ALLOCS.fetch_add(1, Ordering::SeqCst);
             WATCHED_LAST.store(p as usize, Ordering::SeqCst);
+        }
+        if layout.size() == RECIPE {
+            RECIPE_ALLOCS.fetch_add(1, Ordering::SeqCst);
         }
         p
     }
@@ -65,7 +76,10 @@ fn write_request(path: &str, n: u64, data: Bytes, mode: OpenMode) -> EngineReque
         dist: dist(n),
         strategy: IoStrategy::Collective,
         ingest: IngestSpec::raw(),
-        body: RequestBody::Write { data, mode },
+        body: RequestBody::Write {
+            data: data.into(),
+            mode,
+        },
     }
 }
 
@@ -191,4 +205,36 @@ fn a_same_length_overwrite_dump_swaps_the_buffer() {
         .unwrap();
     assert_eq!(back, second);
     assert_ne!(back.as_ptr(), second.as_ptr());
+}
+
+#[test]
+fn a_scheduled_raw_dump_allocates_nothing_until_read() {
+    let sys = MsrSystem::testbed(35);
+    let spec = DatasetSpec::builder("d")
+        .element(ElementType::F32)
+        .dims(Dims3 { x: 7, y: 11, z: 19 })
+        .frequency(6)
+        .hint(LocationHint::LocalDisk)
+        .build();
+    let before = RECIPE_ALLOCS.load(Ordering::SeqCst);
+    let mut sched = Scheduler::new(&sys);
+    let program = SessionProgram::new("app").iterations(12).dataset(spec);
+    let session = sched.admit(program).unwrap().unwrap();
+    let report = sched.run().unwrap();
+    assert_eq!(report.requests(), 3);
+    let local = sys.resource(StorageKind::LocalDisk).unwrap();
+    assert_eq!(local.lock().used_bytes(), 3 * RECIPE as u64);
+    assert_eq!(
+        RECIPE_ALLOCS.load(Ordering::SeqCst) - before,
+        0,
+        "admission, queue and store must hold the dumps as recipes"
+    );
+    // Reading a dump back makes its bytes: the generator's, once.
+    let run = RunId(report.sessions[0].run);
+    let grid = ProcGrid::new(1, 1, 1);
+    let (back, _) = sys
+        .read_dataset(run, "d", 6, grid, IoStrategy::Collective)
+        .unwrap();
+    assert_eq!(RECIPE_ALLOCS.load(Ordering::SeqCst) - before, 1);
+    assert!(back == dump_payload(session, "d", 6, RECIPE)[..]);
 }

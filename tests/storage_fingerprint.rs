@@ -22,13 +22,15 @@
 //!
 //! The same script run with every write issued as `write_shared` must
 //! produce the same transcripts, line for line: handing the buffer over
-//! changes who owns the allocation and nothing a caller can observe.
+//! changes who owns the allocation and nothing a caller can observe. So
+//! must the script with its bytes swapped for recipes: each write draws its
+//! bytes as before and writes a recipe keyed by them instead, once as the
+//! recipe itself and once as the recipe's bytes through `write`.
 
-use bytes::Bytes;
 use msr::net::OutageSchedule;
 use msr::prelude::*;
 use msr::sim::stream_rng;
-use msr::storage::{Cost, FileHandle, SharedResource, StorageError};
+use msr::storage::{Cost, FileHandle, Payload, SharedResource, StorageError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt::{Debug, Write as _};
@@ -73,14 +75,30 @@ struct Walk<'a> {
     parked: bool,
     offline: bool,
     wan_down: bool,
-    /// Issue writes as `write_shared` (the buffer given away) instead of
+    /// Issue writes as `write_shared` (the payload given away) instead of
     /// `write`.
     shared: bool,
+    /// Write a recipe keyed by each write's drawn bytes instead of them.
+    recipes: bool,
     out: String,
 }
 
+/// The recipe standing in for drawn bytes in the recipe script: now and
+/// then a fill, so that appends meet a file that is the same fill, else a
+/// dump keyed by the draw.
+fn recipe(drawn: &[u8]) -> Payload {
+    let key = drawn
+        .iter()
+        .take(8)
+        .fold(0u64, |k, &b| k << 8 | u64::from(b));
+    match key % 4 {
+        0 => Payload::fill(0xA5, drawn.len()),
+        _ => Payload::dump(key, "walk", (key >> 32) as u32, drawn.len()),
+    }
+}
+
 impl<'a> Walk<'a> {
-    fn new(sys: &'a MsrSystem, kind: StorageKind, shared: bool) -> Self {
+    fn new(sys: &'a MsrSystem, kind: StorageKind, shared: bool, recipes: bool) -> Self {
         Walk {
             sys,
             kind,
@@ -91,6 +109,7 @@ impl<'a> Walk<'a> {
             offline: false,
             wan_down: false,
             shared,
+            recipes,
             out: String::new(),
         }
     }
@@ -170,10 +189,14 @@ impl<'a> Walk<'a> {
     fn write(&mut self, h: FileHandle, len: usize) {
         let mut data = vec![0u8; len];
         self.rng.fill_bytes(&mut data);
+        let data = match self.recipes {
+            true => recipe(&data),
+            false => Payload::from(data),
+        };
         let r = if self.shared {
-            self.res.lock().write_shared(h, Bytes::from(data))
+            self.res.lock().write_shared(h, data)
         } else {
-            self.res.lock().write(h, &data)
+            self.res.lock().write(h, &data.into_bytes())
         };
         self.log(&format!("write {} {len}", h.raw()), &r, |n| n.to_string());
     }
@@ -513,7 +536,7 @@ fn fault_plan() -> FaultPlan {
 /// Run the script over the three kinds of one system; returns the three
 /// per-kind transcripts, then one of the fault logs and the obs event
 /// stream.
-fn transcripts(faults: bool, shared: bool) -> [String; 4] {
+fn transcripts(faults: bool, shared: bool, recipes: bool) -> [String; 4] {
     let mut sys = MsrSystem::testbed(SEED);
     let logs: Vec<FaultLog> = if faults {
         KINDS
@@ -523,7 +546,7 @@ fn transcripts(faults: bool, shared: bool) -> [String; 4] {
     } else {
         Vec::new()
     };
-    let [local, rdisk, tape] = KINDS.map(|kind| Walk::new(&sys, kind, shared).run());
+    let [local, rdisk, tape] = KINDS.map(|kind| Walk::new(&sys, kind, shared, recipes).run());
 
     let mut tail = String::new();
     for log in &logs {
@@ -537,17 +560,16 @@ fn transcripts(faults: bool, shared: bool) -> [String; 4] {
 
 /// The four transcripts of the borrowed-write script, hashed.
 fn run(faults: bool) -> [String; 4] {
-    transcripts(faults, false).map(|t| fingerprint(&t))
+    transcripts(faults, false, false).map(|t| fingerprint(&t))
 }
 
-/// Shared and borrowed writes are indistinguishable to every observer but
-/// the allocator, with the fault stage off and on: torn halves, fault
-/// draws, spikes, cursors, stats and spans line up.
-#[test]
-fn shared_writes_leave_every_transcript_as_it_is() {
+/// The script with writes given away against the borrowed-write script,
+/// its bytes drawn (`recipes` off) or recipes keyed by them, with the fault
+/// stage off and on, line for line.
+fn assert_given_away_writes_are_borrowed_writes(recipes: bool) {
     for faults in [false, true] {
-        let borrowed = transcripts(faults, false);
-        let shared = transcripts(faults, true);
+        let borrowed = transcripts(faults, false, recipes);
+        let shared = transcripts(faults, true, recipes);
         for (part, (b, s)) in ["local", "rdisk", "tape", "logs+obs"]
             .iter()
             .zip(borrowed.iter().zip(&shared))
@@ -555,7 +577,7 @@ fn shared_writes_leave_every_transcript_as_it_is() {
             let differs = b.lines().zip(s.lines()).position(|(b, s)| b != s);
             if let Some(at) = differs {
                 panic!(
-                    "faults={faults} {part} line {at}:\n  write        {}\n  write_shared {}",
+                    "faults={faults} recipes={recipes} {part} line {at}:\n  write        {}\n  write_shared {}",
                     b.lines().nth(at).unwrap(),
                     s.lines().nth(at).unwrap()
                 );
@@ -563,6 +585,23 @@ fn shared_writes_leave_every_transcript_as_it_is() {
             assert_eq!(b.len(), s.len(), "{part}: one transcript is longer");
         }
     }
+}
+
+/// Shared and borrowed writes are indistinguishable to every observer but
+/// the allocator, with the fault stage off and on: torn halves, fault
+/// draws, spikes, cursors, stats and spans line up.
+#[test]
+fn shared_writes_leave_every_transcript_as_it_is() {
+    assert_given_away_writes_are_borrowed_writes(false);
+}
+
+/// A recipe written as it is and its bytes written borrowed are
+/// indistinguishable too: reads of whole files, ranges and torn halves
+/// return the same bytes, and a recipe file mutated in part becomes the
+/// same extents.
+#[test]
+fn recipe_writes_leave_every_transcript_as_it_is() {
+    assert_given_away_writes_are_borrowed_writes(true);
 }
 
 #[test]
