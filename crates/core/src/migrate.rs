@@ -10,9 +10,9 @@
 use crate::error::CoreError;
 use crate::system::MsrSystem;
 use crate::CoreResult;
-use msr_meta::{AccessMode, Location, RunId, QUERY_COST};
+use msr_meta::{Location, RunId, QUERY_COST};
 use msr_obs::{ops, Layer};
-use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+use msr_runtime::{Distribution, IoStrategy};
 use msr_sim::SimDuration;
 use msr_storage::{OpenMode, StorageKind};
 use serde::{Deserialize, Serialize};
@@ -26,7 +26,7 @@ pub struct MigrationReport {
     pub from: StorageKind,
     /// Destination resource.
     pub to: StorageKind,
-    /// Number of dump files copied.
+    /// Number of dumps copied.
     pub files: u32,
     /// Payload bytes moved.
     pub bytes: u64,
@@ -45,31 +45,36 @@ impl MigrationReport {
 
 impl MsrSystem {
     /// Stage (migrate) every dump of `(run, dataset)` to `to`, updating
-    /// the catalog so subsequent reads hit the new location. Source copies
-    /// are deleted after a successful move (this is a migration, not a
-    /// replica — the catalog has a single location per dataset).
+    /// the catalog so subsequent reads hit the new location. The dumps
+    /// are the dataset's catalog rows; each one's stored objects
+    /// ([`IoEngine::dump_objects`](msr_runtime::IoEngine::dump_objects))
+    /// are copied as they are, whole, on one process, so a dump keeps the
+    /// layout it was written in. A dump with no objects on the source is
+    /// skipped. Source copies are deleted after a successful move (this is
+    /// a migration, not a replica — the catalog has a single location per
+    /// dataset).
     pub fn migrate_dataset(
         &self,
         run: RunId,
         dataset: &str,
         to: StorageKind,
-        grid: ProcGrid,
     ) -> CoreResult<MigrationReport> {
         let rec = self.catalog.lock().find_dataset(run, dataset)?.clone();
         self.clock.advance(QUERY_COST);
         let Location::Stored(from) = rec.location else {
             return Err(CoreError::DatasetDisabled(dataset.to_owned()));
         };
+        let mut report = MigrationReport {
+            dataset: dataset.to_owned(),
+            from,
+            to,
+            files: 0,
+            bytes: 0,
+            read_time: SimDuration::ZERO,
+            write_time: SimDuration::ZERO,
+        };
         if from == to {
-            return Ok(MigrationReport {
-                dataset: dataset.to_owned(),
-                from,
-                to,
-                files: 0,
-                bytes: 0,
-                read_time: SimDuration::ZERO,
-                write_time: SimDuration::ZERO,
-            });
+            return Ok(report);
         }
         let src = self.resource(from).ok_or(CoreError::NoUsableResource {
             dataset: dataset.to_owned(),
@@ -93,13 +98,23 @@ impl MsrSystem {
         let conn = dst.lock().connect()?;
         self.clock.advance(conn.time);
 
-        // Every dump file of a `Create` dataset is `<path>.t<iter>`; the
-        // bare path would also match a dataset whose name extends it.
-        let files: Vec<String> = match rec.amode {
-            AccessMode::OverWrite => vec![rec.path.clone()],
-            AccessMode::Create => src.lock().list(&format!("{}.t", rec.path)),
-        };
-        if files.is_empty() {
+        // Every stored object of every recorded dump, at the size its copy
+        // moves: a chunked manifest moves its dump's logical bytes.
+        let src_name = src.lock().name().to_owned();
+        let plane = self.engine.chunk_plane();
+        let rows = self.catalog.lock().dumps_of(rec.id);
+        let mut objects: Vec<(String, u64)> = Vec::new();
+        for row in rows {
+            let r = src.lock();
+            let found = self.engine.dump_objects(&*r, &rec.dump_file(row.iter));
+            report.files += u32::from(!found.is_empty());
+            for object in found {
+                let size = plane.logical_of(&src_name, &object);
+                let size = size.or_else(|| r.file_size(&object)).unwrap_or(0);
+                objects.push((object, size));
+            }
+        }
+        if objects.is_empty() {
             return Err(CoreError::Storage(msr_storage::StorageError::NotFound(
                 rec.path.clone(),
             )));
@@ -109,15 +124,7 @@ impl MsrSystem {
         // halfway. Chunked dumps are priced at their *logical* size — the
         // conservative bound, since the destination may not yet hold any
         // of their chunks (dedup can only shrink what actually lands).
-        let src_name = src.lock().name().to_owned();
-        let plane = self.engine.chunk_plane();
-        let total: u64 = files
-            .iter()
-            .filter_map(|f| {
-                let physical = src.lock().file_size(f)?;
-                Some(plane.logical_of(&src_name, f).unwrap_or(physical))
-            })
-            .sum();
+        let total: u64 = objects.iter().map(|(_, size)| size).sum();
         if dst.lock().available_bytes() < total {
             return Err(CoreError::NoUsableResource {
                 dataset: dataset.to_owned(),
@@ -125,44 +132,28 @@ impl MsrSystem {
             });
         }
 
-        let dims = Dims3 {
-            x: rec.dims.first().copied().unwrap_or(1),
-            y: rec.dims.get(1).copied().unwrap_or(1),
-            z: rec.dims.get(2).copied().unwrap_or(1),
-        };
-        let dist = Distribution::new(dims, rec.etype.size(), Pattern::parse(&rec.pattern)?, grid)?;
-
-        let mut report = MigrationReport {
-            dataset: dataset.to_owned(),
-            from,
-            to,
-            files: 0,
-            bytes: 0,
-            read_time: SimDuration::ZERO,
-            write_time: SimDuration::ZERO,
-        };
         let start = self.clock.now();
         // A failure is charged to the resource whose call raised it.
         let moved = (|| -> Result<(), (StorageKind, CoreError)> {
-            for file in &files {
-                // The chunk-aware transfer path: a chunked dump is read
-                // back through its manifest and re-ingested with the same
-                // spec at the destination, whose store then receives only
-                // the chunks it does not already hold. Raw dumps take the
-                // byte-for-byte path exactly as before.
+            for (object, size) in &objects {
+                // A chunked dump is read back through its manifest and
+                // re-ingested with the same spec at the destination, whose
+                // store then receives only the chunks it does not already
+                // hold. A raw object is read and written in one native
+                // call each.
+                let dist = Distribution::whole(*size);
                 let (data, read) = self
                     .engine
-                    .read_auto(&src, file, &dist, IoStrategy::Collective)
+                    .read_auto(&src, object, &dist, IoStrategy::Collective)
                     .map_err(|e| (from, e.into()))?;
-                let ingest = plane.ingest_of(&src_name, file).unwrap_or_default();
-                let bytes = data.len() as u64;
-                // The read-back is ours to give: a raw dump's object — its
+                let ingest = plane.ingest_of(&src_name, object).unwrap_or_default();
+                // The read-back is ours to give: a raw object — its
                 // buffer, or its recipe — becomes the destination's.
                 let write = self
                     .engine
                     .write_shared(
                         &dst,
-                        file,
+                        object,
                         data,
                         &dist,
                         IoStrategy::Collective,
@@ -172,8 +163,7 @@ impl MsrSystem {
                     )
                     .map_err(|e| (to, e.into()))?;
                 self.clock.advance(read.elapsed + write.elapsed);
-                report.files += 1;
-                report.bytes += bytes;
+                report.bytes += size;
                 report.read_time += read.elapsed;
                 report.write_time += write.elapsed;
             }
@@ -200,11 +190,11 @@ impl MsrSystem {
             .lock()
             .set_dataset_location(rec.id, Location::Stored(to))?;
         self.clock.advance(QUERY_COST);
-        for file in &files {
+        for (object, _) in &objects {
             // `delete_dump` releases chunk references and garbage-collects
-            // frames no surviving dump shares; for raw dumps it is a plain
-            // delete.
-            let cost = self.engine.delete_dump(&src, file)?;
+            // frames no surviving dump shares; for a raw object it is a
+            // plain delete.
+            let cost = self.engine.delete_dump(&src, object)?;
             self.clock.advance(cost.time);
         }
         Ok(report)
@@ -216,8 +206,8 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
     use crate::hints::LocationHint;
-    use msr_meta::ElementType;
-    use msr_runtime::RuntimeError;
+    use msr_meta::{AccessMode, ElementType};
+    use msr_runtime::ProcGrid;
 
     fn produce(sys: &MsrSystem, hint: LocationHint, amode: AccessMode) -> (RunId, Vec<u8>) {
         let grid = ProcGrid::new(1, 1, 1);
@@ -250,7 +240,7 @@ mod tests {
         let grid = ProcGrid::new(1, 1, 1);
         let (run, data) = produce(&sys, LocationHint::RemoteTape, AccessMode::Create);
         let report = sys
-            .migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+            .migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap();
         assert_eq!(report.files, 3);
         assert_eq!(report.bytes, 3 * 16 * 16 * 16);
@@ -278,7 +268,7 @@ mod tests {
             .unwrap()
             .1
             .elapsed;
-        sys.migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+        sys.migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap();
         let after = sys
             .read_dataset(run, "d", 0, grid, IoStrategy::Collective)
@@ -297,7 +287,7 @@ mod tests {
         let grid = ProcGrid::new(1, 1, 1);
         let (run, data) = produce(&sys, LocationHint::RemoteDisk, AccessMode::OverWrite);
         let report = sys
-            .migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+            .migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap();
         assert_eq!(report.files, 1);
         let (back, _) = sys
@@ -309,10 +299,9 @@ mod tests {
     #[test]
     fn noop_when_already_there() {
         let sys = MsrSystem::testbed(404);
-        let grid = ProcGrid::new(1, 1, 1);
         let (run, _) = produce(&sys, LocationHint::LocalDisk, AccessMode::Create);
         let report = sys
-            .migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+            .migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap();
         assert_eq!(report.files, 0);
         assert_eq!(report.total_time(), SimDuration::ZERO);
@@ -321,12 +310,11 @@ mod tests {
     #[test]
     fn insufficient_destination_capacity_rejected_upfront() {
         let sys = MsrSystem::testbed(405);
-        let grid = ProcGrid::new(1, 1, 1);
         let (run, _) = produce(&sys, LocationHint::RemoteTape, AccessMode::Create);
         let local = sys.resource(StorageKind::LocalDisk).unwrap();
         local.lock().set_capacity(100);
         let err = sys
-            .migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+            .migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap_err();
         assert!(matches!(err, CoreError::NoUsableResource { .. }));
         // Nothing was moved or deleted.
@@ -337,11 +325,10 @@ mod tests {
     #[test]
     fn staging_refuses_an_offline_destination() {
         let sys = MsrSystem::testbed(407);
-        let grid = ProcGrid::new(1, 1, 1);
         let (run, _) = produce(&sys, LocationHint::RemoteTape, AccessMode::Create);
         sys.set_resource_online(StorageKind::LocalDisk, false);
         assert!(matches!(
-            sys.migrate_dataset(run, "d", StorageKind::LocalDisk, grid),
+            sys.migrate_dataset(run, "d", StorageKind::LocalDisk),
             Err(CoreError::NoUsableResource { .. })
         ));
         sys.set_resource_online(StorageKind::LocalDisk, true);
@@ -350,14 +337,13 @@ mod tests {
     #[test]
     fn staging_refuses_a_tripped_destination() {
         let sys = MsrSystem::testbed(408);
-        let grid = ProcGrid::new(1, 1, 1);
         let (run, _) = produce(&sys, LocationHint::RemoteTape, AccessMode::Create);
         for _ in 0..32 {
             sys.health.record_failure(StorageKind::LocalDisk);
         }
         assert!(!sys.health.allows(StorageKind::LocalDisk));
         assert!(matches!(
-            sys.migrate_dataset(run, "d", StorageKind::LocalDisk, grid),
+            sys.migrate_dataset(run, "d", StorageKind::LocalDisk),
             Err(CoreError::NoUsableResource { .. })
         ));
         // Nothing was deleted from the source.
@@ -368,9 +354,8 @@ mod tests {
     #[test]
     fn staging_emits_an_obs_span() {
         let sys = MsrSystem::testbed(409);
-        let grid = ProcGrid::new(1, 1, 1);
         let (run, _) = produce(&sys, LocationHint::RemoteTape, AccessMode::Create);
-        sys.migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+        sys.migrate_dataset(run, "d", StorageKind::LocalDisk)
             .unwrap();
         let events = sys.obs.events();
         let m = events
@@ -411,7 +396,7 @@ mod tests {
         s.finalize().unwrap();
 
         let report = sys
-            .migrate_dataset(run, "chk", StorageKind::RemoteDisk, grid)
+            .migrate_dataset(run, "chk", StorageKind::RemoteDisk)
             .unwrap();
         assert_eq!(report.files, 2);
         let local = sys.resource(StorageKind::LocalDisk).unwrap();
@@ -426,38 +411,102 @@ mod tests {
 
     #[test]
     fn a_failed_source_read_does_not_trip_the_destination() {
-        // A subfile dump written on 2×2×2 cannot be read back on 1×1×1: the
-        // source read fails with a Fatal `SizeMismatch`, which is no fault
-        // of the destination's.
+        // A corrupted chunk on the source is a Fatal read error: no fault
+        // of either resource's, so neither breaker is charged.
         let sys = MsrSystem::testbed(411);
         let mut s = sys
             .session()
             .app("app")
             .user("u")
             .iterations(6)
-            .grid(ProcGrid::new(2, 2, 2))
             .build()
             .unwrap();
-        let spec = DatasetSpec::astro3d_default("sub", ElementType::U8, 8)
-            .with_hint(LocationHint::LocalDisk)
-            .with_strategy(IoStrategy::Subfile);
-        let data = vec![3u8; spec.snapshot_bytes() as usize];
+        let spec = DatasetSpec::builder("ck")
+            .element(ElementType::U8)
+            .cube(16)
+            .hint(LocationHint::LocalDisk)
+            .chunked(msr_chunk::ChunkPolicy::cdc(8))
+            .build();
+        let data: Vec<u8> = (0..spec.snapshot_bytes()).map(|i| (i % 97) as u8).collect();
         let h = s.open(spec).unwrap();
         s.write_iteration(h, 0, &data).unwrap();
         let run = s.run_id();
         s.finalize().unwrap();
-
+        let local = sys.resource(StorageKind::LocalDisk).unwrap();
+        {
+            let mut r = local.lock();
+            let pack = r.list("cas/").into_iter().next().expect("a pack on disk");
+            let hdl = r.open(&pack, OpenMode::OverWrite).unwrap().value;
+            r.write(hdl, &[0xFF, 0x00, 0xFF, 0x55]).unwrap();
+            r.close(hdl).unwrap();
+        }
         for _ in 0..3 {
             let err = sys
-                .migrate_dataset(run, "sub", StorageKind::RemoteDisk, ProcGrid::new(1, 1, 1))
+                .migrate_dataset(run, "ck", StorageKind::RemoteDisk)
                 .unwrap_err();
-            assert!(
-                matches!(err, CoreError::Runtime(RuntimeError::SizeMismatch { .. })),
-                "{err:?}"
-            );
+            assert!(matches!(err, CoreError::ChunkCorrupt { .. }), "{err:?}");
         }
+        for kind in [StorageKind::LocalDisk, StorageKind::RemoteDisk] {
+            assert_eq!(sys.health.counters(kind).failures, 0, "{kind:?}");
+        }
+
+        // A source whose every data-path call faults is charged; the
+        // destination stays allowed.
+        let mut sys = MsrSystem::testbed(412);
+        let (run, _) = produce(&sys, LocationHint::LocalDisk, AccessMode::Create);
+        sys.inject_faults(
+            StorageKind::LocalDisk,
+            msr_storage::FaultPlan::none().with_error_prob(1.0),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            sys.migrate_dataset(run, "d", StorageKind::RemoteDisk)
+                .unwrap_err();
+        }
+        assert_eq!(sys.health.counters(StorageKind::LocalDisk).failures, 3);
+        assert!(!sys.health.allows(StorageKind::LocalDisk));
+        assert_eq!(sys.health.counters(StorageKind::RemoteDisk).failures, 0);
         assert!(sys.health.allows(StorageKind::RemoteDisk));
-        assert!(sys.health.allows(StorageKind::LocalDisk));
+    }
+
+    #[test]
+    fn an_overwrite_subfile_dataset_migrates() {
+        // Written as one subfile per process, moved object for object,
+        // read back on the writer's grid whichever strategy is asked for.
+        let sys = MsrSystem::testbed(413);
+        let grid = ProcGrid::new(2, 1, 1);
+        let mut s = sys
+            .session()
+            .app("app")
+            .user("u")
+            .iterations(6)
+            .grid(grid)
+            .build()
+            .unwrap();
+        let spec = DatasetSpec::astro3d_default("sub", ElementType::U8, 8)
+            .with_hint(LocationHint::LocalDisk)
+            .with_strategy(IoStrategy::Subfile)
+            .with_amode(AccessMode::OverWrite);
+        let data: Vec<u8> = (0..spec.snapshot_bytes()).map(|i| (i % 13) as u8).collect();
+        let h = s.open(spec).unwrap();
+        s.write_iteration(h, 0, &data).unwrap();
+        s.write_iteration(h, 6, &data).unwrap();
+        let run = s.run_id();
+        s.finalize().unwrap();
+
+        let report = sys
+            .migrate_dataset(run, "sub", StorageKind::RemoteDisk)
+            .unwrap();
+        assert_eq!(report.files, 1, "one dump");
+        assert_eq!(report.bytes, data.len() as u64);
+        let local = sys.resource(StorageKind::LocalDisk).unwrap();
+        assert!(local.lock().list("app/").is_empty(), "the source is gone");
+        let remote = sys.resource(StorageKind::RemoteDisk).unwrap();
+        assert_eq!(remote.lock().list("app/").len(), 2, "both subfiles moved");
+        for strategy in [IoStrategy::Subfile, IoStrategy::Collective] {
+            let (back, _) = sys.read_dataset(run, "sub", 6, grid, strategy).unwrap();
+            assert_eq!(back, data, "{strategy}");
+        }
     }
 
     #[test]
@@ -478,7 +527,7 @@ mod tests {
         let run = s.run_id();
         s.finalize().unwrap();
         assert!(matches!(
-            sys.migrate_dataset(run, "off", StorageKind::LocalDisk, grid),
+            sys.migrate_dataset(run, "off", StorageKind::LocalDisk),
             Err(CoreError::DatasetDisabled(_))
         ));
     }

@@ -669,15 +669,6 @@ impl<'a> Session<'a> {
             z: rec.dims.get(2).copied().unwrap_or(1),
         };
         let dist = Distribution::new(dims, rec.etype.size(), Pattern::parse(&rec.pattern)?, grid)?;
-        // Subfile layouts on storage are transposed: only the subfile
-        // strategy can read them back, regardless of what the caller asked
-        // for. Other layouts share the file format, so the caller's read
-        // strategy is honoured.
-        let recorded = IoStrategy::parse(&rec.strategy);
-        let strategy = match recorded {
-            Some(IoStrategy::Subfile) => IoStrategy::Subfile,
-            _ => strategy,
-        };
         let path = rec.dump_file(iteration);
         let res = sys.resource(kind).ok_or(CoreError::NoUsableResource {
             dataset: name.to_owned(),

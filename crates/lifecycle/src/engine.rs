@@ -21,8 +21,8 @@
 //!
 //! Migrations execute through [`MsrSystem::migrate_dataset`], so they
 //! respect circuit-breaker health, refuse offline or full destinations,
-//! occupy the load board's background queues while streaming and emit
-//! `migrate` observability spans. Every decision is made from a single
+//! copy each dump's stored objects as they are and emit `migrate`
+//! observability spans. Every decision is made from a single
 //! catalog snapshot taken at the top of the tick and candidates are
 //! ordered by `(recency, id)` — two ticks over the same state make the
 //! same moves regardless of worker count, so scheduled runs with a
@@ -32,7 +32,7 @@ use crate::policy::RetentionPolicy;
 use msr_core::MsrSystem;
 use msr_meta::{AccessMode, DatasetRec, DumpState, Location, RunId};
 use msr_obs::{ops, Layer};
-use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+use msr_runtime::{Distribution, IoStrategy};
 use msr_sim::SimDuration;
 use msr_storage::{OpKind, StorageKind};
 use serde::{Deserialize, Serialize};
@@ -102,7 +102,7 @@ pub struct MoveRec {
     pub from: StorageKind,
     /// Destination tier.
     pub to: StorageKind,
-    /// Dump files moved.
+    /// Dumps moved.
     pub files: u32,
     /// Payload bytes moved.
     pub bytes: u64,
@@ -194,7 +194,7 @@ impl TickTotals {
 
 /// The engine. Stateless between ticks — every decision re-derives from
 /// the catalog, so it can be shared, rebuilt or attached to a scheduler
-/// freely. Migrations stream on a 1×1×1 grid.
+/// freely.
 #[derive(Debug, Clone)]
 pub struct LifecycleEngine {
     cfg: LifecycleConfig,
@@ -539,7 +539,7 @@ impl LifecycleEngine {
         let per_dump = self.estimate_dump(sys, d, to);
         let pressure = 1.0 + (sys.load.depth(from) + sys.load.depth(to)) as f64;
         let predicted_secs = per_dump * dumps * pressure;
-        match sys.migrate_dataset(d.run, &d.name, to, ProcGrid::new(1, 1, 1)) {
+        match sys.migrate_dataset(d.run, &d.name, to) {
             Ok(m) => Some(MoveRec {
                 run: d.run.0,
                 dataset: d.name.clone(),
@@ -554,25 +554,12 @@ impl LifecycleEngine {
         }
     }
 
-    /// [`MsrSystem::price`] of one dump written onto `to`, seconds, over
-    /// the distribution rebuilt from the catalog row. Falls back to 0 when
-    /// the recorded shape cannot be rebuilt (the price then reflects queue
-    /// pressure only).
+    /// [`MsrSystem::price`] of the copy a move makes of one dump onto
+    /// `to`, seconds: a collective write of the dump's bytes on one
+    /// process.
     fn estimate_dump(&self, sys: &MsrSystem, d: &DatasetRec, to: StorageKind) -> f64 {
-        let dims = Dims3 {
-            x: d.dims.first().copied().unwrap_or(1),
-            y: d.dims.get(1).copied().unwrap_or(1),
-            z: d.dims.get(2).copied().unwrap_or(1),
-        };
-        let Ok(pattern) = Pattern::parse(&d.pattern) else {
-            return 0.0;
-        };
-        let Ok(dist) = Distribution::new(dims, d.etype.size(), pattern, ProcGrid::new(1, 1, 1))
-        else {
-            return 0.0;
-        };
-        let strategy = IoStrategy::parse(&d.strategy).unwrap_or(IoStrategy::Collective);
-        sys.price(to, OpKind::Write, strategy, &d.name, &dist)
+        let dist = Distribution::whole(d.snapshot_bytes());
+        sys.price(to, OpKind::Write, IoStrategy::Collective, &d.name, &dist)
             .as_secs()
     }
 }

@@ -178,7 +178,8 @@ pub struct DatasetRec {
     /// Distribution pattern string, e.g. `"BBB"` (block in each dim).
     pub pattern: String,
     /// I/O optimization the dumps were written with (e.g. `"collective"`,
-    /// `"subfile"`); consumers need it to interpret the on-storage layout.
+    /// `"subfile"`). A record only: the run-time engine reads a dump's
+    /// layout from what is stored.
     #[serde(default = "default_strategy")]
     pub strategy: String,
     /// Resolved storage location.

@@ -53,7 +53,7 @@
 //! owning resource's lock: every path that takes both locks the resource
 //! first. The write path's presence peek takes the shard lock alone.
 
-use crate::engine::{memcpy_cost, IoEngine, IoReport, OpCx, StatsDelta};
+use crate::engine::{memcpy_cost, subfile_path, IoEngine, IoReport, OpCx, StatsDelta};
 use crate::error::RuntimeError;
 use crate::layout::Distribution;
 use crate::strategy::IoStrategy;
@@ -725,10 +725,11 @@ impl IoEngine {
     }
 
     /// Read `path` whichever way it was written: through the chunk plane
-    /// when a manifest is registered for it, raw otherwise. A raw
-    /// collective read returns the object as the resource keeps it
-    /// ([`StorageResource::read_shared`]), so a caller that writes it on
-    /// copies a recipe as a recipe.
+    /// when a manifest is registered for it, with [`IoStrategy::Subfile`]
+    /// when it is laid out in subfiles (whatever `strategy` asks), raw
+    /// with `strategy` otherwise. A raw collective read returns the object
+    /// as the resource keeps it ([`StorageResource::read_shared`]), so a
+    /// caller that writes it on copies a recipe as a recipe.
     pub fn read_auto(
         &self,
         res: &SharedResource,
@@ -736,50 +737,48 @@ impl IoEngine {
         dist: &Distribution,
         strategy: IoStrategy,
     ) -> RuntimeResult<(Payload, IoReport)> {
-        let chunked = {
+        let (chunked, subfiles) = {
             let r = res.lock();
-            self.plane.is_chunked(r.name(), path)
+            let subfiles = !r.exists(path) && r.exists(&subfile_path(path, 0));
+            (self.plane.is_chunked(r.name(), path), subfiles)
         };
         if chunked {
             let (data, report) = self.read_chunked(res, path, dist, strategy)?;
             Ok((data.into(), report))
+        } else if subfiles {
+            self.read_raw(res, path, dist, IoStrategy::Subfile)
         } else {
             self.read_raw(res, path, dist, strategy)
         }
     }
 
-    /// Delete a dump, raw or chunked. For a chunked dump the manifest
-    /// object goes first, then its chunk references are released and any
-    /// pack left without a live frame is deleted. Returns the accumulated
-    /// native-call time.
+    /// Delete a dump, raw or chunked. A raw dump's stored objects go one
+    /// at a time; for a chunked dump the manifest object goes first, then
+    /// its chunk references are released and any pack left without a live
+    /// frame is deleted. Returns the accumulated native-call time.
     pub fn delete_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
         let Some(shard) = self.plane.shard_if(&resource) else {
-            // No chunked dump ever touched this resource: plain delete.
-            let cost = r.delete(path).map_err(RuntimeError::Storage)?;
-            return Ok(Cost::new(cost.time, ()));
+            return self.each_object(&mut *r, path, |r, o| r.delete(o));
+        };
+        let mut sh = shard.lock();
+        let Some(meta) = sh.manifests.remove(path) else {
+            return self.each_object(&mut *r, path, |r, o| r.delete(o));
         };
         let mut time = SimDuration::ZERO;
-        let mut sh = shard.lock();
-        let meta = sh.manifests.remove(path);
         // Manifest delete failures propagate *before* bookkeeping is
         // touched (the registration is restored for the retry). A missing
         // file still clears the registration (failover may have scattered
         // dumps).
         match r.delete(path) {
             Ok(cost) => time += cost.time,
-            Err(StorageError::NotFound(_)) if meta.is_some() => {}
+            Err(StorageError::NotFound(_)) => {}
             Err(e) => {
-                if let Some(meta) = meta {
-                    sh.manifests.insert(path.to_owned(), meta);
-                }
+                sh.manifests.insert(path.to_owned(), meta);
                 return Err(RuntimeError::Storage(e));
             }
         }
-        let Some(meta) = meta else {
-            return Ok(Cost::new(time, ()));
-        };
         let dead_packs = sh.store.release_all(&meta.chunks, meta.vaulted);
         drop(sh);
         for id in &dead_packs {
@@ -799,19 +798,20 @@ impl IoEngine {
         Ok(Cost::new(time, ()))
     }
 
-    /// Vault a dump, raw or chunked. A chunked dump vaults its manifest
-    /// and marks its references vaulted; each pack moves to the vault
-    /// only once *every* dump referencing a frame in it is vaulted.
+    /// Vault a dump, raw or chunked. A raw dump vaults each stored
+    /// object; a chunked dump vaults its manifest and marks its references
+    /// vaulted, and each pack moves to the vault only once *every* dump
+    /// referencing a frame in it is vaulted.
     pub fn vault_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
         let Some(shard) = self.plane.shard_if(&resource) else {
-            return Ok(Cost::new(r.vault(path)?.time, ()));
+            return self.each_object(&mut *r, path, |r, o| r.vault(o));
         };
         let mut sh = shard.lock();
         let sh = &mut *sh;
         let Some(meta) = sh.manifests.get_mut(path) else {
-            return Ok(Cost::new(r.vault(path)?.time, ()));
+            return self.each_object(&mut *r, path, |r, o| r.vault(o));
         };
         if meta.vaulted {
             return Ok(Cost::free(()));
@@ -827,18 +827,19 @@ impl IoEngine {
         Ok(Cost::new(time, ()))
     }
 
-    /// Recall a dump from the vault, raw or chunked. The first dump to
-    /// need a frame of a shared pack recalls the pack for everyone.
+    /// Recall a dump from the vault, raw or chunked. A raw dump recalls
+    /// each stored object; the first chunked dump to need a frame of a
+    /// shared pack recalls the pack for everyone.
     pub fn recall_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
         let mut r = res.lock();
         let resource = r.name().to_owned();
         let Some(shard) = self.plane.shard_if(&resource) else {
-            return Ok(Cost::new(r.recall(path)?.time, ()));
+            return self.each_object(&mut *r, path, |r, o| r.recall(o));
         };
         let mut sh = shard.lock();
         let sh = &mut *sh;
         let Some(meta) = sh.manifests.get_mut(path) else {
-            return Ok(Cost::new(r.recall(path)?.time, ()));
+            return self.each_object(&mut *r, path, |r, o| r.recall(o));
         };
         if !meta.vaulted {
             return Ok(Cost::free(()));
@@ -850,6 +851,27 @@ impl IoEngine {
             if let Ok(cost) = r.recall(&pack_path(id)) {
                 time += cost.time;
             }
+        }
+        Ok(Cost::new(time, ()))
+    }
+
+    /// `call` on each stored object of the raw dump at `path`, last first,
+    /// so a failure part-way leaves objects [`IoEngine::dump_objects`]
+    /// still finds. A dump with no objects here is `path` itself, so the
+    /// resource says why (offline, not found).
+    fn each_object(
+        &self,
+        r: &mut dyn StorageResource,
+        path: &str,
+        call: impl Fn(&mut dyn StorageResource, &str) -> Result<Cost<()>, StorageError>,
+    ) -> RuntimeResult<Cost<()>> {
+        let mut objects = self.dump_objects(r, path);
+        if objects.is_empty() {
+            objects.push(path.to_owned());
+        }
+        let mut time = SimDuration::ZERO;
+        for object in objects.iter().rev() {
+            time += call(r, object)?.time;
         }
         Ok(Cost::new(time, ()))
     }

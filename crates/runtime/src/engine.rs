@@ -610,6 +610,20 @@ impl IoEngine {
         Ok(crate::request::RequestOutcome::Read(data.to_vec(), report))
     }
 
+    /// The stored objects of the dump at `path` on `r`: `[path]` for a
+    /// whole-object dump or a chunked manifest, one object per process
+    /// for a dump laid out in subfiles, none when the dump is not here.
+    /// Info calls only: no native call, cost, span, stat or fault draw.
+    pub fn dump_objects(&self, r: &dyn StorageResource, path: &str) -> Vec<String> {
+        if r.exists(path) {
+            return vec![path.to_owned()];
+        }
+        (0..)
+            .map(|p| subfile_path(path, p))
+            .take_while(|sub| r.exists(sub))
+            .collect()
+    }
+
     /// Read dataset file `path` from `res` into a freshly assembled global
     /// array buffer. An object shorter than `dist` describes (the half a
     /// torn write left, say) is a [`RuntimeError::SizeMismatch`] from the
@@ -995,7 +1009,7 @@ impl Src<'_> {
 }
 
 /// The per-process subfile naming convention.
-pub fn subfile_path(path: &str, rank: usize) -> String {
+pub(crate) fn subfile_path(path: &str, rank: usize) -> String {
     format!("{path}.sub{rank:03}")
 }
 
@@ -1101,6 +1115,52 @@ mod tests {
             .unwrap();
         assert_eq!(rep.native_writes, 8);
         assert_eq!(res.lock().list("d.sub").len(), 8);
+    }
+
+    #[test]
+    fn a_dump_names_its_stored_objects_without_a_native_call() {
+        let dist = dist8(8);
+        let data = payload(dist.total_bytes());
+        let engine = IoEngine::default();
+        let res = disk();
+        for (path, strategy) in [
+            ("sub", IoStrategy::Subfile),
+            ("col", IoStrategy::Collective),
+        ] {
+            engine
+                .write(&res, path, &data, &dist, strategy, OpenMode::Create)
+                .unwrap();
+        }
+        let r = res.lock();
+        let stats = r.stats();
+        let subs: Vec<String> = (0..8).map(|p| subfile_path("sub", p)).collect();
+        assert_eq!(engine.dump_objects(&*r, "sub"), subs);
+        assert_eq!(engine.dump_objects(&*r, "col"), ["col"]);
+        assert!(engine.dump_objects(&*r, "gone").is_empty());
+        assert_eq!(r.stats(), stats, "info calls only");
+    }
+
+    #[test]
+    fn read_auto_reads_subfiles_whatever_strategy_is_asked() {
+        let dist = dist8(8);
+        let data = payload(dist.total_bytes());
+        let engine = IoEngine::default();
+        let res = disk();
+        engine
+            .write(
+                &res,
+                "d",
+                &data,
+                &dist,
+                IoStrategy::Subfile,
+                OpenMode::Create,
+            )
+            .unwrap();
+        for strategy in IoStrategy::ALL {
+            let (back, report) = engine.read_auto(&res, "d", &dist, strategy).unwrap();
+            assert_eq!(back.into_vec(), data, "{strategy}");
+            assert_eq!(report.strategy, IoStrategy::Subfile);
+        }
     }
 
     #[test]

@@ -242,6 +242,17 @@ impl Distribution {
         })
     }
 
+    /// One process owning `bytes` contiguous bytes, as one opaque
+    /// element: how a stored object is copied whole.
+    pub fn whole(bytes: u64) -> Self {
+        Distribution {
+            dims: Dims3::cube(1),
+            elem_size: bytes,
+            pattern: Pattern::bbb(),
+            grid: ProcGrid::new(1, 1, 1),
+        }
+    }
+
     /// Total bytes of the global array.
     pub fn total_bytes(&self) -> u64 {
         self.dims.elements() * self.elem_size
@@ -360,6 +371,23 @@ mod tests {
         assert!(Pattern::parse("BBC").is_err());
         assert_eq!(Pattern::bbb().to_string(), "BBB");
         assert_eq!(Pattern::parse("B**").unwrap().to_string(), "B**");
+    }
+
+    #[test]
+    fn a_whole_object_is_one_run_on_one_process() {
+        let d = Distribution::whole(1234);
+        assert_eq!(
+            (d.total_bytes(), d.nprocs(), d.bytes_for(0)),
+            (1234, 1, 1234)
+        );
+        assert_eq!(
+            d.chunks_for(0),
+            [Chunk {
+                offset: 0,
+                len: 1234
+            }]
+        );
+        assert_eq!(d.run_shape(0), (1, 1234, 1234));
     }
 
     #[test]

@@ -27,28 +27,6 @@ impl IoStrategy {
         IoStrategy::Collective,
         IoStrategy::Subfile,
     ];
-
-    /// Parse a strategy from its display name.
-    pub fn parse(s: &str) -> Option<IoStrategy> {
-        match s {
-            "naive" => Some(IoStrategy::Naive),
-            "data-sieving" => Some(IoStrategy::DataSieving),
-            "collective" => Some(IoStrategy::Collective),
-            "subfile" => Some(IoStrategy::Subfile),
-            _ => None,
-        }
-    }
-
-    /// The native-call count `n(j)` of eq. (2) for a dataset with
-    /// `runs_per_proc` contiguous runs per process on `nprocs` processes.
-    pub fn native_calls(&self, nprocs: usize, runs_per_proc: usize) -> usize {
-        match self {
-            IoStrategy::Naive => nprocs * runs_per_proc,
-            IoStrategy::DataSieving => nprocs,
-            IoStrategy::Collective => 1,
-            IoStrategy::Subfile => nprocs,
-        }
-    }
 }
 
 impl fmt::Display for IoStrategy {
@@ -110,14 +88,6 @@ impl ExchangeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn native_call_counts_match_eq2() {
-        assert_eq!(IoStrategy::Naive.native_calls(8, 4096), 32768);
-        assert_eq!(IoStrategy::DataSieving.native_calls(8, 4096), 8);
-        assert_eq!(IoStrategy::Collective.native_calls(8, 4096), 1);
-        assert_eq!(IoStrategy::Subfile.native_calls(8, 4096), 8);
-    }
 
     #[test]
     fn shuffle_is_free_for_one_proc() {

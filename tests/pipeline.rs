@@ -154,8 +154,8 @@ fn subfile_layout_is_recorded_so_consumers_read_it_correctly() {
     s.write_iteration(h, 0, &data).unwrap();
     let run = s.run_id();
     s.finalize().unwrap();
-    // The consumer asks for a collective read, but the catalog knows the
-    // dumps are subfiles and reads them correctly anyway.
+    // The consumer asks for a collective read, but the engine finds the
+    // dump stored as subfiles and reads them correctly anyway.
     let (back, _) = sys
         .read_dataset(run, "d", 0, grid, IoStrategy::Collective)
         .unwrap();

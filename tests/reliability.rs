@@ -203,7 +203,7 @@ fn the_trace_records_placements_failovers_and_staging() {
     let run = s.run_id();
     s.finalize().unwrap();
     sys.set_resource_online(StorageKind::RemoteTape, true);
-    sys.migrate_dataset(run, "d", StorageKind::LocalDisk, grid)
+    sys.migrate_dataset(run, "d", StorageKind::LocalDisk)
         .unwrap();
 
     // One event log: the three facts are three ops in the registry, in
