@@ -156,8 +156,8 @@ impl From<msr_predict::PredictError> for CoreError {
 /// compile error until its recovery semantics are decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
-    /// An immediate retry of the same call may succeed. The engine's
-    /// [`msr_runtime::RetryPolicy`] handles these below the session; one
+    /// An immediate retry of the same call may succeed. The engine's retry
+    /// budget handles these below the session; one
     /// reaching the session means the retry budget is exhausted, and the
     /// carried reason is used for the resulting failover.
     Retryable(&'static str),

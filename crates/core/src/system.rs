@@ -11,7 +11,7 @@ use msr_meta::{Catalog, ResourceRec, RunId};
 use msr_net::SharedNetwork;
 use msr_obs::{Recorder, Registry};
 use msr_predict::{dump_time_with, AccessSummary, PTool, PerfDb, RatioBook, ResourceProfile};
-use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid, RetryPolicy};
+use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{share, testbed, FaultLog, FaultPlan, OpKind, SharedResource, StorageKind};
 use parking_lot::Mutex;
@@ -99,9 +99,8 @@ impl MsrSystem {
             }),
         );
         tb.net.write().set_observer(obs.recorder(), clock.clone());
-        let mut engine = IoEngine::default();
+        let mut engine = IoEngine::new(derive_seed(seed, "retry"));
         engine.set_observer(obs.recorder(), clock.clone());
-        engine.set_retry_policy(RetryPolicy::default().with_seed(derive_seed(seed, "retry")));
 
         let mut catalog = Catalog::new();
         for (kind, res) in &resources {

@@ -274,7 +274,7 @@ pub struct DumpRec {
 /// A registered storage resource.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceRec {
-    /// Resource name (matches `StorageResource::name`).
+    /// Resource name (matches `Device::name` in msr-storage).
     pub name: String,
     /// Kind of resource.
     pub kind: StorageKind,

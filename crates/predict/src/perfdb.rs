@@ -2,7 +2,7 @@
 
 use crate::{PredictError, PredictResult};
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, OpKind, RateCurve, StorageKind, StorageResource};
+use msr_storage::{CostModel, Device, FixedCosts, OpKind, RateCurve, StorageKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -26,7 +26,7 @@ impl ResourceProfile {
     /// The profile `r`'s own model hooks give for `op` — what eq. (2)
     /// prices against before a PTool sweep has measured the resource. The
     /// hooks carry no jitter, so the synthesis is deterministic.
-    pub fn of_model(r: &dyn StorageResource, op: OpKind) -> ResourceProfile {
+    pub fn of_model(r: &Device<dyn CostModel>, op: OpKind) -> ResourceProfile {
         ResourceProfile {
             kind: r.kind(),
             fixed: r.fixed_costs(op),

@@ -56,7 +56,7 @@
 use crate::engine::{memcpy_cost, subfile_path, IoEngine, IoReport, OpCx, StatsDelta};
 use crate::error::RuntimeError;
 use crate::layout::Distribution;
-use crate::strategy::IoStrategy;
+use crate::strategy::{shuffle_cost, IoStrategy};
 use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_chunk::{
@@ -65,7 +65,9 @@ use msr_chunk::{
 };
 use msr_obs::{ops, Layer};
 use msr_sim::SimDuration;
-use msr_storage::{Cost, OpKind, OpenMode, Payload, SharedResource, StorageError, StorageResource};
+use msr_storage::{
+    Cost, CostModel, Device, OpKind, OpenMode, Payload, SharedResource, StorageError,
+};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -385,7 +387,7 @@ impl IoEngine {
         // Gather the distributed array to the aggregator, then one
         // node-memory scan for the chunk/digest/compress pass.
         if nprocs > 1 {
-            let shuffle = self.exchange.shuffle_cost(total, nprocs);
+            let shuffle = shuffle_cost(total, nprocs);
             for p in 0..nprocs {
                 cx.tl.charge(p, shuffle);
             }
@@ -697,7 +699,7 @@ impl IoEngine {
         }
         cx.tl.charge(0, memcpy_cost(manifest.logical));
         if nprocs > 1 {
-            let shuffle = self.exchange.shuffle_cost(manifest.logical, nprocs);
+            let shuffle = shuffle_cost(manifest.logical, nprocs);
             cx.tl.barrier();
             for p in 0..nprocs {
                 cx.tl.charge(p, shuffle);
@@ -728,7 +730,7 @@ impl IoEngine {
     /// when a manifest is registered for it, with [`IoStrategy::Subfile`]
     /// when it is laid out in subfiles (whatever `strategy` asks), raw
     /// with `strategy` otherwise. A raw collective read returns the object
-    /// as the resource keeps it ([`StorageResource::read_shared`]), so a
+    /// as the resource keeps it ([`Device::read_shared`]), so a
     /// caller that writes it on copies a recipe as a recipe.
     pub fn read_auto(
         &self,
@@ -861,9 +863,9 @@ impl IoEngine {
     /// resource says why (offline, not found).
     fn each_object(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
-        call: impl Fn(&mut dyn StorageResource, &str) -> Result<Cost<()>, StorageError>,
+        call: impl Fn(&mut Device<dyn CostModel>, &str) -> Result<Cost<()>, StorageError>,
     ) -> RuntimeResult<Cost<()>> {
         let mut objects = self.dump_objects(r, path);
         if objects.is_empty() {
@@ -880,7 +882,7 @@ impl IoEngine {
     fn write_object(
         &self,
         cx: &mut OpCx,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         bytes: Bytes,
     ) -> RuntimeResult<()> {
@@ -900,7 +902,7 @@ impl IoEngine {
     fn read_object(
         &self,
         cx: &mut OpCx,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
     ) -> RuntimeResult<Bytes> {
         let len = r

@@ -22,14 +22,14 @@
 
 use crate::error::RuntimeError;
 use crate::layout::Distribution;
-use crate::retry::RetryPolicy;
-use crate::strategy::{ExchangeModel, IoStrategy};
+use crate::retry::{backoff, MAX_RETRIES};
+use crate::strategy::{shuffle_cost, IoStrategy};
 use crate::RuntimeResult;
 use bytes::Bytes;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{Clock, SimDuration, Timeline};
 use msr_storage::{
-    Cost, OpKind, OpenMode, Payload, ResourceStats, SharedResource, StorageError, StorageResource,
+    Cost, CostModel, Device, OpKind, OpenMode, Payload, ResourceStats, SharedResource, StorageError,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -179,23 +179,17 @@ pub struct IoReport {
 /// The run-time engine: a strategy interpreter over a storage resource.
 #[derive(Debug, Clone)]
 pub struct IoEngine {
-    /// Interconnect model for two-phase exchange.
-    pub exchange: ExchangeModel,
     pub(crate) recorder: Recorder,
     pub(crate) clock: Clock,
-    retry: RetryPolicy,
+    /// Master seed of the retry backoff jitter streams.
+    retry_seed: u64,
     pub(crate) plane: crate::chunked::ChunkPlane,
 }
 
 impl Default for IoEngine {
+    /// [`IoEngine::new`] with seed 0.
     fn default() -> Self {
-        IoEngine {
-            exchange: ExchangeModel::sp2(),
-            recorder: Recorder::disabled(),
-            clock: Clock::new(),
-            retry: RetryPolicy::default(),
-            plane: crate::chunked::ChunkPlane::default(),
-        }
+        IoEngine::new(0)
     }
 }
 
@@ -244,13 +238,13 @@ pub(crate) struct StatsDelta {
 }
 
 impl StatsDelta {
-    pub(crate) fn start(res: &dyn StorageResource) -> Self {
+    pub(crate) fn start(res: &Device<dyn CostModel>) -> Self {
         StatsDelta {
             before: res.stats(),
         }
     }
 
-    pub(crate) fn finish(self, res: &dyn StorageResource) -> (usize, usize, usize) {
+    pub(crate) fn finish(self, res: &Device<dyn CostModel>) -> (usize, usize, usize) {
         let after = res.stats();
         (
             after.reads - self.before.reads,
@@ -319,43 +313,37 @@ fn proc_mode(mode: OpenMode, first: bool) -> OpenMode {
 }
 
 impl IoEngine {
-    /// An engine with the given interconnect.
-    pub fn new(exchange: ExchangeModel) -> Self {
+    /// An engine whose retry backoffs jitter from streams under `seed`.
+    pub fn new(seed: u64) -> Self {
         IoEngine {
-            exchange,
             recorder: Recorder::disabled(),
             clock: Clock::new(),
-            retry: RetryPolicy::default(),
+            retry_seed: seed,
             plane: crate::chunked::ChunkPlane::default(),
         }
     }
 
-    /// Replace the retry policy applied around native calls.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Issue one native call under the retry policy. Transient failures
-    /// back off on process `p`'s timeline (the sleep is real virtual time)
-    /// and re-issue the call, up to the policy's budget; anything else —
-    /// or a transient that outlives the budget — propagates. Each retry
+    /// Issue one native call under the retry budget ([`crate::retry`]).
+    /// Transient failures back off on process `p`'s timeline (the sleep is
+    /// real virtual time) and re-issue the call, up to the budget; anything
+    /// else — or a transient that outlives the budget — propagates. Each retry
     /// emits a runtime-layer `retry` count and a `backoff` span.
     pub(crate) fn retried<T>(
         &self,
         cx: &mut OpCx,
         p: usize,
-        r: &mut dyn StorageResource,
-        call: impl Fn(&mut dyn StorageResource) -> Result<Cost<T>, StorageError>,
+        r: &mut Device<dyn CostModel>,
+        call: impl Fn(&mut Device<dyn CostModel>) -> Result<Cost<T>, StorageError>,
     ) -> RuntimeResult<Cost<T>> {
         let mut attempt = 0u32;
         loop {
             match call(r) {
                 Ok(cost) => return Ok(cost),
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     // Label by the op's running retry count so consecutive
                     // backoffs jitter independently yet replay exactly.
                     let label = format!("{}:{}", r.name(), cx.retries);
-                    let delay = self.retry.backoff(attempt, &label);
+                    let delay = backoff(self.retry_seed, attempt, &label);
                     cx.tl.charge(p, delay);
                     cx.retries += 1;
                     cx.backoff += delay;
@@ -438,7 +426,7 @@ impl IoEngine {
     /// [`IoEngine::write_chunked`] for a caller that can give the payload
     /// away (a queued request's payload, a migration's read-back): a raw
     /// collective dump hands `data` to the resource's single native
-    /// [`write_shared`](StorageResource::write_shared), so a resource that
+    /// [`write_shared`](Device::write_shared), so a resource that
     /// keeps its data in memory stores the buffer, or the recipe, instead
     /// of a copy of the bytes. Every other write takes `data`'s bytes.
     /// Reports, costs and stored bytes are those of the borrowed call.
@@ -614,7 +602,7 @@ impl IoEngine {
     /// whole-object dump or a chunked manifest, one object per process
     /// for a dump laid out in subfiles, none when the dump is not here.
     /// Info calls only: no native call, cost, span, stat or fault draw.
-    pub fn dump_objects(&self, r: &dyn StorageResource, path: &str) -> Vec<String> {
+    pub fn dump_objects(&self, r: &Device<dyn CostModel>, path: &str) -> Vec<String> {
         if r.exists(path) {
             return vec![path.to_owned()];
         }
@@ -691,7 +679,7 @@ impl IoEngine {
 
     fn write_naive(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         data: &[u8],
         dist: &Distribution,
@@ -718,7 +706,7 @@ impl IoEngine {
 
     fn write_sieving(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         data: &[u8],
         dist: &Distribution,
@@ -782,7 +770,7 @@ impl IoEngine {
 
     fn write_collective(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         data: &Src<'_>,
         dist: &Distribution,
@@ -790,9 +778,7 @@ impl IoEngine {
         cx: &mut OpCx,
     ) -> RuntimeResult<()> {
         // Phase 1: redistribute so rank 0 holds the file-contiguous image.
-        let shuffle = self
-            .exchange
-            .shuffle_cost(dist.total_bytes(), dist.nprocs());
+        let shuffle = shuffle_cost(dist.total_bytes(), dist.nprocs());
         cx.tl.charge_all(shuffle);
         cx.tl.barrier();
         // Phase 2: one aggregated native call.
@@ -811,7 +797,7 @@ impl IoEngine {
 
     fn write_subfile(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         data: &[u8],
         dist: &Distribution,
@@ -855,7 +841,7 @@ impl IoEngine {
 
     fn read_naive(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         dist: &Distribution,
         cx: &mut OpCx,
@@ -885,7 +871,7 @@ impl IoEngine {
 
     fn read_sieving(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         dist: &Distribution,
         cx: &mut OpCx,
@@ -920,7 +906,7 @@ impl IoEngine {
 
     fn read_collective(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         dist: &Distribution,
         cx: &mut OpCx,
@@ -940,16 +926,14 @@ impl IoEngine {
         cx.tl.charge(0, close.time);
         cx.tl.barrier();
         // Phase 2: scatter to owners over the interconnect.
-        let shuffle = self
-            .exchange
-            .shuffle_cost(dist.total_bytes(), dist.nprocs());
+        let shuffle = shuffle_cost(dist.total_bytes(), dist.nprocs());
         cx.tl.charge_all(shuffle);
         Ok(out)
     }
 
     fn read_subfile(
         &self,
-        r: &mut dyn StorageResource,
+        r: &mut Device<dyn CostModel>,
         path: &str,
         dist: &Distribution,
         cx: &mut OpCx,
@@ -1309,6 +1293,31 @@ mod tests {
         assert_eq!(res.lock().stream_hint(), 1);
     }
 
+    #[test]
+    fn stream_hint_reset_after_a_failed_operation() {
+        // Room for half the dump: the naive write of 8 processes fails
+        // partway, with the hint still at 8 when the error surfaces.
+        let dist = dist8(16);
+        let data = payload(dist.total_bytes());
+        let res = share(LocalDisk::new(
+            "t",
+            DiskParams::simple(100.0, dist.total_bytes() / 2),
+            0,
+        ));
+        let err = IoEngine::default()
+            .write(&res, "d", &data, &dist, IoStrategy::Naive, OpenMode::Create)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RuntimeError::Storage(StorageError::CapacityExceeded { .. })
+            ),
+            "{err}"
+        );
+        assert!(res.lock().stats().writes > 0, "failed partway");
+        assert_eq!(res.lock().stream_hint(), 1);
+    }
+
     /// Dump under `strategy`, cut the object (the last rank's subfile,
     /// for the subfile layout) to half its length — what a torn write
     /// leaves behind — and read it back.
@@ -1390,7 +1399,6 @@ mod tests {
 
     mod retry {
         use super::*;
-        use crate::retry::RetryPolicy;
         use msr_sim::Clock;
         use msr_storage::FaultPlan;
 
@@ -1460,23 +1468,6 @@ mod tests {
                 err,
                 RuntimeError::Storage(StorageError::Transient { .. })
             ));
-        }
-
-        #[test]
-        fn retry_none_disables_retrying() {
-            let dist = dist8(16);
-            let data = payload(dist.total_bytes());
-            let (res, log) = faulty(FaultPlan::none().with_error_burst(1));
-            let mut engine = IoEngine::default();
-            engine.set_retry_policy(RetryPolicy::none());
-            let err = engine
-                .write(&res, "d", &data, &dist, IoStrategy::Naive, OpenMode::Create)
-                .unwrap_err();
-            assert!(matches!(
-                err,
-                RuntimeError::Storage(StorageError::Transient { .. })
-            ));
-            assert_eq!(log.errors_injected(), 1);
         }
 
         #[test]

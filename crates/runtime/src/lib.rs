@@ -3,7 +3,7 @@
 //! The paper's *performance-sensitive* middle layer (its MPI-IO / D-OL /
 //! SRB-OL): it knows how a dataset is distributed across the parallel
 //! process grid, and turns one high-level dataset access into an optimized
-//! sequence of native calls on a [`msr_storage::StorageResource`]:
+//! sequence of native calls on a [`msr_storage::Device`]:
 //!
 //! * [`strategy::IoStrategy::Naive`] — every process issues one native call
 //!   per contiguous file run it owns (the baseline the paper says would be
@@ -33,7 +33,7 @@ pub mod error;
 pub mod layout;
 pub mod pipeline;
 pub mod request;
-pub mod retry;
+mod retry;
 pub mod strategy;
 pub mod superfile;
 
@@ -44,8 +44,7 @@ pub use error::RuntimeError;
 pub use layout::{Chunk, DimDist, Dims3, Distribution, Pattern, ProcGrid};
 pub use pipeline::WriteBehind;
 pub use request::{EngineRequest, RequestBody, RequestOutcome, RequestTag};
-pub use retry::RetryPolicy;
-pub use strategy::{ExchangeModel, IoStrategy};
+pub use strategy::IoStrategy;
 pub use superfile::{Superfile, SuperfileStats};
 
 /// Convenience result alias for runtime operations.

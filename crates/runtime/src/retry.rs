@@ -5,76 +5,30 @@
 //! class) are retried in place with exponential backoff, and every backoff
 //! sleep is *charged to the virtual timeline* of the process that issued
 //! the call — retries cost simulated time exactly like the I/O they shadow.
-//! Jitter is deterministic: each backoff draws from a seeded stream keyed
-//! by a caller-supplied label, so a chaos run replays bit-for-bit.
+//! The budget is the testbed's: three retries, 50 ms doubling to a 2 s
+//! cap, ±10 % jitter. Jitter is deterministic: each backoff draws from a
+//! stream keyed by the engine's seed and a caller-supplied label, so a
+//! chaos run replays bit-for-bit.
 
 use msr_sim::{stream_rng, Jitter, SimDuration};
-use serde::{Deserialize, Serialize};
 
-/// A retry budget with capped exponential backoff and deterministic jitter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Retries allowed per native call (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base: SimDuration,
-    /// Multiplier applied per subsequent retry.
-    pub factor: f64,
-    /// Upper bound on any single backoff.
-    pub cap: SimDuration,
-    /// Multiplicative jitter applied to each backoff.
-    pub jitter: Jitter,
-    /// Master seed for the jitter streams.
-    pub seed: u64,
-}
+/// Retries allowed per native call.
+pub(crate) const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry.
+const BASE: SimDuration = SimDuration::from_secs(50e-3);
+/// Multiplier applied per subsequent retry.
+const FACTOR: f64 = 2.0;
+/// Upper bound on any single backoff.
+const CAP: SimDuration = SimDuration::from_secs(2.0);
+/// Multiplicative jitter applied to each backoff.
+const JITTER: Jitter = Jitter::Uniform { frac: 0.1 };
 
-impl Default for RetryPolicy {
-    /// The testbed default: three retries, 50 ms base doubling to a 2 s
-    /// cap, ±10 % jitter.
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base: SimDuration::from_millis(50.0),
-            factor: 2.0,
-            cap: SimDuration::from_secs(2.0),
-            jitter: Jitter::Uniform { frac: 0.1 },
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retrying at all: every transient error propagates immediately.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base: SimDuration::ZERO,
-            factor: 1.0,
-            cap: SimDuration::ZERO,
-            jitter: Jitter::None,
-            seed: 0,
-        }
-    }
-
-    /// Re-seed the jitter streams (keeps experiments independent).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Whether any retries are allowed.
-    pub fn enabled(&self) -> bool {
-        self.max_retries > 0
-    }
-
-    /// The backoff to charge before retry number `attempt` (0-based), for
-    /// the call identified by `label`. Deterministic in
-    /// `(seed, attempt, label)`.
-    pub fn backoff(&self, attempt: u32, label: &str) -> SimDuration {
-        let raw = (self.base * self.factor.powi(attempt as i32)).min(self.cap);
-        let mut rng = stream_rng(self.seed, &format!("retry:{label}:{attempt}"));
-        self.jitter.apply(raw, &mut rng)
-    }
+/// The backoff to charge before retry number `attempt` (0-based), for the
+/// call identified by `label`. Deterministic in `(seed, attempt, label)`.
+pub(crate) fn backoff(seed: u64, attempt: u32, label: &str) -> SimDuration {
+    let raw = (BASE * FACTOR.powi(attempt as i32)).min(CAP);
+    let mut rng = stream_rng(seed, &format!("retry:{label}:{attempt}"));
+    JITTER.apply(raw, &mut rng)
 }
 
 #[cfg(test)]
@@ -83,36 +37,26 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_to_the_cap() {
-        let p = RetryPolicy {
-            jitter: Jitter::None,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.backoff(0, "x").as_millis(), 50.0);
-        assert_eq!(p.backoff(1, "x").as_millis(), 100.0);
-        assert_eq!(p.backoff(2, "x").as_millis(), 200.0);
-        assert_eq!(p.backoff(10, "x").as_secs(), 2.0, "capped");
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_per_label() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1, "tape:3"), p.backoff(1, "tape:3"));
-        assert_ne!(p.backoff(1, "tape:3"), p.backoff(1, "tape:4"));
-    }
-
-    #[test]
-    fn jitter_stays_within_band() {
-        let p = RetryPolicy::default();
-        for n in 0..100 {
-            let d = p.backoff(0, &format!("l{n}")).as_millis();
-            assert!((45.0..=55.0).contains(&d), "{d} ms out of ±10 % band");
+        for (attempt, ms) in [(0, 50.0), (1, 100.0), (2, 200.0), (10, 2000.0)] {
+            let d = backoff(0, attempt, "x").as_millis();
+            assert!(
+                (ms * 0.9..=ms * 1.1).contains(&d),
+                "attempt {attempt}: {d} ms outside ±10 % of {ms} ms"
+            );
         }
     }
 
     #[test]
-    fn none_is_disabled() {
-        let p = RetryPolicy::none();
-        assert!(!p.enabled());
-        assert_eq!(p.max_retries, 0);
+    fn jittered_backoff_is_deterministic_per_label() {
+        assert_eq!(backoff(0, 1, "tape:3"), backoff(0, 1, "tape:3"));
+        assert_ne!(backoff(0, 1, "tape:3"), backoff(0, 1, "tape:4"));
+    }
+
+    #[test]
+    fn jitter_stays_within_band() {
+        for n in 0..100 {
+            let d = backoff(0, 0, &format!("l{n}")).as_millis();
+            assert!((45.0..=55.0).contains(&d), "{d} ms out of ±10 % band");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! I/O strategies and the interconnect exchange model.
+//! I/O strategies and the interconnect's shuffle price.
 
 use msr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -40,49 +40,23 @@ impl fmt::Display for IoStrategy {
     }
 }
 
-/// α–β model of the compute-side interconnect (the SP-2 switch), used to
-/// price the shuffle phase of two-phase collective I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExchangeModel {
-    /// Per-message latency.
-    pub alpha: SimDuration,
-    /// Per-process link bandwidth, MB/s.
-    pub beta_mb_s: f64,
-}
+/// Per-message latency of the compute-side interconnect (the SP-2 switch,
+/// ~40 µs).
+const ALPHA: SimDuration = SimDuration::from_secs(40e-6);
+/// Per-process link bandwidth of the SP-2 switch, MB/s.
+const BETA_MB_S: f64 = 35.0;
 
-impl ExchangeModel {
-    /// SP-2 class switch: ~40 µs latency, ~35 MB/s per node.
-    pub fn sp2() -> Self {
-        ExchangeModel {
-            alpha: SimDuration::from_micros(40.0),
-            beta_mb_s: 35.0,
-        }
+/// The α–β price of the shuffle phase of two-phase collective I/O: cost per
+/// process of redistributing a `total_bytes` dataset over `nprocs`
+/// processes (each sends/receives ≈ its share once, in log-structured
+/// rounds).
+pub(crate) fn shuffle_cost(total_bytes: u64, nprocs: usize) -> SimDuration {
+    if nprocs <= 1 {
+        return SimDuration::ZERO;
     }
-
-    /// A free interconnect (isolates storage costs in tests).
-    pub fn free() -> Self {
-        ExchangeModel {
-            alpha: SimDuration::ZERO,
-            beta_mb_s: f64::INFINITY,
-        }
-    }
-
-    /// Cost per process of redistributing a `total_bytes` dataset over
-    /// `nprocs` processes (each sends/receives ≈ its share once, in
-    /// log-structured rounds).
-    pub fn shuffle_cost(&self, total_bytes: u64, nprocs: usize) -> SimDuration {
-        if nprocs <= 1 {
-            return SimDuration::ZERO;
-        }
-        let rounds = (nprocs as f64).log2().ceil();
-        let share = total_bytes as f64 / nprocs as f64;
-        let wire = if self.beta_mb_s.is_finite() && self.beta_mb_s > 0.0 {
-            SimDuration::from_secs(share / (self.beta_mb_s * 1e6))
-        } else {
-            SimDuration::ZERO
-        };
-        self.alpha * rounds + wire
-    }
+    let rounds = (nprocs as f64).log2().ceil();
+    let share = total_bytes as f64 / nprocs as f64;
+    ALPHA * rounds + SimDuration::from_secs(share / (BETA_MB_S * 1e6))
 }
 
 #[cfg(test)]
@@ -91,29 +65,15 @@ mod tests {
 
     #[test]
     fn shuffle_is_free_for_one_proc() {
-        assert_eq!(
-            ExchangeModel::sp2().shuffle_cost(1 << 30, 1),
-            SimDuration::ZERO
-        );
+        assert_eq!(shuffle_cost(1 << 30, 1), SimDuration::ZERO);
     }
 
     #[test]
     fn shuffle_cost_has_latency_and_bandwidth_terms() {
-        let m = ExchangeModel {
-            alpha: SimDuration::from_secs(0.001),
-            beta_mb_s: 1.0,
-        };
-        // 8 MB over 8 procs: 3 rounds of latency + 1 MB share at 1 MB/s.
-        let c = m.shuffle_cost(8_000_000, 8);
-        assert!((c.as_secs() - (0.003 + 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn free_interconnect_costs_nothing() {
-        assert_eq!(
-            ExchangeModel::free().shuffle_cost(1 << 30, 64),
-            SimDuration::ZERO
-        );
+        // 35 MB over 8 procs: 3 rounds of 40 µs + a 4.375 MB share at
+        // 35 MB/s.
+        let c = shuffle_cost(35_000_000, 8);
+        assert!((c.as_secs() - (3.0 * 40e-6 + 0.125)).abs() < 1e-9);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! One simulated device: the native interface, written once.
+//! One simulated device: the native storage interface, written once.
 //!
 //! Eq. (1) says the three resource kinds differ only in what each native
-//! call costs. [`Device`] therefore owns everything they share — the
-//! [`ObjectStore`], the open-handle table, the operation counters, the
-//! online flag, the contention hint, the capacity check and the seeded
-//! device-noise stream — and carries the single `impl StorageResource`.
-//! What a call *costs*, and the physical state that cost depends on (an
-//! SRB connection, a tape drive pool, a vault shelf), lives behind the
-//! small [`CostModel`] trait, implemented once per kind.
+//! call costs. [`Device`] therefore *is* the native interface: it owns
+//! everything the kinds share — the [`ObjectStore`], the open-handle
+//! table, the operation counters, the online flag, the contention hint,
+//! the capacity check and the seeded device-noise stream — and its
+//! methods are the connect/open/seek/read/write/close calls the run-time
+//! layer issues. What a call *costs*, and the physical state that cost
+//! depends on (an SRB connection, a tape drive pool, a vault shelf), lives
+//! behind the small [`CostModel`] trait, implemented once per kind. A
+//! [`SharedResource`] holds any kind as `Device<dyn CostModel>`.
 //!
 //! The split is also the determinism contract: `Device` fixes the order of
 //! checks (which error surfaces first), of stats increments and of draws
@@ -20,7 +22,7 @@
 //! ```
 //!
 //! * **faults** ([`crate::fault`], switched on by
-//!   [`StorageResource::inject_faults`]) gates, tears and spikes data-path
+//!   [`Device::inject_faults`]) gates, tears and spikes data-path
 //!   calls: the gate runs before the device is touched, the spike after
 //!   the call has been observed. `connect`, `disconnect`, `delete` and
 //!   `vault` are never gated; `recall` is. A torn transfer's half call and
@@ -43,14 +45,16 @@ use crate::object_store::ObjectStore;
 use crate::payload::Payload;
 use crate::resource::{
     Cost, FileHandle, FixedCosts, HandleTable, OpKind, OpenFile, OpenMode, ResourceStats,
-    StorageKind, StorageResource,
+    StorageKind,
 };
 use crate::srb::SrbLink;
 use crate::StorageResult;
 use bytes::Bytes;
 use msr_obs::{ops, Layer, Recorder};
 use msr_sim::{stream_rng, Clock, Jitter, SimDuration};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// What native calls cost on one kind of device, plus the physical state
 /// those costs depend on. Durations are noise-free unless stated; the
@@ -132,11 +136,15 @@ pub trait CostModel: Send {
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration;
 }
 
-/// A simulated storage device priced by the cost model `M`.
+/// A simulated storage device priced by the cost model `M`: the native
+/// storage interface.
+///
+/// Data-path methods return [`Cost`]s carrying jittered "actual" durations;
+/// [`Device::fixed_costs`] and [`Device::transfer_model`] expose the
+/// deterministic components used by the performance predictor.
 #[derive(Debug)]
-pub struct Device<M> {
+pub struct Device<M: ?Sized> {
     name: String,
-    pub(crate) model: M,
     store: ObjectStore,
     handles: HandleTable,
     stats: ResourceStats,
@@ -145,8 +153,19 @@ pub struct Device<M> {
     rng: StdRng,
     /// The observe stage: where spans go and the clock that stamps them.
     observe: Option<(Recorder, Clock)>,
-    /// The fault stage, once [`StorageResource::inject_faults`] set a plan.
+    /// The fault stage, once [`Device::inject_faults`] set a plan.
     faults: Option<Faults>,
+    /// Last, so a device of any kind unsizes to `Device<dyn CostModel>`.
+    pub(crate) model: M,
+}
+
+/// Shared, lockable resource handle used across the system (API layer,
+/// runtime, PTool all touch the same resources).
+pub type SharedResource = Arc<Mutex<Device<dyn CostModel>>>;
+
+/// Wrap a device for sharing.
+pub fn share<M: CostModel + 'static>(r: Device<M>) -> SharedResource {
+    Arc::new(Mutex::new(r))
 }
 
 impl<M: CostModel> Device<M> {
@@ -156,7 +175,6 @@ impl<M: CostModel> Device<M> {
         let rng = stream_rng(seed, &format!("{stream}:{name}"));
         Device {
             name,
-            model,
             store: ObjectStore::new(),
             handles: HandleTable::default(),
             stats: ResourceStats::default(),
@@ -165,6 +183,7 @@ impl<M: CostModel> Device<M> {
             rng,
             observe: None,
             faults: None,
+            model,
         }
     }
 
@@ -174,7 +193,9 @@ impl<M: CostModel> Device<M> {
         self.observe = Some((recorder, clock));
         self
     }
+}
 
+impl<M: CostModel + ?Sized> Device<M> {
     /// The observe stage: record a native call that reached the device and
     /// succeeded, moving `bytes` of payload.
     fn span<T>(&self, op: &str, cost: Cost<T>, bytes: u64) -> Cost<T> {
@@ -389,50 +410,82 @@ impl<M: CostModel> Device<M> {
     }
 }
 
-impl<M: CostModel> StorageResource for Device<M> {
-    fn name(&self) -> &str {
+impl<M: CostModel + ?Sized> Device<M> {
+    /// Unique resource name, e.g. `"anl-local"`, `"sdsc-disk"`.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> StorageKind {
+    /// The resource's kind.
+    pub fn kind(&self) -> StorageKind {
         self.model.kind()
     }
 
-    fn is_online(&self) -> bool {
+    /// Whether the resource is currently usable.
+    pub fn is_online(&self) -> bool {
         self.online && !self.faults.as_ref().is_some_and(Faults::flapped_down)
     }
 
-    fn set_online(&mut self, up: bool) {
+    /// Inject or clear an outage.
+    pub fn set_online(&mut self, up: bool) {
         self.online = up;
     }
 
-    fn capacity_bytes(&self) -> u64 {
+    /// Total capacity in bytes (`u64::MAX` means effectively unlimited).
+    pub fn capacity_bytes(&self) -> u64 {
         self.model.capacity()
     }
 
-    fn set_capacity(&mut self, bytes: u64) {
+    /// Administratively resize the resource (quota change). Resources with
+    /// effectively unlimited capacity (tape) ignore this.
+    pub fn set_capacity(&mut self, bytes: u64) {
         self.model.set_capacity(bytes);
     }
 
-    fn used_bytes(&self) -> u64 {
+    /// Bytes currently stored (physical occupancy — what capacity checks
+    /// and migration pressure see).
+    pub fn used_bytes(&self) -> u64 {
         self.store.used_bytes()
     }
 
-    fn logical_bytes(&self) -> u64 {
+    /// Logical bytes currently stored: the application-visible dump bytes
+    /// before dedup and compression. Equal to [`used_bytes`] for files
+    /// stored raw; diverges when the chunk plane declares overrides via
+    /// [`set_logical_size`].
+    ///
+    /// [`used_bytes`]: Device::used_bytes
+    /// [`set_logical_size`]: Device::set_logical_size
+    pub fn logical_bytes(&self) -> u64 {
         self.store.logical_bytes()
     }
 
-    fn set_logical_size(&mut self, path: &str, bytes: u64) {
+    /// Declare that `path` logically represents `bytes` of application
+    /// data regardless of its stored length (the chunk plane marks a
+    /// manifest with the dump's payload size and shared `cas/` packs
+    /// with 0).
+    pub fn set_logical_size(&mut self, path: &str, bytes: u64) {
         self.store.set_logical(path, bytes);
     }
 
-    fn inject_faults(&mut self, plan: FaultPlan, clock: Clock, seed: u64) -> FaultLog {
+    /// Bytes still available.
+    pub fn available_bytes(&self) -> u64 {
+        self.capacity_bytes().saturating_sub(self.used_bytes())
+    }
+
+    /// Switch the seeded transient-fault stage on (replacing any earlier
+    /// plan; handles already open keep their cursors). Its draws come from
+    /// `seed` and the resource name, its records are stamped with `clock`.
+    /// Returns the shared fault log for reconciliation.
+    pub fn inject_faults(&mut self, plan: FaultPlan, clock: Clock, seed: u64) -> FaultLog {
         let (stage, log) = Faults::new(plan, clock, seed, &self.name);
         self.faults = Some(stage);
         log
     }
 
-    fn connect(&mut self) -> StorageResult<Cost<()>> {
+    /// Establish the client connection (no-op with zero cost for local
+    /// resources, SRB session setup for remote ones). Idempotent: a second
+    /// connect on a live connection is free.
+    pub fn connect(&mut self) -> StorageResult<Cost<()>> {
         self.check_online()?;
         // No link: a local filesystem has no connection phase. No setup:
         // an idempotent reconnect.
@@ -450,13 +503,15 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.span(ops::CONN, Cost::new(t, ()), 0))
     }
 
-    fn disconnect(&mut self) -> StorageResult<Cost<()>> {
+    /// Tear down the client connection.
+    pub fn disconnect(&mut self) -> StorageResult<Cost<()>> {
         let teardown = self.model.link_mut().map(SrbLink::disconnect);
         let cost = Cost::new(teardown.unwrap_or(SimDuration::ZERO), ());
         Ok(self.span(ops::CONNCLOSE, cost, 0))
     }
 
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
+    /// Open a file.
+    pub fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>> {
         self.gate(ops::OPEN)?;
         self.check_online()?;
         self.check_live()?;
@@ -498,17 +553,24 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.spike(ops::OPEN, cost))
     }
 
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
+    /// Position the handle's cursor.
+    pub fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>> {
         self.gate(ops::SEEK)?;
         let cost = self.seek_to(h, pos)?;
         Ok(self.spike(ops::SEEK, cost))
     }
 
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
+    /// Read up to `len` bytes at the cursor, advancing it.
+    pub fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>> {
         Ok(self.read_shared(h, len)?.map(Payload::into_bytes))
     }
 
-    fn read_shared(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>> {
+    /// [`read`](Device::read) for a caller that can take the file
+    /// as it is kept: same checks, same cost, same counters. A read of a
+    /// whole-object file's whole length returns the object — its bytes, or
+    /// the recipe they are generated from — and any other read returns the
+    /// bytes [`read`](Device::read) would.
+    pub fn read_shared(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>> {
         self.gate(ops::READ)?;
         if let Some(start) = self.tear_from(h, len) {
             // Transfer half, discard it, and put the cursor back: the
@@ -520,12 +582,19 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.spike(ops::READ, cost))
     }
 
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
+    /// Write bytes at the cursor, advancing it.
+    pub fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>> {
         let half = |n| &data[..n];
         self.write_staged(h, data.len(), half, |d| d.write_borrowed(h, data))
     }
 
-    fn write_shared(&mut self, h: FileHandle, data: Payload) -> StorageResult<Cost<usize>> {
+    /// [`write`](Device::write) for a caller that can give the
+    /// payload away: same checks, same cost, same counters, same bytes on
+    /// the resource — but a resource that keeps its data in memory may keep
+    /// `data` itself, held bytes or recipe, instead of a copy of its bytes.
+    /// Hand over exact-size buffers; whatever the allocation holds beyond
+    /// `data` lives as long as the file does.
+    pub fn write_shared(&mut self, h: FileHandle, data: Payload) -> StorageResult<Cost<usize>> {
         let view = data.clone();
         self.write_staged(
             h,
@@ -539,7 +608,8 @@ impl<M: CostModel> StorageResource for Device<M> {
         )
     }
 
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
+    /// Close a handle.
+    pub fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>> {
         self.gate(ops::CLOSE)?;
         let f = self.handles.remove(h)?;
         self.stats.closes += 1;
@@ -548,7 +618,8 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.spike(ops::CLOSE, cost))
     }
 
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
+    /// Delete a file by path.
+    pub fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
         self.check_present(path)?;
         self.store.delete(path);
         // Pruning a vaulted dump destroys the shelf copy too — no recall
@@ -557,7 +628,12 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.span(ops::DELETE, Cost::new(self.model.delete_cost(), ()), 0))
     }
 
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
+    /// Move a resident file into the vault (off-site tape shelf): the bytes
+    /// stay accounted but every subsequent `open` fails with
+    /// [`StorageError::Vaulted`] until [`Device::recall`] brings
+    /// them back. Only tape has a vault; the other kinds refuse with
+    /// [`StorageError::VaultUnsupported`].
+    pub fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
         if self.model.recall_cost().is_none() {
             return Err(self.vault_unsupported());
         }
@@ -573,7 +649,9 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.span(ops::VAULT, Cost::new(self.model.delete_cost(), ()), 0))
     }
 
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
+    /// Bring a vaulted file back on-site, paying the configured recall
+    /// latency. A no-op with zero cost if the file is already resident.
+    pub fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
         // The shelf robot lives behind the same faulty front door as the
         // data path: outage windows and error bursts fault recalls too.
         self.gate(ops::RECALL)?;
@@ -590,39 +668,51 @@ impl<M: CostModel> StorageResource for Device<M> {
         Ok(self.span(ops::RECALL, Cost::new(t, ()), 0))
     }
 
-    fn is_vaulted(&self, path: &str) -> bool {
+    /// Whether a path is currently in the vault.
+    pub fn is_vaulted(&self, path: &str) -> bool {
         self.model.is_vaulted(path)
     }
 
-    fn exists(&self, path: &str) -> bool {
+    /// Whether a path exists.
+    pub fn exists(&self, path: &str) -> bool {
         self.store.exists(path)
     }
 
-    fn file_size(&self, path: &str) -> Option<u64> {
+    /// Size of a file, if present.
+    pub fn file_size(&self, path: &str) -> Option<u64> {
         self.store.size(path)
     }
 
-    fn list(&self, prefix: &str) -> Vec<String> {
+    /// Paths under a prefix.
+    pub fn list(&self, prefix: &str) -> Vec<String> {
         self.store.list(prefix)
     }
 
-    fn stats(&self) -> ResourceStats {
+    /// Operation counters since construction (or [`Device::reset_stats`]).
+    pub fn stats(&self) -> ResourceStats {
         self.stats
     }
 
-    fn reset_stats(&mut self) {
+    /// Zero the operation counters.
+    pub fn reset_stats(&mut self) {
         self.stats = ResourceStats::default();
     }
 
-    fn set_stream_hint(&mut self, streams: u32) {
+    /// Declare that the next data-path calls will contend with `streams`
+    /// same-sized concurrent native calls (the run-time layer sets this to
+    /// the process count for uncoordinated strategies, and back to 1 for
+    /// aggregated ones). Affects "actual" read/write costs only.
+    pub fn set_stream_hint(&mut self, streams: u32) {
         self.stream_hint = streams.max(1);
     }
 
-    fn stream_hint(&self) -> u32 {
+    /// The current contention hint.
+    pub fn stream_hint(&self) -> u32 {
         self.stream_hint
     }
 
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts {
+    /// Deterministic fixed cost components for the predictor (Table 1 row).
+    pub fn fixed_costs(&self, op: OpKind) -> FixedCosts {
         let (conn, connclose) = self
             .model
             .link()
@@ -635,7 +725,9 @@ impl<M: CostModel> StorageResource for Device<M> {
         }
     }
 
-    fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
+    /// Deterministic transfer-time model `T_read/write(s)` for one native
+    /// call of `bytes` with `streams` parallel client streams.
+    pub fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
         self.model.transfer_model(op, bytes, streams)
     }
 }

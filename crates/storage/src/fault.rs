@@ -254,8 +254,9 @@ impl Faults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{share, SharedResource};
     use crate::local_disk::{DiskParams, LocalDisk};
-    use crate::resource::{share, OpenMode, SharedResource, StorageResource};
+    use crate::resource::OpenMode;
     use msr_sim::SimDuration;
 
     fn faulty(plan: FaultPlan, clock: Clock, seed: u64) -> (SharedResource, FaultLog) {

@@ -19,19 +19,19 @@
 //!   capacity.
 //!
 //! The three are one [`Device`] with a per-kind [`CostModel`]: the file
-//! mechanics exist once, only the eq. (1) terms differ. Every device
+//! mechanics exist once, only the eq. (1) terms differ. `Device` is the
+//! "native storage interface" consumed by the run-time optimization layer;
+//! a [`SharedResource`] holds any kind as `Device<dyn CostModel>`, so
+//! [`CostModel`] is the one place the kinds are told apart. Every device
 //! carries the optional fault-injection and observe stages itself
-//! ([`Device::observed`], [`StorageResource::inject_faults`]).
+//! ([`Device::observed`], [`Device::inject_faults`]).
 //! Aggregating the space of several resources is not a resource of its
 //! own: it is session failover in `msr-core`.
 //!
-//! `Device` is the one implementation of the object-safe
-//! [`StorageResource`] trait — the "native storage interface" consumed by
-//! the run-time optimization layer.
-//! Model-only hooks ([`StorageResource::fixed_costs`],
-//! [`StorageResource::transfer_model`]) expose the deterministic cost terms
-//! the performance predictor needs, while the data-path methods apply
-//! seeded jitter so "actual" timings fluctuate like the paper's WAN numbers.
+//! Model-only calls ([`Device::fixed_costs`], [`Device::transfer_model`])
+//! expose the deterministic cost terms the performance predictor needs,
+//! while the data-path methods apply seeded jitter so "actual" timings
+//! fluctuate like the paper's WAN numbers.
 
 pub mod device;
 pub mod error;
@@ -46,7 +46,7 @@ pub mod resource;
 pub mod srb;
 pub mod tape;
 
-pub use device::{CostModel, Device};
+pub use device::{share, CostModel, Device, SharedResource};
 pub use error::StorageError;
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 pub use local_disk::{DiskParams, LocalDisk};
@@ -58,10 +58,7 @@ pub use profiles::{
 };
 pub use rate::RateCurve;
 pub use remote_disk::RemoteDisk;
-pub use resource::{
-    share, Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, SharedResource,
-    StorageKind, StorageResource,
-};
+pub use resource::{Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, StorageKind};
 pub use tape::{TapeParams, TapeResource};
 
 /// Convenience result alias for storage operations.

@@ -128,7 +128,7 @@ impl CostModel for DiskParams {
 mod tests {
     use super::*;
     use crate::error::StorageError;
-    use crate::resource::{OpenMode, StorageResource};
+    use crate::resource::OpenMode;
 
     fn disk() -> LocalDisk {
         LocalDisk::new("d0", DiskParams::simple(10.0, 10_000_000), 0)

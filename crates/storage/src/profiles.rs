@@ -148,7 +148,7 @@ pub fn testbed(seed: u64) -> Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::{OpKind, StorageResource};
+    use crate::resource::OpKind;
 
     #[test]
     fn table1_constants_are_reproduced() {

@@ -144,7 +144,7 @@ impl CostModel for RemoteDiskModel {
 mod tests {
     use super::*;
     use crate::error::StorageError;
-    use crate::resource::{OpenMode, StorageResource};
+    use crate::resource::OpenMode;
     use msr_net::{LinkSpec, Network};
 
     fn testnet() -> SharedNetwork {

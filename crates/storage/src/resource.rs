@@ -1,21 +1,17 @@
-//! The native storage interface: the [`StorageResource`] trait.
+//! The values the native storage interface ([`Device`](crate::Device))
+//! speaks in.
 //!
-//! This is the layer the paper calls *performance-insensitive*: a plain
-//! connect/open/seek/read/write/close surface per resource, exactly the
-//! call decomposition of eq. (1). The run-time optimization library sits on
-//! top and decides *how many* of these native calls to make and how large
-//! each one is.
+//! That interface is the layer the paper calls *performance-insensitive*:
+//! a plain connect/open/seek/read/write/close surface per resource,
+//! exactly the call decomposition of eq. (1). The run-time optimization
+//! library sits on top and decides *how many* of these native calls to
+//! make and how large each one is.
 
 use crate::error::StorageError;
-use crate::fault::{FaultLog, FaultPlan};
-use crate::payload::Payload;
 use crate::StorageResult;
-use bytes::Bytes;
-use msr_sim::{Clock, SimDuration};
-use parking_lot::Mutex;
+use msr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// The kind of a storage resource — the value space of the paper's
 /// per-dataset "location" attribute (minus the hints, which live in
@@ -198,160 +194,7 @@ pub struct ResourceStats {
     pub bytes_written: u64,
 }
 
-/// The native storage interface, implemented once by
-/// [`Device`](crate::Device) for every simulated resource kind.
-///
-/// Data-path methods return [`Cost`]s carrying jittered "actual" durations;
-/// the two `*_model` methods expose the deterministic components used by the
-/// performance predictor.
-pub trait StorageResource: Send {
-    /// Unique resource name, e.g. `"anl-local"`, `"sdsc-disk"`.
-    fn name(&self) -> &str;
-
-    /// The resource's kind.
-    fn kind(&self) -> StorageKind;
-
-    /// Whether the resource is currently usable.
-    fn is_online(&self) -> bool;
-
-    /// Inject or clear an outage.
-    fn set_online(&mut self, up: bool);
-
-    /// Total capacity in bytes (`u64::MAX` means effectively unlimited).
-    fn capacity_bytes(&self) -> u64;
-
-    /// Bytes currently stored (physical occupancy — what capacity checks
-    /// and migration pressure see).
-    fn used_bytes(&self) -> u64;
-
-    /// Logical bytes currently stored: the application-visible dump bytes
-    /// before dedup and compression. Equal to [`used_bytes`] for files
-    /// stored raw; diverges when the chunk plane declares overrides via
-    /// [`set_logical_size`].
-    ///
-    /// [`used_bytes`]: StorageResource::used_bytes
-    /// [`set_logical_size`]: StorageResource::set_logical_size
-    fn logical_bytes(&self) -> u64;
-
-    /// Declare that `path` logically represents `bytes` of application
-    /// data regardless of its stored length (the chunk plane marks a
-    /// manifest with the dump's payload size and shared `cas/` packs
-    /// with 0).
-    fn set_logical_size(&mut self, path: &str, bytes: u64);
-
-    /// Bytes still available.
-    fn available_bytes(&self) -> u64 {
-        self.capacity_bytes().saturating_sub(self.used_bytes())
-    }
-
-    /// Administratively resize the resource (quota change). Resources with
-    /// effectively unlimited capacity (tape) ignore this.
-    fn set_capacity(&mut self, bytes: u64);
-
-    /// Switch the seeded transient-fault stage on (replacing any earlier
-    /// plan; handles already open keep their cursors). Its draws come from
-    /// `seed` and the resource name, its records are stamped with `clock`.
-    /// Returns the shared fault log for reconciliation.
-    fn inject_faults(&mut self, plan: FaultPlan, clock: Clock, seed: u64) -> FaultLog;
-
-    /// Establish the client connection (no-op with zero cost for local
-    /// resources, SRB session setup for remote ones). Idempotent: a second
-    /// connect on a live connection is free.
-    fn connect(&mut self) -> StorageResult<Cost<()>>;
-
-    /// Tear down the client connection.
-    fn disconnect(&mut self) -> StorageResult<Cost<()>>;
-
-    /// Open a file.
-    fn open(&mut self, path: &str, mode: OpenMode) -> StorageResult<Cost<FileHandle>>;
-
-    /// Position the handle's cursor.
-    fn seek(&mut self, h: FileHandle, pos: u64) -> StorageResult<Cost<()>>;
-
-    /// Read up to `len` bytes at the cursor, advancing it.
-    fn read(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Bytes>>;
-
-    /// [`read`](StorageResource::read) for a caller that can take the file
-    /// as it is kept: same checks, same cost, same counters. A read of a
-    /// whole-object file's whole length returns the object — its bytes, or
-    /// the recipe they are generated from — and any other read returns the
-    /// bytes [`read`](StorageResource::read) would.
-    fn read_shared(&mut self, h: FileHandle, len: usize) -> StorageResult<Cost<Payload>>;
-
-    /// Write bytes at the cursor, advancing it.
-    fn write(&mut self, h: FileHandle, data: &[u8]) -> StorageResult<Cost<usize>>;
-
-    /// [`write`](StorageResource::write) for a caller that can give the
-    /// payload away: same checks, same cost, same counters, same bytes on
-    /// the resource — but a resource that keeps its data in memory may keep
-    /// `data` itself, held bytes or recipe, instead of a copy of its bytes.
-    /// Hand over exact-size buffers; whatever the allocation holds beyond
-    /// `data` lives as long as the file does.
-    fn write_shared(&mut self, h: FileHandle, data: Payload) -> StorageResult<Cost<usize>>;
-
-    /// Close a handle.
-    fn close(&mut self, h: FileHandle) -> StorageResult<Cost<()>>;
-
-    /// Delete a file by path.
-    fn delete(&mut self, path: &str) -> StorageResult<Cost<()>>;
-
-    /// Whether a path exists.
-    fn exists(&self, path: &str) -> bool;
-
-    /// Size of a file, if present.
-    fn file_size(&self, path: &str) -> Option<u64>;
-
-    /// Paths under a prefix.
-    fn list(&self, prefix: &str) -> Vec<String>;
-
-    /// Operation counters since construction (or [`StorageResource::reset_stats`]).
-    fn stats(&self) -> ResourceStats;
-
-    /// Zero the operation counters.
-    fn reset_stats(&mut self);
-
-    /// Declare that the next data-path calls will contend with `streams`
-    /// same-sized concurrent native calls (the run-time layer sets this to
-    /// the process count for uncoordinated strategies, and back to 1 for
-    /// aggregated ones). Affects "actual" read/write costs only.
-    fn set_stream_hint(&mut self, streams: u32);
-
-    /// The current contention hint.
-    fn stream_hint(&self) -> u32;
-
-    /// Move a resident file into the vault (off-site tape shelf): the bytes
-    /// stay accounted but every subsequent `open` fails with
-    /// [`StorageError::Vaulted`] until [`StorageResource::recall`] brings
-    /// them back. Only tape has a vault; the other kinds refuse with
-    /// [`StorageError::VaultUnsupported`].
-    fn vault(&mut self, path: &str) -> StorageResult<Cost<()>>;
-
-    /// Bring a vaulted file back on-site, paying the configured recall
-    /// latency. A no-op with zero cost if the file is already resident.
-    fn recall(&mut self, path: &str) -> StorageResult<Cost<()>>;
-
-    /// Whether a path is currently in the vault.
-    fn is_vaulted(&self, path: &str) -> bool;
-
-    /// Deterministic fixed cost components for the predictor (Table 1 row).
-    fn fixed_costs(&self, op: OpKind) -> FixedCosts;
-
-    /// Deterministic transfer-time model `T_read/write(s)` for one native
-    /// call of `bytes` with `streams` parallel client streams.
-    fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration;
-}
-
-/// Shared, lockable resource handle used across the system (API layer,
-/// runtime, PTool all touch the same resources).
-pub type SharedResource = Arc<Mutex<dyn StorageResource>>;
-
-/// Wrap a resource for sharing.
-pub fn share<R: StorageResource + 'static>(r: R) -> SharedResource {
-    Arc::new(Mutex::new(r))
-}
-
-/// Internal helper used by all resource implementations: an open-handle
-/// table with slot reuse.
+/// A device's open-handle table, with slot reuse.
 #[derive(Debug, Default)]
 pub(crate) struct HandleTable {
     slots: Vec<Option<OpenFile>>,

@@ -7,7 +7,7 @@ use msr_obs::Registry;
 use msr_sim::{Clock, SimDuration};
 use msr_storage::{
     share, CostModel, Device, DiskParams, FaultPlan, LocalDisk, OpKind, OpenMode, Payload,
-    RateCurve, RemoteDisk, SharedResource, StorageError, StorageResource, TapeResource,
+    RateCurve, RemoteDisk, SharedResource, StorageError, TapeResource,
 };
 
 fn local() -> LocalDisk {
@@ -71,7 +71,7 @@ fn all_resources() -> Vec<SharedResource> {
     ]
 }
 
-fn with_each(f: impl Fn(&mut dyn StorageResource)) {
+fn with_each(f: impl Fn(&mut Device<dyn CostModel>)) {
     for res in all_resources() {
         let mut r = res.lock();
         r.connect().expect("connect");
@@ -304,7 +304,7 @@ fn stream_hint_never_speeds_up_io() {
         r.write(h, &[0u8; 200_000]).unwrap();
         r.close(h).unwrap();
         // Average a few samples to smooth device jitter.
-        let avg = |r: &mut dyn StorageResource| {
+        let avg = |r: &mut Device<dyn CostModel>| {
             let h = r.open("contract/hint", OpenMode::Read).unwrap().value;
             let mut total = SimDuration::ZERO;
             for _ in 0..5 {
@@ -346,7 +346,7 @@ fn front_is_transparent_for_every_info_method() {
         t.set_online(false);
         t
     }
-    fn info(r: &dyn StorageResource) -> String {
+    fn info(r: &Device<dyn CostModel>) -> String {
         let mut out = format!(
             "{} {:?} online={} cap={} used={} logical={} avail={} hint={} {:?} {:?} {:?}",
             r.name(),

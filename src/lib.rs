@@ -9,7 +9,7 @@
 //! | paper layer | crate |
 //! |---|---|
 //! | physical storage resources | [`storage`] (+ [`net`] underneath) |
-//! | native storage interfaces  | [`storage::StorageResource`] |
+//! | native storage interfaces  | [`storage::Device`] |
 //! | run-time library           | [`runtime`] |
 //! | user API                   | [`core`] |
 //! | user applications          | [`apps`] |
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use msr_meta::{AccessMode, ElementType, RunId};
     pub use msr_obs::{chrome_trace, jsonl, Layer, MetricsSnapshot, Recorder, Registry};
     pub use msr_predict::{compare, PTool};
-    pub use msr_runtime::{Dims3, IoStrategy, Pattern, ProcGrid, RetryPolicy, Superfile};
+    pub use msr_runtime::{Dims3, IoStrategy, Pattern, ProcGrid, Superfile};
     pub use msr_sched::{SchedReport, Scheduler, SessionProgram, SessionReport, TenantReport};
     pub use msr_sim::SimDuration;
     pub use msr_storage::{FaultKind, FaultLog, FaultPlan, OpKind, OpenMode, StorageKind};
