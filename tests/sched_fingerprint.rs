@@ -203,3 +203,46 @@ fn seeded_fault_requeue_fingerprint_is_frozen() {
         "faulted drain report moved"
     );
 }
+
+/// What a scheduled chunked drain leaves behind, pinned independently of
+/// the report: every resource's chunk-store accounting and manifest
+/// count, and the bytes of every dump read back through the catalog. A
+/// change to how the scheduler makes the bytes it writes (queued,
+/// generated at dispatch) must leave all of them where they are.
+#[test]
+fn chunked_fleet_store_and_readbacks_are_frozen() {
+    let sys = testbed();
+    let report = drain(&sys, dedup_fleet(4, 64, 24, true), false);
+    assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = |bytes: &[u8]| {
+        for &b in bytes {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let plane = sys.engine.chunk_plane();
+    for (kind, res) in sys.resources() {
+        let name = res.lock().name().to_owned();
+        let stats = plane.store_stats(&name);
+        let manifests = plane.manifest_count(&name);
+        hash(format!("{kind:?} {stats:?} {manifests}").as_bytes());
+    }
+    let grid = ProcGrid::new(1, 1, 1);
+    let mut dumps = 0;
+    for s in &report.sessions {
+        for iter in (0..=24).step_by(3) {
+            let (back, _) = sys
+                .read_dataset(RunId(s.run), "chk", iter, grid, IoStrategy::Collective)
+                .unwrap();
+            assert_eq!(back.len(), 64 * 64 * 64 * 4);
+            hash(&back);
+            dumps += 1;
+        }
+    }
+    assert_eq!(dumps, 36);
+    assert_eq!(
+        format!("{fnv:016x}"),
+        "3680b0482c9b4ebb",
+        "store or dump bytes moved"
+    );
+}
