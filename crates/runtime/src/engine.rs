@@ -428,8 +428,9 @@ impl IoEngine {
     /// collective dump hands `data` to the resource's single native
     /// [`write_shared`](Device::write_shared), so a resource that
     /// keeps its data in memory stores the buffer, or the recipe, instead
-    /// of a copy of the bytes. Every other write takes `data`'s bytes.
-    /// Reports, costs and stored bytes are those of the borrowed call.
+    /// of a copy of the bytes. Every other write works on bytes: held
+    /// ones as they are, a recipe generated whole for the call. Reports,
+    /// costs and stored bytes are those of the borrowed call.
     #[allow(clippy::too_many_arguments)]
     pub fn write_shared(
         &self,

@@ -3,8 +3,8 @@
 //! deal of those requests into per-resource weighted-fair queues.
 
 use crate::drain::{pop_chain, Acc, Deadline, Drain, Queues};
-use crate::program::{PayloadSource, SessionProgram};
-use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
+use crate::program::SessionProgram;
+use crate::scheduler::{dispatch_overhead, Admitted, Base, Queued, Scheduler, MAX_CHAIN};
 use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
 use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
@@ -229,6 +229,7 @@ impl Scheduler<'_> {
         }
 
         let mut requests = VecDeque::new();
+        let mut bases = Vec::new();
         let mut kinds = BTreeSet::new();
         let mut seq = 0u64;
         // Dataset-major expansion keeps one dataset's dumps at consecutive
@@ -248,22 +249,18 @@ impl Scheduler<'_> {
                 sys.load.enqueue(kind, tid, est);
                 requests.push_back((req, h, iter, est));
             };
-            // A raw collective dump reaches the resource as it is queued,
-            // so it carries only its recipe. Every other write carries its
-            // bytes, made from one base stream for all of this dataset's
-            // dumps, dropped before the next dataset's is made.
+            // Every dump is queued as its recipe. A write that needs its
+            // bytes gets them at dispatch, from the dataset's base stream
+            // (see `Admitted::execute`).
             let len = spec.snapshot_bytes() as usize;
-            let source = (spec.strategy != IoStrategy::Collective || spec.ingest.is_active())
-                .then(|| PayloadSource::new(id, &spec.name, len));
             let mut dumps = Vec::new();
             for iter in (0..=program.iterations).filter(|&i| session.dumps_at(h, i)) {
                 dumps.push(iter);
-                let data = match &source {
-                    Some(source) => source.dump(iter).into(),
-                    None => Payload::dump(id, &spec.name, iter, len),
-                };
-                request(seq, iter, Some(data));
+                request(seq, iter, Some(Payload::dump(id, &spec.name, iter, len)));
                 seq += 1;
+            }
+            if spec.strategy != IoStrategy::Collective || spec.ingest.is_active() {
+                bases.push(Base::new(h, dumps.len()));
             }
             // Consumer reads at the end of the program. `readbacks` opens a
             // sequence hole first so the reads chain with each other and
@@ -308,6 +305,7 @@ impl Scheduler<'_> {
             tenant: tid,
             session,
             requests,
+            bases,
         });
         Ok(id)
     }

@@ -509,7 +509,9 @@ impl Scheduler<'_> {
         }
         let reason = format!("deadline unreachable: {dropped} queued requests dropped");
         self.tcounts.entry(tid).or_default().cancelled += 1;
-        let app = &self.admitted[id as usize].app;
+        let a = &mut self.admitted[id as usize];
+        a.bases.clear();
+        let app = &a.app;
         self.rec
             .instant(Layer::Sched, app, ops::SESSION_CANCEL, at, &reason);
         drain.accs[id as usize].cancelled = Some(reason);
@@ -564,6 +566,7 @@ impl Scheduler<'_> {
         let acc = &mut drain.accs[sid as usize];
         let Some(to) = next else {
             for q in items {
+                self.admitted[sid as usize].settle(&q);
                 release(&mut drain.deadlines, sid, q.est);
                 acc.errors
                     .push(format!("{}: no usable resource ({reason})", q.req.tag));
@@ -588,6 +591,7 @@ impl Scheduler<'_> {
         for mut q in items {
             q.attempts += 1;
             if q.attempts >= MAX_TRIES {
+                self.admitted[sid as usize].settle(&q);
                 release(&mut drain.deadlines, sid, q.est);
                 acc.errors.push(format!(
                     "{} gave up after {} attempts",
@@ -623,6 +627,7 @@ impl Scheduler<'_> {
         let mut items = items.into_iter();
         let Some(head) = items.next() else { return };
         let sid = head.req.tag.session;
+        self.admitted[sid as usize].settle(&head);
         let acc = &mut drain.accs[sid as usize];
         let tid = acc.tenant;
         self.sys.load.dequeue(from, tid, head.est);

@@ -9,11 +9,13 @@
 //! loop would have issued, in program order.
 //!
 //! The bytes those writes carry are synthesised
-//! ([`msr_storage::payload`]): a raw collective dump carries only its
-//! recipe, every other write the bytes of [`PayloadSource::dump`]. The
-//! generator lives below the storage layer, which regenerates a recipe's
-//! bytes when they are read; [`payload`] and [`PayloadSource`] are
-//! re-exported here for the callers that make the bytes themselves.
+//! ([`msr_storage::payload`]), and every write is queued as its recipe.
+//! A raw collective dump reaches the store as that recipe, which the
+//! storage layer generates when it is read; a write that needs its bytes
+//! (chunked ingest, a strategy that packs or scatters) gets them at
+//! dispatch, for that call only, from a [`PayloadSource`] its dataset
+//! keeps while it has writes queued. [`payload`] and [`PayloadSource`]
+//! are re-exported here for the callers that make the bytes themselves.
 
 use msr_core::DatasetSpec;
 use msr_runtime::ProcGrid;

@@ -62,11 +62,12 @@
 use crate::admission::{Deferred, TenantCounters};
 use crate::drain::Drain;
 use crate::event::{pop_next, Scratch};
+use crate::program::PayloadSource;
 use crate::report::SchedReport;
 use msr_core::{CoreResult, DatasetHandle, MsrSystem, Session, TenantId};
 use msr_lifecycle::LifecycleEngine;
 use msr_obs::Recorder;
-use msr_runtime::{EngineRequest, RequestOutcome};
+use msr_runtime::{EngineRequest, RequestBody, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
 use msr_storage::StorageKind;
 use std::collections::{BTreeMap, VecDeque};
@@ -98,6 +99,70 @@ pub(crate) struct Admitted<'a> {
     /// the dataset and iteration the session named it for, and its
     /// admission-time estimate (which becomes [`Queued::est`]).
     pub requests: VecDeque<(EngineRequest, DatasetHandle, u32, f64)>,
+    /// The base streams of the datasets whose writes need their bytes
+    /// (chunked ingest, or a strategy other than `Collective`).
+    pub bases: Vec<Base>,
+}
+
+/// The base stream one dataset's writes are made from at dispatch. Every
+/// write is queued as its recipe; the stream is generated on the
+/// dataset's first dispatched write and dropped once its last has left
+/// the queues, so a session holds at most one base per dataset it is
+/// writing, not every dump it has queued.
+pub(crate) struct Base {
+    handle: DatasetHandle,
+    /// The dataset's writes not yet served or abandoned.
+    left: usize,
+    source: Option<PayloadSource>,
+}
+
+impl Base {
+    pub fn new(handle: DatasetHandle, writes: usize) -> Base {
+        Base {
+            handle,
+            left: writes,
+            source: None,
+        }
+    }
+}
+
+impl Admitted<'_> {
+    /// Execute queued request `q` through the owning session. A write of
+    /// a dataset with a [`Base`] carries its bytes for this call only,
+    /// made from the base stream; the queued request keeps its recipe, so
+    /// a requeue pins no bytes. Any other request runs as queued.
+    pub fn execute(&mut self, q: &mut Queued) -> CoreResult<(RequestOutcome, SimDuration)> {
+        let base = self.bases.iter_mut().find(|b| b.handle == q.handle);
+        let (Some(base), RequestBody::Write { data, .. }) = (base, &mut q.req.body) else {
+            return self.session.execute(q.handle, &q.req);
+        };
+        let (id, len) = (self.id, data.len());
+        let source =
+            (base.source).get_or_insert_with(|| PayloadSource::new(id, &q.req.dataset, len));
+        let recipe = std::mem::replace(data, source.dump(q.iter).into());
+        let outcome = self.session.execute(q.handle, &q.req);
+        if let RequestBody::Write { data, .. } = &mut q.req.body {
+            *data = recipe;
+        }
+        if outcome.is_ok() {
+            self.settle(q);
+        }
+        outcome
+    }
+
+    /// `q` has left the queues, served or abandoned: after the last write
+    /// of its dataset, the dataset's base stream is dropped.
+    pub fn settle(&mut self, q: &Queued) {
+        if !matches!(q.req.body, RequestBody::Write { .. }) {
+            return;
+        }
+        if let Some(i) = self.bases.iter().position(|b| b.handle == q.handle) {
+            self.bases[i].left -= 1;
+            if self.bases[i].left == 0 {
+                self.bases.swap_remove(i);
+            }
+        }
+    }
 }
 
 pub(crate) struct Queued {
@@ -243,9 +308,9 @@ impl<'a> Scheduler<'a> {
                         scratch.unserved.clear();
                         let mut error = None;
                         let mut pending = scratch.batch.drain(..);
-                        for q in pending.by_ref() {
-                            let session = &mut self.admitted[q.req.tag.session as usize].session;
-                            match session.execute(q.handle, &q.req) {
+                        for mut q in pending.by_ref() {
+                            let a = &mut self.admitted[q.req.tag.session as usize];
+                            match a.execute(&mut q) {
                                 Ok((outcome, setup)) => {
                                     drain.charge(kind, setup);
                                     scratch.served.push((q, outcome));
@@ -253,7 +318,7 @@ impl<'a> Scheduler<'a> {
                                 Err(e) => {
                                     // The session's one failure rule,
                                     // `write_iteration`'s too.
-                                    error = Some(session.failed(kind, &e).ok_or(e));
+                                    error = Some(a.session.failed(kind, &e).ok_or(e));
                                     scratch.unserved.push(q);
                                     break;
                                 }

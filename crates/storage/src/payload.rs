@@ -16,9 +16,11 @@
 //! their bytes, with a sliding window of fresh data per iteration — which
 //! is what gives the content-addressed chunk plane dedup to find. A
 //! [`PayloadSource`] makes whole dumps cheaply: the base stream of a
-//! dataset is generated once, eight bytes abreast, and each dump is a copy
-//! of it with a freshly generated churn window. A [`Recipe`] generates
-//! exactly the range asked for, jumping the LCG ahead to its start. The
+//! dataset is generated once, eight bytes abreast, and each dump copies
+//! it around a freshly generated churn window, writing every byte once.
+//! A [`Recipe`] generates exactly the range asked for, jumping the LCG
+//! ahead to its start, and panics on a range past its end, as the
+//! [`Payload::Bytes`] it describes would. The
 //! bytes themselves are frozen (`tests/payload_fingerprint.rs`); the
 //! generator they were first defined by survives as the reference in this
 //! module's tests.
@@ -89,6 +91,18 @@ impl Lanes {
         emit(tail, &mut self.0);
         self.0.rotate_left(tail.len());
     }
+
+    /// Append the stream's next `n` bytes to `out`, made a block at a time
+    /// on the stack, where they stay in cache until copied.
+    fn extend(&mut self, out: &mut Vec<u8>, mut n: usize) {
+        let mut block = [0; 512];
+        while n > 0 {
+            let k = n.min(block.len());
+            self.fill(&mut block[..k]);
+            out.extend_from_slice(&block[..k]);
+            n -= k;
+        }
+    }
 }
 
 /// The seed of `(session, dataset)`'s base stream: FNV-1a over the
@@ -131,18 +145,23 @@ impl PayloadSource {
         PayloadSource { seed, base }
     }
 
-    /// The payload of dump `iter`: one copy of the base with the churn
-    /// window generated in place.
+    /// The payload of dump `iter`, each byte written once: the base copied
+    /// around the churn window, the window generated where it lands.
     pub fn dump(&self, iter: u32) -> Bytes {
-        let mut out = self.base.clone();
-        let len = out.len();
+        let len = self.base.len();
+        let mut out = Vec::with_capacity(len);
         if len > 0 {
             let (at, window, seed) = churn(self.seed, iter, len);
+            let head = window.min(len - at);
+            let wrapped = window - head;
+            // In file order: the wrapped tail of the window, the base up
+            // to the window, the window's head, the base after it.
             let mut churn = Lanes::at(seed, 0);
-            let (front, back) = out.split_at_mut(at);
-            let head = window.min(back.len());
-            churn.fill(&mut back[..head]);
-            churn.fill(&mut front[..window - head]);
+            let mut tail = Lanes::at(seed, head);
+            tail.extend(&mut out, wrapped);
+            out.extend_from_slice(&self.base[wrapped..at]);
+            churn.extend(&mut out, head);
+            out.extend_from_slice(&self.base[at + head..]);
         }
         Bytes::from(out)
     }
@@ -193,9 +212,13 @@ impl Recipe {
     /// Generate bytes `offset..offset + out.len()` (within the recipe) into
     /// `out`: the base stream from `offset` on, with whatever part of the
     /// churn window falls in the range laid over it.
+    ///
+    /// # Panics
+    /// Panics when the range runs past the recipe's end, as slicing the
+    /// bytes it describes would.
     pub fn generate(&self, offset: usize, out: &mut [u8]) {
         let end = offset + out.len();
-        debug_assert!(end <= self.len(), "{offset}..{end} of {}", self.len());
+        assert!(end <= self.len(), "{offset}..{end} out of range");
         let (seed, iter, len) = match *self {
             Recipe::Fill { byte, .. } => return out.fill(byte),
             Recipe::Dump { seed, iter, len } => (seed, iter, len),
@@ -217,7 +240,12 @@ impl Recipe {
     }
 
     /// Bytes `offset..end` (within the recipe), freshly generated.
+    ///
+    /// # Panics
+    /// Panics when `offset..end` is not a range within the recipe, as
+    /// slicing the bytes it describes would.
     pub fn range(&self, offset: usize, end: usize) -> Bytes {
+        assert!(offset <= end, "{offset}..{end} out of range");
         let mut out = vec![0; end - offset];
         self.generate(offset, &mut out);
         Bytes::from(out)
@@ -260,6 +288,10 @@ impl Payload {
 
     /// Bytes `offset..end` (within the payload): a view of held bytes, or
     /// the range generated.
+    ///
+    /// # Panics
+    /// Panics when `offset..end` is not a range within the payload, held
+    /// or described alike.
     pub fn range(&self, offset: usize, end: usize) -> Bytes {
         match self {
             Payload::Bytes(b) => b.slice(offset..end),
@@ -435,6 +467,27 @@ mod tests {
         let dump = Payload::dump(3, "ckpt", 6, 4096);
         assert_eq!(dump.len(), 4096);
         assert_eq!(dump.into_bytes(), payload(3, "ckpt", 6, 4096));
+    }
+
+    /// A range past the end panics whether the payload holds its bytes
+    /// or describes them; in release too, where a debug assertion would
+    /// have let a recipe make up the bytes past its end.
+    #[test]
+    fn a_range_past_the_end_panics_in_either_form() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let len = 4_099;
+        let described = [Payload::dump(7, "chk", 3, len), Payload::fill(0xA5, len)];
+        for recipe in described {
+            let held = Payload::from(recipe.clone().into_bytes());
+            for (lo, hi) in [(0, len + 1), (len - 1, len + 1), (len + 1, len + 9), (9, 8)] {
+                for form in [&recipe, &held] {
+                    let got = catch_unwind(AssertUnwindSafe(|| form.range(lo, hi)));
+                    assert!(got.is_err(), "{form:?} {lo}..{hi} did not panic");
+                }
+            }
+            assert_eq!(recipe.range(len - 9, len), held.range(len - 9, len));
+            assert!(recipe.range(len, len).is_empty() && held.range(len, len).is_empty());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use msr::apps::multi::dedup_fleet;
 use msr::chunk::Manifest;
 use msr::prelude::*;
 use msr::runtime::{Distribution, IoEngine};
+use msr::sched::program::payload;
 use msr::storage::{share, testbed, DiskParams, LocalDisk, SharedResource};
 
 /// A checkpoint-shaped payload: a deterministic base keyed by `name` plus
@@ -230,6 +231,47 @@ fn chaos_with_chunking_returns_exact_or_typed() {
         }
         s.finalize().unwrap();
     }
+}
+
+/// A scheduled chunked fleet under injected faults on every resource:
+/// each write is queued as its recipe and made at dispatch, failed ones
+/// are requeued or abandoned (each abandoned write releases its claim on
+/// its dataset's base stream), and whatever reads back is the
+/// generator's dump exactly.
+#[test]
+fn a_faulted_scheduled_chunked_drain_reads_back_exact_or_typed() {
+    const KINDS: [StorageKind; 3] = [
+        StorageKind::LocalDisk,
+        StorageKind::RemoteDisk,
+        StorageKind::RemoteTape,
+    ];
+    let mut sys = MsrSystem::testbed(7503);
+    for kind in KINDS {
+        sys.inject_faults(kind, FaultPlan::none().with_error_prob(0.5));
+    }
+    let report = run_concurrent(&sys, dedup_fleet(4, 16, 24, true)).unwrap();
+    let requeues: u32 = report.sessions.iter().map(|s| s.requeues).sum();
+    assert!(requeues > 0, "seeded faults must force requeues");
+    assert!(
+        report.sessions.iter().any(|s| !s.errors.is_empty()),
+        "seeded faults must make some write give up"
+    );
+    for kind in KINDS {
+        sys.inject_faults(kind, FaultPlan::none());
+    }
+    let len = 16 * 16 * 16 * 4;
+    let grid = ProcGrid::new(1, 1, 1);
+    let mut exact = 0;
+    for s in &report.sessions {
+        for iter in (0..=24).step_by(3) {
+            let read = sys.read_dataset(RunId(s.run), "chk", iter, grid, IoStrategy::Collective);
+            if let Ok((back, _)) = read {
+                assert!(back == payload(s.session, "chk", iter, len)[..], "{iter}");
+                exact += 1;
+            }
+        }
+    }
+    assert!(exact > 0, "no dump survived the faults");
 }
 
 // ---- One pack per dump: object counts, read plans, pack lifecycle. ----

@@ -2,11 +2,14 @@
 //!
 //! A raw collective dump's bytes are written once: the refcounted buffer a
 //! request carries is what the resource stores, and a native read hands
-//! back a view of it. A dump the scheduler synthesises is not written at
-//! all: it is queued and stored as its recipe, and its bytes are made when
-//! they are read. A stopwatch cannot hold that; these tests compare
-//! `as_ptr()`s and count the allocations of peculiar sizes, so a
-//! re-introduced copy fails here whatever the host is doing.
+//! back a view of it. Every dump the scheduler synthesises is queued as
+//! its recipe. A raw collective one is not written at all: it is stored
+//! as that recipe, and its bytes are made when they are read. A chunked
+//! one is made once, at dispatch, for the call that ingests it, from the
+//! base stream its dataset keeps while it has writes queued. A stopwatch
+//! cannot hold that; these tests compare `as_ptr()`s and count the
+//! allocations of peculiar sizes, so a re-introduced copy fails here
+//! whatever the host is doing.
 
 use bytes::Bytes;
 use msr::prelude::*;
@@ -25,10 +28,18 @@ static WATCHED_LAST: AtomicUsize = AtomicUsize::new(0);
 /// admits: 7 × 11 × 19 `f32`s, another size nothing else here asks for.
 const RECIPE: usize = 7 * 11 * 19 * 4;
 static RECIPE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of the chunked dump `a_scheduled_chunked_dump_is_made_at_dispatch`
+/// admits: 37 × 41 × 43 `f32`s, a third size nothing else here asks for,
+/// and many CDC chunks long, so no chunk or frame is the whole dump.
+const CHUNKED: usize = 37 * 41 * 43 * 4;
+static CHUNKED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static CHUNKED_LIVE: AtomicUsize = AtomicUsize::new(0);
+static CHUNKED_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting requests for exactly [`WATCHED`] bytes,
-/// remembering where the last one landed, and counting requests for
-/// exactly [`RECIPE`] bytes.
+/// remembering where the last one landed, counting requests for exactly
+/// [`RECIPE`] bytes, and counting requests for exactly [`CHUNKED`] bytes
+/// with how many are live and the most that were.
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -44,10 +55,18 @@ unsafe impl GlobalAlloc for Counting {
         if layout.size() == RECIPE {
             RECIPE_ALLOCS.fetch_add(1, Ordering::SeqCst);
         }
+        if layout.size() == CHUNKED {
+            CHUNKED_ALLOCS.fetch_add(1, Ordering::SeqCst);
+            let live = CHUNKED_LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            CHUNKED_PEAK.fetch_max(live, Ordering::SeqCst);
+        }
         p
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        if layout.size() == CHUNKED {
+            CHUNKED_LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
         // SAFETY: `p` came from `alloc` above, that is from `System`.
         unsafe { System.dealloc(p, layout) }
     }
@@ -237,4 +256,58 @@ fn a_scheduled_raw_dump_allocates_nothing_until_read() {
         .unwrap();
     assert_eq!(RECIPE_ALLOCS.load(Ordering::SeqCst) - before, 1);
     assert!(back == dump_payload(session, "d", 6, RECIPE)[..]);
+}
+
+#[test]
+fn a_scheduled_chunked_dump_is_made_at_dispatch() {
+    let sys = MsrSystem::testbed(36);
+    let spec = DatasetSpec::builder("d")
+        .element(ElementType::F32)
+        .dims(Dims3 {
+            x: 37,
+            y: 41,
+            z: 43,
+        })
+        .frequency(3)
+        .hint(LocationHint::LocalDisk)
+        .chunked(ChunkPolicy::cdc(8))
+        .compression(Codec::Lz4Like(1))
+        .build();
+    let before = CHUNKED_ALLOCS.load(Ordering::SeqCst);
+    let mut sched = Scheduler::new(&sys);
+    let program = SessionProgram::new("app").iterations(12).dataset(spec);
+    let session = sched.admit(program).unwrap().unwrap();
+    assert_eq!(
+        CHUNKED_ALLOCS.load(Ordering::SeqCst) - before,
+        0,
+        "admission must queue the dumps as recipes"
+    );
+    CHUNKED_PEAK.store(CHUNKED_LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+    let live = CHUNKED_LIVE.load(Ordering::SeqCst);
+    let report = sched.run().unwrap();
+    assert_eq!(report.requests(), 5);
+    assert!(report.sessions[0].errors.is_empty());
+    // Each dump is made once, for the call that ingests it, from the one
+    // base stream the dataset keeps while it has writes queued.
+    assert_eq!(CHUNKED_ALLOCS.load(Ordering::SeqCst) - before, 5 + 1);
+    assert!(
+        CHUNKED_PEAK.load(Ordering::SeqCst) - live <= 2,
+        "more than the base and one dump were live at once"
+    );
+    assert_eq!(
+        CHUNKED_LIVE.load(Ordering::SeqCst),
+        live,
+        "a dump outlived the drain"
+    );
+    let run = RunId(report.sessions[0].run);
+    let grid = ProcGrid::new(1, 1, 1);
+    for iter in [0, 3, 6, 9, 12] {
+        let (back, _) = sys
+            .read_dataset(run, "d", iter, grid, IoStrategy::Collective)
+            .unwrap();
+        assert!(
+            back == dump_payload(session, "d", iter, CHUNKED)[..],
+            "{iter}"
+        );
+    }
 }
