@@ -53,7 +53,7 @@ const STAGE_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 pub const MAX_TRIES: u32 = 3;
 
 /// Handle to a dataset opened in a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DatasetHandle(usize);
 
 #[derive(Debug)]
@@ -76,15 +76,6 @@ fn open_mode(amode: AccessMode) -> OpenMode {
     match amode {
         AccessMode::Create => OpenMode::Create,
         AccessMode::OverWrite => OpenMode::OverWrite,
-    }
-}
-
-/// The catalog dump row the dump at `iter` keys on: an `OverWrite`
-/// dataset rewrites one file, so all its dumps share row 0.
-fn dump_row(amode: AccessMode, iter: u32) -> u32 {
-    match amode {
-        AccessMode::Create => iter,
-        AccessMode::OverWrite => 0,
     }
 }
 
@@ -295,6 +286,30 @@ impl<'a> Session<'a> {
         self.datasets[h.0].location
     }
 
+    /// The spec dataset `h` was opened with. The spec, the dataset's
+    /// catalog path and its distribution are fixed at
+    /// [`open`](Self::open), so naming a request later names the same one.
+    pub fn spec(&self, h: DatasetHandle) -> &DatasetSpec {
+        &self.datasets[h.0].spec
+    }
+
+    /// Pricing: the eq. (2) estimate of one `op` dump of dataset `h` on
+    /// `kind` ([`MsrSystem::price`]).
+    pub fn price(&self, h: DatasetHandle, kind: StorageKind, op: OpKind) -> SimDuration {
+        let d = &self.datasets[h.0];
+        self.sys
+            .price(kind, op, d.spec.strategy, &d.spec.name, &d.dist)
+    }
+
+    /// The file of dataset `h`'s dump at `iter`, the path
+    /// [`request`](Self::request) names, written into `path` in place of
+    /// what it held.
+    pub fn dump_path(&self, h: DatasetHandle, iter: u32, path: &mut String) {
+        let d = &self.datasets[h.0];
+        path.clear();
+        d.spec.amode.push_dump_file(&d.base, iter, path);
+    }
+
     /// Naming: the engine request for dataset `h`'s dump at `iter` — a
     /// write of `data`, or the read-back when `data` is `None`.
     pub fn request(
@@ -386,7 +401,7 @@ impl<'a> Session<'a> {
         d.bytes += report.bytes;
         d.io_time += report.elapsed;
         d.native_calls += report.native_reads + report.native_writes;
-        let row = dump_row(d.spec.amode, iter);
+        let row = d.spec.amode.dump_row(iter);
         note_served(self.sys, self.run, &d.spec.name, row, written, at);
     }
 
@@ -678,7 +693,7 @@ impl<'a> Session<'a> {
         sys.clock.advance(conn.time);
         let (data, report) = sys.engine.read_auto(&res, &path, &dist, strategy)?;
         let done = sys.clock.advance(report.elapsed);
-        note_served(sys, run, name, dump_row(rec.amode, iteration), None, done);
+        note_served(sys, run, name, rec.amode.dump_row(iteration), None, done);
         Ok((data.into_vec(), report))
     }
 }

@@ -6,7 +6,7 @@
 
 use msr_storage::StorageKind;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -93,9 +93,26 @@ impl AccessMode {
     /// (`<base>.t<iter>`), `OverWrite` datasets rewrite `base` itself. The
     /// one definition of the dump-file format.
     pub fn dump_file(self, base: &str, iter: u32) -> String {
+        let mut file = String::with_capacity(base.len() + ".t4294967295".len());
+        self.push_dump_file(base, iter, &mut file);
+        file
+    }
+
+    /// [`dump_file`](Self::dump_file), appended to `out`, so a caller
+    /// that names many dumps can reuse one buffer.
+    pub fn push_dump_file(self, base: &str, iter: u32, out: &mut String) {
+        out.push_str(base);
+        if self == AccessMode::Create {
+            write!(out, ".t{iter:05}").expect("writing to a String cannot fail");
+        }
+    }
+
+    /// The catalog dump row the dump at `iter` keys on: an `OverWrite`
+    /// dataset rewrites one file, so all its dumps share row 0.
+    pub fn dump_row(self, iter: u32) -> u32 {
         match self {
-            AccessMode::Create => format!("{base}.t{iter:05}"),
-            AccessMode::OverWrite => base.to_owned(),
+            AccessMode::Create => iter,
+            AccessMode::OverWrite => 0,
         }
     }
 }

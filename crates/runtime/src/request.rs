@@ -86,18 +86,6 @@ pub struct EngineRequest {
     pub body: RequestBody,
 }
 
-impl EngineRequest {
-    /// `true` when `other` can join a batch behind this request:
-    /// same session, same dataset and consecutive program order, so
-    /// serving them back-to-back preserves program order and amortizes
-    /// one dispatch.
-    pub fn chains_with(&self, other: &EngineRequest) -> bool {
-        self.tag.session == other.tag.session
-            && self.dataset == other.dataset
-            && other.tag.seq == self.tag.seq + 1
-    }
-}
-
 /// What a dispatched request produced.
 #[derive(Debug, Clone)]
 pub enum RequestOutcome {
@@ -142,15 +130,6 @@ mod tests {
             ingest: IngestSpec::raw(),
             body: RequestBody::Read,
         }
-    }
-
-    #[test]
-    fn chaining_requires_same_session_dataset_and_adjacent_seq() {
-        let a = req(1, 0, "d");
-        assert!(a.chains_with(&req(1, 1, "d")));
-        assert!(!a.chains_with(&req(1, 2, "d")), "gap in program order");
-        assert!(!a.chains_with(&req(2, 1, "d")), "different session");
-        assert!(!a.chains_with(&req(1, 1, "e")), "different dataset");
     }
 
     #[test]

@@ -1,28 +1,16 @@
 //! Admission: eq. (2) pricing, the overload gate (quotas, SLO, deferral,
-//! expiry), expansion of an admitted program into tagged requests, and the
-//! deal of those requests into per-resource weighted-fair queues.
+//! expiry), expansion of an admitted program into queued request keys,
+//! and the deal of those keys into per-resource weighted-fair queues.
 
 use crate::drain::{pop_chain, Acc, Deadline, Drain, Queues};
 use crate::program::SessionProgram;
 use crate::scheduler::{dispatch_overhead, Admitted, Base, Queued, Scheduler, MAX_CHAIN};
-use msr_core::{placement, CoreError, CoreResult, MsrSystem, OverloadPolicy, Tenant, TenantId};
+use msr_core::{placement, CoreError, CoreResult, OverloadPolicy, Tenant, TenantId};
 use msr_obs::{ops, Layer};
-use msr_runtime::{Distribution, EngineRequest, IoStrategy, RequestBody, RequestTag};
+use msr_runtime::{Distribution, IoStrategy, RequestTag};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, Payload, StorageKind};
+use msr_storage::{OpKind, StorageKind};
 use std::collections::{BTreeSet, VecDeque};
-
-/// `req`'s eq. (2) service estimate on `kind`, seconds: the WFQ batch
-/// cost, the load board's backlog unit, the prefetch planner's window unit
-/// and the deadline checker's remaining-work unit.
-pub(crate) fn estimate(sys: &MsrSystem, kind: StorageKind, req: &EngineRequest) -> f64 {
-    let op = match req.body {
-        RequestBody::Write { .. } => OpKind::Write,
-        RequestBody::Read => OpKind::Read,
-    };
-    sys.price(kind, op, req.strategy, &req.dataset, &req.dist)
-        .as_secs()
-}
 
 /// Per-tenant overload-machinery counters, folded into the report's
 /// [`TenantReport`](crate::TenantReport)s.
@@ -74,8 +62,8 @@ impl Scheduler<'_> {
     ///   and retried as the drain progresses, expiring after its TTL;
     /// - otherwise it is **admitted**: its catalog session opens, its
     ///   datasets are placed (scored AUTO placement sees the current queue
-    ///   depths), and it expands into tagged requests accounted on the
-    ///   system's load board. Returns `Ok(Some(session_id))`.
+    ///   depths), and it expands into queued request keys accounted on
+    ///   the system's load board. Returns `Ok(Some(session_id))`.
     pub fn admit(&mut self, program: SessionProgram) -> CoreResult<Option<u64>> {
         let (tid, tenant) = self
             .sys
@@ -208,9 +196,9 @@ impl Scheduler<'_> {
         Ok(GateVerdict::Admit)
     }
 
-    /// Open the program's catalog session, place its datasets, have the
-    /// session name every dump as a tagged request, price each request
-    /// once and book it on the system's load board. Every step that can
+    /// Open the program's catalog session, place its datasets, stage
+    /// every dump as a queued key, price each one once through the
+    /// session and book it on the system's load board. Every step that can
     /// fail comes before the first write to scheduler state, so a program
     /// that errors leaves nothing behind under the id the next admission
     /// takes.
@@ -242,25 +230,34 @@ impl Scheduler<'_> {
             }
             let kind = session.location(h).expect("dumping datasets are placed");
             kinds.insert(kind);
-            let mut request = |seq, iter, data| {
-                let tag = RequestTag { session: id, seq };
-                let req = session.request(h, iter, tag, data);
-                let est = estimate(sys, kind, &req);
+            let mut request = |seq, iter, op| {
+                let est = session.price(h, kind, op).as_secs();
                 sys.load.enqueue(kind, tid, est);
-                requests.push_back((req, h, iter, est));
+                requests.push_back(Queued {
+                    tag: RequestTag { session: id, seq },
+                    handle: h,
+                    iter,
+                    op,
+                    attempts: 0,
+                    submitted: SimTime::EPOCH,
+                    est,
+                });
             };
-            // Every dump is queued as its recipe. A write that needs its
-            // bytes gets them at dispatch, from the dataset's base stream
-            // (see `Admitted::execute`).
-            let len = spec.snapshot_bytes() as usize;
+            // Every dump is queued as its key; the session names it at
+            // dispatch, and a write that needs its bytes gets them then,
+            // from the dataset's base stream (see `Admitted::execute`).
             let mut dumps = Vec::new();
             for iter in (0..=program.iterations).filter(|&i| session.dumps_at(h, i)) {
                 dumps.push(iter);
-                request(seq, iter, Some(Payload::dump(id, &spec.name, iter, len)));
+                request(seq, iter, OpKind::Write);
                 seq += 1;
             }
             if spec.strategy != IoStrategy::Collective || spec.ingest.is_active() {
-                bases.push(Base::new(h, dumps.len()));
+                bases.push(Base {
+                    handle: h,
+                    left: dumps.len(),
+                    source: None,
+                });
             }
             // Consumer reads at the end of the program. `readbacks` opens a
             // sequence hole first so the reads chain with each other and
@@ -273,7 +270,7 @@ impl Scheduler<'_> {
                 usize::from(program.readback)
             };
             for iter in dumps.into_iter().take(consumer_reads) {
-                request(seq, iter, None);
+                request(seq, iter, OpKind::Read);
                 seq += 1;
             }
         }
@@ -315,7 +312,7 @@ impl Scheduler<'_> {
     /// lane of the run's resource, each request's admission-time estimate
     /// added to `dealt_secs` in request order (float sums are
     /// order-sensitive). Returns the resource, or `None` once the program
-    /// is exhausted.
+    /// is exhausted. The program's staging is dropped once it is dealt.
     fn deal_chain(
         &mut self,
         idx: usize,
@@ -325,32 +322,24 @@ impl Scheduler<'_> {
     ) -> Option<StorageKind> {
         let a = &mut self.admitted[idx];
         let mut chain = Vec::new();
-        pop_chain(&mut a.requests, &mut chain, |(req, ..)| req);
+        pop_chain(&mut a.requests, &mut chain, |_| true);
+        if a.requests.is_empty() {
+            a.requests = VecDeque::new();
+        }
         // A chain is one session × one dataset, so its placement is a
         // single lookup, not one per request.
-        let (_, handle, ..) = chain.first()?;
         let kind = a
             .session
-            .location(*handle)
+            .location(chain.first()?.handle)
             .expect("queued datasets are placed");
         let q = queues.entry(kind).or_default();
         q.set_weight(
             a.tenant,
             self.weights.get(&a.tenant).copied().unwrap_or(1.0),
         );
-        for (req, handle, iter, est) in chain {
-            *dealt_secs += est;
-            q.push_back(
-                a.tenant,
-                Queued {
-                    req,
-                    handle,
-                    iter,
-                    submitted,
-                    attempts: 0,
-                    est,
-                },
-            );
+        for item in chain {
+            *dealt_secs += item.est;
+            q.push_back(a.tenant, Queued { submitted, ..item });
         }
         Some(kind)
     }

@@ -11,7 +11,6 @@
 //! event loop in [`crate::scheduler`] decides *what* to serve and
 //! accounts it here.
 
-use crate::admission::estimate;
 use crate::event::PlanGate;
 use crate::prefetch::{Fetched, Prefetcher, RoundPlan};
 use crate::scheduler::{dispatch_overhead, Admitted, Queued, Scheduler, MAX_CHAIN};
@@ -20,9 +19,9 @@ use msr_core::{MsrSystem, TenantId, MAX_TRIES};
 use msr_lifecycle::{LifecycleEngine, TickTotals};
 use msr_meta::{RunId, QUERY_COST};
 use msr_obs::{ops, Layer, Recorder};
-use msr_runtime::{EngineRequest, IoReport, RequestBody, RequestOutcome};
+use msr_runtime::{EngineRequest, IoReport, RequestOutcome};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::StorageKind;
+use msr_storage::{OpKind, StorageKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub(crate) type Queues = BTreeMap<StorageKind, WfqQueue<Queued>>;
@@ -150,7 +149,7 @@ impl<'a> Drain<'a> {
         }
         if !deadlines.is_empty() {
             for item in queues.values().flat_map(|q| q.iter()) {
-                if let Some(d) = deadlines.get_mut(&item.req.tag.session) {
+                if let Some(d) = deadlines.get_mut(&item.tag.session) {
                     d.queued += 1;
                     d.secs += item.est;
                 }
@@ -241,7 +240,12 @@ impl<'a> Drain<'a> {
     /// batch, into `out` (empty on entry). The popped batch's eq. (2) cost
     /// advances the lane's virtual finish tag — weighted-fair arbitration.
     /// Returns whether the batch is a staged run.
-    pub fn pop_batch(&mut self, kind: StorageKind, out: &mut Vec<Queued>) -> bool {
+    pub fn pop_batch(
+        &mut self,
+        admitted: &[Admitted],
+        kind: StorageKind,
+        out: &mut Vec<Queued>,
+    ) -> bool {
         let cursor = self.cursor(kind);
         let q = self.queues.entry(kind).or_default();
         let Some(tenant) = q.select() else {
@@ -249,11 +253,11 @@ impl<'a> Drain<'a> {
         };
         let lane = q.lane_mut(tenant);
         if let Some(p) = self.prefetcher.as_mut() {
-            p.pop_staged_run_into(lane, cursor, out);
+            p.pop_staged_run_into(admitted, lane, cursor, out);
         }
         let staged = !out.is_empty();
         if !staged {
-            pop_chain(lane, out, |item| &item.req);
+            pop_chain(lane, out, |_| true);
         }
         if !out.is_empty() {
             q.commit(tenant, out.iter().map(|i| i.est).sum());
@@ -264,7 +268,7 @@ impl<'a> Drain<'a> {
     /// Plan `kind`'s background fetches for the current step against the
     /// post-pop queue and the pre-application foreground cursor, skipping
     /// the queue walk when the gate proves it side-effect-free.
-    pub fn plan_step(&mut self, kind: StorageKind) -> Option<RoundPlan> {
+    pub fn plan_step(&mut self, admitted: &[Admitted], kind: StorageKind) -> Option<RoundPlan> {
         let fg = self.cursor(kind);
         let p = self.prefetcher.as_mut()?;
         let gate = self.gates.entry(kind).or_default();
@@ -272,7 +276,7 @@ impl<'a> Drain<'a> {
             return None;
         }
         let q = self.queues.get(&kind)?;
-        let (plan, walked) = p.plan(self.sys, &self.rec, kind, q, fg);
+        let (plan, walked) = p.plan(self.sys, &self.rec, admitted, kind, q, fg);
         if let Some(undecided) = walked {
             gate.walked(undecided);
         }
@@ -304,18 +308,20 @@ impl<'a> Drain<'a> {
                 .prefetcher
                 .as_mut()
                 .expect("staged runs imply prefetch");
+            let a = &admitted[item.tag.session as usize];
+            let req = a.session.request(item.handle, item.iter, item.tag, None);
             let outcome = p
-                .take(&item.req.path)
-                .and_then(|data| self.sys.engine.staged_read(b.comp, &item.req, &data).ok());
+                .take(a.file(&item))
+                .and_then(|data| self.sys.engine.staged_read(b.comp, &req, &data).ok());
             match outcome {
-                Some(outcome) => self.serve(admitted, &mut b, item, outcome.into_report()),
+                Some(outcome) => self.serve(admitted, &mut b, item, req, outcome.into_report()),
                 None => leftovers.push(item),
             }
         }
         self.close_batch(b);
         let q = self.queues.entry(kind).or_default();
         for item in leftovers.into_iter().rev() {
-            q.push_front(self.accs[item.req.tag.session as usize].tenant, item);
+            q.push_front(self.accs[item.tag.session as usize].tenant, item);
         }
     }
 
@@ -326,11 +332,11 @@ impl<'a> Drain<'a> {
         admitted: &mut [Admitted],
         kind: StorageKind,
         step: u64,
-        served: impl IntoIterator<Item = (Queued, RequestOutcome)>,
+        served: impl IntoIterator<Item = (Queued, EngineRequest, RequestOutcome)>,
     ) {
         let mut b = self.open_batch(kind, step, Phase::OnDemand);
-        for (item, outcome) in served {
-            self.serve(admitted, &mut b, item, outcome.into_report());
+        for (item, req, outcome) in served {
+            self.serve(admitted, &mut b, item, req, outcome.into_report());
         }
         self.close_batch(b);
     }
@@ -350,12 +356,19 @@ impl<'a> Drain<'a> {
         }
     }
 
-    /// Account one served request — the single definition both serve
-    /// kinds share. In order: the queue-wait span, the cursor advance,
-    /// the load-board release, the deadline checker's remaining work, the
-    /// owning session's completion accounting, and the session's report
-    /// and timing contribution.
-    fn serve(&mut self, admitted: &mut [Admitted], b: &mut Batch, item: Queued, report: IoReport) {
+    /// Account one served request, `item` as the session named it (`req`)
+    /// — the single definition both serve kinds share. In order: the
+    /// queue-wait span, the cursor advance, the load-board release, the
+    /// deadline checker's remaining work, the owning session's completion
+    /// accounting, and the session's report and timing contribution.
+    fn serve(
+        &mut self,
+        admitted: &mut [Admitted],
+        b: &mut Batch,
+        item: Queued,
+        req: EngineRequest,
+        report: IoReport,
+    ) {
         let (sys, kind) = (self.sys, b.kind);
         let (bytes, io) = (report.bytes, report.elapsed);
         let cursor = self.cursors.get_mut(&kind).expect("batch opened on cursor");
@@ -383,13 +396,14 @@ impl<'a> Drain<'a> {
             self.rec
                 .count(Layer::Sched, b.comp, ops::PREFETCH_HIT, at, 1.0);
         }
-        let session = item.req.tag.session;
+        let session = item.tag.session;
         let tenant = self.accs[session as usize].tenant;
         let depth = sys.load.dequeue(kind, tenant, item.est);
         self.rec
             .count(Layer::Sched, b.comp, ops::QUEUE_DEPTH, at, depth as f64);
         if let (Phase::OnDemand, Some(p)) = (b.phase, self.prefetcher.as_mut()) {
-            if p.note_foreground(&self.rec, b.comp, &item.req, at) {
+            let file = admitted[session as usize].file(&item);
+            if p.note_foreground(&self.rec, b.comp, file, &req, at) {
                 self.gates.entry(kind).or_default().dirty = true;
             }
         }
@@ -399,15 +413,10 @@ impl<'a> Drain<'a> {
         // lifecycle engine (this run's or a later one's) sees what is hot.
         admitted[session as usize]
             .session
-            .complete(item.handle, item.iter, &item.req, &report, at);
+            .complete(item.handle, item.iter, &req, &report, at);
         if self.heat {
-            self.rec.count(
-                Layer::Sched,
-                &item.req.dataset,
-                ops::DATASET_ACCESS,
-                at,
-                1.0,
-            );
+            let dataset = &req.dataset;
+            (self.rec).count(Layer::Sched, dataset, ops::DATASET_ACCESS, at, 1.0);
         }
         acc.contribs.push(Contrib {
             step: b.step,
@@ -416,7 +425,7 @@ impl<'a> Drain<'a> {
             wait,
             io,
         });
-        acc.reports.push((item.req.tag.seq, report));
+        acc.reports.push((item.tag.seq, report));
         acc.bytes += bytes;
         acc.completed = acc.completed.max(at);
     }
@@ -464,17 +473,16 @@ impl<'a> Drain<'a> {
 }
 
 /// Pop the maximal batchable run at the head of `q` — contiguous requests
-/// of one session and dataset, at most [`MAX_CHAIN`] — onto `out`.
-pub(crate) fn pop_chain<T>(
-    q: &mut VecDeque<T>,
-    out: &mut Vec<T>,
-    req: impl Fn(&T) -> &EngineRequest,
+/// of one session and dataset, at most [`MAX_CHAIN`], each one `take`
+/// accepts — onto `out`.
+pub(crate) fn pop_chain(
+    q: &mut VecDeque<Queued>,
+    out: &mut Vec<Queued>,
+    take: impl Fn(&Queued) -> bool,
 ) {
     while out.len() < MAX_CHAIN
-        && q.front().is_some_and(|next| {
-            out.last()
-                .is_none_or(|prev| req(prev).chains_with(req(next)))
-        })
+        && q.front()
+            .is_some_and(|next| take(next) && out.last().is_none_or(|prev| prev.chains_with(next)))
     {
         out.extend(q.pop_front());
     }
@@ -490,7 +498,7 @@ impl Scheduler<'_> {
         let tid = drain.accs[id as usize].tenant;
         let mut dropped = 0usize;
         for (&kind, q) in drain.queues.iter_mut() {
-            let removed = q.drain_matching(|item| item.req.tag.session == id);
+            let removed = q.drain_matching(|item| item.tag.session == id);
             if removed.is_empty() {
                 continue;
             }
@@ -536,26 +544,24 @@ impl Scheduler<'_> {
         let sys = self.sys;
         // A batch is one session × one dataset (see `pop_chain`).
         let Some(first) = items.first() else { return };
-        if matches!(first.req.body, RequestBody::Read) {
+        if first.op == OpKind::Read {
             let why = format!("read gave up on {from}: {reason}");
             return self.drop_head(drain, from, items, &why);
         }
-        let (sid, handle, iter) = (first.req.tag.session, first.handle, first.iter);
+        let (sid, handle, iter) = (first.tag.session, first.handle, first.iter);
         // Drag along the dataset's later requests still waiting on `from`,
         // preserving their order behind the failed batch.
         if let Some(q) = drain.queues.get_mut(&from) {
-            items.extend(
-                q.drain_matching(|item| item.req.tag.session == sid && item.handle == handle),
-            );
+            items.extend(q.drain_matching(|item| item.tag.session == sid && item.handle == handle));
         }
-        let session = &mut self.admitted[sid as usize].session;
-        let next = session.replace(handle, iter, from, reason).ok();
+        let a = &mut self.admitted[sid as usize];
+        let next = a.session.replace(handle, iter, from, reason).ok();
         // The fallback may be a resource no session of this drain holds a
         // link to: set it up before the first moved request is dispatched.
         // A refused connect is left for that dispatch to fail on.
         if let Some(to) = next {
             drain.charge(to, QUERY_COST);
-            if let Ok(setup) = session.connect(to) {
+            if let Ok(setup) = a.session.connect(to) {
                 drain.charge(to, setup);
             }
         }
@@ -566,10 +572,10 @@ impl Scheduler<'_> {
         let acc = &mut drain.accs[sid as usize];
         let Some(to) = next else {
             for q in items {
-                self.admitted[sid as usize].settle(&q);
+                a.settle(&q);
                 release(&mut drain.deadlines, sid, q.est);
                 acc.errors
-                    .push(format!("{}: no usable resource ({reason})", q.req.tag));
+                    .push(format!("{}: no usable resource ({reason})", q.tag));
             }
             return drain.dirty_gates();
         };
@@ -581,7 +587,7 @@ impl Scheduler<'_> {
             sys.clock.now(),
             &format!(
                 "s{sid}/{}: {from} -> {to} ({reason}, {n} requests)",
-                items[0].req.dataset
+                a.session.spec(handle).name
             ),
         );
         acc.requeues += n as u32;
@@ -591,16 +597,14 @@ impl Scheduler<'_> {
         for mut q in items {
             q.attempts += 1;
             if q.attempts >= MAX_TRIES {
-                self.admitted[sid as usize].settle(&q);
+                a.settle(&q);
                 release(&mut drain.deadlines, sid, q.est);
-                acc.errors.push(format!(
-                    "{} gave up after {} attempts",
-                    q.req.tag, q.attempts
-                ));
+                acc.errors
+                    .push(format!("{} gave up after {} attempts", q.tag, q.attempts));
             } else {
                 // Re-price on the fallback resource: the backlog and the
                 // deadline checker track where the work now queues.
-                let est = estimate(sys, to, &q.req);
+                let est = a.session.price(handle, to, q.op).as_secs();
                 sys.load.enqueue(to, tid, est);
                 if let Some(d) = drain.deadlines.get_mut(&sid) {
                     d.secs = d.secs - q.est + est;
@@ -626,13 +630,13 @@ impl Scheduler<'_> {
     ) {
         let mut items = items.into_iter();
         let Some(head) = items.next() else { return };
-        let sid = head.req.tag.session;
+        let sid = head.tag.session;
         self.admitted[sid as usize].settle(&head);
         let acc = &mut drain.accs[sid as usize];
         let tid = acc.tenant;
         self.sys.load.dequeue(from, tid, head.est);
         release(&mut drain.deadlines, sid, head.est);
-        acc.errors.push(format!("{}: {why}", head.req.tag));
+        acc.errors.push(format!("{}: {why}", head.tag));
         let q = drain.queues.entry(from).or_default();
         for item in items.rev() {
             q.push_front(tid, item);

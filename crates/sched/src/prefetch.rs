@@ -2,25 +2,25 @@
 //! queued tail, the background fetch stream it admits work onto, and the
 //! staging cache staged reads are served from.
 
-use crate::scheduler::{Queued, MAX_CHAIN};
+use crate::drain::pop_chain;
+use crate::scheduler::{Admitted, File, Queued};
 use crate::wfq::WfqQueue;
 use bytes::Bytes;
 use msr_core::{CoreError, MsrSystem};
 use msr_obs::{ops, Layer, Recorder};
 use msr_runtime::{
-    staging_cache, superfile::DEFAULT_CACHE_LIMIT, Distribution, EngineRequest, IoEngine, IoReport,
-    IoStrategy, RequestBody, StagingCache,
+    staging_cache, superfile::DEFAULT_CACHE_LIMIT, EngineRequest, IoEngine, IoReport, RequestBody,
+    StagingCache,
 };
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{SharedResource, StorageKind};
+use msr_storage::{OpKind, SharedResource, StorageKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// One planned background fetch: enough of the future read to execute it
-/// against the resource without touching the queues again.
+/// One planned background fetch: the future read, named by its session,
+/// so it executes against the resource without touching the queues again.
 pub(crate) struct PlannedFetch {
-    path: String,
-    dist: Distribution,
-    strategy: IoStrategy,
+    file: File,
+    req: EngineRequest,
 }
 
 /// A resource's admitted fetch work for one step, starting on the
@@ -48,7 +48,7 @@ impl RoundPlan {
             .into_iter()
             .map(|f| {
                 let r = engine
-                    .read(res, &f.path, &f.dist, f.strategy)
+                    .read(res, &f.req.path, &f.req.dist, f.req.strategy)
                     .map_err(|e| CoreError::from(e).to_string());
                 (f, r)
             })
@@ -61,7 +61,8 @@ impl RoundPlan {
 }
 
 /// Run-local read-ahead state: the shared staging cache, one background
-/// stream cursor per resource, and the admission bookkeeping. Everything
+/// stream cursor per resource, and the admission bookkeeping, keyed on
+/// each dump's [`File`]. Everything
 /// here lives on the dispatcher thread; the only work that leaves it is
 /// the fetches themselves, which execute right after the owning
 /// resource's foreground batch, in plan order, so the per-resource
@@ -70,14 +71,15 @@ impl RoundPlan {
 pub(crate) struct Prefetcher {
     cache: StagingCache,
     pub bg_cursors: BTreeMap<StorageKind, SimTime>,
-    /// Successfully staged paths and the virtual time their fetch landed.
-    ready: BTreeMap<String, SimTime>,
-    /// Every path ever planned (in flight, staged, or failed) — a failed
+    /// Successfully staged files: when their fetch landed, and the path
+    /// the staging cache holds them under.
+    ready: BTreeMap<File, (SimTime, String)>,
+    /// Every file ever planned (in flight, staged, or failed) — a failed
     /// fetch is not retried in a loop; the read just runs on demand.
-    planned: BTreeSet<String>,
-    /// Paths whose idle window was too small. Windows only shrink as the
+    planned: BTreeSet<File>,
+    /// Files whose idle window was too small. Windows only shrink as the
     /// queue ahead drains, so a decline is final and is counted once.
-    declined: BTreeSet<String>,
+    declined: BTreeSet<File>,
     pub staged: u64,
     pub hits: u64,
     pub waste: u64,
@@ -105,8 +107,9 @@ impl Prefetcher {
     /// the eq. (2) estimate each queued item already carries
     /// ([`Queued::est`]). Only reads whose file exists *now* are
     /// candidates (a fetch must never observe a write that has not been
-    /// served), and a read with a queued write to the same path ahead of
-    /// it is skipped outright.
+    /// served), and a read with a queued write to the same file ahead of
+    /// it is skipped outright. The walk names no request: it compares
+    /// file keys and checks existence through one reused path buffer.
     ///
     /// The second return value is the number of *undecided* candidates the
     /// walk saw — reads with no final plan/decline verdict yet (their write
@@ -119,6 +122,7 @@ impl Prefetcher {
         &mut self,
         sys: &MsrSystem,
         rec: &Recorder,
+        admitted: &[Admitted],
         kind: StorageKind,
         q: &WfqQueue<Queued>,
         fg_cursor: SimTime,
@@ -140,33 +144,35 @@ impl Prefetcher {
             .max(fg_cursor);
         let mut bg_avail = start;
         let mut ahead = SimDuration::ZERO;
-        let mut writes_ahead: BTreeSet<&str> = BTreeSet::new();
+        let (mut writes_ahead, mut path) = (BTreeSet::new(), String::new());
         let mut fetches = Vec::new();
         let mut undecided = 0usize;
         for item in q.iter() {
-            let req = &item.req;
             let est = SimDuration::from_secs(item.est);
-            if let RequestBody::Write { .. } = req.body {
-                writes_ahead.insert(req.path.as_str());
-            } else if !self.ready.contains_key(&req.path)
-                && !self.planned.contains(&req.path)
-                && !self.declined.contains(&req.path)
+            let a = &admitted[item.tag.session as usize];
+            let file = a.file(item);
+            if item.op == OpKind::Write {
+                writes_ahead.insert(file);
+            } else if !self.ready.contains_key(&file)
+                && !self.planned.contains(&file)
+                && !self.declined.contains(&file)
             {
-                if !writes_ahead.contains(req.path.as_str()) && res.lock().exists(&req.path) {
+                let mut exists = || {
+                    a.session.dump_path(item.handle, item.iter, &mut path);
+                    res.lock().exists(&path)
+                };
+                if !writes_ahead.contains(&file) && exists() {
                     if bg_avail + est <= fg_cursor + ahead {
-                        self.planned.insert(req.path.clone());
+                        self.planned.insert(file);
                         bg_avail += est;
-                        fetches.push(PlannedFetch {
-                            path: req.path.clone(),
-                            dist: req.dist,
-                            strategy: req.strategy,
-                        });
+                        let req = a.session.request(item.handle, item.iter, item.tag, None);
+                        fetches.push(PlannedFetch { file, req });
                     } else {
                         // Too close to its own service: fetching would push
                         // the read later than just serving it on demand.
                         // Final — the window ahead of this path only
                         // shrinks.
-                        self.declined.insert(req.path.clone());
+                        self.declined.insert(file);
                         self.declines += 1;
                         rec.count(
                             Layer::Sched,
@@ -195,38 +201,30 @@ impl Prefetcher {
     /// landed by `cursor`, chained under the same rule as a normal batch —
     /// into `out` (empty on entry).
     pub fn pop_staged_run_into(
-        &mut self,
+        &self,
+        admitted: &[Admitted],
         q: &mut VecDeque<Queued>,
         cursor: SimTime,
         out: &mut Vec<Queued>,
     ) {
-        loop {
-            let ready = out.len() < MAX_CHAIN
-                && q.front().is_some_and(|item| {
-                    matches!(item.req.body, RequestBody::Read)
-                        && self.ready.get(&item.req.path).is_some_and(|&t| t <= cursor)
-                        && self.cache.lock().contains(&item.req.path)
-                        && out
-                            .last()
-                            .is_none_or(|prev| prev.req.chains_with(&item.req))
-                });
-            if !ready {
-                break;
-            }
-            out.push(q.pop_front().unwrap());
-        }
+        pop_chain(q, out, |item| {
+            let file = admitted[item.tag.session as usize].file(item);
+            let staged =
+                |(t, path): &(SimTime, String)| *t <= cursor && self.cache.lock().contains(path);
+            item.op == OpKind::Read && self.ready.get(&file).is_some_and(staged)
+        });
     }
 
     /// Take a staged buffer for serving, consuming the entry.
-    pub fn take(&mut self, path: &str) -> Option<Bytes> {
-        self.ready.remove(path);
+    pub fn take(&mut self, file: File) -> Option<Bytes> {
+        let (_, path) = self.ready.remove(&file)?;
         let mut cache = self.cache.lock();
-        let data = cache.get(path);
-        cache.invalidate(path);
+        let data = cache.get(&path);
+        cache.invalidate(&path);
         data
     }
 
-    /// A foreground serve touched `req`'s path: drop any staged copy. A
+    /// A foreground serve touched `req`'s file: drop any staged copy. A
     /// write makes the copy stale; an on-demand read means the fetch
     /// arrived too late — either way the staged bytes were wasted. Returns
     /// whether a previously *planned* path was re-opened for future
@@ -236,10 +234,11 @@ impl Prefetcher {
         &mut self,
         rec: &Recorder,
         comp: &str,
+        file: File,
         req: &EngineRequest,
         at: SimTime,
     ) -> bool {
-        let was_ready = self.ready.remove(&req.path).is_some();
+        let was_ready = self.ready.remove(&file).is_some();
         let cached = {
             let mut cache = self.cache.lock();
             let hit = cache.contains(&req.path);
@@ -251,9 +250,9 @@ impl Prefetcher {
             self.waste += 1;
             rec.count(Layer::Sched, comp, ops::PREFETCH_WASTE, at, 1.0);
             if matches!(req.body, RequestBody::Write { .. }) {
-                // Overwritten: the path may be fetched again for a later
+                // Overwritten: the file may be fetched again for a later
                 // read once the new bytes are on the resource.
-                reopened = self.planned.remove(&req.path);
+                reopened = self.planned.remove(&file);
             }
         }
         reopened
@@ -277,8 +276,8 @@ impl Prefetcher {
                         report.elapsed,
                         report.bytes,
                     );
-                    if self.cache.lock().put(&f.path, Bytes::from(bytes)) {
-                        self.ready.insert(f.path, t);
+                    if self.cache.lock().put(&f.req.path, Bytes::from(bytes)) {
+                        self.ready.insert(f.file, (t, f.req.path));
                         self.staged += 1;
                     } else {
                         // Larger than the whole cache: the fetch was wasted.
@@ -295,7 +294,7 @@ impl Prefetcher {
                         comp,
                         ops::PREFETCH,
                         t,
-                        &format!("fetch {} failed: {e}", f.path),
+                        &format!("fetch {} failed: {e}", f.req.path),
                     );
                 }
             }

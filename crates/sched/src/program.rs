@@ -4,12 +4,13 @@
 //! declared up front: the catalog identity, the process grid, the
 //! iteration count and the datasets with their hints. At admission the
 //! scheduler opens a real catalog session for it, resolves placements
-//! (through the scored AUTO policy) and expands the program into tagged
-//! [`msr_runtime::EngineRequest`]s — one write per dump the Fig. 5 main
-//! loop would have issued, in program order.
+//! (through the scored AUTO policy) and expands the program into queued
+//! request keys — one write per dump the Fig. 5 main loop would have
+//! issued, in program order — that the session names as tagged
+//! [`msr_runtime::EngineRequest`]s at dispatch.
 //!
 //! The bytes those writes carry are synthesised
-//! ([`msr_storage::payload`]), and every write is queued as its recipe.
+//! ([`msr_storage::payload`]); each write is named with its recipe.
 //! A raw collective dump reaches the store as that recipe, which the
 //! storage layer generates when it is read; a write that needs its bytes
 //! (chunked ingest, a strategy that packs or scatters) gets them at

@@ -4,10 +4,10 @@
 //! **Admission** opens a real catalog [`Session`] per program, which
 //! resolves each dataset's placement (the scored AUTO policy reads this
 //! scheduler's live queue depths off the system's
-//! [`LoadBoard`](msr_core::LoadBoard)), and asks that session to name
-//! every dump of the program as a tagged [`EngineRequest`]. The session
-//! stays the owner of each dataset's dump lifecycle for the whole drain:
-//! the scheduler decides *when* and *where in the queue*; naming,
+//! [`LoadBoard`](msr_core::LoadBoard)), and queues each dump as a key the
+//! session names as a tagged [`EngineRequest`] only at dispatch. The
+//! session stays the owner of each dataset's dump lifecycle for the whole
+//! drain: the scheduler decides *when* and *where in the queue*; naming,
 //! execution, completion accounting and re-placement are the session's
 //! steps (see `msr_core::session`).
 //!
@@ -67,9 +67,9 @@ use crate::report::SchedReport;
 use msr_core::{CoreResult, DatasetHandle, MsrSystem, Session, TenantId};
 use msr_lifecycle::LifecycleEngine;
 use msr_obs::Recorder;
-use msr_runtime::{EngineRequest, RequestBody, RequestOutcome};
+use msr_runtime::{EngineRequest, RequestBody, RequestOutcome, RequestTag};
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::StorageKind;
+use msr_storage::{OpKind, Payload, StorageKind};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Fixed virtual cost of dispatching one batch to a resource (queue
@@ -95,65 +95,64 @@ pub(crate) struct Admitted<'a> {
     /// Owner of every dataset's dump lifecycle: names the requests,
     /// executes them, accounts their completions and re-places on failure.
     pub session: Session<'a>,
-    /// The expanded program not yet dealt into queues: each request with
-    /// the dataset and iteration the session named it for, and its
-    /// admission-time estimate (which becomes [`Queued::est`]).
-    pub requests: VecDeque<(EngineRequest, DatasetHandle, u32, f64)>,
+    /// The expanded program not yet dealt into queues, as keys (see
+    /// [`Queued`]; `submitted` is stamped by the deal). Dropped once the
+    /// program is dealt.
+    pub requests: VecDeque<Queued>,
     /// The base streams of the datasets whose writes need their bytes
     /// (chunked ingest, or a strategy other than `Collective`).
     pub bases: Vec<Base>,
 }
 
-/// The base stream one dataset's writes are made from at dispatch. Every
-/// write is queued as its recipe; the stream is generated on the
-/// dataset's first dispatched write and dropped once its last has left
-/// the queues, so a session holds at most one base per dataset it is
-/// writing, not every dump it has queued.
+/// The base stream one dataset's writes are made from at dispatch. The
+/// stream is generated on the dataset's first dispatched write and
+/// dropped once its last has left the queues, so a session holds at most
+/// one base per dataset it is writing, not every dump it has queued.
 pub(crate) struct Base {
-    handle: DatasetHandle,
+    pub handle: DatasetHandle,
     /// The dataset's writes not yet served or abandoned.
-    left: usize,
-    source: Option<PayloadSource>,
+    pub left: usize,
+    pub source: Option<PayloadSource>,
 }
 
-impl Base {
-    pub fn new(handle: DatasetHandle, writes: usize) -> Base {
-        Base {
-            handle,
-            left: writes,
-            source: None,
-        }
-    }
-}
+/// A dump's file: its session, dataset and catalog dump row. An
+/// `OverWrite` dataset's dumps share one.
+pub(crate) type File = (u64, DatasetHandle, u32);
 
 impl Admitted<'_> {
-    /// Execute queued request `q` through the owning session. A write of
-    /// a dataset with a [`Base`] carries its bytes for this call only,
-    /// made from the base stream; the queued request keeps its recipe, so
-    /// a requeue pins no bytes. Any other request runs as queued.
-    pub fn execute(&mut self, q: &mut Queued) -> CoreResult<(RequestOutcome, SimDuration)> {
-        let base = self.bases.iter_mut().find(|b| b.handle == q.handle);
-        let (Some(base), RequestBody::Write { data, .. }) = (base, &mut q.req.body) else {
-            return self.session.execute(q.handle, &q.req);
-        };
-        let (id, len) = (self.id, data.len());
-        let source =
-            (base.source).get_or_insert_with(|| PayloadSource::new(id, &q.req.dataset, len));
-        let recipe = std::mem::replace(data, source.dump(q.iter).into());
-        let outcome = self.session.execute(q.handle, &q.req);
-        if let RequestBody::Write { data, .. } = &mut q.req.body {
+    /// Have the owning session name queued request `q` and execute it.
+    /// A write carries its recipe, or, for a dataset with a [`Base`], its
+    /// bytes made from the base stream for this call only: the named
+    /// request returned with the outcome carries the recipe again.
+    pub fn execute(
+        &mut self,
+        q: &Queued,
+    ) -> CoreResult<(EngineRequest, RequestOutcome, SimDuration)> {
+        let (id, spec) = (self.id, self.session.spec(q.handle));
+        let len = spec.snapshot_bytes() as usize;
+        let recipe = Payload::dump(id, &spec.name, q.iter, len);
+        let data = (q.op == OpKind::Write).then(|| {
+            match self.bases.iter_mut().find(|b| b.handle == q.handle) {
+                Some(base) => (base.source)
+                    .get_or_insert_with(|| PayloadSource::new(id, &spec.name, len))
+                    .dump(q.iter)
+                    .into(),
+                None => recipe.clone(),
+            }
+        });
+        let mut req = self.session.request(q.handle, q.iter, q.tag, data);
+        let (outcome, setup) = self.session.execute(q.handle, &req)?;
+        if let RequestBody::Write { data, .. } = &mut req.body {
             *data = recipe;
         }
-        if outcome.is_ok() {
-            self.settle(q);
-        }
-        outcome
+        self.settle(q);
+        Ok((req, outcome, setup))
     }
 
     /// `q` has left the queues, served or abandoned: after the last write
     /// of its dataset, the dataset's base stream is dropped.
     pub fn settle(&mut self, q: &Queued) {
-        if !matches!(q.req.body, RequestBody::Write { .. }) {
+        if q.op != OpKind::Write {
             return;
         }
         if let Some(i) = self.bases.iter().position(|b| b.handle == q.handle) {
@@ -163,22 +162,42 @@ impl Admitted<'_> {
             }
         }
     }
+
+    /// The file `q` writes or reads.
+    pub fn file(&self, q: &Queued) -> File {
+        let row = self.session.spec(q.handle).amode.dump_row(q.iter);
+        (q.tag.session, q.handle, row)
+    }
 }
 
+/// A scheduled request as the queues hold it: a key the owning session
+/// names the request from at dispatch ([`Admitted::execute`]), with no
+/// heap data of its own.
 pub(crate) struct Queued {
-    pub req: EngineRequest,
-    /// The dataset (in the owning session) and iteration `req` dumps or
-    /// reads back.
+    pub tag: RequestTag,
+    /// The dataset (in the owning session) and iteration the request
+    /// dumps or reads back, and which of the two.
     pub handle: DatasetHandle,
     pub iter: u32,
-    pub submitted: SimTime,
+    pub op: OpKind,
     pub attempts: u32,
+    pub submitted: SimTime,
     /// eq. (1) predicted service time (seconds) on the request's current
     /// resource — the WFQ batch cost, the load board's backlog unit, the
     /// prefetch planner's window unit and the deadline checker's
-    /// remaining-work unit. Priced once at admission ([`MsrSystem::price`])
+    /// remaining-work unit. Priced once at admission ([`Session::price`])
     /// and again on requeue.
     pub est: f64,
+}
+
+impl Queued {
+    /// Whether `next` can join a batch behind this request: same session
+    /// and dataset, consecutive program order.
+    pub fn chains_with(&self, next: &Queued) -> bool {
+        self.tag.session == next.tag.session
+            && self.handle == next.handle
+            && next.tag.seq == self.tag.seq + 1
+    }
 }
 
 /// The scheduler. Admit programs, then [`run`](Scheduler::run) to drain.
@@ -268,14 +287,14 @@ impl<'a> Scheduler<'a> {
         let sys = self.sys;
         let mut drain = Drain::new(&mut self, sys.clock.now());
         let mut armed: BTreeMap<StorageKind, SimTime> = BTreeMap::new();
-        let mut scratch: Scratch<Queued, (Queued, RequestOutcome)> = Scratch::new();
+        let mut scratch: Scratch<Queued, (Queued, EngineRequest, RequestOutcome)> = Scratch::new();
         let mut fired = 0u64;
         drain.rearm(&mut armed);
 
         loop {
             while let Some(kind) = pop_next(&mut armed) {
                 scratch.batch.clear();
-                let staged = drain.pop_batch(kind, &mut scratch.batch);
+                let staged = drain.pop_batch(&self.admitted, kind, &mut scratch.batch);
                 if !scratch.batch.is_empty() {
                     let step = drain.next_step(kind);
                     fired += 1;
@@ -284,7 +303,7 @@ impl<'a> Scheduler<'a> {
                         // Staged-serve step: plan and fetch on the
                         // resource, then serve the staged batch from
                         // memory and land the fetches.
-                        let fetched = drain.plan_step(kind).map(|plan| {
+                        let fetched = drain.plan_step(&self.admitted, kind).map(|plan| {
                             let res = sys.resource(kind).expect("placed on registered kind");
                             plan.execute(&sys.engine, &res)
                         });
@@ -303,17 +322,17 @@ impl<'a> Scheduler<'a> {
                         // batch inline, then the fetches, in plan order — a
                         // fixed per-resource op order, so every seeded jitter
                         // stream draws identically at any pool width.
-                        let plan = drain.plan_step(kind);
+                        let plan = drain.plan_step(&self.admitted, kind);
                         scratch.served.clear();
                         scratch.unserved.clear();
                         let mut error = None;
                         let mut pending = scratch.batch.drain(..);
-                        for mut q in pending.by_ref() {
-                            let a = &mut self.admitted[q.req.tag.session as usize];
-                            match a.execute(&mut q) {
-                                Ok((outcome, setup)) => {
+                        for q in pending.by_ref() {
+                            let a = &mut self.admitted[q.tag.session as usize];
+                            match a.execute(&q) {
+                                Ok((req, outcome, setup)) => {
                                     drain.charge(kind, setup);
-                                    scratch.served.push((q, outcome));
+                                    scratch.served.push((q, req, outcome));
                                 }
                                 Err(e) => {
                                     // The session's one failure rule,
@@ -386,5 +405,39 @@ impl<'a> Scheduler<'a> {
         }
 
         self.finalize_report(drain)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msr_core::DatasetSpec;
+
+    #[test]
+    fn a_queued_request_is_a_small_key() {
+        let size = std::mem::size_of::<Queued>();
+        assert!(size <= 64, "Queued is {size} bytes");
+    }
+
+    #[test]
+    fn chaining_requires_same_session_dataset_and_adjacent_seq() {
+        let sys = MsrSystem::testbed(5);
+        let mut session = sys.session().app("app").build().unwrap();
+        let d = session.open(DatasetSpec::builder("d").build()).unwrap();
+        let e = session.open(DatasetSpec::builder("e").build()).unwrap();
+        let key = |session, seq, handle| Queued {
+            tag: RequestTag { session, seq },
+            handle,
+            iter: 0,
+            op: OpKind::Write,
+            attempts: 0,
+            submitted: SimTime::EPOCH,
+            est: 0.0,
+        };
+        let a = key(1, 0, d);
+        assert!(a.chains_with(&key(1, 1, d)));
+        assert!(!a.chains_with(&key(1, 2, d)), "gap in program order");
+        assert!(!a.chains_with(&key(2, 1, d)), "different session");
+        assert!(!a.chains_with(&key(1, 1, e)), "different dataset");
     }
 }

@@ -53,42 +53,27 @@ impl<T> WfqQueue<T> {
     /// Updating the weight of an existing lane is allowed and takes
     /// effect from the next commit.
     pub fn set_weight(&mut self, tenant: TenantId, weight: f64) {
-        let w = if weight > 0.0 { weight } else { 1.0 };
-        self.lanes
-            .entry(tenant)
-            .or_insert_with(|| Lane {
-                items: VecDeque::new(),
-                weight: w,
-                finish: 0.0,
-            })
-            .weight = w;
+        self.lane(tenant).weight = if weight > 0.0 { weight } else { 1.0 };
     }
 
     /// Append `item` to `tenant`'s lane (created at weight 1 if needed).
     pub fn push_back(&mut self, tenant: TenantId, item: T) {
-        self.lanes
-            .entry(tenant)
-            .or_insert_with(|| Lane {
-                items: VecDeque::new(),
-                weight: 1.0,
-                finish: 0.0,
-            })
-            .items
-            .push_back(item);
+        self.lane(tenant).items.push_back(item);
     }
 
     /// Put `item` back at the head of `tenant`'s lane (a leftover from a
     /// partially-served batch).
     pub fn push_front(&mut self, tenant: TenantId, item: T) {
-        self.lanes
-            .entry(tenant)
-            .or_insert_with(|| Lane {
-                items: VecDeque::new(),
-                weight: 1.0,
-                finish: 0.0,
-            })
-            .items
-            .push_front(item);
+        self.lane(tenant).items.push_front(item);
+    }
+
+    /// `tenant`'s lane, created at weight 1 if needed.
+    fn lane(&mut self, tenant: TenantId) -> &mut Lane<T> {
+        self.lanes.entry(tenant).or_insert_with(|| Lane {
+            items: VecDeque::new(),
+            weight: 1.0,
+            finish: 0.0,
+        })
     }
 
     /// The lane to serve next: smallest start tag `max(vtime, finish)`

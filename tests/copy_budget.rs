@@ -10,13 +10,20 @@
 //! cannot hold that; these tests compare `as_ptr()`s and count the
 //! allocations of peculiar sizes, so a re-introduced copy fails here
 //! whatever the host is doing.
+//!
+//! Nor does admission hold a request: it queues each dump as a key the
+//! session names at dispatch, and a session's keys are dropped once its
+//! program is dealt into the queues. Those tests count what one thread
+//! allocates, so tests running beside them do not disturb the count.
 
 use bytes::Bytes;
+use msr::apps::multi::scaling_fleet;
 use msr::prelude::*;
 use msr::runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
 use msr::sched::program::payload as dump_payload;
 use msr::storage::SharedResource;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes of the dump `one_allocation_serves_the_store_and_the_staging_cache`
@@ -36,10 +43,36 @@ static CHUNKED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static CHUNKED_LIVE: AtomicUsize = AtomicUsize::new(0);
 static CHUNKED_PEAK: AtomicUsize = AtomicUsize::new(0);
 
+/// What this thread allocated, so tests running beside it do not count:
+/// byte buffers (`String`s, `Vec<u8>`s: alignment 1) ever, blocks still
+/// live, and how many were live at the first byte buffer after `armed`.
+struct Track {
+    byte_allocs: Cell<usize>,
+    live: Cell<isize>,
+    armed: Cell<bool>,
+    live_at_armed_bytes: Cell<isize>,
+}
+
+thread_local! {
+    static TRACK: Track = const {
+        Track {
+            byte_allocs: Cell::new(0),
+            live: Cell::new(0),
+            armed: Cell::new(false),
+            live_at_armed_bytes: Cell::new(0),
+        }
+    };
+}
+
+fn byte_allocs() -> usize {
+    TRACK.with(|t| t.byte_allocs.get())
+}
+
 /// The system allocator, counting requests for exactly [`WATCHED`] bytes,
 /// remembering where the last one landed, counting requests for exactly
 /// [`RECIPE`] bytes, and counting requests for exactly [`CHUNKED`] bytes
-/// with how many are live and the most that were.
+/// with how many are live and the most that were; and keeping each
+/// thread's [`Track`].
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -60,6 +93,16 @@ unsafe impl GlobalAlloc for Counting {
             let live = CHUNKED_LIVE.fetch_add(1, Ordering::SeqCst) + 1;
             CHUNKED_PEAK.fetch_max(live, Ordering::SeqCst);
         }
+        // A thread being torn down has no track left to keep.
+        let _ = TRACK.try_with(|t| {
+            t.live.set(t.live.get() + 1);
+            if layout.align() == 1 {
+                t.byte_allocs.set(t.byte_allocs.get() + 1);
+                if t.armed.replace(false) {
+                    t.live_at_armed_bytes.set(t.live.get());
+                }
+            }
+        });
         p
     }
 
@@ -67,6 +110,7 @@ unsafe impl GlobalAlloc for Counting {
         if layout.size() == CHUNKED {
             CHUNKED_LIVE.fetch_sub(1, Ordering::SeqCst);
         }
+        let _ = TRACK.try_with(|t| t.live.set(t.live.get() - 1));
         // SAFETY: `p` came from `alloc` above, that is from `System`.
         unsafe { System.dealloc(p, layout) }
     }
@@ -310,4 +354,73 @@ fn a_scheduled_chunked_dump_is_made_at_dispatch() {
             "{iter}"
         );
     }
+}
+
+#[test]
+fn admission_names_no_request() {
+    // Admission queues each dump as a key the session names at dispatch,
+    // so the byte buffers it allocates (names, catalog rows, event
+    // details) are per session: a fleet with twice the dumps per session
+    // allocates no more of them.
+    let admit = |iterations| {
+        let sys = MsrSystem::testbed(37);
+        let mut sched = Scheduler::new(&sys);
+        let before = byte_allocs();
+        for program in scaling_fleet(300) {
+            sched
+                .admit(program.iterations(iterations))
+                .unwrap()
+                .unwrap();
+        }
+        let allocs = byte_allocs() - before;
+        let kinds = [
+            StorageKind::LocalDisk,
+            StorageKind::RemoteDisk,
+            StorageKind::RemoteTape,
+        ];
+        (
+            allocs,
+            kinds.map(|k| sys.load.depth(k)).iter().sum::<usize>(),
+        )
+    };
+    let (allocs, requests) = admit(12);
+    let (more_allocs, more_requests) = admit(24);
+    assert!(
+        more_requests > requests + 300,
+        "{requests} -> {more_requests}"
+    );
+    assert_eq!(
+        more_allocs,
+        allocs,
+        "admitting {} more requests allocated byte buffers",
+        more_requests - requests
+    );
+}
+
+#[test]
+fn the_deal_leaves_no_request_staging_live() {
+    // A drain deals every admitted program into the queues before it
+    // names its first request, and each session's staging goes once its
+    // program is dealt: at that first naming (the first byte buffer the
+    // drain allocates) this thread holds fewer blocks than admission left
+    // it, by about one per session, although the drain's own bookkeeping
+    // has been allocated since.
+    let sys = MsrSystem::testbed(38);
+    let mut sched = Scheduler::new(&sys);
+    let fleet = scaling_fleet(300);
+    let sessions = fleet.len() as isize;
+    for program in fleet {
+        sched.admit(program).unwrap().unwrap();
+    }
+    let admitted = TRACK.with(|t| {
+        t.armed.set(true);
+        t.live.get()
+    });
+    let report = sched.run().unwrap();
+    let named = TRACK.with(|t| t.live_at_armed_bytes.get());
+    assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
+    assert!(
+        named < admitted - sessions / 2,
+        "{admitted} blocks live after admission, {named} at the first request named"
+    );
 }
