@@ -14,14 +14,20 @@
 //! Everything is timestamped with the simulation clock ([`msr_sim::SimTime`]), not
 //! wall time: traces line up with predicted/actual comparisons.
 //!
-//! [`Event`] is what readers get. What is stored per event is a 48-byte
+//! [`Event`] is what readers get. What is buffered per event is a 48-byte
 //! record with interned `resource` / `op` names, so recording a span or a
-//! count allocates nothing; [`Registry::events`] builds the owned `Event`s
-//! on demand and [`Registry::snapshot`] aggregates without building them.
+//! count allocates nothing. The registry folds each flushed record into
+//! its per-(layer, resource, op) rows as it arrives, so
+//! [`Registry::snapshot`] is exact at any event count, and keeps only the
+//! most recent records raw, a window of at most [`DEFAULT_CAPACITY`] from
+//! which [`Registry::events`] builds the owned `Event`s on demand.
 //!
 //! Building this crate with `default-features = false` compiles all record
 //! calls down to empty inlined functions (no buffer, no lock, no branch) —
 //! the zero-cost "sink disabled" configuration.
+
+// With the sink compiled out, the buffers and the store have no caller.
+#![cfg_attr(not(feature = "record"), allow(unused))]
 
 mod event;
 mod export;
@@ -203,21 +209,68 @@ mod tests {
 
     #[cfg(feature = "record")]
     #[test]
-    fn capacity_drops_count_exactly() {
+    fn the_window_keeps_the_newest_and_the_metrics_count_all() {
         let reg = Registry::with_capacity(16);
         let rec = reg.recorder();
         for i in 0..100 {
-            rec.instant(Layer::App, "w", "tick", at(i as f64), "why");
+            rec.span(Layer::App, "w", "tick", at(i as f64), SimDuration::ZERO, 1);
+            rec.instant(Layer::App, "w", "mark", at(i as f64), &format!("why{i}"));
         }
         drop(rec);
+        let snap = reg.snapshot();
+        let ticks = snap.per_op.iter().find(|m| m.op == "tick").unwrap();
+        assert_eq!((ticks.count, ticks.bytes), (100, 100));
+        assert_eq!((snap.events, snap.evicted, snap.dropped), (200, 184, 0));
+        assert_eq!((reg.evicted(), reg.dropped()), (184, 0));
+        // The newest are the ones kept, each still with its own detail.
         let events = reg.events();
-        assert_eq!(events.len(), 16);
-        assert_eq!(reg.dropped(), 84);
-        // The oldest are the ones kept, each still with its own detail.
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..16).collect::<Vec<u64>>());
-        assert!(events.iter().all(|e| e.detail == "why"));
-        assert_eq!(reg.snapshot().dropped, 84);
+        assert_eq!(seqs, (184..200).collect::<Vec<u64>>());
+        for e in &events {
+            let detail = format!("why{}", e.seq / 2);
+            assert_eq!(
+                e.detail,
+                if e.op == "mark" {
+                    detail
+                } else {
+                    String::new()
+                }
+            );
+        }
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
+    fn interleaved_recorders_keep_order_and_details_across_the_window_bound() {
+        use crate::recorder::FLUSH_BATCH;
+        let window = 100;
+        let reg = Registry::with_capacity(window);
+        let a = reg.recorder();
+        let b = reg.recorder();
+        let n = 2 * FLUSH_BATCH + 7;
+        for i in 0..n {
+            a.instant(Layer::App, "a", "tick", at(i as f64), &format!("a{i}"));
+            b.instant(Layer::App, "b", "tick", at(i as f64), &format!("b{i}"));
+        }
+        // Ingested in batches: a's and b's first 64, their next 64, then
+        // the tails flushed by the read; the window is the last 100 of that.
+        let mut ingested: Vec<u64> = Vec::new();
+        for batch in [
+            0..FLUSH_BATCH,
+            FLUSH_BATCH..2 * FLUSH_BATCH,
+            2 * FLUSH_BATCH..n,
+        ] {
+            ingested.extend(batch.clone().map(|i| 2 * i as u64));
+            ingested.extend(batch.map(|i| 2 * i as u64 + 1));
+        }
+        let mut kept = ingested.split_off(ingested.len() - window);
+        kept.sort_unstable();
+        let events = reg.events();
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), kept);
+        for e in &events {
+            assert_eq!(e.detail, format!("{}{}", e.resource, e.seq / 2));
+        }
+        assert_eq!(reg.evicted(), (2 * n - window) as u64);
     }
 
     #[cfg(feature = "record")]
@@ -304,19 +357,34 @@ mod tests {
 
     #[cfg(feature = "record")]
     #[test]
-    fn clear_forgets_the_drop_count() {
+    fn clear_forgets_the_rows_and_the_eviction_count() {
         let reg = Registry::with_capacity(4);
         let rec = reg.recorder();
         for i in 0..10 {
             rec.instant(Layer::App, "w", "tick", at(i as f64), "before");
+            rec.count(Layer::App, "w", "depth", at(i as f64), 1.0);
         }
-        assert_eq!(reg.snapshot().dropped, 6);
+        assert_eq!(reg.snapshot().evicted, 16);
         reg.clear();
         rec.instant(Layer::App, "w", "tick", at(10.0), "");
-        assert_eq!(reg.dropped(), 0);
+        assert_eq!(reg.evicted(), 0);
         let snap = reg.snapshot();
-        assert_eq!((snap.events, snap.dropped), (1, 0));
+        assert_eq!((snap.events, snap.evicted, snap.dropped), (1, 0, 0));
+        assert!(snap.gauges.is_empty(), "the rows went with their events");
         assert_eq!(reg.events()[0].detail, "", "details went with their events");
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
+    fn a_gauge_reads_its_latest_sample_whatever_the_flush_order() {
+        let reg = Registry::new();
+        let (early, late) = (reg.recorder(), reg.recorder());
+        early.count(Layer::Sched, "r", "depth", at(0.0), 7.0);
+        late.count(Layer::Sched, "r", "depth", at(1.0), 3.0);
+        drop(late);
+        drop(early);
+        let g = &reg.snapshot().gauges[0];
+        assert_eq!((g.count, g.last, g.max, g.sum), (2, 3.0, 7.0, 10.0));
     }
 
     #[cfg(not(feature = "record"))]
@@ -338,7 +406,7 @@ mod tests {
             rec.count(Layer::Meta, "catalog", ops::QUERY, at(i as f64), 1.0);
         }
         assert!(reg.events().is_empty());
-        assert_eq!(reg.dropped(), 0);
+        assert_eq!((reg.dropped(), reg.evicted()), (0, 0));
         assert_eq!(reg.snapshot().events, 0);
     }
 

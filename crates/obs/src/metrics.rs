@@ -6,66 +6,122 @@ use crate::event::{EventKind, Layer};
 use crate::ops;
 use crate::packed::{Interner, Packed};
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A simple exact-percentile histogram: samples are retained and sorted on
-/// demand. Good for post-run snapshots; not a streaming sketch.
+/// A log-bucketed quantile sketch. A positive sample lands in one of 64
+/// equal-width buckets per power of two (its top six mantissa bits), zero,
+/// negative and NaN samples in one bucket that reads 0. A quantile reads
+/// its bucket's midpoint, so for normal floats it is within
+/// [`Histogram::RELATIVE_ERROR`] of the exact nearest-rank sample;
+/// `count`, `sum` (in order of record) and `max` are exact. Only touched
+/// buckets are kept, so a row of five samples holds at most five, and two
+/// sketches merge bucket by bucket.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
+    count: u64,
+    sum: f64,
+    max: f64,
+    /// `(bucket, samples)`, by bucket.
+    buckets: Vec<(u32, u64)>,
 }
 
+/// Mantissa bits below a bucket's top six.
+const SUB_BITS: u32 = 52 - 6;
+
 impl Histogram {
+    /// Largest relative error of a quantile: half a bucket over its lower
+    /// edge, at most `(2^e / 64 / 2) / 2^e`.
+    pub const RELATIVE_ERROR: f64 = 1.0 / 128.0;
+
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram::default()
     }
 
+    /// The bucket of `sample`: its bits above [`SUB_BITS`], which order
+    /// like the samples themselves.
+    fn bucket(sample: f64) -> u32 {
+        (sample.max(0.0).to_bits() >> SUB_BITS) as u32
+    }
+
+    /// The midpoint `bucket` stands for (0 for the bucket of 0).
+    fn value(bucket: u32) -> f64 {
+        if bucket == 0 {
+            return 0.0;
+        }
+        let lo = f64::from_bits(u64::from(bucket) << SUB_BITS);
+        let hi = f64::from_bits(u64::from(bucket + 1) << SUB_BITS);
+        lo + (hi - lo) / 2.0
+    }
+
+    fn add(&mut self, bucket: u32, samples: u64) {
+        match self.buckets.binary_search_by_key(&bucket, |b| b.0) {
+            Ok(at) => self.buckets[at].1 += samples,
+            Err(at) => self.buckets.insert(at, (bucket, samples)),
+        }
+    }
+
     /// Add one sample.
     pub fn record(&mut self, sample: f64) {
-        self.samples.push(sample);
-        self.sorted = false;
+        self.count += 1;
+        self.sum += sample;
+        self.max = self.max.max(sample);
+        self.add(Histogram::bucket(sample), 1);
+    }
+
+    /// Add every sample of `other`, as if recorded here after these.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        for &(bucket, samples) in &other.buckets {
+            self.add(bucket, samples);
+        }
     }
 
     /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
     /// Sum of all samples.
     pub fn sum(&self) -> f64 {
-        self.samples.iter().sum()
+        self.sum
     }
 
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.sum() / self.samples.len() as f64
+            self.sum / self.count as f64
         }
     }
 
     /// Largest sample (0 when empty).
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
+        self.max
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) by nearest-rank; 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+    /// The `q`-quantile (`0.0 ..= 1.0`) by nearest rank, to within
+    /// [`Histogram::RELATIVE_ERROR`]; the largest rank reads `max` exactly,
+    /// and 0 when empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        if rank >= self.count {
+            return self.max;
         }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.sorted = true;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.samples.len() as f64).ceil() as usize)
-            .clamp(1, self.samples.len());
-        self.samples[rank - 1]
+        let mut seen = 0;
+        let (bucket, _) = self
+            .buckets
+            .iter()
+            .find(|(_, samples)| {
+                seen += samples;
+                seen >= rank
+            })
+            .expect("the ranks sum to count");
+        Histogram::value(*bucket).min(self.max)
     }
 }
 
@@ -99,7 +155,7 @@ pub struct OpMetrics {
 }
 
 /// Min/last/max over one gauge key (a `Count` event stream).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GaugeStat {
     /// `layer/resource/op` key.
     pub key: String,
@@ -114,12 +170,16 @@ pub struct GaugeStat {
 }
 
 /// A full aggregated view of one run's event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Events aggregated.
+    /// Events aggregated: every one ingested since the last clear.
     pub events: u64,
-    /// Events lost to the registry capacity bound.
+    /// Always 0: every event reaches the metrics, whatever the window
+    /// keeps.
     pub dropped: u64,
+    /// Raw events that have left the registry's window (the metrics still
+    /// count them).
+    pub evicted: u64,
     /// Per-operation span statistics, sorted by key.
     pub per_op: Vec<OpMetrics>,
     /// Gauge/counter statistics, sorted by key.
@@ -130,140 +190,131 @@ pub struct MetricsSnapshot {
     pub net_failures: u64,
 }
 
-/// Rows grouped by `(layer, resource id, op id)`. The row's public name is
-/// built once, when a key is first seen, and decides both which row the
-/// key feeds (two keys that spell the same name share one) and where the
-/// row sorts in the output — ids and first-seen order decide nothing.
-struct Rows<N, R> {
-    by_key: HashMap<(Layer, u32, u32), usize>,
-    by_name: BTreeMap<N, usize>,
-    rows: Vec<R>,
+/// Rows are keyed by `(layer, resource id, op id)` and hashed by FxHash:
+/// the keys are small ids, hashed once per event.
+type Rows<R> = HashMap<(Layer, u32, u32), R, BuildHasherDefault<KeyHasher>>;
+
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..word.len()].copy_from_slice(word);
+            let mixed = self.0.rotate_left(5) ^ u64::from_ne_bytes(w);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
 }
 
-impl<N: Ord, R> Rows<N, R> {
-    fn new() -> Self {
-        Rows {
-            by_key: HashMap::new(),
-            by_name: BTreeMap::new(),
-            rows: Vec::new(),
+/// Every ingested event, folded into per-key rows as it arrives: what a
+/// [`MetricsSnapshot`] reads, exact whatever the registry's window kept.
+/// A span row is its bytes and duration sketch, a gauge row its stat and
+/// the `seq` of the sample its `last` is.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    pub(crate) events: u64,
+    failovers: u64,
+    net_failures: u64,
+    spans: Rows<(u64, Histogram)>,
+    gauges: Rows<(u64, GaugeStat)>,
+}
+
+impl Fold {
+    /// Fold in one record, in whatever order the recorders flushed.
+    pub(crate) fn add(&mut self, p: &Packed, names: &Interner) {
+        self.events += 1;
+        let op = || names.name(p.op);
+        self.failovers += u64::from(p.layer == Layer::Session && op() == ops::FAILOVER);
+        self.net_failures += u64::from(p.layer == Layer::Network && op() == ops::TRANSFER_FAILED);
+        let key = (p.layer, p.resource, p.op);
+        match p.kind {
+            EventKind::Span => {
+                let (bytes, hist) = self.spans.entry(key).or_default();
+                *bytes += p.bytes();
+                hist.record(p.dur.as_secs());
+            }
+            EventKind::Count => {
+                let (seq, g) = self.gauges.entry(key).or_default();
+                let value = p.value();
+                g.max = if g.count == 0 { f64::MIN } else { g.max }.max(value);
+                g.count += 1;
+                g.sum += value;
+                if p.seq >= *seq {
+                    (*seq, g.last) = (p.seq, value);
+                }
+            }
+            EventKind::Instant => {}
         }
     }
 
-    fn row(&mut self, p: &Packed, name: impl FnOnce() -> N, new: impl FnOnce(&N) -> R) -> &mut R {
-        let (by_name, rows) = (&mut self.by_name, &mut self.rows);
-        let at = *self
-            .by_key
-            .entry((p.layer, p.resource, p.op))
-            .or_insert_with(|| match by_name.entry(name()) {
-                Entry::Occupied(known) => *known.get(),
-                Entry::Vacant(fresh) => {
-                    rows.push(new(fresh.key()));
-                    *fresh.insert(rows.len() - 1)
-                }
-            });
-        &mut self.rows[at]
-    }
-
-    /// `(name, row)` in name order.
-    fn into_sorted(self) -> impl Iterator<Item = (N, R)> {
-        let mut rows: Vec<Option<R>> = self.rows.into_iter().map(Some).collect();
-        self.by_name
+    /// The rows in name order. Rows are named here; gauge keys that spell
+    /// the same `layer/resource/op` share one row.
+    pub(crate) fn snapshot(&self, names: &Interner, evicted: u64) -> MetricsSnapshot {
+        let name = |&(layer, resource, op): &(Layer, u32, u32)| {
+            (layer.name(), names.name(resource), names.name(op))
+        };
+        let mut spans: Vec<_> = self.spans.iter().map(|(k, row)| (name(k), row)).collect();
+        spans.sort_unstable_by_key(|(name, _)| *name);
+        let per_op = spans
             .into_iter()
-            .map(move |(name, at)| (name, rows[at].take().expect("one name per row")))
+            .map(|((layer, resource, op), (bytes, h))| OpMetrics {
+                layer: layer.to_owned(),
+                resource: resource.to_owned(),
+                op: op.to_owned(),
+                count: h.count(),
+                bytes: *bytes,
+                total_secs: h.sum(),
+                mean_secs: h.mean(),
+                p50_secs: h.quantile(0.50),
+                p95_secs: h.quantile(0.95),
+                p99_secs: h.quantile(0.99),
+                max_secs: h.max(),
+                throughput_mb_s: if h.sum() > 0.0 {
+                    *bytes as f64 / h.sum() / 1e6
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+
+        let mut gauges: Vec<(u64, GaugeStat)> = self
+            .gauges
+            .iter()
+            .map(|(k, (seq, g))| {
+                let (layer, resource, op) = name(k);
+                let key = format!("{layer}/{resource}/{op}");
+                (*seq, GaugeStat { key, ..g.clone() })
+            })
+            .collect();
+        gauges.sort_unstable_by(|a, b| (&a.1.key, a.0).cmp(&(&b.1.key, b.0)));
+        gauges.dedup_by(|(_, later), (_, kept)| {
+            let same = later.key == kept.key;
+            if same {
+                (kept.count, kept.last) = (kept.count + later.count, later.last);
+                (kept.max, kept.sum) = (kept.max.max(later.max), kept.sum + later.sum);
+            }
+            same
+        });
+
+        MetricsSnapshot {
+            events: self.events,
+            dropped: 0,
+            evicted,
+            per_op,
+            gauges: gauges.into_iter().map(|(_, g)| g).collect(),
+            failovers: self.failovers,
+            net_failures: self.net_failures,
+        }
     }
 }
 
 impl MetricsSnapshot {
-    /// Fold stored records, in order of record, into per-key statistics.
-    pub(crate) fn fold(records: &[Packed], names: &Interner, dropped: u64) -> MetricsSnapshot {
-        struct Acc {
-            count: u64,
-            bytes: u64,
-            hist: Histogram,
-        }
-        let mut spans: Rows<(&str, &str, &str), Acc> = Rows::new();
-        let mut gauges: Rows<String, GaugeStat> = Rows::new();
-        let failover = names.lookup(ops::FAILOVER);
-        let transfer_failed = names.lookup(ops::TRANSFER_FAILED);
-        let mut failovers = 0u64;
-        let mut net_failures = 0u64;
-
-        for p in records {
-            if p.layer == Layer::Session && Some(p.op) == failover {
-                failovers += 1;
-            }
-            if p.layer == Layer::Network && Some(p.op) == transfer_failed {
-                net_failures += 1;
-            }
-            let name = || (p.layer.name(), names.name(p.resource), names.name(p.op));
-            match p.kind {
-                EventKind::Span => {
-                    let acc = spans.row(p, name, |_| Acc {
-                        count: 0,
-                        bytes: 0,
-                        hist: Histogram::new(),
-                    });
-                    acc.count += 1;
-                    acc.bytes += p.bytes();
-                    acc.hist.record(p.dur.as_secs());
-                }
-                EventKind::Count => {
-                    let key = || {
-                        let (layer, resource, op) = name();
-                        format!("{layer}/{resource}/{op}")
-                    };
-                    let g = gauges.row(p, key, |key| GaugeStat {
-                        key: key.clone(),
-                        count: 0,
-                        last: 0.0,
-                        max: f64::MIN,
-                        sum: 0.0,
-                    });
-                    let value = p.value();
-                    g.count += 1;
-                    g.last = value;
-                    g.max = g.max.max(value);
-                    g.sum += value;
-                }
-                EventKind::Instant => {}
-            }
-        }
-
-        let per_op = spans
-            .into_sorted()
-            .map(|((layer, resource, op), mut acc)| {
-                let total = acc.hist.sum();
-                OpMetrics {
-                    layer: layer.to_owned(),
-                    resource: resource.to_owned(),
-                    op: op.to_owned(),
-                    count: acc.count,
-                    bytes: acc.bytes,
-                    total_secs: total,
-                    mean_secs: acc.hist.mean(),
-                    p50_secs: acc.hist.quantile(0.50),
-                    p95_secs: acc.hist.quantile(0.95),
-                    p99_secs: acc.hist.quantile(0.99),
-                    max_secs: acc.hist.max(),
-                    throughput_mb_s: if total > 0.0 {
-                        acc.bytes as f64 / total / 1e6
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-
-        MetricsSnapshot {
-            events: records.len() as u64,
-            dropped,
-            per_op,
-            gauges: gauges.into_sorted().map(|(_, g)| g).collect(),
-            failovers,
-            net_failures,
-        }
-    }
-
     /// Pretty JSON form for dumping alongside traces.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
@@ -274,8 +325,8 @@ impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{} events ({} dropped), {} failovers, {} network failures",
-            self.events, self.dropped, self.failovers, self.net_failures
+            "{} events ({} dropped, {} evicted), {} failovers, {} network failures",
+            self.events, self.dropped, self.evicted, self.failovers, self.net_failures
         )?;
         writeln!(
             f,
@@ -313,18 +364,90 @@ mod tests {
         for v in [4.0, 1.0, 3.0, 2.0, 5.0] {
             h.record(v);
         }
-        assert_eq!(h.quantile(0.5), 3.0);
-        assert_eq!(h.quantile(1.0), 5.0);
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.max(), 5.0);
+        let near = |got: f64, exact: f64| (got - exact).abs() <= exact * Histogram::RELATIVE_ERROR;
+        assert!(near(h.quantile(0.5), 3.0) && near(h.quantile(0.0), 1.0));
+        assert_eq!((h.quantile(1.0), h.max()), (5.0, 5.0));
+        assert_eq!(h.buckets.len(), 5, "only touched buckets are kept");
         assert_eq!(h.count(), 5);
         assert!((h.mean() - 3.0).abs() < 1e-12);
     }
 
+    /// `n` samples log-uniform from 1 ns to 1e5 s (splitmix64).
+    fn samples(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|_| 1e-9 * 1e14f64.powf((next() >> 11) as f64 / (1u64 << 53) as f64))
+            .collect()
+    }
+
+    fn sketch(samples: &[f64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &s in samples {
+            h.record(s);
+        }
+        h
+    }
+
+    #[test]
+    fn every_quantile_is_within_the_stated_relative_error() {
+        for seed in [1, 2, 3] {
+            let xs = samples(seed, 5000);
+            let h = sketch(&xs);
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            for k in 0..=2000 {
+                let q = k as f64 / 2000.0;
+                let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+                let exact = sorted[rank - 1];
+                let err = (h.quantile(q) - exact).abs() / exact;
+                assert!(err <= Histogram::RELATIVE_ERROR, "q {q}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shuffled_input_gives_an_identical_sketch() {
+        let xs = samples(7, 3000);
+        let mut shuffled = xs.clone();
+        let mut state = 11u64;
+        for i in (1..shuffled.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        assert_ne!(xs, shuffled);
+        let (a, b) = (sketch(&xs), sketch(&shuffled));
+        assert_eq!((a.count, a.max.to_bits()), (b.count, b.max.to_bits()));
+        assert_eq!(a.buckets, b.buckets);
+        // Split in two and merged, the buckets are the same again.
+        let (mut front, back) = (sketch(&xs[..1000]), sketch(&xs[1000..]));
+        front.merge(&back);
+        assert_eq!((front.count, &front.buckets), (a.count, &a.buckets));
+    }
+
+    #[test]
+    fn count_max_and_sum_are_exact() {
+        let xs = samples(5, 4000);
+        let h = sketch(&xs);
+        assert_eq!(h.count(), 4000);
+        assert_eq!(h.max(), xs.iter().copied().fold(0.0, f64::max));
+        assert_eq!(h.sum().to_bits(), xs.iter().sum::<f64>().to_bits());
+    }
+
     #[test]
     fn empty_histogram_is_zero() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        let h = Histogram::new();
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q), 0.0);
+        }
+        assert_eq!((h.count(), h.sum(), h.mean(), h.max()), (0, 0.0, 0.0, 0.0));
     }
 }

@@ -1,12 +1,12 @@
 //! The stored form of the event stream: fixed-size [`Packed`] records whose
 //! `resource` and `op` are ids into the registry's [`Interner`], with the
-//! few non-empty instant details in a side table keyed by `seq`. Nothing
+//! few non-empty instant details in a side table keyed by position. Nothing
 //! here is public — [`Event`] is the read type, and ids never leave the
 //! crate, so nothing observable depends on the order names were first seen.
 
 use crate::event::{Event, EventKind, Layer};
 use msr_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One recorded event, 48 bytes, `Copy`, no heap.
@@ -26,9 +26,6 @@ pub(crate) struct Packed {
 impl Packed {
     /// A record whose sequence number and name ids are still to be filled
     /// in. `payload` is read back by [`Packed::bytes`] / [`Packed::value`].
-    /// Only the recorder builds records, so a build without `record`
-    /// never calls this.
-    #[cfg_attr(not(feature = "record"), allow(dead_code))]
     pub(crate) fn new(
         kind: EventKind,
         layer: Layer,
@@ -86,57 +83,82 @@ impl Interner {
         (shared, id)
     }
 
-    /// The id of `name` if any event used it.
-    pub(crate) fn lookup(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
-    }
-
     /// The string behind an id this interner handed out.
     pub(crate) fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
     }
 }
 
-/// A run of packed records plus the details of the instants among them:
-/// the registry's store, and each recorder's pending batch.
+/// A run of packed records, oldest first, plus the details of the instants
+/// among them: each recorder's pending batch, and the registry's window of
+/// the most recently ingested events.
 #[derive(Debug, Default)]
 pub(crate) struct Log {
-    pub(crate) events: Vec<Packed>,
-    /// `(seq, detail)` of every instant recorded with a non-empty detail.
-    pub(crate) details: Vec<(u64, Box<str>)>,
+    pub(crate) events: VecDeque<Packed>,
+    /// `(ordinal, detail)` of every instant recorded with a non-empty
+    /// detail, oldest first.
+    details: VecDeque<(u64, Box<str>)>,
+    /// Ordinal of the front record: how many have ever left the front.
+    head: u64,
 }
 
 impl Log {
-    pub(crate) fn clear(&mut self) {
-        self.events.clear();
-        self.details.clear();
+    pub(crate) fn push(&mut self, p: Packed, detail: &str) {
+        if !detail.is_empty() {
+            let at = self.head + self.events.len() as u64;
+            self.details.push_back((at, detail.into()));
+        }
+        self.events.push_back(p);
     }
 
-    /// Put both tables in order of record. Batches from different
-    /// recorders arrive interleaved; a store already in order is one scan.
-    pub(crate) fn sort(&mut self) {
-        self.events.sort_unstable_by_key(|p| p.seq);
-        self.details.sort_unstable_by_key(|d| d.0);
+    /// Drop the `n` oldest records, each with its detail.
+    fn evict(&mut self, n: usize) {
+        self.events.drain(..n);
+        self.head += n as u64;
+        while self.details.front().is_some_and(|d| d.0 < self.head) {
+            self.details.pop_front();
+        }
     }
 
-    /// The public form of a sorted log.
+    /// Move `batch` to the back, keeping at most `capacity` records: the
+    /// oldest leave first.
+    pub(crate) fn append(&mut self, batch: &mut Log, capacity: usize) {
+        let room = capacity.saturating_sub(batch.events.len());
+        self.evict(self.events.len().saturating_sub(room));
+        batch.evict(batch.events.len().saturating_sub(capacity));
+        let shift = (self.head + self.events.len() as u64).wrapping_sub(batch.head);
+        let moved = batch
+            .details
+            .drain(..)
+            .map(|(at, d)| (at.wrapping_add(shift), d));
+        self.details.extend(moved);
+        batch.head += batch.events.len() as u64;
+        self.events.append(&mut batch.events);
+    }
+
+    /// The public form of the log, in order of record: batches from
+    /// different recorders arrive interleaved.
     pub(crate) fn materialise(&self, names: &Interner) -> Vec<Event> {
         let mut details = self.details.iter().peekable();
-        let events = self.events.iter().map(|p| Event {
-            seq: p.seq,
-            at: p.at,
-            dur: p.dur,
-            layer: p.layer,
-            resource: names.name(p.resource).to_owned(),
-            op: names.name(p.op).to_owned(),
-            bytes: p.bytes(),
-            value: p.value(),
-            detail: details
-                .next_if(|d| d.0 == p.seq)
-                .map_or_else(String::new, |d| d.1.to_string()),
-            kind: p.kind,
-        });
-        events.collect()
+        let mut events: Vec<Event> = (self.head..)
+            .zip(&self.events)
+            .map(|(at, p)| Event {
+                seq: p.seq,
+                at: p.at,
+                dur: p.dur,
+                layer: p.layer,
+                resource: names.name(p.resource).to_owned(),
+                op: names.name(p.op).to_owned(),
+                bytes: p.bytes(),
+                value: p.value(),
+                detail: details
+                    .next_if(|d| d.0 == at)
+                    .map_or_else(String::new, |d| d.1.to_string()),
+                kind: p.kind,
+            })
+            .collect();
+        events.sort_unstable_by_key(|e| e.seq);
+        events
     }
 }
 
@@ -157,7 +179,5 @@ mod tests {
         assert_eq!(names.intern("sdsc-disk").1, a);
         assert_ne!(a, b);
         assert_eq!((names.name(a), names.name(b)), ("sdsc-disk", "write"));
-        assert_eq!(names.lookup("write"), Some(b));
-        assert_eq!(names.lookup("read"), None);
     }
 }

@@ -2,10 +2,6 @@
 //! the shared registry so hot paths touch the global store only once per
 //! [`FLUSH_BATCH`] events.
 
-// With the sink compiled out the buffer, the key cache and the flush path
-// have no caller left.
-#![cfg_attr(not(feature = "record"), allow(dead_code, unused_imports))]
-
 use crate::event::{EventKind, Layer};
 use crate::packed::{Interner, Log, Packed};
 use crate::registry::Inner;
@@ -56,6 +52,7 @@ pub(crate) struct Shard {
 }
 
 /// Drain every live recorder buffer into the registry store.
+#[cfg(feature = "record")]
 pub(crate) fn flush_all(reg: &Inner) {
     let mut shards = reg.shards.lock();
     shards.retain(|weak| match weak.upgrade() {
@@ -86,7 +83,13 @@ impl Recorder {
     #[cfg(feature = "record")]
     pub(crate) fn attached(reg: &Arc<Inner>) -> Recorder {
         let shard = Arc::new(Mutex::new(Shard::default()));
-        reg.shards.lock().push(Arc::downgrade(&shard));
+        let mut shards = reg.shards.lock();
+        // Before the list would grow, forget the recorders dropped since
+        // it last did: amortised O(1) per attach.
+        if shards.len() == shards.capacity() {
+            shards.retain(|weak| weak.strong_count() > 0);
+        }
+        shards.push(Arc::downgrade(&shard));
         Recorder {
             inner: Some((shard, Arc::clone(reg))),
         }
@@ -121,10 +124,7 @@ impl Recorder {
             e.resource = shard.resources.id(resource, &reg.names);
             e.op = shard.ops.id(op, &reg.names);
             e.seq = reg.seq.fetch_add(1, Ordering::Relaxed);
-            shard.pending.events.push(e);
-            if !detail.is_empty() {
-                shard.pending.details.push((e.seq, detail.into()));
-            }
+            shard.pending.push(e, detail);
             if shard.pending.events.len() >= FLUSH_BATCH {
                 reg.ingest(&mut shard.pending);
             }

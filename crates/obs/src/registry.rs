@@ -1,55 +1,70 @@
-//! The shared event registry: per-recorder buffers drain here, exporters
-//! read from here.
+//! The shared event registry: per-recorder buffers drain here, folded into
+//! the metrics rows as they arrive and kept as a bounded window of raw
+//! events; exporters read from here.
 
 use crate::event::Event;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Fold, MetricsSnapshot};
 use crate::packed::{Interner, Log};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, Shard};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Weak};
 
-/// Default bound on retained events: 48 MB of packed records at the bound,
-/// plus the details of its instants. Older events are kept, new ones
-/// dropped and counted once the bound is hit.
-pub const DEFAULT_CAPACITY: usize = 1_000_000;
+/// Default bound on the raw-event window (768 KiB of records plus their
+/// details): twice the longest stream an in-repo [`Registry::events`]
+/// reader takes. Past it the oldest events leave the window, counted by
+/// [`Registry::evicted`]; the metrics count every event either way.
+pub const DEFAULT_CAPACITY: usize = 1 << 14;
+
+/// What the registry keeps of the events ingested since the last clear.
+#[derive(Debug, Default)]
+struct Store {
+    window: Log,
+    rows: Fold,
+    capacity: usize,
+}
+
+impl Store {
+    fn evicted(&self) -> u64 {
+        self.rows.events - self.window.events.len() as u64
+    }
+}
 
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
-    #[cfg_attr(not(feature = "record"), allow(dead_code))]
     pub(crate) seq: AtomicU64,
-    pub(crate) log: Mutex<Log>,
     pub(crate) names: Mutex<Interner>,
-    pub(crate) shards: Mutex<Vec<std::sync::Weak<Mutex<crate::recorder::Shard>>>>,
-    pub(crate) capacity: usize,
-    pub(crate) dropped: AtomicU64,
+    /// Every attached recorder's buffer; dropped ones are pruned before
+    /// the list would grow, and by every flush.
+    pub(crate) shards: Mutex<Vec<Weak<Mutex<Shard>>>>,
+    #[cfg(feature = "record")]
+    store: Mutex<Store>,
 }
 
 impl Inner {
-    /// Accept a recorder's pending batch, oldest first, up to the capacity
-    /// bound; what does not fit is dropped, details included, and counted.
+    /// Fold a recorder's pending batch into the rows, then move it into
+    /// the window.
+    #[cfg(feature = "record")]
     pub(crate) fn ingest(&self, batch: &mut Log) {
-        let mut log = self.log.lock();
-        let room = self.capacity.saturating_sub(log.events.len());
-        let (kept, lost) = batch.events.split_at(batch.events.len().min(room));
-        if !lost.is_empty() {
-            self.dropped.fetch_add(lost.len() as u64, Ordering::Relaxed);
-            batch
-                .details
-                .retain(|(seq, _)| lost.iter().all(|p| p.seq != *seq));
+        let mut store = self.store.lock();
+        let names = self.names.lock();
+        for p in &batch.events {
+            store.rows.add(p, &names);
         }
-        log.events.extend_from_slice(kept);
-        log.details.append(&mut batch.details);
-        batch.events.clear();
+        let capacity = store.capacity;
+        store.window.append(batch, capacity);
     }
 
-    /// Flush every recorder, then run `read` over the store in order of
-    /// record with the names its ids stand for.
-    fn read<T>(&self, read: impl FnOnce(&Log, &Interner) -> T) -> T {
-        crate::recorder::flush_all(self);
-        let mut log = self.log.lock();
-        log.sort();
-        read(&log, &self.names.lock())
+    /// Flush every recorder, then run `read` over the store with the names
+    /// its ids stand for (nothing to read with recording compiled out).
+    fn read<T: Default>(&self, read: impl FnOnce(&mut Store, &Interner) -> T) -> T {
+        #[cfg(feature = "record")]
+        return {
+            crate::recorder::flush_all(self);
+            read(&mut self.store.lock(), &self.names.lock())
+        };
+        #[cfg(not(feature = "record"))]
+        T::default()
     }
 }
 
@@ -67,18 +82,21 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A registry with the default capacity bound.
+    /// A registry with the default window bound.
     pub fn new() -> Registry {
         Registry::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A registry retaining at most `capacity` events.
+    /// A registry whose raw-event window keeps at most the `capacity` most
+    /// recently ingested events. Metrics are exact at any bound.
     pub fn with_capacity(capacity: usize) -> Registry {
+        let inner = Inner::default();
+        #[cfg(feature = "record")]
+        {
+            inner.store.lock().capacity = capacity;
+        }
         Registry {
-            inner: Arc::new(Inner {
-                capacity,
-                ..Inner::default()
-            }),
+            inner: Arc::new(inner),
         }
     }
 
@@ -88,31 +106,62 @@ impl Registry {
         Recorder::attached(&self.inner)
     }
 
-    /// All recorded events in emission order. Flushes every live recorder
-    /// buffer first, then builds one owned [`Event`] per stored record.
+    /// The events still in the window, in emission order. Flushes every
+    /// live recorder buffer first, then builds one owned [`Event`] per
+    /// stored record.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.read(Log::materialise)
-    }
-
-    /// Number of events dropped due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Discard everything recorded so far, the drop count with it (the
-    /// sequence counter keeps increasing, so later events still sort after
-    /// earlier ones).
-    pub fn clear(&self) {
-        crate::recorder::flush_all(&self.inner);
-        self.inner.log.lock().clear();
-        self.inner.dropped.store(0, Ordering::Relaxed);
-    }
-
-    /// Aggregate the event stream into per-(layer, resource, op) metrics,
-    /// straight from the stored records.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        // The flush inside `read` can drop: count after it.
         self.inner
-            .read(|log, names| MetricsSnapshot::fold(&log.events, names, self.dropped()))
+            .read(|store, names| store.window.materialise(names))
+    }
+
+    /// Always 0: no event is lost to the metrics. Raw events that left
+    /// the window are [`Registry::evicted`].
+    pub fn dropped(&self) -> u64 {
+        0
+    }
+
+    /// Events ingested since the last clear that have left the window,
+    /// after flushing every live recorder.
+    pub fn evicted(&self) -> u64 {
+        self.inner.read(|store, _| store.evicted())
+    }
+
+    /// Discard everything recorded so far, the rows and the eviction count
+    /// with it (the sequence counter keeps increasing, so later events
+    /// still sort after earlier ones).
+    pub fn clear(&self) {
+        self.inner.read(|store, _| {
+            (store.window, store.rows) = (Log::default(), Fold::default());
+        });
+    }
+
+    /// The per-(layer, resource, op) metrics of every event ingested since
+    /// the last clear, read from the rows folded at ingest.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.inner
+            .read(|store, names| store.rows.snapshot(names, store.evicted()))
+    }
+}
+
+#[cfg(all(test, feature = "record"))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dropped_recorders_do_not_pile_up() {
+        let reg = Registry::new();
+        let mut live = Vec::new();
+        for i in 0..10_000 {
+            let rec = reg.recorder();
+            if i % 100 == 0 {
+                live.push(rec);
+            }
+            let listed = reg.inner.shards.lock().len();
+            assert!(
+                listed <= 2 * live.len() + 8,
+                "{listed} listed, {} live",
+                live.len()
+            );
+        }
     }
 }

@@ -141,7 +141,7 @@ fn chaos_run(
 
     // --- Reconciliation against the injected-fault log. ---
     let events = sys.obs.events();
-    assert_eq!(sys.obs.dropped(), 0, "{ctx}: obs stream truncated");
+    assert_eq!(sys.obs.evicted(), 0, "{ctx}: obs stream truncated");
     let retries = events.iter().filter(|e| e.op == ops::RETRY).count();
     let persisted_failovers = report
         .events
