@@ -430,10 +430,17 @@ impl<'a> Session<'a> {
         reason: &str,
     ) -> CoreResult<StorageKind> {
         let d = &mut self.datasets[h.0];
-        // A dataset may have been dumped more often than its schedule (the
-        // same iteration written twice); the dump that failed is still owed.
-        let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
-        let owed = d.spec.snapshot_bytes() * u64::from(scheduled.saturating_sub(d.dumps).max(1));
+        // An overwrite-in-place dataset owes its one file. A dataset may
+        // have been dumped more often than its schedule (the same
+        // iteration written twice); the dump that failed is still owed.
+        let dumps = match d.spec.amode {
+            AccessMode::OverWrite => 1,
+            AccessMode::Create => {
+                let scheduled = self.iterations / d.spec.frequency.max(1) + 1;
+                scheduled.saturating_sub(d.dumps).max(1)
+            }
+        };
+        let owed = d.spec.snapshot_bytes() * u64::from(dumps);
         let next = placement::fallback(self.sys, &d.spec, owed, Some(from))?;
         d.location = Some(next);
         self.events.push(PlacementEvent {

@@ -73,6 +73,48 @@ fn capacity_exhaustion_midrun_spills_to_the_next_resource() {
 }
 
 #[test]
+fn an_overwrite_dataset_is_replaced_where_its_one_file_fits() {
+    let sys = MsrSystem::testbed(205);
+    let mut s = sys
+        .session()
+        .app("app")
+        .user("u")
+        .iterations(10)
+        .grid(ProcGrid::new(1, 1, 1))
+        .build()
+        .unwrap();
+    let spec = DatasetSpec::builder("restart")
+        .element(ElementType::U8)
+        .cube(16)
+        .frequency(1)
+        .amode(AccessMode::OverWrite)
+        .hint(LocationHint::LocalDisk)
+        .future_use(FutureUse::Visualization)
+        .build();
+    let h = s.open(spec.clone()).unwrap();
+    s.write_iteration(h, 0, &payload(&spec)).unwrap();
+    sys.set_resource_online(StorageKind::LocalDisk, false);
+    // The next preference has room for two snapshots: the one file an
+    // overwrite-in-place dataset rewrites fits, its remaining dumps would not.
+    {
+        let remote = sys.resource(StorageKind::RemoteDisk).unwrap();
+        let mut r = remote.lock();
+        let used = r.used_bytes();
+        r.set_capacity(used + 2 * spec.snapshot_bytes());
+    }
+    for iter in 1..=10 {
+        s.write_iteration(h, iter, &payload(&spec)).unwrap();
+    }
+    let report = s.finalize().unwrap();
+    assert_eq!(report.datasets[0].dumps, 11);
+    assert_eq!(report.datasets[0].location, Some(StorageKind::RemoteDisk));
+    assert_eq!(
+        report.events.last().map(|e| (e.to, e.at_iteration)),
+        Some((Some(StorageKind::RemoteDisk), 1))
+    );
+}
+
+#[test]
 fn capacity_pressure_from_another_tenant_triggers_failover() {
     let sys = MsrSystem::testbed(203);
     let mut s = sys
