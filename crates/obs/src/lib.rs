@@ -3,8 +3,8 @@
 //!
 //! Every architectural layer (storage native calls, network transfers, runtime
 //! strategies, session lifecycle) emits structured [`Event`]s through a
-//! [`Recorder`] — a cheap clonable handle holding a per-component buffer
-//! that batches into a shared [`Registry`]. Exporters turn the collected
+//! [`Recorder`] — a cheap clonable handle that records each event straight
+//! into a shared [`Registry`]. Exporters turn the collected
 //! stream into JSON-lines, an aggregated [`MetricsSnapshot`] or Chrome
 //! `trace_event` JSON (loadable in `about:tracing` / Perfetto). The stream
 //! is for explaining a run; the performance database is filled by PTool
@@ -14,19 +14,20 @@
 //! Everything is timestamped with the simulation clock ([`msr_sim::SimTime`]), not
 //! wall time: traces line up with predicted/actual comparisons.
 //!
-//! [`Event`] is what readers get. What is buffered per event is a 48-byte
+//! [`Event`] is what readers get. What is stored per event is a 48-byte
 //! record with interned `resource` / `op` names, so recording a span or a
-//! count allocates nothing. The registry folds each flushed record into
-//! its per-(layer, resource, op) rows as it arrives, so
-//! [`Registry::snapshot`] is exact at any event count, and keeps only the
-//! most recent records raw, a window of at most [`DEFAULT_CAPACITY`] from
-//! which [`Registry::events`] builds the owned `Event`s on demand.
+//! count on a known key allocates nothing. Under the registry's one lock,
+//! each event gets the next `seq`, is folded into its per-(layer,
+//! resource, op) row, so [`Registry::snapshot`] is exact at any event
+//! count, and is pushed onto a window of the newest [`DEFAULT_CAPACITY`]
+//! records, from which [`Registry::events`] builds the owned `Event`s on
+//! demand.
 //!
 //! Building this crate with `default-features = false` compiles all record
-//! calls down to empty inlined functions (no buffer, no lock, no branch) —
-//! the zero-cost "sink disabled" configuration.
+//! calls down to empty inlined functions (no lock, no branch) — the
+//! zero-cost "sink disabled" configuration.
 
-// With the sink compiled out, the buffers and the store have no caller.
+// With the sink compiled out, the store has no writer.
 #![cfg_attr(not(feature = "record"), allow(unused))]
 
 mod event;
@@ -172,7 +173,16 @@ mod tests {
 
     #[cfg(feature = "record")]
     #[test]
-    fn recorder_flushes_into_registry() {
+    fn a_recorder_is_one_pointer() {
+        assert_eq!(
+            std::mem::size_of::<Recorder>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[cfg(feature = "record")]
+    #[test]
+    fn a_recorder_feeds_its_registry() {
         let reg = Registry::new();
         let rec = reg.recorder();
         for i in 0..10 {
@@ -242,30 +252,18 @@ mod tests {
     #[cfg(feature = "record")]
     #[test]
     fn interleaved_recorders_keep_order_and_details_across_the_window_bound() {
-        use crate::recorder::FLUSH_BATCH;
         let window = 100;
         let reg = Registry::with_capacity(window);
         let a = reg.recorder();
         let b = reg.recorder();
-        let n = 2 * FLUSH_BATCH + 7;
+        let n = 135;
         for i in 0..n {
             a.instant(Layer::App, "a", "tick", at(i as f64), &format!("a{i}"));
             b.instant(Layer::App, "b", "tick", at(i as f64), &format!("b{i}"));
         }
-        // Ingested in batches: a's and b's first 64, their next 64, then
-        // the tails flushed by the read; the window is the last 100 of that.
-        let mut ingested: Vec<u64> = Vec::new();
-        for batch in [
-            0..FLUSH_BATCH,
-            FLUSH_BATCH..2 * FLUSH_BATCH,
-            2 * FLUSH_BATCH..n,
-        ] {
-            ingested.extend(batch.clone().map(|i| 2 * i as u64));
-            ingested.extend(batch.map(|i| 2 * i as u64 + 1));
-        }
-        let mut kept = ingested.split_off(ingested.len() - window);
-        kept.sort_unstable();
+        // The window is exactly the newest `window` events, in `seq` order.
         let events = reg.events();
+        let kept: Vec<u64> = ((2 * n - window) as u64..2 * n as u64).collect();
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), kept);
         for e in &events {
             assert_eq!(e.detail, format!("{}{}", e.resource, e.seq / 2));
@@ -304,11 +302,10 @@ mod tests {
     #[cfg(feature = "record")]
     #[test]
     fn recorders_interleave_by_seq_across_a_flush_boundary() {
-        use crate::recorder::FLUSH_BATCH;
         let reg = Registry::new();
         let a = reg.recorder();
         let b = reg.recorder();
-        let n = 2 * FLUSH_BATCH + 7;
+        let n = 135;
         for i in 0..n {
             a.instant(Layer::App, "a", "tick", at(i as f64), &format!("a{i}"));
             b.count(Layer::App, "b", "tick", at(i as f64), i as f64);
@@ -376,15 +373,14 @@ mod tests {
 
     #[cfg(feature = "record")]
     #[test]
-    fn a_gauge_reads_its_latest_sample_whatever_the_flush_order() {
+    fn a_gauge_reads_its_latest_sample_whichever_recorder_sent_it() {
         let reg = Registry::new();
         let (early, late) = (reg.recorder(), reg.recorder());
         early.count(Layer::Sched, "r", "depth", at(0.0), 7.0);
         late.count(Layer::Sched, "r", "depth", at(1.0), 3.0);
-        drop(late);
-        drop(early);
+        early.count(Layer::Sched, "r", "depth", at(2.0), 5.0);
         let g = &reg.snapshot().gauges[0];
-        assert_eq!((g.count, g.last, g.max, g.sum), (2, 3.0, 7.0, 10.0));
+        assert_eq!((g.count, g.last, g.max, g.sum), (3, 5.0, 7.0, 15.0));
     }
 
     #[cfg(not(feature = "record"))]

@@ -4,10 +4,8 @@
 
 use crate::event::{EventKind, Layer};
 use crate::ops;
-use crate::packed::{Interner, Packed};
+use crate::packed::{Interner, KeyMap, Packed};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A log-bucketed quantile sketch. A positive sample lands in one of 64
 /// equal-width buckets per power of two (its top six mantissa bits), zero,
@@ -190,29 +188,10 @@ pub struct MetricsSnapshot {
     pub net_failures: u64,
 }
 
-/// Rows are keyed by `(layer, resource id, op id)` and hashed by FxHash:
-/// the keys are small ids, hashed once per event.
-type Rows<R> = HashMap<(Layer, u32, u32), R, BuildHasherDefault<KeyHasher>>;
+/// Rows are keyed by `(layer, resource id, op id)`.
+type Rows<R> = KeyMap<(Layer, u32, u32), R>;
 
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for word in bytes.chunks(8) {
-            let mut w = [0; 8];
-            w[..word.len()].copy_from_slice(word);
-            let mixed = self.0.rotate_left(5) ^ u64::from_ne_bytes(w);
-            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-}
-
-/// Every ingested event, folded into per-key rows as it arrives: what a
+/// Every recorded event, folded into per-key rows as it arrives: what a
 /// [`MetricsSnapshot`] reads, exact whatever the registry's window kept.
 /// A span row is its bytes and duration sketch, a gauge row its stat and
 /// the `seq` of the sample its `last` is.
@@ -226,7 +205,7 @@ pub(crate) struct Fold {
 }
 
 impl Fold {
-    /// Fold in one record, in whatever order the recorders flushed.
+    /// Fold in one record; records arrive in `seq` order.
     pub(crate) fn add(&mut self, p: &Packed, names: &Interner) {
         self.events += 1;
         let op = || names.name(p.op);
@@ -245,9 +224,7 @@ impl Fold {
                 g.max = if g.count == 0 { f64::MIN } else { g.max }.max(value);
                 g.count += 1;
                 g.sum += value;
-                if p.seq >= *seq {
-                    (*seq, g.last) = (p.seq, value);
-                }
+                (*seq, g.last) = (p.seq, value);
             }
             EventKind::Instant => {}
         }

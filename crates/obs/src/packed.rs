@@ -1,13 +1,49 @@
 //! The stored form of the event stream: fixed-size [`Packed`] records whose
 //! `resource` and `op` are ids into the registry's [`Interner`], with the
-//! few non-empty instant details in a side table keyed by position. Nothing
+//! few non-empty instant details in a side table keyed by `seq`. Nothing
 //! here is public — [`Event`] is the read type, and ids never leave the
 //! crate, so nothing observable depends on the order names were first seen.
 
 use crate::event::{Event, EventKind, Layer};
 use msr_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// An FxHash-style hasher for the crate's small keys: interned names and
+/// `(layer, id, id)` rows, each hashed once per event. The names are the
+/// ones the program's own emitters pass, not bytes read from outside.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// One round per whole 8-byte word, then one for a 4-byte word, then
+    /// one per byte left.
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((word, rest)) = bytes.split_first_chunk() {
+            self.write_u64(u64::from_ne_bytes(*word));
+            bytes = rest;
+        }
+        if let Some((word, rest)) = bytes.split_first_chunk() {
+            self.write_u64(u64::from(u32::from_ne_bytes(*word)));
+            bytes = rest;
+        }
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A `HashMap` hashed by [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// One recorded event, 48 bytes, `Copy`, no heap.
 #[derive(Debug, Clone, Copy)]
@@ -66,21 +102,21 @@ impl Packed {
 /// Ids are dense, in first-seen order, and never re-used or forgotten.
 #[derive(Debug, Default)]
 pub(crate) struct Interner {
-    ids: HashMap<Arc<str>, u32>,
+    ids: KeyMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
 }
 
 impl Interner {
-    /// The id of `name` and the shared copy of it, adding it if new.
-    pub(crate) fn intern(&mut self, name: &str) -> (Arc<str>, u32) {
-        if let Some((shared, &id)) = self.ids.get_key_value(name) {
-            return (Arc::clone(shared), id);
+    /// The id of `name`, adding it if new.
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
         }
         let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct keys");
         let shared: Arc<str> = Arc::from(name);
         self.names.push(Arc::clone(&shared));
-        self.ids.insert(Arc::clone(&shared), id);
-        (shared, id)
+        self.ids.insert(shared, id);
+        id
     }
 
     /// The string behind an id this interner handed out.
@@ -89,60 +125,45 @@ impl Interner {
     }
 }
 
-/// A run of packed records, oldest first, plus the details of the instants
-/// among them: each recorder's pending batch, and the registry's window of
-/// the most recently ingested events.
+/// The registry's window: the newest records, oldest first and in `seq`
+/// order with no gaps, plus the details of the instants among them.
 #[derive(Debug, Default)]
 pub(crate) struct Log {
-    pub(crate) events: VecDeque<Packed>,
-    /// `(ordinal, detail)` of every instant recorded with a non-empty
-    /// detail, oldest first.
+    events: VecDeque<Packed>,
+    /// `(seq, detail)` of every instant recorded with a non-empty detail,
+    /// oldest first.
     details: VecDeque<(u64, Box<str>)>,
-    /// Ordinal of the front record: how many have ever left the front.
-    head: u64,
 }
 
 impl Log {
-    pub(crate) fn push(&mut self, p: Packed, detail: &str) {
+    pub(crate) fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Add `p` at the back, keeping at most `capacity` records: when full,
+    /// the oldest leaves first, with its detail.
+    pub(crate) fn push(&mut self, p: Packed, detail: &str, capacity: usize) {
+        if self.events.len() == capacity {
+            // A window of capacity 0 keeps nothing.
+            let Some(oldest) = self.events.pop_front() else {
+                return;
+            };
+            if self.details.front().is_some_and(|d| d.0 == oldest.seq) {
+                self.details.pop_front();
+            }
+        }
         if !detail.is_empty() {
-            let at = self.head + self.events.len() as u64;
-            self.details.push_back((at, detail.into()));
+            self.details.push_back((p.seq, detail.into()));
         }
         self.events.push_back(p);
     }
 
-    /// Drop the `n` oldest records, each with its detail.
-    fn evict(&mut self, n: usize) {
-        self.events.drain(..n);
-        self.head += n as u64;
-        while self.details.front().is_some_and(|d| d.0 < self.head) {
-            self.details.pop_front();
-        }
-    }
-
-    /// Move `batch` to the back, keeping at most `capacity` records: the
-    /// oldest leave first.
-    pub(crate) fn append(&mut self, batch: &mut Log, capacity: usize) {
-        let room = capacity.saturating_sub(batch.events.len());
-        self.evict(self.events.len().saturating_sub(room));
-        batch.evict(batch.events.len().saturating_sub(capacity));
-        let shift = (self.head + self.events.len() as u64).wrapping_sub(batch.head);
-        let moved = batch
-            .details
-            .drain(..)
-            .map(|(at, d)| (at.wrapping_add(shift), d));
-        self.details.extend(moved);
-        batch.head += batch.events.len() as u64;
-        self.events.append(&mut batch.events);
-    }
-
-    /// The public form of the log, in order of record: batches from
-    /// different recorders arrive interleaved.
+    /// The public form of the log, in order of record.
     pub(crate) fn materialise(&self, names: &Interner) -> Vec<Event> {
         let mut details = self.details.iter().peekable();
-        let mut events: Vec<Event> = (self.head..)
-            .zip(&self.events)
-            .map(|(at, p)| Event {
+        self.events
+            .iter()
+            .map(|p| Event {
                 seq: p.seq,
                 at: p.at,
                 dur: p.dur,
@@ -152,13 +173,11 @@ impl Log {
                 bytes: p.bytes(),
                 value: p.value(),
                 detail: details
-                    .next_if(|d| d.0 == at)
+                    .next_if(|d| d.0 == p.seq)
                     .map_or_else(String::new, |d| d.1.to_string()),
                 kind: p.kind,
             })
-            .collect();
-        events.sort_unstable_by_key(|e| e.seq);
-        events
+            .collect()
     }
 }
 
@@ -174,9 +193,9 @@ mod tests {
     #[test]
     fn interned_names_share_one_id() {
         let mut names = Interner::default();
-        let (_, a) = names.intern("sdsc-disk");
-        let (_, b) = names.intern("write");
-        assert_eq!(names.intern("sdsc-disk").1, a);
+        let a = names.intern("sdsc-disk");
+        let b = names.intern("write");
+        assert_eq!(names.intern("sdsc-disk"), a);
         assert_ne!(a, b);
         assert_eq!((names.name(a), names.name(b)), ("sdsc-disk", "write"));
     }

@@ -1,14 +1,13 @@
-//! The shared event registry: per-recorder buffers drain here, folded into
-//! the metrics rows as they arrive and kept as a bounded window of raw
-//! events; exporters read from here.
+//! The shared event registry: every recorder's events land here, one at a
+//! time under one lock, folded into the metrics rows and kept as a bounded
+//! window of raw events; exporters read from here.
 
 use crate::event::Event;
 use crate::metrics::{Fold, MetricsSnapshot};
-use crate::packed::{Interner, Log};
-use crate::recorder::{Recorder, Shard};
+use crate::packed::{Interner, Log, Packed};
+use crate::recorder::Recorder;
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Default bound on the raw-event window (768 KiB of records plus their
 /// details): twice the longest stream an in-repo [`Registry::events`]
@@ -16,9 +15,13 @@ use std::sync::{Arc, Weak};
 /// [`Registry::evicted`]; the metrics count every event either way.
 pub const DEFAULT_CAPACITY: usize = 1 << 14;
 
-/// What the registry keeps of the events ingested since the last clear.
+/// Everything one registry keeps. With recording compiled out nothing
+/// reaches it, so it stays empty.
 #[derive(Debug, Default)]
 struct Store {
+    /// The next event's sequence number; [`Registry::clear`] keeps it.
+    seq: u64,
+    names: Interner,
     window: Log,
     rows: Fold,
     capacity: usize,
@@ -26,45 +29,29 @@ struct Store {
 
 impl Store {
     fn evicted(&self) -> u64 {
-        self.rows.events - self.window.events.len() as u64
+        self.rows.events - self.window.len() as u64
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Inner {
-    pub(crate) seq: AtomicU64,
-    pub(crate) names: Mutex<Interner>,
-    /// Every attached recorder's buffer; dropped ones are pruned before
-    /// the list would grow, and by every flush.
-    pub(crate) shards: Mutex<Vec<Weak<Mutex<Shard>>>>,
-    #[cfg(feature = "record")]
     store: Mutex<Store>,
 }
 
 impl Inner {
-    /// Fold a recorder's pending batch into the rows, then move it into
-    /// the window.
+    /// Record `p` under the next sequence number, with `resource` and `op`
+    /// resolved to ids: fold it into the rows and push it onto the window.
+    /// No heap allocation unless `detail` is non-empty, a name is new or a
+    /// table grows.
     #[cfg(feature = "record")]
-    pub(crate) fn ingest(&self, batch: &mut Log) {
-        let mut store = self.store.lock();
-        let names = self.names.lock();
-        for p in &batch.events {
-            store.rows.add(p, &names);
-        }
-        let capacity = store.capacity;
-        store.window.append(batch, capacity);
-    }
-
-    /// Flush every recorder, then run `read` over the store with the names
-    /// its ids stand for (nothing to read with recording compiled out).
-    fn read<T: Default>(&self, read: impl FnOnce(&mut Store, &Interner) -> T) -> T {
-        #[cfg(feature = "record")]
-        return {
-            crate::recorder::flush_all(self);
-            read(&mut self.store.lock(), &self.names.lock())
-        };
-        #[cfg(not(feature = "record"))]
-        T::default()
+    pub(crate) fn record(&self, mut p: Packed, resource: &str, op: &str, detail: &str) {
+        let store = &mut *self.store.lock();
+        p.seq = store.seq;
+        store.seq += 1;
+        p.resource = store.names.intern(resource);
+        p.op = store.names.intern(op);
+        store.rows.add(&p, &store.names);
+        store.window.push(p, detail, store.capacity);
     }
 }
 
@@ -87,31 +74,31 @@ impl Registry {
         Registry::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A registry whose raw-event window keeps at most the `capacity` most
-    /// recently ingested events. Metrics are exact at any bound.
+    /// A registry whose raw-event window keeps at most the `capacity`
+    /// newest events. Metrics are exact at any bound.
     pub fn with_capacity(capacity: usize) -> Registry {
-        let inner = Inner::default();
-        #[cfg(feature = "record")]
-        {
-            inner.store.lock().capacity = capacity;
-        }
+        let store = Store {
+            capacity,
+            ..Store::default()
+        };
         Registry {
-            inner: Arc::new(inner),
+            inner: Arc::new(Inner {
+                store: Mutex::new(store),
+            }),
         }
     }
 
-    /// A new recorder feeding this registry. Each recorder owns its own
-    /// buffer, so concurrent emitters contend only on batch flush.
+    /// A new recorder feeding this registry: a handle, holding no state of
+    /// its own.
     pub fn recorder(&self) -> Recorder {
         Recorder::attached(&self.inner)
     }
 
-    /// The events still in the window, in emission order. Flushes every
-    /// live recorder buffer first, then builds one owned [`Event`] per
-    /// stored record.
+    /// The events still in the window, in `seq` order: one owned
+    /// [`Event`] built per stored record.
     pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .read(|store, names| store.window.materialise(names))
+        let store = self.inner.store.lock();
+        store.window.materialise(&store.names)
     }
 
     /// Always 0: no event is lost to the metrics. Raw events that left
@@ -120,48 +107,23 @@ impl Registry {
         0
     }
 
-    /// Events ingested since the last clear that have left the window,
-    /// after flushing every live recorder.
+    /// Events recorded since the last clear that have left the window.
     pub fn evicted(&self) -> u64 {
-        self.inner.read(|store, _| store.evicted())
+        self.inner.store.lock().evicted()
     }
 
     /// Discard everything recorded so far, the rows and the eviction count
     /// with it (the sequence counter keeps increasing, so later events
     /// still sort after earlier ones).
     pub fn clear(&self) {
-        self.inner.read(|store, _| {
-            (store.window, store.rows) = (Log::default(), Fold::default());
-        });
+        let store = &mut *self.inner.store.lock();
+        (store.window, store.rows) = (Log::default(), Fold::default());
     }
 
-    /// The per-(layer, resource, op) metrics of every event ingested since
-    /// the last clear, read from the rows folded at ingest.
+    /// The per-(layer, resource, op) metrics of every event recorded since
+    /// the last clear, read from the rows folded as each arrived.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner
-            .read(|store, names| store.rows.snapshot(names, store.evicted()))
-    }
-}
-
-#[cfg(all(test, feature = "record"))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dropped_recorders_do_not_pile_up() {
-        let reg = Registry::new();
-        let mut live = Vec::new();
-        for i in 0..10_000 {
-            let rec = reg.recorder();
-            if i % 100 == 0 {
-                live.push(rec);
-            }
-            let listed = reg.inner.shards.lock().len();
-            assert!(
-                listed <= 2 * live.len() + 8,
-                "{listed} listed, {} live",
-                live.len()
-            );
-        }
+        let store = self.inner.store.lock();
+        store.rows.snapshot(&store.names, store.evicted())
     }
 }

@@ -1,12 +1,13 @@
 //! The metrics snapshot is exact at any event count, and the raw-event
 //! window is bounded.
 //!
-//! `msr-obs` folds every ingested event into its per-(layer, resource, op)
-//! rows as it arrives and keeps only the most recent events raw. A fleet
-//! whose stream outgrows the window must still count every native call
-//! and every scheduled request, and recording many times the window must
-//! not hold more than the window. The heap test counts what this thread
-//! allocates, so tests running beside it do not disturb the count.
+//! `msr-obs` folds every recorded event into its per-(layer, resource, op)
+//! row as it arrives and keeps only the newest events raw. A fleet whose
+//! stream outgrows the window must still count every native call and
+//! every scheduled request; recording many times the window must not hold
+//! more than the window, and many live recorders no more than one. The
+//! heap tests count what this thread allocates, so tests running beside
+//! it do not disturb the count.
 
 use msr::apps::multi::{run_concurrent, scaling_fleet};
 use msr::obs::{Layer, Registry, DEFAULT_CAPACITY};
@@ -152,4 +153,39 @@ fn recording_many_windows_holds_one_window_and_its_rows() {
     assert_eq!(snap.per_op[0].count, 4 * DEFAULT_CAPACITY as u64);
     assert_eq!(snap.evicted, 3 * DEFAULT_CAPACITY as u64);
     assert!(live() - base <= bound as isize);
+}
+
+#[test]
+fn a_recorder_holds_no_heap() {
+    // Each recorder is a pointer to its registry: what the registry holds
+    // is its window, its rows and its names, whatever the recorder count.
+    const RECORDERS: usize = 10_000;
+    let mut recorders = Vec::with_capacity(RECORDERS);
+    let base = live();
+    let reg = Registry::new();
+    for i in 0..RECORDERS {
+        let rec = reg.recorder();
+        for _ in 0..5 {
+            let dur = SimDuration::from_secs(1e-3);
+            rec.span(Layer::Storage, "disk", "write", SimTime::EPOCH, dur, 4096);
+        }
+        rec.instant(
+            Layer::Storage,
+            "disk",
+            "write",
+            SimTime::EPOCH,
+            &format!("r{i:05}"),
+        );
+        recorders.push(rec);
+    }
+    let held = live() - base;
+    // The window's records, then its details: one event in six, each a
+    // 24-byte ring slot (at most 4 Ki) and a 6-byte string, plus the one
+    // row, the two names and the registry itself.
+    let bound = DEFAULT_CAPACITY * 48 + (160 << 10);
+    assert!(held <= bound as isize, "{held} B held, bound {bound} B");
+    let snap = reg.snapshot();
+    assert_eq!(snap.per_op.len(), 1);
+    assert_eq!(snap.per_op[0].count, 5 * RECORDERS as u64);
+    assert_eq!(reg.events().len(), DEFAULT_CAPACITY);
 }
