@@ -3,7 +3,8 @@
 use crate::hints::{FutureUse, LocationHint};
 use msr_chunk::{ChunkPolicy, Codec, IngestSpec};
 use msr_meta::{AccessMode, ElementType};
-use msr_runtime::{Dims3, IoStrategy, Pattern};
+use msr_runtime::{CallPlan, Dims3, Distribution, IoStrategy, Pattern};
+use msr_storage::{OpKind, OpenMode};
 use serde::{Deserialize, Serialize};
 
 /// Everything the API needs to know about one dataset, provided by the
@@ -79,6 +80,24 @@ impl DatasetSpec {
     /// Bytes of one dump.
     pub fn snapshot_bytes(&self) -> u64 {
         self.dims.elements() * self.etype.size()
+    }
+
+    /// How a dump of this dataset is opened for writing: a fresh file per
+    /// `Create` dump, the one file rewritten in place for `OverWrite`.
+    pub(crate) fn write_mode(&self) -> OpenMode {
+        match self.amode {
+            AccessMode::Create => OpenMode::Create,
+            AccessMode::OverWrite => OpenMode::OverWrite,
+        }
+    }
+
+    /// The native calls of one `op` dump of this dataset laid out as
+    /// `dist`: what the engine runs and eq. (2) prices.
+    pub fn plan(&self, op: OpKind, dist: Distribution) -> CallPlan {
+        match op {
+            OpKind::Read => CallPlan::read(self.strategy, dist),
+            OpKind::Write => CallPlan::write(self.strategy, self.write_mode(), dist),
+        }
     }
 
     /// Bytes this dataset will write over a whole run of `iterations`.

@@ -94,7 +94,7 @@ fn by_score(
     // Walking the preference order makes it the tie-break: a later kind
     // must be strictly faster to displace an earlier one.
     for kind in spec.future_use.preference() {
-        let price = sys.price(kind, OpKind::Write, spec.strategy, &spec.name, dist);
+        let price = sys.price(kind, &spec.name, &spec.plan(OpKind::Write, *dist));
         let score = price * (sys.load.depth(kind) as f64 + 1.0);
         if best.is_none_or(|(_, b)| score < b) {
             best = Some((kind, score));
@@ -144,7 +144,7 @@ fn by_performance(
         if !usable(sys, kind, run_bytes) {
             continue;
         }
-        let t = sys.price(kind, OpKind::Write, spec.strategy, &spec.name, dist);
+        let t = sys.price(kind, &spec.name, &spec.plan(OpKind::Write, *dist));
         if fastest.is_none_or(|(_, best)| t < best) {
             fastest = Some((kind, t));
         }
@@ -174,7 +174,7 @@ mod tests {
     use crate::hints::FutureUse;
     use crate::tenant::TenantId;
     use msr_meta::ElementType;
-    use msr_predict::{dump_time_with, AccessSummary, PTool, ResourceProfile};
+    use msr_predict::{plan_time, Learned, PTool, ResourceProfile};
     use msr_runtime::ProcGrid;
 
     fn auto_spec(future_use: FutureUse) -> DatasetSpec {
@@ -221,7 +221,7 @@ mod tests {
             assert_eq!(sys.perf_db().is_empty(), !swept);
             let spec = auto_spec(FutureUse::Archive);
             let dist = dist_of(&spec);
-            let access = AccessSummary::of(&dist);
+            let plan = spec.plan(OpKind::Write, dist);
             // Independently compute the argmin over all kinds.
             let expect = [
                 StorageKind::LocalDisk,
@@ -232,11 +232,12 @@ mod tests {
             .map(|k| {
                 let res = sys.resource(k).unwrap();
                 let r = res.lock();
-                let profile = match sys.perf_db().get(r.name(), OpKind::Write) {
-                    Ok(row) => row.clone(),
-                    Err(_) => ResourceProfile::of_model(&*r, OpKind::Write),
-                };
-                (k, dump_time_with(&profile, spec.strategy, &access))
+                let rows = [OpKind::Read, OpKind::Write].map(|op| {
+                    let row = sys.perf_db().get(r.name(), op).cloned();
+                    row.unwrap_or_else(|_| ResourceProfile::of_model(&*r, op))
+                });
+                let row = |op| &rows[usize::from(op == OpKind::Write)];
+                (k, plan_time(&plan, row, Learned::default()))
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap()

@@ -36,13 +36,13 @@ use crate::CoreResult;
 use bytes::Bytes;
 use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId, QUERY_COST};
 use msr_obs::{ops, Layer, Recorder};
-use msr_predict::{AccessSummary, PredictionReport, PredictionRow};
+use msr_predict::{PredictionReport, PredictionRow};
 use msr_runtime::{
     staging_cache, Distribution, EngineRequest, IoReport, IoStrategy, Pattern, ProcGrid,
     RequestBody, RequestOutcome, RequestTag, RuntimeError, StagingCache,
 };
 use msr_sim::{SimDuration, SimTime};
-use msr_storage::{OpKind, OpenMode, Payload, StorageError, StorageKind};
+use msr_storage::{OpKind, Payload, StorageError, StorageKind};
 use std::collections::BTreeSet;
 
 /// Budget for the session's degraded-read staging copies.
@@ -69,14 +69,6 @@ struct DatasetState {
     bytes: u64,
     io_time: SimDuration,
     native_calls: usize,
-}
-
-/// How a dump file of an `amode` dataset is opened for writing.
-fn open_mode(amode: AccessMode) -> OpenMode {
-    match amode {
-        AccessMode::Create => OpenMode::Create,
-        AccessMode::OverWrite => OpenMode::OverWrite,
-    }
 }
 
 /// Mirror one served request into the catalog's recency columns, for the
@@ -297,8 +289,7 @@ impl<'a> Session<'a> {
     /// `kind` ([`MsrSystem::price`]).
     pub fn price(&self, h: DatasetHandle, kind: StorageKind, op: OpKind) -> SimDuration {
         let d = &self.datasets[h.0];
-        self.sys
-            .price(kind, op, d.spec.strategy, &d.spec.name, &d.dist)
+        self.sys.price(kind, &d.spec.name, &d.spec.plan(op, d.dist))
     }
 
     /// The file of dataset `h`'s dump at `iter`, the path
@@ -332,7 +323,7 @@ impl<'a> Session<'a> {
             body: match data {
                 Some(data) => RequestBody::Write {
                     data,
-                    mode: open_mode(d.spec.amode),
+                    mode: d.spec.write_mode(),
                 },
                 None => RequestBody::Read,
             },
@@ -597,15 +588,15 @@ impl<'a> Session<'a> {
             .datasets
             .iter()
             .map(|d| {
-                let (name, strategy) = (&d.spec.name, d.spec.strategy);
+                let (name, plan) = (&d.spec.name, d.spec.plan(OpKind::Write, d.dist));
                 let (resource, per_dump) = match d.location {
                     Some(kind) => (
                         self.sys.resource(kind).map(|r| r.lock().name().to_owned()),
-                        self.sys.price(kind, OpKind::Write, strategy, name, &d.dist),
+                        self.sys.price(kind, name, &plan),
                     ),
                     None => (None, SimDuration::ZERO),
                 };
-                let calls = AccessSummary::of(&d.dist).native_calls(strategy);
+                let calls = plan.transfers();
                 let (n, freq) = (self.iterations, d.spec.frequency);
                 PredictionRow::new(name, resource, n, freq, calls, per_dump)
             })

@@ -10,8 +10,8 @@ use crate::CoreResult;
 use msr_meta::{Catalog, ResourceRec, RunId};
 use msr_net::SharedNetwork;
 use msr_obs::{Recorder, Registry};
-use msr_predict::{dump_time_with, AccessSummary, PTool, PerfDb, RatioBook, ResourceProfile};
-use msr_runtime::{Distribution, IoEngine, IoStrategy, ProcGrid};
+use msr_predict::{plan_time, PTool, PerfDb, RatioBook, ResourceProfile};
+use msr_runtime::{CallPlan, IoEngine, IoStrategy, ProcGrid};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{share, testbed, FaultLog, FaultPlan, OpKind, SharedResource, StorageKind};
 use parking_lot::Mutex;
@@ -297,46 +297,34 @@ impl MsrSystem {
     /// The learned `moved / logical` ratio for `dataset` (`1.0` until the
     /// chunk plane has reported a dump for it).
     pub fn predicted_ratio(&self, dataset: &str) -> f64 {
-        self.ratios.lock().ratio(dataset)
+        self.ratios.lock().learned(dataset).ratio
     }
 
-    /// The access eq. (2) should price for one dump of `dataset` laid out
-    /// as `dist`: bytes at the learned ratio, stored as the learned number
-    /// of objects. Exactly `AccessSummary::of(dist)` for a dataset the
-    /// chunk plane never reported, so raw predictions do not move.
-    pub fn predicted_access(&self, dataset: &str, dist: &Distribution) -> AccessSummary {
-        self.ratios.lock().priced(dataset, AccessSummary::of(dist))
-    }
-
-    /// The eq. (2) price of one `op` dump of `dataset`, laid out as `dist`,
-    /// on `kind` under `strategy` — the one single-dump estimate scored
-    /// placement, admission, read-ahead, lifecycle moves and
-    /// [`Session::predict`] all take. It always answers: the profile is the
-    /// measured database row for the resource, else
-    /// [`ResourceProfile::of_model`], the resource's own fixed costs and
-    /// transfer model read live. It is resolved once and kept until
-    /// [`run_ptool`](Self::run_ptool), [`set_perf_db`](Self::set_perf_db),
-    /// [`set_wan_up`](Self::set_wan_up) or
-    /// [`set_wan_background_load`](Self::set_wan_background_load) changes
-    /// what it would be. The access is
-    /// [`predicted_access`](Self::predicted_access).
-    pub fn price(
-        &self,
-        kind: StorageKind,
-        op: OpKind,
-        strategy: IoStrategy,
-        dataset: &str,
-        dist: &Distribution,
-    ) -> SimDuration {
-        let access = self.predicted_access(dataset, dist);
+    /// The eq. (2) price of one dump of `dataset` run as `plan` on `kind` —
+    /// the one single-dump estimate scored placement, admission,
+    /// read-ahead, lifecycle moves and [`Session::predict`] all take. It
+    /// always answers: each direction's profile is the measured database
+    /// row for the resource, else [`ResourceProfile::of_model`], the
+    /// resource's own fixed costs and transfer model read live. Profiles
+    /// are resolved once and kept until [`run_ptool`](Self::run_ptool),
+    /// [`set_perf_db`](Self::set_perf_db), [`set_wan_up`](Self::set_wan_up)
+    /// or [`set_wan_background_load`](Self::set_wan_background_load)
+    /// changes what they would be. A chunked dataset is priced at the
+    /// shape the chunk plane taught the ratio book (bytes at the learned
+    /// ratio, the learned number of objects); any other at its plan, bit
+    /// for bit. A warm price allocates nothing.
+    pub fn price(&self, kind: StorageKind, dataset: &str, plan: &CallPlan) -> SimDuration {
+        let learned = self.ratios.lock().learned(dataset);
         let mut profiles = self.profiles.lock();
-        let profile = profiles.entry((kind, op)).or_insert_with(|| {
-            let r = self.resources[&kind].lock();
-            let row = self.perf_db.get(r.name(), op).ok();
-            row.cloned()
-                .unwrap_or_else(|| ResourceProfile::of_model(&*r, op))
-        });
-        dump_time_with(profile, strategy, &access)
+        for op in [OpKind::Read, OpKind::Write] {
+            profiles.entry((kind, op)).or_insert_with(|| {
+                let r = self.resources[&kind].lock();
+                let row = self.perf_db.get(r.name(), op).ok();
+                row.cloned()
+                    .unwrap_or_else(|| ResourceProfile::of_model(&*r, op))
+            });
+        }
+        plan_time(plan, |op| &profiles[&(kind, op)], learned)
     }
 }
 
@@ -381,18 +369,17 @@ mod tests {
     fn price_takes_the_database_row_once_one_is_installed() {
         let mut sys = MsrSystem::testbed(1);
         let (cube, bbb) = (msr_runtime::Dims3::cube(16), msr_runtime::Pattern::bbb());
-        let dist = Distribution::new(cube, 4, bbb, ProcGrid::new(1, 1, 1)).unwrap();
-        let price = |sys: &MsrSystem| {
-            let strategy = IoStrategy::Collective;
-            sys.price(StorageKind::LocalDisk, OpKind::Read, strategy, "d", &dist)
-        };
+        let dist = msr_runtime::Distribution::new(cube, 4, bbb, ProcGrid::new(1, 1, 1)).unwrap();
+        let plan = CallPlan::read(IoStrategy::Collective, dist);
+        let price = |sys: &MsrSystem| sys.price(StorageKind::LocalDisk, "d", &plan);
         let modelled = price(&sys);
         assert_eq!(price(&sys), modelled);
         let local = sys.resource(StorageKind::LocalDisk).unwrap();
         let mut measured = ResourceProfile::of_model(&*local.lock(), OpKind::Read);
         measured.samples = vec![(1, 123.0), (1 << 30, 123.0)];
         let mut db = PerfDb::new();
-        db.insert(local.lock().name(), OpKind::Read, measured);
+        db.insert(local.lock().name(), OpKind::Read, measured)
+            .unwrap();
         sys.set_perf_db(db);
         let secs = (price(&sys) - modelled).as_secs();
         assert!(secs > 100.0, "the planted row replaced the kept profile");

@@ -32,9 +32,9 @@ use crate::policy::RetentionPolicy;
 use msr_core::MsrSystem;
 use msr_meta::{AccessMode, DatasetRec, DumpState, Location, RunId};
 use msr_obs::{ops, Layer};
-use msr_runtime::{Distribution, IoStrategy};
+use msr_runtime::{CallPlan, Distribution, IoStrategy};
 use msr_sim::SimDuration;
-use msr_storage::{OpKind, StorageKind};
+use msr_storage::{OpenMode, StorageKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -559,7 +559,7 @@ impl LifecycleEngine {
     /// process.
     fn estimate_dump(&self, sys: &MsrSystem, d: &DatasetRec, to: StorageKind) -> f64 {
         let dist = Distribution::whole(d.snapshot_bytes());
-        sys.price(to, OpKind::Write, IoStrategy::Collective, &d.name, &dist)
-            .as_secs()
+        let plan = CallPlan::write(IoStrategy::Collective, OpenMode::Create, dist);
+        sys.price(to, &d.name, &plan).as_secs()
     }
 }

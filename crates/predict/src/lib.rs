@@ -14,18 +14,19 @@
 //!    the database. It is the database's one writer: to re-predict under
 //!    new conditions (a loaded WAN, a slowed server), sweep again.
 //! 3. The **prediction algorithm** — eq. (2):
-//!    `T = Σ_j (N/freq(j)+1) · n(j) · t_j(s)`. The inner term,
-//!    [`dump_time_with`], composes eq. (1) per strategy into the
-//!    per-process parallel makespan the run-time engine actually produces,
-//!    with `t_j(s)` interpolated from a profile; the outer sum is
-//!    [`PredictionRow::new`], summed into a [`PredictionReport`].
+//!    `T = Σ_j (N/freq(j)+1) · n(j) · t_j(s)`. The inner term is the plan
+//!    pricer [`plan_time`], which folds the engine's own
+//!    [`CallPlan`](msr_runtime::CallPlan) for the dump — its `n(j)` native
+//!    calls and the size of each — over a profile: `T_conn` once per dump,
+//!    eq. (1) per rank, host copies and the exchange unpriced, the maximum
+//!    over ranks. The outer sum is [`PredictionRow::new`], summed into a
+//!    [`PredictionReport`].
 //!
 //! Every single-dump price — scored placement, admission backlog,
 //! read-ahead, lifecycle moves and a session's Fig. 11 table — is taken
-//! through `msr_core::MsrSystem::price`, which resolves one
-//! [`ResourceProfile`] per resource and operation (the measured database
-//! row, else [`ResourceProfile::of_model`]) and composes eq. (1) per
-//! strategy against it with [`dump_time_with`].
+//! through `msr_core::MsrSystem::price`, which resolves the
+//! [`ResourceProfile`]s of a resource (the measured database rows, else
+//! [`ResourceProfile::of_model`]) and prices the dump's plan against them.
 
 pub mod accuracy;
 pub mod model;
@@ -35,11 +36,11 @@ pub mod ptool;
 pub mod ratio;
 
 pub use accuracy::{compare, ComparisonRow};
-pub use model::{dump_time_with, AccessSummary};
+pub use model::plan_time;
 pub use perfdb::{PerfDb, ResourceProfile};
 pub use predictor::{PredictionReport, PredictionRow};
 pub use ptool::PTool;
-pub use ratio::RatioBook;
+pub use ratio::{Learned, RatioBook};
 
 /// Convenience result alias.
 pub type PredictResult<T> = Result<T, PredictError>;
@@ -53,6 +54,15 @@ pub enum PredictError {
         resource: String,
         /// Operation.
         op: msr_storage::OpKind,
+    },
+    /// A transfer sample no rate curve can hold: a size of zero, or a time
+    /// that is negative or not finite. `secs` is `None` for a size a PTool
+    /// sweep was asked to measure.
+    BadSample {
+        /// Request size, bytes.
+        bytes: u64,
+        /// Measured time, seconds.
+        secs: Option<f64>,
     },
     /// PTool could not exercise the resource.
     Storage(msr_storage::StorageError),
@@ -68,6 +78,10 @@ impl std::fmt::Display for PredictError {
             PredictError::NoProfile { resource, op } => {
                 write!(f, "no performance profile for {resource}/{op}")
             }
+            PredictError::BadSample { bytes, secs } => write!(
+                f,
+                "transfer sample ({bytes} B, {secs:?} s): sizes must be positive, times finite"
+            ),
             PredictError::Storage(e) => write!(f, "PTool storage failure: {e}"),
             PredictError::Serde(e) => write!(f, "performance DB serialization: {e}"),
             PredictError::Io(e) => write!(f, "performance DB I/O: {e}"),

@@ -1,122 +1,92 @@
-//! The per-dump cost model: eq. (1) composed per strategy.
+//! The per-dump cost model: the engine's call plan priced by eq. (1).
 //!
-//! The paper's eq. (1) prices one native call; a dump of a distributed
-//! dataset issues a strategy-dependent *pattern* of native calls. The
-//! predictor interprets "the number of 'native' I/O calls needed for the
-//! request and the data size of each 'native' I/O unit" (§4.2) per
-//! strategy, and returns the parallel makespan a run-time engine of P
-//! processes produces. Following the paper's worked example, the fixed
-//! connection cost is charged on every dump (their `t(s)` includes
-//! `T_conn`), which slightly over-estimates engines that hold a session
-//! connection open — a deliberate fidelity to the published algorithm.
+//! The paper prices a dump by "the number of 'native' I/O calls needed for
+//! the request and the data size of each 'native' I/O unit" (§4.2). Those
+//! calls are the run-time engine's own [`CallPlan`], and [`plan_time`]
+//! folds its steps over a performance profile without enumerating a run:
+//!
+//! - `T_conn + T_connclose` once per dump. The paper's worked example
+//!   charges the connection on every dump (its `t(s)` includes `T_conn`),
+//!   which slightly over-estimates engines that hold a session connection
+//!   open — a deliberate fidelity to the published algorithm.
+//! - Per rank, `T_open + Σ (T_seek + T(bytes) × streams) × runs +
+//!   T_fileclose`: each transfer contends with the plan's other streams,
+//!   and seeks only where the engine seeks. Each step is priced from the
+//!   row of its own direction, so a data-sieving write pays its
+//!   read-modify-write pass at read rates.
+//! - Host copies and the interconnect exchange at zero: eq. (1) has no
+//!   term for them.
+//! - The maximum over ranks, which run in parallel between barriers.
+//! - A chunked dataset's [`Learned`] shape: every transfer's bytes scaled
+//!   by the learned ratio, and one open and close per object beyond the
+//!   first.
 
-use msr_runtime::{Distribution, IoStrategy};
+use crate::perfdb::ResourceProfile;
+use crate::ratio::Learned;
+use msr_runtime::{CallPlan, Step};
 use msr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use msr_storage::OpKind;
 
-/// The distribution facts the model needs, decoupled from `Distribution`
-/// so plans can also be written down directly (e.g. from catalog rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AccessSummary {
-    /// Bytes of one dump of the full dataset.
-    pub total_bytes: u64,
-    /// Number of processes.
-    pub nprocs: u32,
-    /// Contiguous file runs per process (naive's per-proc call count).
-    pub runs_per_proc: u64,
-    /// Bytes of one contiguous run.
-    pub run_bytes: u64,
-    /// Bytes of a process's covering extent (data sieving's unit).
-    pub extent_bytes: u64,
-    /// Bytes a single process owns (subfile's unit).
-    pub proc_bytes: u64,
-    /// Objects one dump is stored as, each opened and closed once: 1 for
-    /// a raw dump, the learned manifest + pack count for a chunked one
-    /// (see [`crate::RatioBook`]).
-    pub objects: f64,
-}
-
-impl AccessSummary {
-    /// Summarize a concrete distribution (rank 0 is representative; block
-    /// decompositions are balanced to ±1 element).
-    pub fn of(dist: &Distribution) -> Self {
-        let (runs_per_proc, run_bytes, extent_bytes) = dist.run_shape(0);
-        AccessSummary {
-            total_bytes: dist.total_bytes(),
-            nprocs: dist.nprocs() as u32,
-            runs_per_proc,
-            run_bytes,
-            extent_bytes,
-            proc_bytes: dist.bytes_for(0),
-            objects: 1.0,
-        }
-    }
-
-    /// Native calls per dump under a strategy (the `n(j)` of eq. (2)).
-    pub fn native_calls(&self, strategy: IoStrategy) -> u64 {
-        match strategy {
-            IoStrategy::Naive => u64::from(self.nprocs) * self.runs_per_proc,
-            IoStrategy::DataSieving => u64::from(self.nprocs),
-            IoStrategy::Collective => 1,
-            IoStrategy::Subfile => u64::from(self.nprocs),
-        }
-    }
-}
-
-/// Predicted cost of one dump of the dataset under `strategy` against the
-/// profile `p` — a measured database row, or one synthesized from a
-/// resource's model hooks
-/// ([`ResourceProfile::of_model`](crate::ResourceProfile::of_model)) —
-/// per the composed eq. (1). Returns the parallel makespan.
-pub fn dump_time_with(
-    p: &crate::perfdb::ResourceProfile,
-    strategy: IoStrategy,
-    access: &AccessSummary,
+/// Predicted cost of one dump run as `plan`, against `row(op)` — a
+/// measured database row, or one synthesized from a resource's model
+/// hooks ([`ResourceProfile::of_model`]) — for each direction, with the
+/// byte figures and object count `learned` for the dataset. Returns the
+/// parallel makespan the engine produces, per the rules in the module
+/// doc. Allocates nothing.
+pub fn plan_time<'a>(
+    plan: &CallPlan,
+    row: impl Fn(OpKind) -> &'a ResourceProfile,
+    learned: Learned,
 ) -> SimDuration {
-    let f = p.fixed;
-    let session = f.conn + f.connclose;
-    let per_proc = match strategy {
-        IoStrategy::Collective => {
-            // One aggregated native call: conn + open + T(total) + close +
-            // connclose — the paper's worked example exactly. No seek: the
-            // aggregated call streams from offset 0 (Table 1 writes its
-            // seek column as "-" for exactly this reason).
-            f.open + p.transfer_time(access.total_bytes) + f.close
+    let dump = row(plan.op()).fixed;
+    let streams = f64::from(plan.streams());
+    let mut slowest = SimDuration::ZERO;
+    for rank in 0..plan.dist().nprocs() {
+        let mut t = SimDuration::ZERO;
+        // The row of the object opened last, which its close is priced at.
+        let mut open = dump;
+        for step in plan.steps(rank) {
+            match step {
+                Step::Open { mode, .. } => {
+                    open = row(mode.op()).fixed;
+                    t += open.open;
+                }
+                Step::Transfer {
+                    op,
+                    unit,
+                    bytes,
+                    runs,
+                } => {
+                    let p = row(op);
+                    let seek = if unit.seeks() {
+                        p.fixed.seek
+                    } else {
+                        SimDuration::ZERO
+                    };
+                    let contended = p.transfer_time(learned.scale(bytes)) * streams;
+                    t += (seek + contended) * runs as f64;
+                }
+                Step::Close => t += open.close,
+                Step::Copy { .. } | Step::Exchange => {}
+            }
         }
-        IoStrategy::Naive => {
-            // Each process: one open, then per run a seek and a transfer
-            // contending with the other P−1 processes.
-            let contended = p.transfer_time(access.run_bytes) * f64::from(access.nprocs.max(1));
-            f.open + (f.seek + contended) * access.runs_per_proc as f64 + f.close
-        }
-        IoStrategy::DataSieving => {
-            // One covering-extent access per process (write adds the RMW
-            // read pass, priced by the caller issuing two dump_time_with calls
-            // if desired; the single pass is the dominant term).
-            let contended = p.transfer_time(access.extent_bytes) * f64::from(access.nprocs.max(1));
-            f.open + f.seek + contended + f.close
-        }
-        IoStrategy::Subfile => {
-            let contended = p.transfer_time(access.proc_bytes) * f64::from(access.nprocs.max(1));
-            f.open + contended + f.close
-        }
-    };
-    let dump = session + per_proc;
+        slowest = slowest.max(t);
+    }
+    let priced = dump.conn + dump.connclose + slowest;
     // Every object beyond the first pays its own open and close. Raw
     // dumps are one object and skip the term, bit for bit.
-    if access.objects > 1.0 {
-        dump + (f.open + f.close) * (access.objects - 1.0)
+    if learned.objects > 1.0 {
+        priced + (dump.open + dump.close) * (learned.objects - 1.0)
     } else {
-        dump
+        priced
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perfdb::ResourceProfile;
-    use msr_runtime::{Dims3, Pattern, ProcGrid};
-    use msr_storage::{FixedCosts, StorageKind};
+    use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+    use msr_storage::{FixedCosts, OpenMode, StorageKind};
 
     /// An `sdsc-disk` write row.
     fn remote_disk() -> ResourceProfile {
@@ -140,41 +110,49 @@ mod tests {
         }
     }
 
-    fn access(n: u64, procs: (u32, u32, u32), elem: u64) -> AccessSummary {
-        let dist = Distribution::new(
-            Dims3::cube(n),
-            elem,
-            Pattern::bbb(),
-            ProcGrid::new(procs.0, procs.1, procs.2),
-        )
-        .unwrap();
-        AccessSummary::of(&dist)
+    fn dist(n: u64, procs: (u32, u32, u32), elem: u64) -> Distribution {
+        let grid = ProcGrid::new(procs.0, procs.1, procs.2);
+        Distribution::new(Dims3::cube(n), elem, Pattern::bbb(), grid).unwrap()
+    }
+
+    /// `strategy`'s `Create` dump of `d`, priced on one row.
+    fn priced(p: &ResourceProfile, strategy: IoStrategy, d: Distribution) -> SimDuration {
+        let plan = CallPlan::write(strategy, OpenMode::Create, d);
+        plan_time(&plan, |_| p, Learned::default())
     }
 
     #[test]
     fn collective_dump_matches_paper_worked_example_shape() {
         // 2 MB collective write to remote disk ≈ 8.5 s (paper: 8.47).
-        let a = access(128, (1, 1, 1), 1);
-        assert_eq!(a.total_bytes, 2_097_152);
-        let t = dump_time_with(&remote_disk(), IoStrategy::Collective, &a).as_secs();
+        let d = dist(128, (1, 1, 1), 1);
+        assert_eq!(d.total_bytes(), 2_097_152);
+        let t = priced(&remote_disk(), IoStrategy::Collective, d).as_secs();
         assert!((8.0..9.0).contains(&t), "got {t}");
+    }
+
+    #[test]
+    fn a_collective_dump_is_conn_open_transfer_close_connclose() {
+        let p = &remote_disk();
+        let d = dist(64, (2, 2, 2), 4);
+        let f = p.fixed;
+        let paper = f.conn + f.connclose + (f.open + p.transfer_time(d.total_bytes()) + f.close);
+        assert_eq!(priced(p, IoStrategy::Collective, d), paper);
     }
 
     #[test]
     fn each_extra_object_costs_exactly_one_open_and_close() {
         let p = &remote_disk();
-        let one = access(64, (2, 2, 2), 4);
-        for strategy in [
-            IoStrategy::Collective,
-            IoStrategy::Naive,
-            IoStrategy::DataSieving,
-            IoStrategy::Subfile,
-        ] {
-            let base = dump_time_with(p, strategy, &one);
+        let d = dist(64, (2, 2, 2), 4);
+        for strategy in IoStrategy::ALL {
+            let plan = CallPlan::write(strategy, OpenMode::Create, d);
+            let base = plan_time(&plan, |_| p, Learned::default());
             for objects in [2.0, 1.7, 3.0] {
-                let many = AccessSummary { objects, ..one };
+                let many = Learned {
+                    objects,
+                    ..Learned::default()
+                };
                 assert_eq!(
-                    dump_time_with(p, strategy, &many),
+                    plan_time(&plan, |_| p, many),
                     base + (p.fixed.open + p.fixed.close) * (objects - 1.0),
                     "{strategy} at {objects} objects"
                 );
@@ -182,27 +160,21 @@ mod tests {
             // One object — or a nonsense count below it — is the raw
             // price, bit for bit.
             for objects in [1.0, 0.0, f64::NAN] {
-                let same = AccessSummary { objects, ..one };
-                assert_eq!(dump_time_with(p, strategy, &same), base);
+                let same = Learned {
+                    objects,
+                    ..Learned::default()
+                };
+                assert_eq!(plan_time(&plan, |_| p, same), base);
             }
         }
     }
 
     #[test]
-    fn native_call_counts() {
-        let a = access(128, (2, 2, 2), 4);
-        assert_eq!(a.native_calls(IoStrategy::Collective), 1);
-        assert_eq!(a.native_calls(IoStrategy::Subfile), 8);
-        assert_eq!(a.native_calls(IoStrategy::DataSieving), 8);
-        assert_eq!(a.native_calls(IoStrategy::Naive), 8 * 64 * 64);
-    }
-
-    #[test]
     fn naive_costs_dwarf_collective_on_remote() {
-        let a = access(64, (2, 2, 2), 4);
+        let d = dist(64, (2, 2, 2), 4);
         let p = remote_disk();
-        let coll = dump_time_with(&p, IoStrategy::Collective, &a);
-        let naive = dump_time_with(&p, IoStrategy::Naive, &a);
+        let coll = priced(&p, IoStrategy::Collective, d);
+        let naive = priced(&p, IoStrategy::Naive, d);
         assert!(
             naive.as_secs() > 3.0 * coll.as_secs(),
             "naive {naive} vs collective {coll}"
@@ -211,20 +183,56 @@ mod tests {
 
     #[test]
     fn subfile_between_naive_and_collective() {
-        let a = access(64, (2, 2, 2), 4);
+        let d = dist(64, (2, 2, 2), 4);
         let p = remote_disk();
-        let coll = dump_time_with(&p, IoStrategy::Collective, &a);
-        let sub = dump_time_with(&p, IoStrategy::Subfile, &a);
-        let naive = dump_time_with(&p, IoStrategy::Naive, &a);
+        let coll = priced(&p, IoStrategy::Collective, d);
+        let sub = priced(&p, IoStrategy::Subfile, d);
+        let naive = priced(&p, IoStrategy::Naive, d);
         assert!(coll <= sub && sub <= naive, "{coll} <= {sub} <= {naive}");
     }
 
     #[test]
-    fn access_summary_of_single_proc() {
-        let a = access(32, (1, 1, 1), 4);
-        assert_eq!(a.runs_per_proc, 1);
-        assert_eq!(a.run_bytes, a.total_bytes);
-        assert_eq!(a.proc_bytes, a.total_bytes);
-        assert_eq!(a.extent_bytes, a.total_bytes);
+    fn a_sieving_write_pays_its_read_pass_at_read_rates() {
+        let d = dist(64, (2, 2, 2), 4);
+        let write = remote_disk();
+        let read = ResourceProfile {
+            samples: write.samples.iter().map(|&(b, t)| (b, t * 2.0)).collect(),
+            ..write.clone()
+        };
+        let rows = |op| if op == OpKind::Read { &read } else { &write };
+        let sieve_read = plan_time(
+            &CallPlan::read(IoStrategy::DataSieving, d),
+            rows,
+            Learned::default(),
+        );
+        let create = CallPlan::write(IoStrategy::DataSieving, OpenMode::Create, d);
+        let sieve_write = plan_time(&create, rows, Learned::default());
+        // Rank 1 reads its extent at read rates, then writes it back.
+        let runs = d.chunks_for(1);
+        let extent = runs[runs.len() - 1].end() - runs[0].offset;
+        let f = write.fixed;
+        let pass =
+            |p: &ResourceProfile| f.open + (f.seek + p.transfer_time(extent) * 8.0) + f.close;
+        let rank1 = f.conn + f.connclose + pass(&read) + pass(&write);
+        assert!(
+            (sieve_write - rank1).as_secs().abs() < 1e-9,
+            "{sieve_write} vs {rank1}"
+        );
+        assert!(sieve_write > sieve_read, "{sieve_write} > {sieve_read}");
+    }
+
+    #[test]
+    fn the_learned_ratio_shrinks_every_transfer() {
+        let p = &remote_disk();
+        let d = dist(64, (1, 1, 1), 4);
+        let plan = CallPlan::write(IoStrategy::Collective, OpenMode::Create, d);
+        let quarter = Learned {
+            ratio: 0.25,
+            objects: 1.0,
+        };
+        let f = p.fixed;
+        let shrunk =
+            f.conn + f.connclose + (f.open + p.transfer_time(d.total_bytes() / 4) + f.close);
+        assert_eq!(plan_time(&plan, |_| p, quarter), shrunk);
     }
 }

@@ -18,7 +18,8 @@ pub struct ResourceProfile {
     pub kind: StorageKind,
     /// Fixed eq.(1) components — one Table 1 row.
     pub fixed: FixedCosts,
-    /// `(bytes, seconds)` transfer samples, sorted by size.
+    /// `(bytes, seconds)` transfer samples, sorted by size, each size
+    /// once: a row is put in this order where it enters the database.
     pub samples: Vec<(u64, f64)>,
 }
 
@@ -37,17 +38,26 @@ impl ResourceProfile {
         }
     }
 
-    /// Interpolated `T_read/write(s)` for a request of `bytes`.
+    /// Interpolated `T_read/write(s)` for a request of `bytes`, over the
+    /// samples in place.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
-        if self.samples.is_empty() || bytes == 0 {
+        if self.samples.is_empty() {
             return SimDuration::ZERO;
         }
-        RateCurve::from_anchors(self.samples.clone()).time_for(bytes)
+        RateCurve::time_over(&self.samples, bytes)
     }
 
-    /// The complete eq. (1) for a standalone native call of `bytes`.
-    pub fn native_call_time(&self, bytes: u64) -> SimDuration {
-        self.fixed.total() + self.transfer_time(bytes)
+    /// This row as the database keeps it, samples sorted as a
+    /// [`RateCurve`] keeps its anchors, or a [`PredictError::BadSample`].
+    fn normalise(&mut self) -> PredictResult<()> {
+        let bad = |&&(bytes, secs): &&(u64, f64)| bytes == 0 || !(secs >= 0.0 && secs.is_finite());
+        if let Some(&(bytes, secs)) = self.samples.iter().find(bad) {
+            let secs = Some(secs);
+            return Err(PredictError::BadSample { bytes, secs });
+        }
+        self.samples.sort_by_key(|&(bytes, _)| bytes);
+        self.samples.dedup_by_key(|&mut (bytes, _)| bytes);
+        Ok(())
     }
 }
 
@@ -67,9 +77,17 @@ impl PerfDb {
         Self::default()
     }
 
-    /// Install or replace a profile.
-    pub fn insert(&mut self, resource: &str, op: OpKind, profile: ResourceProfile) {
+    /// Install or replace a profile, its samples sorted; a sample no rate
+    /// curve can hold is a [`PredictError::BadSample`].
+    pub fn insert(
+        &mut self,
+        resource: &str,
+        op: OpKind,
+        mut profile: ResourceProfile,
+    ) -> PredictResult<()> {
+        profile.normalise()?;
         self.profiles.insert(key(resource, op), profile);
+        Ok(())
     }
 
     /// Look up a profile.
@@ -98,9 +116,14 @@ impl PerfDb {
         Ok(())
     }
 
-    /// Load from JSON.
+    /// Load from JSON, every row checked and sorted as
+    /// [`insert`](Self::insert) does.
     pub fn load(path: impl AsRef<Path>) -> PredictResult<PerfDb> {
-        Ok(serde_json::from_str(&std::fs::read_to_string(path)?)?)
+        let mut db: PerfDb = serde_json::from_str(&std::fs::read_to_string(path)?)?;
+        db.profiles
+            .values_mut()
+            .try_for_each(ResourceProfile::normalise)?;
+        Ok(db)
     }
 }
 
@@ -125,21 +148,13 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut db = PerfDb::new();
-        db.insert("sdsc-disk", OpKind::Write, profile());
+        db.insert("sdsc-disk", OpKind::Write, profile()).unwrap();
         assert!(db.get("sdsc-disk", OpKind::Write).is_ok());
         assert!(db.get("sdsc-disk", OpKind::Read).is_err());
         assert!(matches!(
             db.get("hpss", OpKind::Write),
             Err(PredictError::NoProfile { .. })
         ));
-    }
-
-    #[test]
-    fn native_call_time_composes_eq1() {
-        let p = profile();
-        let t = p.native_call_time(2_000_000);
-        // 2.0902 fixed (incl. the 0.40 seek) + 6.8 transfer
-        assert!((t.as_secs() - 8.8902).abs() < 1e-9);
     }
 
     #[test]
@@ -180,15 +195,86 @@ mod tests {
     fn model_profile_is_deterministic_and_prices_positive() {
         let p = ResourceProfile::of_model(&disk(), OpKind::Write);
         assert_eq!(p, ResourceProfile::of_model(&disk(), OpKind::Write));
-        assert!(p.native_call_time(1 << 20) > SimDuration::ZERO);
+        assert!(p.transfer_time(1 << 20) > SimDuration::ZERO);
     }
 
     #[test]
     fn json_roundtrip() {
         let mut db = PerfDb::new();
-        db.insert("anl-local", OpKind::Read, profile());
+        db.insert("anl-local", OpKind::Read, profile()).unwrap();
         let s = serde_json::to_string(&db).unwrap();
         let back: PerfDb = serde_json::from_str(&s).unwrap();
         assert_eq!(back, db);
+    }
+
+    /// A database file as a hand edit might leave it: `anl-local/write`
+    /// holding `samples`.
+    fn db_file(name: &str, samples: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("msr-perfdb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut db = PerfDb::new();
+        db.insert("anl-local", OpKind::Write, profile()).unwrap();
+        let json = serde_json::to_string(&db)
+            .unwrap()
+            .replace("[[1000000,3.4],[2000000,6.8],[8000000,27.0]]", samples);
+        let path = dir.join(name);
+        std::fs::write(&path, json).unwrap();
+        path
+    }
+
+    #[test]
+    fn a_loaded_row_no_curve_can_hold_is_a_typed_error() {
+        for (name, samples, bad) in [
+            ("zero.json", "[[0,0.5],[2000000,6.8]]", (0, 0.5)),
+            (
+                "negative.json",
+                "[[1000000,-1.0],[2000000,6.8]]",
+                (1_000_000, -1.0),
+            ),
+        ] {
+            let loaded = PerfDb::load(db_file(name, samples));
+            if let Ok(db) = &loaded {
+                // What a price of the row would do.
+                db.get("anl-local", OpKind::Write)
+                    .unwrap()
+                    .transfer_time(1 << 20);
+            }
+            assert!(
+                matches!(loaded, Err(PredictError::BadSample { bytes, secs: Some(secs) })
+                    if (bytes, secs) == bad),
+                "{name}: {loaded:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_enter_sorted_by_size_keeping_the_first_of_a_size() {
+        let path = db_file(
+            "unsorted.json",
+            "[[8000000,27.0],[1000000,3.4],[8000000,1.0]]",
+        );
+        let loaded = PerfDb::load(path).unwrap();
+        let want = [(1_000_000, 3.4), (8_000_000, 27.0)];
+        assert_eq!(
+            loaded.get("anl-local", OpKind::Write).unwrap().samples,
+            want
+        );
+        let mut db = PerfDb::new();
+        let mut row = profile();
+        row.samples.reverse();
+        db.insert("d", OpKind::Read, row).unwrap();
+        assert_eq!(
+            db.get("d", OpKind::Read).unwrap().samples,
+            profile().samples
+        );
+    }
+
+    #[test]
+    fn in_place_pricing_is_the_rate_curve_bit_for_bit() {
+        let p = ResourceProfile::of_model(&disk(), OpKind::Write);
+        let curve = RateCurve::from_anchors(p.samples.clone());
+        for bytes in [1, 4_095, 4_096, 100_000, 1 << 20, 3 << 24, 1 << 30] {
+            assert_eq!(p.transfer_time(bytes), curve.time_for(bytes), "{bytes}");
+        }
     }
 }

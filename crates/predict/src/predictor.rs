@@ -29,9 +29,9 @@ impl PredictionRow {
     /// costs nothing.
     ///
     /// ```
-    /// use msr_predict::{dump_time_with, AccessSummary, PredictionRow, ResourceProfile};
-    /// use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
-    /// use msr_storage::{FixedCosts, StorageKind};
+    /// use msr_predict::{plan_time, Learned, PredictionRow, ResourceProfile};
+    /// use msr_runtime::{CallPlan, Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+    /// use msr_storage::{FixedCosts, OpenMode, StorageKind};
     ///
     /// let disk = ResourceProfile {
     ///     kind: StorageKind::RemoteDisk,
@@ -40,10 +40,9 @@ impl PredictionRow {
     /// };
     /// let dist = Distribution::new(Dims3::cube(128), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1))
     ///     .unwrap();
-    /// let access = AccessSummary::of(&dist);
-    /// let strategy = IoStrategy::Collective;
-    /// let per_dump = dump_time_with(&disk, strategy, &access);
-    /// let calls = access.native_calls(strategy);
+    /// let plan = CallPlan::write(IoStrategy::Collective, OpenMode::Create, dist);
+    /// let per_dump = plan_time(&plan, |_| &disk, Learned::default());
+    /// let calls = plan.transfers();
     /// let row = PredictionRow::new("vr_temp", Some("disk".into()), 120, 6, calls, per_dump);
     /// assert_eq!(row.dumps, 21); // N/freq + 1, the paper's eq. (2)
     /// assert_eq!(row.total, per_dump * 21.0);
@@ -129,10 +128,11 @@ impl fmt::Display for PredictionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{dump_time_with, AccessSummary};
+    use crate::model::plan_time;
     use crate::perfdb::ResourceProfile;
-    use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
-    use msr_storage::{FixedCosts, StorageKind};
+    use crate::ratio::Learned;
+    use msr_runtime::{CallPlan, Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+    use msr_storage::{FixedCosts, OpenMode, StorageKind};
 
     /// Profiles calibrated to the §4.2 worked example: a 2 MB collective
     /// write costs ≈ 0.25 s locally, ≈ 8.47 s on remote disks.
@@ -166,12 +166,12 @@ mod tests {
     fn vr_row(name: &str, resource: Option<&str>, frequency: u32) -> PredictionRow {
         let dist =
             Distribution::new(Dims3::cube(128), 1, Pattern::bbb(), ProcGrid::new(1, 1, 1)).unwrap();
-        let access = AccessSummary::of(&dist);
-        let strategy = IoStrategy::Collective;
+        let plan = CallPlan::write(IoStrategy::Collective, OpenMode::Create, dist);
         let per_dump = resource.map_or(SimDuration::ZERO, |r| {
-            dump_time_with(&example_profile(r), strategy, &access)
+            let profile = example_profile(r);
+            plan_time(&plan, |_| &profile, Learned::default())
         });
-        let calls = access.native_calls(strategy);
+        let calls = plan.transfers();
         let resource = resource.map(str::to_owned);
         PredictionRow::new(name, resource, 120, frequency, calls, per_dump)
     }

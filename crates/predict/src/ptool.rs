@@ -9,7 +9,7 @@
 //! paper's), and fills a [`PerfDb`].
 
 use crate::perfdb::{PerfDb, ResourceProfile};
-use crate::PredictResult;
+use crate::{PredictError, PredictResult};
 use msr_sim::SimDuration;
 use msr_storage::{FixedCosts, OpKind, OpenMode, Payload, SharedResource};
 
@@ -42,11 +42,23 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 impl PTool {
-    /// Measure one resource and produce its read and write profiles.
+    /// Measure one resource and produce its read and write profiles. A
+    /// size of zero is a [`PredictError::BadSample`], before any call.
     pub fn profile_resource(
         &self,
         res: &SharedResource,
     ) -> PredictResult<(ResourceProfile, ResourceProfile)> {
+        // Sweep sizes in the order the samples are kept; a zero size has
+        // no rate to measure.
+        let mut sizes = self.sizes.clone();
+        sizes.sort_unstable();
+        sizes.dedup();
+        if sizes.first() == Some(&0) {
+            return Err(PredictError::BadSample {
+                bytes: 0,
+                secs: None,
+            });
+        }
         let mut r = res.lock();
         let kind = r.kind();
         let reps = self.reps.max(1);
@@ -95,9 +107,9 @@ impl PTool {
         let fixed_read = fixed_for(&open_r, &close_r);
 
         // --- transfer curves ---
-        let mut write_samples = Vec::with_capacity(self.sizes.len());
-        let mut read_samples = Vec::with_capacity(self.sizes.len());
-        for &size in &self.sizes {
+        let mut write_samples = Vec::with_capacity(sizes.len());
+        let mut read_samples = Vec::with_capacity(sizes.len());
+        for &size in &sizes {
             let path = format!("{}.{}", self.scratch_prefix, size);
             // A fill the resource keeps as its recipe: appending it to
             // itself only moves the file's end, so the sweep stores nothing
@@ -146,8 +158,8 @@ impl PTool {
         for res in resources {
             let name = res.lock().name().to_owned();
             let (read, write) = self.profile_resource(res)?;
-            db.insert(&name, OpKind::Read, read);
-            db.insert(&name, OpKind::Write, write);
+            db.insert(&name, OpKind::Read, read)?;
+            db.insert(&name, OpKind::Write, write)?;
         }
         Ok(())
     }
@@ -226,5 +238,34 @@ mod tests {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![5.0]), 5.0);
         assert_eq!(median(vec![1.0, 2.0]), 2.0);
+    }
+
+    #[test]
+    fn a_zero_size_sweep_is_refused_before_any_call() {
+        let tb = testbed(7);
+        let res = share(tb.local);
+        let pt = PTool {
+            sizes: vec![0, 1 << 16],
+            ..small_ptool()
+        };
+        let mut db = PerfDb::new();
+        let swept = pt.populate(&mut db, std::slice::from_ref(&res));
+        if swept.is_ok() {
+            // What a price of the row would do.
+            db.get("anl-local", OpKind::Write)
+                .unwrap()
+                .transfer_time(1 << 20);
+        }
+        assert!(
+            matches!(
+                swept,
+                Err(PredictError::BadSample {
+                    bytes: 0,
+                    secs: None
+                })
+            ),
+            "{swept:?}"
+        );
+        assert_eq!(res.lock().stats().opens, 0, "no native call");
     }
 }

@@ -8,37 +8,61 @@
 //! close. The [`RatioBook`] learns both per dataset — the observed
 //! `moved / logical` byte ratio and the objects written per dump — with
 //! an exponential moving average that weighs the newest dump at `0.3`,
-//! and [`RatioBook::priced`] applies them so placement, prefetch
-//! admission, and lifecycle pricing all estimate what the chunk plane will
-//! really move and how many objects it will touch.
+//! and [`RatioBook::learned`] hands them to
+//! [`plan_time`](crate::plan_time), so placement, prefetch admission, and
+//! lifecycle pricing all estimate what the chunk plane will really move
+//! and how many objects it will touch.
 //!
 //! Datasets the book has never observed (or with chunking disabled)
-//! predict at ratio `1.0` and one object, where [`RatioBook::priced`] is a
-//! bitwise no-op — predictions without chunking are unchanged. The
-//! benchmark's `ckpt_chunked` workload measures what the book is worth:
-//! with `priced` made an identity its `predict_agreement_pct` falls from
-//! 88.55 to 60.93 at seed 2000 (DESIGN.md §5).
+//! predict at ratio `1.0` and one object, the [`Learned::default`] that
+//! prices every plan bit for bit as it is — predictions without chunking
+//! are unchanged. The benchmark's `ckpt_chunked` workload measures what
+//! the book is worth: with the learned shape ignored its
+//! `predict_agreement_pct` falls from 88.55 to 60.93 at seed 2000
+//! (DESIGN.md §5).
 
-use crate::model::AccessSummary;
 use std::collections::BTreeMap;
 
 /// EWMA smoothing factor: the weight of the newest observed dump.
 const ALPHA: f64 = 0.3;
 
-/// What the book holds for one dataset.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
+/// What the book has learned of one dataset's dumps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Learned {
     /// EWMA of `moved / logical` bytes.
-    ratio: f64,
+    pub ratio: f64,
     /// EWMA of objects written per dump.
-    objects: f64,
+    pub objects: f64,
+}
+
+impl Default for Learned {
+    /// A dataset the book has not seen: every byte moved, one object.
+    fn default() -> Self {
+        Learned {
+            ratio: 1.0,
+            objects: 1.0,
+        }
+    }
+}
+
+impl Learned {
+    /// `bytes` as eq. (2) should price them when the chunk plane moves
+    /// only `ratio` of the logical bytes (dedup shrinks transfers, not the
+    /// calls). Unchanged at a ratio ≥ 1 or not finite, so unchunked prices
+    /// stay bit for bit; a nonzero figure never rounds down to zero.
+    pub fn scale(&self, bytes: u64) -> u64 {
+        if !self.ratio.is_finite() || self.ratio >= 1.0 || bytes == 0 {
+            return bytes;
+        }
+        (((bytes as f64) * self.ratio.max(0.0)).round() as u64).max(1)
+    }
 }
 
 /// EWMA book of the observed shape of chunked dumps, keyed by dataset:
 /// the `moved / logical` byte ratio and the objects written per dump.
 #[derive(Debug, Clone, Default)]
 pub struct RatioBook {
-    cells: BTreeMap<String, Cell>,
+    cells: BTreeMap<String, Learned>,
 }
 
 impl RatioBook {
@@ -55,7 +79,7 @@ impl RatioBook {
         if logical == 0 {
             return;
         }
-        let sample = Cell {
+        let sample = Learned {
             ratio: (moved as f64 / logical as f64).clamp(0.0, 2.0),
             objects: objects as f64,
         };
@@ -72,32 +96,12 @@ impl RatioBook {
         }
     }
 
-    /// The learned ratio for `dataset`, or `1.0` when nothing has been
-    /// observed yet (raw datasets never enter the book, so they always
-    /// predict at full logical size).
-    pub fn ratio(&self, dataset: &str) -> f64 {
-        self.cells.get(dataset).map_or(1.0, |c| c.ratio)
-    }
-
-    /// The learned objects per dump of `dataset`, or `1.0` when nothing
-    /// has been observed yet.
-    pub fn objects(&self, dataset: &str) -> f64 {
-        self.cells.get(dataset).map_or(1.0, |c| c.objects)
-    }
-
-    /// `access` as eq. (2) should price one dump of `dataset`: byte
-    /// figures scaled by the learned ratio, the learned object count
-    /// attached. The one place a chunked dataset's shape enters a
-    /// prediction; returns `access` unchanged for a dataset the book has
-    /// never seen.
-    pub fn priced(&self, dataset: &str, access: AccessSummary) -> AccessSummary {
-        match self.cells.get(dataset) {
-            Some(cell) => AccessSummary {
-                objects: cell.objects,
-                ..access.scaled(cell.ratio)
-            },
-            None => access,
-        }
+    /// What the book has learned of `dataset`: [`Learned::default`] when
+    /// nothing has been observed yet (raw datasets never enter the book,
+    /// so they always predict at full logical size and one object). The
+    /// one place a chunked dataset's shape enters a prediction.
+    pub fn learned(&self, dataset: &str) -> Learned {
+        self.cells.get(dataset).copied().unwrap_or_default()
     }
 
     /// Number of datasets with learned ratios.
@@ -111,125 +115,69 @@ impl RatioBook {
     }
 }
 
-impl AccessSummary {
-    /// This access with every byte figure scaled by `ratio` — the shape
-    /// eq. (2) should price when the chunk plane is expected to move only
-    /// `ratio` of the logical bytes. Counts (`nprocs`, `runs_per_proc`)
-    /// and `objects` are untouched: dedup shrinks transfers, not the
-    /// access pattern.
-    ///
-    /// At `ratio >= 1.0` (or a non-finite ratio) this returns `self`
-    /// unchanged, so predictions for unchunked datasets stay bitwise
-    /// identical.
-    pub fn scaled(&self, ratio: f64) -> AccessSummary {
-        if !ratio.is_finite() || ratio >= 1.0 {
-            return *self;
-        }
-        let r = ratio.max(0.0);
-        // Never round a nonzero figure down to zero: a dump that moves
-        // any bytes at all still pays per-call fixed costs on a nonempty
-        // transfer.
-        let scale = |b: u64| -> u64 {
-            if b == 0 {
-                0
-            } else {
-                (((b as f64) * r).round() as u64).max(1)
-            }
-        };
-        AccessSummary {
-            total_bytes: scale(self.total_bytes),
-            nprocs: self.nprocs,
-            runs_per_proc: self.runs_per_proc,
-            run_bytes: scale(self.run_bytes),
-            extent_bytes: scale(self.extent_bytes),
-            proc_bytes: scale(self.proc_bytes),
-            objects: self.objects,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn access() -> AccessSummary {
-        AccessSummary {
-            total_bytes: 1 << 20,
-            nprocs: 8,
-            runs_per_proc: 16,
-            run_bytes: 8192,
-            extent_bytes: 1 << 17,
-            proc_bytes: 1 << 17,
-            objects: 1.0,
-        }
-    }
-
     #[test]
     fn unknown_datasets_predict_at_full_size() {
         let book = RatioBook::new();
-        assert_eq!(book.ratio("astro3d"), 1.0);
-        assert_eq!(book.objects("astro3d"), 1.0);
-        assert_eq!(access().scaled(book.ratio("astro3d")), access());
-        assert_eq!(book.priced("astro3d", access()), access());
+        assert_eq!(book.learned("astro3d"), Learned::default());
+        assert_eq!(Learned::default().scale(12_345), 12_345);
     }
 
     #[test]
     fn first_observation_is_adopted_then_smoothed() {
         let mut book = RatioBook::new();
         book.observe("ckpt", 1000, 250, 2);
-        assert!((book.ratio("ckpt") - 0.25).abs() < 1e-12);
-        assert_eq!(book.objects("ckpt"), 2.0);
+        let first = book.learned("ckpt");
+        assert!((first.ratio - 0.25).abs() < 1e-12);
+        assert_eq!(first.objects, 2.0);
         book.observe("ckpt", 1000, 750, 1);
+        let then = book.learned("ckpt");
         // 0.25 * 0.7 + 0.75 * 0.3 = 0.40
-        assert!((book.ratio("ckpt") - 0.40).abs() < 1e-12);
+        assert!((then.ratio - 0.40).abs() < 1e-12);
         // 2 * 0.7 + 1 * 0.3 = 1.7
-        assert!((book.objects("ckpt") - 1.7).abs() < 1e-12);
+        assert!((then.objects - 1.7).abs() < 1e-12);
     }
 
     #[test]
-    fn priced_scales_bytes_and_attaches_the_object_count() {
-        let mut book = RatioBook::new();
-        book.observe("ckpt", 1000, 250, 2);
-        let a = book.priced("ckpt", access());
-        assert_eq!(a.total_bytes, 1 << 18);
-        assert_eq!(a.objects, 2.0);
-        assert_eq!(a.nprocs, 8);
-    }
-
-    #[test]
-    fn scaling_shrinks_byte_figures_but_not_counts() {
-        let a = access().scaled(0.25);
-        assert_eq!(a.total_bytes, 1 << 18);
-        assert_eq!(a.run_bytes, 2048);
-        assert_eq!(a.nprocs, 8);
-        assert_eq!(a.runs_per_proc, 16);
+    fn scaling_shrinks_byte_figures() {
+        let quarter = Learned {
+            ratio: 0.25,
+            objects: 2.0,
+        };
+        assert_eq!(quarter.scale(1 << 20), 1 << 18);
+        assert_eq!(quarter.scale(8192), 2048);
+        assert_eq!(quarter.scale(0), 0);
     }
 
     #[test]
     fn nonzero_figures_never_scale_to_zero() {
-        let a = AccessSummary {
-            total_bytes: 3,
-            nprocs: 1,
-            runs_per_proc: 1,
-            run_bytes: 3,
-            extent_bytes: 3,
-            proc_bytes: 3,
+        let tiny = Learned {
+            ratio: 0.001,
             objects: 1.0,
         };
-        let s = a.scaled(0.001);
-        assert_eq!(s.total_bytes, 1);
-        assert_eq!(s.run_bytes, 1);
+        assert_eq!(tiny.scale(3), 1);
     }
 
     #[test]
     fn ratios_above_one_and_zero_dumps_are_handled() {
         let mut book = RatioBook::new();
         book.observe("d", 0, 500, 2);
-        assert_eq!(book.ratio("d"), 1.0);
+        assert_eq!(book.learned("d"), Learned::default());
         book.observe("d", 100, 500, 1); // clamped to 2.0
-        assert!((book.ratio("d") - 2.0).abs() < 1e-12);
+        let inflated = book.learned("d");
+        assert!((inflated.ratio - 2.0).abs() < 1e-12);
         // Inflating ratios still price at the unscaled shape: the plane
         // never ships more than logical + bounded framing overhead.
-        assert_eq!(access().scaled(book.ratio("d")), access());
+        assert_eq!(inflated.scale(1 << 20), 1 << 20);
+        for ratio in [f64::NAN, f64::INFINITY] {
+            let odd = Learned {
+                ratio,
+                objects: 1.0,
+            };
+            assert_eq!(odd.scale(77), 77);
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! Deterministic seeded sweeps stand in for a property-testing harness
 //! (the offline build cannot pull one in).
 
-use msr_predict::{dump_time_with, AccessSummary, PredictionRow, ResourceProfile};
-use msr_runtime::{Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
+use msr_predict::{plan_time, Learned, PredictionRow, ResourceProfile};
+use msr_runtime::{CallPlan, Dims3, Distribution, IoStrategy, Pattern, ProcGrid};
 use msr_sim::SimDuration;
-use msr_storage::{FixedCosts, StorageKind};
+use msr_storage::{FixedCosts, OpenMode, StorageKind};
 use rand::{Rng, SeedableRng, StdRng};
 
 const CASES: u64 = 64;
@@ -37,14 +37,8 @@ fn rand_profile(rng: &mut StdRng) -> ResourceProfile {
     }
 }
 
-/// One dataset's dump shape: the strategy and the access it prices.
-#[derive(Debug, Clone, Copy)]
-struct Plan {
-    strategy: IoStrategy,
-    access: AccessSummary,
-}
-
-fn rand_plan(rng: &mut StdRng) -> Plan {
+/// One dataset's dump: the calls its strategy makes.
+fn rand_plan(rng: &mut StdRng) -> CallPlan {
     let grid = ProcGrid::new(
         rng.random_range(1u32..=2),
         rng.random_range(1u32..=2),
@@ -58,17 +52,14 @@ fn rand_plan(rng: &mut StdRng) -> Plan {
         _ => IoStrategy::Subfile,
     };
     let dist = Distribution::new(dims, 4, Pattern::bbb(), grid).unwrap();
-    Plan {
-        strategy,
-        access: AccessSummary::of(&dist),
-    }
+    CallPlan::write(strategy, OpenMode::Create, dist)
 }
 
 /// The run's predicted total: `plan` dumped every `frequency` of
 /// `iterations` on `profile`.
-fn total(profile: &ResourceProfile, iterations: u32, frequency: u32, plan: &Plan) -> f64 {
-    let per_dump = dump_time_with(profile, plan.strategy, &plan.access);
-    let calls = plan.access.native_calls(plan.strategy);
+fn total(profile: &ResourceProfile, iterations: u32, frequency: u32, plan: &CallPlan) -> f64 {
+    let per_dump = plan_time(plan, |_| profile, Learned::default());
+    let calls = plan.transfers();
     let resource = Some("r".to_owned());
     PredictionRow::new("d", resource, iterations, frequency, calls, per_dump)
         .total

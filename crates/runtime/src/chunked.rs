@@ -53,7 +53,7 @@
 //! owning resource's lock: every path that takes both locks the resource
 //! first. The write path's presence peek takes the shard lock alone.
 
-use crate::engine::{memcpy_cost, subfile_path, IoEngine, IoReport, OpCx, StatsDelta};
+use crate::engine::{memcpy_cost, subfile_path, IoEngine, IoReport, OpCx};
 use crate::error::RuntimeError;
 use crate::layout::Distribution;
 use crate::strategy::{shuffle_cost, IoStrategy};
@@ -379,8 +379,7 @@ impl IoEngine {
         let nprocs = dist.nprocs();
 
         let mut r = res.lock();
-        let delta = StatsDelta::start(&*r);
-        let mut cx = OpCx::new(nprocs);
+        let mut cx = OpCx::new(nprocs, &*r);
         cx.note_scratch_many(plan.scratch_allocs, plan.scratch_reuses);
         r.set_stream_hint(1);
 
@@ -493,21 +492,7 @@ impl IoEngine {
             }
         }
 
-        cx.tl.barrier();
-        let (nr, nw, no) = delta.finish(&*r);
-        let report = IoReport {
-            strategy,
-            nprocs,
-            native_reads: nr,
-            native_writes: nw,
-            native_opens: no,
-            bytes: total,
-            elapsed: cx.tl.makespan(),
-            total_work: cx.tl.total_work(),
-            retries: cx.retries,
-            backoff: cx.backoff,
-            stale: false,
-        };
+        let report = cx.report(strategy, total, &*r);
         self.record_strategy(r.name(), OpKind::Write, &report);
         self.record_scratch(&resource, &cx);
         if self.recorder.enabled() {
@@ -562,8 +547,7 @@ impl IoEngine {
     ) -> RuntimeResult<(Vec<u8>, IoReport)> {
         let nprocs = dist.nprocs();
         let mut r = res.lock();
-        let delta = StatsDelta::start(&*r);
-        let mut cx = OpCx::new(nprocs);
+        let mut cx = OpCx::new(nprocs, &*r);
         r.set_stream_hint(1);
 
         let chunk_err = |source: ChunkError| RuntimeError::Chunk {
@@ -706,21 +690,7 @@ impl IoEngine {
             }
         }
 
-        cx.tl.barrier();
-        let (nr, nw, no) = delta.finish(&*r);
-        let report = IoReport {
-            strategy,
-            nprocs,
-            native_reads: nr,
-            native_writes: nw,
-            native_opens: no,
-            bytes: manifest.logical,
-            elapsed: cx.tl.makespan(),
-            total_work: cx.tl.total_work(),
-            retries: cx.retries,
-            backoff: cx.backoff,
-            stale: false,
-        };
+        let report = cx.report(strategy, manifest.logical, &*r);
         self.record_strategy(r.name(), OpKind::Read, &report);
         self.record_scratch(r.name(), &cx);
         Ok((out, report))

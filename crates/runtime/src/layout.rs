@@ -310,28 +310,16 @@ impl Distribution {
         chunks
     }
 
-    /// `(runs, first run bytes, covering extent bytes)` of `rank` in closed
+    /// `(runs, first run bytes, covering extent)` of `rank` in closed
     /// form: what `chunks_for(rank)` would report as its length, its first
     /// run's length and the span from its first byte to its last, without
-    /// building the list. All zero for a rank that owns nothing.
+    /// building the list. `None` for a rank that owns nothing.
     ///
     /// Rows along z merge into one run only where the rank owns the whole z
     /// extent, and those runs merge across x only where it also owns the
-    /// whole y extent — hence `ex·ey` runs, `ex`, or one.
-    pub fn run_shape(&self, rank: usize) -> (u64, u64, u64) {
-        self.shape(rank)
-            .map_or((0, 0, 0), |(runs, first, extent)| (runs, first, extent.len))
-    }
-
-    /// The covering extent (first byte .. last byte) of a process's runs —
-    /// what data sieving accesses in one native call.
-    pub fn extent_for(&self, rank: usize) -> Option<Chunk> {
-        self.shape(rank).map(|(_, _, extent)| extent)
-    }
-
-    /// `(runs, first run bytes, covering extent)`, `None` for a rank that
-    /// owns nothing.
-    fn shape(&self, rank: usize) -> Option<(u64, u64, Chunk)> {
+    /// whole y extent — hence `ex·ey` runs, `ex`, or one. Every run of a
+    /// rank is as long as its first.
+    pub(crate) fn shape(&self, rank: usize) -> Option<(u64, u64, Chunk)> {
         let [(x0, ex), (y0, ey), (z0, ez)] = self.local_ranges(rank);
         if ex == 0 || ey == 0 || ez == 0 {
             return None;
@@ -387,7 +375,11 @@ mod tests {
                 len: 1234
             }]
         );
-        assert_eq!(d.run_shape(0), (1, 1234, 1234));
+        let whole = Chunk {
+            offset: 0,
+            len: 1234,
+        };
+        assert_eq!(d.shape(0), Some((1, 1234, whole)));
     }
 
     #[test]
@@ -498,7 +490,7 @@ mod tests {
     fn extent_covers_all_chunks() {
         let d = dist(16, ProcGrid::new(2, 2, 2));
         for r in 0..8 {
-            let e = d.extent_for(r).unwrap();
+            let (_, _, e) = d.shape(r).unwrap();
             for c in d.chunks_for(r) {
                 assert!(c.offset >= e.offset && c.end() <= e.end());
             }
@@ -525,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn run_shape_and_extent_equal_the_run_list() {
+    fn shape_and_extent_equal_the_run_list() {
         let mut shapes: Vec<Dims3> = Vec::new();
         for x in [1, 2, 5, 8, 17] {
             for y in [1, 2, 5, 8, 17] {
@@ -550,16 +542,12 @@ mod tests {
                         };
                         idle_ranks += usize::from(listed.is_none());
                         let at = format!("{dims} {pattern} {grid} rank {rank}");
-                        assert_eq!(d.extent_for(rank), listed, "{at}");
                         assert_eq!(
-                            d.run_shape(rank),
-                            (
-                                chunks.len() as u64,
-                                chunks.first().map_or(0, |c| c.len),
-                                listed.map_or(0, |e| e.len),
-                            ),
+                            d.shape(rank),
+                            listed.map(|e| (chunks.len() as u64, chunks[0].len, e)),
                             "{at}"
                         );
+                        assert!(chunks.iter().all(|c| c.len == chunks[0].len), "{at}");
                     }
                 }
             }

@@ -21,6 +21,9 @@
 //!   subsequent reads are memcpys (Fig. 10(c)).
 //! * [`pipeline`] — write-behind/async-I/O overlap of compute and I/O.
 //!
+//! Each of the four strategies is a [`plan::CallPlan`], the one statement
+//! of its native calls: the engine runs it and `msr-predict` prices it.
+//!
 //! Real bytes move through every path (gather/scatter, pack/unpack,
 //! sieve-merge), so all strategies are verified byte-for-byte against each
 //! other in tests; virtual time is charged per process on a
@@ -32,6 +35,7 @@ pub mod engine;
 pub mod error;
 pub mod layout;
 pub mod pipeline;
+pub mod plan;
 pub mod request;
 mod retry;
 pub mod strategy;
@@ -43,6 +47,7 @@ pub use engine::{memcpy_cost, IoEngine, IoReport};
 pub use error::RuntimeError;
 pub use layout::{Chunk, DimDist, Dims3, Distribution, Pattern, ProcGrid};
 pub use pipeline::WriteBehind;
+pub use plan::{CallPlan, Object, Step, Unit};
 pub use request::{EngineRequest, RequestBody, RequestOutcome, RequestTag};
 pub use strategy::IoStrategy;
 pub use superfile::{Superfile, SuperfileStats};

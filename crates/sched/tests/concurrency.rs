@@ -363,7 +363,7 @@ fn scored_admission_follows_the_predictor_and_queue_depth() {
         ProcGrid::new(1, 1, 1),
     )
     .unwrap();
-    let access = msr_predict::AccessSummary::of(&dist);
+    let plan = spec.plan(OpKind::Write, dist);
     let fastest = [
         StorageKind::LocalDisk,
         StorageKind::RemoteDisk,
@@ -372,8 +372,8 @@ fn scored_admission_follows_the_predictor_and_queue_depth() {
     .into_iter()
     .map(|k| {
         let name = sys.resource(k).unwrap().lock().name().to_owned();
-        let row = sys.perf_db().get(&name, OpKind::Write).unwrap();
-        (k, msr_predict::dump_time_with(row, spec.strategy, &access))
+        let row = |op| sys.perf_db().get(&name, op).unwrap();
+        (k, msr_predict::plan_time(&plan, row, Default::default()))
     })
     .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
     .unwrap()

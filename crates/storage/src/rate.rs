@@ -52,10 +52,21 @@ impl RateCurve {
 
     /// Transfer time for a request of `bytes`.
     pub fn time_for(&self, bytes: u64) -> SimDuration {
+        RateCurve::time_over(&self.anchors, bytes)
+    }
+
+    /// [`time_for`](Self::time_for) over `anchors` as they lie, without
+    /// building a curve: they must be what [`from_anchors`](Self::from_anchors)
+    /// keeps — at least one, sorted by size, sizes distinct and positive,
+    /// times non-negative.
+    ///
+    /// # Panics
+    /// May panic, for a nonzero `bytes`, on anchors that are not.
+    pub fn time_over(anchors: &[(u64, f64)], bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
-        let pts = &self.anchors;
+        let pts = anchors;
         if pts.len() == 1 {
             // Single anchor: treat as a pure bandwidth.
             let (s, t) = pts[0];

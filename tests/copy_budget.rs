@@ -19,7 +19,7 @@
 use bytes::Bytes;
 use msr::apps::multi::scaling_fleet;
 use msr::prelude::*;
-use msr::runtime::{Distribution, EngineRequest, RequestBody, RequestTag};
+use msr::runtime::{CallPlan, Distribution, EngineRequest, RequestBody, RequestTag};
 use msr::sched::program::payload as dump_payload;
 use msr::storage::SharedResource;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,6 +68,11 @@ fn byte_allocs() -> usize {
     TRACK.with(|t| t.byte_allocs.get())
 }
 
+thread_local! {
+    /// Every allocation this thread made.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
 /// The system allocator, counting requests for exactly [`WATCHED`] bytes,
 /// remembering where the last one landed, counting requests for exactly
 /// [`RECIPE`] bytes, and counting requests for exactly [`CHUNKED`] bytes
@@ -93,6 +98,7 @@ unsafe impl GlobalAlloc for Counting {
             let live = CHUNKED_LIVE.fetch_add(1, Ordering::SeqCst) + 1;
             CHUNKED_PEAK.fetch_max(live, Ordering::SeqCst);
         }
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // A thread being torn down has no track left to keep.
         let _ = TRACK.try_with(|t| {
             t.live.set(t.live.get() + 1);
@@ -423,4 +429,48 @@ fn the_deal_leaves_no_request_staging_live() {
         named < admitted - sessions / 2,
         "{admitted} blocks live after admission, {named} at the first request named"
     );
+}
+
+#[test]
+fn a_warm_price_allocates_nothing() {
+    // Every admission estimate and scored placement is a price: once a
+    // resource's profiles are resolved, pricing reads them in place.
+    let mut sys = MsrSystem::testbed(38);
+    let d = dist(16);
+    let plans: Vec<CallPlan> = IoStrategy::ALL
+        .into_iter()
+        .flat_map(|s| {
+            [
+                CallPlan::read(s, d),
+                CallPlan::write(s, OpenMode::Create, d),
+            ]
+        })
+        .collect();
+    let kinds = [
+        StorageKind::LocalDisk,
+        StorageKind::RemoteDisk,
+        StorageKind::RemoteTape,
+    ];
+    let calls = kinds
+        .iter()
+        .flat_map(|&k| plans.iter().map(move |p| (k, p)));
+    for swept in [false, true] {
+        if swept {
+            sys.run_ptool(&PTool {
+                sizes: vec![1 << 14, 1 << 18, 1 << 21],
+                reps: 2,
+                scratch_prefix: "ptool/budget".into(),
+            })
+            .unwrap();
+        }
+        for (kind, plan) in calls.clone() {
+            sys.price(kind, "d", plan);
+        }
+        let before = ALLOCS.with(Cell::get);
+        for (kind, plan) in calls.clone().cycle().take(1000) {
+            std::hint::black_box(sys.price(kind, "d", plan));
+        }
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(allocs, 0, "1 000 warm prices allocated (swept={swept})");
+    }
 }
