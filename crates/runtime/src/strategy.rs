@@ -10,7 +10,8 @@ pub enum IoStrategy {
     /// One native call per contiguous file run per process. The baseline.
     Naive,
     /// Each process accesses its covering extent in one native call and
-    /// sieves its runs out of (or merges them into) the buffer.
+    /// sieves its runs out of the buffer; a write first reads the extent
+    /// and merges its runs into it (read-modify-write).
     DataSieving,
     /// Two-phase collective I/O: interconnect exchange, then a single
     /// aggregated native call for the whole dataset (`n(j) = 1`).
