@@ -107,10 +107,10 @@ fn run_fig10a(scale: Scale, seed: u64) {
     banner("FIGURE 10(a) - data analysis (MSE on temp): read I/O time by placement");
     for r in fig10a(scale, seed) {
         println!(
-            "{:<40} actual {:>10.2}s   predicted {}",
+            "{:<40} actual {:>10.2}s   predicted {:>12.2}",
             r.label,
             r.actual.as_secs(),
-            opt(r.predicted.map(|p| p.as_secs()))
+            r.predicted.as_secs()
         );
     }
 }
@@ -120,10 +120,10 @@ fn run_fig10b(scale: Scale, seed: u64) {
     let rows = fig10b(scale, seed);
     for r in &rows {
         println!(
-            "{:<40} actual {:>10.2}s   predicted {}",
+            "{:<40} actual {:>10.2}s   predicted {:>12.2}",
             r.label,
             r.actual.as_secs(),
-            opt(r.predicted.map(|p| p.as_secs()))
+            r.predicted.as_secs()
         );
     }
     if rows.len() >= 2 && rows[0].actual.as_secs() > 0.0 {
