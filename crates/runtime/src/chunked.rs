@@ -77,7 +77,7 @@ use std::sync::Arc;
 
 /// Global free lists of chunk-plane scratch: LZ compressors (match
 /// tables up to 2 MiB each) for the write path and decompress buffers
-/// for the read path. Pool workers are scoped per parallel region, so
+/// for the read path. Any pool worker or caller thread may take one, so
 /// the lists are shared rather than thread-local; takes and gives are
 /// counted into the op's scratch telemetry by the callers.
 mod chunk_scratch {

@@ -46,8 +46,8 @@ pub fn memcpy_cost(bytes: u64) -> SimDuration {
 }
 
 /// Global free list of host-side scratch buffers for the pack/sieve
-/// phases. The pool workers are scoped per parallel region (no persistent
-/// threads to hang thread-locals on), so the list is shared; buffers are
+/// phases. Any pool worker or caller thread may take one, so the list is
+/// shared; buffers are
 /// resized to the exact requested length, keeping assembled data
 /// independent of which buffer was handed out.
 mod scratch {
