@@ -155,6 +155,51 @@ impl Astro3dConfig {
         c
     }
 
+    /// The 19 dataset specifications of this configuration, hints applied
+    /// from the placement plan.
+    pub fn dataset_specs(&self) -> Vec<DatasetSpec> {
+        let mut specs = Vec::with_capacity(19);
+        let make = |name: &str, etype, freq, amode, fu: FutureUse| {
+            DatasetSpec::builder(name)
+                .element(etype)
+                .dims(Dims3::cube(self.n))
+                .frequency(freq)
+                .amode(amode)
+                .hint(self.plan.hint_for(name))
+                .future_use(fu)
+                .strategy(self.strategy)
+                .build()
+        };
+        for v in ANALYSIS_VARS {
+            specs.push(make(
+                v,
+                ElementType::F32,
+                self.analysis_freq,
+                AccessMode::Create,
+                FutureUse::Analysis,
+            ));
+        }
+        for v in VIZ_VARS {
+            specs.push(make(
+                v,
+                ElementType::U8,
+                self.viz_freq,
+                AccessMode::Create,
+                FutureUse::Visualization,
+            ));
+        }
+        for v in RESTART_VARS {
+            specs.push(make(
+                v,
+                ElementType::F32,
+                self.ckpt_freq,
+                AccessMode::OverWrite,
+                FutureUse::Checkpoint,
+            ));
+        }
+        specs
+    }
+
     /// Total bytes this configuration will dump.
     pub fn total_dump_bytes(&self) -> u64 {
         let cube = self.n * self.n * self.n;
@@ -481,49 +526,10 @@ impl Astro3d {
         self.rho.iter().map(|&r| f64::from(r)).sum()
     }
 
-    /// The 19 dataset specifications of this configuration, hints applied
-    /// from the placement plan.
+    /// The 19 dataset specifications of this run (see
+    /// [`Astro3dConfig::dataset_specs`]).
     pub fn dataset_specs(&self) -> Vec<DatasetSpec> {
-        let mut specs = Vec::with_capacity(19);
-        let make = |name: &str, etype, freq, amode, fu: FutureUse| {
-            DatasetSpec::builder(name)
-                .element(etype)
-                .dims(Dims3::cube(self.cfg.n))
-                .frequency(freq)
-                .amode(amode)
-                .hint(self.cfg.plan.hint_for(name))
-                .future_use(fu)
-                .strategy(self.cfg.strategy)
-                .build()
-        };
-        for v in ANALYSIS_VARS {
-            specs.push(make(
-                v,
-                ElementType::F32,
-                self.cfg.analysis_freq,
-                AccessMode::Create,
-                FutureUse::Analysis,
-            ));
-        }
-        for v in VIZ_VARS {
-            specs.push(make(
-                v,
-                ElementType::U8,
-                self.cfg.viz_freq,
-                AccessMode::Create,
-                FutureUse::Visualization,
-            ));
-        }
-        for v in RESTART_VARS {
-            specs.push(make(
-                v,
-                ElementType::F32,
-                self.cfg.ckpt_freq,
-                AccessMode::OverWrite,
-                FutureUse::Checkpoint,
-            ));
-        }
-        specs
+        self.cfg.dataset_specs()
     }
 
     /// Restart from the checkpoint datasets of an earlier run: load the
