@@ -3,7 +3,7 @@
 //! the determinism contract, and degrade to on-demand service under
 //! injected faults.
 
-use msr_core::{DatasetSpec, FutureUse, LocationHint, MsrSystem};
+use msr_core::{ChunkPolicy, Codec, DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_meta::ElementType;
 use msr_sched::{SchedReport, Scheduler, SessionProgram};
 use msr_storage::{FaultPlan, StorageKind};
@@ -129,4 +129,58 @@ fn mid_prefetch_faults_degrade_to_on_demand() {
         assert_eq!(s.reports.len() as u64, s.requests);
     }
     assert_eq!(report.requests(), 5 * 8, "5 writes + 3 reads per session");
+}
+
+/// A checkpointing producer on the remote disk that reads its four
+/// earliest dumps back, its dumps chunked and compressed or not.
+fn checkpoint_program(i: usize, chunked: bool) -> SessionProgram {
+    let spec = DatasetSpec::builder("chk")
+        .element(ElementType::F32)
+        .cube(32)
+        .frequency(3)
+        .hint(LocationHint::RemoteDisk);
+    let spec = match chunked {
+        true => spec
+            .chunked(ChunkPolicy::cdc(8))
+            .compression(Codec::Lz4Like(1)),
+        false => spec,
+    };
+    SessionProgram::new(&format!("ckpt-{i:02}"))
+        .iterations(24)
+        .dataset(spec.build())
+        .readbacks(4)
+}
+
+/// A chunked dump is read ahead as it is read on demand, through its
+/// manifest. The object at a chunked dump's path is the manifest, so a
+/// fetch that read it as the raw array failed on its size and left every
+/// read-back to on-demand service. Here the chunked fleet stages every
+/// read-back, as its raw twin does, and is served sooner for it.
+#[test]
+fn chunked_read_backs_are_staged_and_served_from_the_cache() {
+    let fleet = |chunked| (0..4).map(|i| checkpoint_program(i, chunked)).collect();
+    for chunked in [false, true] {
+        let off = run(2000, fleet(chunked), false);
+        let on = run(2000, fleet(chunked), true);
+        for s in &on.sessions {
+            assert!(s.errors.is_empty(), "session {}: {:?}", s.session, s.errors);
+        }
+        assert_eq!(on.prefetched, 16, "chunked={chunked}");
+        assert_eq!(
+            on.prefetch_hits + on.prefetch_waste,
+            16,
+            "chunked={chunked}"
+        );
+        assert!(
+            on.prefetch_hits >= 14,
+            "chunked={chunked}: {}",
+            on.prefetch_hits
+        );
+        assert!(
+            on.makespan < off.makespan,
+            "chunked={chunked}: prefetch on {} must beat off {}",
+            on.makespan,
+            off.makespan
+        );
+    }
 }
