@@ -484,7 +484,7 @@ impl<'a> Session<'a> {
                     Ok((outcome, setup)) => {
                         self.sys.clock.advance(setup);
                         let report = outcome.into_report();
-                        self.staged.lock().put(&req.path, payload);
+                        self.staged.lock().put(&req.path, payload.into());
                         let done = self.sys.clock.advance(report.elapsed);
                         self.complete(h, iter, &req, &report, done);
                         return Ok(Some(report));
@@ -519,6 +519,7 @@ impl<'a> Session<'a> {
         let Ok(RequestOutcome::Read(data, mut report)) = served else {
             return None;
         };
+        let data = data.into_vec();
         report.stale = true;
         let now = self.sys.clock.advance(report.elapsed);
         let d = &mut self.datasets[h.0];
@@ -565,7 +566,7 @@ impl<'a> Session<'a> {
                 self.sys.clock.advance(setup);
                 let done = self.sys.clock.advance(report.elapsed);
                 self.complete(h, iter, &req, &report, done);
-                Ok((data, report))
+                Ok((data.into_vec(), report))
             }
             Ok((RequestOutcome::Written(_), _)) => unreachable!("a read request yields a read"),
             Err(e) => match self.failed(kind, &e) {

@@ -1,12 +1,15 @@
 //! A byte-budgeted LRU cache.
 //!
 //! Shared as a [`StagingCache`], it holds a session's copies for degraded
-//! reads and the scheduler's read-ahead: a staged buffer is served from
+//! reads and the scheduler's read-ahead: a staged object is served from
 //! here at memory speed until it is invalidated or evicted, oldest use
-//! first. Values are [`Bytes`], so hits are O(1) reference-counted views,
-//! never copies.
+//! first. Values are [`Payload`]s kept as they were read: held bytes stay
+//! one reference-counted buffer, and a staged recipe stays a recipe, so a
+//! hit is an O(1) clone, never a copy or a generation. An entry is charged
+//! its [`len`](Payload::len), the bytes it stands for, whichever form it
+//! has.
 
-use bytes::Bytes;
+use msr_storage::Payload;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,11 +24,11 @@ pub fn staging_cache(capacity: u64) -> StagingCache {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    data: Bytes,
+    data: Payload,
     stamp: u64,
 }
 
-/// An LRU cache of named byte buffers with a total-bytes capacity.
+/// An LRU cache of named payloads with a total-bytes capacity.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: u64,
@@ -80,7 +83,7 @@ impl LruCache {
     }
 
     /// Look up a key, refreshing its recency. Counts a hit or miss.
-    pub fn get(&mut self, key: &str) -> Option<Bytes> {
+    pub fn get(&mut self, key: &str) -> Option<Payload> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(e) => {
@@ -100,11 +103,12 @@ impl LruCache {
         self.entries.contains_key(key)
     }
 
-    /// Insert a buffer, evicting least recently used entries as needed.
-    /// Returns whether the buffer was cached: buffers larger than the whole
-    /// capacity are not cached at all (and any stale entry under the same
-    /// key is dropped, so a later `get` can never serve outdated bytes).
-    pub fn put(&mut self, key: &str, data: Bytes) -> bool {
+    /// Insert a payload, evicting least recently used entries as needed.
+    /// Returns whether the payload was cached: payloads larger than the
+    /// whole capacity are not cached at all (and any stale entry under the
+    /// same key is dropped, so a later `get` can never serve outdated
+    /// bytes).
+    pub fn put(&mut self, key: &str, data: Payload) -> bool {
         let size = data.len() as u64;
         if size > self.capacity {
             self.invalidate(key);
@@ -152,15 +156,15 @@ impl LruCache {
 mod tests {
     use super::*;
 
-    fn bytes(n: usize, fill: u8) -> Bytes {
-        Bytes::from(vec![fill; n])
+    fn bytes(n: usize, fill: u8) -> Payload {
+        Payload::from(vec![fill; n])
     }
 
     #[test]
     fn put_get_roundtrip() {
         let mut c = LruCache::new(100);
         c.put("a", bytes(10, 1));
-        assert_eq!(c.get("a").unwrap(), bytes(10, 1));
+        assert_eq!(c.get("a").unwrap().into_vec(), vec![1; 10]);
         assert_eq!(c.hits(), 1);
         assert!(c.get("b").is_none());
         assert_eq!(c.misses(), 1);
@@ -229,7 +233,7 @@ mod tests {
         c.put("a", bytes(40, 1));
         c.put("a", bytes(10, 2));
         assert_eq!(c.used_bytes(), 10);
-        assert_eq!(c.get("a").unwrap(), bytes(10, 2));
+        assert_eq!(c.get("a").unwrap().into_vec(), vec![2; 10]);
         assert_eq!(c.len(), 1);
     }
 
@@ -244,6 +248,24 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn a_payload_is_kept_as_it_was_put() {
+        let mut c = LruCache::new(100);
+        let data = bytes(40, 7);
+        c.put("held", data.clone());
+        let (Payload::Bytes(put), Some(Payload::Bytes(got))) = (data, c.get("held")) else {
+            panic!("held bytes came back in another form");
+        };
+        assert_eq!(got.as_ptr(), put.as_ptr(), "a hit copied the bytes");
+        // A recipe is charged the bytes it stands for and comes back a
+        // recipe: nothing is generated to stage or serve it.
+        assert!(c.put("recipe", Payload::dump(3, "chk", 5, 60)));
+        assert_eq!(c.used_bytes(), 100);
+        assert!(matches!(c.get("recipe"), Some(Payload::Recipe(r)) if r.len() == 60));
+        assert!(!c.put("big", Payload::fill(0, 101)));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

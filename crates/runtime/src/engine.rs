@@ -466,7 +466,7 @@ impl IoEngine {
             )?),
             RequestBody::Read => {
                 let (data, report) = self.read_auto(res, &req.path, &req.dist, req.strategy)?;
-                RequestOutcome::Read(data.into_vec(), report)
+                RequestOutcome::Read(data, report)
             }
         };
         if self.recorder.enabled() {
@@ -483,16 +483,18 @@ impl IoEngine {
         Ok(outcome)
     }
 
-    /// Serve a read request from prefetched bytes already staged in memory:
-    /// no native calls, no seeded jitter draws — the only charge is one
-    /// memcpy of the dataset through node memory, so a staged serve costs
-    /// the same at every thread count. `resource` names the resource the
-    /// data would have come from (for the trace).
+    /// Serve a read request from a prefetched object already staged in
+    /// memory: no native calls, no seeded jitter draws — the only charge
+    /// is one memcpy of the dataset through node memory, so a staged serve
+    /// costs the same at every thread count. The outcome holds the staged
+    /// object itself (a reference-counted view, or the recipe), not a
+    /// copy. `resource` names the resource the data would have come from
+    /// (for the trace).
     pub fn staged_read(
         &self,
         resource: &str,
         req: &crate::request::EngineRequest,
-        data: &Bytes,
+        data: &Payload,
     ) -> RuntimeResult<crate::request::RequestOutcome> {
         let total = req.dist.total_bytes();
         if data.len() as u64 != total {
@@ -525,7 +527,7 @@ impl IoEngine {
                 total,
             );
         }
-        Ok(crate::request::RequestOutcome::Read(data.to_vec(), report))
+        Ok(crate::request::RequestOutcome::Read(data.clone(), report))
     }
 
     /// The stored objects of the dump at `path` on `r`: `[path]` for a

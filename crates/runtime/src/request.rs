@@ -91,8 +91,13 @@ pub struct EngineRequest {
 pub enum RequestOutcome {
     /// A completed write.
     Written(IoReport),
-    /// A completed read with the assembled global array.
-    Read(Vec<u8>, IoReport),
+    /// A completed read with the global array as the read got it: a
+    /// whole object as the resource keeps it (held bytes, or the recipe
+    /// they are generated from), any other read's assembled buffer. Bytes
+    /// are made only where a consumer asks for them
+    /// ([`Payload::into_vec`]); a scheduled read-back whose bytes nobody
+    /// reads makes none.
+    Read(Payload, IoReport),
 }
 
 impl RequestOutcome {

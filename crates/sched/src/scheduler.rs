@@ -50,13 +50,17 @@
 //! fits inside the predicted idle window before their chain is served.
 //! Fetches run as a *background stream* on the resource — accounted on a
 //! separate background cursor that overlaps the foreground cursor — and
-//! land in a shared [`StagingCache`](msr_runtime::StagingCache); when a staged read reaches the head
-//! of its queue it is served at memory speed instead of paying the remote
-//! resource again. Planning, admission and serving all happen on the
-//! dispatcher thread, and each resource's fetches execute right after its
-//! foreground batch, so the determinism contract (bitwise
-//! identical per-session reports at any `MSR_THREADS`) is preserved with
-//! prefetch on. A fetch that fails is dropped silently — the read falls
+//! read each dump as an on-demand read would (a chunked one through its
+//! manifest). What they read lands in a shared
+//! [`StagingCache`](msr_runtime::StagingCache) as the resource keeps it: a
+//! dump stored as its recipe is staged as that recipe, and no byte of it
+//! is made, because the drain keeps only a served read's report. When a
+//! staged read reaches the head of its queue it is served at memory speed
+//! instead of paying the remote resource again. Planning, admission and
+//! serving all happen on the dispatcher thread, and each resource's
+//! fetches execute right after its foreground batch, so the determinism
+//! contract (bitwise identical per-session reports at any `MSR_THREADS`)
+//! is preserved with prefetch on. A fetch that fails is dropped silently — the read falls
 //! back to the normal on-demand path and the session never sees the error.
 
 use crate::admission::{Deferred, TenantCounters};

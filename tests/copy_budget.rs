@@ -11,6 +11,11 @@
 //! allocations of peculiar sizes, so a re-introduced copy fails here
 //! whatever the host is doing.
 //!
+//! A read hands back the stored object as it is kept, and its bytes are
+//! made only where a consumer asks for them: a scheduled read-back of a
+//! recipe-stored dump, on demand or read ahead into the staging cache,
+//! makes none, and a staged serve is the cached object itself.
+//!
 //! Nor does admission hold a request: it queues each dump as a key the
 //! session names at dispatch, and a session's keys are dropped once its
 //! program is dealt into the queues. Those tests count what one thread
@@ -19,9 +24,11 @@
 use bytes::Bytes;
 use msr::apps::multi::scaling_fleet;
 use msr::prelude::*;
-use msr::runtime::{CallPlan, Distribution, EngineRequest, RequestBody, RequestTag};
+use msr::runtime::{
+    CallPlan, Distribution, EngineRequest, RequestBody, RequestOutcome, RequestTag,
+};
 use msr::sched::program::payload as dump_payload;
-use msr::storage::SharedResource;
+use msr::storage::{Payload, SharedResource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,6 +49,10 @@ const CHUNKED: usize = 37 * 41 * 43 * 4;
 static CHUNKED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static CHUNKED_LIVE: AtomicUsize = AtomicUsize::new(0);
 static CHUNKED_PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of the dumps `a_scheduled_read_back_makes_no_bytes` reads back:
+/// 13 × 17 × 23 `f32`s, a fourth size nothing else here asks for.
+const READBACK: usize = 13 * 17 * 23 * 4;
+static READBACK_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// What this thread allocated, so tests running beside it do not count:
 /// byte buffers (`String`s, `Vec<u8>`s: alignment 1) ever, blocks still
@@ -75,9 +86,9 @@ thread_local! {
 
 /// The system allocator, counting requests for exactly [`WATCHED`] bytes,
 /// remembering where the last one landed, counting requests for exactly
-/// [`RECIPE`] bytes, and counting requests for exactly [`CHUNKED`] bytes
-/// with how many are live and the most that were; and keeping each
-/// thread's [`Track`].
+/// [`RECIPE`] and [`READBACK`] bytes, and counting requests for exactly
+/// [`CHUNKED`] bytes with how many are live and the most that were; and
+/// keeping each thread's [`Track`].
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -92,6 +103,9 @@ unsafe impl GlobalAlloc for Counting {
         }
         if layout.size() == RECIPE {
             RECIPE_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
+        if layout.size() == READBACK {
+            READBACK_ALLOCS.fetch_add(1, Ordering::SeqCst);
         }
         if layout.size() == CHUNKED {
             CHUNKED_ALLOCS.fetch_add(1, Ordering::SeqCst);
@@ -306,6 +320,111 @@ fn a_scheduled_raw_dump_allocates_nothing_until_read() {
         .unwrap();
     assert_eq!(RECIPE_ALLOCS.load(Ordering::SeqCst) - before, 1);
     assert!(back == dump_payload(session, "d", 6, RECIPE)[..]);
+}
+
+/// Producers on the remote disk that each read their `readbacks` earliest
+/// dumps back, [`READBACK`] bytes each.
+fn read_back_fleet(sessions: usize, readbacks: u32) -> Vec<SessionProgram> {
+    let spec = DatasetSpec::builder("d")
+        .element(ElementType::F32)
+        .dims(Dims3 {
+            x: 13,
+            y: 17,
+            z: 23,
+        })
+        .frequency(3)
+        .hint(LocationHint::RemoteDisk)
+        .build();
+    (0..sessions)
+        .map(|i| {
+            let program = SessionProgram::new(&format!("app-{i}"));
+            let program = program.iterations(24).dataset(spec.clone());
+            program.readbacks(readbacks)
+        })
+        .collect()
+}
+
+#[test]
+fn a_scheduled_read_back_makes_no_bytes() {
+    // The drain keeps a served read's report and drops what it read, so a
+    // read-back of a dump stored as its recipe generates nothing: not on
+    // demand, and not when read-ahead stages it and serves it from the
+    // staging cache.
+    for prefetch in [false, true] {
+        let sys = MsrSystem::testbed(39);
+        let mut sched = Scheduler::new(&sys).with_prefetch(prefetch);
+        let mut sessions = Vec::new();
+        for program in read_back_fleet(4, 4) {
+            sessions.push(sched.admit(program).unwrap().unwrap());
+        }
+        let before = READBACK_ALLOCS.load(Ordering::SeqCst);
+        let report = sched.run().unwrap();
+        assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
+        assert_eq!(report.requests(), 4 * (9 + 4));
+        if prefetch {
+            assert!(report.prefetch_hits > 0, "nothing was served staged");
+        }
+        assert_eq!(
+            READBACK_ALLOCS.load(Ordering::SeqCst) - before,
+            0,
+            "a read-back made the bytes nobody reads (prefetch={prefetch})"
+        );
+        // A consumer that asks for a dump's bytes gets them, made once.
+        let run = RunId(report.sessions[0].run);
+        let grid = ProcGrid::new(1, 1, 1);
+        let (back, _) = sys
+            .read_dataset(run, "d", 3, grid, IoStrategy::Collective)
+            .unwrap();
+        assert_eq!(READBACK_ALLOCS.load(Ordering::SeqCst) - before, 1);
+        assert!(back == dump_payload(sessions[0], "d", 3, READBACK)[..]);
+    }
+}
+
+#[test]
+fn a_staged_serve_is_the_cached_object() {
+    let sys = MsrSystem::testbed(40);
+    let data = payload(16 * 16 * 16 * 4, 6);
+    let mut req = write_request("dump", 16, data.clone(), OpenMode::Create);
+    req.body = RequestBody::Read;
+    let cache = msr::runtime::staging_cache(1 << 20);
+    cache.lock().put("dump", data.clone().into());
+    let staged = cache.lock().get("dump").unwrap();
+    let served = sys.engine.staged_read("local", &req, &staged).unwrap();
+    let RequestOutcome::Read(Payload::Bytes(back), report) = served else {
+        panic!("a staged serve of held bytes came back in another form");
+    };
+    assert_eq!(back.as_ptr(), data.as_ptr(), "the staged serve copied");
+    assert_eq!(report.bytes, data.len() as u64);
+    // A staged recipe is served as the recipe: nothing is generated.
+    let recipe = Payload::dump(7, "d", 0, data.len());
+    let served = sys.engine.staged_read("local", &req, &recipe).unwrap();
+    assert!(matches!(
+        served,
+        RequestOutcome::Read(Payload::Recipe(_), _)
+    ));
+}
+
+#[test]
+fn a_catalog_lookup_allocates_nothing() {
+    // Every served request notes its dump in the catalog, and every open
+    // finds its dataset: once the rows exist, neither builds a key.
+    let sys = MsrSystem::testbed(41);
+    let mut sched = Scheduler::new(&sys);
+    for program in read_back_fleet(3, 1) {
+        sched.admit(program).unwrap().unwrap();
+    }
+    let report = sched.run().unwrap();
+    let runs: Vec<RunId> = report.sessions.iter().map(|s| RunId(s.run)).collect();
+    let mut catalog = sys.catalog.lock();
+    let before = ALLOCS.with(Cell::get);
+    for (i, &run) in runs.iter().cycle().take(1000).enumerate() {
+        let at = 1e4 + i as f64;
+        std::hint::black_box(catalog.find_dataset(run, "d").unwrap());
+        catalog.note_access(run, "d", Some(3), at);
+        catalog.note_dump(run, "d", 6, at, READBACK as u64);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "1 000 catalog lookups allocated");
 }
 
 #[test]
