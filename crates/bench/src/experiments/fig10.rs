@@ -5,11 +5,11 @@ use super::{run_astro3d, system_with_perfdb, Scale};
 use msr_apps::analysis::run_analysis;
 use msr_apps::volren::{run_volren, run_volren_superfile, RenderMode};
 use msr_apps::PlacementPlan;
-use msr_core::{LocationHint, MsrSystem};
+use msr_core::{LocationHint, MsrSystem, Volume};
 use msr_meta::RunId;
 use msr_runtime::{CallPlan, Distribution, IoStrategy, ProcGrid};
 use msr_sim::SimDuration;
-use msr_storage::{OpenMode, StorageKind};
+use msr_storage::{OpKind, OpenMode, StorageKind};
 use rayon::prelude::*;
 
 /// A labelled placement-comparison bar: the same consumer workload with
@@ -25,16 +25,22 @@ pub struct CompareRow {
 }
 
 /// Eq. (2)'s price of the consumer's `dumps` collective reads of
-/// `dataset` from `kind`, each dump laid out as `dist`.
+/// `dataset` of `run` from `kind`, each dump laid out as `dist`. Taken
+/// before the reads: the first also pays the mount if the dataset's volume
+/// is on no drive then.
 fn predicted_reads(
     sys: &MsrSystem,
+    run: RunId,
     kind: StorageKind,
     dataset: &str,
     dist: Distribution,
     dumps: u32,
 ) -> SimDuration {
     let plan = CallPlan::read(IoStrategy::Collective, dist);
-    sys.price(kind, dataset, &plan) * f64::from(dumps)
+    let rec = sys.catalog.lock().find_dataset(run, dataset).cloned();
+    let path = rec.expect("the producer recorded the dataset").path;
+    let mount = sys.mount_price(kind, OpKind::Read, Volume::Of(&path));
+    sys.price(kind, dataset, Volume::Mounted, &plan) * f64::from(dumps) + mount
 }
 
 /// Run the producer with `dataset` placed by `hint`; returns the run,
@@ -72,13 +78,14 @@ pub fn fig10a(scale: Scale, seed: u64) -> Vec<CompareRow> {
     .map(|(kind, hint)| {
         let sys = system_with_perfdb(scale, seed);
         let (run, iters, grid, dist) = produce(&sys, scale, "temp", hint, seed);
+        let dumps = iters / 6 + 1;
+        let predicted = predicted_reads(&sys, run, kind, "temp", dist, dumps);
         let series = run_analysis(&sys, run, "temp", iters, 6, grid, IoStrategy::Collective)
             .expect("analysis run");
-        let dumps = iters / 6 + 1;
         CompareRow {
             label: format!("analyse temp from {kind}"),
             actual: series.io_time,
-            predicted: predicted_reads(&sys, kind, "temp", dist, dumps),
+            predicted,
         }
     })
     .collect()
@@ -109,6 +116,7 @@ pub fn fig10b(scale: Scale, seed: u64) -> Vec<CompareRow> {
             // The visualization tool (Volren / VTK stand-in) reads every dump.
             let mut io = SimDuration::ZERO;
             let dumps = iters / 6 + 1;
+            let predicted = predicted_reads(&sys, run, kind, name, dist, dumps);
             let mut iter = 0;
             while iter <= iters {
                 let (_, rep) = sys
@@ -120,7 +128,7 @@ pub fn fig10b(scale: Scale, seed: u64) -> Vec<CompareRow> {
             CompareRow {
                 label: format!("visualize {name} from {kind}"),
                 actual: io,
-                predicted: predicted_reads(&sys, kind, name, dist, dumps),
+                predicted,
             }
         })
         .collect()

@@ -49,7 +49,7 @@ pub use msr_chunk::{ChunkPolicy, Codec, IngestSpec};
 pub use placement::PlacementPolicy;
 pub use report::{PlacementEvent, RunReport};
 pub use session::{DatasetHandle, Session, MAX_TRIES};
-pub use system::MsrSystem;
+pub use system::{MsrSystem, Volume};
 pub use tenant::{OverloadPolicy, Tenant, TenantId, TenantQuota, TenantRegistry};
 
 /// Convenience result alias.

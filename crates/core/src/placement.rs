@@ -3,7 +3,7 @@
 use crate::dataset::DatasetSpec;
 use crate::error::CoreError;
 use crate::hints::LocationHint;
-use crate::system::MsrSystem;
+use crate::system::{MsrSystem, Volume};
 use crate::CoreResult;
 use msr_runtime::Distribution;
 use msr_sim::SimDuration;
@@ -42,11 +42,14 @@ fn usable(sys: &MsrSystem, kind: StorageKind, bytes: u64) -> bool {
 }
 
 /// Resolve a dataset's initial placement. Returns `None` for DISABLE.
+/// `volume` is where the dataset's dumps would land, for the mount a
+/// scored price charges ([`MsrSystem::price`]).
 pub fn resolve(
     sys: &MsrSystem,
     spec: &DatasetSpec,
     dist: &Distribution,
     run_bytes: u64,
+    volume: Volume<'_>,
 ) -> CoreResult<Option<StorageKind>> {
     if spec.hint == LocationHint::Disable || spec.frequency == 0 {
         return Ok(None);
@@ -60,14 +63,14 @@ pub fn resolve(
     match sys.policy() {
         PlacementPolicy::Hinted => {
             if spec.hint == LocationHint::Auto {
-                if let Some(kind) = by_score(sys, spec, dist, run_bytes) {
+                if let Some(kind) = by_score(sys, spec, dist, run_bytes, volume) {
                     return Ok(Some(kind));
                 }
             }
             fallback(sys, spec, run_bytes, None).map(Some)
         }
         PlacementPolicy::PerformanceTarget { per_dump } => {
-            by_performance(sys, spec, dist, run_bytes, per_dump)
+            by_performance(sys, spec, dist, run_bytes, per_dump, volume)
         }
     }
 }
@@ -89,12 +92,13 @@ fn by_score(
     spec: &DatasetSpec,
     dist: &Distribution,
     run_bytes: u64,
+    volume: Volume<'_>,
 ) -> Option<StorageKind> {
     let mut best: Option<(StorageKind, SimDuration)> = None;
     // Walking the preference order makes it the tie-break: a later kind
     // must be strictly faster to displace an earlier one.
     for kind in spec.future_use.preference() {
-        let price = sys.price(kind, &spec.name, &spec.plan(OpKind::Write, *dist));
+        let price = sys.price(kind, &spec.name, volume, &spec.plan(OpKind::Write, *dist));
         let score = price * (sys.load.depth(kind) as f64 + 1.0);
         if best.is_none_or(|(_, b)| score < b) {
             best = Some((kind, score));
@@ -133,6 +137,7 @@ fn by_performance(
     dist: &Distribution,
     run_bytes: u64,
     per_dump: SimDuration,
+    volume: Volume<'_>,
 ) -> CoreResult<Option<StorageKind>> {
     let mut meeting: Vec<(StorageKind, u64)> = Vec::new();
     let mut fastest: Option<(StorageKind, SimDuration)> = None;
@@ -144,7 +149,7 @@ fn by_performance(
         if !usable(sys, kind, run_bytes) {
             continue;
         }
-        let t = sys.price(kind, &spec.name, &spec.plan(OpKind::Write, *dist));
+        let t = sys.price(kind, &spec.name, volume, &spec.plan(OpKind::Write, *dist));
         if fastest.is_none_or(|(_, best)| t < best) {
             fastest = Some((kind, t));
         }
@@ -242,7 +247,7 @@ mod tests {
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap()
             .0;
-            let got = resolve(&sys, &spec, &dist, spec.run_bytes(12)).unwrap();
+            let got = resolve(&sys, &spec, &dist, spec.run_bytes(12), Volume::Fresh).unwrap();
             assert_eq!(got, Some(expect), "swept={swept}");
             assert_ne!(
                 Some(StorageKind::RemoteTape),
@@ -259,13 +264,13 @@ mod tests {
         let sys = populated_system(11);
         let spec = auto_spec(FutureUse::Visualization);
         let dist = dist_of(&spec);
-        let unloaded = resolve(&sys, &spec, &dist, spec.run_bytes(12))
+        let unloaded = resolve(&sys, &spec, &dist, spec.run_bytes(12), Volume::Fresh)
             .unwrap()
             .unwrap();
         for _ in 0..10_000 {
             sys.load.enqueue(unloaded, TenantId(0), 0.0);
         }
-        let loaded = resolve(&sys, &spec, &dist, spec.run_bytes(12))
+        let loaded = resolve(&sys, &spec, &dist, spec.run_bytes(12), Volume::Fresh)
             .unwrap()
             .unwrap();
         assert_ne!(
@@ -281,14 +286,14 @@ mod tests {
         let sys = populated_system(11);
         let spec = auto_spec(FutureUse::Archive);
         let dist = dist_of(&spec);
-        let winner = resolve(&sys, &spec, &dist, spec.run_bytes(12))
+        let winner = resolve(&sys, &spec, &dist, spec.run_bytes(12), Volume::Fresh)
             .unwrap()
             .unwrap();
         // Trip the winner's breaker.
         while sys.health.allows(winner) {
             sys.health.record_failure(winner);
         }
-        let got = resolve(&sys, &spec, &dist, spec.run_bytes(12))
+        let got = resolve(&sys, &spec, &dist, spec.run_bytes(12), Volume::Fresh)
             .unwrap()
             .unwrap();
         let static_choice = spec

@@ -31,7 +31,7 @@ use crate::error::CoreError;
 use crate::hints::LocationHint;
 use crate::placement;
 use crate::report::{DatasetReport, PlacementEvent, RunReport};
-use crate::system::MsrSystem;
+use crate::system::{MsrSystem, Volume};
 use crate::CoreResult;
 use bytes::Bytes;
 use msr_meta::{AccessMode, DatasetId, DatasetRec, Location, MetaError, RunId, QUERY_COST};
@@ -194,13 +194,14 @@ impl<'a> Session<'a> {
     pub fn open(&mut self, spec: DatasetSpec) -> CoreResult<DatasetHandle> {
         let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, self.grid)?;
         let run_bytes = spec.run_bytes(self.iterations);
-        let location = placement::resolve(self.sys, &spec, &dist, run_bytes)?;
+        let base = format!("{}/run{}/{}", self.app, self.run.0, spec.name);
+        let volume = Volume::Of(&base);
+        let location = placement::resolve(self.sys, &spec, &dist, run_bytes, volume)?;
 
         let meta_location = match location {
             Some(kind) => Location::Stored(kind),
             None => Location::Disabled,
         };
-        let base = format!("{}/run{}/{}", self.app, self.run.0, spec.name);
         let meta_id = {
             let mut catalog = self.sys.catalog.lock();
             let id = catalog.add_dataset(DatasetRec {
@@ -286,10 +287,13 @@ impl<'a> Session<'a> {
     }
 
     /// Pricing: the eq. (2) estimate of one `op` dump of dataset `h` on
-    /// `kind` ([`MsrSystem::price`]).
+    /// `kind` ([`MsrSystem::price`]), with the mount if the dataset's
+    /// volume is on no drive now.
     pub fn price(&self, h: DatasetHandle, kind: StorageKind, op: OpKind) -> SimDuration {
         let d = &self.datasets[h.0];
-        self.sys.price(kind, &d.spec.name, &d.spec.plan(op, d.dist))
+        let volume = Volume::Of(&d.base);
+        self.sys
+            .price(kind, &d.spec.name, volume, &d.spec.plan(op, d.dist))
     }
 
     /// The file of dataset `h`'s dump at `iter`, the path
@@ -583,23 +587,42 @@ impl<'a> Session<'a> {
     /// system from the resources' own models and from the measured rows
     /// once a PTool sweep has installed them. Chunked datasets are priced
     /// at their learned post-dedup/post-compression size and object count;
-    /// raw datasets at their plain shape, bit for bit.
+    /// raw datasets at their plain shape, bit for bit. Dumps are priced in
+    /// the order the executor meets them: the first dump of the session on
+    /// a volume no drive holds pays the mount, carried by its dataset's
+    /// row ([`PredictionRow::mount`](msr_predict::PredictionRow::mount)),
+    /// and the session's later dumps on that volume pay none.
     pub fn predict(&self) -> CoreResult<PredictionReport> {
+        // The resources whose volume an earlier row's first dump mounted:
+        // a session's datasets on one resource share its run's volume, so
+        // only the first of them to dump pays the mount.
+        let mut readied = 0u8;
         let report: PredictionReport = self
             .datasets
             .iter()
             .map(|d| {
                 let (name, plan) = (&d.spec.name, d.spec.plan(OpKind::Write, d.dist));
-                let (resource, per_dump) = match d.location {
-                    Some(kind) => (
-                        self.sys.resource(kind).map(|r| r.lock().name().to_owned()),
-                        self.sys.price(kind, name, &plan),
-                    ),
-                    None => (None, SimDuration::ZERO),
+                let (resource, per_dump, mount) = match d.location {
+                    Some(kind) => {
+                        let first = readied & (1 << kind as u8) == 0;
+                        let mount = if first {
+                            readied |= 1 << kind as u8;
+                            self.sys
+                                .mount_price(kind, OpKind::Write, Volume::Of(&d.base))
+                        } else {
+                            SimDuration::ZERO
+                        };
+                        (
+                            self.sys.resource(kind).map(|r| r.lock().name().to_owned()),
+                            self.sys.price(kind, name, Volume::Mounted, &plan),
+                            mount,
+                        )
+                    }
+                    None => (None, SimDuration::ZERO, SimDuration::ZERO),
                 };
                 let calls = plan.transfers();
                 let (n, freq) = (self.iterations, d.spec.frequency);
-                PredictionRow::new(name, resource, n, freq, calls, per_dump)
+                PredictionRow::new(name, resource, n, freq, calls, per_dump).with_mount(mount)
             })
             .collect();
         let mut catalog = self.sys.catalog.lock();
@@ -1131,6 +1154,35 @@ mod tests {
             let rec = catalog.find_dataset(s.run_id(), &row.name).unwrap();
             assert_eq!(rec.predicted_secs, Some(row.total.as_secs()));
         }
+    }
+
+    #[test]
+    fn only_the_sessions_first_tape_dump_pays_the_mount() {
+        let sys = MsrSystem::testbed(2);
+        let mut s = sys.session().app("app").iterations(12).build().unwrap();
+        s.open(spec("disk", LocationHint::RemoteDisk)).unwrap();
+        s.open(spec("a", LocationHint::RemoteTape)).unwrap();
+        s.open(spec("b", LocationHint::RemoteTape)).unwrap();
+        let pred = s.predict().unwrap();
+        let mount = SimDuration::from_secs(30.0);
+        let mounts: Vec<SimDuration> = pred.rows.iter().map(|r| r.mount).collect();
+        assert_eq!(mounts, [SimDuration::ZERO, mount, SimDuration::ZERO]);
+        let (a, b) = (&pred.rows[1], &pred.rows[2]);
+        assert_eq!(
+            a.per_dump, b.per_dump,
+            "the mount is not in the per-dump price"
+        );
+        assert_eq!(a.total, b.total + mount);
+        // Once the run's volume is on a drive, no row pays it.
+        let h = DatasetHandle(1);
+        let data = payload(s.spec(h));
+        s.write_iteration(h, 0, &data).unwrap();
+        assert!(s
+            .predict()
+            .unwrap()
+            .rows
+            .iter()
+            .all(|r| r.mount == SimDuration::ZERO));
     }
 
     #[test]

@@ -14,9 +14,23 @@ use msr_predict::{plan_time, PTool, PerfDb, RatioBook, ResourceProfile};
 use msr_runtime::{CallPlan, IoEngine, IoStrategy, ProcGrid};
 use msr_sim::{derive_seed, Clock, SimDuration};
 use msr_storage::{share, testbed, FaultLog, FaultPlan, OpKind, SharedResource, StorageKind};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Where the volume of a priced dump stands, which decides whether the
+/// dump pays its resource's mount ([`MsrSystem::price`]). Only tape
+/// mounts; a disk prices the same in every case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Volume<'a> {
+    /// The volume holding this file (a dataset's catalog path or one of
+    /// its dump files): mounted or not, as its device says now.
+    Of(&'a str),
+    /// A volume no drive holds: that of a run not yet opened.
+    Fresh,
+    /// A volume an earlier dump of the same series has just mounted.
+    Mounted,
+}
 
 /// The configured multi-storage environment: network, storage resources,
 /// metadata catalog, performance database and the virtual clock.
@@ -312,9 +326,40 @@ impl MsrSystem {
     /// changes what they would be. A chunked dataset is priced at the
     /// shape the chunk plane taught the ratio book (bytes at the learned
     /// ratio, the learned number of objects); any other at its plan, bit
-    /// for bit. A warm price allocates nothing.
-    pub fn price(&self, kind: StorageKind, dataset: &str, plan: &CallPlan) -> SimDuration {
+    /// for bit. A dump whose `volume` is on no drive also pays the row's
+    /// mount ([`mount_price`](Self::mount_price)). A warm price allocates
+    /// nothing.
+    pub fn price(
+        &self,
+        kind: StorageKind,
+        dataset: &str,
+        volume: Volume<'_>,
+        plan: &CallPlan,
+    ) -> SimDuration {
         let learned = self.ratios.lock().learned(dataset);
+        let profiles = self.profiles_of(kind);
+        let dump = plan_time(plan, |op| &profiles[&(kind, op)], learned);
+        let mount = profiles[&(kind, plan.op())].fixed.mount;
+        drop(profiles);
+        dump + self.mount_due(kind, mount, volume)
+    }
+
+    /// The part of [`price`](Self::price) that a dump in `volume` pays
+    /// for the mount: the `op` row's
+    /// [`FixedCosts::mount`](msr_storage::FixedCosts::mount) where the
+    /// volume is on no drive, else zero (always zero on disks). A series
+    /// of dumps on one volume pays it once: price the dumps
+    /// [`Volume::Mounted`] and add this for the first.
+    pub fn mount_price(&self, kind: StorageKind, op: OpKind, volume: Volume<'_>) -> SimDuration {
+        let mount = self.profiles_of(kind)[&(kind, op)].fixed.mount;
+        self.mount_due(kind, mount, volume)
+    }
+
+    /// The kept profiles, with both of `kind`'s rows resolved.
+    fn profiles_of(
+        &self,
+        kind: StorageKind,
+    ) -> MutexGuard<'_, BTreeMap<(StorageKind, OpKind), ResourceProfile>> {
         let mut profiles = self.profiles.lock();
         for op in [OpKind::Read, OpKind::Write] {
             profiles.entry((kind, op)).or_insert_with(|| {
@@ -324,7 +369,22 @@ impl MsrSystem {
                     .unwrap_or_else(|| ResourceProfile::of_model(&*r, op))
             });
         }
-        plan_time(plan, |op| &profiles[&(kind, op)], learned)
+        profiles
+    }
+
+    /// `mount` if a dump in `volume` on `kind` has to wait for it.
+    fn mount_due(&self, kind: StorageKind, mount: SimDuration, volume: Volume<'_>) -> SimDuration {
+        let cold = mount > SimDuration::ZERO
+            && match volume {
+                Volume::Of(path) => !self.resources[&kind].lock().mounted(path),
+                Volume::Fresh => true,
+                Volume::Mounted => false,
+            };
+        if cold {
+            mount
+        } else {
+            SimDuration::ZERO
+        }
     }
 }
 
@@ -371,7 +431,7 @@ mod tests {
         let (cube, bbb) = (msr_runtime::Dims3::cube(16), msr_runtime::Pattern::bbb());
         let dist = msr_runtime::Distribution::new(cube, 4, bbb, ProcGrid::new(1, 1, 1)).unwrap();
         let plan = CallPlan::read(IoStrategy::Collective, dist);
-        let price = |sys: &MsrSystem| sys.price(StorageKind::LocalDisk, "d", &plan);
+        let price = |sys: &MsrSystem| sys.price(StorageKind::LocalDisk, "d", Volume::Fresh, &plan);
         let modelled = price(&sys);
         assert_eq!(price(&sys), modelled);
         let local = sys.resource(StorageKind::LocalDisk).unwrap();
@@ -383,6 +443,37 @@ mod tests {
         sys.set_perf_db(db);
         let secs = (price(&sys) - modelled).as_secs();
         assert!(secs > 100.0, "the planted row replaced the kept profile");
+    }
+
+    #[test]
+    fn a_cold_tape_volume_pays_the_rows_mount_once() {
+        let sys = MsrSystem::testbed(1);
+        let (cube, bbb) = (msr_runtime::Dims3::cube(16), msr_runtime::Pattern::bbb());
+        let dist = msr_runtime::Distribution::new(cube, 4, bbb, ProcGrid::new(1, 1, 1)).unwrap();
+        let plan = CallPlan::write(IoStrategy::Collective, msr_storage::OpenMode::Create, dist);
+        let tape = StorageKind::RemoteTape;
+        let price = |kind, volume| sys.price(kind, "d", volume, &plan);
+        let warm = price(tape, Volume::Mounted);
+        let mount = SimDuration::from_secs(30.0);
+        assert_eq!(sys.mount_price(tape, OpKind::Write, Volume::Fresh), mount);
+        assert_eq!(price(tape, Volume::Fresh), warm + mount);
+        assert_eq!(price(tape, Volume::Of("run1/d.t00000")), warm + mount);
+        {
+            let res = sys.resource(tape).unwrap();
+            let mut r = res.lock();
+            r.connect().unwrap();
+            let h = r.open("run1/d.t00000", msr_storage::OpenMode::Create);
+            r.close(h.unwrap().value).unwrap();
+        }
+        // A sibling file is on the mounted volume.
+        assert_eq!(price(tape, Volume::Of("run1/d.t00006")), warm);
+        assert_eq!(price(tape, Volume::Of("run2/d.t00000")), warm + mount);
+        // Disks never mount: every volume prices bit for bit the same.
+        for kind in [StorageKind::LocalDisk, StorageKind::RemoteDisk] {
+            let bits = |volume| price(kind, volume).as_secs().to_bits();
+            assert_eq!(bits(Volume::Fresh), bits(Volume::Mounted));
+            assert_eq!(bits(Volume::Of("run2/d.t00000")), bits(Volume::Mounted));
+        }
     }
 
     #[test]

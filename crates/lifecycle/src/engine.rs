@@ -29,12 +29,12 @@
 //! lifecycle attached stay bitwise reproducible at any `MSR_THREADS`.
 
 use crate::policy::RetentionPolicy;
-use msr_core::MsrSystem;
+use msr_core::{MsrSystem, Volume};
 use msr_meta::{AccessMode, DatasetRec, DumpState, Location, RunId};
 use msr_obs::{ops, Layer};
 use msr_runtime::{CallPlan, Distribution, IoStrategy};
 use msr_sim::SimDuration;
-use msr_storage::{OpenMode, StorageKind};
+use msr_storage::{OpKind, OpenMode, StorageKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -536,9 +536,9 @@ impl LifecycleEngine {
             return None;
         }
         let dumps = sys.catalog.lock().dumps_of(d.id).len().max(1) as f64;
-        let per_dump = self.estimate_dump(sys, d, to);
+        let (per_dump, mount) = self.estimate_dump(sys, d, to);
         let pressure = 1.0 + (sys.load.depth(from) + sys.load.depth(to)) as f64;
-        let predicted_secs = per_dump * dumps * pressure;
+        let predicted_secs = (per_dump * dumps + mount) * pressure;
         match sys.migrate_dataset(d.run, &d.name, to) {
             Ok(m) => Some(MoveRec {
                 run: d.run.0,
@@ -556,10 +556,14 @@ impl LifecycleEngine {
 
     /// [`MsrSystem::price`] of the copy a move makes of one dump onto
     /// `to`, seconds: a collective write of the dump's bytes on one
-    /// process.
-    fn estimate_dump(&self, sys: &MsrSystem, d: &DatasetRec, to: StorageKind) -> f64 {
+    /// process, on a volume the move's first copy has mounted. Paired with
+    /// the mount that first copy pays, if the dataset's volume is on no
+    /// drive of `to`.
+    fn estimate_dump(&self, sys: &MsrSystem, d: &DatasetRec, to: StorageKind) -> (f64, f64) {
         let dist = Distribution::whole(d.snapshot_bytes());
         let plan = CallPlan::write(IoStrategy::Collective, OpenMode::Create, dist);
-        sys.price(to, &d.name, &plan).as_secs()
+        let per_dump = sys.price(to, &d.name, Volume::Mounted, &plan);
+        let mount = sys.mount_price(to, OpKind::Write, Volume::Of(&d.path));
+        (per_dump.as_secs(), mount.as_secs())
     }
 }

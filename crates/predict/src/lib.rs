@@ -6,8 +6,9 @@
 //!
 //! 1. A **performance database** ([`PerfDb`]) holding, per storage resource
 //!    and operation, the fixed components of eq. (1) (`T_conn`, `T_open`,
-//!    `T_seek`, `T_fileclose`, `T_connclose` — Table 1) and measured
-//!    `T_read/write(s)` samples over request sizes (Figs. 6–8).
+//!    `T_seek`, `T_fileclose`, `T_connclose` — Table 1), the tape mount a
+//!    cold volume pays, and measured `T_read/write(s)` samples over request
+//!    sizes (Figs. 6–8).
 //! 2. **PTool** ([`PTool`]) — "a tool … to help users automatically
 //!    generate performance data stored in databases": it sweeps request
 //!    sizes against the live resources, measures every component, and fills
@@ -26,7 +27,8 @@
 //! read-ahead, lifecycle moves and a session's Fig. 11 table — is taken
 //! through `msr_core::MsrSystem::price`, which resolves the
 //! [`ResourceProfile`]s of a resource (the measured database rows, else
-//! [`ResourceProfile::of_model`]) and prices the dump's plan against them.
+//! [`ResourceProfile::of_model`]), prices the dump's plan against them and
+//! adds the row's mount when the dump's volume is on no drive.
 
 pub mod accuracy;
 pub mod model;

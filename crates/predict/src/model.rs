@@ -5,10 +5,11 @@
 //! calls are the run-time engine's own [`CallPlan`], and [`plan_time`]
 //! folds its steps over a performance profile without enumerating a run:
 //!
-//! - `T_conn + T_connclose` once per dump. The paper's worked example
-//!   charges the connection on every dump (its `t(s)` includes `T_conn`),
-//!   which slightly over-estimates engines that hold a session connection
-//!   open — a deliberate fidelity to the published algorithm.
+//! - `T_conn + T_connclose` once per dump, as the paper's worked example
+//!   charges it (its `t(s)` includes `T_conn`). This is a divergence from
+//!   what the engine does: a session connects once per resource, at
+//!   admission, outside every dump. It over-prices each remote-disk dump
+//!   of `fleet_10k` by +34.5 % of its served time.
 //! - Per rank, `T_open + Σ (T_seek + T(bytes) × streams) × runs +
 //!   T_fileclose`: each transfer contends with the plan's other streams,
 //!   and seeks only where the engine seeks. Each step is priced from the
@@ -20,6 +21,13 @@
 //! - A chunked dataset's [`Learned`] shape: every transfer's bytes scaled
 //!   by the learned ratio, and one open and close per object beyond the
 //!   first.
+//!
+//! The tape mount is not a plan step, because whether a dump pays it
+//! depends on the drives, not on the plan. The one price
+//! (`MsrSystem::price` in `msr-core`) adds the row's
+//! [`FixedCosts::mount`](msr_storage::FixedCosts::mount) once to a dump
+//! whose volume is on no drive, and nothing to a dump whose volume is
+//! mounted. The mount is 0 on disks.
 
 use crate::perfdb::ResourceProfile;
 use crate::ratio::Learned;
@@ -98,6 +106,7 @@ mod tests {
                 seek: SimDuration::ZERO,
                 close: SimDuration::from_secs(0.83),
                 connclose: SimDuration::from_secs(0.0002),
+                mount: SimDuration::ZERO,
             },
             // ~0.295 MB/s effective rate with a WAN latency floor at
             // small sizes (what a full PTool sweep measures).

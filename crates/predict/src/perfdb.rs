@@ -26,7 +26,8 @@ pub struct ResourceProfile {
 impl ResourceProfile {
     /// The profile `r`'s own model hooks give for `op` — what eq. (2)
     /// prices against before a PTool sweep has measured the resource. The
-    /// hooks carry no jitter, so the synthesis is deterministic.
+    /// hooks carry no jitter, so the synthesis is deterministic; the
+    /// row's mount is the model's expected one (0 on disks).
     pub fn of_model(r: &Device<dyn CostModel>, op: OpKind) -> ResourceProfile {
         ResourceProfile {
             kind: r.kind(),
@@ -140,6 +141,7 @@ mod tests {
                 seek: SimDuration::from_secs(0.40),
                 close: SimDuration::from_secs(0.83),
                 connclose: SimDuration::from_secs(0.0002),
+                mount: SimDuration::ZERO,
             },
             samples: vec![(1_000_000, 3.4), (2_000_000, 6.8), (8_000_000, 27.0)],
         }
@@ -189,6 +191,16 @@ mod tests {
         // A 50 MB/s disk should price ~1 MB at ~0.02 s in the curve.
         let t = p.transfer_time(1 << 20).as_secs();
         assert!((0.005..0.1).contains(&t), "got {t}");
+    }
+
+    #[test]
+    fn a_model_tape_row_carries_the_expected_mount() {
+        let tb = msr_storage::testbed(3);
+        let tape = ResourceProfile::of_model(&tb.tape, OpKind::Write);
+        // The middle of the calibrated 20–40 s window.
+        assert_eq!(tape.fixed.mount, SimDuration::from_secs(30.0));
+        let disk = ResourceProfile::of_model(&tb.remote_disk, OpKind::Write);
+        assert_eq!(disk.fixed.mount, SimDuration::ZERO);
     }
 
     #[test]

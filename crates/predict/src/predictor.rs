@@ -17,7 +17,12 @@ pub struct PredictionRow {
     pub native_calls: u64,
     /// Predicted time of one dump.
     pub per_dump: SimDuration,
-    /// Predicted total over the run (the VIRTUALTIME column).
+    /// What the row's first dump pays on top of `per_dump`: the mount of
+    /// a tape volume no drive holds. Zero on every other row.
+    #[serde(default)]
+    pub mount: SimDuration,
+    /// Predicted total over the run (the VIRTUALTIME column):
+    /// `per_dump × dumps + mount`.
     pub total: SimDuration,
 }
 
@@ -70,8 +75,20 @@ impl PredictionRow {
             dumps,
             native_calls,
             per_dump,
+            mount: SimDuration::ZERO,
             total: per_dump * f64::from(dumps),
         }
+    }
+
+    /// The row with its first dump also paying `mount`. A row with no
+    /// dumps pays nothing; a zero mount leaves the total as it is, bit for
+    /// bit.
+    pub fn with_mount(mut self, mount: SimDuration) -> Self {
+        if self.dumps > 0 {
+            self.mount = mount;
+            self.total += mount;
+        }
+        self
     }
 }
 
@@ -97,25 +114,27 @@ impl fmt::Display for PredictionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<14} {:<12} {:>6} {:>8} {:>12} {:>14}",
-            "NAME", "LOCATION", "DUMPS", "CALLS", "PER-DUMP(s)", "VIRTUALTIME(s)"
+            "{:<14} {:<12} {:>6} {:>8} {:>12} {:>9} {:>14}",
+            "NAME", "LOCATION", "DUMPS", "CALLS", "PER-DUMP(s)", "MOUNT(s)", "VIRTUALTIME(s)"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<14} {:<12} {:>6} {:>8} {:>12.4} {:>14.4}",
+                "{:<14} {:<12} {:>6} {:>8} {:>12.4} {:>9.4} {:>14.4}",
                 r.name,
                 r.resource.as_deref().unwrap_or("DISABLE"),
                 r.dumps,
                 r.native_calls,
                 r.per_dump.as_secs(),
+                r.mount.as_secs(),
                 r.total.as_secs()
             )?;
         }
         writeln!(
             f,
-            "{:<14} {:<12} {:>6} {:>8} {:>12} {:>14.4}",
+            "{:<14} {:<12} {:>6} {:>8} {:>12} {:>9} {:>14.4}",
             "TOTAL",
+            "",
             "",
             "",
             "",
@@ -155,6 +174,7 @@ mod tests {
                     seek: SimDuration::ZERO,
                     close: SimDuration::from_secs(0.83),
                     connclose: SimDuration::from_secs(0.0002),
+                    mount: SimDuration::ZERO,
                 },
                 samples: vec![(1 << 20, 3.39), (1 << 21, 6.78), (1 << 24, 54.2)],
             },
@@ -196,6 +216,21 @@ mod tests {
     }
 
     #[test]
+    fn a_mount_is_paid_once_per_row() {
+        let row = vr_row("press", Some("sdsc-disk"), 6);
+        let mounted = row.clone().with_mount(SimDuration::from_secs(30.0));
+        assert_eq!(mounted.per_dump, row.per_dump);
+        assert_eq!(mounted.total, row.total + SimDuration::from_secs(30.0));
+        let none = row.clone().with_mount(SimDuration::ZERO);
+        assert_eq!(
+            none.total.as_secs().to_bits(),
+            row.total.as_secs().to_bits()
+        );
+        let disabled = vr_row("vr_rho", None, 6).with_mount(SimDuration::from_secs(30.0));
+        assert_eq!(disabled.total, SimDuration::ZERO);
+    }
+
+    #[test]
     fn disabled_dataset_costs_nothing() {
         let rep: PredictionReport = [vr_row("vr_rho", None, 6)].into_iter().collect();
         assert_eq!(rep.rows[0].dumps, 0);
@@ -222,6 +257,7 @@ mod tests {
         .collect();
         let s = rep.to_string();
         assert!(s.contains("VIRTUALTIME"));
+        assert!(s.contains("MOUNT"));
         assert!(s.contains("vr_temp"));
         assert!(s.contains("DISABLE"));
         assert!(s.contains("TOTAL"));

@@ -4,9 +4,12 @@
 //! that can automatically generate all these numbers … so the user can
 //! easily set up her basic performance prediction database in a single
 //! run." PTool exercises each live resource with a size sweep, measures
-//! every eq. (1) component (with one warm-up discarded and the median of
-//! the repetitions kept, since measurements are jittered exactly like the
-//! paper's), and fills a [`PerfDb`].
+//! every eq. (1) component (with one warm-up and the median of the
+//! repetitions kept, since measurements are jittered exactly like the
+//! paper's), and fills a [`PerfDb`]. The fixed-cost warm-up is the scratch
+//! volume's first open: on tape it pays the mount, which the sweep keeps
+//! as the row's [`FixedCosts::mount`] (that open minus the row's median
+//! warm open).
 
 use crate::perfdb::{PerfDb, ResourceProfile};
 use crate::{PredictError, PredictResult};
@@ -81,12 +84,13 @@ impl PTool {
         let mut open_r = Vec::new();
         let mut close_r = Vec::new();
         let mut seeks = Vec::new();
-        {
-            // Warm-up create (absorbs the tape mount).
-            let h = r.open(&scratch, OpenMode::Create)?.value;
-            r.write(h, &[0u8; 4096])?;
-            r.close(h)?;
-        }
+        // The warm-up create is the scratch volume's first open: where it
+        // mounted, it is timed as the mount's measurement.
+        let mounts = r.mounts();
+        let first = r.open(&scratch, OpenMode::Create)?;
+        let mounted = r.mounts() > mounts;
+        r.write(first.value, &[0u8; 4096])?;
+        r.close(first.value)?;
         for _ in 0..reps {
             let o = r.open(&scratch, OpenMode::OverWrite)?;
             open_w.push(o.time.as_secs());
@@ -96,15 +100,26 @@ impl PTool {
             open_r.push(o.time.as_secs());
             close_r.push(r.close(o.value)?.time.as_secs());
         }
-        let fixed_for = |open: &[f64], close: &[f64]| FixedCosts {
-            conn: t_conn,
-            open: SimDuration::from_secs(median(open.to_vec())),
-            seek: SimDuration::from_secs(median(seeks.clone())),
-            close: SimDuration::from_secs(median(close.to_vec())),
-            connclose: t_connclose,
+        let fixed_for = |op: OpKind, open: &[f64], close: &[f64]| {
+            let open = SimDuration::from_secs(median(open.to_vec()));
+            FixedCosts {
+                conn: t_conn,
+                open,
+                seek: SimDuration::from_secs(median(seeks.clone())),
+                close: SimDuration::from_secs(median(close.to_vec())),
+                connclose: t_connclose,
+                // A cold open is the row's warm open plus the mount. A
+                // sweep whose volume was already on a drive (a re-sweep)
+                // sees no mount, and keeps the model's expected one.
+                mount: if mounted {
+                    first.time.saturating_sub(open)
+                } else {
+                    r.fixed_costs(op).mount
+                },
+            }
         };
-        let fixed_write = fixed_for(&open_w, &close_w);
-        let fixed_read = fixed_for(&open_r, &close_r);
+        let fixed_write = fixed_for(OpKind::Write, &open_w, &close_w);
+        let fixed_read = fixed_for(OpKind::Read, &open_r, &close_r);
 
         // --- transfer curves ---
         let mut write_samples = Vec::with_capacity(sizes.len());
@@ -231,6 +246,31 @@ mod tests {
         let (_, disk_w) = pt.profile_resource(&disk).unwrap();
         assert!(tape_w.transfer_time(1 << 20) > disk_w.transfer_time(1 << 20));
         assert!(tape_w.fixed.open > disk_w.fixed.open);
+    }
+
+    #[test]
+    fn the_tape_rows_keep_the_mount_the_first_open_paid() {
+        let tb = testbed(7);
+        let (tape, disk) = (share(tb.tape), share(tb.local));
+        let pt = small_ptool();
+        let (read, write) = pt.profile_resource(&tape).unwrap();
+        assert_eq!(tape.lock().mounts(), 1, "the sweep mounts its volume once");
+        // One draw from the 20–40 s window, less the row's warm open
+        // (the write row's warm open rewinds: about 1 s more).
+        for row in [&read, &write] {
+            let mount = row.fixed.mount.as_secs();
+            assert!((18.0..41.0).contains(&mount), "mount {mount}");
+        }
+        assert!(write.fixed.mount < read.fixed.mount);
+        // A re-sweep finds its volume on a drive: no mount to time, so the
+        // rows keep the model's expected one.
+        let (_, again) = pt.profile_resource(&tape).unwrap();
+        let expected = tape.lock().fixed_costs(OpKind::Write).mount;
+        assert_eq!(again.fixed.mount, expected);
+        assert_eq!(tape.lock().mounts(), 1);
+        let (read, write) = pt.profile_resource(&disk).unwrap();
+        assert_eq!(read.fixed.mount, SimDuration::ZERO);
+        assert_eq!(write.fixed.mount, SimDuration::ZERO);
     }
 
     #[test]

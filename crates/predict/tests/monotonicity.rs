@@ -27,6 +27,7 @@ fn rand_profile(rng: &mut StdRng) -> ResourceProfile {
             seek: SimDuration::from_secs(rng.random_range(0.0f64..0.5)),
             close: SimDuration::from_secs(rng.random_range(0.0f64..1.0)),
             connclose: SimDuration::from_secs(rng.random_range(0.0f64..0.1)),
+            mount: SimDuration::ZERO,
         },
         samples: (0..4)
             .map(|i| {

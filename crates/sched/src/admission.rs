@@ -5,7 +5,7 @@
 use crate::drain::{pop_chain, Acc, Deadline, Drain, Queues};
 use crate::program::SessionProgram;
 use crate::scheduler::{dispatch_overhead, Admitted, Base, Queued, Scheduler, MAX_CHAIN};
-use msr_core::{placement, CoreError, CoreResult, OverloadPolicy, Tenant, TenantId};
+use msr_core::{placement, CoreError, CoreResult, OverloadPolicy, Tenant, TenantId, Volume};
 use msr_obs::{ops, Layer};
 use msr_runtime::{Distribution, IoStrategy, RequestTag};
 use msr_sim::{SimDuration, SimTime};
@@ -117,7 +117,10 @@ impl Scheduler<'_> {
             }
             let dist = Distribution::new(spec.dims, spec.etype.size(), spec.pattern, program.grid)?;
             let run_bytes = spec.run_bytes(program.iterations);
-            let Some(kind) = placement::resolve(sys, spec, &dist, run_bytes)? else {
+            // The program's run is not opened yet: its volume is fresh,
+            // as it will be when the open resolves the same placement.
+            let volume = Volume::Fresh;
+            let Some(kind) = placement::resolve(sys, spec, &dist, run_bytes, volume)? else {
                 continue;
             };
             pricing.kinds.insert(kind);

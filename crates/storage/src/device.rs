@@ -134,6 +134,17 @@ pub trait CostModel: Send {
 
     /// Deterministic `T_read/write(s)` for one native call.
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration;
+
+    /// Whether the medium holding `path` is ready to move data without a
+    /// mount. Random-access media never mount.
+    fn mounted(&self, _path: &str) -> bool {
+        true
+    }
+
+    /// Physical mounts performed so far; zero on media that never mount.
+    fn mounts(&self) -> usize {
+        0
+    }
 }
 
 /// A simulated storage device priced by the cost model `M`: the native
@@ -729,6 +740,18 @@ impl<M: CostModel + ?Sized> Device<M> {
     /// call of `bytes` with `streams` parallel client streams.
     pub fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
         self.model.transfer_model(op, bytes, streams)
+    }
+
+    /// Whether `path`'s volume is on a drive now, so that opening it pays
+    /// no mount. Always true on random-access media. A query: no call, no
+    /// noise drawn, nothing allocated.
+    pub fn mounted(&self, path: &str) -> bool {
+        self.model.mounted(path)
+    }
+
+    /// Physical mounts this device has performed (0 on disks).
+    pub fn mounts(&self) -> usize {
+        self.model.mounts()
     }
 }
 

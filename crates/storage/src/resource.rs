@@ -144,11 +144,18 @@ pub struct FixedCosts {
     pub close: SimDuration,
     /// `T_connclose` — connection teardown.
     pub connclose: SimDuration,
+    /// What a dump pays on top when its volume is on no drive: the tape's
+    /// mount (and, with every drive busy, the unmount before it). Zero on
+    /// random-access media, which never mount. Charged once per volume,
+    /// not per call, so it is not part of [`total`](Self::total).
+    #[serde(default)]
+    pub mount: SimDuration,
 }
 
 impl FixedCosts {
-    /// Sum of all fixed components: the per-native-call overhead when each
-    /// call opens and closes its own file and connection.
+    /// Sum of the per-call fixed components: the overhead when each call
+    /// opens and closes its own file and connection. The
+    /// [`mount`](Self::mount) is per volume and left out.
     pub fn total(&self) -> SimDuration {
         self.conn + self.open + self.seek + self.close + self.connclose
     }
@@ -269,6 +276,7 @@ mod tests {
             seek: SimDuration::from_secs(0.40),
             close: SimDuration::from_secs(0.63),
             connclose: SimDuration::from_secs(0.0002),
+            mount: SimDuration::from_secs(30.0),
         };
         assert!((f.total().as_secs() - 1.8902).abs() < 1e-9);
     }

@@ -75,8 +75,7 @@ pub struct TapeModel {
     params: TapeParams,
     drives: Vec<Option<DriveState>>,
     use_counter: u64,
-    /// Number of physical mounts performed (observability for tests and the
-    /// drive-count ablation).
+    /// Number of physical mounts performed ([`Device::mounts`]).
     mounts: usize,
     /// Paths whose tapes are on the off-site shelf: readable only after a
     /// recall. Ordered set so iteration (and serialization, if ever) is
@@ -105,11 +104,6 @@ impl TapeResource {
             vaulted: BTreeSet::new(),
         };
         Device::assemble(name.into(), model, "tape", seed)
-    }
-
-    /// Physical mounts performed so far.
-    pub fn mount_count(&self) -> usize {
-        self.model.mounts
     }
 }
 
@@ -226,6 +220,9 @@ impl CostModel for TapeModel {
                 OpKind::Read => self.params.close_read,
                 OpKind::Write => self.params.close_write,
             },
+            // The expected mount: the middle of the uniform window the
+            // drive pool draws from.
+            mount: (self.params.mount_min + self.params.mount_max) * 0.5,
             ..FixedCosts::default()
         }
     }
@@ -284,6 +281,14 @@ impl CostModel for TapeModel {
         } else {
             self.vaulted.remove(path)
         }
+    }
+
+    fn mounted(&self, path: &str) -> bool {
+        self.drive_of(path).is_some()
+    }
+
+    fn mounts(&self) -> usize {
+        self.mounts
     }
 
     fn transfer_model(&self, op: OpKind, bytes: u64, streams: u32) -> SimDuration {
@@ -352,6 +357,34 @@ mod tests {
         assert!((f.open.as_secs() - 6.17).abs() < 1e-9);
         assert!((f.close.as_secs() - 0.42).abs() < 1e-9);
         assert!((t.fixed_costs(OpKind::Read).close.as_secs() - 0.46).abs() < 1e-9);
+        // The expected mount, outside the per-call total.
+        assert_eq!(f.mount, SimDuration::from_secs(20.0));
+        assert!((f.total().as_secs() - (0.81 + 6.17 + 1.0 + 0.42 + 0.0002)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_volume_is_mounted_from_its_first_open_until_evicted() {
+        let mut t = tape(1);
+        assert!(!t.mounted("run1/a.t00000"));
+        assert_eq!(t.mounts(), 0);
+        let h = t.open("run1/a.t00000", OpenMode::Create).unwrap().value;
+        t.close(h).unwrap();
+        // Every file under the directory is on the same volume.
+        assert!(t.mounted("run1/b.t00006"));
+        assert!(!t.mounted("run2/a.t00000"));
+        t.open("run2/a.t00000", OpenMode::Create).unwrap();
+        assert!(!t.mounted("run1/a.t00000"), "evicted by the one drive");
+        assert_eq!(t.mounts(), 2);
+    }
+
+    #[test]
+    fn disks_never_mount() {
+        use crate::local_disk::{DiskParams, LocalDisk};
+        let mut d = LocalDisk::new("d", DiskParams::simple(100.0, 1 << 30), 0);
+        assert!(d.mounted("run1/a.t00000"));
+        d.open("run1/a.t00000", OpenMode::Create).unwrap();
+        assert_eq!(d.mounts(), 0);
+        assert_eq!(d.fixed_costs(OpKind::Write).mount, SimDuration::ZERO);
     }
 
     #[test]
@@ -360,7 +393,7 @@ mod tests {
         let c = t.open("f", OpenMode::Create).unwrap();
         // 6.17 open + 20 s mount, no reposition (fresh tape at 0).
         assert!((c.time.as_secs() - 26.17).abs() < 1e-9, "got {}", c.time);
-        assert_eq!(t.mount_count(), 1);
+        assert_eq!(t.mounts(), 1);
     }
 
     #[test]
@@ -371,7 +404,7 @@ mod tests {
         t.close(h).unwrap();
         let c = t.open("f", OpenMode::Read).unwrap();
         // 6.17 open + rewind (1 s base + 0.07 s wind), no mount.
-        assert_eq!(t.mount_count(), 1);
+        assert_eq!(t.mounts(), 1);
         assert!(
             (c.time.as_secs() - (6.17 + 1.0 + 0.07)).abs() < 1e-6,
             "got {}",
@@ -387,10 +420,10 @@ mod tests {
         let c2 = t.open("b", OpenMode::Create).unwrap();
         // Evicts "a": unmount 8 s + mount 20 s + open 6.17.
         assert!((c2.time.as_secs() - 34.17).abs() < 1e-9, "got {}", c2.time);
-        assert_eq!(t.mount_count(), 2);
+        assert_eq!(t.mounts(), 2);
         // Going back to "a" remounts again.
         let h = t.open("a", OpenMode::OverWrite).unwrap().value;
-        assert_eq!(t.mount_count(), 3);
+        assert_eq!(t.mounts(), 3);
         t.close(h).unwrap();
     }
 
@@ -404,7 +437,7 @@ mod tests {
         // Both tapes stay mounted: alternating access costs no new mounts.
         t.open("a", OpenMode::OverWrite).unwrap();
         t.open("b", OpenMode::OverWrite).unwrap();
-        assert_eq!(t.mount_count(), 2);
+        assert_eq!(t.mounts(), 2);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod prelude {
         classify, BreakerState, ChunkPolicy, Codec, CoreError, CoreResult, DatasetSpec,
         DatasetSpecBuilder, ErrorClass, FutureUse, HealthCounters, HealthTracker, IngestSpec,
         LoadBoard, LocationHint, MsrSystem, OverloadPolicy, PlacementPolicy, RunReport, Session,
-        SessionBuilder, Tenant, TenantId, TenantQuota, TenantRegistry,
+        SessionBuilder, Tenant, TenantId, TenantQuota, TenantRegistry, Volume,
     };
     pub use msr_lifecycle::{
         tier_down, tier_up, LifecycleConfig, LifecycleEngine, RetentionPolicy, TickReport,

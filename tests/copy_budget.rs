@@ -553,8 +553,23 @@ fn the_deal_leaves_no_request_staging_live() {
 #[test]
 fn a_warm_price_allocates_nothing() {
     // Every admission estimate and scored placement is a price: once a
-    // resource's profiles are resolved, pricing reads them in place.
+    // resource's profiles are resolved, pricing reads them in place, and
+    // asking the tape whether a dump's volume is on a drive, mounted or
+    // cold, builds no path.
     let mut sys = MsrSystem::testbed(38);
+    let tape = sys.resource(StorageKind::RemoteTape).unwrap();
+    {
+        let mut t = tape.lock();
+        t.connect().unwrap();
+        let h = t.open("warm/d.t00000", OpenMode::Create).unwrap().value;
+        t.close(h).unwrap();
+    }
+    let volumes = [
+        Volume::Of("warm/d.t00006"),
+        Volume::Of("cold/d.t00000"),
+        Volume::Fresh,
+        Volume::Mounted,
+    ];
     let d = dist(16);
     let plans: Vec<CallPlan> = IoStrategy::ALL
         .into_iter()
@@ -582,14 +597,48 @@ fn a_warm_price_allocates_nothing() {
             })
             .unwrap();
         }
+        assert!(tape.lock().mounted("warm/d.t00006"));
+        assert!(!tape.lock().mounted("cold/d.t00000"));
         for (kind, plan) in calls.clone() {
-            sys.price(kind, "d", plan);
+            sys.price(kind, "d", Volume::Fresh, plan);
         }
         let before = ALLOCS.with(Cell::get);
-        for (kind, plan) in calls.clone().cycle().take(1000) {
-            std::hint::black_box(sys.price(kind, "d", plan));
+        for ((kind, plan), volume) in calls.clone().cycle().zip(volumes.iter().cycle()).take(1000) {
+            std::hint::black_box(sys.price(kind, "d", *volume, plan));
+            std::hint::black_box(sys.mount_price(kind, plan.op(), *volume));
         }
         let allocs = ALLOCS.with(Cell::get) - before;
         assert_eq!(allocs, 0, "1 000 warm prices allocated (swept={swept})");
+    }
+}
+
+#[test]
+fn predicting_a_tape_session_allocates_what_a_disk_one_does() {
+    // The mount a tape session's first dump pays is looked up, not built:
+    // its prediction allocates exactly what the same session on local
+    // disk does (names, rows), however many datasets share the volume.
+    let sys = MsrSystem::testbed(39);
+    let allocs = |hint, datasets: usize| {
+        let mut s = sys.session().app("p").iterations(12).build().unwrap();
+        for i in 0..datasets {
+            let spec = DatasetSpec::builder(&format!("d{i}"))
+                .element(ElementType::F32)
+                .cube(8)
+                .frequency(3)
+                .hint(hint)
+                .build();
+            s.open(spec).unwrap();
+        }
+        s.predict().unwrap();
+        let before = ALLOCS.with(Cell::get);
+        let report = s.predict().unwrap();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        (allocs, report)
+    };
+    for datasets in [1, 3] {
+        let (tape, report) = allocs(LocationHint::RemoteTape, datasets);
+        let (disk, _) = allocs(LocationHint::LocalDisk, datasets);
+        assert!(report.rows[0].mount > SimDuration::ZERO, "{report}");
+        assert_eq!(tape, disk, "{datasets} tape datasets");
     }
 }
