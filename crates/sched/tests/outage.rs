@@ -190,8 +190,9 @@ fn outage_drains_replay_across_thread_counts() {
 fn requeued_deadline_session_is_not_cancelled_after_it_drains() {
     let sys = MsrSystem::testbed(75);
     let mut sched = Scheduler::new(&sys);
-    // The tape estimate (about 39 s) fits the deadline; so does the disk.
-    let deadline = SimDuration::from_secs(60.0);
+    // The tape estimate (188.7 s: five dumps, each priced with the mount
+    // of the run's fresh volume) fits the deadline; so does the disk.
+    let deadline = SimDuration::from_secs(200.0);
     let id = sched
         .admit(archive_program(0).deadline(deadline))
         .unwrap()
@@ -204,7 +205,7 @@ fn requeued_deadline_session_is_not_cancelled_after_it_drains() {
         .hint(LocationHint::LocalDisk)
         .build();
     sched
-        .admit(SessionProgram::new("local").iterations(600).dataset(local))
+        .admit(SessionProgram::new("local").iterations(2400).dataset(local))
         .unwrap();
     sys.set_resource_online(StorageKind::RemoteTape, false);
     let report = sched.run().unwrap();
