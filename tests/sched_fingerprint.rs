@@ -68,7 +68,7 @@ fn client_fleet_on_demand_fingerprint_is_frozen() {
     for (n, pin) in [
         (1, "344000de7df95bd3"),
         (4, "1ea0168192278eac"),
-        (16, "7088b92060d830aa"),
+        (16, "0c14f04b81c46f3f"),
     ] {
         for prefetch in [false, true] {
             let label = format!("client fleet n={n}");
