@@ -14,13 +14,15 @@
 //!   LZ77 byte-oriented compressor with an exact, dependency-free
 //!   decompressor).
 //! * [`ChunkStore`] — a per-resource digest-keyed index: how many
-//!   manifests reference each stored chunk, how many of those references
-//!   are vaulted, which pack holds its frame and where, and per pack the
-//!   live-frame and resident-reference counts that decide when the pack
-//!   object is deleted, vaulted or recalled.
+//!   manifests reference each stored chunk, which pack holds its frame
+//!   and where, and per pack the live-frame count that decides when the
+//!   pack object is deleted.
 //! * [`Manifest`] — the ordered chunk list written as the dump object; a
 //!   chunked dump on storage is one manifest plus at most one
 //!   `cas/pack-<id>` object holding the frames it added to the store.
+//!   Packs share the `cas` volume, which holds no dataset and so is never
+//!   vaulted: a tape shelves a dump's manifest with its run's volume while
+//!   every frame stays on-site for the next dump to dedup against.
 //!
 //! Everything here is pure data manipulation: no virtual-time charges, no
 //! storage access. The I/O engine (`msr-runtime`) owns the transfer path

@@ -12,8 +12,6 @@ use std::ops::Range;
 struct ChunkEntry {
     /// Manifest references (one per occurrence in every live manifest).
     refs: u32,
-    /// How many of those references belong to vaulted dumps.
-    vaulted_refs: u32,
     /// Uncompressed length.
     ulen: u32,
     /// Stored frame length.
@@ -21,12 +19,6 @@ struct ChunkEntry {
     /// The pack holding the frame, and the frame's offset in it.
     pack: Digest,
     offset: u64,
-}
-
-impl ChunkEntry {
-    fn resident_refs(&self) -> u32 {
-        self.refs - self.vaulted_refs
-    }
 }
 
 /// Book-keeping for one pack object.
@@ -39,11 +31,6 @@ struct PackEntry {
     live_frames: u32,
     /// Stored bytes of those live frames; the rest of the pack is dead.
     live_bytes: u64,
-    /// References to its live frames held by resident (non-vaulted)
-    /// dumps. The object moves to the vault when the last one goes and
-    /// comes back when the first returns — a pack shared with a resident
-    /// dump must stay readable.
-    resident_refs: u64,
 }
 
 /// Where one stored frame lives.
@@ -106,12 +93,11 @@ pub struct StoreStats {
 }
 
 /// A per-resource content-addressed chunk index: digest → refcount,
-/// sizes and `(pack, offset)`, plus per-pack live-frame and
-/// resident-reference counts. The store tracks *metadata only*; the
-/// frames themselves live in `cas/pack-<id>` objects on the owning
-/// storage resource. Reclamation is refcount-driven: when retention
-/// pruning (or an overwrite) kills the last live frame of a pack, the
-/// caller deletes the object.
+/// sizes and `(pack, offset)`, plus per-pack live-frame counts. The store
+/// tracks *metadata only*; the frames themselves live in `cas/pack-<id>`
+/// objects on the owning storage resource. Reclamation is refcount-driven:
+/// when retention pruning (or an overwrite) kills the last live frame of a
+/// pack, the caller deletes the object.
 ///
 /// Lookups are digest-keyed hash-map probes — the hot ingest path does
 /// one per chunk occurrence — and nothing that returns an order iterates
@@ -178,7 +164,6 @@ impl ChunkStore {
                     }
                     v.insert(ChunkEntry {
                         refs: 1,
-                        vaulted_refs: 0,
                         ulen: c.ulen,
                         clen: c.clen,
                         pack,
@@ -188,22 +173,16 @@ impl ChunkStore {
                         bytes,
                         live_frames: 0,
                         live_bytes: 0,
-                        resident_refs: 0,
                     });
                     p.live_frames += 1;
                     p.live_bytes += u64::from(c.clen);
-                    p.resident_refs += 1;
                     self.stored_bytes += u64::from(c.clen);
                     self.unique_logical += u64::from(c.ulen);
                     self.inserts += 1;
                 }
                 Entry::Occupied(mut o) => {
                     debug_assert!(!c.packed, "flagged {} already stored", c.digest.short());
-                    let e = o.get_mut();
-                    e.refs += 1;
-                    if let Some(p) = self.packs.get_mut(&e.pack) {
-                        p.resident_refs += 1;
-                    }
+                    o.get_mut().refs += 1;
                     self.hits += 1;
                 }
             }
@@ -213,11 +192,10 @@ impl ChunkStore {
         }
     }
 
-    /// Drop one reference to `digest`; `vaulted_ref` says whether the
-    /// releasing dump was itself vaulted (so the right population is
-    /// decremented). Returns the pack whose last live frame this killed.
-    /// An unknown digest (double release) is a tolerated no-op.
-    fn release(&mut self, digest: &Digest, vaulted_ref: bool) -> Option<Digest> {
+    /// Drop one reference to `digest`. Returns the pack whose last live
+    /// frame this killed. An unknown digest (double release) is a
+    /// tolerated no-op.
+    fn release(&mut self, digest: &Digest) -> Option<Digest> {
         let Entry::Occupied(mut o) = self.chunks.entry(*digest) else {
             return None;
         };
@@ -226,27 +204,18 @@ impl ChunkStore {
         // their last one drops, so a live entry always has refs >= 1; a
         // zero here means a release/commit pairing bug upstream.
         debug_assert!(e.refs > 0, "refcount underflow on {}", digest.short());
-        let resident_before = e.resident_refs();
         e.refs -= 1;
-        if vaulted_ref {
-            e.vaulted_refs = e.vaulted_refs.saturating_sub(1);
+        if e.refs > 0 {
+            return None;
         }
-        e.vaulted_refs = e.vaulted_refs.min(e.refs);
-        let dead = e.refs == 0;
-        let e = if dead { o.remove() } else { *o.get() };
-        if dead {
-            self.stored_bytes -= u64::from(e.clen);
-            self.unique_logical -= u64::from(e.ulen);
-            self.gcs += 1;
-        }
+        let e = o.remove();
+        self.stored_bytes -= u64::from(e.clen);
+        self.unique_logical -= u64::from(e.ulen);
+        self.gcs += 1;
         let Entry::Occupied(mut p) = self.packs.entry(e.pack) else {
             return None;
         };
         let pack = p.get_mut();
-        pack.resident_refs -= u64::from(resident_before - e.resident_refs());
-        if !dead {
-            return None;
-        }
         pack.live_frames -= 1;
         pack.live_bytes -= u64::from(e.clen);
         if pack.live_frames > 0 {
@@ -260,60 +229,10 @@ impl ChunkStore {
     /// chunk list) in a single pass, returning the packs whose *last*
     /// live frame died — in first-died dump order, ready for the caller's
     /// object deletes.
-    pub fn release_all<'a>(
-        &mut self,
-        refs: impl IntoIterator<Item = &'a ChunkRef>,
-        vaulted: bool,
-    ) -> Vec<Digest> {
+    pub fn release_all<'a>(&mut self, refs: impl IntoIterator<Item = &'a ChunkRef>) -> Vec<Digest> {
         refs.into_iter()
-            .filter_map(|c| self.release(&c.digest, vaulted))
+            .filter_map(|c| self.release(&c.digest))
             .collect()
-    }
-
-    /// Mark one reference per entry of `refs` as vaulted (a dump going to
-    /// the shelf). Returns the packs that lost their last resident
-    /// reference — the moment the caller vaults the pack object itself.
-    pub fn vault_all<'a>(&mut self, refs: impl IntoIterator<Item = &'a ChunkRef>) -> Vec<Digest> {
-        let mut shelved = Vec::new();
-        for c in refs {
-            let Some(e) = self.chunks.get_mut(&c.digest) else {
-                continue;
-            };
-            if e.vaulted_refs == e.refs {
-                continue;
-            }
-            e.vaulted_refs += 1;
-            if let Some(p) = self.packs.get_mut(&e.pack) {
-                p.resident_refs -= 1;
-                if p.resident_refs == 0 {
-                    shelved.push(e.pack);
-                }
-            }
-        }
-        shelved
-    }
-
-    /// Un-vault one reference per entry of `refs` (a dump coming back).
-    /// Returns the packs that regained their first resident reference —
-    /// the moment the caller recalls the pack object.
-    pub fn recall_all<'a>(&mut self, refs: impl IntoIterator<Item = &'a ChunkRef>) -> Vec<Digest> {
-        let mut recalled = Vec::new();
-        for c in refs {
-            let Some(e) = self.chunks.get_mut(&c.digest) else {
-                continue;
-            };
-            if e.vaulted_refs == 0 {
-                continue;
-            }
-            e.vaulted_refs -= 1;
-            if let Some(p) = self.packs.get_mut(&e.pack) {
-                p.resident_refs += 1;
-                if p.resident_refs == 1 {
-                    recalled.push(e.pack);
-                }
-            }
-        }
-        recalled
     }
 
     /// Plan the reads that fetch every distinct frame of `manifest`: packs
@@ -478,16 +397,16 @@ mod tests {
         assert_eq!(s.stats().unique_logical_bytes, 100);
         assert_eq!(s.stats().packs, 1, "a fully deduplicated dump has no pack");
 
-        assert!(s.release_all(&[hit("a", 100, 40)], false).is_empty());
+        assert!(s.release_all(&[hit("a", 100, 40)]).is_empty());
         assert_eq!(
-            s.release_all(&[hit("a", 100, 40)], false),
+            s.release_all(&[hit("a", 100, 40)]),
             vec![d("p1")],
             "the last reference kills the frame and its pack"
         );
         assert_eq!(s.stats().stored_bytes, 0);
         assert_eq!((s.stats().gcs, s.stats().packs), (1, 0));
         assert!(
-            s.release_all(&[hit("a", 100, 40)], false).is_empty(),
+            s.release_all(&[hit("a", 100, 40)]).is_empty(),
             "double release is a tolerated no-op"
         );
     }
@@ -522,12 +441,12 @@ mod tests {
         let m2 = [hit("b", 20, 8), new("c", 30, 9)];
         s.commit(&m2, d("p2"));
         // Dropping m1 kills `a` but `b` keeps p1 alive: 5 dead bytes.
-        assert!(s.release_all(&m1, false).is_empty());
+        assert!(s.release_all(&m1).is_empty());
         assert_eq!(s.refs(&d("b")), 1);
         let st = s.stats();
         assert_eq!((st.gcs, st.packs, st.dead_bytes), (1, 2, 5));
         // Dropping m2 kills both packs, in the order their frames died.
-        assert_eq!(s.release_all(&m2, false), vec![d("p1"), d("p2")]);
+        assert_eq!(s.release_all(&m2), vec![d("p1"), d("p2")]);
         let st = s.stats();
         assert_eq!((st.chunks, st.packs, st.dead_bytes), (0, 0, 0));
     }
@@ -543,35 +462,7 @@ mod tests {
         let mut s = ChunkStore::new();
         s.commit(&[new("a", 10, 5)], d("p"));
         s.chunks.get_mut(&d("a")).unwrap().refs = 0;
-        let _ = s.release_all(&[hit("a", 10, 5)], false);
-    }
-
-    #[test]
-    fn a_pack_is_vaulted_only_when_every_reference_into_it_is() {
-        let mut s = ChunkStore::new();
-        let m1 = [new("a", 10, 5), new("b", 10, 5)];
-        s.commit(&m1, d("p")); // dump 1
-        let m2 = [hit("a", 10, 5)];
-        s.commit(&m2, d("q")); // dump 2 shares one frame of the pack
-        assert!(s.vault_all(&m1).is_empty(), "dump 2 is still resident");
-        assert_eq!(s.vault_all(&m2), vec![d("p")], "now fully vaulted");
-        assert!(s.vault_all(&m2).is_empty(), "extra vault is a no-op");
-        assert_eq!(s.recall_all(&m2), vec![d("p")], "first recall returns it");
-        assert!(s.recall_all(&m1).is_empty(), "pack already resident");
-    }
-
-    #[test]
-    fn releasing_a_vaulted_reference_keeps_counts_sane() {
-        let mut s = ChunkStore::new();
-        let m = [new("a", 10, 5)];
-        s.commit(&m, d("p"));
-        s.commit(&[hit("a", 10, 5)], d("q"));
-        assert!(s.vault_all(&m).is_empty());
-        // Pruning the vaulted dump releases its (vaulted) reference.
-        assert!(s.release_all(&m, true).is_empty());
-        // The surviving reference is resident, so a vault of it must again
-        // report the all-vaulted transition.
-        assert_eq!(s.vault_all(&[hit("a", 10, 5)]), vec![d("p")]);
+        let _ = s.release_all(&[hit("a", 10, 5)]);
     }
 
     #[test]

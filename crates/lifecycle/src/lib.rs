@@ -13,11 +13,14 @@
 //! - **Retention pruning** ([`RetentionPolicy`]) — `keep_last` /
 //!   `keep_daily` windows over dump timestamps thin a run's checkpoint
 //!   history; expired dumps are deleted from storage and the catalog.
-//! - **Tape vaulting** — tape-resident dumps idle past `vault_after` move
-//!   to the vault ([`DumpState::Vaulted`](msr_meta::DumpState)): reads
-//!   fail until a priced recall (hours of virtual latency) brings them
-//!   back. Promotions recall automatically; [`LifecycleEngine::recall_dataset`]
-//!   does it on demand.
+//! - **Tape vaulting** — the tape vaults and recalls whole volumes
+//!   (`msr_storage::volume_of`: one run's directory). A volume whose
+//!   datasets are all on tape and idle past `vault_after` moves to the
+//!   vault, and every dump on it turns
+//!   [`DumpState::Vaulted`](msr_meta::DumpState): reads fail until a
+//!   priced recall (hours of virtual latency, paid once per volume) brings
+//!   it back. Promotions recall automatically;
+//!   [`LifecycleEngine::recall_dataset`] does it on demand.
 //!
 //! The engine never runs on a timer or a background thread. A scheduler
 //! attaches it with `Scheduler::with_lifecycle` and ticks it between

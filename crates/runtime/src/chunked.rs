@@ -40,8 +40,9 @@
 //! committed before the replaced manifest's are released, so a chunk
 //! shared between the old and new dump never hits refcount zero
 //! mid-flight. Packs are reclaimed whole: one is deleted when its last
-//! live frame dies, vaulted when its last resident reference goes and
-//! recalled when the first returns.
+//! live frame dies. Packs share the `cas` volume, which holds no dataset,
+//! so a tape never shelves one: vaulting a run's volume shelves its
+//! manifests, and a dedup hit on their frames needs no recall.
 //!
 //! # Sharding and locking
 //!
@@ -131,9 +132,6 @@ struct ManifestMeta {
     ingest: IngestSpec,
     /// Logical payload bytes.
     logical: u64,
-    /// The dump is in the tape vault (its store references are counted in
-    /// the vaulted population).
-    vaulted: bool,
 }
 
 /// One resource's slice of the plane: its chunk store, its registered
@@ -467,11 +465,10 @@ impl IoEngine {
                     chunks: manifest.chunks,
                     ingest: *ingest,
                     logical: total,
-                    vaulted: false,
                 },
             );
             dead_packs = old
-                .map(|old| sh.store.release_all(&old.chunks, old.vaulted))
+                .map(|old| sh.store.release_all(&old.chunks))
                 .unwrap_or_default();
             sh.pending.push(DeltaSummary {
                 dataset: dataset.to_owned(),
@@ -751,7 +748,7 @@ impl IoEngine {
                 return Err(RuntimeError::Storage(e));
             }
         }
-        let dead_packs = sh.store.release_all(&meta.chunks, meta.vaulted);
+        let dead_packs = sh.store.release_all(&meta.chunks);
         drop(sh);
         for id in &dead_packs {
             if let Ok(cost) = r.delete(&pack_path(id)) {
@@ -766,63 +763,6 @@ impl IoEngine {
                 self.clock.now(),
                 dead_packs.len() as f64,
             );
-        }
-        Ok(Cost::new(time, ()))
-    }
-
-    /// Vault a dump, raw or chunked. A raw dump vaults each stored
-    /// object; a chunked dump vaults its manifest and marks its references
-    /// vaulted, and each pack moves to the vault only once *every* dump
-    /// referencing a frame in it is vaulted.
-    pub fn vault_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
-        let mut r = res.lock();
-        let resource = r.name().to_owned();
-        let Some(shard) = self.plane.shard_if(&resource) else {
-            return self.each_object(&mut *r, path, |r, o| r.vault(o));
-        };
-        let mut sh = shard.lock();
-        let sh = &mut *sh;
-        let Some(meta) = sh.manifests.get_mut(path) else {
-            return self.each_object(&mut *r, path, |r, o| r.vault(o));
-        };
-        if meta.vaulted {
-            return Ok(Cost::free(()));
-        }
-        let mut time = r.vault(path)?.time;
-        let to_vault = sh.store.vault_all(&meta.chunks);
-        meta.vaulted = true;
-        for id in &to_vault {
-            if let Ok(cost) = r.vault(&pack_path(id)) {
-                time += cost.time;
-            }
-        }
-        Ok(Cost::new(time, ()))
-    }
-
-    /// Recall a dump from the vault, raw or chunked. A raw dump recalls
-    /// each stored object; the first chunked dump to need a frame of a
-    /// shared pack recalls the pack for everyone.
-    pub fn recall_dump(&self, res: &SharedResource, path: &str) -> RuntimeResult<Cost<()>> {
-        let mut r = res.lock();
-        let resource = r.name().to_owned();
-        let Some(shard) = self.plane.shard_if(&resource) else {
-            return self.each_object(&mut *r, path, |r, o| r.recall(o));
-        };
-        let mut sh = shard.lock();
-        let sh = &mut *sh;
-        let Some(meta) = sh.manifests.get_mut(path) else {
-            return self.each_object(&mut *r, path, |r, o| r.recall(o));
-        };
-        if !meta.vaulted {
-            return Ok(Cost::free(()));
-        }
-        let mut time = r.recall(path)?.time;
-        let to_recall = sh.store.recall_all(&meta.chunks);
-        meta.vaulted = false;
-        for id in &to_recall {
-            if let Ok(cost) = r.recall(&pack_path(id)) {
-                time += cost.time;
-            }
         }
         Ok(Cost::new(time, ()))
     }

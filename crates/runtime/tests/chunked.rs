@@ -5,7 +5,7 @@ use msr_chunk::{pack_path, ChunkPolicy, Codec, Digest, IngestSpec};
 use msr_runtime::{
     Dims3, Distribution, IoEngine, IoReport, IoStrategy, Pattern, ProcGrid, RuntimeError,
 };
-use msr_storage::{share, testbed, DiskParams, LocalDisk, OpenMode, SharedResource};
+use msr_storage::{share, DiskParams, LocalDisk, OpenMode, SharedResource};
 use rayon::with_threads;
 
 fn disk() -> SharedResource {
@@ -376,53 +376,6 @@ fn a_codec_alone_ingests_through_cas_packs() {
         .read_auto(&res, "d.t1", &d, IoStrategy::Collective)
         .unwrap();
     assert_eq!(back.into_vec(), data);
-}
-
-#[test]
-fn vault_gating_waits_for_every_reference() {
-    let engine = IoEngine::default();
-    let tb = testbed(7);
-    let res = share(tb.tape);
-    res.lock().connect().unwrap();
-    let d = dist(16 * 16 * 16, 1);
-    let ingest = IngestSpec::chunked(ChunkPolicy::fixed(4));
-    let data = churned(d.total_bytes() as usize, 3);
-    for p in ["d.t0", "d.t1"] {
-        engine
-            .write_chunked(
-                &res,
-                p,
-                &data,
-                &d,
-                IoStrategy::Naive,
-                OpenMode::Create,
-                &ingest,
-                "d",
-            )
-            .unwrap();
-    }
-    // Identical dumps: d.t0's pack holds every frame, d.t1 wrote none.
-    let packs = res.lock().list("cas/");
-    assert_eq!(packs.len(), 1);
-    let pack = &packs[0];
-    engine.vault_dump(&res, "d.t0").unwrap();
-    assert!(
-        !res.lock().is_vaulted(pack),
-        "pack still referenced by the resident d.t1"
-    );
-    engine.vault_dump(&res, "d.t1").unwrap();
-    assert!(res.lock().is_vaulted(pack), "all references vaulted");
-    engine.recall_dump(&res, "d.t0").unwrap();
-    assert!(!res.lock().is_vaulted(pack), "first recall restores it");
-    let (back, _) = engine
-        .read_chunked(&res, "d.t0", &d, IoStrategy::Naive)
-        .unwrap();
-    assert_eq!(back, data);
-    // Pruning the still-vaulted d.t1 releases a vaulted reference.
-    engine.delete_dump(&res, "d.t1").unwrap();
-    engine.delete_dump(&res, "d.t0").unwrap();
-    let name = res.lock().name().to_owned();
-    assert_eq!(engine.chunk_plane().store_stats(&name).unwrap().chunks, 0);
 }
 
 #[test]

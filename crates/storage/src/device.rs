@@ -121,13 +121,13 @@ pub trait CostModel: Send {
         None
     }
 
-    /// Whether `path` is in the vault.
+    /// Whether the medium holding `path` is in the vault.
     fn is_vaulted(&self, _path: &str) -> bool {
         false
     }
 
-    /// Move `path` into or out of the vault; returns whether that changed
-    /// anything.
+    /// Move the medium holding `path` into or out of the vault; returns
+    /// whether that changed anything.
     fn set_vaulted(&mut self, _path: &str, _vaulted: bool) -> bool {
         false
     }
@@ -526,8 +526,8 @@ impl<M: CostModel + ?Sized> Device<M> {
         self.gate(ops::OPEN)?;
         self.check_online()?;
         self.check_live()?;
-        // A vaulted file is off-site for every mode — even a truncating
-        // create would need the volume back.
+        // A file on a vaulted volume is off-site for every mode — even a
+        // truncating create would need the volume back.
         if self.model.is_vaulted(path) {
             return Err(StorageError::Vaulted(path.to_owned()));
         }
@@ -632,18 +632,19 @@ impl<M: CostModel + ?Sized> Device<M> {
     /// Delete a file by path.
     pub fn delete(&mut self, path: &str) -> StorageResult<Cost<()>> {
         self.check_present(path)?;
+        // Pruning a vaulted dump needs no recall, and its volume stays on
+        // the shelf with whatever else it holds.
         self.store.delete(path);
-        // Pruning a vaulted dump destroys the shelf copy too — no recall
-        // needed to expire data.
-        self.model.set_vaulted(path, false);
         Ok(self.span(ops::DELETE, Cost::new(self.model.delete_cost(), ()), 0))
     }
 
-    /// Move a resident file into the vault (off-site tape shelf): the bytes
-    /// stay accounted but every subsequent `open` fails with
-    /// [`StorageError::Vaulted`] until [`Device::recall`] brings
-    /// them back. Only tape has a vault; the other kinds refuse with
-    /// [`StorageError::VaultUnsupported`].
+    /// Move the volume holding `path` ([`crate::volume_of`]) into the
+    /// vault (off-site tape shelf): the bytes stay accounted but every
+    /// subsequent `open` of a file on it fails with
+    /// [`StorageError::Vaulted`] until [`Device::recall`] brings the
+    /// volume back. The first vault of a volume pays the export;
+    /// re-vaulting a shelved one is free. Only tape has a vault; the other
+    /// kinds refuse with [`StorageError::VaultUnsupported`].
     pub fn vault(&mut self, path: &str) -> StorageResult<Cost<()>> {
         if self.model.recall_cost().is_none() {
             return Err(self.vault_unsupported());
@@ -656,12 +657,17 @@ impl<M: CostModel + ?Sized> Device<M> {
         // Shelving is a catalog update plus a robot export: charge the same
         // bookkeeping cost as a delete. No jitter: the noise stream must
         // stay unperturbed so lifecycle-on runs do not reorder other draws.
-        self.model.set_vaulted(path, true);
-        Ok(self.span(ops::VAULT, Cost::new(self.model.delete_cost(), ()), 0))
+        let t = if self.model.set_vaulted(path, true) {
+            self.model.delete_cost()
+        } else {
+            SimDuration::ZERO
+        };
+        Ok(self.span(ops::VAULT, Cost::new(t, ()), 0))
     }
 
-    /// Bring a vaulted file back on-site, paying the configured recall
-    /// latency. A no-op with zero cost if the file is already resident.
+    /// Bring the vaulted volume holding `path` back on-site, paying the
+    /// configured recall latency once for every file on it. A no-op with
+    /// zero cost if the volume is already resident.
     pub fn recall(&mut self, path: &str) -> StorageResult<Cost<()>> {
         // The shelf robot lives behind the same faulty front door as the
         // data path: outage windows and error bursts fault recalls too.
@@ -679,7 +685,7 @@ impl<M: CostModel + ?Sized> Device<M> {
         Ok(self.span(ops::RECALL, Cost::new(t, ()), 0))
     }
 
-    /// Whether a path is currently in the vault.
+    /// Whether the volume holding `path` is currently in the vault.
     pub fn is_vaulted(&self, path: &str) -> bool {
         self.model.is_vaulted(path)
     }

@@ -59,7 +59,7 @@ pub use profiles::{
 pub use rate::RateCurve;
 pub use remote_disk::RemoteDisk;
 pub use resource::{Cost, FileHandle, FixedCosts, OpKind, OpenMode, ResourceStats, StorageKind};
-pub use tape::{TapeParams, TapeResource};
+pub use tape::{volume_of, TapeParams, TapeResource};
 
 /// Convenience result alias for storage operations.
 pub type StorageResult<T> = Result<T, StorageError>;

@@ -55,8 +55,9 @@ pub struct TapeParams {
 
 /// The tape volume a path lives on: its directory prefix. Files written
 /// under one collection land on the same tape, as HPSS does for a run's
-/// output, so opening a sibling file does not remount.
-fn volume_of(path: &str) -> &str {
+/// output, so opening a sibling file does not remount, vaulting one file
+/// shelves its siblings and one recall brings them all back.
+pub fn volume_of(path: &str) -> &str {
     path.rsplit_once('/').map(|(dir, _)| dir).unwrap_or(path)
 }
 
@@ -77,9 +78,9 @@ pub struct TapeModel {
     use_counter: u64,
     /// Number of physical mounts performed ([`Device::mounts`]).
     mounts: usize,
-    /// Paths whose tapes are on the off-site shelf: readable only after a
-    /// recall. Ordered set so iteration (and serialization, if ever) is
-    /// deterministic.
+    /// Volumes on the off-site shelf: every file on one is readable only
+    /// after a recall. Ordered set so iteration (and serialization, if
+    /// ever) is deterministic.
     vaulted: BTreeSet<String>,
 }
 
@@ -272,14 +273,15 @@ impl CostModel for TapeModel {
     }
 
     fn is_vaulted(&self, path: &str) -> bool {
-        self.vaulted.contains(path)
+        self.vaulted.contains(volume_of(path))
     }
 
     fn set_vaulted(&mut self, path: &str, vaulted: bool) -> bool {
+        let volume = volume_of(path);
         if vaulted {
-            self.vaulted.insert(path.to_owned())
+            self.vaulted.insert(volume.to_owned())
         } else {
-            self.vaulted.remove(path)
+            self.vaulted.remove(volume)
         }
     }
 
@@ -487,12 +489,20 @@ mod tests {
         assert!(far > near, "winding 999 KB costs more than 1 KB");
     }
 
+    /// Write `body` to each of `paths`.
+    fn filled(paths: &[&str], body: &[u8]) -> TapeResource {
+        let mut t = tape(2);
+        for path in paths {
+            let h = t.open(path, OpenMode::Create).unwrap().value;
+            t.write(h, body).unwrap();
+            t.close(h).unwrap();
+        }
+        t
+    }
+
     #[test]
     fn vaulted_file_rejects_open_until_recalled() {
-        let mut t = tape(2);
-        let h = t.open("run/f", OpenMode::Create).unwrap().value;
-        t.write(h, b"history").unwrap();
-        t.close(h).unwrap();
+        let mut t = filled(&["run/f"], b"history");
         t.vault("run/f").unwrap();
         assert!(t.is_vaulted("run/f"));
         assert!(matches!(
@@ -506,23 +516,69 @@ mod tests {
         let c = t.recall("run/f").unwrap();
         assert_eq!(c.time, SimDuration::from_secs(3600.0));
         assert!(!t.is_vaulted("run/f"));
-        // Second recall of a resident file is free.
+        // Second recall of a resident volume is free.
         assert_eq!(t.recall("run/f").unwrap().time, SimDuration::ZERO);
         let h = t.open("run/f", OpenMode::Read).unwrap().value;
         assert_eq!(&t.read(h, 7).unwrap().value[..], b"history");
     }
 
     #[test]
-    fn vault_requires_existing_file_and_delete_clears_it() {
-        let mut t = tape(2);
+    fn vaulting_one_file_shelves_its_volume_and_no_other() {
+        let mut t = filled(&["run/a", "run/b", "other/c"], b"xyz");
+        let c = t.vault("run/a").unwrap();
+        assert_eq!(c.time, SimDuration::from_secs(0.42), "the export");
+        assert!(t.is_vaulted("run/b"), "a sibling is on the same volume");
+        assert!(t.is_vaulted("run/never-written"));
+        assert!(matches!(
+            t.open("run/b", OpenMode::Read),
+            Err(StorageError::Vaulted(_))
+        ));
+        assert!(matches!(
+            t.open("run/new", OpenMode::Create),
+            Err(StorageError::Vaulted(_))
+        ));
+        assert_eq!(
+            t.vault("run/b").unwrap().time,
+            SimDuration::ZERO,
+            "re-vaulting a shelved volume is free"
+        );
+        // Another volume stays readable.
+        assert!(!t.is_vaulted("other/c"));
+        let h = t.open("other/c", OpenMode::Read).unwrap().value;
+        assert_eq!(&t.read(h, 3).unwrap().value[..], b"xyz");
+    }
+
+    #[test]
+    fn one_recall_restores_the_whole_volume() {
+        let mut t = filled(&["run/a", "run/b"], b"xyz");
+        t.vault("run/a").unwrap();
+        assert_eq!(
+            t.recall("run/b").unwrap().time,
+            SimDuration::from_secs(3600.0)
+        );
+        assert_eq!(t.recall("run/a").unwrap().time, SimDuration::ZERO);
+        for path in ["run/a", "run/b"] {
+            let h = t.open(path, OpenMode::Read).unwrap().value;
+            assert_eq!(&t.read(h, 3).unwrap().value[..], b"xyz");
+            t.close(h).unwrap();
+        }
+    }
+
+    #[test]
+    fn vault_requires_existing_file_and_delete_leaves_the_volume_shelved() {
+        let mut t = filled(&["run/g", "run/h"], b"x");
         assert!(matches!(t.vault("ghost"), Err(StorageError::NotFound(_))));
-        let h = t.open("run/g", OpenMode::Create).unwrap().value;
-        t.write(h, b"x").unwrap();
-        t.close(h).unwrap();
         t.vault("run/g").unwrap();
         t.delete("run/g").unwrap();
-        assert!(!t.is_vaulted("run/g"));
         assert!(!t.exists("run/g"));
+        assert!(
+            t.is_vaulted("run/g"),
+            "the volume, not the file, is shelved"
+        );
+        assert!(matches!(
+            t.open("run/h", OpenMode::Read),
+            Err(StorageError::Vaulted(_))
+        ));
     }
 
     #[test]

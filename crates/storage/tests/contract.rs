@@ -380,3 +380,44 @@ fn front_is_transparent_for_every_info_method() {
     );
     assert_eq!(info(&staged(shelved())), info(&bare));
 }
+
+/// The tape's volume ([`msr_storage::volume_of`]) is the unit of vault and
+/// recall, bare and behind its stages: a vault shelves every file on the
+/// volume and no file off it, a shelved volume refuses every open, a delete
+/// leaves it shelved, and one recall brings all of it back.
+#[test]
+fn a_tape_volume_is_vaulted_and_recalled_whole() {
+    for res in [share(tape()), share(staged(tape()))] {
+        let mut r = res.lock();
+        r.connect().unwrap();
+        for path in ["run/a", "run/b", "run/c", "other/d"] {
+            let h = r.open(path, OpenMode::Create).unwrap().value;
+            r.write(h, path.as_bytes()).unwrap();
+            r.close(h).unwrap();
+        }
+        assert_eq!(msr_storage::volume_of("run/a"), "run");
+        r.vault("run/a").unwrap();
+        assert!(r.is_vaulted("run/b") && !r.is_vaulted("other/d"));
+        for (path, mode) in [("run/b", OpenMode::Read), ("run/new", OpenMode::Create)] {
+            assert!(
+                matches!(r.open(path, mode), Err(StorageError::Vaulted(_))),
+                "{path}"
+            );
+        }
+        let h = r.open("other/d", OpenMode::Read).unwrap().value;
+        assert_eq!(&r.read(h, 7).unwrap().value[..], b"other/d");
+        r.close(h).unwrap();
+
+        r.delete("run/c").unwrap();
+        assert!(r.is_vaulted("run/a"), "a delete leaves the volume shelved");
+
+        let recall = r.recall("run/b").unwrap().time;
+        assert_eq!(recall, msr_storage::hpss_params().recall);
+        assert_eq!(r.recall("run/a").unwrap().time, SimDuration::ZERO);
+        for path in ["run/a", "run/b"] {
+            let h = r.open(path, OpenMode::Read).unwrap().value;
+            assert_eq!(&r.read(h, 5).unwrap().value[..], path.as_bytes());
+            r.close(h).unwrap();
+        }
+    }
+}

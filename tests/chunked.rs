@@ -3,8 +3,9 @@
 //! corruption surfacing as a typed fatal error, and chaos tolerance with
 //! chunking enabled. Then the pack layout: a dump is at most two objects
 //! and beats its raw twin on time, reads touch only referenced bytes,
-//! packs die, vault and return whole, and a fault between the pack and
-//! the manifest leaves nothing that cannot be recounted.
+//! packs die whole and stay on-site when a dump's volume is vaulted, and
+//! a fault between the pack and the manifest leaves nothing that cannot
+//! be recounted.
 
 use msr::apps::multi::dedup_fleet;
 use msr::chunk::Manifest;
@@ -528,44 +529,32 @@ fn an_overwrite_dataset_dedups_against_the_version_it_replaces() {
     s.finalize().unwrap();
 }
 
-/// On tape a pack goes to the vault only when every dump referencing a
-/// frame in it has gone, and comes back with the first that returns.
+/// On tape the packs share the `cas` volume, which holds no dataset: a
+/// vault shelves a run's manifests and leaves every frame on-site, so a
+/// new dump that dedups against a shelved dump reads back with no recall.
 #[test]
-fn vault_gating_waits_for_every_reference_into_a_pack() {
+fn packs_stay_on_site_when_a_dumps_volume_is_vaulted() {
     let engine = IoEngine::default();
     let res = share(testbed(7).tape);
     res.lock().connect().unwrap();
-    dump(&engine, &res, "d.t0", &blocks(HISTORY[0]));
+    dump(&engine, &res, "old/d.t0", &blocks(HISTORY[0]));
     let base = packs(&res);
-    dump(&engine, &res, "d.t1", &blocks(HISTORY[1]));
-    let all = packs(&res);
-    assert_eq!((base.len(), all.len()), (1, 2));
-    let own: Vec<&String> = all.iter().filter(|p| **p != base[0]).collect();
-    let vaulted = |path: &str| res.lock().is_vaulted(path);
+    res.lock().vault("old/d.t0").unwrap();
+    assert!(res.lock().is_vaulted("old/d.t0"));
+    assert!(!res.lock().is_vaulted(&base[0]), "the cas volume stays");
 
-    engine.vault_dump(&res, "d.t0").unwrap();
-    assert!(!vaulted(&base[0]), "d.t1 is resident and reads this pack");
-    engine.vault_dump(&res, "d.t1").unwrap();
-    assert!(
-        vaulted(&base[0]) && vaulted(own[0]),
-        "no resident reference"
-    );
+    dump(&engine, &res, "new/d.t1", &blocks(HISTORY[1]));
+    assert_eq!(packs(&res).len(), 2, "d.t1 shipped only its new frames");
+    assert_eq!(fetch(&engine, &res, "new/d.t1"), blocks(HISTORY[1]));
     assert!(engine
-        .read_chunked(&res, "d.t1", &block_dist(), IoStrategy::Collective)
+        .read_chunked(&res, "old/d.t0", &block_dist(), IoStrategy::Collective)
         .is_err());
 
-    engine.recall_dump(&res, "d.t1").unwrap();
-    assert!(!vaulted(&base[0]) && !vaulted(own[0]), "recalled with d.t1");
-    assert_eq!(fetch(&engine, &res, "d.t1"), blocks(HISTORY[1]));
-    assert!(vaulted("d.t0"), "d.t0's manifest is still on the shelf");
-    engine.recall_dump(&res, "d.t0").unwrap();
-    assert_eq!(fetch(&engine, &res, "d.t0"), blocks(HISTORY[0]));
-
-    // Pruning a still-vaulted dump releases vaulted references.
-    engine.vault_dump(&res, "d.t0").unwrap();
-    engine.delete_dump(&res, "d.t0").unwrap();
-    assert_eq!(fetch(&engine, &res, "d.t1"), blocks(HISTORY[1]));
-    engine.delete_dump(&res, "d.t1").unwrap();
+    // Pruning the shelved dump keeps the frames d.t1 still references;
+    // pruning d.t1 too collects every frame.
+    engine.delete_dump(&res, "old/d.t0").unwrap();
+    assert_eq!(fetch(&engine, &res, "new/d.t1"), blocks(HISTORY[1]));
+    engine.delete_dump(&res, "new/d.t1").unwrap();
     assert!(packs(&res).is_empty());
     let name = res.lock().name().to_owned();
     assert_eq!(engine.chunk_plane().store_stats(&name).unwrap().chunks, 0);
