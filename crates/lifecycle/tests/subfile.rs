@@ -123,8 +123,8 @@ fn subfile_dumps_on_tape_vault_then_recall_and_read_back() {
     assert_eq!(engine.recall_dataset(&sys, run, "field").unwrap(), 3);
     assert_eq!(
         sys.clock.now().since(before),
-        SimDuration::from_secs(6.0 * DEFAULT_RECALL_SECS),
-        "each of the six subfiles pays the recall latency"
+        SimDuration::from_secs(DEFAULT_RECALL_SECS),
+        "the six subfiles share the run's volume: one recall"
     );
     reads_back(&sys, run, &dumps);
 }
