@@ -366,7 +366,7 @@ impl<'a> Walk<'a> {
         self.recall("a/y");
         self.recall("a/y"); // resident: free
         self.vault("c/x");
-        self.delete("c/x"); // pruning clears the shelf entry too
+        self.delete("c/x"); // the volume stays on the shelf
 
         // Resource outage with a live connection and an open handle.
         let h = self.open("d/x", OpenMode::Create);
@@ -611,8 +611,8 @@ fn plain_resources_fingerprint_is_frozen() {
         [
             "d8ec93da7bcee639",
             "8b9602e7d03a74ae",
-            "2ddcf2d1d3d2b121",
-            "4a1c755990ec1f0a"
+            "1af0e687f5e5c080",
+            "bcf4f2bb742c4bd1"
         ],
         "[local, rdisk, tape, obs] moved"
     );
@@ -625,8 +625,8 @@ fn faulted_resources_fingerprint_is_frozen() {
         [
             "cb376084f705317e",
             "42dca4e8b325591a",
-            "3bf86e10552dd222",
-            "336764e11a75aa68"
+            "891e93b2815f1b29",
+            "5930540019179c47"
         ],
         "[local, rdisk, tape, faults+obs] moved"
     );
