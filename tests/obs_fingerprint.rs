@@ -119,7 +119,7 @@ fn session(sys: &MsrSystem) -> Session<'_> {
 fn scheduled_fleet_event_stream_is_frozen() {
     pinned(
         "scheduled fleet",
-        ["4971c928c2a7b8ca", "0149a75d24ef0a18"],
+        ["2e4bebb3de668db6", "1a0d37908bb5891c"],
         || {
             let sys = MsrSystem::testbed(SEED);
             let engine = LifecycleEngine::new(LifecycleConfig {
