@@ -223,6 +223,9 @@ impl Scheduler<'_> {
         let mut bases = Vec::new();
         let mut kinds = BTreeSet::new();
         let mut seq = 0u64;
+        // Keys are priced in queue order, so only the first on each
+        // resource carries the mount of the run's volume.
+        let mut met = BTreeSet::new();
         // Dataset-major expansion keeps one dataset's dumps at consecutive
         // sequence numbers, which is what makes them batchable.
         for (spec, &h) in program.datasets.iter().zip(&handles) {
@@ -234,7 +237,7 @@ impl Scheduler<'_> {
             let kind = session.location(h).expect("dumping datasets are placed");
             kinds.insert(kind);
             let mut request = |seq, iter, op| {
-                let est = session.price(h, kind, op).as_secs();
+                let est = session.price(h, kind, op, &mut met).as_secs();
                 sys.load.enqueue(kind, tid, est);
                 requests.push_back(Queued {
                     tag: RequestTag { session: id, seq },

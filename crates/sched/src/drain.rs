@@ -602,9 +602,13 @@ impl Scheduler<'_> {
                 acc.errors
                     .push(format!("{} gave up after {} attempts", q.tag, q.attempts));
             } else {
-                // Re-price on the fallback resource: the backlog and the
-                // deadline checker track where the work now queues.
-                let est = a.session.price(handle, to, q.op).as_secs();
+                // Re-price on the fallback resource, each request alone:
+                // the backlog and the deadline checker track where the
+                // work now queues.
+                let est = a
+                    .session
+                    .price(handle, to, q.op, &mut BTreeSet::new())
+                    .as_secs();
                 sys.load.enqueue(to, tid, est);
                 if let Some(d) = drain.deadlines.get_mut(&sid) {
                     d.secs = d.secs - q.est + est;

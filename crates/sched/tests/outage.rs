@@ -190,8 +190,8 @@ fn outage_drains_replay_across_thread_counts() {
 fn requeued_deadline_session_is_not_cancelled_after_it_drains() {
     let sys = MsrSystem::testbed(75);
     let mut sched = Scheduler::new(&sys);
-    // The tape estimate (188.7 s: five dumps, each priced with the mount
-    // of the run's fresh volume) fits the deadline; so does the disk.
+    // The tape estimate (68.7 s: five dumps, the first priced with the
+    // mount of the run's fresh volume) fits the deadline; so does the disk.
     let deadline = SimDuration::from_secs(200.0);
     let id = sched
         .admit(archive_program(0).deadline(deadline))
