@@ -61,7 +61,7 @@ fn admit_mixed(sys: &MsrSystem) -> Scheduler<'_> {
 
 #[test]
 fn admitted_backlog_is_frozen() {
-    for (swept, pin) in [(false, "0358ce7548fea9af"), (true, "0af304eba2a6cab9")] {
+    for (swept, pin) in [(false, "a8cd702cb252b8a6"), (true, "46802871c12bd2c7")] {
         let sys = testbed(swept);
         let _sched = admit_mixed(&sys);
         let backlog = KINDS.map(|k| sys.load.predicted_backlog(k));
@@ -95,7 +95,7 @@ fn lifecycle_move_prices_are_frozen() {
 
 #[test]
 fn slo_shed_wait_is_frozen() {
-    for (swept, pin) in [(false, "9b61f50d70f8c3d1"), (true, "ec2da33c7bf13302")] {
+    for (swept, pin) in [(false, "da2eb6308b653ca7"), (true, "ef64e91f1a26b443")] {
         let sys = testbed(swept);
         let strict = Tenant::new("strict").with_slo(SimDuration::from_secs(1e-9));
         sys.tenants.register(strict);
