@@ -2,13 +2,17 @@
 //! disk, the lifecycle engine thins each history to its retention window
 //! and walks cold epochs down the tier ladder (local disk → remote disk
 //! → tape → vault), and a priced recall brings vaulted data back when
-//! someone finally asks for it.
+//! someone finally asks for it. The tape vaults and recalls whole volumes
+//! (a run's directory), so the recall is charged once per volume, however
+//! many dumps are on it.
 //!
 //! ```text
 //! cargo run --release --example lifecycle_run
 //! ```
 
 use msr::prelude::*;
+use msr::storage::volume_of;
+use std::collections::BTreeSet;
 
 fn tiers(sys: &MsrSystem) -> String {
     sys.usage()
@@ -73,13 +77,24 @@ fn main() -> CoreResult<()> {
     let grid = ProcGrid::new(1, 1, 1);
     let denied = sys.read_dataset(run, "chk", 12, grid, IoStrategy::Collective);
     println!("read while vaulted: {}", denied.unwrap_err());
+    let volumes: BTreeSet<String> = {
+        let mut catalog = sys.catalog.lock();
+        let d = catalog.find_dataset(run, "chk")?.clone();
+        let dumps = catalog.dumps_of(d.id);
+        dumps
+            .iter()
+            .map(|x| volume_of(&d.dump_file(x.iter)).to_owned())
+            .collect()
+    };
     let before = sys.clock.now();
     let recalled = engine
         .recall_dataset(&sys, run, "chk")
         .expect("tape is healthy");
     println!(
-        "recalled {recalled} dumps in {:.0} virtual seconds",
-        sys.clock.now().since(before).as_secs()
+        "recalled {recalled} dumps on {} volume(s) in {:.0} virtual seconds (one {:.0} s recall per volume)",
+        volumes.len(),
+        sys.clock.now().since(before).as_secs(),
+        msr::storage::profiles::DEFAULT_RECALL_SECS
     );
     let (bytes, _) = sys.read_dataset(run, "chk", 12, grid, IoStrategy::Collective)?;
     println!(
