@@ -102,14 +102,14 @@ fn cold_data_demotes_and_hot_data_promotes_back() {
     let t0 = engine.tick(&sys);
     assert!(t0.demotions.is_empty() && t0.promotions.is_empty());
 
-    // Idle past the window: one demotion, local disk -> remote disk.
+    // Idle past the window: one demotion, in one copy straight to tape.
     sys.clock.advance(SimDuration::from_secs(600.0));
     let t1 = engine.tick(&sys);
     assert_eq!(t1.demotions.len(), 1);
     let m = &t1.demotions[0];
     assert_eq!(
         (m.from, m.to),
-        (StorageKind::LocalDisk, StorageKind::RemoteDisk)
+        (StorageKind::LocalDisk, StorageKind::RemoteTape)
     );
     assert_eq!(m.files, 5);
     assert!(m.predicted_secs > 0.0, "eq.(2) priced the move");
@@ -118,23 +118,26 @@ fn cold_data_demotes_and_hot_data_promotes_back() {
         let mut c = sys.catalog.lock();
         c.find_dataset(run, "chk").unwrap().location
     };
-    assert_eq!(loc, Location::Stored(StorageKind::RemoteDisk));
+    assert_eq!(loc, Location::Stored(StorageKind::RemoteTape));
 
-    // Three reads inside the window make it hot: promoted straight back.
-    for _ in 0..3 {
-        let at = sys.clock.now().as_secs();
-        sys.catalog.lock().note_access(run, "chk", Some(12), at);
+    // Three reads inside the window make it hot: it climbs back one rung
+    // per heat episode, tape -> remote disk -> local disk.
+    for to in [StorageKind::RemoteDisk, StorageKind::LocalDisk] {
+        for _ in 0..3 {
+            let at = sys.clock.now().as_secs();
+            sys.catalog.lock().note_access(run, "chk", Some(12), at);
+        }
+        let t2 = engine.tick(&sys);
+        assert_eq!(t2.promotions.len(), 1);
+        assert_eq!(t2.promotions[0].to, to);
+        let (loc, heat) = {
+            let mut c = sys.catalog.lock();
+            let d = c.find_dataset(run, "chk").unwrap();
+            (d.location, d.heat)
+        };
+        assert_eq!(loc, Location::Stored(to));
+        assert_eq!(heat, 0, "promotion resets the heat counter");
     }
-    let t2 = engine.tick(&sys);
-    assert_eq!(t2.promotions.len(), 1);
-    assert_eq!(t2.promotions[0].to, StorageKind::LocalDisk);
-    let (loc, heat) = {
-        let mut c = sys.catalog.lock();
-        let d = c.find_dataset(run, "chk").unwrap();
-        (d.location, d.heat)
-    };
-    assert_eq!(loc, Location::Stored(StorageKind::LocalDisk));
-    assert_eq!(heat, 0, "promotion resets the heat counter");
 }
 
 #[test]
@@ -153,9 +156,8 @@ fn migration_budget_caps_moves_per_tick() {
     sys.clock.advance(SimDuration::from_secs(500.0));
     let t1 = engine.tick(&sys);
     assert_eq!(t1.demotions.len(), 2, "budget caps the tick");
-    // Still-cold data keeps stepping down on later ticks (remote disk ->
-    // tape), never more than the budget per tick, until everything
-    // bottoms out on tape.
+    // Still-cold data keeps moving down on later ticks, never more than
+    // the budget per tick, until everything bottoms out on tape.
     let mut ticks = 0;
     loop {
         let t = engine.tick(&sys);
