@@ -140,20 +140,27 @@ fn lifecycle_demotes_a_subfile_dataset_and_it_moves_back_intact() {
         ..LifecycleConfig::default()
     });
 
-    for (from, to) in [
-        (StorageKind::LocalDisk, StorageKind::RemoteDisk),
-        (StorageKind::RemoteDisk, StorageKind::RemoteTape),
-    ] {
-        sys.clock.advance(SimDuration::from_secs(600.0));
-        let t = engine.tick(&sys);
-        assert_eq!(t.demotions.len(), 1, "{from} -> {to}");
-        let m = &t.demotions[0];
-        assert_eq!((m.from, m.to), (from, to));
-        assert_eq!((m.files, m.bytes), (3, 3 * DUMP));
-        assert_eq!(objects_on(&sys, from), 0, "the source is emptied");
-        assert_eq!(objects_on(&sys, to), 6, "two subfiles per dump");
-        reads_back(&sys, run, &dumps);
-    }
+    sys.clock.advance(SimDuration::from_secs(600.0));
+    let t = engine.tick(&sys);
+    assert_eq!(t.demotions.len(), 1, "one copy, straight to tape");
+    let m = &t.demotions[0];
+    assert_eq!(
+        (m.from, m.to),
+        (StorageKind::LocalDisk, StorageKind::RemoteTape)
+    );
+    assert_eq!((m.files, m.bytes), (3, 3 * DUMP));
+    assert_eq!(
+        objects_on(&sys, StorageKind::LocalDisk),
+        0,
+        "the source is emptied"
+    );
+    assert_eq!(objects_on(&sys, StorageKind::RemoteDisk), 0);
+    assert_eq!(
+        objects_on(&sys, StorageKind::RemoteTape),
+        6,
+        "two subfiles per dump"
+    );
+    reads_back(&sys, run, &dumps);
 
     let back = sys
         .migrate_dataset(run, "field", StorageKind::LocalDisk)
