@@ -73,7 +73,7 @@ fn admitted_backlog_is_frozen() {
 
 #[test]
 fn lifecycle_move_prices_are_frozen() {
-    for (swept, pin) in [(false, "c1242023bbab9c4a"), (true, "33a6cb043d630247")] {
+    for (swept, pin) in [(false, "ff99b946aef59021"), (true, "d39c4c2815d3169f")] {
         let sys = testbed(swept);
         run_concurrent(&sys, checkpoint_fleet(3, 16, 12)).unwrap();
         sys.clock.advance(SimDuration::from_secs(4000.0));
@@ -87,7 +87,7 @@ fn lifecycle_move_prices_are_frozen() {
             let moves = tick.demotions.iter().chain(&tick.promotions);
             prices.extend(moves.map(|m| m.predicted_secs));
         }
-        assert_eq!(prices.len(), 6, "two demotions per dataset");
+        assert_eq!(prices.len(), 3, "one demotion per dataset");
         let got = fnv(prices.iter().map(|p| p.to_bits()));
         assert_eq!(got, pin, "move prices moved (swept={swept}): {prices:?}");
     }
