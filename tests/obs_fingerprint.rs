@@ -119,7 +119,7 @@ fn session(sys: &MsrSystem) -> Session<'_> {
 fn scheduled_fleet_event_stream_is_frozen() {
     pinned(
         "scheduled fleet",
-        ["2e4bebb3de668db6", "1a0d37908bb5891c"],
+        ["6fcb3b96e19ac7e7", "2a2e901a969ac55e"],
         || {
             let sys = MsrSystem::testbed(SEED);
             let engine = LifecycleEngine::new(LifecycleConfig {
