@@ -1,8 +1,10 @@
 //! Tiered data lifecycle end to end: checkpoint fleets write to local
 //! disk, the lifecycle engine thins each history to its retention window
-//! and walks cold epochs down the tier ladder (local disk → remote disk
-//! → tape → vault), and a priced recall brings vaulted data back when
-//! someone finally asks for it. The tape vaults and recalls whole volumes
+//! and moves each cold epoch down the tier ladder (local disk → remote
+//! disk → tape → vault) in one copy, straight to the lowest tier that is
+//! up: with every device healthy the remote disk never holds a byte. A
+//! priced recall brings vaulted data back when someone finally asks for
+//! it. The tape vaults and recalls whole volumes
 //! (a run's directory), so the recall is charged once per volume, however
 //! many dumps are on it.
 //!
@@ -55,9 +57,9 @@ fn main() -> CoreResult<()> {
     );
     println!("after epoch 2     {}", tiers(&sys));
 
-    // Everyone leaves for the weekend. Explicit ticks keep stepping the
-    // cold data down until it bottoms out on tape and, once idle past
-    // `vault_after`, moves into the vault.
+    // Everyone leaves for the weekend. Explicit ticks move the rest of the
+    // cold data straight to tape and, once idle past `vault_after`, into
+    // the vault.
     sys.clock.advance(SimDuration::from_secs(4000.0));
     let mut vaulted = 0;
     loop {
