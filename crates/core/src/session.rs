@@ -71,9 +71,9 @@ struct DatasetState {
     native_calls: usize,
 }
 
-/// Mirror one served request into the catalog's recency columns, for the
-/// lifecycle engine's heat tracking. The hook is free: no query cost, no
-/// clock movement.
+/// Mirror one served request into the catalog: a write's dump row, and the
+/// dataset's recency, which the lifecycle engine's demotion and vaulting
+/// key on. The hook is free: no query cost, no clock movement.
 fn note_served(
     sys: &MsrSystem,
     run: RunId,
@@ -85,7 +85,7 @@ fn note_served(
     let mut catalog = sys.catalog.lock();
     match written {
         Some(bytes) => catalog.note_dump(run, dataset, row, at.as_secs(), bytes),
-        None => catalog.note_access(run, dataset, Some(row), at.as_secs()),
+        None => catalog.note_access(run, dataset, at.as_secs()),
     }
 }
 
@@ -218,7 +218,6 @@ impl<'a> Session<'a> {
                 path: base.clone(),
                 predicted_secs: None,
                 last_access_secs: 0.0,
-                heat: 0,
             })?;
             self.sys.clock.advance(QUERY_COST);
             id

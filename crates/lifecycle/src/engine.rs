@@ -1,6 +1,6 @@
 //! The lifecycle engine: deterministic, tick-driven tier management.
 //!
-//! Each [`LifecycleEngine::tick`] runs four passes over the catalog, in a
+//! Each [`LifecycleEngine::tick`] runs three passes over the catalog, in a
 //! fixed order, entirely on the calling thread:
 //!
 //! 1. **Retention prune** — every dataset's dump history is planned by the
@@ -15,14 +15,14 @@
 //!    every device up a cold dataset goes straight to tape, and with tape
 //!    down it rests on the remote disk until a later tick finds tape back.
 //!    Each move is priced with [`MsrSystem::price`].
-//! 3. **Promotion** — datasets whose heat counter crossed `promote_heat`
-//!    within `promote_window` move one tier *up*, hottest first. A tape
-//!    dataset's shelved volumes are recalled (each paying the tape's
-//!    configured recall latency once) before the migration reads them.
-//! 4. **Vaulting** — a tape volume ([`volume_of`]) goes to the vault once
+//! 3. **Vaulting** — a tape volume ([`volume_of`]) goes to the vault once
 //!    every dataset with dumps on it is on tape, not busy and idle for at
 //!    least `vault_after`: the bytes stay on tape but every read fails
 //!    with `StorageError::Vaulted` until a recall brings the volume back.
+//!
+//! A tick never recalls: data comes back from the vault only when a
+//! consumer asks for it with [`LifecycleEngine::recall_dataset`], each
+//! shelved volume paying the tape's configured recall latency once.
 //!
 //! Migrations execute through [`MsrSystem::migrate_dataset`], so they
 //! respect circuit-breaker health, refuse offline or full destinations,
@@ -55,33 +55,19 @@ pub fn tier_down(kind: StorageKind) -> Option<StorageKind> {
     }
 }
 
-/// The tier ladder, upwards: where hot data goes next.
-pub fn tier_up(kind: StorageKind) -> Option<StorageKind> {
-    match kind {
-        StorageKind::RemoteTape => Some(StorageKind::RemoteDisk),
-        StorageKind::RemoteDisk => Some(StorageKind::LocalDisk),
-        StorageKind::LocalDisk => None,
-    }
-}
-
 /// Tuning knobs of the engine. All windows are *virtual* time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LifecycleConfig {
     /// Idle time after which a dataset is demoted, straight to the lowest
     /// tier below its own that is online and allowed by its breaker.
     pub demote_after: SimDuration,
-    /// Accesses (since the last promotion or heat reset) that make a
-    /// dataset promotion-eligible.
+    /// Inert: nothing reads it; kept while the benchmark's `shared_mix` sets it.
     pub promote_heat: u64,
-    /// A promotion candidate's last access must fall within this window —
-    /// heat without recency is history, not demand.
-    pub promote_window: SimDuration,
     /// Idle time after which a tape-resident dataset's volume may move to
     /// the vault.
     pub vault_after: SimDuration,
-    /// Migration budget per tick (demotions + promotions). Pruning,
-    /// vaulting and recalls are not counted — they move no bytes between
-    /// resources.
+    /// Demotion budget per tick. Pruning and vaulting are not counted —
+    /// they move no bytes between resources.
     pub max_moves_per_tick: u32,
     /// Dump-history retention, planned per dataset every tick.
     pub retention: RetentionPolicy,
@@ -91,8 +77,7 @@ impl Default for LifecycleConfig {
     fn default() -> Self {
         LifecycleConfig {
             demote_after: SimDuration::from_secs(600.0),
-            promote_heat: 3,
-            promote_window: SimDuration::from_secs(300.0),
+            promote_heat: 0,
             vault_after: SimDuration::from_secs(3600.0),
             max_moves_per_tick: 4,
             retention: RetentionPolicy::keep_all(),
@@ -100,7 +85,7 @@ impl Default for LifecycleConfig {
     }
 }
 
-/// One executed migration (demotion or promotion).
+/// One executed demotion.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MoveRec {
     /// Owning run.
@@ -138,24 +123,10 @@ pub struct TickReport {
     /// Cold datasets moved down, each in one copy to the rung where it
     /// comes to rest.
     pub demotions: Vec<MoveRec>,
-    /// Hot datasets moved one tier up.
+    /// Inert: always empty; kept while the benchmark's `shared_mix` reads it.
     pub promotions: Vec<MoveRec>,
     /// Dump rows on the volumes moved to the tape vault.
     pub vaulted: u64,
-    /// Dump rows on the volumes recalled (each volume paying the tape's
-    /// recall latency once).
-    pub recalls: u64,
-    /// Vaulted dump rows on volumes whose recall failed (outage, fault
-    /// injection); the owning promotion is abandoned for this tick, never
-    /// retried in a loop.
-    pub recall_failures: u64,
-}
-
-impl TickReport {
-    /// Migrations executed this tick.
-    pub fn moves(&self) -> usize {
-        self.demotions.len() + self.promotions.len()
-    }
 }
 
 /// Running totals across ticks — what a scheduler folds into its report.
@@ -165,18 +136,12 @@ pub struct TickTotals {
     pub ticks: u64,
     /// Demotions across all ticks.
     pub demotions: u64,
-    /// Promotions across all ticks.
-    pub promotions: u64,
     /// Dump files pruned.
     pub pruned_files: u64,
     /// Bytes pruned.
     pub pruned_bytes: u64,
     /// Dumps vaulted.
     pub vaulted: u64,
-    /// Dumps recalled.
-    pub recalls: u64,
-    /// Failed recalls.
-    pub recall_failures: u64,
 }
 
 impl TickTotals {
@@ -185,24 +150,18 @@ impl TickTotals {
     pub fn merge(&mut self, other: &TickTotals) {
         self.ticks += other.ticks;
         self.demotions += other.demotions;
-        self.promotions += other.promotions;
         self.pruned_files += other.pruned_files;
         self.pruned_bytes += other.pruned_bytes;
         self.vaulted += other.vaulted;
-        self.recalls += other.recalls;
-        self.recall_failures += other.recall_failures;
     }
 
     /// Fold one tick's report in.
     pub fn absorb(&mut self, t: &TickReport) {
         self.ticks += 1;
         self.demotions += t.demotions.len() as u64;
-        self.promotions += t.promotions.len() as u64;
         self.pruned_files += t.pruned_files;
         self.pruned_bytes += t.pruned_bytes;
         self.vaulted += t.vaulted;
-        self.recalls += t.recalls;
-        self.recall_failures += t.recall_failures;
     }
 }
 
@@ -256,7 +215,6 @@ impl LifecycleEngine {
         let mut moves_left = self.cfg.max_moves_per_tick;
         self.prune(sys, &live, &mut report);
         self.demote(sys, &live, &mut moves_left, &mut report);
-        self.promote(sys, &live, &mut moves_left, &mut report);
         self.vault_cold(sys, &all, busy, &mut report);
 
         let rec = sys.obs_recorder();
@@ -267,13 +225,11 @@ impl LifecycleEngine {
                 ops::LIFECYCLE_TICK,
                 sys.clock.now(),
                 &format!(
-                    "scanned {}, pruned {}, demoted {}, promoted {}, vaulted {}, recalled {}",
+                    "scanned {}, pruned {}, demoted {}, vaulted {}",
                     report.scanned,
                     report.pruned_files,
                     report.demotions.len(),
-                    report.promotions.len(),
-                    report.vaulted,
-                    report.recalls
+                    report.vaulted
                 ),
             );
         }
@@ -284,26 +240,43 @@ impl LifecycleEngine {
     /// data is readable again, charging each volume's recall latency once
     /// to the global clock. Returns the number of dump rows recalled —
     /// every row on those volumes, other datasets' too — or the failure's
-    /// description. The explicit entry point for consumers that need
-    /// vaulted data *now* rather than waiting for a promotion tick.
+    /// description. The one way vaulted data comes back: a tick never
+    /// recalls. A failed recall (outage, fault injection) leaves its rows
+    /// vaulted; a later call retries.
     pub fn recall_dataset(&self, sys: &MsrSystem, run: RunId, name: &str) -> Result<u64, String> {
-        let Some(d) = sys
-            .catalog
-            .lock()
-            .all_datasets()
-            .into_iter()
-            .find(|d| d.run == run && d.name == name)
-        else {
+        let all = sys.catalog.lock().all_datasets();
+        let Some(d) = all.iter().find(|d| d.run == run && d.name == name) else {
             return Err(format!("no dataset {name} in run{}", run.0));
         };
-        let mut report = TickReport::default();
-        if self.recall_volumes(sys, &d, &mut report) {
-            Ok(report.recalls)
+        let Some(res) = sys.resource(StorageKind::RemoteTape) else {
+            return Err("no tape to recall from".to_owned());
+        };
+        let shelved = tape_rows(sys, &[d], DumpState::Vaulted);
+        if shelved.is_empty() {
+            return Ok(0);
+        }
+        // Recalls need a live connection; best-effort — if the tape is
+        // down the recalls below fail and are counted.
+        if let Ok(cost) = res.lock().connect() {
+            sys.clock.advance(cost.time);
+        }
+        let all: Vec<&DatasetRec> = all.iter().collect();
+        let (mut recalled, mut failed) = (0, 0);
+        for (volume, rows) in tape_rows(sys, &all, DumpState::Vaulted) {
+            if !shelved.contains_key(&volume) {
+                continue;
+            }
+            match on_volume(sys, &res, &rows, Device::recall, DumpState::Resident) {
+                Some(n) => recalled += n,
+                None => failed += rows.len() as u64,
+            }
+        }
+        if failed == 0 {
+            Ok(recalled)
         } else {
             Err(format!(
-                "{} of {} vaulted dumps failed to recall",
-                report.recall_failures,
-                report.recall_failures + report.recalls
+                "{failed} of {} vaulted dumps failed to recall",
+                failed + recalled
             ))
         }
     }
@@ -414,49 +387,6 @@ impl LifecycleEngine {
         }
     }
 
-    fn promote(
-        &self,
-        sys: &MsrSystem,
-        live: &[&DatasetRec],
-        moves_left: &mut u32,
-        report: &mut TickReport,
-    ) {
-        let now = sys.clock.now().as_secs();
-        let mut cands: Vec<&DatasetRec> = live
-            .iter()
-            .copied()
-            .filter(|d| {
-                let Location::Stored(kind) = d.location else {
-                    return false;
-                };
-                tier_up(kind).is_some()
-                    && d.heat >= self.cfg.promote_heat
-                    && now - d.last_access_secs <= self.cfg.promote_window.as_secs()
-            })
-            .collect();
-        cands.sort_by(|a, b| b.heat.cmp(&a.heat).then(a.id.cmp(&b.id)));
-        for d in cands {
-            if *moves_left == 0 {
-                return;
-            }
-            let Location::Stored(from) = d.location else {
-                continue;
-            };
-            let to = tier_up(from).expect("filtered to promotable tiers");
-            // A migration reads every dump; shelved volumes must be
-            // recalled first. A failed recall (outage) abandons this
-            // candidate for the tick — degrade, never wedge.
-            if from == StorageKind::RemoteTape && !self.recall_volumes(sys, d, report) {
-                continue;
-            }
-            if let Some(m) = self.migrate(sys, d, from, to) {
-                *moves_left -= 1;
-                sys.catalog.lock().reset_heat(d.id);
-                report.promotions.push(m);
-            }
-        }
-    }
-
     /// Shelve each tape volume whose datasets are all on tape, not busy
     /// and idle past `vault_after`, with one vault per volume. A dataset
     /// stored elsewhere whose base path is on the volume keeps it on-site:
@@ -499,40 +429,6 @@ impl LifecycleEngine {
     }
 
     // ---- helpers -----------------------------------------------------------
-
-    /// Recall every shelved volume holding a vaulted dump of `d`, and mark
-    /// every vaulted dump row on each recalled volume resident. Returns
-    /// whether all recalls succeeded.
-    fn recall_volumes(&self, sys: &MsrSystem, d: &DatasetRec, report: &mut TickReport) -> bool {
-        let Some(res) = sys.resource(StorageKind::RemoteTape) else {
-            return false;
-        };
-        let shelved = tape_rows(sys, &[d], DumpState::Vaulted);
-        if shelved.is_empty() {
-            return true;
-        }
-        // Recalls need a live connection; best-effort — if the tape is
-        // down the recalls below fail and are counted.
-        if let Ok(cost) = res.lock().connect() {
-            sys.clock.advance(cost.time);
-        }
-        let all = sys.catalog.lock().all_datasets();
-        let all: Vec<&DatasetRec> = all.iter().collect();
-        let mut all_ok = true;
-        for (volume, rows) in tape_rows(sys, &all, DumpState::Vaulted) {
-            if !shelved.contains_key(&volume) {
-                continue;
-            }
-            match on_volume(sys, &res, &rows, Device::recall, DumpState::Resident) {
-                Some(n) => report.recalls += n,
-                None => {
-                    report.recall_failures += rows.len() as u64;
-                    all_ok = false;
-                }
-            }
-        }
-        all_ok
-    }
 
     /// Price one candidate migration — [`MsrSystem::price`] per dump plus
     /// the destination's mount — then execute it through the system's

@@ -6,11 +6,10 @@
 //! the run, as it ages. Three mechanisms, all deterministic and driven by
 //! explicit ticks:
 //!
-//! - **Auto-migration** ([`LifecycleEngine`]) — a cold dataset moves down
-//!   the tier ladder in one copy, straight to the lowest rung that is up;
-//!   a hot one climbs back one rung per heat episode. Each move is priced
-//!   with the eq. (2) estimator and executed through the system's
-//!   health-gated staging path.
+//! - **Demotion** ([`LifecycleEngine`]) — a cold dataset moves down the
+//!   tier ladder in one copy, straight to the lowest rung that is up. Each
+//!   move is priced with the eq. (2) estimator and executed through the
+//!   system's health-gated staging path.
 //! - **Retention pruning** ([`RetentionPolicy`]) — `keep_last` /
 //!   `keep_daily` windows over dump timestamps thin a run's checkpoint
 //!   history; expired dumps are deleted from storage and the catalog.
@@ -19,9 +18,9 @@
 //!   datasets are all on tape and idle past `vault_after` moves to the
 //!   vault, and every dump on it turns
 //!   [`DumpState::Vaulted`](msr_meta::DumpState): reads fail until a
-//!   priced recall (hours of virtual latency, paid once per volume) brings
-//!   it back. Promotions recall automatically;
-//!   [`LifecycleEngine::recall_dataset`] does it on demand.
+//!   consumer asks for the data with [`LifecycleEngine::recall_dataset`],
+//!   a priced recall (hours of virtual latency, paid once per volume). A
+//!   tick never recalls.
 //!
 //! The engine never runs on a timer or a background thread. A scheduler
 //! attaches it with `Scheduler::with_lifecycle` and ticks it between
@@ -40,13 +39,11 @@
 //!     ..LifecycleConfig::default()
 //! };
 //! let engine = LifecycleEngine::new(cfg);
-//! assert_eq!(engine.config().promote_heat, 3);
+//! assert_eq!(engine.config().max_moves_per_tick, 4);
 //! ```
 
 pub mod engine;
 pub mod policy;
 
-pub use engine::{
-    tier_down, tier_up, LifecycleConfig, LifecycleEngine, MoveRec, TickReport, TickTotals,
-};
+pub use engine::{tier_down, LifecycleConfig, LifecycleEngine, MoveRec, TickReport, TickTotals};
 pub use policy::{KeepReason, Mark, RetentionPolicy};

@@ -182,8 +182,6 @@ mod tests {
             iter,
             written_secs,
             bytes: 1024,
-            last_access_secs: written_secs,
-            reads: 0,
             state: DumpState::Resident,
         }
     }

@@ -82,7 +82,6 @@ fn write_chunked_history(
 fn quiet(cfg: LifecycleConfig) -> LifecycleConfig {
     LifecycleConfig {
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         vault_after: SimDuration::from_secs(1e9),
         ..cfg
     }
@@ -169,7 +168,6 @@ fn vault_and_recall_roundtrip_chunked_dumps() {
     let engine = LifecycleEngine::new(LifecycleConfig {
         vault_after: SimDuration::from_secs(100.0),
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         ..LifecycleConfig::default()
     });
     let grid = ProcGrid::new(1, 1, 1);
@@ -221,7 +219,6 @@ fn a_dedup_hit_on_a_shelved_dumps_frames_reads_without_a_recall() {
     let engine = LifecycleEngine::new(LifecycleConfig {
         vault_after: SimDuration::from_secs(100.0),
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         ..LifecycleConfig::default()
     });
     sys.clock.advance(SimDuration::from_secs(400.0));

@@ -42,11 +42,10 @@ fn write_history(sys: &MsrSystem, app: &str) -> (RunId, Vec<(u32, Vec<u8>)>) {
     (run, dumps)
 }
 
-/// Demote after 500 s idle; never promote, never vault.
+/// Demote after 500 s idle; never vault.
 fn engine() -> LifecycleEngine {
     LifecycleEngine::new(LifecycleConfig {
         demote_after: SimDuration::from_secs(500.0),
-        promote_heat: u64::MAX,
         vault_after: SimDuration::from_secs(1e9),
         ..LifecycleConfig::default()
     })

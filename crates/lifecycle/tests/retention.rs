@@ -41,7 +41,6 @@ fn quiet(cfg: LifecycleConfig) -> LifecycleConfig {
     // what the test explicitly re-enables.
     LifecycleConfig {
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         vault_after: SimDuration::from_secs(1e9),
         ..cfg
     }
@@ -60,7 +59,7 @@ fn retention_prunes_cold_history_never_the_newest() {
     let t = engine.tick(&sys);
     assert_eq!(t.pruned_files, 3, "5 dumps, keep_last 2");
     assert!(t.pruned_bytes > 0);
-    assert!(t.demotions.is_empty() && t.promotions.is_empty());
+    assert!(t.demotions.is_empty());
     assert_eq!(t.vaulted, 0);
     assert!(
         sys.usage()[&StorageKind::LocalDisk] < before,
@@ -86,21 +85,18 @@ fn retention_prunes_cold_history_never_the_newest() {
 }
 
 #[test]
-fn cold_data_demotes_and_hot_data_promotes_back() {
+fn cold_data_demotes_in_one_copy_straight_to_tape() {
     let sys = MsrSystem::testbed(22);
     let run = write_history(&sys, "ckpt", 12);
     let engine = LifecycleEngine::new(LifecycleConfig {
         demote_after: SimDuration::from_secs(500.0),
-        promote_heat: 3,
-        promote_window: SimDuration::from_secs(300.0),
         vault_after: SimDuration::from_secs(1e9),
         ..LifecycleConfig::default()
     });
 
-    // Freshly written data is neither cold nor promotable (already on the
-    // top tier).
+    // Freshly written data is not cold.
     let t0 = engine.tick(&sys);
-    assert!(t0.demotions.is_empty() && t0.promotions.is_empty());
+    assert!(t0.demotions.is_empty());
 
     // Idle past the window: one demotion, in one copy straight to tape.
     sys.clock.advance(SimDuration::from_secs(600.0));
@@ -120,24 +116,8 @@ fn cold_data_demotes_and_hot_data_promotes_back() {
     };
     assert_eq!(loc, Location::Stored(StorageKind::RemoteTape));
 
-    // Three reads inside the window make it hot: it climbs back one rung
-    // per heat episode, tape -> remote disk -> local disk.
-    for to in [StorageKind::RemoteDisk, StorageKind::LocalDisk] {
-        for _ in 0..3 {
-            let at = sys.clock.now().as_secs();
-            sys.catalog.lock().note_access(run, "chk", Some(12), at);
-        }
-        let t2 = engine.tick(&sys);
-        assert_eq!(t2.promotions.len(), 1);
-        assert_eq!(t2.promotions[0].to, to);
-        let (loc, heat) = {
-            let mut c = sys.catalog.lock();
-            let d = c.find_dataset(run, "chk").unwrap();
-            (d.location, d.heat)
-        };
-        assert_eq!(loc, Location::Stored(to));
-        assert_eq!(heat, 0, "promotion resets the heat counter");
-    }
+    // On the bottom rung there is nowhere further down to go.
+    assert!(engine.tick(&sys).demotions.is_empty());
 }
 
 #[test]
@@ -150,7 +130,6 @@ fn migration_budget_caps_moves_per_tick() {
         demote_after: SimDuration::from_secs(100.0),
         max_moves_per_tick: 2,
         vault_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         ..LifecycleConfig::default()
     });
     sys.clock.advance(SimDuration::from_secs(500.0));
@@ -191,7 +170,7 @@ fn ticks_are_identical_at_any_thread_count() {
         });
         let t1 = engine.tick(&sys);
         let at = sys.clock.now().as_secs();
-        sys.catalog.lock().note_access(run, "chk", Some(12), at);
+        sys.catalog.lock().note_access(run, "chk", at);
         let t2 = engine.tick(&sys);
         (
             serde_json::to_string(&t1).unwrap(),

@@ -77,7 +77,6 @@ fn retention_deletes_every_subfile_of_a_pruned_dump() {
     assert_eq!(objects_on(&sys, StorageKind::LocalDisk), 10);
     let engine = LifecycleEngine::new(LifecycleConfig {
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         vault_after: SimDuration::from_secs(1e9),
         retention: RetentionPolicy::keep_all().with_keep_last(2),
         ..LifecycleConfig::default()
@@ -102,7 +101,6 @@ fn subfile_dumps_on_tape_vault_then_recall_and_read_back() {
     let engine = LifecycleEngine::new(LifecycleConfig {
         vault_after: SimDuration::from_secs(100.0),
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         ..LifecycleConfig::default()
     });
 
@@ -135,7 +133,6 @@ fn lifecycle_demotes_a_subfile_dataset_and_it_moves_back_intact() {
     let (run, dumps) = write_history(&sys, LocationHint::LocalDisk, 6); // dumps at 0, 3, 6
     let engine = LifecycleEngine::new(LifecycleConfig {
         demote_after: SimDuration::from_secs(500.0),
-        promote_heat: u64::MAX,
         vault_after: SimDuration::from_secs(1e9),
         ..LifecycleConfig::default()
     });

@@ -3,7 +3,7 @@
 
 use msr_core::{DatasetSpec, FutureUse, LocationHint, MsrSystem};
 use msr_lifecycle::{LifecycleConfig, LifecycleEngine};
-use msr_meta::{DumpState, ElementType, RunId};
+use msr_meta::{DatasetId, DumpState, ElementType, RunId};
 use msr_runtime::{IoStrategy, ProcGrid};
 use msr_sim::SimDuration;
 use msr_storage::{profiles::DEFAULT_RECALL_SECS, StorageKind};
@@ -41,10 +41,37 @@ fn vault_fast() -> LifecycleConfig {
     LifecycleConfig {
         vault_after: SimDuration::from_secs(100.0),
         demote_after: SimDuration::from_secs(1e9),
-        promote_heat: 5,
-        promote_window: SimDuration::from_secs(300.0),
         ..LifecycleConfig::default()
     }
+}
+
+fn dataset_id(sys: &MsrSystem, run: RunId) -> DatasetId {
+    sys.catalog.lock().find_dataset(run, "chk").unwrap().id
+}
+
+fn states(sys: &MsrSystem, id: DatasetId) -> Vec<DumpState> {
+    let dumps = sys.catalog.lock().dumps_of(id);
+    dumps.iter().map(|d| d.state).collect()
+}
+
+/// Whether a read failed because its dump is in the vault.
+fn shelved(read: &Result<(), String>) -> bool {
+    read.as_ref().is_err_and(|e| e.contains("vaulted"))
+}
+
+/// Read back every dump of the tape history, as it was written.
+fn read_back(sys: &MsrSystem, run: RunId) -> Vec<Result<(), String>> {
+    let grid = ProcGrid::new(1, 1, 1);
+    let read = |iter| sys.read_dataset(run, "chk", iter, grid, IoStrategy::Collective);
+    [0, 3, 6]
+        .map(|iter| match read(iter) {
+            Ok((data, _)) => {
+                assert!(data.iter().all(|&b| b == 3), "dump {iter} read back");
+                Ok(())
+            }
+            Err(e) => Err(e.to_string()),
+        })
+        .into()
 }
 
 #[test]
@@ -54,12 +81,10 @@ fn vaulted_dumps_are_unreadable_until_a_priced_recall() {
     let engine = LifecycleEngine::new(vault_fast());
     let grid = ProcGrid::new(1, 1, 1);
 
-    // Idle past the vault window (and past the promotion window, so the
-    // engine shelves instead of promoting).
+    // Idle past the vault window.
     sys.clock.advance(SimDuration::from_secs(400.0));
     let t = engine.tick(&sys);
     assert_eq!(t.vaulted, 3, "all three dumps shelved");
-    assert_eq!(t.recalls, 0);
 
     // A vaulted dump is not readable.
     let err = sys.read_dataset(run, "chk", 6, grid, IoStrategy::Collective);
@@ -90,47 +115,66 @@ fn recall_during_outage_degrades_and_recovers_without_wedging() {
     let sys = MsrSystem::testbed(32);
     let run = write_tape_history(&sys, "arch");
     let engine = LifecycleEngine::new(vault_fast());
+    let id = dataset_id(&sys, run);
 
     sys.clock.advance(SimDuration::from_secs(400.0));
     assert_eq!(engine.tick(&sys).vaulted, 3);
 
-    // Make it hot (heat 3 from the writes + 3 reads >= promote_heat 5)
-    // while the tape is down: the promotion's recalls fail, the engine
-    // counts them and returns — degraded, not wedged.
-    for _ in 0..3 {
-        let at = sys.clock.now().as_secs();
-        sys.catalog.lock().note_access(run, "chk", Some(6), at);
-    }
+    // With the tape down the recall fails, pays no recall latency and
+    // leaves every dump shelved: degraded, not wedged.
     sys.set_resource_online(StorageKind::RemoteTape, false);
-    let t = engine.tick(&sys);
-    assert_eq!(t.recall_failures, 3);
-    assert_eq!(t.recalls, 0);
-    assert!(t.promotions.is_empty(), "promotion abandoned for the tick");
+    let before = sys.clock.now();
     assert!(
         engine.recall_dataset(&sys, run, "chk").is_err(),
         "explicit recall reports the outage"
     );
-
-    // Outage over: the very next tick recalls and promotes.
-    sys.set_resource_online(StorageKind::RemoteTape, true);
-    let t2 = engine.tick(&sys);
-    assert_eq!(t2.recalls, 3);
-    assert_eq!(t2.recall_failures, 0);
-    assert_eq!(t2.promotions.len(), 1);
-    assert_eq!(t2.promotions[0].from, StorageKind::RemoteTape);
-    assert_eq!(t2.promotions[0].to, StorageKind::RemoteDisk);
-    let id = {
-        let mut c = sys.catalog.lock();
-        c.find_dataset(run, "chk").unwrap().id
-    };
     assert!(
-        sys.catalog
-            .lock()
-            .dumps_of(id)
-            .iter()
-            .all(|d| d.state == DumpState::Resident),
-        "recalled dumps are resident at their new home"
+        sys.clock.now().since(before) < SimDuration::from_secs(DEFAULT_RECALL_SECS),
+        "a failed recall charges no recall"
     );
+    assert_eq!(states(&sys, id), [DumpState::Vaulted; 3]);
+    sys.set_resource_online(StorageKind::RemoteTape, true);
+    assert!(read_back(&sys, run).iter().all(shelved));
+
+    // Outage over: the same call brings all three back.
+    assert_eq!(engine.recall_dataset(&sys, run, "chk"), Ok(3));
+    assert_eq!(states(&sys, id), [DumpState::Resident; 3]);
+    assert_eq!(read_back(&sys, run), [Ok(()), Ok(()), Ok(())]);
+}
+
+/// Reads of a vaulted dataset never bring it back on their own: however
+/// often and recently it is asked for, under the default configuration
+/// every tick leaves it shelved and charges no recall. Only
+/// `recall_dataset` does.
+#[test]
+fn accesses_never_recall_a_vaulted_dataset_only_recall_dataset_does() {
+    let sys = MsrSystem::testbed(34);
+    let run = write_tape_history(&sys, "arch");
+    let engine = LifecycleEngine::default();
+    let id = dataset_id(&sys, run);
+
+    sys.clock
+        .advance(engine.config().vault_after + SimDuration::from_secs(400.0));
+    assert_eq!(engine.tick(&sys).vaulted, 3);
+
+    // Three accesses inside 300 s, a tick after each.
+    for _ in 0..3 {
+        sys.clock.advance(SimDuration::from_secs(100.0));
+        let at = sys.clock.now().as_secs();
+        sys.catalog.lock().note_access(run, "chk", at);
+        let before = sys.clock.now();
+        let t = engine.tick(&sys);
+        assert!(t.demotions.is_empty() && t.vaulted == 0, "{t:?}");
+        assert!(
+            sys.clock.now().since(before) < SimDuration::from_secs(DEFAULT_RECALL_SECS),
+            "a tick never charges a recall"
+        );
+        assert_eq!(states(&sys, id), [DumpState::Vaulted; 3]);
+    }
+    assert!(read_back(&sys, run).iter().all(shelved));
+
+    assert_eq!(engine.recall_dataset(&sys, run, "chk"), Ok(3));
+    assert_eq!(read_back(&sys, run), [Ok(()), Ok(()), Ok(())]);
 }
 
 /// Two datasets of one run share its tape volume: the tick shelves the

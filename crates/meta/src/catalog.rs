@@ -353,13 +353,11 @@ impl Catalog {
         };
         let d = &mut self.datasets[di];
         d.last_access_secs = d.last_access_secs.max(at_secs);
-        d.heat += 1;
         let id = d.id;
         match self.index.dumps.get(&(id.0, iter)) {
             Some(&xi) => {
                 let x = &mut self.dumps[xi];
                 x.written_secs = at_secs;
-                x.last_access_secs = x.last_access_secs.max(at_secs);
                 x.bytes = bytes;
                 x.state = DumpState::Resident;
             }
@@ -370,30 +368,18 @@ impl Catalog {
                     iter,
                     written_secs: at_secs,
                     bytes,
-                    last_access_secs: at_secs,
-                    reads: 0,
                     state: DumpState::Resident,
                 });
             }
         }
     }
 
-    /// Record a read of `(run, name)` (optionally of one dump) at `at_secs`.
-    /// Free for the same reason as [`Catalog::note_dump`].
-    pub fn note_access(&mut self, run: RunId, name: &str, iter: Option<u32>, at_secs: f64) {
-        let Some(di) = self.dataset_row(run, name) else {
-            return;
-        };
-        let d = &mut self.datasets[di];
-        d.last_access_secs = d.last_access_secs.max(at_secs);
-        d.heat += 1;
-        let id = d.id;
-        if let Some(iter) = iter {
-            if let Some(&xi) = self.index.dumps.get(&(id.0, iter)) {
-                let x = &mut self.dumps[xi];
-                x.last_access_secs = x.last_access_secs.max(at_secs);
-                x.reads += 1;
-            }
+    /// Record a read of `(run, name)` at `at_secs`. Free for the same
+    /// reason as [`Catalog::note_dump`].
+    pub fn note_access(&mut self, run: RunId, name: &str, at_secs: f64) {
+        if let Some(di) = self.dataset_row(run, name) {
+            let d = &mut self.datasets[di];
+            d.last_access_secs = d.last_access_secs.max(at_secs);
         }
     }
 
@@ -428,13 +414,6 @@ impl Catalog {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Reset a dataset's heat counter (after the lifecycle engine acts on it).
-    pub fn reset_heat(&mut self, id: DatasetId) {
-        if let Some(d) = self.datasets.get_mut(id.0 as usize) {
-            d.heat = 0;
         }
     }
 
@@ -554,7 +533,6 @@ mod tests {
             path: format!("astro3d/{name}"),
             predicted_secs: None,
             last_access_secs: 0.0,
-            heat: 0,
         }
     }
 
@@ -737,20 +715,15 @@ mod tests {
         let before = c.query_count();
         c.note_dump(run, "temp", 0, 10.0, 1024);
         c.note_dump(run, "temp", 6, 20.0, 1024);
-        c.note_access(run, "temp", Some(0), 30.0);
-        c.note_access(run, "ghost", None, 99.0); // unknown: silently ignored
+        c.note_access(run, "temp", 30.0);
+        c.note_access(run, "ghost", 99.0); // unknown: silently ignored
         assert_eq!(c.query_count(), before, "note_* never counts as a query");
-        let d = c.dataset(id).unwrap();
-        assert_eq!(d.last_access_secs, 30.0);
-        assert_eq!(d.heat, 3);
+        assert_eq!(c.dataset(id).unwrap().last_access_secs, 30.0);
+        c.note_access(run, "temp", 25.0); // recency never runs backwards
+        assert_eq!(c.dataset(id).unwrap().last_access_secs, 30.0);
         let dumps = c.dumps_of(id);
         assert_eq!(dumps.len(), 2);
-        assert_eq!(dumps[0].iter, 0);
-        assert_eq!(dumps[0].reads, 1);
-        assert_eq!(dumps[0].last_access_secs, 30.0);
-        assert_eq!(dumps[1].reads, 0);
-        c.reset_heat(id);
-        assert_eq!(c.dataset(id).unwrap().heat, 0);
+        assert_eq!((dumps[0].iter, dumps[0].written_secs), (0, 10.0));
     }
 
     #[test]
@@ -778,6 +751,54 @@ mod tests {
         let json = c.to_json().unwrap();
         let mut back = Catalog::from_json(&json).unwrap();
         assert_eq!(back.dumps_of(id), c.dumps_of(id));
+    }
+
+    /// A catalog saved while datasets counted heat and dump rows counted
+    /// their reads and kept their own recency: it loads, and saving it
+    /// again writes none of those columns.
+    #[test]
+    fn a_catalog_with_heat_and_read_columns_still_loads() {
+        const OLD: &str = r#"{
+          "apps": [{"description": "hydro simulation", "id": 0, "name": "astro3d"}],
+          "datasets": [{"amode": "Create", "dims": [32, 32, 32], "etype": "U8",
+            "frequency": 6, "heat": 3, "id": 0, "last_access_secs": 30.0,
+            "location": {"Stored": "RemoteTape"}, "name": "chk",
+            "path": "astro3d/run0/chk", "pattern": "BBB", "predicted_secs": null,
+            "run": 0, "strategy": "collective"}],
+          "dumps": [
+            {"bytes": 32768, "dataset": 0, "iter": 0, "last_access_secs": 10.0,
+             "reads": 0, "state": "Vaulted", "written_secs": 10.0},
+            {"bytes": 32768, "dataset": 0, "iter": 6, "last_access_secs": 30.0,
+             "reads": 1, "state": "Resident", "written_secs": 20.0}],
+          "resources": [],
+          "runs": [{"app": 0, "id": 0, "iterations": 12, "tag": "32^3", "user": 0}],
+          "users": [{"id": 0, "name": "xshen", "site": "NWU"}]
+        }"#;
+        let mut c = Catalog::from_json(OLD).unwrap();
+        let d = c.find_dataset(RunId(0), "chk").unwrap().clone();
+        assert_eq!(
+            (d.path.as_str(), d.last_access_secs),
+            ("astro3d/run0/chk", 30.0)
+        );
+        let dumps: Vec<_> = c
+            .dumps_of(d.id)
+            .into_iter()
+            .map(|x| (x.iter, x.written_secs, x.bytes, x.state))
+            .collect();
+        assert_eq!(
+            dumps,
+            [
+                (0, 10.0, 32768, DumpState::Vaulted),
+                (6, 20.0, 32768, DumpState::Resident)
+            ]
+        );
+        let json = c.to_json().unwrap();
+        assert!(
+            !json.contains("\"heat\"") && !json.contains("\"reads\""),
+            "{json}"
+        );
+        assert_eq!(json.matches("\"last_access_secs\"").count(), 1, "{json}");
+        assert_eq!(reload(&c).unwrap().to_json().unwrap(), json);
     }
 
     /// The catalog's dump rows against a map keyed as the index is, over a
@@ -819,21 +840,12 @@ mod tests {
                         iter,
                         written_secs: at,
                         bytes,
-                        last_access_secs: at,
-                        reads: 0,
                         state: DumpState::Resident,
                     });
                     x.written_secs = at;
-                    x.last_access_secs = x.last_access_secs.max(at);
                     (x.bytes, x.state) = (bytes, DumpState::Resident);
                 }
-                5..=7 => {
-                    c.note_access(r, name, Some(iter), at);
-                    if let Some(x) = model.get_mut(&(id.0, iter)) {
-                        x.last_access_secs = x.last_access_secs.max(at);
-                        x.reads += 1;
-                    }
-                }
+                5..=7 => c.note_access(r, name, at),
                 8..=9 => {
                     let state = states[rng.random_range(0..states.len())];
                     let known = model.get_mut(&(id.0, iter)).map(|x| x.state = state);

@@ -210,13 +210,9 @@ pub struct DatasetRec {
     pub predicted_secs: Option<f64>,
     /// Virtual time of the most recent write or read of any dump, seconds.
     /// Updated for free (no query cost) by the access-recency hooks; the
-    /// lifecycle engine keys demotion decisions on it.
+    /// lifecycle engine keys demotion and vaulting decisions on it.
     #[serde(default)]
     pub last_access_secs: f64,
-    /// Accesses since the lifecycle engine last promoted this dataset (or
-    /// reset the counter) — the "heat" a promotion decision looks at.
-    #[serde(default)]
-    pub heat: u64,
 }
 
 impl DatasetRec {
@@ -277,12 +273,6 @@ pub struct DumpRec {
     pub written_secs: f64,
     /// Size of the dump in bytes.
     pub bytes: u64,
-    /// Virtual time of the most recent read (or the write, if never read).
-    #[serde(default)]
-    pub last_access_secs: f64,
-    /// Number of reads served from this dump.
-    #[serde(default)]
-    pub reads: u64,
     /// Residency state.
     #[serde(default)]
     pub state: DumpState,
@@ -320,7 +310,6 @@ mod tests {
             path: "astro3d/run1/temp".into(),
             predicted_secs: None,
             last_access_secs: 0.0,
-            heat: 0,
         }
     }
 
@@ -373,14 +362,18 @@ mod tests {
     #[test]
     fn dataset_json_without_lifecycle_fields_still_loads() {
         // Catalogs saved before the lifecycle engine existed have no
-        // recency/heat columns; they must deserialize as cold.
+        // recency column; they must deserialize as cold. Ones saved while
+        // datasets counted heat carry a column nothing reads any more.
         let mut v = serde_json::to_value(&temp_dataset()).unwrap();
         let obj = v.as_object_mut().unwrap();
         obj.remove("last_access_secs");
-        obj.remove("heat");
-        let back: DatasetRec = serde_json::from_value(v).unwrap();
+        let back: DatasetRec = serde_json::from_value(v.clone()).unwrap();
         assert_eq!(back.last_access_secs, 0.0);
-        assert_eq!(back.heat, 0);
+        let heat = serde_json::to_value(&7u64).unwrap();
+        v.as_object_mut().unwrap().insert("heat".into(), heat);
+        let back: DatasetRec = serde_json::from_value(v).unwrap();
+        assert_eq!(back, temp_dataset());
+        assert!(!serde_json::to_string(&back).unwrap().contains("heat"));
     }
 
     #[test]
@@ -389,8 +382,10 @@ mod tests {
         let d: DumpRec = serde_json::from_str(j).unwrap();
         assert_eq!(d.dataset, DatasetId(3));
         assert_eq!(d.state, DumpState::Resident);
-        assert_eq!(d.reads, 0);
-        assert_eq!(d.last_access_secs, 0.0);
         assert_eq!(DumpState::Vaulted.to_string(), "vaulted");
+        // Rows saved while dumps counted their reads load the same.
+        let old = r#"{"dataset":3,"iter":6,"written_secs":12.5,"bytes":1024,
+                      "last_access_secs":30.0,"reads":2,"state":"Resident"}"#;
+        assert_eq!(serde_json::from_str::<DumpRec>(old).unwrap(), d);
     }
 }

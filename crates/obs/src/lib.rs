@@ -136,9 +136,6 @@ pub mod ops {
     /// A dataset migrated between storage resources — the span covers the
     /// whole staging transfer, `bytes` the data moved (meta layer).
     pub const MIGRATE: &str = "migrate";
-    /// A dataset touched (dump written or read back) — the recency signal
-    /// the lifecycle engine keys on (meta layer counter).
-    pub const DATASET_ACCESS: &str = "dataset_access";
     /// One lifecycle engine pass over the catalog (meta layer counter).
     pub const LIFECYCLE_TICK: &str = "lifecycle_tick";
     /// A dump pruned by retention policy, `bytes` its size (meta layer).

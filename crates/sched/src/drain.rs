@@ -115,8 +115,6 @@ struct Batch {
 pub(crate) struct Drain<'a> {
     sys: &'a MsrSystem,
     rec: Recorder,
-    /// Whether a lifecycle engine is attached (dataset heat is emitted).
-    heat: bool,
     pub start: SimTime,
     pub queues: Queues,
     /// Per-resource foreground cursors: when each resource comes free.
@@ -158,7 +156,6 @@ impl<'a> Drain<'a> {
         Drain {
             sys: sched.sys,
             rec: sched.rec.clone(),
-            heat: sched.lifecycle.is_some(),
             start,
             cursors: queues.keys().map(|&k| (k, start)).collect(),
             queues,
@@ -409,15 +406,11 @@ impl<'a> Drain<'a> {
         }
         release(&mut self.deadlines, session, item.est);
         let acc = &mut self.accs[session as usize];
-        // Per-dataset totals and the catalog's dump/heat columns, so a
-        // lifecycle engine (this run's or a later one's) sees what is hot.
+        // Per-dataset totals and the catalog's dump rows and recency, so a
+        // lifecycle engine (this run's or a later one's) sees what is cold.
         admitted[session as usize]
             .session
             .complete(item.handle, item.iter, &req, &report, at);
-        if self.heat {
-            let dataset = &req.dataset;
-            (self.rec).count(Layer::Sched, dataset, ops::DATASET_ACCESS, at, 1.0);
-        }
         acc.contribs.push(Contrib {
             step: b.step,
             phase: b.phase,

@@ -244,7 +244,7 @@ impl<'a> Scheduler<'a> {
 
     /// Attach a lifecycle engine: between dispatch steps (every
     /// [`lifecycle_every`](Scheduler::lifecycle_every) fired events, on the
-    /// dispatcher thread) it prunes, demotes, promotes and vaults datasets
+    /// dispatcher thread) it prunes, demotes and vaults datasets
     /// whose runs are *not* admitted here — in-flight data is never moved
     /// under a queued request. Ticks derive from a single catalog snapshot
     /// in fixed order, so attaching an engine keeps reports bitwise

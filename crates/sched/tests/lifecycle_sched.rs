@@ -28,7 +28,6 @@ fn engine() -> LifecycleEngine {
     LifecycleEngine::new(LifecycleConfig {
         demote_after: SimDuration::from_secs(600.0),
         vault_after: SimDuration::from_secs(1e9),
-        promote_heat: u64::MAX,
         retention: RetentionPolicy::keep_all().with_keep_last(2),
         ..LifecycleConfig::default()
     })

@@ -65,7 +65,7 @@ fn main() -> CoreResult<()> {
     loop {
         let tick = engine.tick(&sys);
         vaulted += tick.vaulted;
-        if tick.moves() == 0 && tick.vaulted == 0 {
+        if tick.demotions.is_empty() && tick.vaulted == 0 {
             break;
         }
     }

@@ -72,8 +72,7 @@ pub mod prelude {
         SessionBuilder, Tenant, TenantId, TenantQuota, TenantRegistry, Volume,
     };
     pub use msr_lifecycle::{
-        tier_down, tier_up, LifecycleConfig, LifecycleEngine, RetentionPolicy, TickReport,
-        TickTotals,
+        tier_down, LifecycleConfig, LifecycleEngine, RetentionPolicy, TickReport, TickTotals,
     };
     pub use msr_meta::{AccessMode, ElementType, RunId};
     pub use msr_obs::{chrome_trace, jsonl, Layer, MetricsSnapshot, Recorder, Registry};

@@ -251,7 +251,6 @@ fn event_engine_runs_lifecycle_and_prefetch_together_under_chaos() {
         let engine = LifecycleEngine::new(LifecycleConfig {
             demote_after: SimDuration::from_secs(600.0),
             vault_after: SimDuration::from_secs(1e9),
-            promote_heat: u64::MAX,
             retention: RetentionPolicy::keep_all().with_keep_last(2),
             ..LifecycleConfig::default()
         });

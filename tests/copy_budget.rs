@@ -420,7 +420,7 @@ fn a_catalog_lookup_allocates_nothing() {
     for (i, &run) in runs.iter().cycle().take(1000).enumerate() {
         let at = 1e4 + i as f64;
         std::hint::black_box(catalog.find_dataset(run, "d").unwrap());
-        catalog.note_access(run, "d", Some(3), at);
+        catalog.note_access(run, "d", at);
         catalog.note_dump(run, "d", 6, at, READBACK as u64);
     }
     let allocs = ALLOCS.with(Cell::get) - before;

@@ -125,7 +125,6 @@ fn scheduled_fleet_event_stream_is_frozen() {
             let engine = LifecycleEngine::new(LifecycleConfig {
                 demote_after: SimDuration::from_secs(600.0),
                 vault_after: SimDuration::from_secs(2400.0),
-                promote_heat: u64::MAX,
                 retention: RetentionPolicy::keep_all().with_keep_last(2),
                 ..LifecycleConfig::default()
             });
