@@ -66,9 +66,9 @@ fn testbed() -> MsrSystem {
 #[test]
 fn client_fleet_on_demand_fingerprint_is_frozen() {
     for (n, pin) in [
-        (1, "344000de7df95bd3"),
-        (4, "1ea0168192278eac"),
-        (16, "0c14f04b81c46f3f"),
+        (1, "3cf6b54fddeb0e44"),
+        (4, "627cc5058fed304d"),
+        (16, "6f77ee8d1de5a314"),
     ] {
         for prefetch in [false, true] {
             let label = format!("client fleet n={n}");
@@ -82,9 +82,9 @@ fn client_fleet_on_demand_fingerprint_is_frozen() {
 #[test]
 fn consumer_fleet_staged_fingerprint_is_frozen() {
     for (n, off_pin, on_pin) in [
-        (1, "a3ab6036079214d9", "a3ab6036079214d9"),
-        (4, "19fe0399794aac4d", "4ce1a7529e2887cc"),
-        (16, "239980141c38da2c", "c2ed991948dcb915"),
+        (1, "6d47d0419a72724c", "6d47d0419a72724c"),
+        (4, "88d2d39cfa2d8f5e", "1e3d67486e9ed037"),
+        (16, "6f1b9393ececa0f7", "8534bea6f75c8094"),
     ] {
         let label = format!("consumer fleet n={n}");
         let fleet = || consumer_fleet(n, 16, 24);
@@ -122,7 +122,7 @@ fn weighted_tenants_fingerprint_is_frozen() {
         };
         (0..6).map(program).collect()
     };
-    let pin = "03c8c3525d6ac833";
+    let pin = "07d7c376a2068fd4";
     let (_, report) = pinned("weighted tenants", pin, two_tenants, fleet, true);
     assert_eq!(report.tenants.len(), 2);
 }
@@ -145,7 +145,7 @@ fn antagonist_tenants_fingerprint_is_frozen() {
     assert_eq!(total(|t| t.cancelled), 1, "one deadline cancellation");
     assert_eq!(
         fingerprint(&report),
-        "191283323008018e",
+        "bc31bffc090cb423",
         "antagonist report moved"
     );
 
@@ -167,8 +167,8 @@ fn antagonist_tenants_fingerprint_is_frozen() {
 #[test]
 fn chunked_producers_fingerprint_is_frozen() {
     let fleet = |n| move || dedup_fleet(n, 16, 24, true);
-    pinned("chunked n=1", "d48a20b84823d155", testbed, fleet(1), false);
-    let (sys, report) = pinned("chunked n=4", "c207acbd212e8019", testbed, fleet(4), false);
+    pinned("chunked n=1", "0a987070aa90cf58", testbed, fleet(1), false);
+    let (sys, report) = pinned("chunked n=4", "781f53be2061e774", testbed, fleet(4), false);
     assert!(report.sessions.iter().all(|s| s.errors.is_empty()));
 
     // What crossed the WAN and what the store holds for it.
@@ -199,7 +199,7 @@ fn seeded_fault_requeue_fingerprint_is_frozen() {
     assert!(requeues > 0, "seeded faults must force requeues");
     assert_eq!(
         fingerprint(&report),
-        "0ae83b7dd1b3091c",
+        "1df1e6ddd9e12cc1",
         "faulted drain report moved"
     );
 }
