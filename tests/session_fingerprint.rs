@@ -91,7 +91,7 @@ fn payload(spec: &DatasetSpec, iter: u32) -> Vec<u8> {
 /// the session-less consumer path.
 #[test]
 fn three_kind_healthy_run_fingerprint_is_frozen() {
-    pinned("healthy run", "d98e5a848d8488dc", || {
+    pinned("healthy run", "9ad357910edcbb6f", || {
         let sys = MsrSystem::testbed(SEED);
         let grid = ProcGrid::new(2, 2, 2);
         let mut s = session(&sys, grid);
@@ -134,7 +134,7 @@ fn three_kind_healthy_run_fingerprint_is_frozen() {
 /// each a transparent mid-run re-placement.
 #[test]
 fn section5_failover_matrix_fingerprint_is_frozen() {
-    pinned("failover matrix", "777aacfe5099bc1a", || {
+    pinned("failover matrix", "958236e8cdc1adde", || {
         let sys = MsrSystem::testbed(SEED);
         let mut s = session(&sys, ProcGrid::new(1, 1, 1));
         let mut t = Transcript::default();
@@ -177,7 +177,7 @@ fn section5_failover_matrix_fingerprint_is_frozen() {
 /// resource, and the write that follows re-places on the open circuit.
 #[test]
 fn degraded_read_through_breaker_open_fingerprint_is_frozen() {
-    pinned("degraded reads", "2be5f97ede0fff58", || {
+    pinned("degraded reads", "146718e58b6b11ad", || {
         let sys = MsrSystem::testbed(SEED);
         let mut s = session(&sys, ProcGrid::new(1, 1, 1));
         let mut t = Transcript::default();
@@ -208,7 +208,7 @@ fn degraded_read_through_breaker_open_fingerprint_is_frozen() {
 /// read back through their manifests.
 #[test]
 fn chunked_dataset_fingerprint_is_frozen() {
-    pinned("chunked dataset", "12ced287130feaa2", || {
+    pinned("chunked dataset", "7084797bda900c52", || {
         let sys = MsrSystem::testbed(SEED);
         let mut s = session(&sys, ProcGrid::new(1, 1, 1));
         let mut t = Transcript::default();
