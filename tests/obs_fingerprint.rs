@@ -119,7 +119,7 @@ fn session(sys: &MsrSystem) -> Session<'_> {
 fn scheduled_fleet_event_stream_is_frozen() {
     pinned(
         "scheduled fleet",
-        ["6fcb3b96e19ac7e7", "2a2e901a969ac55e"],
+        ["beab16f272f70953", "c19aaba0e49c936a"],
         || {
             let sys = MsrSystem::testbed(SEED);
             let engine = LifecycleEngine::new(LifecycleConfig {
