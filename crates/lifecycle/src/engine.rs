@@ -212,9 +212,8 @@ impl LifecycleEngine {
                 live.push(d);
             }
         }
-        let mut moves_left = self.cfg.max_moves_per_tick;
         self.prune(sys, &live, &mut report);
-        self.demote(sys, &live, &mut moves_left, &mut report);
+        self.demote(sys, &live, &mut report);
         self.vault_cold(sys, &all, busy, &mut report);
 
         let rec = sys.obs_recorder();
@@ -346,13 +345,7 @@ impl LifecycleEngine {
         }
     }
 
-    fn demote(
-        &self,
-        sys: &MsrSystem,
-        live: &[&DatasetRec],
-        moves_left: &mut u32,
-        report: &mut TickReport,
-    ) {
+    fn demote(&self, sys: &MsrSystem, live: &[&DatasetRec], report: &mut TickReport) {
         let now = sys.clock.now().as_secs();
         let mut cands: Vec<&DatasetRec> = live
             .iter()
@@ -371,7 +364,7 @@ impl LifecycleEngine {
                 .then(a.id.cmp(&b.id))
         });
         for d in cands {
-            if *moves_left == 0 {
+            if report.demotions.len() == self.cfg.max_moves_per_tick as usize {
                 return;
             }
             let Location::Stored(from) = d.location else {
@@ -381,7 +374,6 @@ impl LifecycleEngine {
                 continue;
             };
             if let Some(m) = self.migrate(sys, d, from, to) {
-                *moves_left -= 1;
                 report.demotions.push(m);
             }
         }
